@@ -8,6 +8,7 @@
 //! plugged-in [`crate::ft::FtScheme`] at every fault-tolerance-relevant
 //! point.
 
+use std::any::TypeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use simkernel::{impl_actor_any, Actor, ActorId, Ctx, Event, EventBox, SimDuratio
 use simnet::cellular::{CellRx, CellSend};
 use simnet::ethernet::{EthRx, EthSend};
 use simnet::stats::TrafficClass;
-use simnet::wifi::{SendMode, Service, WifiRx, WifiSend};
+use simnet::wifi::{SendMode, Service, WifiBatchRx, WifiRx, WifiSend};
 use simnet::{payload, TxDone, TxFailed};
 
 use crate::ft::FtScheme;
@@ -961,6 +962,27 @@ impl NodeActor {
         self.pump(ctx);
     }
 
+    fn update_routing(&mut self, u: UpdateRouting, ctx: &mut Ctx) {
+        if let Some(os) = u.op_slot {
+            self.inner.op_slot = os;
+            self.inner.unhost_stale();
+        }
+        if let Some(sa) = u.slot_actors {
+            self.inner.slot_actors = sa;
+        }
+        self.pump(ctx);
+    }
+
+    fn set_urgent_edges(&mut self, u: &SetUrgentEdges) {
+        for e in &u.edges {
+            if u.on {
+                self.inner.urgent_edges.insert(*e);
+            } else {
+                self.inner.urgent_edges.remove(e);
+            }
+        }
+    }
+
     fn apply_install(&mut self, ins: Install, ctx: &mut Ctx) {
         let inner = &mut self.inner;
         // Tear down current hosting.
@@ -1001,38 +1023,51 @@ impl NodeActor {
 
 impl Actor for NodeActor {
     fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
-        // Network deliveries: unwrap the payload and re-dispatch.
-        let ev = match ev.downcast::<WifiRx>() {
-            Ok(rx) => {
-                let p = rx.payload.clone();
-                if let Some(msg) = simnet::payload_as::<ItemMsg>(&p) {
-                    self.handle_item(msg.clone(), ctx);
-                    return;
-                }
-                if let Some(ins) = simnet::payload_as::<Install>(&p) {
-                    self.apply_install(ins.clone(), ctx);
-                    return;
-                }
-                EventBox::new(rx)
-            }
-            Err(e) => e,
+        // Network deliveries: look at the payload by reference. What
+        // the runtime handles is cloned out and the box dropped first
+        // (its pooled slot is free again before the handler sends);
+        // anything else — and every batch reception — goes to the
+        // scheme in the box it arrived in.
+        let ty = ev.event_type();
+        let wifi = ty == TypeId::of::<WifiRx>();
+        let cell = ty == TypeId::of::<CellRx>();
+        let payload = if wifi {
+            ev.downcast_ref::<WifiRx>().map(|rx| &rx.payload)
+        } else if cell {
+            ev.downcast_ref::<CellRx>().map(|rx| &rx.payload)
+        } else if ty == TypeId::of::<EthRx>() {
+            ev.downcast_ref::<EthRx>().map(|rx| &rx.payload)
+        } else {
+            None
         };
-        let ev = match ev.downcast::<CellRx>() {
-            Ok(rx) => {
-                let p = rx.payload.clone();
-                if let Some(msg) = simnet::payload_as::<ItemMsg>(&p) {
-                    self.handle_item(msg.clone(), ctx);
+        if let Some(p) = payload {
+            if let Some(msg) = simnet::payload_as::<ItemMsg>(p) {
+                let msg = msg.clone();
+                drop(ev);
+                self.handle_item(msg, ctx);
+                return;
+            }
+            if wifi || cell {
+                if let Some(ins) = simnet::payload_as::<Install>(p) {
+                    let ins = ins.clone();
+                    drop(ev);
+                    self.apply_install(ins, ctx);
                     return;
                 }
-                if let Some(msg) = simnet::payload_as::<InterRegionMsg>(&p) {
+            }
+            if cell {
+                if let Some(msg) = simnet::payload_as::<InterRegionMsg>(p) {
                     let m = msg.clone();
+                    drop(ev);
                     self.handle_source_input_at(m.dst_op, m.value, m.bytes, m.entered, ctx);
                     return;
                 }
-                if let Some(ping) = simnet::payload_as::<Ping>(&p) {
+                if let Some(ping) = simnet::payload_as::<Ping>(p) {
+                    let nonce = ping.nonce;
+                    drop(ev);
                     if self.inner.alive {
                         let pong = Pong {
-                            nonce: ping.nonce,
+                            nonce,
                             region: self.inner.cfg.region,
                             slot: self.inner.cfg.slot,
                         };
@@ -1040,50 +1075,27 @@ impl Actor for NodeActor {
                     }
                     return;
                 }
-                if let Some(ins) = simnet::payload_as::<Install>(&p) {
-                    self.apply_install(ins.clone(), ctx);
+                if let Some(u) = simnet::payload_as::<UpdateRouting>(p) {
+                    let u = u.clone();
+                    drop(ev);
+                    self.update_routing(u, ctx);
                     return;
                 }
-                if let Some(u) = simnet::payload_as::<UpdateRouting>(&p) {
-                    if let Some(os) = &u.op_slot {
-                        self.inner.op_slot = os.clone();
-                        self.inner.unhost_stale();
-                    }
-                    if let Some(sa) = &u.slot_actors {
-                        self.inner.slot_actors = sa.clone();
-                    }
-                    self.pump(ctx);
+                if let Some(u) = simnet::payload_as::<SetUrgentEdges>(p) {
+                    self.set_urgent_edges(u);
                     return;
                 }
-                if let Some(u) = simnet::payload_as::<SetUrgentEdges>(&p) {
-                    for e in &u.edges {
-                        if u.on {
-                            self.inner.urgent_edges.insert(*e);
-                        } else {
-                            self.inner.urgent_edges.remove(e);
-                        }
-                    }
-                    return;
-                }
-                if let Some(u) = simnet::payload_as::<UpdateInterRegion>(&p) {
+                if let Some(u) = simnet::payload_as::<UpdateInterRegion>(p) {
                     self.inner.inter_region = u.links.clone();
                     return;
                 }
-                EventBox::new(rx)
             }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<EthRx>() {
-            Ok(rx) => {
-                let p = rx.payload.clone();
-                if let Some(msg) = simnet::payload_as::<ItemMsg>(&p) {
-                    self.handle_item(msg.clone(), ctx);
-                    return;
-                }
-                EventBox::new(rx)
-            }
-            Err(e) => e,
-        };
+        }
+        if payload.is_some() || ty == TypeId::of::<WifiBatchRx>() {
+            self.scheme.on_custom(ev, &mut self.inner, ctx);
+            self.pump(ctx);
+            return;
+        }
 
         simkernel::match_event!(ev,
             _p: ProcDone => {
@@ -1125,23 +1137,10 @@ impl Actor for NodeActor {
                 }
             },
             u: UpdateRouting => {
-                if let Some(os) = u.op_slot {
-                    self.inner.op_slot = os;
-                    self.inner.unhost_stale();
-                }
-                if let Some(sa) = u.slot_actors {
-                    self.inner.slot_actors = sa;
-                }
-                self.pump(ctx);
+                self.update_routing(u, ctx);
             },
             u: SetUrgentEdges => {
-                for e in u.edges {
-                    if u.on {
-                        self.inner.urgent_edges.insert(e);
-                    } else {
-                        self.inner.urgent_edges.remove(&e);
-                    }
-                }
+                self.set_urgent_edges(&u);
             },
             u: UpdateInterRegion => {
                 self.inner.inter_region = u.links;
@@ -1591,5 +1590,125 @@ mod tests {
         // Latency via the slow cellular uplink exceeds WiFi's.
         let lat = sink.inner.metrics.sink_samples[0].latency;
         assert!(lat > SimDuration::from_millis(150), "lat = {lat}");
+    }
+
+    /// What the runtime handed the scheme, in order.
+    #[derive(Default)]
+    struct Recorder {
+        log: Vec<String>,
+    }
+
+    impl FtScheme for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, _ctx: &mut Ctx) -> bool {
+            let net = if ev.is::<WifiRx>() {
+                "wifi"
+            } else if ev.is::<CellRx>() {
+                "cell"
+            } else if ev.is::<EthRx>() {
+                "eth"
+            } else {
+                "other"
+            };
+            self.log
+                .push(format!("custom {net} pooled={}", ev.is_pooled()));
+            // The pump that follows consumes a marker at a queue front.
+            node.push_item(
+                EdgeId(0),
+                StreamItem::Marker(crate::tuple::Marker::token(1)),
+            );
+            true
+        }
+        fn on_marker(
+            &mut self,
+            _m: crate::tuple::Marker,
+            _e: EdgeId,
+            _n: &mut NodeInner,
+            _c: &mut Ctx,
+        ) {
+            self.log.push("pump".into());
+        }
+    }
+
+    /// A payload no runtime handler recognises.
+    #[derive(Debug)]
+    struct SchemeRpc;
+
+    /// Sends one delivery of each transport to `node` from inside the
+    /// simulation, so each arrives in a pooled box like real traffic.
+    struct Deliverer {
+        node: ActorId,
+    }
+
+    impl Actor for Deliverer {
+        fn on_event(&mut self, _ev: EventBox, ctx: &mut Ctx) {
+            let (src, bytes, class) = (ctx.self_id(), 8, TrafficClass::Control);
+            let payload = payload(SchemeRpc);
+            ctx.send(
+                self.node,
+                WifiRx {
+                    src,
+                    bytes,
+                    class,
+                    payload: payload.clone(),
+                },
+            );
+            ctx.send(
+                self.node,
+                CellRx {
+                    src,
+                    bytes,
+                    class,
+                    payload: payload.clone(),
+                },
+            );
+            ctx.send(
+                self.node,
+                EthRx {
+                    src,
+                    bytes,
+                    class,
+                    payload,
+                },
+            );
+        }
+        impl_actor_any!();
+    }
+
+    /// A network delivery the runtime does not handle itself reaches
+    /// the scheme once, in the box it arrived in, and one pump follows.
+    #[test]
+    fn scheme_deliveries_reach_on_custom_once_in_the_original_box() {
+        let mut rig = chain_rig(0.0);
+        let node = rig.nodes[1];
+        rig.sim.actor_mut::<NodeActor>(node).scheme = Box::<Recorder>::default();
+        let deliverer = rig.sim.add_actor(Box::new(Deliverer { node }));
+        rig.sim.schedule_at(SimTime::ZERO, deliverer, SchemeRpc);
+        rig.sim.run();
+        let na = rig.sim.actor::<NodeActor>(node);
+        let log = &na.scheme.as_any().downcast_ref::<Recorder>().unwrap().log;
+        assert_eq!(
+            log,
+            &[
+                "custom wifi pooled=true",
+                "pump",
+                "custom cell pooled=true",
+                "pump",
+                "custom eth pooled=true",
+                "pump",
+            ]
+        );
+        let pool = rig.sim.pool_stats();
+        assert_eq!(pool.unpooled, 0, "nothing was re-boxed outside the pool");
+        assert_eq!(
+            pool.fresh + pool.recycled,
+            3,
+            "three deliveries, three slots"
+        );
     }
 }

@@ -173,6 +173,23 @@ impl FleetConfig {
         self.regions.iter().map(|r| r.phones).sum()
     }
 
+    /// Shrink to the CI smoke scale of `msx scenarios matrix --smoke`:
+    /// 3 regions × ≤8 phones over 360 s. 360 s keeps the latest
+    /// partition-heal window and its post-heal commit round inside the
+    /// horizon; the checkpoint cadence shrinks with it so the post-heal
+    /// commit opportunities per horizon match the full-scale profiles
+    /// (~5-6 rounds).
+    pub fn shrink_to_smoke(&mut self) {
+        self.regions.truncate(3);
+        for region in &mut self.regions {
+            region.phones = region.phones.min(8);
+        }
+        self.duration = SimDuration::from_secs(360);
+        self.warmup = SimDuration::from_secs(60);
+        self.ckpt_period = SimDuration::from_secs(60);
+        self.ckpt_offset = SimDuration::from_secs(20);
+    }
+
     /// Control-plane topology (regions × group size).
     pub fn topo(&self) -> CtlTopology {
         CtlTopology::new(self.regions.len(), self.ctl_group_size)

@@ -298,19 +298,7 @@ fn matrix_cmd(args: &[String], out: &Path) {
             jobs.push(Box::new(move || {
                 let mut cfg = fleet::profile(&p, seed).expect("built-in profile");
                 if smoke {
-                    cfg.regions.truncate(3);
-                    for region in &mut cfg.regions {
-                        region.phones = region.phones.min(8);
-                    }
-                    // 360 s keeps the latest partition-heal window and
-                    // its post-heal commit round inside the horizon;
-                    // the checkpoint cadence shrinks with it so the
-                    // post-heal commit opportunities per horizon match
-                    // the full-scale profiles (~5-6 rounds).
-                    cfg.duration = simkernel::SimDuration::from_secs(360);
-                    cfg.warmup = simkernel::SimDuration::from_secs(60);
-                    cfg.ckpt_period = simkernel::SimDuration::from_secs(60);
-                    cfg.ckpt_offset = simkernel::SimDuration::from_secs(20);
+                    cfg.shrink_to_smoke();
                 }
                 cfg.weather = weather::weather(&w, seed, cfg.topo());
                 cfg.sanitize = true;

@@ -1,0 +1,52 @@
+//! Golden digests: the simulated schedule of the five library profiles,
+//! pinned under `cargo test`.
+//!
+//! A performance change must leave every event, RNG draw and report
+//! field where it was. `msx bench fleet --smoke` checks that in CI on
+//! one 2×8 fleet; this pins the `FleetReport` digest and event count of
+//! every library profile at matrix-smoke scale (3 regions × ≤8 phones,
+//! 360 s), at 1 and 4 worker threads, so an accidental change of event
+//! order or RNG consumption fails tier-1 and names the profile.
+//!
+//! The values were recorded at commit 04a6a34 (PR 11). A change that
+//! *means* to alter the simulated behaviour re-records them with
+//! `cargo test -p experiments --test golden_digests -- --nocapture`
+//! (each mismatch prints the observed pair) and says so in CHANGES.md.
+
+use experiments::fleet::{profile, run_fleet};
+
+/// `(profile, FleetReport::digest, FleetReport::events_processed)`.
+const GOLDEN: &[(&str, u64, u64)] = &[
+    ("stadium", 0xbe9d_7893_b537_79a2, 76021),
+    ("commute", 0x6c9a_bbd7_6d7f_a47a, 39106),
+    ("flash-crowd", 0x8026_aafb_a69e_6b3e, 40741),
+    ("lossy-wifi", 0xae60_5497_33e2_b473, 69851),
+    ("metro", 0x6bb3_4311_8b0b_4769, 75921),
+];
+
+const SEED: u64 = 1;
+
+#[test]
+fn library_profiles_keep_their_digests() {
+    let mut drift = Vec::new();
+    for &(name, digest, events) in GOLDEN {
+        for threads in [1, 4] {
+            let mut cfg = profile(name, SEED).expect("library profile");
+            cfg.shrink_to_smoke();
+            cfg.threads = threads;
+            let r = run_fleet(&cfg);
+            assert!(r.checkpoint_commits > 0, "{name}: no round committed");
+            if (r.digest, r.events_processed) != (digest, events) {
+                drift.push(format!(
+                    "(\"{name}\", {:#018x}, {}) at {threads} thread(s)",
+                    r.digest, r.events_processed
+                ));
+            }
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "the simulated schedule changed — observed:\n    {}",
+        drift.join("\n    ")
+    );
+}

@@ -22,6 +22,7 @@
 //! Fig 6 walk-through is reproduced exactly in the tests below);
 //! [`crate::scheme::MsScheme`] glues it to the WiFi medium.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use simkernel::ActorId;
@@ -84,6 +85,16 @@ pub enum BroadcastError {
         /// Total the receiver's cumulative bitmap was sized for.
         expected: u32,
     },
+    /// A batch's reception bitmap does not have one bit per listed
+    /// block.
+    ReceptionLengthMismatch {
+        /// Job id.
+        stream: u64,
+        /// Blocks the batch listed.
+        blocks: usize,
+        /// Bits in its reception bitmap.
+        received: usize,
+    },
 }
 
 impl std::fmt::Display for BroadcastError {
@@ -104,6 +115,14 @@ impl std::fmt::Display for BroadcastError {
             } => write!(
                 f,
                 "broadcast stream {stream}: batch declares {declared} total blocks, job was sized at {expected}"
+            ),
+            BroadcastError::ReceptionLengthMismatch {
+                stream,
+                blocks,
+                received,
+            } => write!(
+                f,
+                "broadcast stream {stream}: batch lists {blocks} blocks but its reception bitmap has {received} bits"
             ),
         }
     }
@@ -243,7 +262,7 @@ impl SenderJob {
     /// Wire size of one receiver bitmap (ceil(n/8), as in the paper:
     /// 8192 blocks → 1 KB bitmap).
     pub fn bitmap_wire_bytes(&self) -> u64 {
-        Bitmap::zeros(self.n_blocks as usize).wire_bytes()
+        (self.n_blocks as u64).div_ceil(8)
     }
 
     /// Blocks to broadcast in the first phase (all of them). Records
@@ -267,13 +286,14 @@ impl SenderJob {
 
     /// Total bytes received across receivers so far.
     fn received_bytes(&self) -> u64 {
+        // Only the last block may be shorter than `block_bytes`.
+        let last = self.n_blocks as usize - 1;
+        let tail_short = self.block_bytes - self.tail_bytes;
         self.per_rx
             .values()
             .map(|bm| {
-                (0..self.n_blocks)
-                    .filter(|&b| bm.get(b as usize))
-                    .map(|b| self.block_size(b))
-                    .sum::<u64>()
+                let full = bm.count_ones() as u64 * self.block_bytes;
+                full - if bm.get(last) { tail_short } else { 0 }
             })
             .sum()
     }
@@ -433,8 +453,9 @@ impl ReceiverState {
     /// Fold one batch's reception report in; returns the cumulative
     /// bitmap to send back to the sender.
     ///
-    /// A block id beyond the job's size, or a `total_blocks` that
-    /// disagrees with the first batch of the stream, is a protocol
+    /// A block id beyond the job's size, a `total_blocks` that
+    /// disagrees with the first batch of the stream, or a reception
+    /// bitmap that is not one bit per listed block is a protocol
     /// error: silently skipping such blocks (as an earlier version did)
     /// would let the sender believe a checkpoint block was replicated
     /// when it never landed anywhere. The batch is rejected whole —
@@ -448,30 +469,46 @@ impl ReceiverState {
         blocks: &[u32],
         received: &Bitmap,
     ) -> Result<Bitmap, BroadcastError> {
-        if let Some(existing) = self.jobs.get(&(src, stream)) {
-            if existing.len() != total_blocks as usize {
+        if received.len() != blocks.len() {
+            return Err(BroadcastError::ReceptionLengthMismatch {
+                stream,
+                blocks: blocks.len(),
+                received: received.len(),
+            });
+        }
+        let entry = self.jobs.entry((src, stream));
+        if let Entry::Occupied(existing) = &entry {
+            let expected = existing.get().len();
+            if expected != total_blocks as usize {
                 return Err(BroadcastError::TotalBlocksMismatch {
                     stream,
                     declared: total_blocks,
-                    expected: existing.len() as u32,
+                    expected: expected as u32,
                 });
             }
         }
-        if let Some(&bad) = blocks.iter().find(|&&b| b >= total_blocks) {
-            return Err(BroadcastError::BlockOutOfRange {
-                stream,
-                block: bad,
-                total: total_blocks,
-            });
-        }
-        let cum = self
-            .jobs
-            .entry((src, stream))
-            .or_insert_with(|| Bitmap::zeros(total_blocks as usize));
+        // One pass: the largest id, and whether the ids are an
+        // ascending run (a phase-1 chunk always is).
+        let first = blocks.first().copied().unwrap_or(0);
+        let (mut max, mut run) = (0u32, true);
         for (i, &b) in blocks.iter().enumerate() {
-            if received.get(i) {
-                cum.set(b as usize, true);
+            max = max.max(b);
+            run &= b == first.wrapping_add(i as u32);
+        }
+        if max >= total_blocks {
+            if let Some(&block) = blocks.iter().find(|&&b| b >= total_blocks) {
+                return Err(BroadcastError::BlockOutOfRange {
+                    stream,
+                    block,
+                    total: total_blocks,
+                });
             }
+        }
+        let cum = entry.or_insert_with(|| Bitmap::zeros(total_blocks as usize));
+        if run {
+            cum.or_shifted(received, first as usize);
+        } else {
+            cum.or_scattered(received, blocks);
         }
         Ok(cum.clone())
     }
@@ -479,6 +516,12 @@ impl ReceiverState {
     /// Drop a finished job's state.
     pub fn finish(&mut self, src: ActorId, stream: u64) {
         self.jobs.remove(&(src, stream));
+    }
+
+    /// Drop the jobs of senders for which `live` is false (phones that
+    /// left the region's membership mid-job).
+    pub fn retain_senders(&mut self, live: impl Fn(ActorId) -> bool) {
+        self.jobs.retain(|&(src, _), _| live(src));
     }
 
     /// Number of in-flight jobs (test/introspection).
@@ -895,6 +938,189 @@ mod tests {
         // A fresh stream id is a fresh job and works fine.
         rx.on_batch(src, 6, 8, &[1], &bm(1, |_| true)).unwrap();
         assert_eq!(rx.in_flight(), 2);
+    }
+
+    /// A reception bitmap that is not one bit per listed block used to
+    /// panic the phone inside `Bitmap::get`; it is a rejected batch.
+    #[test]
+    fn receiver_state_rejects_reception_length_mismatch() {
+        let mut rx = ReceiverState::default();
+        let src = actor(4);
+        for wrong in [1usize, 3] {
+            let err = rx
+                .on_batch(src, 2, 8, &[0, 1], &bm(wrong, |_| true))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                BroadcastError::ReceptionLengthMismatch {
+                    stream: 2,
+                    blocks: 2,
+                    received: wrong,
+                }
+            );
+            assert!(err.to_string().contains(&format!("{wrong} bits")));
+        }
+        assert_eq!(rx.in_flight(), 0, "a rejected first batch leaves no job");
+    }
+
+    #[test]
+    fn receiver_state_retain_senders() {
+        let mut rx = ReceiverState::default();
+        for (sender, stream) in [(1, 1), (1, 2), (2, 1), (3, 9)] {
+            rx.on_batch(actor(sender), stream, 4, &[0], &bm(1, |_| true))
+                .unwrap();
+        }
+        rx.retain_senders(|a| a != actor(1));
+        assert_eq!(rx.in_flight(), 2);
+        // The surviving senders' cumulative state is intact.
+        let cum = rx.on_batch(actor(2), 1, 4, &[1], &bm(1, |_| true)).unwrap();
+        assert_eq!(cum.count_ones(), 2);
+    }
+
+    /// The receiver as it was before the word-parallel rewrite: two
+    /// lookups, a linear `find`, one `get`/`set` per block. Kept as the
+    /// reference the fast path must equal.
+    #[derive(Default)]
+    struct ReferenceReceiver {
+        jobs: BTreeMap<(ActorId, u64), Bitmap>,
+    }
+
+    impl ReferenceReceiver {
+        fn on_batch(
+            &mut self,
+            src: ActorId,
+            stream: u64,
+            total_blocks: u32,
+            blocks: &[u32],
+            received: &Bitmap,
+        ) -> Result<Bitmap, BroadcastError> {
+            if received.len() != blocks.len() {
+                return Err(BroadcastError::ReceptionLengthMismatch {
+                    stream,
+                    blocks: blocks.len(),
+                    received: received.len(),
+                });
+            }
+            if let Some(existing) = self.jobs.get(&(src, stream)) {
+                if existing.len() != total_blocks as usize {
+                    return Err(BroadcastError::TotalBlocksMismatch {
+                        stream,
+                        declared: total_blocks,
+                        expected: existing.len() as u32,
+                    });
+                }
+            }
+            if let Some(&bad) = blocks.iter().find(|&&b| b >= total_blocks) {
+                return Err(BroadcastError::BlockOutOfRange {
+                    stream,
+                    block: bad,
+                    total: total_blocks,
+                });
+            }
+            let cum = self
+                .jobs
+                .entry((src, stream))
+                .or_insert_with(|| Bitmap::zeros(total_blocks as usize));
+            for (i, &b) in blocks.iter().enumerate() {
+                if received.get(i) {
+                    cum.set(b as usize, true);
+                }
+            }
+            Ok(cum.clone())
+        }
+    }
+
+    /// `received_bytes` as it was: one `get` and one `block_size` per
+    /// block per receiver.
+    fn reference_received_bytes(job: &SenderJob) -> u64 {
+        job.per_rx
+            .values()
+            .map(|bm| {
+                (0..job.n_blocks)
+                    .filter(|&b| bm.get(b as usize))
+                    .map(|b| job.block_size(b))
+                    .sum::<u64>()
+            })
+            .sum()
+    }
+
+    proptest! {
+        /// Any sequence of batches — contiguous runs at offsets that are
+        /// not multiples of 64, unsorted ids with repeats, out-of-range
+        /// ids, wrong totals, wrong reception lengths — gives the same
+        /// replies, the same errors and the same retained state as the
+        /// bit-by-bit reference; a rejected batch changes nothing.
+        #[test]
+        fn prop_on_batch_matches_reference(
+            total in 1u32..200,
+            // Per batch: (stream, shape, run start, run length), then
+            // (arbitrary ids, raw reception bits). Shape 0-2 = a
+            // contiguous run that mostly fits the job, 3-5 = the
+            // arbitrary ids (unsorted, repeats, some out of range),
+            // 6 = wrong declared total, 7 = wrong reception length.
+            specs in prop::collection::vec(
+                (
+                    (0u64..3, 0u8..8, 0u32..200, 0usize..150),
+                    (
+                        prop::collection::vec(0u32..210, 0..40),
+                        prop::collection::vec(any::<bool>(), 1..70),
+                    ),
+                ),
+                1..12,
+            ),
+        ) {
+            let (mut fast, mut slow) = (ReceiverState::default(), ReferenceReceiver::default());
+            let src = actor(5);
+            for ((stream, shape, start, len), (ids, bits)) in &specs {
+                let (stream, shape) = (*stream, *shape);
+                let blocks: Vec<u32> = match shape {
+                    3..=5 => ids.clone(),
+                    _ => {
+                        // Fits the job, or overruns it by one block.
+                        let start = start % total;
+                        let len = *len as u32 % (total - start + 2);
+                        (start..start + len).collect()
+                    }
+                };
+                let declared = if shape == 6 { total + 1 } else { total };
+                let n_bits = if shape == 7 { blocks.len() + 1 } else { blocks.len() };
+                let received = bm(n_bits, |i| bits[i % bits.len()]);
+                let before = fast.jobs.clone();
+                let got = fast.on_batch(src, stream, declared, &blocks, &received);
+                let want = slow.on_batch(src, stream, declared, &blocks, &received);
+                if got.is_err() {
+                    prop_assert_eq!(&fast.jobs, &before, "a rejected batch touched state");
+                }
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(&fast.jobs, &slow.jobs);
+            }
+        }
+
+        /// `count_ones` plus the tail correction equals summing block
+        /// sizes bit by bit, with and without a short tail block, held
+        /// or not.
+        #[test]
+        fn prop_received_bytes_matches_reference(
+            n_blocks in 1u64..200,
+            tail in 1u64..1025,
+            n_rx in 1usize..5,
+            seed in any::<u64>(),
+        ) {
+            let total = (n_blocks - 1) * 1024 + tail;
+            let mut job = SenderJob::new(
+                1, ckpt_content(), TrafficClass::Checkpoint, total, 1024,
+                (0..n_rx).map(actor).collect(),
+            );
+            prop_assert_eq!(job.n_blocks as u64, n_blocks);
+            let mut s = seed;
+            for bm in job.per_rx.values_mut() {
+                for i in 0..n_blocks as usize {
+                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    bm.set(i, s >> 62 != 0);
+                }
+            }
+            prop_assert_eq!(job.received_bytes(), reference_received_bytes(&job));
+        }
     }
 
     proptest! {

@@ -172,6 +172,17 @@ impl MsScheme {
             .collect()
     }
 
+    /// A phone the membership dropped mid-job sends no more batches
+    /// and no `BlobDeliver`: forget its reception state.
+    fn evict_departed_senders(&mut self, node: &NodeInner) {
+        let (slots, actors) = (&self.active_slots, &node.slot_actors);
+        self.rx.retain_senders(|sender| {
+            slots
+                .iter()
+                .any(|&s| actors.get(s as usize) == Some(&sender))
+        });
+    }
+
     fn alloc_stream(&mut self, node: &NodeInner) -> u64 {
         let s = ((node.cfg.slot as u64) << 32) | self.next_stream;
         self.next_stream += 1;
@@ -556,6 +567,10 @@ impl MsScheme {
         node.clear_queues();
         self.align.clear();
         self.jobs.clear();
+        // A rollback is region-wide: every sender drops its jobs on the
+        // same controller broadcast, so no `BlobDeliver` will finish
+        // the reception state held here.
+        self.rx = ReceiverState::default();
         self.tokens_emitted.clear();
         let ops: Vec<OpId> = node.ops.keys().copied().collect();
         let states: Vec<(OpId, dsps::operator::OpState)> = ops
@@ -728,12 +743,15 @@ impl FtScheme for MsScheme {
             rx: WifiRx => {
                 if let Some(reply) = payload_as::<BitmapReply>(&rx.payload) {
                     let stream = reply.stream;
-                    let decision = self
-                        .jobs
-                        .get_mut(&stream)
-                        .and_then(|j| j.on_bitmap(rx.src, &reply.received));
-                    if let Some(d) = decision {
-                        self.apply_decision(stream, d, node, ctx);
+                    if let Some(job) = self.jobs.get_mut(&stream) {
+                        if reply.received.len() != job.n_blocks as usize {
+                            // The job merges nothing of such a reply.
+                            self.stats.protocol_errors += 1;
+                            ctx.count("ms.bitmap_protocol_errors", 1);
+                        }
+                        if let Some(d) = job.on_bitmap(rx.src, &reply.received) {
+                            self.apply_decision(stream, d, node, ctx);
+                        }
                     }
                 }
             },
@@ -829,6 +847,7 @@ impl FtScheme for MsScheme {
                         node.slot_actors = (*m.slot_actors).clone();
                         self.active_slots = (*m.active_slots).clone();
                         self.membership_epoch = m.epoch;
+                        self.evict_departed_senders(node);
                     }
                 } else if let Some(d) = payload_as::<MembershipDelta>(&rx.payload) {
                     // Apply only if our epoch falls in the delta's
@@ -847,6 +866,7 @@ impl FtScheme for MsScheme {
                             }
                         }
                         self.membership_epoch = d.epoch;
+                        self.evict_departed_senders(node);
                     }
                 } else if let Some(d) = payload_as::<DegradedCheckpointVia>(&rx.payload) {
                     self.degraded_proxy = Some(d.proxy);
@@ -916,6 +936,8 @@ impl FtScheme for MsScheme {
     fn on_install(&mut self, node: &mut NodeInner, ctx: &mut Ctx) {
         self.align.clear();
         self.jobs.clear();
+        // `rx` stays: a reinstall (reboot-rejoin, replacement) is local
+        // to this phone, and the other phones' jobs toward it go on.
         self.tokens_emitted.clear();
         // A reinstall means the phone is back on the WiFi path (rejoin
         // or replacement): end the degraded cellular snapshot mode.
@@ -1193,6 +1215,132 @@ mod tests {
         rig.sim.run_until(rig.sim.now() + SimDuration::from_secs(2));
         let ctl_stub = rig.sim.actor::<CtlStub>(rig.ctl);
         assert!(ctl_stub.acks.contains(&1), "rollback acked");
+    }
+
+    fn rx_in_flight(rig: &Rig, slot: usize) -> usize {
+        let na = rig.sim.actor::<NodeActor>(rig.nodes[slot]);
+        let ms = na.scheme.as_any().downcast_ref::<MsScheme>().unwrap();
+        ms.rx.in_flight()
+    }
+
+    /// Hand `msg` to `slot` as a cellular delivery from the controller,
+    /// at the current instant.
+    fn deliver_ctl<T: simkernel::Event>(rig: &mut Rig, slot: usize, msg: T) {
+        let rx = CellRx {
+            src: rig.ctl,
+            bytes: 64,
+            class: TrafficClass::Control,
+            payload: payload(msg),
+        };
+        rig.sim.schedule_at(rig.sim.now(), rig.nodes[slot], rx);
+    }
+
+    /// Run until A's checkpoint broadcast has reached its receivers,
+    /// then tear the job down at the sender alone: the receivers hold
+    /// reception state no `BlobDeliver` will ever finish.
+    fn abandon_a_job_mid_flight(rig: &mut Rig) {
+        feed(rig, 3, 100);
+        rig.sim.run_until(SimTime::from_secs(5));
+        assert_eq!(rx_in_flight(rig, 3), 0, "preservation jobs all finished");
+        start_ckpt(rig, 5_000, 1);
+        let mut guard = 0;
+        while rx_in_flight(rig, 3) == 0 {
+            rig.sim
+                .run_until(rig.sim.now() + SimDuration::from_millis(1));
+            guard += 1;
+            assert!(guard < 20_000, "A's checkpoint batch never arrived");
+        }
+        deliver_ctl(rig, 1, RollbackTo { version: 0 });
+        rig.sim
+            .run_until(rig.sim.now() + SimDuration::from_secs(30));
+        for slot in [0, 2, 3] {
+            assert_eq!(
+                rx_in_flight(rig, slot),
+                1,
+                "slot {slot} still holds the dead job"
+            );
+        }
+    }
+
+    /// Regression: receivers only ever freed reception state on
+    /// `BlobDeliver`, so every job abandoned by a recovery stayed in
+    /// their maps for the rest of the run.
+    #[test]
+    fn region_recovery_frees_abandoned_reception_state() {
+        let mut rig = rig();
+        abandon_a_job_mid_flight(&mut rig);
+        for slot in 0..4 {
+            deliver_ctl(&mut rig, slot, RollbackTo { version: 0 });
+        }
+        rig.sim.run_until(rig.sim.now() + SimDuration::from_secs(2));
+        for slot in 0..4 {
+            assert_eq!(
+                rx_in_flight(&rig, slot),
+                0,
+                "slot {slot} after the recovery"
+            );
+        }
+    }
+
+    /// A sender the membership drops takes its reception state with
+    /// it; other senders' jobs are untouched.
+    #[test]
+    fn membership_drop_evicts_the_departed_senders_jobs() {
+        let mut rig = rig();
+        abandon_a_job_mid_flight(&mut rig);
+        let drop_slot = |slot| MembershipDelta {
+            base_epoch: 0,
+            epoch: 1,
+            changes: Arc::new(vec![SlotChange {
+                slot,
+                active: false,
+            }]),
+        };
+        deliver_ctl(&mut rig, 3, drop_slot(2)); // not the sender
+        deliver_ctl(&mut rig, 0, drop_slot(1)); // the sender, A
+        rig.sim.run_until(rig.sim.now() + SimDuration::from_secs(1));
+        assert_eq!(
+            rx_in_flight(&rig, 3),
+            1,
+            "another slot leaving frees nothing of A's"
+        );
+        assert_eq!(rx_in_flight(&rig, 0), 0, "A left: its job is evicted");
+    }
+
+    /// A bitmap reply of the wrong length is a counted protocol error.
+    #[test]
+    fn wrong_length_bitmap_reply_is_a_protocol_error() {
+        let mut rig = rig();
+        abandon_a_job_mid_flight(&mut rig);
+        // Start a fresh job at A and answer it with a 3-bit bitmap.
+        start_ckpt(&mut rig, 40_000, 2);
+        let a = rig.nodes[1];
+        let job_of_a = |rig: &Rig| {
+            let na = rig.sim.actor::<NodeActor>(a);
+            let ms = na.scheme.as_any().downcast_ref::<MsScheme>().unwrap();
+            (ms.jobs.keys().next().copied(), ms.stats.protocol_errors)
+        };
+        let mut guard = 0;
+        while job_of_a(&rig).0.is_none() {
+            rig.sim
+                .run_until(rig.sim.now() + SimDuration::from_millis(1));
+            guard += 1;
+            assert!(guard < 20_000, "A never started its second job");
+        }
+        let (stream, errors) = job_of_a(&rig);
+        let reply = WifiRx {
+            src: rig.nodes[3],
+            bytes: 1,
+            class: TrafficClass::Checkpoint,
+            payload: payload(BitmapReply {
+                stream: stream.unwrap(),
+                received: Bitmap::zeros(3),
+            }),
+        };
+        rig.sim.schedule_at(rig.sim.now(), a, reply);
+        rig.sim
+            .run_until(rig.sim.now() + SimDuration::from_millis(1));
+        assert_eq!(job_of_a(&rig).1, errors + 1);
     }
 
     #[test]

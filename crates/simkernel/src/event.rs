@@ -9,7 +9,7 @@
 //! checkpoint tokens, and `mobistreams` never needs to know about
 //! Ethernet frames.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::fmt;
 
 /// A simulation event/message. Blanket-implemented for every
@@ -21,6 +21,9 @@ pub trait Event: Any + fmt::Debug + Send + Sync {
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
     /// The event's type name, for traces and "unhandled event" panics.
     fn type_name(&self) -> &'static str;
+    /// The concrete type's `TypeId` in one virtual call
+    /// (`as_any().type_id()` costs two).
+    fn event_type(&self) -> TypeId;
 }
 
 impl<T: Any + fmt::Debug + Send + Sync> Event for T {
@@ -32,6 +35,9 @@ impl<T: Any + fmt::Debug + Send + Sync> Event for T {
     }
     fn type_name(&self) -> &'static str {
         std::any::type_name::<T>()
+    }
+    fn event_type(&self) -> TypeId {
+        TypeId::of::<T>()
     }
 }
 
@@ -61,7 +67,7 @@ impl std::error::Error for MisroutedEvent {}
 impl dyn Event {
     /// True if the boxed event is a `T`.
     pub fn is<T: Any>(&self) -> bool {
-        self.as_any().is::<T>()
+        self.event_type() == TypeId::of::<T>()
     }
 
     /// Borrowing downcast.
@@ -93,8 +99,11 @@ impl dyn Event {
     }
 }
 
-/// Dispatch an event to per-type handlers. Expands to an
-/// if-let-downcast chain; the final arm handles "no match". Accepts an
+/// Dispatch an event to per-type handlers. Reads the payload's
+/// `TypeId` once and compares it against each arm's type in order, so
+/// a non-matching arm costs one 128-bit compare; the first matching arm
+/// takes the event by value, and `@else` receives the original box
+/// (pooled or plain) untouched. Accepts an
 /// [`EventBox`](crate::EventBox) (the [`Actor::on_event`](crate::Actor)
 /// argument) or a plain `Box<dyn Event>`.
 ///
@@ -115,17 +124,20 @@ impl dyn Event {
 macro_rules! match_event {
     ($ev:expr, $( $name:ident : $ty:ty => $body:block ),+ , @else $fallback:ident => $fb:block ) => {{
         let mut __ev: $crate::EventBox = ::core::convert::Into::into($ev);
+        let __ty = $crate::EventBox::event_type(&__ev);
         #[allow(unreachable_code, clippy::never_loop)]
         loop {
             $(
-                __ev = match __ev.downcast::<$ty>() {
-                    Ok(__v) => {
-                        let $name: $ty = __v;
-                        $body
-                        break;
-                    }
-                    Err(__e) => __e,
-                };
+                if __ty == ::core::any::TypeId::of::<$ty>() {
+                    __ev = match __ev.downcast::<$ty>() {
+                        Ok(__v) => {
+                            let $name: $ty = __v;
+                            $body
+                            break;
+                        }
+                        Err(__e) => __e,
+                    };
+                }
             )+
             let $fallback = __ev;
             $fb
@@ -213,5 +225,80 @@ mod tests {
             @else other => { hit = if other.is::<Mystery>() { "mystery" } else { "?" }; }
         );
         assert_eq!(hit, "mystery");
+    }
+
+    /// Arms are tried in order: with the same type listed twice, the
+    /// first arm takes the event and the second never runs.
+    #[test]
+    fn match_event_first_matching_arm_wins() {
+        let mut hits = Vec::new();
+        match_event!(crate::EventBox::new(Ping(5)),
+            _q: Pong => { hits.push("pong"); },
+            p: Ping => { hits.push("first"); assert_eq!(p, Ping(5)); },
+            _p: Ping => { hits.push("second"); },
+            @else _other => { hits.push("else"); }
+        );
+        assert_eq!(hits, ["first"]);
+    }
+
+    /// Pooled and plain boxes dispatch alike; a matching arm moves the
+    /// payload out and the pooled slot is free again before the body
+    /// runs.
+    #[test]
+    fn match_event_takes_pooled_and_plain_boxes() {
+        let pool = crate::EventPool::new();
+        for ev in [pool.make(Ping(8)), crate::EventBox::new(Ping(8))] {
+            let pooled = ev.is_pooled();
+            let mut got = Vec::new();
+            match_event!(ev,
+                _q: Pong => { panic!("wrong arm"); },
+                p: Ping => {
+                    if pooled {
+                        drop(pool.make(Ping(0)));
+                        assert_eq!(pool.stats().recycled, 1, "slot released before the body");
+                    }
+                    got.push(p);
+                },
+                @else _other => { panic!("fell through"); }
+            );
+            assert_eq!(got, [Ping(8)]);
+        }
+        assert_eq!(pool.stats().aliasing, 0);
+    }
+
+    /// No arm matching, `@else` gets the very box that came in: same
+    /// payload address, still pooled if it was, nothing re-allocated.
+    #[test]
+    fn match_event_else_receives_the_original_box() {
+        let pool = crate::EventPool::new();
+        for ev in [pool.make(Ping(2)), crate::EventBox::new(Ping(2))] {
+            let (pooled, addr) = (
+                ev.is_pooled(),
+                ev.downcast_ref::<Ping>().unwrap() as *const Ping,
+            );
+            let before = pool.stats();
+            let mut seen = Vec::new();
+            match_event!(ev,
+                _q: Pong => { panic!("wrong arm"); },
+                @else other => {
+                    assert_eq!(other.is_pooled(), pooled);
+                    assert_eq!(other.event_type(), TypeId::of::<Ping>());
+                    assert_eq!(other.downcast_ref::<Ping>().unwrap() as *const Ping, addr);
+                    assert_eq!(pool.stats(), before, "no pool traffic on the way to @else");
+                    seen.push((*other).type_name());
+                }
+            );
+            assert_eq!(seen.len(), 1);
+        }
+    }
+
+    #[test]
+    fn event_type_names_the_payload_not_the_box() {
+        let plain: Box<dyn Event> = Box::new(Ping(1));
+        // Through the deref: `Box<dyn Event>` is itself an `Event`.
+        assert_eq!((*plain).event_type(), TypeId::of::<Ping>());
+        let boxed = crate::EventBox::new(Pong);
+        assert_eq!(boxed.event_type(), TypeId::of::<Pong>());
+        assert!(boxed.is::<Pong>() && !boxed.is::<Ping>());
     }
 }

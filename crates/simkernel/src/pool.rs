@@ -32,6 +32,7 @@
 //! schedule, independent of worker thread count.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::any::TypeId;
 use std::fmt;
 use std::mem::{align_of, size_of, ManuallyDrop};
 use std::ptr::{self, NonNull};
@@ -323,6 +324,12 @@ impl EventBox {
     /// Whether the payload lives in a pooled slot.
     pub fn is_pooled(&self) -> bool {
         self.ticket.is_some()
+    }
+
+    /// `TypeId` of the payload. Inherent on purpose: `EventBox` itself
+    /// is an [`Event`], so the trait method would name the box.
+    pub fn event_type(&self) -> TypeId {
+        (**self).event_type()
     }
 
     /// Disassemble without running `Drop`.

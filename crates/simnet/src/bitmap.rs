@@ -107,14 +107,61 @@ impl Bitmap {
         }
     }
 
-    /// Indices of clear bits (the blocks to rebroadcast).
+    /// Indices of clear bits (the blocks to rebroadcast), ascending.
     pub fn zero_indices(&self) -> Vec<usize> {
-        (0..self.len).filter(|&i| !self.get(i)).collect()
+        let zeros = self.count_zeros();
+        let mut out = Vec::with_capacity(zeros + 63);
+        for (wi, &w) in self.words.iter().enumerate() {
+            push_set_bits(&mut out, wi, !w);
+        }
+        // The last word's complement also has the bits past `len`.
+        out.truncate(zeros);
+        out
     }
 
-    /// Indices of set bits.
+    /// Indices of set bits, ascending.
     pub fn one_indices(&self) -> Vec<usize> {
-        (0..self.len).filter(|&i| self.get(i)).collect()
+        let mut out = Vec::with_capacity(self.count_ones());
+        for (wi, &w) in self.words.iter().enumerate() {
+            push_set_bits(&mut out, wi, w);
+        }
+        out
+    }
+
+    /// OR `src` into `self` starting at bit `offset`:
+    /// `self[offset + i] |= src[i]`. Panics unless
+    /// `offset + src.len() <= self.len()`.
+    pub fn or_shifted(&mut self, src: &Bitmap, offset: usize) {
+        assert!(
+            offset + src.len <= self.len,
+            "shifted OR of {} bits at {offset} exceeds {} bits",
+            src.len,
+            self.len
+        );
+        let (w0, sh) = (offset / 64, offset % 64);
+        for (i, &w) in src.words.iter().enumerate() {
+            self.words[w0 + i] |= w << sh;
+            // The spill is non-zero only for bits that exist in `src`,
+            // so the word it lands in exists in `self`.
+            if sh != 0 && w >> (64 - sh) != 0 {
+                self.words[w0 + i + 1] |= w >> (64 - sh);
+            }
+        }
+    }
+
+    /// Scatter: set `self[targets[i]]` for every set bit `i` of `src`.
+    /// Panics unless `targets.len() == src.len()` and every scattered
+    /// target is in range.
+    pub fn or_scattered(&mut self, src: &Bitmap, targets: &[u32]) {
+        assert_eq!(src.len, targets.len(), "scatter length mismatch");
+        for (wi, &w) in src.words.iter().enumerate() {
+            let mut rest = w;
+            while rest != 0 {
+                let i = wi * 64 + rest.trailing_zeros() as usize;
+                self.set(targets[i] as usize, true);
+                rest &= rest - 1;
+            }
+        }
     }
 
     /// AND of an iterator of bitmaps (all the same length).
@@ -125,6 +172,15 @@ impl Bitmap {
             acc.and_assign(m);
         }
         Some(acc)
+    }
+}
+
+/// Append the positions of `word`'s set bits, offset by `wi * 64`.
+fn push_set_bits(out: &mut Vec<usize>, wi: usize, word: u64) {
+    let mut rest = word;
+    while rest != 0 {
+        out.push(wi * 64 + rest.trailing_zeros() as usize);
+        rest &= rest - 1;
     }
 }
 
@@ -352,5 +408,79 @@ mod tests {
             let zero_ix = anded.zero_indices();
             prop_assert_eq!(one_ix.len() + zero_ix.len(), len);
         }
+
+        /// The word-at-a-time index lists equal a bit-by-bit scan, at
+        /// every length around the word boundaries.
+        #[test]
+        fn prop_indices_match_bit_by_bit(bits in prop::collection::vec(any::<bool>(), 0..200)) {
+            let b = from_bits(&bits);
+            let ones: Vec<usize> = (0..bits.len()).filter(|&i| bits[i]).collect();
+            let zeros: Vec<usize> = (0..bits.len()).filter(|&i| !bits[i]).collect();
+            prop_assert_eq!(b.one_indices(), ones);
+            prop_assert_eq!(b.zero_indices(), zeros);
+        }
+
+        /// `or_shifted` equals setting `dst[offset + i]` for every set
+        /// `src[i]`, at offsets that are and are not multiples of 64.
+        #[test]
+        fn prop_or_shifted_matches_bit_by_bit(
+            fill in prop::collection::vec(any::<bool>(), 1..67),
+            src_bits in prop::collection::vec(any::<bool>(), 0..200),
+            offset in 0usize..140,
+            slack in 0usize..70,
+        ) {
+            let dst_len = offset + src_bits.len() + slack;
+            let dst_bits: Vec<bool> = (0..dst_len).map(|i| fill[i % fill.len()]).collect();
+            let (mut fast, src) = (from_bits(&dst_bits), from_bits(&src_bits));
+            let mut slow = fast.clone();
+            for (i, &v) in src_bits.iter().enumerate() {
+                if v {
+                    slow.set(offset + i, true);
+                }
+            }
+            fast.or_shifted(&src, offset);
+            prop_assert_eq!(fast, slow);
+        }
+
+        /// `or_scattered` equals the per-bit loop for unsorted targets
+        /// with repeats.
+        #[test]
+        fn prop_or_scattered_matches_bit_by_bit(
+            len in 1usize..200,
+            pairs in prop::collection::vec((any::<bool>(), 0u32..200), 0..150),
+        ) {
+            let targets: Vec<u32> = pairs.iter().map(|&(_, t)| t % len as u32).collect();
+            let src_bits: Vec<bool> = pairs.iter().map(|&(v, _)| v).collect();
+            let mut fast = Bitmap::zeros(len);
+            let mut slow = Bitmap::zeros(len);
+            for (i, &t) in targets.iter().enumerate() {
+                if src_bits[i] {
+                    slow.set(t as usize, true);
+                }
+            }
+            fast.or_scattered(&from_bits(&src_bits), &targets);
+            prop_assert_eq!(fast, slow);
+        }
+    }
+
+    fn from_bits(bits: &[bool]) -> Bitmap {
+        let mut b = Bitmap::zeros(bits.len());
+        for (i, &v) in bits.iter().enumerate() {
+            b.set(i, v);
+        }
+        b
+    }
+
+    #[test]
+    fn shifted_or_spills_across_a_word_boundary() {
+        let mut dst = Bitmap::zeros(130);
+        dst.or_shifted(&Bitmap::ones(70), 60);
+        assert_eq!(dst.one_indices(), (60..130).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn shifted_or_out_of_range_panics() {
+        Bitmap::zeros(10).or_shifted(&Bitmap::ones(4), 7);
     }
 }

@@ -431,7 +431,6 @@ impl CellularNet {
             wire * 2,
             up_air + (down_end - core_arrive),
         );
-        ctx.count("cell.sends", 1);
 
         if let Some(p) = s.payload {
             ctx.send_in(

@@ -286,8 +286,7 @@ impl WifiMedium {
         let backlog = self.channel.backlog(ctx.now());
         if !self.congested && backlog > self.cfg.high_water {
             self.congested = true;
-            let members: Vec<ActorId> = self.members.keys().copied().collect();
-            for m in members {
+            for &m in self.members.keys() {
                 ctx.send(m, WifiCongestion { on: true });
             }
             let delay = backlog.saturating_sub(self.cfg.low_water);
@@ -303,8 +302,7 @@ impl WifiMedium {
         let backlog = self.channel.backlog(ctx.now());
         if backlog <= self.cfg.low_water {
             self.congested = false;
-            let members: Vec<ActorId> = self.members.keys().copied().collect();
-            for m in members {
+            for &m in self.members.keys() {
                 ctx.send(m, WifiCongestion { on: false });
             }
         } else {
@@ -411,7 +409,6 @@ impl WifiMedium {
         let (_, end) = self.channel.reserve_span(ctx.now(), air, wire);
         self.stats.record_send(s.class, s.bytes, wire, air);
         self.after_reserve(ctx);
-        ctx.count("wifi.sends", 1);
 
         let delay = end - ctx.now();
         let deliver = |ctx: &mut Ctx, to: ActorId, payload: &Payload| {
@@ -473,13 +470,11 @@ impl WifiMedium {
                     "broadcast is datagram-only; reliable fan-out goes through the TCP tree"
                 );
                 let p_ok = self.cfg.datagram_delivery_prob(s.bytes);
-                let receivers: Vec<ActorId> = self
-                    .members
-                    .iter()
-                    .filter(|(id, st)| **id != s.src && st.reachable())
-                    .map(|(id, _)| *id)
-                    .collect();
-                for dst in receivers {
+                // One draw per reachable member, in member order.
+                for (&dst, st) in &self.members {
+                    if dst == s.src || !st.reachable() {
+                        continue;
+                    }
                     if ctx.rng().chance(p_ok) {
                         if let Some(p) = &s.payload {
                             deliver(ctx, dst, p);
@@ -567,14 +562,12 @@ impl WifiMedium {
         ctx.count("wifi.batch_blocks", n);
         let delay = end - ctx.now();
 
-        let receivers: Vec<ActorId> = self
-            .members
-            .iter()
-            .filter(|(id, st)| **id != b.src && st.reachable())
-            .map(|(id, _)| *id)
-            .collect();
         let loss = self.cfg.loss;
-        for dst in receivers {
+        // Receptions are sampled per reachable member, in member order.
+        for (&dst, st) in &self.members {
+            if dst == b.src || !st.reachable() {
+                continue;
+            }
             let (received, lost) = Self::sample_reception(b.blocks.len(), loss, ctx.rng());
             self.stats.drops += lost;
             ctx.send_in(
