@@ -30,7 +30,7 @@ pub use signalguru::build_signalguru;
 
 use dsps::graph::OpId;
 use dsps::placement::Placement;
-use simkernel::{ActorId, SimDuration, SimRng};
+use simkernel::{ActorId, SimDuration};
 use std::sync::Arc;
 
 /// Everything the deployment builder needs to stand up one region of
@@ -76,11 +76,6 @@ impl FeedSpec {
             mirrors: vec![],
         }
     }
-}
-
-/// Draw from a seeded child RNG (helper for generator factories).
-pub fn child_rng(rng: &mut SimRng, salt: u64) -> SimRng {
-    rng.fork(salt)
 }
 
 /// Placement compaction lives in `dsps` (the single implementation);

@@ -141,16 +141,6 @@ impl BRegion {
             .map(|(i, _)| OpId(i as u32))
             .collect()
     }
-    #[allow(dead_code)]
-    fn source_slots(&self) -> BTreeSet<u32> {
-        self.spec
-            .graph
-            .sources()
-            .iter()
-            .map(|&op| self.op_slot[op.index()])
-            .filter(|&s| s != u32::MAX)
-            .collect()
-    }
 }
 
 impl BaselineCoordinator {
@@ -200,6 +190,7 @@ enum BTimer {
     Ping,
     PingDeadline { round: u64 },
     Recover { region: usize },
+    AckDeadline { region: usize },
 }
 
 /// Recovery episode record.
@@ -366,14 +357,12 @@ impl BaselineCoordinator {
         if rt.stopped || !rt.alive[slot as usize] {
             return;
         }
-        ctx.count("bl.failures_noted", 1);
         rt.alive[slot as usize] = false;
         match kind {
             BaselineKind::Base | BaselineKind::Local => {
                 // No recovery path: the region is lost.
                 rt.stopped = true;
                 self.stops += 1;
-                ctx.count("bl.region_stops", 1);
             }
             BaselineKind::Rep2 { flow_of } => {
                 let ops = rt.ops_on(slot);
@@ -385,7 +374,6 @@ impl BaselineCoordinator {
                     // The other flow is already broken: game over.
                     rt.stopped = true;
                     self.stops += 1;
-                    ctx.count("bl.region_stops", 1);
                     return;
                 }
                 if rt.flow_broken[flow as usize] {
@@ -501,11 +489,9 @@ impl BaselineCoordinator {
             self.send_ctl(ctx, t, wire::CONTROL, routing.clone());
         }
         self.send_ctl(ctx, dst, wire::CONTROL, install);
-        ctx.count("bl.upstream_takeovers", 1);
     }
 
     fn on_recover(&mut self, region: usize, ctx: &mut Ctx) {
-        ctx.count("bl.recover_runs", 1);
         let BaselineKind::Dist { n } = self.kind else {
             return;
         };
@@ -542,7 +528,6 @@ impl BaselineCoordinator {
             rt.stopped = true;
             rt.recovering = false;
             self.stops += 1;
-            ctx.count("bl.region_stops", 1);
             return;
         }
         // Pick replacements (idle preferred, then spread over healthy
@@ -584,7 +569,6 @@ impl BaselineCoordinator {
             rt.stopped = true;
             rt.recovering = false;
             self.stops += 1;
-            ctx.count("bl.region_stops", 1);
             return;
         }
         // Apply the new assignment and publish routing.
@@ -632,7 +616,6 @@ impl BaselineCoordinator {
                 })
                 .collect()
         };
-        ctx.count("bl.ships", ships.len() as u64);
         for (dst, ship) in ships {
             let holder = holder_of(&plan, ship.failed_slot);
             self.send_ship(region, dst, ship, holder, ctx);
@@ -644,9 +627,7 @@ impl BaselineCoordinator {
         ctx.send_in(
             SimDuration::from_secs(30),
             me,
-            BTimer::Recover {
-                region: region + 10_000,
-            },
+            BTimer::AckDeadline { region },
         );
     }
 
@@ -715,9 +696,7 @@ impl BaselineCoordinator {
         ctx.send_in(
             SimDuration::from_secs(30),
             me,
-            BTimer::Recover {
-                region: region + 10_000,
-            },
+            BTimer::AckDeadline { region },
         );
     }
 
@@ -737,16 +716,9 @@ impl BaselineCoordinator {
             let rt = &mut self.regions[region];
             rt.recovering = false;
             let graph = Arc::clone(&rt.spec.graph);
-            let recovered_ops: Vec<OpId> = rt
-                .outstanding_acks
-                .iter()
-                .flat_map(|&s| rt.ops_on(s))
-                .collect();
-            // outstanding_acks is empty now; recompute from the plan's
-            // replacements = slots that just acked. Use all ops whose
-            // slot just acked: approximate by ops on m.slot.
-            let mut recovered = recovered_ops;
-            recovered.extend(rt.ops_on(m.slot));
+            // Approximate the recovered set by the ops on the slot
+            // whose ack completed the round.
+            let recovered = rt.ops_on(m.slot);
             let mut per_slot: BTreeMap<u32, Vec<EdgeId>> = BTreeMap::new();
             for &op in &recovered {
                 for &e in &graph.op(op).in_edges {
@@ -792,7 +764,6 @@ impl BaselineCoordinator {
             finished: ctx.now(),
         });
         rt.recovery_started = SimTime::ZERO;
-        ctx.count("bl.recoveries", 1);
     }
 }
 
@@ -806,10 +777,8 @@ impl Actor for BaselineCoordinator {
                         out.remove(&(m.region, m.slot));
                     }
                 } else if let Some(m) = payload_as::<ReportDead>(&p) {
-                    ctx.count("bl.reports", 1);
                     self.note_failure(m.region, m.slot, ctx);
                 } else if let Some(m) = payload_as::<BaselineAck>(&p) {
-                    ctx.count("bl.acks", 1);
                     self.on_ack(*m, ctx);
                 } else if let Some(m) = payload_as::<dsps::node::RegisterNode>(&p) {
                     self.on_register(*m, ctx);
@@ -865,13 +834,8 @@ impl Actor for BaselineCoordinator {
                             }
                         }
                     }
-                    BTimer::Recover { region } => {
-                        if region >= 10_000 {
-                            self.on_ack_deadline(region - 10_000, ctx);
-                        } else {
-                            self.on_recover(region, ctx);
-                        }
-                    }
+                    BTimer::Recover { region } => self.on_recover(region, ctx),
+                    BTimer::AckDeadline { region } => self.on_ack_deadline(region, ctx),
                 }
             },
             @else _other => {}

@@ -111,7 +111,6 @@ impl DistScheme {
                 ctx.send_in(serialize_hold(total), me, CpuHoldDone);
             }
         }
-        ctx.count("dist.checkpoints", 1);
     }
 
     fn ship_state(&mut self, req: &ShipStateTo, node: &mut NodeInner, ctx: &mut Ctx) {

@@ -124,7 +124,6 @@ impl LocalScheme {
             let me = ctx.self_id();
             ctx.send_in(serialize_hold(total), me, CpuHoldDone);
         }
-        ctx.count("local.checkpoints", 1);
     }
 }
 

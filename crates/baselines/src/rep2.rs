@@ -132,27 +132,6 @@ impl FtScheme for Rep2Scheme {
     }
 }
 
-/// Sanity helper: which flow a slot serves under a placement
-/// (placements must keep flows on disjoint phones so one phone failure
-/// breaks at most one flow).
-pub fn flow_of_slot(
-    placement: &dsps::placement::Placement,
-    flow_of: &[u8],
-    slot: u32,
-) -> Option<u8> {
-    let mut found: Option<u8> = None;
-    for (op_ix, &s) in placement.op_slot.iter().enumerate() {
-        if s == slot {
-            let f = flow_of[op_ix];
-            match found {
-                None => found = Some(f),
-                Some(prev) => assert_eq!(prev, f, "slot {slot} hosts both flows"),
-            }
-        }
-    }
-    found
-}
-
 /// Kinds re-exported for placement code.
 pub use dsps::graph::OpKind as Rep2OpKind;
 

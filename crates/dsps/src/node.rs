@@ -383,20 +383,6 @@ impl NodeInner {
             .collect()
     }
 
-    /// Hosted sink operators.
-    pub fn hosted_sinks(&self) -> Vec<OpId> {
-        self.ops
-            .keys()
-            .copied()
-            .filter(|&o| self.graph.op(o).kind == OpKind::Sink)
-            .collect()
-    }
-
-    /// Does this node host any source op (is it a *source node*)?
-    pub fn is_source_node(&self) -> bool {
-        !self.hosted_sources().is_empty()
-    }
-
     /// In-edges of hosted ops whose producer lives on another slot —
     /// the edges that carry tokens.
     pub fn remote_in_edges(&self) -> Vec<EdgeId> {
@@ -432,11 +418,6 @@ impl NodeInner {
             .iter()
             .map(|(&op, inst)| (op, inst.snapshot(), inst.state_bytes()))
             .collect()
-    }
-
-    /// Total serialized state bytes across hosted ops.
-    pub fn total_state_bytes(&self) -> u64 {
-        self.ops.values().map(|o| o.state_bytes()).sum()
     }
 
     /// Restore hosted ops from explicit states.
@@ -606,7 +587,6 @@ impl NodeInner {
             return;
         };
         let dst = self.controller;
-        ctx.count("node.ctl_retries", 1);
         self.send_cell(ctx, dst, TrafficClass::Control, bytes, tag, Some(pl));
     }
 
@@ -621,7 +601,6 @@ impl NodeInner {
             // a recovery/stop. Drop the item (replay covers it) rather
             // than kill the phone.
             self.metrics.routing_drops += 1;
-            ctx.count("node.routing_drops", 1);
             return;
         }
         if dst_slot == self.cfg.slot {
@@ -631,7 +610,6 @@ impl NodeInner {
         let Some(&dst_actor) = self.slot_actors.get(dst_slot as usize) else {
             // Stale slot table (a malformed/old routing update): drop.
             self.metrics.routing_drops += 1;
-            ctx.count("node.routing_drops", 1);
             return;
         };
         let bytes = item.bytes();
@@ -664,7 +642,6 @@ impl NodeInner {
                     // Misconfigured node (Ethernet primary, no link):
                     // drop rather than panic the deployment.
                     self.metrics.routing_drops += 1;
-                    ctx.count("node.routing_drops", 1);
                     return;
                 };
                 let src = ctx.self_id();
@@ -883,7 +860,6 @@ impl NodeActor {
                     // an operator bug, but one bad tuple must not kill
                     // the phone — drop the output and count it.
                     inner.metrics.routing_drops += 1;
-                    ctx.count("node.bad_port_emits", 1);
                     continue;
                 };
                 let out_tuple = Tuple {
@@ -1174,7 +1150,6 @@ impl Actor for NodeActor {
                 // covers it) but the peer is alive — no dead report.
                 if self.inner.take_pending(d.tag).is_some() {
                     self.inner.metrics.tx_queue_drops += 1;
-                    ctx.count("node.tx_queue_drops", 1);
                 } else {
                     self.scheme.on_custom(EventBox::new(d), &mut self.inner, ctx);
                 }
@@ -1187,7 +1162,6 @@ impl Actor for NodeActor {
                 // with backoff.
                 if self.inner.take_pending(s.tag).is_some() {
                     self.inner.metrics.tx_severed += 1;
-                    ctx.count("node.tx_severed", 1);
                 } else if !self.inner.ctl_retry_severed(s.tag, ctx) {
                     self.scheme.on_custom(EventBox::new(s), &mut self.inner, ctx);
                 }
@@ -1215,11 +1189,6 @@ impl Actor for NodeActor {
     }
 
     impl_actor_any!();
-}
-
-/// Convenience: time of latest sink sample (test helper).
-pub fn last_sink_time(m: &NodeMetrics) -> Option<SimTime> {
-    m.sink_samples.last().map(|s| s.at)
 }
 
 #[cfg(test)]

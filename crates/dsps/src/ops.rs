@@ -174,7 +174,6 @@ pub struct KeyJoin {
     cost: SimDuration,
     left: VecDeque<(u64, Tuple)>,
     right: VecDeque<(u64, Tuple)>,
-    state_bytes_hint: u64,
 }
 
 /// Snapshot payload of [`KeyJoin`]: the buffered tuples.
@@ -201,14 +200,7 @@ impl KeyJoin {
             cost,
             left: VecDeque::new(),
             right: VecDeque::new(),
-            state_bytes_hint: 0,
         }
-    }
-
-    /// Inflate the reported state size.
-    pub fn with_state_bytes_hint(mut self, bytes: u64) -> Self {
-        self.state_bytes_hint = bytes;
-        self
     }
 
     /// Buffered tuples (test introspection).
@@ -250,13 +242,11 @@ impl Operator for KeyJoin {
     }
 
     fn state_bytes(&self) -> u64 {
-        let buffered: u64 = self
-            .left
+        self.left
             .iter()
             .chain(self.right.iter())
             .map(|(_, t)| t.bytes)
-            .sum();
-        buffered + self.state_bytes_hint
+            .sum()
     }
 
     fn snapshot(&self) -> OpState {

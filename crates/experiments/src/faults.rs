@@ -7,7 +7,7 @@
 //! breaks only the WiFi link and tells the phone its GPS says it left;
 //! the phone itself notifies the controller (§III-E).
 
-use dsps::node::{Kill, NodeActor};
+use dsps::node::Kill;
 use simkernel::SimTime;
 use simnet::cellular::CellSetLink;
 use simnet::wifi::WifiSetLink;
@@ -119,10 +119,4 @@ pub fn failure_order(dep: &Deployment, region: usize) -> Vec<u32> {
         }
     }
     order
-}
-
-/// Convenience: is this slot currently alive in the sim? (test helper)
-pub fn is_alive(dep: &Deployment, region: usize, slot: u32) -> bool {
-    let node = dep.regions[region].nodes[slot as usize];
-    dep.sim.actor::<NodeActor>(node).inner.alive
 }

@@ -160,11 +160,6 @@ pub struct FleetConfig {
     /// schedule and the report digest are unchanged; the report's
     /// `sanitizer_*` fields carry the per-window ledger.
     pub sanitize: bool,
-    /// Disable per-destination cross-shard bounds and barrier on the
-    /// uniform cellular lookahead instead (see
-    /// [`Deployment::enable_sharding_opts`]). Purely a wall-clock
-    /// knob: the report digest is identical either way.
-    pub uniform_lookahead: bool,
 }
 
 impl FleetConfig {
@@ -725,7 +720,7 @@ impl FleetReport {
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let wall = std::time::Instant::now();
     let (mut dep, schedule) = build_fleet(cfg);
-    dep.enable_sharding_opts(cfg.threads, !cfg.uniform_lookahead);
+    dep.enable_sharding(cfg.threads);
     if cfg.sanitize {
         dep.sim.enable_sanitizer();
     }
@@ -881,10 +876,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     report
 }
 
-/// The `BENCH_*` series workload: a stadium-shaped fleet scaled to
-/// `regions × phones`, trimmed to a 60 s window so one run stays
-/// subsecond-ish. Shared by `cargo bench -p bench` and `msx bench
-/// fleet` so the tracked numbers measure the same thing.
+/// A stadium-shaped fleet scaled to `regions × phones`, trimmed to a
+/// 60 s window so one run stays subsecond-ish. `msbench`'s layer
+/// drivers build their deployments from it.
 pub fn bench_profile(regions: usize, phones: u32, seed: u64) -> FleetConfig {
     let cal = apps::Calibration {
         state_a: 16 * 1024,
@@ -918,7 +912,6 @@ pub fn bench_profile(regions: usize, phones: u32, seed: u64) -> FleetConfig {
         seed,
         threads: 1,
         sanitize: false,
-        uniform_lookahead: false,
     }
 }
 
@@ -965,7 +958,6 @@ fn base_profile(name: &str, seed: u64, regions: Vec<FleetRegion>) -> FleetConfig
         seed,
         threads: 1,
         sanitize: false,
-        uniform_lookahead: false,
     }
 }
 

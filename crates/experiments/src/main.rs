@@ -8,17 +8,16 @@
 //! msx fig10  [--quick] [--seeds N]
 //! msx all    [--quick] [--seeds N]
 //! msx scenarios list
-//! msx scenarios run --profile <stadium|commute|flash-crowd|lossy-wifi|metro> [--seed N] [--threads N] [--sanitize] [--weather NAME] [--uniform-lookahead]
+//! msx scenarios run --profile <stadium|commute|flash-crowd|lossy-wifi|metro> [--seed N] [--threads N] [--sanitize] [--weather NAME]
 //! msx scenarios matrix [--smoke] [--seed N] [--threads N]
-//! msx bench fleet [--smoke] [--threads N] [--out FILE]
 //! msx lint [--rules] [--root DIR]
 //! ```
 //!
 //! Text tables print to stdout; JSON copies land in `./results/`
-//! (fleet reports under `./results/scenarios/`). `bench fleet` emits
-//! the tracked `BENCH_*.json` fleet-throughput checkpoint.
+//! (fleet reports under `./results/scenarios/`).
 
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use experiments::report::{Cell, Table};
 use experiments::{ablate, fig10, fig8, fig9, fleet, table1, weather, ExpOptions};
@@ -27,17 +26,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let quick = args.iter().any(|a| a == "--quick");
-    let seeds = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u64>().ok());
-    let max_n = args
-        .iter()
-        .position(|a| a == "--max-n")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u32>().ok())
-        .unwrap_or(8);
+    let seeds: Option<u64> = flag(&args, "--seeds");
+    let max_n: u32 = flag(&args, "--max-n").unwrap_or(8);
 
     let mut opts = if quick {
         ExpOptions::quick()
@@ -58,7 +48,6 @@ fn main() {
         "fig10" => fig10_cmd(opts, &out),
         "ablate" => ablate_cmd(opts, &out),
         "scenarios" => scenarios_cmd(&args, &out),
-        "bench" => bench_cmd(&args),
         "lint" => lint_cmd(&args),
         "all" => {
             table1_cmd(opts, &out);
@@ -69,12 +58,20 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command '{other}'; use table1|fig8|fig9|fig10|ablate|scenarios|bench|lint|all"
+                "unknown command '{other}'; use table1|fig8|fig9|fig10|ablate|scenarios|lint|all"
             );
             std::process::exit(2);
         }
     }
     eprintln!("[msx] done in {:.1}s", started.elapsed().as_secs_f64());
+}
+
+/// The parsed value following `name` in `args`, if present and valid.
+fn flag<T: FromStr>(args: &[String], name: &str) -> Option<T> {
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|s| s.parse().ok())
 }
 
 /// `msx lint [--rules] [--root DIR]` — run the determinism lint pass
@@ -93,12 +90,7 @@ fn lint_cmd(args: &[String]) {
         println!("\nsuppress with a comment: simlint::allow(RULE): reason");
         return;
     }
-    let root = args
-        .iter()
-        .position(|a| a == "--root")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
+    let root: PathBuf = flag(args, "--root").unwrap_or_else(|| PathBuf::from("."));
     match simlint::lint_workspace(&root) {
         Ok(findings) if findings.is_empty() => {
             println!("[msx] lint clean: no determinism findings");
@@ -141,25 +133,10 @@ fn scenarios_cmd(args: &[String], out: &Path) {
             }
         }
         "run" => {
-            let name = args
-                .iter()
-                .position(|a| a == "--profile")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
-                .unwrap_or("stadium");
-            let seed = args
-                .iter()
-                .position(|a| a == "--seed")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|s| s.parse::<u64>().ok())
-                .unwrap_or(1);
-            let threads = args
-                .iter()
-                .position(|a| a == "--threads")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or(1);
-            let Some(mut cfg) = fleet::profile(name, seed) else {
+            let name: String = flag(args, "--profile").unwrap_or_else(|| "stadium".into());
+            let seed: u64 = flag(args, "--seed").unwrap_or(1);
+            let threads: usize = flag(args, "--threads").unwrap_or(1);
+            let Some(mut cfg) = fleet::profile(&name, seed) else {
                 eprintln!(
                     "unknown profile '{name}'; available: {}",
                     fleet::PROFILE_NAMES.join(", ")
@@ -168,13 +145,8 @@ fn scenarios_cmd(args: &[String], out: &Path) {
             };
             cfg.threads = threads.max(1);
             cfg.sanitize = args.iter().any(|a| a == "--sanitize");
-            cfg.uniform_lookahead = args.iter().any(|a| a == "--uniform-lookahead");
-            if let Some(wname) = args
-                .iter()
-                .position(|a| a == "--weather")
-                .and_then(|i| args.get(i + 1))
-            {
-                let Some(program) = weather::weather(wname, seed, cfg.topo()) else {
+            if let Some(wname) = flag::<String>(args, "--weather") {
+                let Some(program) = weather::weather(&wname, seed, cfg.topo()) else {
                     eprintln!(
                         "unknown weather '{wname}'; available: {}",
                         weather::WEATHER_NAMES.join(", ")
@@ -269,19 +241,8 @@ fn report_faults(r: &fleet::FleetReport) -> Vec<String> {
 /// missed recovery SLO, or double-committed round.
 fn matrix_cmd(args: &[String], out: &Path) {
     let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(1);
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(4)
-        .max(2);
+    let seed: u64 = flag(args, "--seed").unwrap_or(1);
+    let threads = flag::<usize>(args, "--threads").unwrap_or(4).max(2);
     eprintln!(
         "[msx] scenario matrix: {} profiles × {} weathers, seed {seed}, digests at 1 vs {threads} threads{}...",
         fleet::PROFILE_NAMES.len(),
@@ -423,234 +384,6 @@ fn matrix_cmd(args: &[String], out: &Path) {
         }
         std::process::exit(1);
     }
-}
-
-/// `msx bench fleet [--smoke] [--threads N] [--out FILE] [--check FILE]`
-///
-/// Runs the tracked fleet-engine throughput benchmark — the tracked
-/// workload at 1/2/4/8 worker threads so the scaling curve is visible
-/// in the checkpoint — and writes a `BENCH_*.json`. `--smoke` runs a
-/// seconds-scale variant whose deterministic fields (event count,
-/// digest, and the thread-scaling shape: every thread count must
-/// reproduce the digest) are compared against the checked-in
-/// checkpoint named by `--check` (default `BENCH_0010.json`) — exits
-/// nonzero on drift, so CI catches any change to the simulated
-/// schedule without caring about the wall clock of the runner.
-fn bench_cmd(args: &[String]) {
-    let what = args.get(1).map(String::as_str).unwrap_or("fleet");
-    if what != "fleet" && !what.starts_with("--") {
-        eprintln!("unknown bench target '{what}'; use fleet");
-        std::process::exit(2);
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(host_cores)
-        .max(1);
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_0010.json".to_string());
-
-    /// Thread counts every scaling row is pinned at.
-    const THREAD_CURVE: [usize; 4] = [1, 2, 4, 8];
-
-    let timed = |cfg: &fleet::FleetConfig| {
-        let wall = std::time::Instant::now();
-        let r = fleet::run_fleet(cfg);
-        let secs = wall.elapsed().as_secs_f64();
-        eprintln!(
-            "[msx] bench {} threads={}: {} events in {:.2}s = {:.0} ev/s (digest {:#018x})",
-            cfg.name,
-            cfg.threads,
-            r.events_processed,
-            secs,
-            r.events_processed as f64 / secs.max(1e-9),
-            r.digest
-        );
-        (r, secs)
-    };
-    let run_json = |r: &fleet::FleetReport, secs: f64, threads: usize| {
-        serde_json::json!({
-            "threads": threads,
-            "events": r.events_processed,
-            "wall_secs": (secs * 1000.0).round() / 1000.0,
-            "events_per_sec": (r.events_processed as f64 / secs.max(1e-9)).round(),
-            "digest": format!("{:#018x}", r.digest),
-        })
-    };
-
-    // Smoke workload: small enough for CI, still multi-region so the
-    // parallel kernel's merge path is exercised. Run the whole thread
-    // curve so the checkpoint pins the scaling *shape*, not one pair.
-    let mut smoke_cfg = fleet::bench_profile(2, 8, 7);
-    smoke_cfg.duration = simkernel::SimDuration::from_secs(30);
-    let smoke_runs: Vec<fleet::FleetReport> = THREAD_CURVE
-        .iter()
-        .map(|&t| {
-            let mut c = smoke_cfg.clone();
-            c.threads = t;
-            timed(&c).0
-        })
-        .collect();
-    let s1 = &smoke_runs[0];
-    for (r, &t) in smoke_runs.iter().zip(&THREAD_CURVE) {
-        assert_eq!(
-            s1.digest, r.digest,
-            "smoke digest differs between 1 and {t} threads"
-        );
-        assert_eq!(
-            s1.pool_recycled, r.pool_recycled,
-            "smoke pool recycling differs between 1 and {t} threads"
-        );
-    }
-    let smoke_json = serde_json::json!({
-        "workload": serde_json::json!({"regions": 2u64, "phones": 16u64, "sim_secs": 30.0, "seed": 7u64}),
-        "events": s1.events_processed,
-        "digest": format!("{:#018x}", s1.digest),
-        "thread_counts": THREAD_CURVE.to_vec(),
-        "thread_digest_equal": true,
-        "pool_recycled": s1.pool_recycled,
-    });
-
-    if smoke {
-        let checked_in: serde_json::Value = match std::fs::read_to_string(&check_path) {
-            Ok(s) => serde_json::from_str(&s).expect("parse checked-in bench checkpoint"),
-            Err(e) => {
-                eprintln!("[msx] cannot read {check_path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let expect = &checked_in["smoke"];
-        let mut drift = Vec::new();
-        // Deterministic fields AND the thread-scaling shape: the same
-        // thread counts must have been swept and all must reproduce
-        // the digest (the sweep above already asserted equality, so a
-        // mismatch here means the checkpoint's shape is stale).
-        for field in ["events", "digest", "thread_counts", "thread_digest_equal"] {
-            if expect[field] != smoke_json[field] {
-                drift.push(format!(
-                    "{field}: checked-in {} vs fresh {}",
-                    expect[field], smoke_json[field]
-                ));
-            }
-        }
-        if drift.is_empty() {
-            println!(
-                "[msx] bench smoke OK: {} events, digest {} at {:?} threads match {}",
-                s1.events_processed, smoke_json["digest"], THREAD_CURVE, check_path
-            );
-        } else {
-            eprintln!(
-                "[msx] bench smoke DRIFT vs {check_path} — the simulated schedule changed; \
-                 regenerate with `msx bench fleet --out {check_path}` and commit the diff:"
-            );
-            for d in &drift {
-                eprintln!("[msx]   {d}");
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_0010.json".to_string());
-
-    // The tracked workload: 1000 phones (8 × 125), 60 s window, run
-    // over the whole thread curve so the checkpoint carries one
-    // wall-clock row per thread count (the scaling curve).
-    let cfg1 = fleet::bench_profile(8, 125, 42);
-    let mut curve: Vec<(fleet::FleetReport, f64, usize)> = Vec::new();
-    for &t in &THREAD_CURVE {
-        let mut c = cfg1.clone();
-        c.threads = t;
-        let (r, secs) = timed(&c);
-        curve.push((r, secs, t));
-    }
-    if !THREAD_CURVE.contains(&threads) {
-        let mut c = cfg1.clone();
-        c.threads = threads;
-        let (r, secs) = timed(&c);
-        curve.push((r, secs, threads));
-    }
-    let r1 = curve[0].0.clone();
-    for (r, _, t) in &curve {
-        assert_eq!(
-            r1.digest, r.digest,
-            "digest differs between 1 and {t} threads"
-        );
-    }
-
-    // Thread-equality of the full profile library, at each profile's
-    // full spec.
-    let mut profiles = Vec::new();
-    for name in fleet::PROFILE_NAMES {
-        let mut p1 = fleet::profile(name, 1).expect("built-in profile");
-        p1.threads = 1;
-        let (d1, _) = timed(&p1);
-        let mut pn = p1.clone();
-        pn.threads = threads.max(2);
-        let (dn, _) = timed(&pn);
-        assert_eq!(
-            d1.digest, dn.digest,
-            "profile {name}: digest differs between 1 and {} threads",
-            pn.threads
-        );
-        profiles.push(serde_json::json!({
-            "profile": name,
-            "seed": 1,
-            "digest": format!("{:#018x}", d1.digest),
-            "thread_digest_equal": true,
-        }));
-    }
-
-    let best = curve
-        .iter()
-        .map(|(r, secs, _)| r.events_processed as f64 / secs.max(1e-9))
-        .fold(0.0f64, f64::max);
-    let baseline = 1_200_000.0; // pre-series events/s at 1000 phones (ROADMAP item 2)
-    let doc = serde_json::json!({
-        "bench_id": "BENCH_0010",
-        "series": "fleet-engine-throughput",
-        "unix_time": std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        "host_cores": host_cores,
-        "workload": serde_json::json!({"regions": 8u64, "phones": 1000u64, "sim_secs": 60.0, "seed": 42u64}),
-        "baseline_events_per_sec": baseline,
-        "runs": curve
-            .iter()
-            .map(|(r, secs, t)| run_json(r, *secs, *t))
-            .collect::<Vec<_>>(),
-        "best_events_per_sec": best.round(),
-        "speedup_vs_baseline": (best / baseline * 100.0).round() / 100.0,
-        "profile_digests": profiles,
-        "smoke": smoke_json,
-    });
-    std::fs::write(
-        &out_path,
-        serde_json::to_string_pretty(&doc).expect("serialize bench checkpoint") + "\n",
-    )
-    .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!(
-        "[msx] wrote {out_path}: best {:.0} ev/s = {:.2}x the {:.1}M ev/s baseline",
-        best,
-        best / baseline,
-        baseline / 1e6
-    );
 }
 
 fn fleet_table(r: &fleet::FleetReport) -> Table {

@@ -832,10 +832,11 @@ impl Deployment {
     }
 
     /// As [`Deployment::enable_sharding`], with per-destination
-    /// cross-shard bounds optionally disabled (`--uniform-lookahead`):
-    /// the kernel then barriers on the uniform cellular lookahead for
-    /// every destination. Digests are identical either way — the bound
-    /// only changes how far region windows may run between barriers.
+    /// cross-shard bounds optionally disabled: the kernel then barriers
+    /// on the uniform cellular lookahead for every destination — the
+    /// reference side of the digest cross-check. Digests are identical
+    /// either way; the bound only changes how far region windows may
+    /// run between barriers.
     pub fn enable_sharding_opts(&mut self, threads: usize, per_destination: bool) {
         let map = self.shard_map();
         let lookahead = self.cfg.cell.min_response_delay();

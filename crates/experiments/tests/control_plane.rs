@@ -9,11 +9,16 @@
 //!   only its own regions; every other group keeps committing rounds
 //!   through the window, and the dark group resumes after the heal.
 
+use dsps::node::ReportDead;
 use experiments::faults::{inject_departure, inject_reboot};
 use experiments::fleet::{build_fleet, ChurnProfile, FleetConfig, FleetRegion};
 use experiments::weather::{WeatherProgram, WeatherSystem};
 use experiments::{AppKind, Deployment, ScenarioConfig, Scheme};
+use mobistreams::msgs::NodeCheckpointed;
 use simkernel::{SimDuration, SimTime};
+use simnet::cellular::CellRx;
+use simnet::payload;
+use simnet::stats::TrafficClass;
 
 /// Shrunk operator states (same trick as the smoke tests) so a
 /// checkpoint round fits the shortened period.
@@ -117,6 +122,64 @@ fn same_tick_changes_coalesce_into_one_update_per_target() {
     );
 }
 
+/// A `(region, slot)` outside the controller's group is a counted
+/// fault and nothing else: against a twin run without the two bad
+/// messages, the controller handles exactly those two events more —
+/// so it sent and scheduled nothing — and every piece of region state
+/// it owns reads the same.
+#[test]
+fn out_of_group_reports_are_counted_and_change_nothing() {
+    let run = |inject: bool| {
+        let mut dep = Deployment::build(one_region(8));
+        dep.start();
+        if inject {
+            let ctl = dep.region_controllers[0];
+            let src = dep.regions[0].nodes[1];
+            let bad = [
+                payload(ReportDead {
+                    region: 9,
+                    slot: 0,
+                    observed_by: 1,
+                }),
+                payload(NodeCheckpointed {
+                    version: 1,
+                    region: 0,
+                    slot: 99,
+                }),
+            ];
+            for payload in bad {
+                let rx = CellRx {
+                    src,
+                    bytes: 64,
+                    class: TrafficClass::Control,
+                    payload,
+                };
+                dep.sim.schedule_at(SimTime::from_secs(30), ctl, rx);
+            }
+        }
+        dep.run_until(SimTime::from_secs(90));
+        let state = (
+            dep.ms_commits(),
+            dep.ms_recoveries().len(),
+            dep.ms_stops(),
+            dep.ms_departures_handled(),
+            dep.ms_membership_traffic(),
+        );
+        (
+            dep.ms_ctl_of(0).malformed_msgs,
+            dep.sim.events_processed(),
+            state,
+        )
+    };
+    let (clean_bad, clean_events, clean_state) = run(false);
+    let (hit_bad, hit_events, hit_state) = run(true);
+    assert_eq!(clean_bad, 0);
+    assert_eq!(hit_bad, 2);
+    assert_eq!(hit_events, clean_events + 2, "a rejected message sent one");
+    assert!(!clean_state.0.is_empty(), "no round committed in 90 s");
+    assert_eq!(hit_state, clean_state);
+}
+
 /// The blackout-isolation contract of the sharded control plane.
 fn blackout_fleet() -> FleetConfig {
     FleetConfig {
@@ -145,7 +208,6 @@ fn blackout_fleet() -> FleetConfig {
         seed: 19,
         threads: 1,
         sanitize: false,
-        uniform_lookahead: false,
     }
 }
 

@@ -10,8 +10,9 @@
 //! nightly CI step (`cargo test -p experiments --test
 //! determinism_stress -- --ignored`).
 
-use experiments::fleet::{profile, run_fleet, FleetConfig, FleetReport};
-use simkernel::SimDuration;
+use experiments::fleet::{build_fleet, profile, run_fleet, FleetConfig, FleetReport};
+use experiments::run::harvest;
+use simkernel::{SimDuration, SimTime};
 
 /// Profiles whose shapes stress the parallel kernel hardest.
 const STRESS_PROFILES: &[&str] = &["metro", "lossy-wifi", "flash-crowd"];
@@ -101,31 +102,51 @@ fn flash_crowd_digests_thread_invariant() {
 }
 
 /// Per-destination lookahead is a window-shape knob, never a schedule
-/// knob: disabling it (uniform global bound) must reproduce the exact
-/// digest, at one thread and at many.
+/// knob: the uniform global bound (the reference side, driven here
+/// directly since no config selects it) must reproduce `run_fleet`'s
+/// results exactly.
 #[test]
 fn uniform_lookahead_reproduces_per_destination_digests() {
     for &name in STRESS_PROFILES {
-        let cfg = scaled(name, 37);
-        let mut per_dest = cfg.clone();
-        per_dest.threads = 4;
-        let mut uniform = cfg;
-        uniform.threads = 4;
-        uniform.uniform_lookahead = true;
-        let rd = run_fleet(&per_dest);
-        let ru = run_fleet(&uniform);
+        let mut cfg = scaled(name, 37);
+        cfg.threads = 4;
+        let rd = run_fleet(&cfg);
+
+        let (mut dep, _) = build_fleet(&cfg);
+        dep.enable_sharding_opts(4, false);
+        dep.sim.enable_sanitizer();
+        let to = SimTime::ZERO + cfg.duration;
+        dep.run_until(to);
+        let h = harvest(&dep, SimTime::ZERO + cfg.warmup, to);
+        let windows = dep.sim.causality_report().expect("sanitizer on").windows;
+
         assert_eq!(
-            rd.digest, ru.digest,
+            rd.events_processed,
+            dep.sim.events_processed(),
             "{name}: widened per-destination windows changed the schedule"
         );
-        assert_eq!(rd.events_processed, ru.events_processed, "{name}");
+        let outputs: Vec<u64> = h.per_region.iter().map(|r| r.outputs as u64).collect();
+        assert_eq!(rd.per_region_outputs, outputs, "{name}");
+        // `FleetReport` stores "no output" as -1.
+        let latency = if h.mean_latency_s.is_finite() {
+            h.mean_latency_s
+        } else {
+            -1.0
+        };
+        assert_eq!(rd.mean_latency_s.to_bits(), latency.to_bits(), "{name}");
+        assert_eq!(rd.wifi_total_bytes, h.wifi_bytes.total(), "{name}");
+        assert_eq!(rd.cell_total_bytes, h.cell_bytes.total(), "{name}");
+        assert_eq!(
+            rd.checkpoint_commits,
+            dep.ms_commits().len() as u64,
+            "{name}"
+        );
         // Wider windows may only reduce barrier count, never raise it.
         assert!(
-            rd.sanitizer_windows <= ru.sanitizer_windows,
+            rd.sanitizer_windows <= windows,
             "{name}: per-destination bounds produced MORE windows \
-             ({} vs {})",
-            rd.sanitizer_windows,
-            ru.sanitizer_windows
+             ({} vs {windows})",
+            rd.sanitizer_windows
         );
     }
 }

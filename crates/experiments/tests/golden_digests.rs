@@ -2,11 +2,11 @@
 //! pinned under `cargo test`.
 //!
 //! A performance change must leave every event, RNG draw and report
-//! field where it was. `msx bench fleet --smoke` checks that in CI on
-//! one 2×8 fleet; this pins the `FleetReport` digest and event count of
-//! every library profile at matrix-smoke scale (3 regions × ≤8 phones,
-//! 360 s), at 1 and 4 worker threads, so an accidental change of event
-//! order or RNG consumption fails tier-1 and names the profile.
+//! field where it was. This pins the `FleetReport` digest and event
+//! count of every library profile at matrix-smoke scale (3 regions ×
+//! ≤8 phones, 360 s), at 1 and 4 worker threads, so an accidental
+//! change of event order or RNG consumption fails tier-1 and names the
+//! profile.
 //!
 //! The values were recorded at commit 04a6a34 (PR 11). A change that
 //! *means* to alter the simulated behaviour re-records them with

@@ -202,7 +202,6 @@ impl Coordinator {
             rt.stopped = st.stopped;
         }
         self.placement_epoch += 1;
-        ctx.count("coord.placement_epochs", 1);
         self.rewire_inter_region(st.region, ctx);
         for up in self.upstream_regions(st.region) {
             self.rewire_inter_region(up, ctx);

@@ -199,6 +199,9 @@ pub struct RegionController {
     pub commits: Vec<(usize, u64, SimTime)>,
     /// Regions currently stopped (bypass active).
     pub stops: u64,
+    /// Remote messages rejected for naming a `(region, slot)` outside
+    /// this controller's group.
+    pub malformed_msgs: u64,
     /// Re-registered op-owning slots waiting for the current recovery
     /// to finish before their reinstall runs.
     pending_reinstalls: Vec<(usize, u32)>,
@@ -270,6 +273,7 @@ impl RegionController {
             departures_handled: 0,
             commits: Vec::new(),
             stops: 0,
+            malformed_msgs: 0,
             pending_reinstalls: Vec::new(),
             membership_msgs: 0,
             membership_bytes: 0,
@@ -298,14 +302,14 @@ impl RegionController {
     /// A fleet-scale deployment must shrug off a malformed, stale or
     /// out-of-group message rather than panic the controller (and with
     /// it every region of the group at once).
-    fn valid_slot(&self, region: usize, slot: u32, ctx: &mut Ctx) -> bool {
+    fn valid_slot(&mut self, region: usize, slot: u32) -> bool {
         let ok = region >= self.first_region
             && self
                 .regions
                 .get(region - self.first_region)
                 .is_some_and(|rt| (slot as usize) < rt.slot_state.len());
         if !ok {
-            ctx.count("ctl.malformed_msgs", 1);
+            self.malformed_msgs += 1;
         }
         ok
     }
@@ -440,7 +444,6 @@ impl RegionController {
             for dst in snapshots {
                 self.membership_msgs += 1;
                 self.membership_bytes += wire::MEMBERSHIP;
-                ctx.count("ctl.membership_msgs", 1);
                 self.send_ctl(ctx, dst, wire::MEMBERSHIP, update.clone());
             }
         }
@@ -448,7 +451,6 @@ impl RegionController {
             let bytes = wire::DELTA_BASE + wire::DELTA_PER_CHANGE * delta.changes.len() as u64;
             self.membership_msgs += 1;
             self.membership_bytes += bytes;
-            ctx.count("ctl.membership_msgs", 1);
             self.send_ctl(ctx, dst, bytes, delta);
         }
     }
@@ -618,11 +620,10 @@ impl RegionController {
         for dst in targets {
             self.send_ctl(ctx, dst, wire::CONTROL, StartCheckpoint { version });
         }
-        ctx.count("ctl.ckpt_rounds", 1);
     }
 
     fn on_node_checkpointed(&mut self, m: NodeCheckpointed, ctx: &mut Ctx) {
-        if !self.valid_slot(m.region, m.slot, ctx) {
+        if !self.valid_slot(m.region, m.slot) {
             return;
         }
         let region = m.region;
@@ -772,7 +773,6 @@ impl RegionController {
         rt.probe_backoff = base;
         let epoch = rt.probe_epoch;
         self.severed_open.entry(region).or_insert_with(|| ctx.now());
-        ctx.count("ctl.regions_severed", 1);
         let me = ctx.self_id();
         ctx.send_in(base, me, CtlTimer::ProbeSevered { region, epoch });
     }
@@ -832,7 +832,6 @@ impl RegionController {
         if let Some(start) = self.severed_open.remove(&region) {
             self.severed_episodes.push((region, start, ctx.now()));
         }
-        ctx.count("ctl.regions_healed", 1);
         self.membership_changed(region, FlushScope::AllActive, ctx);
         self.push_routing(region, ctx);
         self.redirect_sensors(region, ctx);
@@ -841,7 +840,7 @@ impl RegionController {
     }
 
     fn note_failure(&mut self, region: usize, slot: u32, ctx: &mut Ctx) {
-        if !self.valid_slot(region, slot, ctx) {
+        if !self.valid_slot(region, slot) {
             return;
         }
         let gather_window = self.cfg.gather_window;
@@ -903,7 +902,6 @@ impl RegionController {
         }
         rt.slot_state[slot as usize] = SlotState::Dead;
         rt.pending_failures.insert(slot);
-        ctx.count("ctl.failures_noted", 1);
         if !rt.recover_scheduled {
             rt.recover_scheduled = true;
             if rt.pending_failures.len() == 1 {
@@ -960,7 +958,6 @@ impl RegionController {
     fn stop_region(&mut self, region: usize, ctx: &mut Ctx) {
         self.rt_mut(region).stopped = true;
         self.stops += 1;
-        ctx.count("ctl.region_stops", 1);
         // Bypass: the coordinator re-resolves every upstream region's
         // downstream wiring (upstreams may live in other groups).
         self.send_status(region, ctx);
@@ -1201,7 +1198,6 @@ impl RegionController {
             started,
             finished: ctx.now(),
         });
-        ctx.count("ctl.recoveries", 1);
         // Snapshot reports accepted while the recovery ran may have
         // completed the in-flight round — commit it now rather than
         // stalling it until the next report (which may never come).
@@ -1222,7 +1218,7 @@ impl RegionController {
     }
 
     fn on_recovered_ack(&mut self, m: RecoveredAck, ctx: &mut Ctx) {
-        if !self.valid_slot(m.region, m.slot, ctx) {
+        if !self.valid_slot(m.region, m.slot) {
             return;
         }
         let region = m.region;
@@ -1283,7 +1279,7 @@ impl RegionController {
     }
 
     fn on_departure(&mut self, m: DepartureNotice, ctx: &mut Ctx) {
-        if !self.valid_slot(m.region, m.slot, ctx) {
+        if !self.valid_slot(m.region, m.slot) {
             return;
         }
         let region = m.region;
@@ -1343,7 +1339,6 @@ impl RegionController {
                 }
             }
         }
-        ctx.count("ctl.departures", 1);
         // Tell everyone (including the departing node) to route the
         // affected edges over cellular for now — whether or not a
         // replacement exists: with none, the region runs degraded in
@@ -1429,7 +1424,7 @@ impl RegionController {
     }
 
     fn on_register(&mut self, m: RegisterNode, ctx: &mut Ctx) {
-        if !self.valid_slot(m.region, m.slot, ctx) {
+        if !self.valid_slot(m.region, m.slot) {
             return;
         }
         let region = m.region;
@@ -1648,12 +1643,11 @@ impl RegionController {
         self.membership_changed(region, FlushScope::AllActive, ctx);
         self.redirect_sensors(region, ctx);
         self.send_status(region, ctx);
-        ctx.count("ctl.region_restarts", 1);
     }
 
     /// Completion of an install the coordinator shipped for us.
     fn on_install_outcome(&mut self, o: InstallOutcome, ctx: &mut Ctx) {
-        if !self.valid_slot(o.region, o.slot, ctx) {
+        if !self.valid_slot(o.region, o.slot) {
             return;
         }
         match o.kind {

@@ -154,15 +154,6 @@ impl MsScheme {
         MsScheme::new(MsSchemeConfig::paper())
     }
 
-    /// Alignment waves still waiting for tokens: `(version, edges
-    /// heard so far)`. Introspection for probes and tests.
-    pub fn pending_alignments(&self) -> Vec<(u64, Vec<EdgeId>)> {
-        self.align
-            .iter()
-            .map(|(&v, st)| (v, st.got.iter().copied().collect()))
-            .collect()
-    }
-
     /// Active peers (actors) excluding this node.
     fn peers(&self, node: &NodeInner) -> Vec<ActorId> {
         self.active_slots
@@ -437,7 +428,6 @@ impl MsScheme {
                 }
             }
         }
-        ctx.count("ms.checkpoints", 1);
         if total == 0 {
             // Stateless node: report done immediately (a tiny control
             // message — works over cellular for degraded nodes too).
@@ -455,7 +445,6 @@ impl MsScheme {
             // over cellular at its full byte size. The proxy relays it
             // onto WiFi and reports to the controller on our behalf.
             self.stats.cell_snapshots += 1;
-            ctx.count("ms.cell_snapshots", 1);
             let snap = DegradedSnapshot {
                 region: node.cfg.region,
                 origin_slot: node.cfg.slot,
@@ -579,7 +568,6 @@ impl MsScheme {
             .collect();
         node.restore_ops(&states);
         self.stats.rollbacks += 1;
-        ctx.count("ms.rollbacks", 1);
         let ack = RecoveredAck {
             region: node.cfg.region,
             slot: node.cfg.slot,
@@ -727,15 +715,13 @@ impl FtScheme for MsScheme {
                             );
                         }
                     }
-                    Err(err) => {
+                    Err(_) => {
                         // Malformed batch: reject it whole and send no
                         // bitmap — the sender's phase timeout treats us
                         // as a straggler and the residue still reaches
                         // us over the reliable pass. Never panic a
                         // phone over one bad message.
                         self.stats.protocol_errors += 1;
-                        ctx.count("ms.batch_protocol_errors", 1);
-                        ctx.trace(format!("rejected batch: {err}"));
                     }
                 }
             },
@@ -747,7 +733,6 @@ impl FtScheme for MsScheme {
                         if reply.received.len() != job.n_blocks as usize {
                             // The job merges nothing of such a reply.
                             self.stats.protocol_errors += 1;
-                            ctx.count("ms.bitmap_protocol_errors", 1);
                         }
                         if let Some(d) = job.on_bitmap(rx.src, &reply.received) {
                             self.apply_decision(stream, d, node, ctx);
@@ -880,11 +865,9 @@ impl FtScheme for MsScheme {
                         // A stale/misrouted snapshot from another region
                         // must not be relayed into this region's round.
                         self.stats.protocol_errors += 1;
-                        ctx.count("ms.cross_region_snapshots_rejected", 1);
                         return true;
                     }
                     self.stats.proxied_snapshots += 1;
-                    ctx.count("ms.proxied_snapshots", 1);
                     let mut total = 0u64;
                     for (op, st, bytes) in &s.states {
                         node.store.put_state(s.version, *op, st.clone(), *bytes);

@@ -56,7 +56,7 @@ pub trait Actor: Any + Send {
     /// ability to schedule further events.
     fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx);
 
-    /// Human-readable name for traces.
+    /// Human-readable name for diagnostics.
     fn name(&self) -> String {
         "actor".to_string()
     }

@@ -19,7 +19,7 @@ pub trait Event: Any + fmt::Debug + Send + Sync {
     fn as_any(&self) -> &dyn Any;
     /// Upcast to `Box<dyn Any>` for by-value downcasting.
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
-    /// The event's type name, for traces and "unhandled event" panics.
+    /// The event's type name, for "unhandled event" panics and diagnostics.
     fn type_name(&self) -> &'static str;
     /// The concrete type's `TypeId` in one virtual call
     /// (`as_any().type_id()` costs two).

@@ -46,7 +46,6 @@ pub mod pool;
 pub mod rng;
 pub mod sim;
 pub mod time;
-pub mod trace;
 
 pub use actor::{Actor, ActorId};
 pub use event::{Event, MisroutedEvent};
@@ -54,4 +53,3 @@ pub use pool::{EventBox, EventPool, PoolStats};
 pub use rng::SimRng;
 pub use sim::{CausalityReport, Ctx, ShardBound, Sim};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceRecord};

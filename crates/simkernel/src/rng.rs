@@ -187,11 +187,6 @@ impl SimRng {
         }
     }
 
-    /// Pick a uniformly random element of a slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
-
     /// Fisher–Yates shuffle in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {

@@ -1,18 +1,17 @@
 //! The simulation event loop.
 //!
-//! [`Sim`] owns the clock, the pending-event heaps, the actor table, the
-//! RNG streams and the trace. Events are totally ordered by
-//! `(time, sequence)`, where the sequence number is assigned at
-//! scheduling time — so two events scheduled for the same instant are
-//! delivered in the order they were scheduled, and runs are bit-for-bit
-//! reproducible.
+//! [`Sim`] owns the clock, the pending-event heaps, the actor table and
+//! the RNG streams. Events are totally ordered by `(time, sequence)`,
+//! where the sequence number is assigned at scheduling time — so two
+//! events scheduled for the same instant are delivered in the order
+//! they were scheduled, and runs are bit-for-bit reproducible.
 //!
 //! # Sharded (parallel) mode
 //!
 //! A fresh `Sim` runs everything on one core, exactly as before. Once
 //! the topology is known, [`Sim::enable_sharding`] partitions the actors
 //! into a *global* shard 0 plus independent shards `1..n`, each with its
-//! own event heap, clock, forked RNG stream and trace. The contract the
+//! own event heap, clock and forked RNG stream. The contract the
 //! caller must uphold: **actors in shard `i > 0` never send to actors in
 //! shard `j > 0, j ≠ i`**, and every event chain from a shard-`i` send
 //! back into any non-global shard passes through shard 0 with a total
@@ -74,7 +73,6 @@ use crate::event::Event;
 use crate::pool::{EventBox, EventPool, PoolStats};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 
 struct Entry {
     at: SimTime,
@@ -123,7 +121,6 @@ struct Core {
     seq: u64,
     heap: BinaryHeap<Entry>,
     rng: SimRng,
-    trace: Trace,
     events_processed: u64,
     event_limit: u64,
     /// Which shard this core is (0 until sharding is enabled).
@@ -204,7 +201,6 @@ impl Core {
             seq: 0,
             heap: BinaryHeap::new(),
             rng: SimRng::new(0),
-            trace: Trace::new(),
             events_processed: 0,
             event_limit: u64::MAX,
             my_shard: self.my_shard,
@@ -239,51 +235,14 @@ impl Ctx<'_> {
         self.core.push_typed(self.core.now, to, ev);
     }
 
-    /// Deliver an already-boxed event ([`EventBox`] or `Box<dyn Event>`)
-    /// at the current instant.
-    pub fn send_boxed(&mut self, to: ActorId, ev: impl Into<EventBox>) {
-        self.core.push(self.core.now, to, ev.into());
-    }
-
     /// Deliver `ev` to `to` after `delay`.
     pub fn send_in(&mut self, delay: SimDuration, to: ActorId, ev: impl Event) {
         self.core.push_typed(self.core.now + delay, to, ev);
     }
 
-    /// Deliver a boxed event after `delay`.
-    pub fn send_boxed_in(&mut self, delay: SimDuration, to: ActorId, ev: impl Into<EventBox>) {
-        self.core.push(self.core.now + delay, to, ev.into());
-    }
-
-    /// Deliver `ev` at absolute time `at` (clamped to now if in the past).
-    pub fn send_at(&mut self, at: SimTime, to: ActorId, ev: impl Event) {
-        let at = at.max(self.core.now);
-        self.core.push_typed(at, to, ev);
-    }
-
     /// The simulation RNG (this shard's stream).
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.core.rng
-    }
-
-    /// Emit a trace record attributed to the current actor.
-    pub fn trace(&mut self, message: impl Into<String>) {
-        if self.core.trace.enabled() {
-            let at = self.core.now;
-            let actor = self.self_id;
-            self.core.trace.record(at, actor, message.into());
-        }
-    }
-
-    /// Bump a named counter (kept per shard; [`Sim::trace`] reads
-    /// shard 0's).
-    pub fn count(&mut self, key: &'static str, delta: u64) {
-        self.core.trace.count(key, delta);
-    }
-
-    /// Read a named counter.
-    pub fn counter(&self, key: &str) -> u64 {
-        self.core.trace.counter(key)
     }
 }
 
@@ -395,7 +354,6 @@ impl Sim {
                 seq: 0,
                 heap: BinaryHeap::new(),
                 rng: SimRng::new(seed),
-                trace: Trace::new(),
                 events_processed: 0,
                 event_limit: u64::MAX,
                 my_shard: 0,
@@ -532,7 +490,6 @@ impl Sim {
                 seq: 0,
                 heap: BinaryHeap::new(),
                 rng,
-                trace: Trace::new(),
                 events_processed: 0,
                 event_limit,
                 my_shard: s as u16,
@@ -618,11 +575,6 @@ impl Sim {
         self.threads
     }
 
-    /// Number of shards (1 until [`Sim::enable_sharding`]).
-    pub fn shard_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Current simulated time (shard 0's clock; all clocks agree after
     /// `run_until`).
     pub fn now(&self) -> SimTime {
@@ -674,29 +626,8 @@ impl Sim {
             .min()
     }
 
-    /// Dispatch one event. Returns `false` when the heap is empty.
-    /// Only meaningful on an unsharded sim (single-step debugging).
-    pub fn step(&mut self) -> bool {
-        assert_eq!(self.cores.len(), 1, "step() requires the unsharded sim");
-        let core = &mut self.cores[0];
-        let Some(head) = core.heap.peek() else {
-            return false;
-        };
-        let bound = head.at;
-        Self::run_window(
-            core,
-            &mut self.shard_actors[0],
-            &self.local_ix,
-            None,
-            Some(bound),
-            Some(1),
-            None,
-        );
-        true
-    }
-
     /// Pop-and-dispatch `core`'s events while `at < strict_before` (if
-    /// set) and `at <= inclusive_until` (if set), up to `max_events`.
+    /// set) and `at <= inclusive_until` (if set).
     ///
     /// With `outbox_cap: Some(offset)`, the window also ends before any
     /// event later than the earliest cross-shard arrival this very
@@ -716,14 +647,9 @@ impl Sim {
         local_ix: &[u32],
         strict_before: Option<SimTime>,
         inclusive_until: Option<SimTime>,
-        max_events: Option<u64>,
         outbox_cap: Option<SimDuration>,
     ) {
-        let mut budget = max_events.unwrap_or(u64::MAX);
-        while budget > 0 {
-            let Some(head) = core.heap.peek() else {
-                break;
-            };
+        while let Some(head) = core.heap.peek() {
             let at = head.at;
             if let Some(w) = strict_before {
                 if at >= w {
@@ -772,7 +698,6 @@ impl Sim {
                 actor.on_event(entry.ev, &mut ctx);
             }
             actors[ix] = Some(actor);
-            budget -= 1;
         }
     }
 
@@ -952,15 +877,7 @@ impl Sim {
                     .zip(self.shard_actors[1..].iter_mut())
                     .enumerate()
                 {
-                    Self::run_window(
-                        core,
-                        actors,
-                        &self.local_ix,
-                        plans[i].0,
-                        until,
-                        None,
-                        plans[i].1,
-                    );
+                    Self::run_window(core, actors, &self.local_ix, plans[i].0, until, plans[i].1);
                 }
             }
         }
@@ -1039,7 +956,6 @@ impl Sim {
                         &self.local_ix,
                         None,
                         bound,
-                        None,
                         Some(SimDuration::ZERO),
                     );
                 }
@@ -1078,12 +994,6 @@ impl Sim {
     /// clocks to exactly `until`.
     pub fn run_until(&mut self, until: SimTime) {
         self.run_barrier(Some(until));
-    }
-
-    /// Run for a simulated span from the current time.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let until = self.cores[0].now + span;
-        self.run_until(until);
     }
 
     /// Borrow an actor, downcast to its concrete type (post-run harvest).
@@ -1125,22 +1035,6 @@ impl Sim {
             .as_ref()?
             .as_any()
             .downcast_ref::<T>()
-    }
-
-    /// The trace/counter sink (shard 0's).
-    pub fn trace(&self) -> &Trace {
-        &self.cores[0].trace
-    }
-
-    /// Mutable trace/counter sink (enable tracing, reset, …).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.cores[0].trace
-    }
-
-    /// The simulation RNG (setup-time use, e.g. workload generation;
-    /// shard 0's stream).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.cores[0].rng
     }
 }
 
@@ -1318,7 +1212,6 @@ fn worker_loop(shared: &WorkerShared, range: std::ops::Range<usize>) {
                         &shared.local_ix,
                         task.strict_before,
                         task.until,
-                        None,
                         task.outbox_cap,
                     );
                 }));
@@ -1494,23 +1387,6 @@ mod tests {
             fn on_event(&mut self, _: EventBox, _: &mut Ctx) {}
             impl_actor_any!();
         }
-    }
-
-    #[test]
-    fn counters_via_ctx() {
-        struct Counting;
-        impl Actor for Counting {
-            fn on_event(&mut self, _: EventBox, ctx: &mut Ctx) {
-                ctx.count("events.seen", 1);
-            }
-            impl_actor_any!();
-        }
-        let mut sim = Sim::new(0);
-        let c = sim.add_actor(Box::new(Counting));
-        sim.schedule_at(SimTime::ZERO, c, Tag(0));
-        sim.schedule_at(SimTime::ZERO, c, Tag(1));
-        sim.run();
-        assert_eq!(sim.trace().counter("events.seen"), 2);
     }
 
     // ---- sharded-kernel tests -------------------------------------

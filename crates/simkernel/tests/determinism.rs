@@ -4,19 +4,17 @@
 //! draw the exact same numbers from the shared [`SimRng`]; different
 //! seeds must diverge.
 
-use simkernel::{
-    impl_actor_any, Actor, ActorId, Ctx, EventBox, Sim, SimDuration, SimTime, TraceRecord,
-};
+use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, Sim, SimDuration, SimTime};
 
 #[derive(Debug, Clone, Copy)]
 struct Tick(u64);
 
-/// An actor that consumes randomness on every event, records its draws,
-/// traces its activity, and keeps a randomized ping-pong going with a
-/// peer until `budget` events have been seen.
+/// An actor that consumes randomness on every event, logs
+/// `(time, tick, draw)` for each, and keeps a randomized ping-pong going
+/// with a peer until `budget` events have been seen.
 struct Chatter {
     peer: Option<ActorId>,
-    draws: Vec<u64>,
+    log: Vec<(SimTime, u64, u64)>,
     budget: u32,
 }
 
@@ -24,7 +22,7 @@ impl Chatter {
     fn new(budget: u32) -> Self {
         Chatter {
             peer: None,
-            draws: Vec::new(),
+            log: Vec::new(),
             budget,
         }
     }
@@ -34,8 +32,7 @@ impl Actor for Chatter {
     fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
         let tick = ev.downcast::<Tick>().unwrap();
         let draw = ctx.rng().range_u64(0, 1_000_000);
-        self.draws.push(draw);
-        ctx.trace(format!("tick {} draw {draw}", tick.0));
+        self.log.push((ctx.now(), tick.0, draw));
         if self.budget == 0 {
             return;
         }
@@ -52,7 +49,6 @@ impl Actor for Chatter {
 /// Build a small randomized topology and run it to completion.
 fn run(seed: u64) -> (Sim, Vec<ActorId>) {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(true);
     let ids: Vec<ActorId> = (0..4)
         .map(|i| sim.add_actor(Box::new(Chatter::new(40 + i * 3))))
         .collect();
@@ -67,20 +63,30 @@ fn run(seed: u64) -> (Sim, Vec<ActorId>) {
     (sim, ids)
 }
 
-fn trace_key(r: &TraceRecord) -> (SimTime, ActorId, String) {
-    (r.at, r.actor, r.message.clone())
+/// Every actor's `(time, tick, draw)` log, in actor-id order.
+fn logs(sim: &Sim, ids: &[ActorId]) -> Vec<Vec<(SimTime, u64, u64)>> {
+    ids.iter()
+        .map(|&id| sim.actor::<Chatter>(id).log.clone())
+        .collect()
+}
+
+fn draws(sim: &Sim, id: ActorId) -> Vec<u64> {
+    sim.actor::<Chatter>(id).log.iter().map(|r| r.2).collect()
 }
 
 #[test]
 fn identical_builds_produce_identical_event_traces() {
-    let (a, _) = run(1234);
-    let (b, _) = run(1234);
+    let (a, ids_a) = run(1234);
+    let (b, ids_b) = run(1234);
     assert_eq!(a.events_processed(), b.events_processed());
     assert_eq!(a.now(), b.now());
-    let ta: Vec<_> = a.trace().records().iter().map(trace_key).collect();
-    let tb: Vec<_> = b.trace().records().iter().map(trace_key).collect();
-    assert!(!ta.is_empty(), "trace must have captured the run");
-    assert_eq!(ta, tb, "event traces must match record-for-record");
+    let ta = logs(&a, &ids_a);
+    let tb = logs(&b, &ids_b);
+    assert!(
+        ta.iter().all(|l| !l.is_empty()),
+        "every actor must have logged the run"
+    );
+    assert_eq!(ta, tb, "event logs must match record-for-record");
 }
 
 #[test]
@@ -89,8 +95,8 @@ fn identical_builds_produce_identical_rng_draw_sequences() {
     let (b, ids_b) = run(77);
     assert_eq!(ids_a, ids_b, "actor ids are assigned deterministically");
     for (&ia, &ib) in ids_a.iter().zip(&ids_b) {
-        let da = &a.actor::<Chatter>(ia).draws;
-        let db = &b.actor::<Chatter>(ib).draws;
+        let da = draws(&a, ia);
+        let db = draws(&b, ib);
         assert!(!da.is_empty());
         assert_eq!(da, db, "per-actor SimRng draw sequences must match");
     }
@@ -100,12 +106,14 @@ fn identical_builds_produce_identical_rng_draw_sequences() {
 fn different_seeds_diverge() {
     let (a, ids_a) = run(100);
     let (b, ids_b) = run(101);
-    let da = &a.actor::<Chatter>(ids_a[0]).draws;
-    let db = &b.actor::<Chatter>(ids_b[0]).draws;
+    let da = draws(&a, ids_a[0]);
+    let db = draws(&b, ids_b[0]);
     assert_ne!(da, db, "different seeds must produce different draws");
-    let ta: Vec<_> = a.trace().records().iter().map(trace_key).collect();
-    let tb: Vec<_> = b.trace().records().iter().map(trace_key).collect();
-    assert_ne!(ta, tb, "different seeds must produce different traces");
+    assert_ne!(
+        logs(&a, &ids_a),
+        logs(&b, &ids_b),
+        "different seeds must produce different event logs"
+    );
 }
 
 #[test]

@@ -364,7 +364,6 @@ impl CellularNet {
             src_ep.queue_drop_bytes += s.bytes;
             self.stats.queue_drops += 1;
             self.stats.queue_drop_bytes += s.bytes;
-            ctx.count("cell.queue_drops", 1);
             if s.tag != 0 {
                 ctx.send_in(
                     self.cfg.drop_notify,
@@ -400,7 +399,6 @@ impl CellularNet {
             dst_ep.queue_drop_bytes += s.bytes;
             self.stats.queue_drops += 1;
             self.stats.queue_drop_bytes += s.bytes;
-            ctx.count("cell.queue_drops", 1);
             self.stats.record_send(s.class, s.bytes, wire, up_air);
             if s.tag != 0 {
                 ctx.send_in(

@@ -51,17 +51,6 @@ impl RateQueue {
         self.rate_bps
     }
 
-    /// Change the rate (e.g. WiFi adapting); affects future reservations.
-    pub fn set_rate_bps(&mut self, rate_bps: f64) {
-        assert!(rate_bps > 0.0);
-        self.rate_bps = rate_bps;
-    }
-
-    /// Earliest instant a new reservation could start.
-    pub fn free_at(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Reserve the queue for `bytes` starting no earlier than `now`.
     /// Returns the `(start, end)` of the transmission window.
     pub fn reserve(&mut self, now: SimTime, bytes: u64) -> (SimTime, SimTime) {

@@ -361,15 +361,6 @@ impl WifiMedium {
         self.members.get(&node).copied().unwrap_or(LinkState::Gone)
     }
 
-    /// Members currently `Active`.
-    pub fn active_members(&self) -> Vec<ActorId> {
-        self.members
-            .iter()
-            .filter(|(_, s)| s.reachable())
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
     /// Accounting.
     pub fn stats(&self) -> &NetStats {
         &self.stats
@@ -559,7 +550,6 @@ impl WifiMedium {
         let (_, end) = self.channel.reserve_span(ctx.now(), air, wire);
         self.stats.record_send(b.class, payload, wire, air);
         self.after_reserve(ctx);
-        ctx.count("wifi.batch_blocks", n);
         let delay = end - ctx.now();
 
         let loss = self.cfg.loss;
