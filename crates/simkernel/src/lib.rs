@@ -46,6 +46,7 @@ pub mod pool;
 pub mod rng;
 pub mod sim;
 pub mod time;
+mod workers;
 
 pub use actor::{Actor, ActorId};
 pub use event::{Event, MisroutedEvent};

@@ -40,9 +40,10 @@
 //!   so independent regions no longer synchronise on every cellular
 //!   hop, and a region doing pure intra-region work runs unbounded
 //!   until it actually talks to the core.
-//! * **Warm workers**: region windows run on a persistent worker pool
-//!   (parked on a condvar between barriers) instead of re-spawning a
-//!   `std::thread::scope` per window.
+//! * **Cheap rounds** (`workers.rs`): only shards whose window
+//!   holds an event are handed out, the calling thread runs them too
+//!   alongside `threads - 1` warm helpers, and a round with fewer than
+//!   two busy shards runs inline with no hand-off at all.
 //! * **Pooled events** ([`crate::pool`]): intra-shard sends recycle
 //!   generation-checked slab slots instead of heap-boxing every send;
 //!   cross-shard sends are flattened to plain boxes so pool traffic
@@ -66,13 +67,14 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use crate::actor::{Actor, ActorId};
 use crate::event::Event;
 use crate::pool::{EventBox, EventPool, PoolStats};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use crate::workers::Workers;
 
 struct Entry {
     at: SimTime,
@@ -116,7 +118,7 @@ struct OutEntry {
 
 /// One shard's mutable simulation internals, handed to actors via
 /// [`Ctx`]. An unsharded [`Sim`] is exactly one `Core`.
-struct Core {
+pub(crate) struct Core {
     now: SimTime,
     seq: u64,
     heap: BinaryHeap<Entry>,
@@ -193,9 +195,10 @@ impl Core {
         }
     }
 
-    /// A cheap placeholder with this core's identity but no state, used
-    /// to move the real core into a worker slot for one window.
-    fn hollow(&self) -> Core {
+    /// A stateless stand-in that sits in `Sim::cores` while the real
+    /// core is in a worker slot for one round (and in the slot between
+    /// rounds). Nothing reads it.
+    pub(crate) fn placeholder() -> Core {
         Core {
             now: SimTime::ZERO,
             seq: 0,
@@ -203,11 +206,11 @@ impl Core {
             rng: SimRng::new(0),
             events_processed: 0,
             event_limit: u64::MAX,
-            my_shard: self.my_shard,
-            shard_of: Arc::clone(&self.shard_of),
+            my_shard: 0,
+            shard_of: Arc::from([]),
             outbox: Vec::new(),
             outbox_min: None,
-            pool: self.pool.clone(),
+            pool: EventPool::new(),
         }
     }
 }
@@ -315,6 +318,81 @@ pub struct ShardBound {
     pub cross_bound: SimDuration,
 }
 
+/// Pop-and-dispatch `core`'s events while `at < strict_before` (if
+/// set) and `at <= inclusive_until` (if set).
+///
+/// With `outbox_cap: Some(offset)`, the window also ends before any
+/// event later than the earliest cross-shard arrival this very
+/// window has parked (`Core::outbox_min`, re-checked after every
+/// dispatch) plus `offset`. The global shard's solo window passes
+/// `offset = 0`: its own sends can wake a region *earlier* than the
+/// region's pending heap suggested, and the woken region may reply
+/// into shard 0 with zero delay — so shard 0 must not advance past
+/// any time at which such a reply could still arrive. Region
+/// windows pass their `ShardBound::self_bound`: a parked send can
+/// provoke a reply back into this shard no sooner than that bound
+/// after it leaves, which lets a region with no parked sends run
+/// its whole window regardless of how wide it is.
+pub(crate) fn run_window(
+    core: &mut Core,
+    actors: &mut [Option<Box<dyn Actor>>],
+    local_ix: &[u32],
+    strict_before: Option<SimTime>,
+    inclusive_until: Option<SimTime>,
+    outbox_cap: Option<SimDuration>,
+) {
+    while let Some(head) = core.heap.peek() {
+        let at = head.at;
+        if let Some(w) = strict_before {
+            if at >= w {
+                break;
+            }
+        }
+        if let Some(u) = inclusive_until {
+            if at > u {
+                break;
+            }
+        }
+        if let Some(offset) = outbox_cap {
+            if let Some(m) = core.outbox_min {
+                // `at == m + offset` stays safe: a reply provoked
+                // by the parked send arrives at `>= m + offset`,
+                // never below this event's time.
+                if at > m + offset {
+                    break;
+                }
+            }
+        }
+        let Some(entry) = core.heap.pop() else {
+            break;
+        };
+        debug_assert!(entry.at >= core.now, "time went backwards");
+        core.now = entry.at;
+        core.events_processed += 1;
+        assert!(
+            core.events_processed <= core.event_limit,
+            "event limit exceeded ({} events): runaway event loop?",
+            core.event_limit
+        );
+        let ix = local_ix[entry.to.index()] as usize;
+        let mut actor = actors
+            .get_mut(ix)
+            // simlint::allow(P001): kernel-integrity invariant — an event addressed past the actor table means the shard map is corrupt; fail fast
+            .unwrap_or_else(|| panic!("event for unknown {:?}", entry.to))
+            .take()
+            // simlint::allow(P001): the slot is always restored after dispatch; a vacant slot here is kernel corruption, not an input error
+            .unwrap_or_else(|| panic!("re-entrant dispatch to {:?}", entry.to));
+        {
+            let mut ctx = Ctx {
+                core,
+                self_id: entry.to,
+            };
+            actor.on_event(entry.ev, &mut ctx);
+        }
+        actors[ix] = Some(actor);
+    }
+}
+
 /// A discrete-event simulation: actor table + event heap(s) + clock(s).
 pub struct Sim {
     cores: Vec<Core>,
@@ -325,7 +403,7 @@ pub struct Sim {
     local_ix: Vec<u32>,
     /// Global actor index → owning shard (empty until sharded).
     shard_of: Arc<[u16]>,
-    /// Worker threads for the parallel window phase.
+    /// Threads taking part in the region-window phase, caller included.
     threads: usize,
     /// Minimum cross-boundary delay the topology guarantees.
     lookahead: SimDuration,
@@ -338,8 +416,15 @@ pub struct Sim {
     /// real minimum delay — caught even when the delivery happens to
     /// land above the shard's current clock.
     horizons: Vec<SimTime>,
-    /// Persistent worker pool for region windows (threads > 1 only).
-    workers: Option<WorkerPool>,
+    /// Helper threads for region windows (threads > 1 only).
+    workers: Option<Workers>,
+    /// Barrier-round scratch, kept to avoid per-round allocation: each
+    /// region's `(strict window end, outbox cap)`, the regions with an
+    /// event inside their window, and the merge's per-destination
+    /// inbound lists.
+    plans: Vec<(Option<SimTime>, Option<SimDuration>)>,
+    busy: Vec<usize>,
+    inbound: Vec<Vec<OutEntry>>,
     /// Runtime causality checks; `Some` = enabled (default in debug
     /// builds), `None` = disabled.
     sanitizer: Option<Sanitizer>,
@@ -370,6 +455,9 @@ impl Sim {
             bounds: Vec::new(),
             horizons: Vec::new(),
             workers: None,
+            plans: Vec::new(),
+            busy: Vec::new(),
+            inbound: Vec::new(),
             sanitizer: if cfg!(debug_assertions) {
                 Some(Sanitizer::new())
             } else {
@@ -539,13 +627,11 @@ impl Sim {
             n_shards
         ];
         self.horizons = vec![SimTime::ZERO; n_shards];
-        let workers = self.threads.min(n_shards.saturating_sub(1));
-        if workers > 1 {
-            self.workers = Some(WorkerPool::new(
-                n_shards - 1,
-                workers,
-                self.local_ix.clone(),
-            ));
+        // The caller is one of the `threads` participants.
+        let regions = n_shards - 1;
+        let helpers = self.threads.min(regions).saturating_sub(1);
+        if helpers > 0 {
+            self.workers = Some(Workers::new(helpers, regions, self.local_ix.clone()));
         }
     }
 
@@ -569,10 +655,15 @@ impl Sim {
         self.bounds = bounds;
     }
 
-    /// Worker threads used for the parallel window phase (1 until
-    /// [`Sim::enable_sharding`]).
+    /// Threads taking part in the region-window phase, caller
+    /// included (1 until [`Sim::enable_sharding`]).
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    #[cfg(test)]
+    pub(crate) fn workers(&self) -> Option<&Workers> {
+        self.workers.as_ref()
     }
 
     /// Current simulated time (shard 0's clock; all clocks agree after
@@ -626,85 +717,15 @@ impl Sim {
             .min()
     }
 
-    /// Pop-and-dispatch `core`'s events while `at < strict_before` (if
-    /// set) and `at <= inclusive_until` (if set).
-    ///
-    /// With `outbox_cap: Some(offset)`, the window also ends before any
-    /// event later than the earliest cross-shard arrival this very
-    /// window has parked (`Core::outbox_min`, re-checked after every
-    /// dispatch) plus `offset`. The global shard's solo window passes
-    /// `offset = 0`: its own sends can wake a region *earlier* than the
-    /// region's pending heap suggested, and the woken region may reply
-    /// into shard 0 with zero delay — so shard 0 must not advance past
-    /// any time at which such a reply could still arrive. Region
-    /// windows pass their `ShardBound::self_bound`: a parked send can
-    /// provoke a reply back into this shard no sooner than that bound
-    /// after it leaves, which lets a region with no parked sends run
-    /// its whole window regardless of how wide it is.
-    fn run_window(
-        core: &mut Core,
-        actors: &mut [Option<Box<dyn Actor>>],
-        local_ix: &[u32],
-        strict_before: Option<SimTime>,
-        inclusive_until: Option<SimTime>,
-        outbox_cap: Option<SimDuration>,
-    ) {
-        while let Some(head) = core.heap.peek() {
-            let at = head.at;
-            if let Some(w) = strict_before {
-                if at >= w {
-                    break;
-                }
-            }
-            if let Some(u) = inclusive_until {
-                if at > u {
-                    break;
-                }
-            }
-            if let Some(offset) = outbox_cap {
-                if let Some(m) = core.outbox_min {
-                    // `at == m + offset` stays safe: a reply provoked
-                    // by the parked send arrives at `>= m + offset`,
-                    // never below this event's time.
-                    if at > m + offset {
-                        break;
-                    }
-                }
-            }
-            let Some(entry) = core.heap.pop() else {
-                break;
-            };
-            debug_assert!(entry.at >= core.now, "time went backwards");
-            core.now = entry.at;
-            core.events_processed += 1;
-            assert!(
-                core.events_processed <= core.event_limit,
-                "event limit exceeded ({} events): runaway event loop?",
-                core.event_limit
-            );
-            let ix = local_ix[entry.to.index()] as usize;
-            let mut actor = actors
-                .get_mut(ix)
-                // simlint::allow(P001): kernel-integrity invariant — an event addressed past the actor table means the shard map is corrupt; fail fast
-                .unwrap_or_else(|| panic!("event for unknown {:?}", entry.to))
-                .take()
-                // simlint::allow(P001): the slot is always restored after dispatch; a vacant slot here is kernel corruption, not an input error
-                .unwrap_or_else(|| panic!("re-entrant dispatch to {:?}", entry.to));
-            {
-                let mut ctx = Ctx {
-                    core,
-                    self_id: entry.to,
-                };
-                actor.on_event(entry.ev, &mut ctx);
-            }
-            actors[ix] = Some(actor);
-        }
-    }
-
     /// Move every parked cross-shard send into its destination heap.
     /// Arrival order is the stable `(time, source shard, source seq)`
     /// sort, independent of which worker thread ran which shard.
     fn merge_outboxes(&mut self) {
+        // An empty outbox has `outbox_min == None`, so there is nothing
+        // to reset either.
+        if self.cores.iter().all(|c| c.outbox.is_empty()) {
+            return;
+        }
         let n = self.cores.len();
         let sanitize = self.sanitizer.is_some();
         let lookahead = self.lookahead;
@@ -713,7 +734,7 @@ impl Sim {
         // builds panic at the first one; release builds record so the
         // run completes and the report carries the count.
         let mut violations = 0u64;
-        let mut inbound: Vec<Vec<OutEntry>> = (0..n).map(|_| Vec::new()).collect();
+        self.inbound.resize_with(n, Vec::new);
         for (src, core) in self.cores.iter_mut().enumerate() {
             core.outbox_min = None;
             for mut e in core.outbox.drain(..) {
@@ -735,10 +756,10 @@ impl Sim {
                 // Reuse `dest` to carry the source shard through the
                 // sort; the vec index already names the destination.
                 e.dest = src as u16;
-                inbound[d].push(e);
+                self.inbound[d].push(e);
             }
         }
-        for (d, mut entries) in inbound.into_iter().enumerate() {
+        for (d, entries) in self.inbound.iter_mut().enumerate() {
             entries.sort_by_key(|a| (a.at, a.dest, a.src_seq));
             if sanitize {
                 for w in entries.windows(2) {
@@ -759,7 +780,7 @@ impl Sim {
                 }
             }
             let core = &mut self.cores[d];
-            for e in entries {
+            for e in entries.drain(..) {
                 if sanitize && d > 0 {
                     if let Some(&h) = self.horizons.get(d) {
                         if e.at < h {
@@ -812,8 +833,8 @@ impl Sim {
     }
 
     /// Run every non-global shard's window, each bounded by its own
-    /// [`ShardBound`] (∩ `<= until`), on the warm worker pool when one
-    /// exists.
+    /// [`ShardBound`] (∩ `<= until`); with helper threads, the busy
+    /// ones run as one `workers.rs` round.
     ///
     /// Shard `d`'s static window is `min(t_g, t_other(d) +
     /// cross_bound(d))` where `t_other(d)` is the earliest pending
@@ -846,30 +867,61 @@ impl Sim {
                 Some(_) => min2 = Some(min2.map_or(t, |m2| m2.min(t))),
             }
         }
-        let plans: Vec<(Option<SimTime>, Option<SimDuration>)> = (0..n)
-            .map(|i| {
-                let other = match min1 {
-                    Some((m, am)) if am != i => Some(m),
-                    _ => min2,
-                };
-                let cross = other.map(|t| t + self.bounds[i + 1].cross_bound);
-                let w = match (t_g, cross) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                (w, Some(self.bounds[i + 1].self_bound))
-            })
-            .collect();
+        self.plans.clear();
+        self.plans.extend((0..n).map(|i| {
+            let other = match min1 {
+                Some((m, am)) if am != i => Some(m),
+                _ => min2,
+            };
+            let cross = other.map(|t| t + self.bounds[i + 1].cross_bound);
+            let w = match (t_g, cross) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            (w, Some(self.bounds[i + 1].self_bound))
+        }));
+        let plans = &self.plans;
 
-        let threads = self.threads.min(n).max(1);
-        match &self.workers {
-            Some(pool) if threads > 1 => {
-                pool.run(
-                    &mut self.cores[1..],
-                    &mut self.shard_actors[1..],
-                    &plans,
-                    until,
-                );
+        // A region is busy when its head event lies inside its window.
+        // Outboxes are empty at this point, so the outbox cap cannot
+        // stop the first pop: `run_window` dispatches at least one
+        // event for a busy region and none for any other, which makes
+        // skipping the others exact.
+        self.busy.clear();
+        if self.workers.is_some() {
+            self.busy.extend((0..n).filter(|&i| {
+                self.cores[i + 1].heap.peek().is_some_and(|head| {
+                    plans[i].0.is_none_or(|w| head.at < w) && until.is_none_or(|u| head.at <= u)
+                })
+            }));
+        }
+        match &mut self.workers {
+            // Two or more busy regions: hand them out (the caller runs
+            // its share too). Anything less runs inline below.
+            Some(workers) if self.busy.len() > 1 => {
+                // Slots are claimed from the top index down, so an
+                // ascending sort starts the longest backlog first: a
+                // round's critical path is usually one region's fan-out
+                // burst, and the other participants absorb the small
+                // regions meanwhile.
+                self.busy.sort_by_key(|&i| self.cores[i + 1].heap.len());
+                for (k, &i) in self.busy.iter().enumerate() {
+                    let mut task = workers.slot(k);
+                    task.swap_shard(&mut self.cores[i + 1], &mut self.shard_actors[i + 1]);
+                    (task.strict_before, task.outbox_cap) = plans[i];
+                    task.until = until;
+                }
+                let panic = workers.run_round(self.busy.len());
+                // Every shard comes back before a caught actor panic is
+                // re-thrown, whichever participant it happened on.
+                for (k, &i) in self.busy.iter().enumerate() {
+                    workers
+                        .slot(k)
+                        .swap_shard(&mut self.cores[i + 1], &mut self.shard_actors[i + 1]);
+                }
+                if let Some(payload) = panic {
+                    std::panic::resume_unwind(payload);
+                }
             }
             _ => {
                 for (i, (core, actors)) in self.cores[1..]
@@ -877,7 +929,7 @@ impl Sim {
                     .zip(self.shard_actors[1..].iter_mut())
                     .enumerate()
                 {
-                    Self::run_window(core, actors, &self.local_ix, plans[i].0, until, plans[i].1);
+                    run_window(core, actors, &self.local_ix, plans[i].0, until, plans[i].1);
                 }
             }
         }
@@ -950,7 +1002,7 @@ impl Sim {
                         (Some(a), Some(b)) => Some(a.min(b)),
                         (a, b) => a.or(b),
                     };
-                    Self::run_window(
+                    run_window(
                         &mut self.cores[0],
                         &mut self.shard_actors[0],
                         &self.local_ix,
@@ -1035,199 +1087,6 @@ impl Sim {
             .as_ref()?
             .as_any()
             .downcast_ref::<T>()
-    }
-}
-
-/// Lock a mutex, tolerating poison: a worker that panicked mid-window
-/// already stashed its payload for `resume_unwind` on the main thread,
-/// and the state it guarded is either discarded or re-panicked over.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// One region shard's state, moved into a worker slot for one window.
-struct ShardTask {
-    core: Core,
-    actors: Vec<Option<Box<dyn Actor>>>,
-    strict_before: Option<SimTime>,
-    until: Option<SimTime>,
-    outbox_cap: Option<SimDuration>,
-}
-
-struct Gate {
-    /// Bumped by the main thread to start a window round.
-    epoch: u64,
-    /// Workers finished with the current round.
-    done: usize,
-    shutdown: bool,
-}
-
-struct WorkerShared {
-    gate: Mutex<Gate>,
-    start_cv: Condvar,
-    done_cv: Condvar,
-    /// One slot per region shard (index = shard - 1). Filled by the
-    /// main thread before an epoch bump, drained by it after the round.
-    slots: Vec<Mutex<Option<ShardTask>>>,
-    /// Global actor index → slot within its shard's actor vec (fixed
-    /// after `enable_sharding`).
-    local_ix: Vec<u32>,
-    /// First panic caught in a worker this round; re-thrown on the main
-    /// thread once every worker has parked again.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-/// Persistent worker threads for the region-window phase. Spawned once
-/// at `enable_sharding` and parked on a condvar between barriers, so a
-/// window costs two notifications instead of N thread spawns.
-struct WorkerPool {
-    shared: Arc<WorkerShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    n_workers: usize,
-}
-
-impl WorkerPool {
-    fn new(n_region_shards: usize, workers: usize, local_ix: Vec<u32>) -> WorkerPool {
-        let n_workers = workers.min(n_region_shards).max(1);
-        let shared = Arc::new(WorkerShared {
-            gate: Mutex::new(Gate {
-                epoch: 0,
-                done: 0,
-                shutdown: false,
-            }),
-            start_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            slots: (0..n_region_shards).map(|_| Mutex::new(None)).collect(),
-            local_ix,
-            panic: Mutex::new(None),
-        });
-        // Static shard→worker assignment: worker w owns a contiguous
-        // chunk of slots, the same partition every window (results are
-        // identical either way; this just keeps shard state on the
-        // same thread's caches across windows).
-        let chunk = n_region_shards.div_ceil(n_workers);
-        let handles = (0..n_workers)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                let range = w * chunk..((w + 1) * chunk).min(n_region_shards);
-                std::thread::Builder::new()
-                    .name(format!("sim-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, range))
-                    // simlint::allow(P001): thread spawn at setup time; failing to create workers is unrecoverable
-                    .expect("spawn simulation worker thread")
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            handles,
-            n_workers,
-        }
-    }
-
-    /// Run one window round: move every region shard's state into its
-    /// slot, wake the workers, wait for all of them to park again, and
-    /// move the state back. Panics from worker-side actor code are
-    /// re-thrown here (after the barrier, so no state is lost to a
-    /// mid-round unwind).
-    fn run(
-        &self,
-        cores: &mut [Core],
-        actors: &mut [Vec<Option<Box<dyn Actor>>>],
-        plans: &[(Option<SimTime>, Option<SimDuration>)],
-        until: Option<SimTime>,
-    ) {
-        for i in 0..cores.len() {
-            let hollow = cores[i].hollow();
-            let core = std::mem::replace(&mut cores[i], hollow);
-            let acts = std::mem::take(&mut actors[i]);
-            *lock(&self.shared.slots[i]) = Some(ShardTask {
-                core,
-                actors: acts,
-                strict_before: plans[i].0,
-                until,
-                outbox_cap: plans[i].1,
-            });
-        }
-        {
-            let mut g = lock(&self.shared.gate);
-            g.epoch += 1;
-            g.done = 0;
-        }
-        self.shared.start_cv.notify_all();
-        {
-            let mut g = lock(&self.shared.gate);
-            while g.done < self.n_workers {
-                g = self
-                    .shared
-                    .done_cv
-                    .wait(g)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        for i in 0..cores.len() {
-            if let Some(task) = lock(&self.shared.slots[i]).take() {
-                cores[i] = task.core;
-                actors[i] = task.actors;
-            }
-        }
-        if let Some(p) = lock(&self.shared.panic).take() {
-            std::panic::resume_unwind(p);
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        lock(&self.shared.gate).shutdown = true;
-        self.shared.start_cv.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &WorkerShared, range: std::ops::Range<usize>) {
-    let mut seen_epoch = 0u64;
-    loop {
-        {
-            let mut g = lock(&shared.gate);
-            while g.epoch == seen_epoch && !g.shutdown {
-                g = shared.start_cv.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
-            if g.shutdown {
-                return;
-            }
-            seen_epoch = g.epoch;
-        }
-        for i in range.clone() {
-            let mut slot = lock(&shared.slots[i]);
-            if let Some(task) = slot.as_mut() {
-                // Actor panics must not tear down the worker (the pool
-                // is reused across windows); catch, stash the first,
-                // and let the main thread re-throw after the barrier.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    Sim::run_window(
-                        &mut task.core,
-                        &mut task.actors,
-                        &shared.local_ix,
-                        task.strict_before,
-                        task.until,
-                        task.outbox_cap,
-                    );
-                }));
-                if let Err(p) = result {
-                    let mut stash = lock(&shared.panic);
-                    if stash.is_none() {
-                        *stash = Some(p);
-                    }
-                }
-            }
-        }
-        {
-            let mut g = lock(&shared.gate);
-            g.done += 1;
-        }
-        shared.done_cv.notify_all();
     }
 }
 
