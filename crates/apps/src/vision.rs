@@ -18,32 +18,35 @@ pub struct ColorBlob {
     pub area: u32,
 }
 
-/// Color filter: find the dominant signal-colored blob, if any.
+/// Color filter: find the dominant signal-colored blob, if any. Of
+/// equally large blobs the first of red, yellow, green wins.
 pub fn color_filter(frame: &Frame) -> Option<ColorBlob> {
-    let mut best: Option<ColorBlob> = None;
-    for color in [LightColor::Red, LightColor::Yellow, LightColor::Green] {
-        let mut sx = 0u64;
-        let mut sy = 0u64;
-        let mut n = 0u32;
-        for y in 0..frame.h {
-            for x in 0..frame.w {
-                if LightColor::from_hue(frame.hue_at(x, y)) == Some(color) {
-                    sx += x as u64;
-                    sy += y as u64;
-                    n += 1;
-                }
-            }
+    const COLORS: [LightColor; 3] = [LightColor::Red, LightColor::Yellow, LightColor::Green];
+    // One pass over the hue plane: (Σx, Σy, count) per color.
+    let mut acc = [(0u64, 0u64, 0u32); 3];
+    for (y, row) in frame.hue.chunks_exact(frame.w.max(1)).enumerate() {
+        for (x, &hue) in row.iter().enumerate() {
+            let slot = match LightColor::from_hue(hue) {
+                Some(LightColor::Red) => 0,
+                Some(LightColor::Yellow) => 1,
+                Some(LightColor::Green) => 2,
+                None => continue,
+            };
+            let (sx, sy, n) = &mut acc[slot];
+            *sx += x as u64;
+            *sy += y as u64;
+            *n += 1;
         }
-        if n >= 4 {
-            let blob = ColorBlob {
+    }
+    let mut best: Option<ColorBlob> = None;
+    for (color, &(sx, sy, n)) in COLORS.into_iter().zip(&acc) {
+        if n >= 4 && best.is_none_or(|b| n > b.area) {
+            best = Some(ColorBlob {
                 color,
                 cx: sx as f64 / n as f64,
                 cy: sy as f64 / n as f64,
                 area: n,
-            };
-            if best.map(|b| blob.area > b.area).unwrap_or(true) {
-                best = Some(blob);
-            }
+            });
         }
     }
     best
@@ -190,7 +193,94 @@ impl VotingFilter {
 mod tests {
     use super::*;
     use crate::image::FrameGen;
+    use proptest::prelude::*;
     use simkernel::SimRng;
+
+    /// The filter as it was before the one-pass rewrite: one full pass
+    /// of `from_hue` per color.
+    fn color_filter_reference(frame: &Frame) -> Option<ColorBlob> {
+        let mut best: Option<ColorBlob> = None;
+        for color in [LightColor::Red, LightColor::Yellow, LightColor::Green] {
+            let mut sx = 0u64;
+            let mut sy = 0u64;
+            let mut n = 0u32;
+            for y in 0..frame.h {
+                for x in 0..frame.w {
+                    if LightColor::from_hue(frame.hue_at(x, y)) == Some(color) {
+                        sx += x as u64;
+                        sy += y as u64;
+                        n += 1;
+                    }
+                }
+            }
+            if n >= 4 {
+                let blob = ColorBlob {
+                    color,
+                    cx: sx as f64 / n as f64,
+                    cy: sy as f64 / n as f64,
+                    area: n,
+                };
+                if best.map(|b| blob.area > b.area).unwrap_or(true) {
+                    best = Some(blob);
+                }
+            }
+        }
+        best
+    }
+
+    /// A frame whose hue plane is `hues` tiled from the top-left (the
+    /// rest colorless).
+    fn hue_frame(w: usize, h: usize, hues: &[u8]) -> Frame {
+        let mut hue = vec![0u8; w * h];
+        for (dst, &src) in hue.iter_mut().zip(hues) {
+            *dst = src;
+        }
+        Frame {
+            seq: 0,
+            wire_bytes: 0,
+            w,
+            h,
+            pixels: vec![0; w * h],
+            hue,
+            truth_faces: 0,
+            truth_light: None,
+        }
+    }
+
+    proptest! {
+        /// Any hue plane, every byte value: same blob, bit for bit.
+        #[test]
+        fn prop_color_filter_matches_three_pass_reference(
+            w in 1usize..40,
+            h in 1usize..30,
+            hues in prop::collection::vec(any::<u8>(), 0..1200),
+        ) {
+            let f = hue_frame(w, h, &hues);
+            prop_assert_eq!(color_filter(&f), color_filter_reference(&f));
+        }
+
+        /// Few distinct hues and few colored pixels, so equal areas
+        /// (and areas below the 4-pixel floor) are common.
+        #[test]
+        fn prop_color_filter_keeps_the_tie_break(
+            picks in prop::collection::vec(0usize..4, 0..24),
+        ) {
+            let palette = [0u8, 16, 48, 112];
+            let hues: Vec<u8> = picks.iter().map(|&p| palette[p]).collect();
+            let f = hue_frame(8, 6, &hues);
+            prop_assert_eq!(color_filter(&f), color_filter_reference(&f));
+        }
+    }
+
+    #[test]
+    fn equal_areas_go_to_the_first_color() {
+        // Four yellow, four green, four red pixels, red last in the plane.
+        let f = hue_frame(8, 6, &[48, 48, 48, 48, 112, 112, 112, 112, 16, 16, 16, 16]);
+        assert_eq!(color_filter(&f).map(|b| b.color), Some(LightColor::Red));
+        assert_eq!(color_filter(&f), color_filter_reference(&f));
+        let f = hue_frame(8, 6, &[112, 112, 112, 112, 48, 48, 48, 48, 16, 16, 16]);
+        assert_eq!(color_filter(&f).map(|b| b.color), Some(LightColor::Yellow));
+    }
 
     fn light(rng: &mut SimRng, color: LightColor) -> Frame {
         let gen = FrameGen {

@@ -287,6 +287,8 @@ pub struct NodeInner {
     /// Controller RPCs tracked for partition retry: tag → stored send.
     ctl_retries: BTreeMap<u64, CtlRetry>,
     rr: usize,
+    /// [`NodeActor::pump`]'s edge snapshot, kept for its capacity.
+    pump_edges: Vec<EdgeId>,
     /// Pending install to finish (states deferred until ready).
     pending_install: Option<Install>,
 }
@@ -342,6 +344,7 @@ impl NodeInner {
             pending_sends: BTreeMap::new(),
             ctl_retries: BTreeMap::new(),
             rr: 0,
+            pump_edges: Vec::new(),
             pending_install: None,
         }
     }
@@ -713,13 +716,22 @@ impl NodeActor {
     /// Start the CPU on the next available item, if idle. Consumes any
     /// markers that reach queue fronts (markers cost no CPU).
     fn pump(&mut self, ctx: &mut Ctx) {
-        let inner = &mut self.inner;
-        if !inner.alive || inner.busy {
+        if !self.inner.alive || self.inner.busy {
             return;
         }
+        // The snapshot buffer leaves `inner` while the scheme may
+        // borrow it, and goes back with its capacity.
+        let mut edges = std::mem::take(&mut self.inner.pump_edges);
+        self.pump_with(&mut edges, ctx);
+        self.inner.pump_edges = edges;
+    }
+
+    fn pump_with(&mut self, edges: &mut Vec<EdgeId>, ctx: &mut Ctx) {
+        let inner = &mut self.inner;
         loop {
             // Snapshot candidate edges in deterministic order.
-            let edges: Vec<EdgeId> = inner.queues.keys().copied().collect();
+            edges.clear();
+            edges.extend(inner.queues.keys().copied());
             if edges.is_empty() {
                 return;
             }

@@ -14,6 +14,7 @@
 //! (each mismatch prints the observed pair) and says so in CHANGES.md.
 
 use experiments::fleet::{profile, run_fleet};
+use experiments::{measured_run, AppKind, ExpOptions, ScenarioConfig};
 
 /// `(profile, FleetReport::digest, FleetReport::events_processed)`.
 const GOLDEN: &[(&str, u64, u64)] = &[
@@ -47,6 +48,55 @@ fn library_profiles_keep_their_digests() {
     assert!(
         drift.is_empty(),
         "the simulated schedule changed — observed:\n    {}",
+        drift.join("\n    ")
+    );
+}
+
+/// `(app, sink outputs, mean latency bits, WiFi payload bytes, cellular
+/// payload bytes)` of the paper's 4 × 8 testbed under `ms`, seed 1,
+/// over the quick window. The operators really run on the synthetic
+/// frames (face counts and light colours ride in the tuples), so a
+/// changed pixel, detection or RNG draw in `apps` moves these.
+/// Recorded at commit 3b2a594.
+const TESTBED: &[(AppKind, u64, u64, u64, u64)] = &[
+    (AppKind::Bcp, 754, 0x4020_8c9a_888f_c9d2, 379629064, 164968),
+    (
+        AppKind::SignalGuru,
+        1258,
+        0x400e_99dc_52cd_9b4a,
+        331518975,
+        209728,
+    ),
+];
+
+#[test]
+fn testbed_apps_keep_their_harvest() {
+    let opts = ExpOptions::quick();
+    let mut drift = Vec::new();
+    for &(app, outputs, latency_bits, wifi, cell) in TESTBED {
+        let cfg = ScenarioConfig {
+            app,
+            seed: SEED,
+            ..ScenarioConfig::default()
+        };
+        let h = measured_run(cfg, opts.warmup, opts.window, |_| {});
+        let seen = (
+            h.per_region.iter().map(|r| r.outputs as u64).sum::<u64>(),
+            h.mean_latency_s.to_bits(),
+            h.wifi_bytes.total(),
+            h.cell_bytes.total(),
+        );
+        assert!(seen.0 > 0, "{}: no sink output", app.label());
+        if seen != (outputs, latency_bits, wifi, cell) {
+            drift.push(format!(
+                "(AppKind::{app:?}, {}, {:#018x}, {}, {})",
+                seen.0, seen.1, seen.2, seen.3
+            ));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "the testbed harvest changed — observed:\n    {}",
         drift.join("\n    ")
     );
 }

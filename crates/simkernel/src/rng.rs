@@ -46,19 +46,41 @@ impl SimRng {
     }
 
     /// Uniform in `[0, 1)`.
+    #[inline]
     pub fn f64(&mut self) -> f64 {
         self.draws += 1;
         self.inner.gen::<f64>()
     }
 
     /// Uniform integer in `[lo, hi)`. Panics if the range is empty.
+    #[inline]
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
         self.draws += 1;
         self.inner.gen_range(lo..hi)
     }
 
+    /// Fill `out` with `map` of `out.len()` consecutive
+    /// [`range_u64(lo, hi)`](Self::range_u64) draws: the same values in
+    /// the same order, and the same stream position and draw count
+    /// afterwards, as one call per slot — but the range is checked and
+    /// the count advanced once, and nothing is called per draw.
+    pub fn fill_range_u64<T>(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        out: &mut [T],
+        mut map: impl FnMut(u64) -> T,
+    ) {
+        assert!(lo < hi, "empty range [{lo}, {hi})");
+        self.draws += out.len() as u64;
+        for slot in out {
+            *slot = map(self.inner.gen_range(lo..hi));
+        }
+    }
+
     /// Uniform usize in `[0, n)`. Panics if `n == 0`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index() over empty collection");
         self.draws += 1;
@@ -66,6 +88,7 @@ impl SimRng {
     }
 
     /// Bernoulli draw. `p` is clamped to `[0, 1]`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
@@ -140,14 +163,23 @@ impl SimRng {
     ///
     /// Requires `0 < p <= 1`; `p >= 1` returns 0 without touching the
     /// stream.
+    #[inline]
     pub fn geometric(&mut self, p: f64) -> u64 {
         assert!(p > 0.0, "geometric requires p > 0");
         if p >= 1.0 {
             return 0;
         }
+        self.geometric_ln((1.0 - p).ln())
+    }
+
+    /// [`geometric(p)`](Self::geometric) for `0 < p < 1`, given
+    /// `ln_q = (1.0 - p).ln()`: a caller drawing many deviates at one
+    /// `p` computes that logarithm once. Draw for draw the same values.
+    #[inline]
+    pub fn geometric_ln(&mut self, ln_q: f64) -> u64 {
         // Guard the log: f64() may return exactly 0.
         let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
-        let g = (u.ln() / (1.0 - p).ln()).floor();
+        let g = (u.ln() / ln_q).floor();
         if g >= u64::MAX as f64 {
             u64::MAX
         } else {
@@ -174,11 +206,12 @@ impl SimRng {
         } else {
             (1.0 - p, true)
         };
+        let ln_q = (1.0 - q).ln();
         let mut rare = 0u64;
-        let mut i = self.geometric(q); // trials before the first rare outcome
+        let mut i = self.geometric_ln(ln_q); // trials before the first rare outcome
         while i < n {
             rare += 1;
-            i += 1 + self.geometric(q);
+            i += 1 + self.geometric_ln(ln_q);
         }
         if invert {
             n - rare
@@ -218,6 +251,7 @@ impl RngCore for SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn determinism_same_seed() {
@@ -391,6 +425,43 @@ mod tests {
         for _ in 0..1000 {
             let x = r.uniform(2.0, 5.0);
             assert!((2.0..5.0).contains(&x));
+        }
+    }
+
+    proptest! {
+        /// The bulk draw is `n` single draws: values, draw count and
+        /// the stream position afterwards.
+        #[test]
+        fn prop_fill_range_is_n_single_draws(
+            seed in any::<u64>(),
+            lo in 0u64..1 << 40,
+            span in 1u64..1 << 40,
+            n in 0usize..200,
+        ) {
+            let hi = lo + span;
+            let mut bulk = SimRng::new(seed);
+            let mut single = SimRng::new(seed);
+            let mut got = vec![0u64; n];
+            bulk.fill_range_u64(lo, hi, &mut got, |d| d);
+            let want: Vec<u64> = (0..n).map(|_| single.range_u64(lo, hi)).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(bulk.draw_count(), single.draw_count());
+            prop_assert_eq!(bulk.next_u64(), single.next_u64());
+        }
+
+        /// The precomputed-logarithm geometric is `geometric(p)`, draw
+        /// for draw.
+        #[test]
+        fn prop_geometric_ln_is_geometric(seed in any::<u64>(), p_bits in 1u64..1 << 53) {
+            let p = p_bits as f64 / (1u64 << 53) as f64;
+            let ln_q = (1.0 - p).ln();
+            let mut a = SimRng::new(seed);
+            let mut b = SimRng::new(seed);
+            for _ in 0..64 {
+                prop_assert_eq!(a.geometric_ln(ln_q), b.geometric(p));
+            }
+            prop_assert_eq!(a.draw_count(), b.draw_count());
+            prop_assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 }

@@ -60,12 +60,14 @@ impl Bitmap {
     }
 
     /// Read bit `i`.
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of range (len {})", self.len);
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Set bit `i` to `v`.
+    #[inline]
     pub fn set(&mut self, i: usize, v: bool) {
         assert!(i < self.len, "bit {i} out of range (len {})", self.len);
         let w = &mut self.words[i / 64];

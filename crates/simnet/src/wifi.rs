@@ -495,32 +495,25 @@ impl WifiMedium {
         if loss >= 1.0 {
             return (Bitmap::zeros(n), n as u64);
         }
-        if loss <= 0.5 {
-            // Drops are the rare outcome: start from all-received and
-            // clear the dropped positions.
-            let mut received = Bitmap::ones(n);
-            let mut lost = 0u64;
-            let mut i = rng.geometric(loss) as usize;
-            while i < n {
-                received.set(i, false);
-                lost += 1;
-                i += 1 + rng.geometric(loss) as usize;
-            }
-            (received, lost)
+        // Walk the rarer outcome: from all-received clearing the drops,
+        // or from all-lost setting the receptions.
+        let drops_rare = loss <= 0.5;
+        let rare = if drops_rare { loss } else { 1.0 - loss };
+        let ln_q = (1.0 - rare).ln();
+        let mut received = if drops_rare {
+            Bitmap::ones(n)
         } else {
-            // Receptions are the rare outcome: start from all-lost and
-            // set the kept positions.
-            let keep = 1.0 - loss;
-            let mut received = Bitmap::zeros(n);
-            let mut kept = 0u64;
-            let mut i = rng.geometric(keep) as usize;
-            while i < n {
-                received.set(i, true);
-                kept += 1;
-                i += 1 + rng.geometric(keep) as usize;
-            }
-            (received, n as u64 - kept)
+            Bitmap::zeros(n)
+        };
+        let mut hits = 0u64;
+        let mut i = rng.geometric_ln(ln_q) as usize;
+        while i < n {
+            received.set(i, !drops_rare);
+            hits += 1;
+            i += 1 + rng.geometric_ln(ln_q) as usize;
         }
+        let lost = if drops_rare { hits } else { n as u64 - hits };
+        (received, lost)
     }
 
     fn handle_batch(&mut self, b: WifiBatchSend, ctx: &mut Ctx) {
