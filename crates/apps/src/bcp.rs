@@ -835,8 +835,8 @@ mod tests {
     #[test]
     fn placement_uses_six_slots_two_idle() {
         let bundle = build_bcp(&Calibration::default(), 8, true);
-        assert_eq!(bundle.placement.used_slots().len(), 6);
-        assert_eq!(bundle.placement.idle_slots(&bundle.graph), vec![6, 7]);
+        assert_eq!(bundle.placement.hosting_slots().len(), 6);
+        assert_eq!(bundle.placement.idle_active_slots(), vec![6, 7]);
     }
 
     #[test]

@@ -712,6 +712,6 @@ mod tests {
             assert_eq!(p.slot_of(c), p.slot_of(a));
             assert_eq!(p.slot_of(a), p.slot_of(m));
         }
-        assert_eq!(p.idle_slots(&bundle.graph), vec![6, 7]);
+        assert_eq!(p.idle_active_slots(), vec![6, 7]);
     }
 }

@@ -11,12 +11,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dsps::graph::{EdgeId, OpId, QueryGraph};
-use dsps::node::{Ping, Pong, ReportDead, UpdateRouting};
-use simkernel::{impl_actor_any, Actor, ActorId, Ctx, Event, EventBox, SimDuration, SimTime};
-use simnet::cellular::{CellRx, CellSend};
-use simnet::stats::TrafficClass;
-use simnet::{payload, payload_as};
+use dsps::graph::{EdgeId, QueryGraph};
+use dsps::node::{InstallStates, Ping, Pong, RegisterNode, ReportDead};
+use dsps::placement::{PingRounds, Placement, RecoveryEpisode, RecoveryRecord, SlotState};
+use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration};
+use simnet::cellular::{send_ctl, send_ctl_tagged, CellRx};
+use simnet::payload_as;
 
 use crate::dist::peers_of;
 use crate::msgs::*;
@@ -91,93 +91,21 @@ impl Default for CoordinatorConfig {
 pub struct BaselineRegionSpec {
     /// Query network (already duplicated for rep-2).
     pub graph: Arc<QueryGraph>,
-    /// Initial op→slot assignment.
-    pub op_slot: Vec<u32>,
-    /// Phone actor per slot.
-    pub slot_actors: Vec<ActorId>,
+    /// The region's slot table: initial op→slot assignment, bound to
+    /// the phone actors.
+    pub placement: Placement,
 }
 
 struct BRegion {
-    spec: BaselineRegionSpec,
-    op_slot: Vec<u32>,
-    alive: Vec<bool>,
+    graph: Arc<QueryGraph>,
+    /// Placement, phone actors, and which phones are alive (`Active`)
+    /// or failed (`Dead`).
+    table: Placement,
     version: u64,
     stopped: bool,
-    pending: BTreeSet<u32>,
-    recover_scheduled: bool,
-    recovering: bool,
-    recovery_started: SimTime,
-    recovery_failures: usize,
-    outstanding_acks: BTreeSet<u32>,
+    episode: RecoveryEpisode,
     flow_broken: [bool; 2],
     primary: u8,
-}
-
-impl BRegion {
-    fn hosting_slots(&self) -> BTreeSet<u32> {
-        self.op_slot
-            .iter()
-            .copied()
-            .filter(|&s| s != u32::MAX)
-            .collect()
-    }
-    fn active_slots(&self) -> Vec<u32> {
-        (0..self.alive.len() as u32)
-            .filter(|&s| self.alive[s as usize])
-            .collect()
-    }
-    fn idle_active_slots(&self) -> Vec<u32> {
-        let hosting = self.hosting_slots();
-        self.active_slots()
-            .into_iter()
-            .filter(|s| !hosting.contains(s))
-            .collect()
-    }
-    fn ops_on(&self, slot: u32) -> Vec<OpId> {
-        self.op_slot
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s == slot)
-            .map(|(i, _)| OpId(i as u32))
-            .collect()
-    }
-}
-
-impl BaselineCoordinator {
-    /// Send a tagged state-ship request; a failed send retries with the
-    /// next surviving holder.
-    fn send_ship(
-        &mut self,
-        region: usize,
-        dst: ActorId,
-        ship: ShipStateTo,
-        holder: u32,
-        ctx: &mut Ctx,
-    ) {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.ship_tags.insert(tag, (region, ship, holder));
-        let src = ctx.self_id();
-        let cell = self.cell;
-        ctx.send(
-            cell,
-            CellSend {
-                src,
-                dst,
-                class: TrafficClass::Control,
-                bytes: wire::CONTROL,
-                tag,
-                payload: Some(payload(ship)),
-            },
-        );
-    }
-}
-
-fn holder_of(plan: &[(u32, u32, u32)], failed: u32) -> u32 {
-    plan.iter()
-        .find(|&&(f, _, _)| f == failed)
-        .map(|&(_, _, h)| h)
-        .unwrap_or(u32::MAX)
 }
 
 /// Startup trigger.
@@ -193,18 +121,9 @@ enum BTimer {
     AckDeadline { region: usize },
 }
 
-/// Recovery episode record.
-#[derive(Debug, Clone, Copy)]
-pub struct BaselineRecovery {
-    /// Region.
-    pub region: usize,
-    /// Burst size.
-    pub failures: usize,
-    /// Detection time.
-    pub started: SimTime,
-    /// Resumption time.
-    pub finished: SimTime,
-}
+/// How long a recovery waits for its acks before it re-queues the
+/// slots that are still dead.
+const ACK_DEADLINE: SimDuration = SimDuration::from_secs(30);
 
 /// The coordinator actor.
 pub struct BaselineCoordinator {
@@ -212,8 +131,7 @@ pub struct BaselineCoordinator {
     kind: BaselineKind,
     cell: ActorId,
     regions: Vec<BRegion>,
-    ping_round: u64,
-    ping_outstanding: BTreeMap<u64, BTreeSet<(usize, u32)>>,
+    pings: PingRounds,
     next_tag: u64,
     ship_tags: BTreeMap<u64, (usize, ShipStateTo, u32)>, // tag -> (region, ship, holder)
     /// Regions stopped (unrecoverable).
@@ -221,7 +139,10 @@ pub struct BaselineCoordinator {
     /// rep-2 primary flips.
     pub takeovers: u64,
     /// Completed recoveries.
-    pub recoveries: Vec<BaselineRecovery>,
+    pub recoveries: Vec<RecoveryRecord>,
+    /// Remote messages rejected for naming a `(region, slot)` this
+    /// deployment does not have.
+    pub malformed_msgs: u64,
 }
 
 impl BaselineCoordinator {
@@ -235,19 +156,13 @@ impl BaselineCoordinator {
         let regions = specs
             .into_iter()
             .map(|spec| BRegion {
-                op_slot: spec.op_slot.clone(),
-                alive: vec![true; spec.slot_actors.len()],
+                graph: spec.graph,
+                table: spec.placement,
                 version: 0,
                 stopped: false,
-                pending: BTreeSet::new(),
-                recover_scheduled: false,
-                recovering: false,
-                recovery_started: SimTime::ZERO,
-                recovery_failures: 0,
-                outstanding_acks: BTreeSet::new(),
+                episode: RecoveryEpisode::default(),
                 flow_broken: [false; 2],
                 primary: 0,
-                spec,
             })
             .collect();
         BaselineCoordinator {
@@ -255,13 +170,13 @@ impl BaselineCoordinator {
             kind,
             cell,
             regions,
-            ping_round: 0,
-            ping_outstanding: BTreeMap::new(),
+            pings: PingRounds::default(),
             next_tag: 1,
             ship_tags: BTreeMap::new(),
             stops: 0,
             takeovers: 0,
             recoveries: Vec::new(),
+            malformed_msgs: 0,
         }
     }
 
@@ -270,20 +185,45 @@ impl BaselineCoordinator {
         self.regions[region].stopped
     }
 
-    fn send_ctl(&mut self, ctx: &mut Ctx, dst: ActorId, bytes: u64, ev: impl Event) {
-        let src = ctx.self_id();
-        let cell = self.cell;
-        ctx.send(
-            cell,
-            CellSend {
-                src,
-                dst,
-                class: TrafficClass::Control,
-                bytes,
-                tag: 0,
-                payload: Some(payload(ev)),
-            },
-        );
+    /// Validate a `(region, slot)` pair arriving in a remote message: a
+    /// malformed or stale one is counted and dropped, never indexed.
+    fn valid_slot(&mut self, region: usize, slot: u32) -> bool {
+        let ok = self
+            .regions
+            .get(region)
+            .is_some_and(|rt| rt.table.valid(slot));
+        if !ok {
+            self.malformed_msgs += 1;
+        }
+        ok
+    }
+
+    /// The region is lost (no recovery path, or none left).
+    fn stop_region(&mut self, region: usize) {
+        self.regions[region].stopped = true;
+        self.stops += 1;
+    }
+
+    /// The recovery in flight cannot succeed: abandon it and the region.
+    fn give_up(&mut self, region: usize) {
+        self.regions[region].episode.abort();
+        self.stop_region(region);
+    }
+
+    /// Send a tagged state-ship request; a failed send retries with the
+    /// next surviving holder.
+    fn send_ship(
+        &mut self,
+        region: usize,
+        dst: ActorId,
+        ship: ShipStateTo,
+        holder: u32,
+        ctx: &mut Ctx,
+    ) {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        self.ship_tags.insert(tag, (region, ship, holder));
+        send_ctl_tagged(ctx, self.cell, dst, wire::CONTROL, tag, ship);
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
@@ -303,29 +243,23 @@ impl BaselineCoordinator {
         let me = ctx.self_id();
         ctx.send_in(self.cfg.ckpt_period, me, BTimer::Tick { region });
         let rt = &mut self.regions[region];
-        if rt.stopped || rt.recovering {
+        if rt.stopped || rt.episode.recovering() {
             return;
         }
         rt.version += 1;
         let version = rt.version;
-        let targets: Vec<ActorId> = rt
-            .hosting_slots()
-            .into_iter()
-            .filter(|&s| rt.alive[s as usize])
-            .map(|s| rt.spec.slot_actors[s as usize])
-            .collect();
-        for dst in targets {
-            self.send_ctl(ctx, dst, wire::CONTROL, CkptTick { version });
+        for s in rt.table.hosting_slots() {
+            if rt.table.is_active(s) {
+                let dst = rt.table.actor(s);
+                send_ctl(ctx, self.cell, dst, wire::CONTROL, CkptTick { version });
+            }
         }
     }
 
     fn on_ping(&mut self, ctx: &mut Ctx) {
         let me = ctx.self_id();
         ctx.send_in(self.cfg.ping_period, me, BTimer::Ping);
-        self.ping_round += 1;
-        let round = self.ping_round;
-        let mut outstanding = BTreeSet::new();
-        let mut targets = Vec::new();
+        let mut targets = BTreeSet::new();
         for (r, rt) in self.regions.iter().enumerate() {
             if rt.stopped {
                 continue;
@@ -333,89 +267,68 @@ impl BaselineCoordinator {
             // The baseline coordinator heartbeats every hosting node
             // (server-style schemes assume cluster heartbeats); without
             // this, a node whose upstream also died is undetectable.
-            for s in rt.hosting_slots() {
-                if rt.alive[s as usize] {
-                    outstanding.insert((r, s));
-                    targets.push(rt.spec.slot_actors[s as usize]);
-                }
-            }
+            let hosting = rt.table.hosting_slots();
+            let live = hosting.into_iter().filter(|&s| rt.table.is_active(s));
+            targets.extend(live.map(|s| (r, s)));
         }
-        if outstanding.is_empty() {
+        let Some(round) = self.pings.begin(targets.clone()) else {
             return;
+        };
+        for (r, s) in targets {
+            let dst = self.regions[r].table.actor(s);
+            let ping = Ping { nonce: round };
+            send_ctl(ctx, self.cell, dst, wire::PING_BYTES, ping);
         }
-        self.ping_outstanding.insert(round, outstanding);
-        for dst in targets {
-            self.send_ctl(ctx, dst, wire::PING_BYTES, Ping { nonce: round });
-        }
-        let me = ctx.self_id();
         ctx.send_in(self.cfg.ping_timeout, me, BTimer::PingDeadline { round });
     }
 
     fn note_failure(&mut self, region: usize, slot: u32, ctx: &mut Ctx) {
-        let kind = self.kind.clone();
         let rt = &mut self.regions[region];
-        if rt.stopped || !rt.alive[slot as usize] {
+        if rt.stopped || !rt.table.is_active(slot) {
             return;
         }
-        rt.alive[slot as usize] = false;
-        match kind {
-            BaselineKind::Base | BaselineKind::Local => {
-                // No recovery path: the region is lost.
-                rt.stopped = true;
-                self.stops += 1;
-            }
+        rt.table.set_state(slot, SlotState::Dead);
+        match &self.kind {
+            // No recovery path: the region is lost.
+            BaselineKind::Base | BaselineKind::Local => self.stop_region(region),
             BaselineKind::Rep2 { flow_of } => {
-                let ops = rt.ops_on(slot);
+                let ops = rt.table.ops_on(slot);
                 if ops.is_empty() {
                     return; // idle phone
                 }
                 let flow = flow_of[ops[0].index()];
                 if rt.flow_broken[(1 - flow) as usize] {
                     // The other flow is already broken: game over.
-                    rt.stopped = true;
-                    self.stops += 1;
+                    self.stop_region(region);
                     return;
                 }
                 if rt.flow_broken[flow as usize] {
                     return; // redundant failure in an already-dead flow
                 }
                 rt.flow_broken[flow as usize] = true;
-                let started = ctx.now();
                 if flow == rt.primary {
                     rt.primary = 1 - flow;
-                    let new_primary = rt.primary;
-                    let targets: Vec<ActorId> = rt
-                        .active_slots()
-                        .into_iter()
-                        .map(|s| rt.spec.slot_actors[s as usize])
-                        .collect();
                     self.takeovers += 1;
-                    for dst in targets {
-                        self.send_ctl(ctx, dst, wire::CONTROL, SetPrimary { flow: new_primary });
+                    for s in rt.table.active_slots() {
+                        let dst = rt.table.actor(s);
+                        let flip = SetPrimary { flow: rt.primary };
+                        send_ctl(ctx, self.cell, dst, wire::CONTROL, flip);
                     }
-                    self.recoveries.push(BaselineRecovery {
+                    self.recoveries.push(RecoveryRecord {
                         region,
                         failures: 1,
-                        started,
+                        started: ctx.now(),
                         finished: ctx.now(),
                     });
                 }
             }
             BaselineKind::Dist { .. } => {
-                let rt = &mut self.regions[region];
-                rt.pending.insert(slot);
-                if !rt.recover_scheduled {
-                    rt.recover_scheduled = true;
-                    if rt.pending.len() == 1 {
-                        rt.recovery_started = ctx.now();
-                    }
+                if rt.episode.note(slot, ctx.now()) {
                     let me = ctx.self_id();
                     ctx.send_in(self.cfg.gather_window, me, BTimer::Recover { region });
                 }
             }
-            BaselineKind::Upstream => {
-                self.upstream_takeover(region, slot, ctx);
-            }
+            BaselineKind::Upstream => self.upstream_takeover(region, slot, ctx),
         }
     }
 
@@ -424,233 +337,118 @@ impl BaselineCoordinator {
     /// them. A second failure is fatal ("it only handles single node
     /// failure").
     fn upstream_takeover(&mut self, region: usize, slot: u32, ctx: &mut Ctx) {
-        let started = ctx.now();
-        let plan = {
-            let rt = &mut self.regions[region];
-            if rt.recovering {
-                // Second failure while rebuilding: game over.
-                rt.stopped = true;
-                self.stops += 1;
-                return;
-            }
-            let ops = rt.ops_on(slot);
-            if ops.is_empty() {
-                return;
-            }
-            // Host on the upstream neighbor of the first failed op; fall
-            // back to any alive slot.
-            let graph = Arc::clone(&rt.spec.graph);
-            // The retained outputs live ONLY on the upstream neighbor;
-            // if it is dead too, nothing can rebuild the state.
-            let upstream = ops
-                .iter()
-                .flat_map(|&op| graph.op(op).in_edges.clone())
-                .map(|e| rt.op_slot[graph.edge(e).from.index()])
-                .find(|&s| s != slot && s != u32::MAX && rt.alive[s as usize]);
-            let Some(host) = upstream else {
-                rt.stopped = true;
-                self.stops += 1;
-                return;
-            };
-            for s in rt.op_slot.iter_mut() {
-                if *s == slot {
-                    *s = host;
-                }
-            }
-            rt.recovering = true;
-            rt.recovery_started = started;
-            rt.recovery_failures = 1;
-            rt.outstanding_acks = [host].into_iter().collect();
-            Some((host, rt.ops_on(host)))
-        };
-        let Some((host, host_ops)) = plan else { return };
-        let (routing, targets, install, dst) = {
-            let rt = &self.regions[region];
-            (
-                UpdateRouting {
-                    op_slot: Some(rt.op_slot.clone()),
-                    slot_actors: Some(rt.spec.slot_actors.clone()),
-                },
-                rt.active_slots()
-                    .into_iter()
-                    .map(|s| rt.spec.slot_actors[s as usize])
-                    .collect::<Vec<_>>(),
-                dsps::node::Install {
-                    ops: host_ops,
-                    states: dsps::node::InstallStates::Fresh,
-                    op_slot: rt.op_slot.clone(),
-                    slot_actors: rt.spec.slot_actors.clone(),
-                    ready_in: SimDuration::from_millis(500),
-                },
-                rt.spec.slot_actors[host as usize],
-            )
-        };
-        for t in targets {
-            self.send_ctl(ctx, t, wire::CONTROL, routing.clone());
+        let rt = &mut self.regions[region];
+        if rt.episode.recovering() {
+            // Second failure while rebuilding: game over.
+            self.stop_region(region);
+            return;
         }
-        self.send_ctl(ctx, dst, wire::CONTROL, install);
+        let ops = rt.table.ops_on(slot);
+        if ops.is_empty() {
+            return;
+        }
+        // Host on the upstream neighbor of the first failed op. The
+        // retained outputs live ONLY on the upstream neighbor; if it is
+        // dead too, nothing can rebuild the state.
+        let upstream = ops
+            .iter()
+            .flat_map(|&op| rt.graph.op(op).in_edges.clone())
+            .map(|e| rt.table.slot_of(rt.graph.edge(e).from))
+            .find(|&s| s != slot && s != u32::MAX && rt.table.is_active(s));
+        let Some(host) = upstream else {
+            self.stop_region(region);
+            return;
+        };
+        rt.table.reassign_slot(slot, host);
+        rt.episode.begin_now(1, ctx.now());
+        rt.episode.await_acks(BTreeSet::from([host]));
+        let routing = rt.table.routing();
+        for s in rt.table.active_slots() {
+            let dst = rt.table.actor(s);
+            send_ctl(ctx, self.cell, dst, wire::CONTROL, routing.clone());
+        }
+        let ready_in = SimDuration::from_millis(500);
+        let install = rt.table.install_for(host, InstallStates::Fresh, ready_in);
+        send_ctl(ctx, self.cell, rt.table.actor(host), wire::CONTROL, install);
     }
 
     fn on_recover(&mut self, region: usize, ctx: &mut Ctx) {
         let BaselineKind::Dist { n } = self.kind else {
             return;
         };
-        let (failed, version) = {
-            let rt = &mut self.regions[region];
-            rt.recover_scheduled = false;
-            if rt.stopped {
-                rt.pending.clear();
-                return;
-            }
-            let failed: Vec<u32> = std::mem::take(&mut rt.pending).into_iter().collect();
-            if failed.is_empty() {
-                return;
-            }
-            rt.recovering = true;
-            rt.recovery_failures = failed.len();
-            (failed, rt.version)
-        };
-        let hosting_failed: Vec<u32> = {
-            let rt = &self.regions[region];
-            failed
-                .iter()
-                .copied()
-                .filter(|&s| !rt.ops_on(s).is_empty())
-                .collect()
-        };
-        if hosting_failed.is_empty() {
-            self.regions[region].recovering = false;
+        let rt = &mut self.regions[region];
+        let failed = rt.episode.gathered();
+        if rt.stopped || failed.is_empty() {
             return;
         }
-        // dist-n tolerates at most n simultaneous failures.
-        if hosting_failed.len() as u32 > n || version == 0 {
-            let rt = &mut self.regions[region];
-            rt.stopped = true;
-            rt.recovering = false;
-            self.stops += 1;
-            return;
-        }
+        rt.episode.begin(failed.len());
+        let version = rt.version;
         // Pick replacements (idle preferred, then spread over healthy
         // hosting survivors) + surviving state holders.
-        let mut plan: Vec<(u32, u32, u32)> = Vec::new(); // (failed, replacement, holder)
-        {
-            let rt = &self.regions[region];
-            let total = rt.spec.slot_actors.len() as u32;
-            let mut idle = rt.idle_active_slots();
-            let survivors: Vec<u32> = rt
-                .active_slots()
-                .into_iter()
-                .filter(|s| !idle.contains(s))
-                .collect();
-            let mut rr = 0usize;
-            for &f in &hosting_failed {
-                let repl = if let Some(r) = idle.pop() {
-                    r
-                } else if !survivors.is_empty() {
-                    let r = survivors[rr % survivors.len()];
-                    rr += 1;
-                    r
-                } else {
-                    plan.clear();
-                    break;
-                };
-                let Some(holder) = peers_of(f, n, total)
-                    .into_iter()
-                    .find(|&p| rt.alive[p as usize])
-                else {
-                    plan.clear();
-                    break;
-                };
-                plan.push((f, repl, holder));
+        let plan = match rt.table.plan_replacements(&failed) {
+            // Only idle phones failed: nothing to restore.
+            Some(plan) if plan.is_empty() => {
+                rt.episode.abort();
+                return;
             }
-        }
-        if plan.is_empty() {
-            let rt = &mut self.regions[region];
-            rt.stopped = true;
-            rt.recovering = false;
-            self.stops += 1;
-            return;
-        }
-        // Apply the new assignment and publish routing.
-        {
-            let rt = &mut self.regions[region];
-            for &(f, r, _) in &plan {
-                for s in rt.op_slot.iter_mut() {
-                    if *s == f {
-                        *s = r;
-                    }
-                }
-            }
-        }
-        let (routing_targets, routing) = {
-            let rt = &self.regions[region];
-            (
-                rt.active_slots()
-                    .into_iter()
-                    .map(|s| rt.spec.slot_actors[s as usize])
-                    .collect::<Vec<_>>(),
-                UpdateRouting {
-                    op_slot: Some(rt.op_slot.clone()),
-                    slot_actors: Some(rt.spec.slot_actors.clone()),
-                },
-            )
+            // dist-n tolerates at most n simultaneous failures.
+            Some(plan) if plan.len() as u32 <= n && version > 0 => plan,
+            _ => return self.give_up(region),
         };
-        for dst in routing_targets {
-            self.send_ctl(ctx, dst, wire::CONTROL, routing.clone());
+        let total = rt.table.slots();
+        let holder_of = |f| {
+            let peers = peers_of(f, n, total);
+            peers.into_iter().find(|&p| rt.table.is_active(p))
+        };
+        let holders: Option<Vec<u32>> = plan.iter().map(|&(f, _)| holder_of(f)).collect();
+        let Some(holders) = holders else {
+            return self.give_up(region);
+        };
+        // Apply the new assignment and publish routing.
+        for &(f, r) in &plan {
+            rt.table.reassign_slot(f, r);
         }
+        let routing = rt.table.routing();
+        for s in rt.table.active_slots() {
+            let dst = rt.table.actor(s);
+            send_ctl(ctx, self.cell, dst, wire::CONTROL, routing.clone());
+        }
+        rt.episode
+            .await_acks(plan.iter().map(|&(_, r)| r).collect());
         // Ask each holder to ship the failed node's state to the
         // replacement over WiFi.
-        let ships: Vec<(ActorId, ShipStateTo)> = {
-            let rt = &self.regions[region];
-            plan.iter()
-                .map(|&(f, r, holder)| {
-                    (
-                        rt.spec.slot_actors[holder as usize],
-                        ShipStateTo {
-                            failed_slot: f,
-                            version,
-                            to: rt.spec.slot_actors[r as usize],
-                            to_slot: r,
-                        },
-                    )
-                })
-                .collect()
-        };
-        for (dst, ship) in ships {
-            let holder = holder_of(&plan, ship.failed_slot);
-            self.send_ship(region, dst, ship, holder, ctx);
+        for (&(f, r), &holder) in plan.iter().zip(&holders) {
+            let table = &self.regions[region].table;
+            let ship = ShipStateTo {
+                failed_slot: f,
+                version,
+                to: table.actor(r),
+                to_slot: r,
+            };
+            self.send_ship(region, table.actor(holder), ship, holder, ctx);
         }
-        self.regions[region].outstanding_acks = plan.iter().map(|&(_, r, _)| r).collect();
         // Retry guard: if acks don't arrive (e.g. the state holder was
         // itself dead but not yet detected), re-run recovery.
         let me = ctx.self_id();
-        ctx.send_in(
-            SimDuration::from_secs(30),
-            me,
-            BTimer::AckDeadline { region },
-        );
+        ctx.send_in(ACK_DEADLINE, me, BTimer::AckDeadline { region });
     }
 
     /// Ack-deadline retry: re-queue still-dead hosting slots.
     fn on_ack_deadline(&mut self, region: usize, ctx: &mut Ctx) {
-        let need_retry = {
-            let rt = &mut self.regions[region];
-            if !rt.recovering || rt.stopped {
-                return;
-            }
-            rt.recovering = false;
-            rt.outstanding_acks.clear();
-            let stuck: Vec<u32> = rt
-                .hosting_slots()
-                .into_iter()
-                .filter(|&s| !rt.alive[s as usize])
-                .collect();
-            for s in &stuck {
-                rt.pending.insert(*s);
-            }
-            !stuck.is_empty()
-        };
-        if need_retry {
+        let rt = &mut self.regions[region];
+        if !rt.episode.recovering() || rt.stopped {
+            return;
+        }
+        rt.episode.abort();
+        let hosting = rt.table.hosting_slots();
+        let stuck: Vec<u32> = hosting
+            .into_iter()
+            .filter(|&s| !rt.table.is_active(s))
+            .collect();
+        if !stuck.is_empty() {
+            // Its own gather timer, whether or not a fresh failure
+            // already armed one.
+            rt.episode.pending.extend(stuck);
             let me = ctx.self_id();
             ctx.send_in(self.cfg.gather_window, me, BTimer::Recover { region });
         }
@@ -658,112 +456,76 @@ impl BaselineCoordinator {
 
     /// A rebooted phone re-registered: mark alive; if it still owns ops
     /// (no recovery ran), reinstall from its own flash copy.
-    fn on_register(&mut self, m: dsps::node::RegisterNode, ctx: &mut Ctx) {
-        let region = m.region;
-        let (reinstall, version) = {
-            let rt = &mut self.regions[region];
-            rt.alive[m.slot as usize] = true;
-            (!rt.ops_on(m.slot).is_empty() && !rt.recovering, rt.version)
-        };
-        if !reinstall {
+    fn on_register(&mut self, m: RegisterNode, ctx: &mut Ctx) {
+        let rt = &mut self.regions[m.region];
+        rt.table.set_state(m.slot, SlotState::Active);
+        if rt.table.ops_on(m.slot).is_empty() || rt.episode.recovering() {
             return;
         }
-        let (install, dst) = {
-            let rt = &mut self.regions[region];
-            rt.recovering = true;
-            rt.recovery_started = ctx.now();
-            rt.recovery_failures = 1;
-            rt.outstanding_acks = [m.slot].into_iter().collect();
-            let ops = rt.ops_on(m.slot);
-            let states = if version > 0 {
-                dsps::node::InstallStates::FromLocalStore { version }
-            } else {
-                dsps::node::InstallStates::Fresh
-            };
-            (
-                dsps::node::Install {
-                    ops,
-                    states,
-                    op_slot: rt.op_slot.clone(),
-                    slot_actors: rt.spec.slot_actors.clone(),
-                    ready_in: SimDuration::from_secs(1),
-                },
-                rt.spec.slot_actors[m.slot as usize],
-            )
-        };
-        self.send_ctl(ctx, dst, wire::CONTROL, install);
+        rt.episode.begin_now(1, ctx.now());
+        rt.episode.await_acks(BTreeSet::from([m.slot]));
+        let states = InstallStates::from_mrc(rt.version);
+        let install = rt
+            .table
+            .install_for(m.slot, states, SimDuration::from_secs(1));
+        let dst = rt.table.actor(m.slot);
+        send_ctl(ctx, self.cell, dst, wire::CONTROL, install);
         let me = ctx.self_id();
-        ctx.send_in(
-            SimDuration::from_secs(30),
-            me,
-            BTimer::AckDeadline { region },
-        );
+        ctx.send_in(ACK_DEADLINE, me, BTimer::AckDeadline { region: m.region });
     }
 
     fn on_ack(&mut self, m: BaselineAck, ctx: &mut Ctx) {
-        let region = m.region;
-        let done = {
-            let rt = &mut self.regions[region];
-            rt.outstanding_acks.remove(&m.slot);
-            rt.recovering && rt.outstanding_acks.is_empty()
-        };
-        if !done {
+        let rt = &mut self.regions[m.region];
+        if !rt.episode.ack(m.slot) {
             return;
         }
         // All replacements installed: upstream nodes replay retained
-        // tuples into the recovered operators.
-        let resends: Vec<(ActorId, Vec<EdgeId>)> = {
-            let rt = &mut self.regions[region];
-            rt.recovering = false;
-            let graph = Arc::clone(&rt.spec.graph);
-            // Approximate the recovered set by the ops on the slot
-            // whose ack completed the round.
-            let recovered = rt.ops_on(m.slot);
-            let mut per_slot: BTreeMap<u32, Vec<EdgeId>> = BTreeMap::new();
-            for &op in &recovered {
-                for &e in &graph.op(op).in_edges {
-                    let from = graph.edge(e).from;
-                    let from_slot = rt.op_slot[from.index()];
-                    if from_slot != u32::MAX && from_slot != rt.op_slot[op.index()] {
-                        per_slot.entry(from_slot).or_default().push(e);
-                    }
+        // tuples into the recovered operators. Approximate the
+        // recovered set by the ops on the slot whose ack completed the
+        // round.
+        let mut per_slot: BTreeMap<u32, Vec<EdgeId>> = BTreeMap::new();
+        for op in rt.table.ops_on(m.slot) {
+            for &e in &rt.graph.op(op).in_edges {
+                let from_slot = rt.table.slot_of(rt.graph.edge(e).from);
+                if from_slot != u32::MAX && from_slot != m.slot {
+                    per_slot.entry(from_slot).or_default().push(e);
                 }
             }
-            per_slot
-                .into_iter()
-                .filter(|(s, _)| rt.alive[*s as usize])
-                .map(|(s, edges)| (rt.spec.slot_actors[s as usize], edges))
-                .collect()
-        };
-        for (dst, edges) in resends {
-            self.send_ctl(ctx, dst, wire::CONTROL, ResendRetained { edges });
+        }
+        for (s, edges) in per_slot {
+            if rt.table.is_active(s) {
+                let dst = rt.table.actor(s);
+                let resend = ResendRetained { edges };
+                send_ctl(ctx, self.cell, dst, wire::CONTROL, resend);
+            }
         }
         // Authoritative routing broadcast: overlapping recovery flows
         // converge (nodes unhost ops that moved away).
-        let (routing, targets) = {
-            let rt = &self.regions[region];
-            (
-                UpdateRouting {
-                    op_slot: Some(rt.op_slot.clone()),
-                    slot_actors: Some(rt.spec.slot_actors.clone()),
-                },
-                rt.active_slots()
-                    .into_iter()
-                    .map(|s| rt.spec.slot_actors[s as usize])
-                    .collect::<Vec<ActorId>>(),
-            )
-        };
-        for dst in targets {
-            self.send_ctl(ctx, dst, wire::CONTROL, routing.clone());
+        let routing = rt.table.routing();
+        for s in rt.table.active_slots() {
+            let dst = rt.table.actor(s);
+            send_ctl(ctx, self.cell, dst, wire::CONTROL, routing.clone());
         }
+        self.recoveries.push(rt.episode.finish(m.region, ctx.now()));
+    }
+
+    /// The chosen state holder is dead too: mark it and retry the ship
+    /// with the next surviving peer of the original failed slot.
+    fn on_ship_failed(&mut self, region: usize, ship: ShipStateTo, holder: u32, ctx: &mut Ctx) {
+        let BaselineKind::Dist { n } = self.kind else {
+            return;
+        };
         let rt = &mut self.regions[region];
-        self.recoveries.push(BaselineRecovery {
-            region,
-            failures: rt.recovery_failures,
-            started: rt.recovery_started,
-            finished: ctx.now(),
-        });
-        rt.recovery_started = SimTime::ZERO;
+        rt.table.set_state(holder, SlotState::Dead);
+        let peers = peers_of(ship.failed_slot, n, rt.table.slots());
+        match peers.into_iter().find(|&p| rt.table.is_active(p)) {
+            Some(p) => {
+                let dst = rt.table.actor(p);
+                self.send_ship(region, dst, ship, p, ctx);
+            }
+            // All copies perished: unrecoverable.
+            None => self.give_up(region),
+        }
     }
 }
 
@@ -773,15 +535,21 @@ impl Actor for BaselineCoordinator {
             Ok(rx) => {
                 let p = rx.payload.clone();
                 if let Some(m) = payload_as::<Pong>(&p) {
-                    if let Some(out) = self.ping_outstanding.get_mut(&m.nonce) {
-                        out.remove(&(m.region, m.slot));
+                    if self.valid_slot(m.region, m.slot) {
+                        self.pings.pong(m.nonce, m.region, m.slot);
                     }
                 } else if let Some(m) = payload_as::<ReportDead>(&p) {
-                    self.note_failure(m.region, m.slot, ctx);
+                    if self.valid_slot(m.region, m.slot) {
+                        self.note_failure(m.region, m.slot, ctx);
+                    }
                 } else if let Some(m) = payload_as::<BaselineAck>(&p) {
-                    self.on_ack(*m, ctx);
-                } else if let Some(m) = payload_as::<dsps::node::RegisterNode>(&p) {
-                    self.on_register(*m, ctx);
+                    if self.valid_slot(m.region, m.slot) {
+                        self.on_ack(*m, ctx);
+                    }
+                } else if let Some(m) = payload_as::<RegisterNode>(&p) {
+                    if self.valid_slot(m.region, m.slot) {
+                        self.on_register(*m, ctx);
+                    }
                 }
                 return;
             }
@@ -791,33 +559,7 @@ impl Actor for BaselineCoordinator {
             _s: Start => { self.on_start(ctx); },
             f: simnet::TxFailed => {
                 if let Some((region, ship, holder)) = self.ship_tags.remove(&f.tag) {
-                    // The chosen state holder is dead too: mark it and
-                    // retry the ship with the next surviving peer of the
-                    // original failed slot.
-                    let BaselineKind::Dist { n } = self.kind else {
-                        return;
-                    };
-                    let next = {
-                        let rt = &mut self.regions[region];
-                        if holder != u32::MAX {
-                            rt.alive[holder as usize] = false;
-                        }
-                        let total = rt.spec.slot_actors.len() as u32;
-                        peers_of(ship.failed_slot, n, total)
-                            .into_iter()
-                            .find(|&p| rt.alive[p as usize])
-                            .map(|p| (p, rt.spec.slot_actors[p as usize]))
-                    };
-                    match next {
-                        Some((p, dst)) => self.send_ship(region, dst, ship, p, ctx),
-                        None => {
-                            // All copies perished: unrecoverable.
-                            let rt = &mut self.regions[region];
-                            rt.stopped = true;
-                            rt.recovering = false;
-                            self.stops += 1;
-                        }
-                    }
+                    self.on_ship_failed(region, ship, holder, ctx);
                 }
             },
             d: simnet::TxDone => {
@@ -828,10 +570,8 @@ impl Actor for BaselineCoordinator {
                     BTimer::Tick { region } => self.on_tick(region, ctx),
                     BTimer::Ping => self.on_ping(ctx),
                     BTimer::PingDeadline { round } => {
-                        if let Some(unanswered) = self.ping_outstanding.remove(&round) {
-                            for (region, slot) in unanswered {
-                                self.note_failure(region, slot, ctx);
-                            }
+                        for (region, slot) in self.pings.expire(round) {
+                            self.note_failure(region, slot, ctx);
                         }
                     }
                     BTimer::Recover { region } => self.on_recover(region, ctx),

@@ -122,13 +122,7 @@ impl DistScheme {
             .collect::<Vec<_>>();
         // Build the install: the coordinator already updated op_slot, so
         // the replacement's op set is whatever maps to its slot.
-        let their_ops: Vec<dsps::graph::OpId> = node
-            .op_slot
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s == req.to_slot)
-            .map(|(i, _)| dsps::graph::OpId(i as u32))
-            .collect();
+        let their_ops = dsps::placement::ops_on(&node.op_slot, req.to_slot);
         let states: Vec<(dsps::graph::OpId, dsps::operator::OpState)> = their_ops
             .iter()
             .filter(|op| ops.contains(op))

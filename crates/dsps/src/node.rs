@@ -144,6 +144,18 @@ pub enum InstallStates {
     Explicit(Vec<(OpId, OpState)>),
 }
 
+impl InstallStates {
+    /// Restore from the phone's own store at the most recent complete
+    /// checkpoint `version`; version 0 (none yet) installs fresh.
+    pub fn from_mrc(version: u64) -> Self {
+        if version > 0 {
+            InstallStates::FromLocalStore { version }
+        } else {
+            InstallStates::Fresh
+        }
+    }
+}
+
 /// Controller RPC: (re)install operators on this node — used at system
 /// startup, failure recovery and departure replacement.
 #[derive(Debug, Clone)]
@@ -164,10 +176,10 @@ pub struct Install {
 /// Controller RPC: update routing tables without reinstalling.
 #[derive(Debug, Clone)]
 pub struct UpdateRouting {
-    /// New op→slot assignment (None = unchanged).
-    pub op_slot: Option<Vec<u32>>,
-    /// New slot→actor binding (None = unchanged).
-    pub slot_actors: Option<Vec<ActorId>>,
+    /// New op→slot assignment.
+    pub op_slot: Vec<u32>,
+    /// New slot→actor binding.
+    pub slot_actors: Vec<ActorId>,
 }
 
 /// Controller RPC: toggle urgent (cellular) routing for edges whose
@@ -951,13 +963,9 @@ impl NodeActor {
     }
 
     fn update_routing(&mut self, u: UpdateRouting, ctx: &mut Ctx) {
-        if let Some(os) = u.op_slot {
-            self.inner.op_slot = os;
-            self.inner.unhost_stale();
-        }
-        if let Some(sa) = u.slot_actors {
-            self.inner.slot_actors = sa;
-        }
+        self.inner.op_slot = u.op_slot;
+        self.inner.unhost_stale();
+        self.inner.slot_actors = u.slot_actors;
         self.pump(ctx);
     }
 
@@ -1520,8 +1528,8 @@ mod tests {
                 rig.sim.now(),
                 n,
                 UpdateRouting {
-                    op_slot: Some(new_op_slot.clone()),
-                    slot_actors: Some(slot_actors.clone()),
+                    op_slot: new_op_slot.clone(),
+                    slot_actors: slot_actors.clone(),
                 },
             );
         }

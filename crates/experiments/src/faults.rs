@@ -86,19 +86,9 @@ pub fn inject_reboot(dep: &mut Deployment, region: usize, slot: u32, at: SimTime
 /// scheme faces the same burst.
 pub fn failure_order(dep: &Deployment, region: usize) -> Vec<u32> {
     let handles = &dep.regions[region];
-    let graph = &handles.graph;
-    let sources: std::collections::BTreeSet<u32> = graph
-        .sources()
-        .iter()
-        .map(|&op| handles.op_slot[op.index()])
-        .collect();
-    let hosting: std::collections::BTreeSet<u32> = handles
-        .op_slot
-        .iter()
-        .copied()
-        .filter(|&s| s != u32::MAX)
-        .collect();
-    let slots = handles.nodes.len() as u32;
+    let sources = handles.placement.source_slots(&handles.graph);
+    let hosting = handles.placement.hosting_slots();
+    let slots = handles.placement.slots();
     let mut order = Vec::new();
     // 1. hosting, non-source.
     for s in 0..slots {

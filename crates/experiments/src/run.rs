@@ -203,33 +203,22 @@ pub fn harvest(dep: &Deployment, from: SimTime, to: SimTime) -> Harvest {
         _ => preserved_raw_sum,
     };
 
-    let (recoveries, mean_recovery_s, stops) = if !dep.region_controllers.is_empty() {
-        let recs = dep.ms_recoveries();
-        let n = recs.len();
-        let mean = if n > 0 {
-            recs.iter()
-                .map(|r| (r.finished - r.started).as_secs_f64())
-                .sum::<f64>()
-                / n as f64
-        } else {
-            0.0
-        };
-        (n, mean, dep.ms_stops())
-    } else if let Some(co) = dep.coordinator {
-        let c = dep.sim.actor::<baselines::BaselineCoordinator>(co);
-        let n = c.recoveries.len();
-        let mean = if n > 0 {
-            c.recoveries
-                .iter()
-                .map(|r| (r.finished - r.started).as_secs_f64())
-                .sum::<f64>()
-                / n as f64
-        } else {
-            0.0
-        };
-        (n, mean, c.stops)
+    let (episodes, stops) = match dep.coordinator {
+        Some(co) => {
+            let c = dep.sim.actor::<baselines::BaselineCoordinator>(co);
+            (c.recoveries.clone(), c.stops)
+        }
+        None => (dep.ms_recoveries(), dep.ms_stops()),
+    };
+    let recoveries = episodes.len();
+    let mean_recovery_s = if recoveries > 0 {
+        episodes
+            .iter()
+            .map(|r| (r.finished - r.started).as_secs_f64())
+            .sum::<f64>()
+            / recoveries as f64
     } else {
-        (0, 0.0, 0)
+        0.0
     };
 
     let with_output: Vec<&RegionStats> = per_region.iter().filter(|r| r.outputs > 0).collect();

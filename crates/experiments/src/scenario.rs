@@ -15,9 +15,9 @@ use baselines::{BaselineKind, DistScheme, LocalScheme};
 use dsps::ft::{FtScheme, NullScheme};
 use dsps::graph::{OpId, QueryGraph};
 use dsps::node::{InterRegionLink, NodeActor, NodeConfig, NodeInner, PrimaryTransport};
+use dsps::placement::RecoveryRecord;
 use dsps::placement::{squeeze_placement, Placement};
 use dsps::workload::{Feed, StartFeeds, WorkloadDriver};
-use mobistreams::controller::RecoveryRecord;
 use mobistreams::{
     Coordinator, MsControllerConfig, MsScheme, MsSchemeConfig, RegionController, RegionSpec,
     RegionWiring,
@@ -192,8 +192,8 @@ pub struct RegionHandles {
     pub driver: ActorId,
     /// Query network actually deployed (duplicated for rep-2).
     pub graph: Arc<QueryGraph>,
-    /// Initial op→slot assignment.
-    pub op_slot: Vec<u32>,
+    /// Initial slot table (op→slot assignment, bound to `nodes`).
+    pub placement: Placement,
     /// Sensor uplink actor (server platform only).
     pub uplink: Option<ActorId>,
 }
@@ -256,7 +256,7 @@ impl Deployment {
         // Per-region: bundle (graph/placement), rep-2 duplication.
         struct RegionPlan {
             graph: Arc<QueryGraph>,
-            op_slot: Vec<u32>,
+            placement: Placement,
             inter_input: OpId,
             feeds: Vec<(OpId, SimDuration, f64, usize)>, // op, period, jitter, feed ix
             bundle: AppBundle,
@@ -266,7 +266,7 @@ impl Deployment {
         let mut plans = Vec::new();
         for r in 0..cfg.regions {
             let bundle = build_bundle(&cfg, cfg.phones_in(r), r == 0);
-            let (graph, op_slot, flow_of) = if cfg.scheme == Scheme::Rep2 {
+            let (graph, placement, flow_of) = if cfg.scheme == Scheme::Rep2 {
                 let (g2, flows) = duplicate_graph(&bundle.graph);
                 let n = bundle.graph.op_count();
                 // rep-2 must fit two flows onto one region, so each
@@ -282,20 +282,17 @@ impl Deployment {
                 let compressed = squeeze_placement(&bundle.placement, half);
                 // flow 0 on slots 0..k, flow 1 on slots k..2k.
                 let mut op_slot = vec![u32::MAX; 2 * n];
-                for (op, &s) in compressed.op_slot.iter().enumerate() {
+                for (op, &s) in compressed.op_slot().iter().enumerate() {
                     if s == u32::MAX {
                         continue;
                     }
                     op_slot[op] = s;
                     op_slot[op + n] = s + half;
                 }
-                (Arc::new(g2), op_slot, Some(Arc::new(flows)))
+                let placement = Placement::from_op_slot(op_slot, cfg.phones_in(r));
+                (Arc::new(g2), placement, Some(Arc::new(flows)))
             } else {
-                (
-                    Arc::clone(&bundle.graph),
-                    bundle.placement.op_slot.clone(),
-                    None,
-                )
+                (Arc::clone(&bundle.graph), bundle.placement.clone(), None)
             };
             let feeds = bundle
                 .feeds
@@ -305,7 +302,7 @@ impl Deployment {
                 .collect();
             plans.push(RegionPlan {
                 graph,
-                op_slot,
+                placement,
                 inter_input: bundle.inter_region_input,
                 feeds,
                 bundle,
@@ -352,7 +349,7 @@ impl Deployment {
                 };
                 let mut inner =
                     NodeInner::new(ncfg, Arc::clone(&plan.graph), wifi_id, cell_id, node_ctl);
-                inner.op_slot = plan.op_slot.clone();
+                inner.op_slot = plan.placement.op_slot().to_vec();
                 let scheme = Self::make_scheme(&cfg, plan.flow_of.clone());
                 let id = sim.add_actor(Box::new(NodeActor::new(inner, scheme)));
                 node_ids.push(id);
@@ -360,11 +357,11 @@ impl Deployment {
             // Driver.
             let driver_id = sim.add_actor(Box::new(WorkloadDriver::new(Vec::new())));
             regions.push(RegionHandles {
+                placement: plan.placement.clone().bind(node_ids.clone()),
                 nodes: node_ids,
                 wifi: wifi_id,
                 driver: driver_id,
                 graph: Arc::clone(&plan.graph),
-                op_slot: plan.op_slot.clone(),
                 uplink: None,
             });
         }
@@ -372,23 +369,19 @@ impl Deployment {
         // Wire node internals now that all ids exist.
         for (r, plan) in plans.iter().enumerate() {
             let handles_nodes = regions[r].nodes.clone();
+            let table = &regions[r].placement;
             let wifi = regions[r].wifi;
             for (slot, &nid) in handles_nodes.iter().enumerate() {
                 let na = sim.actor_mut::<NodeActor>(nid);
                 na.inner.slot_actors = handles_nodes.clone();
-                for (op_ix, &s) in plan.op_slot.iter().enumerate() {
-                    if s == slot as u32 {
-                        na.inner.host_op(OpId(op_ix as u32));
-                    }
+                for op in table.ops_on(slot as u32) {
+                    na.inner.host_op(op);
                 }
                 // rep-2: the duplicate flow's traffic is the
                 // replication overhead (Fig 10b).
                 if let Some(flows) = &plan.flow_of {
-                    let hosts_flow1 = plan
-                        .op_slot
-                        .iter()
-                        .enumerate()
-                        .any(|(op, &s)| s == slot as u32 && flows[op] == 1);
+                    let on_slot = table.ops_on(slot as u32);
+                    let hosts_flow1 = on_slot.iter().any(|op| flows[op.index()] == 1);
                     if hosts_flow1 {
                         na.inner.data_class = TrafficClass::Replication;
                     }
@@ -411,23 +404,22 @@ impl Deployment {
             // for rep-2).
             if r + 1 < cfg.regions {
                 let next = &plans[r + 1];
-                let next_nodes = regions[r + 1].nodes.clone();
+                let next_table = &regions[r + 1].placement;
                 let mut dst_ops = vec![next.inter_input];
                 if let Some(flows) = &next.flow_of {
                     let orig = flows.len() / 2;
                     dst_ops.push(twin_of(next.inter_input, orig));
                 }
                 for &sink in &plan.graph.sinks() {
-                    let slot = plan.op_slot[sink.index()];
                     let links: Vec<InterRegionLink> = dst_ops
                         .iter()
                         .map(|&dst_op| InterRegionLink {
                             src_op: sink,
-                            dst_actor: next_nodes[next.op_slot[dst_op.index()] as usize],
+                            dst_actor: next_table.actor_of(dst_op),
                             dst_op,
                         })
                         .collect();
-                    let na = sim.actor_mut::<NodeActor>(handles_nodes[slot as usize]);
+                    let na = sim.actor_mut::<NodeActor>(table.actor_of(sink));
                     na.inner.inter_region.extend(links);
                 }
             }
@@ -435,13 +427,12 @@ impl Deployment {
             let driver = regions[r].driver;
             let mut feeds: Vec<Feed> = Vec::new();
             for &(op, _, _, ix) in &plan.feeds {
-                let target = handles_nodes[plan.op_slot[op.index()] as usize];
+                let target = table.actor_of(op);
                 let mut feed = plan.bundle.feeds[ix].instantiate(target);
                 if let Some(flows) = &plan.flow_of {
                     let orig = flows.len() / 2;
                     let t = twin_of(op, orig);
-                    feed.mirrors
-                        .push((t, handles_nodes[plan.op_slot[t.index()] as usize]));
+                    feed.mirrors.push((t, table.actor_of(t)));
                 }
                 feeds.push(feed);
             }
@@ -453,33 +444,17 @@ impl Deployment {
         let (controller, coordinator, region_controllers) = match cfg.scheme {
             Scheme::Ms => {
                 let specs: Vec<RegionSpec> = (0..cfg.regions)
-                    .map(|r| {
-                        let mut placement = Placement::new(&plans[r].graph, cfg.phones_in(r));
-                        placement.op_slot = plans[r].op_slot.clone();
-                        RegionSpec {
-                            graph: Arc::clone(&plans[r].graph),
-                            placement,
-                            wifi: regions[r].wifi,
-                            slot_actors: regions[r].nodes.clone(),
-                            downstream: if r + 1 < cfg.regions {
-                                vec![(r + 1, plans[r + 1].inter_input)]
-                            } else {
-                                vec![]
-                            },
-                            min_active: 1,
-                            restart_min: {
-                                let mut used: Vec<u32> = plans[r]
-                                    .op_slot
-                                    .iter()
-                                    .copied()
-                                    .filter(|&s| s != u32::MAX)
-                                    .collect();
-                                used.sort_unstable();
-                                used.dedup();
-                                used.len() as u32
-                            },
-                            sensors: vec![regions[r].driver],
-                        }
+                    .map(|r| RegionSpec {
+                        graph: Arc::clone(&plans[r].graph),
+                        placement: regions[r].placement.clone(),
+                        wifi: regions[r].wifi,
+                        downstream: if r + 1 < cfg.regions {
+                            vec![(r + 1, plans[r + 1].inter_input)]
+                        } else {
+                            vec![]
+                        },
+                        min_active: 1,
+                        sensors: vec![regions[r].driver],
                     })
                     .collect();
                 let ctl_cfg = MsControllerConfig {
@@ -495,8 +470,8 @@ impl Deployment {
                     .map(|s| RegionWiring {
                         graph: Arc::clone(&s.graph),
                         downstream: s.downstream.clone(),
-                        slot_actors: s.slot_actors.clone(),
-                        op_slot: s.placement.op_slot.clone(),
+                        slot_actors: s.placement.slot_actors().to_vec(),
+                        op_slot: s.placement.op_slot().to_vec(),
                     })
                     .collect();
                 let ctl_of_region: Vec<ActorId> = (0..cfg.regions)
@@ -545,8 +520,7 @@ impl Deployment {
                 let specs: Vec<BaselineRegionSpec> = (0..cfg.regions)
                     .map(|r| BaselineRegionSpec {
                         graph: Arc::clone(&plans[r].graph),
-                        op_slot: plans[r].op_slot.clone(),
-                        slot_actors: regions[r].nodes.clone(),
+                        placement: regions[r].placement.clone(),
                     })
                     .collect();
                 let coord = BaselineCoordinator::new(
@@ -665,11 +639,12 @@ impl Deployment {
                 forwarded: 0,
             }));
             regions.push(RegionHandles {
+                placement: Placement::from_op_slot(op_slot, servers_per_region as u32)
+                    .bind(node_ids.clone()),
                 nodes: node_ids,
                 wifi: dummy_wifi,
                 driver: driver_id,
                 graph: Arc::clone(&bundle.graph),
-                op_slot,
                 uplink: Some(uplink_id),
             });
         }
@@ -677,14 +652,11 @@ impl Deployment {
         // Wire internals.
         for (r, bundle) in plans.iter().enumerate() {
             let nodes = regions[r].nodes.clone();
-            let op_slot = regions[r].op_slot.clone();
             for (slot, &nid) in nodes.iter().enumerate() {
                 let na = sim.actor_mut::<NodeActor>(nid);
                 na.inner.slot_actors = nodes.clone();
-                for (op_ix, &s) in op_slot.iter().enumerate() {
-                    if s == slot as u32 {
-                        na.inner.host_op(OpId(op_ix as u32));
-                    }
+                for op in regions[r].placement.ops_on(slot as u32) {
+                    na.inner.host_op(op);
                 }
             }
             {
@@ -703,16 +675,14 @@ impl Deployment {
             }
             if r + 1 < cfg.regions {
                 let next_input = plans[r + 1].inter_region_input;
-                let next_nodes = regions[r + 1].nodes.clone();
-                let next_op_slot = regions[r + 1].op_slot.clone();
+                let next = &regions[r + 1].placement;
                 for &sink in &bundle.graph.sinks() {
-                    let slot = op_slot_of(&regions[r].op_slot, sink);
                     let link = InterRegionLink {
                         src_op: sink,
-                        dst_actor: next_nodes[next_op_slot[next_input.index()] as usize],
+                        dst_actor: next.actor_of(next_input),
                         dst_op: next_input,
                     };
-                    let na = sim.actor_mut::<NodeActor>(nodes[slot as usize]);
+                    let na = sim.actor_mut::<NodeActor>(regions[r].placement.actor_of(sink));
                     na.inner.inter_region.push(link);
                 }
             }
@@ -725,7 +695,7 @@ impl Deployment {
                 let target = if i == 0 {
                     uplink
                 } else {
-                    nodes[regions[r].op_slot[f.op.index()] as usize]
+                    regions[r].placement.actor_of(f.op)
                 };
                 feeds.push(f.instantiate(target));
             }
@@ -737,8 +707,7 @@ impl Deployment {
         let specs: Vec<BaselineRegionSpec> = (0..cfg.regions)
             .map(|r| BaselineRegionSpec {
                 graph: Arc::clone(&regions[r].graph),
-                op_slot: regions[r].op_slot.clone(),
-                slot_actors: regions[r].nodes.clone(),
+                placement: regions[r].placement.clone(),
             })
             .collect();
         let coord = BaselineCoordinator::new(
@@ -913,6 +882,13 @@ impl Deployment {
     // the single-controller view harvests and tests expect, with
     // deterministic merge orders). ---
 
+    /// Every region-group controller, in group order (empty unless ms).
+    fn ms_ctls(&self) -> impl Iterator<Item = &RegionController> + '_ {
+        self.region_controllers
+            .iter()
+            .map(|&c| self.sim.actor::<RegionController>(c))
+    }
+
     /// The region-group controller owning region `r` (ms only).
     pub fn ms_ctl_of(&self, r: usize) -> &RegionController {
         let g = r / self.cfg.ctl_group_size.max(1);
@@ -932,34 +908,18 @@ impl Deployment {
 
     /// Departure replacements completed across all groups (ms only).
     pub fn ms_departures_handled(&self) -> u64 {
-        self.region_controllers
-            .iter()
-            .map(|&c| self.sim.actor::<RegionController>(c).departures_handled)
-            .sum()
+        self.ms_ctls().map(|c| c.departures_handled).sum()
     }
 
     /// Region stops across all groups (ms only).
     pub fn ms_stops(&self) -> u64 {
-        self.region_controllers
-            .iter()
-            .map(|&c| self.sim.actor::<RegionController>(c).stops)
-            .sum()
+        self.ms_ctls().map(|c| c.stops).sum()
     }
 
     /// All committed checkpoint rounds, merged over groups and sorted
     /// by (time, region, version) for a deterministic order (ms only).
     pub fn ms_commits(&self) -> Vec<(usize, u64, SimTime)> {
-        let mut out: Vec<(usize, u64, SimTime)> = self
-            .region_controllers
-            .iter()
-            .flat_map(|&c| {
-                self.sim
-                    .actor::<RegionController>(c)
-                    .commits
-                    .iter()
-                    .copied()
-            })
-            .collect();
+        let mut out: Vec<_> = self.ms_ctls().flat_map(|c| &c.commits).copied().collect();
         out.sort_by_key(|&(r, v, t)| (t, r, v));
         out
     }
@@ -967,16 +927,10 @@ impl Deployment {
     /// All recovery episodes, merged over groups and sorted by
     /// (start time, region) (ms only).
     pub fn ms_recoveries(&self) -> Vec<RecoveryRecord> {
-        let mut out: Vec<RecoveryRecord> = self
-            .region_controllers
-            .iter()
-            .flat_map(|&c| {
-                self.sim
-                    .actor::<RegionController>(c)
-                    .recoveries
-                    .iter()
-                    .copied()
-            })
+        let mut out: Vec<_> = self
+            .ms_ctls()
+            .flat_map(|c| &c.recoveries)
+            .copied()
             .collect();
         out.sort_by_key(|rec| (rec.started, rec.region));
         out
@@ -985,16 +939,10 @@ impl Deployment {
     /// All partition episodes, merged over groups and sorted by
     /// (severed-at, region) (ms only).
     pub fn ms_severed_episodes(&self) -> Vec<(usize, SimTime, SimTime)> {
-        let mut out: Vec<(usize, SimTime, SimTime)> = self
-            .region_controllers
-            .iter()
-            .flat_map(|&c| {
-                self.sim
-                    .actor::<RegionController>(c)
-                    .severed_episodes
-                    .iter()
-                    .copied()
-            })
+        let mut out: Vec<_> = self
+            .ms_ctls()
+            .flat_map(|c| &c.severed_episodes)
+            .copied()
             .collect();
         out.sort_by_key(|&(r, s, _)| (s, r));
         out
@@ -1004,18 +952,10 @@ impl Deployment {
     /// (ms only) — the churn-storm complexity tests assert these scale
     /// with delta size, not region population.
     pub fn ms_membership_traffic(&self) -> (u64, u64) {
-        self.region_controllers
-            .iter()
-            .map(|&c| {
-                let ctl = self.sim.actor::<RegionController>(c);
-                (ctl.membership_msgs, ctl.membership_bytes)
-            })
-            .fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db))
+        self.ms_ctls().fold((0, 0), |(m, b), c| {
+            (m + c.membership_msgs, b + c.membership_bytes)
+        })
     }
-}
-
-fn op_slot_of(op_slot: &[u32], op: OpId) -> u32 {
-    op_slot[op.index()]
 }
 
 /// The sensor phone of the server baseline: receives camera frames

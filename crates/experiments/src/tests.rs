@@ -36,16 +36,15 @@ mod unit {
         // Every phone hosts ops of exactly one flow.
         for slot in 0..8u32 {
             let flows: std::collections::BTreeSet<bool> = handles
-                .op_slot
+                .placement
+                .ops_on(slot)
                 .iter()
-                .enumerate()
-                .filter(|(_, &s)| s == slot)
-                .map(|(op, _)| op >= n)
+                .map(|op| op.index() >= n)
                 .collect();
             assert!(flows.len() <= 1, "slot {slot} mixes flows");
         }
         // Flow 0 on the first half of phones, flow 1 on the second.
-        for (op, &s) in handles.op_slot.iter().enumerate() {
+        for (op, &s) in handles.placement.op_slot().iter().enumerate() {
             if op < n {
                 assert!(s < 4);
             } else {

@@ -9,11 +9,13 @@
 //!   only its own regions; every other group keeps committing rounds
 //!   through the window, and the dark group resumes after the heal.
 
-use dsps::node::ReportDead;
+use baselines::msgs::BaselineAck;
+use baselines::BaselineCoordinator;
+use dsps::node::{Pong, RegisterNode, ReportDead};
 use experiments::faults::{inject_departure, inject_reboot};
 use experiments::fleet::{build_fleet, ChurnProfile, FleetConfig, FleetRegion};
 use experiments::weather::{WeatherProgram, WeatherSystem};
-use experiments::{AppKind, Deployment, ScenarioConfig, Scheme};
+use experiments::{harvest, AppKind, Deployment, ScenarioConfig, Scheme};
 use mobistreams::msgs::NodeCheckpointed;
 use simkernel::{SimDuration, SimTime};
 use simnet::cellular::CellRx;
@@ -177,6 +179,76 @@ fn out_of_group_reports_are_counted_and_change_nothing() {
     assert_eq!(hit_bad, 2);
     assert_eq!(hit_events, clean_events + 2, "a rejected message sent one");
     assert!(!clean_state.0.is_empty(), "no round committed in 90 s");
+    assert_eq!(hit_state, clean_state);
+}
+
+/// The baseline coordinator makes the same promise: every message kind
+/// it takes from the network — pong, failure report, recovery ack,
+/// registration — with an out-of-range region or slot is counted and
+/// dropped before it indexes anything. Against a twin run without them
+/// the coordinator handles exactly those four events more, and what it
+/// owns and what the deployment did read the same.
+#[test]
+fn baseline_coordinator_counts_malformed_messages_and_changes_nothing() {
+    let run = |inject: bool| {
+        let mut dep = Deployment::build(ScenarioConfig {
+            scheme: Scheme::Dist(1),
+            ..one_region(8)
+        });
+        dep.start();
+        let co = dep.coordinator.expect("baseline deployment");
+        if inject {
+            let src = dep.regions[0].nodes[1];
+            let bad = [
+                payload(ReportDead {
+                    region: 9,
+                    slot: 0,
+                    observed_by: 1,
+                }),
+                payload(Pong {
+                    nonce: 1,
+                    region: 0,
+                    slot: 8,
+                }),
+                payload(BaselineAck {
+                    region: usize::MAX,
+                    slot: 0,
+                }),
+                payload(RegisterNode {
+                    region: 0,
+                    slot: 99,
+                }),
+            ];
+            for payload in bad {
+                let rx = CellRx {
+                    src,
+                    bytes: 64,
+                    class: TrafficClass::Control,
+                    payload,
+                };
+                dep.sim.schedule_at(SimTime::from_secs(30), co, rx);
+            }
+        }
+        dep.run_until(SimTime::from_secs(90));
+        let h = harvest(&dep, SimTime::ZERO, SimTime::from_secs(90));
+        let c = dep.sim.actor::<BaselineCoordinator>(co);
+        let state = (
+            c.recoveries.clone(),
+            c.stops,
+            c.is_stopped(0),
+            h.per_region[0].outputs,
+            h.wifi_bytes.total(),
+            h.cell_bytes.total(),
+        );
+        (c.malformed_msgs, dep.sim.events_processed(), state)
+    };
+    let (clean_bad, clean_events, clean_state) = run(false);
+    let (hit_bad, hit_events, hit_state) = run(true);
+    assert_eq!(clean_bad, 0);
+    assert_eq!(hit_bad, 4);
+    assert_eq!(hit_events, clean_events + 4, "a rejected message sent one");
+    assert!(clean_state.3 > 0, "no sink output in 90 s");
+    assert!(clean_state.4 > 0, "no checkpoint copy shipped in 90 s");
     assert_eq!(hit_state, clean_state);
 }
 

@@ -13,8 +13,11 @@
 //! `cargo test -p experiments --test golden_digests -- --nocapture`
 //! (each mismatch prints the observed pair) and says so in CHANGES.md.
 
+use baselines::BaselineCoordinator;
+use experiments::faults::{failure_order, inject_departure, inject_failure, inject_reboot};
 use experiments::fleet::{profile, run_fleet};
-use experiments::{measured_run, AppKind, ExpOptions, ScenarioConfig};
+use experiments::{harvest, measured_run, AppKind, Deployment, ExpOptions, ScenarioConfig, Scheme};
+use simkernel::{SimDuration, SimTime};
 
 /// `(profile, FleetReport::digest, FleetReport::events_processed)`.
 const GOLDEN: &[(&str, u64, u64)] = &[
@@ -97,6 +100,192 @@ fn testbed_apps_keep_their_harvest() {
     assert!(
         drift.is_empty(),
         "the testbed harvest changed — observed:\n    {}",
+        drift.join("\n    ")
+    );
+}
+
+/// Faults as `msbench` injects them: the first `n` slots of
+/// `failure_order` on every region.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    FailBurst { n: usize, reboot: bool },
+    Depart { n: usize },
+}
+
+/// `(scheme, fault, [sink outputs, mean latency bits, WiFi payload
+/// bytes, cellular payload bytes, recoveries, stops], every recovery
+/// episode's (started, finished) in ns)` of the BCP testbed, seed 1,
+/// over the quick window, with the fault 30 s into the window (reboot
+/// 60 s after it). Pins the recovery path of both control planes —
+/// replacement choice, install/rollback fan-out, ack bookkeeping.
+/// Recorded at commit 70b74ca.
+type FaultPin = (Scheme, Fault, [u64; 6], &'static [(u64, u64)]);
+const TESTBED_FAULTS: &[FaultPin] = &[
+    (
+        Scheme::Dist(2),
+        Fault::FailBurst {
+            n: 2,
+            reboot: false,
+        },
+        [587, 4615264306783280731, 335543440, 140232, 4, 0],
+        &[
+            (160000000000, 163525026818),
+            (160000000000, 163525042690),
+            (160000000000, 163525050626),
+            (160000000000, 164026482942),
+        ],
+    ),
+    (
+        Scheme::Rep2,
+        Fault::FailBurst {
+            n: 1,
+            reboot: false,
+        },
+        [890, 4617741658387204202, 381839888, 397104, 4, 0],
+        &[
+            (152758076624, 152758076624),
+            (153316944193, 153316944193),
+            (153459861382, 153459861382),
+            (153659905449, 153659905449),
+        ],
+    ),
+    (
+        Scheme::Upstream,
+        Fault::FailBurst {
+            n: 1,
+            reboot: false,
+        },
+        [898, 4613735680613810218, 195909120, 200104, 4, 0],
+        &[
+            (152758076624, 153416646458),
+            (153316944193, 153975514027),
+            (153459861382, 154118431216),
+            (153659905449, 154318475283),
+        ],
+    ),
+    (
+        Scheme::Local,
+        Fault::FailBurst {
+            n: 1,
+            reboot: false,
+        },
+        [70, 4615186002859173125, 195258064, 97232, 0, 4],
+        &[],
+    ),
+    (
+        Scheme::Ms,
+        Fault::FailBurst { n: 2, reboot: true },
+        [719, 4619998696328468800, 375827870, 974648, 4, 0],
+        &[
+            (160682749214, 165387996009),
+            (160731396312, 165436643107),
+            (161098493282, 165803740077),
+            (161408922226, 166114169021),
+        ],
+    ),
+    (
+        Scheme::Ms,
+        Fault::Depart { n: 1 },
+        [755, 4621075038961777559, 376775976, 769704, 0, 0],
+        &[],
+    ),
+    // One failure more than the region has idle phones: the
+    // round-robin-over-survivors half of the replacement picker.
+    (
+        Scheme::Ms,
+        Fault::FailBurst {
+            n: 3,
+            reboot: false,
+        },
+        [730, 4619936857781934105, 364196182, 1568632, 4, 0],
+        &[
+            (160682749214, 166098899425),
+            (160731396312, 166147546523),
+            (161098493282, 166514643493),
+            (161408922226, 166825072437),
+        ],
+    ),
+    (
+        Scheme::Dist(3),
+        Fault::FailBurst {
+            n: 3,
+            reboot: false,
+        },
+        [368, 4616601290370768267, 350249680, 101744, 0, 0],
+        &[],
+    ),
+];
+
+#[test]
+fn testbed_faults_keep_their_harvest() {
+    let opts = ExpOptions::quick();
+    let from = SimTime::ZERO + opts.warmup;
+    let to = from + opts.window;
+    let at = from + SimDuration::from_secs(30);
+    let mut drift = Vec::new();
+    for &(scheme, fault, numbers, episodes) in TESTBED_FAULTS {
+        let cfg = ScenarioConfig {
+            app: AppKind::Bcp,
+            scheme,
+            seed: SEED,
+            ..ScenarioConfig::default()
+        };
+        // `measured_run`, spelled out to keep the deployment for the
+        // per-episode times.
+        let mut dep = Deployment::build(cfg);
+        dep.start();
+        for region in 0..dep.cfg.regions {
+            let order = failure_order(&dep, region);
+            match fault {
+                Fault::FailBurst { n, reboot } => {
+                    for &slot in order.iter().take(n) {
+                        inject_failure(&mut dep, region, slot, at);
+                        if reboot {
+                            inject_reboot(&mut dep, region, slot, at + SimDuration::from_secs(60));
+                        }
+                    }
+                }
+                Fault::Depart { n } => {
+                    for &slot in order.iter().take(n) {
+                        inject_departure(&mut dep, region, slot, at);
+                    }
+                }
+            }
+        }
+        dep.run_until(to);
+        let h = harvest(&dep, from, to);
+        let seen_numbers = [
+            h.per_region.iter().map(|r| r.outputs as u64).sum::<u64>(),
+            h.mean_latency_s.to_bits(),
+            h.wifi_bytes.total(),
+            h.cell_bytes.total(),
+            h.recoveries as u64,
+            h.stops,
+        ];
+        let seen_episodes: Vec<(u64, u64)> = match dep.coordinator {
+            Some(co) => dep
+                .sim
+                .actor::<BaselineCoordinator>(co)
+                .recoveries
+                .iter()
+                .map(|r| (r.started.as_nanos(), r.finished.as_nanos()))
+                .collect(),
+            None => dep
+                .ms_recoveries()
+                .iter()
+                .map(|r| (r.started.as_nanos(), r.finished.as_nanos()))
+                .collect(),
+        };
+        assert_eq!(seen_episodes.len(), h.recoveries);
+        if seen_numbers != numbers || seen_episodes != episodes {
+            drift.push(format!(
+                "(Scheme::{scheme:?}, Fault::{fault:?}, {seen_numbers:?}, &{seen_episodes:?})"
+            ));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "the testbed fault harvest changed — observed:\n    {}",
         drift.join("\n    ")
     );
 }

@@ -25,8 +25,8 @@ use std::sync::Arc;
 
 use dsps::graph::{OpId, QueryGraph};
 use dsps::node::{InterRegionLink, UpdateInterRegion};
-use simkernel::{impl_actor_any, Actor, ActorId, Ctx, Event, EventBox, SimDuration};
-use simnet::cellular::CellSend;
+use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration};
+use simnet::cellular::{send_ctl, CellSend};
 use simnet::stats::TrafficClass;
 use simnet::wifi::WifiSetLink;
 use simnet::{payload, TxFailed};
@@ -101,22 +101,6 @@ impl Coordinator {
         }
     }
 
-    fn send_ctl(&mut self, ctx: &mut Ctx, dst: ActorId, bytes: u64, ev: impl Event) {
-        let src = ctx.self_id();
-        let cell = self.cell;
-        ctx.send(
-            cell,
-            CellSend {
-                src,
-                dst,
-                class: TrafficClass::Control,
-                bytes,
-                tag: 0,
-                payload: Some(payload(ev)),
-            },
-        );
-    }
-
     /// Resolve the data destinations downstream of `region`, skipping
     /// stopped regions transitively (bypass, §III-D/E).
     fn resolve_downstream(&self, region: usize) -> Vec<(usize, OpId)> {
@@ -138,7 +122,7 @@ impl Coordinator {
     }
 
     /// Install fresh inter-region links on `region`'s sink nodes.
-    fn rewire_inter_region(&mut self, region: usize, ctx: &mut Ctx) {
+    fn rewire_inter_region(&self, region: usize, ctx: &mut Ctx) {
         let downstream = self.resolve_downstream(region);
         let rt = &self.regions[region];
         if rt.stopped {
@@ -164,17 +148,10 @@ impl Coordinator {
                 .collect();
             per_slot.entry(slot).or_default().extend(links);
         }
-        let sends: Vec<(ActorId, Vec<InterRegionLink>)> = per_slot
-            .into_iter()
-            .map(|(slot, links)| {
-                (
-                    self.regions[region].wiring.slot_actors[slot as usize],
-                    links,
-                )
-            })
-            .collect();
-        for (dst, links) in sends {
-            self.send_ctl(ctx, dst, wire::MEMBERSHIP, UpdateInterRegion { links });
+        for (slot, links) in per_slot {
+            let dst = rt.wiring.slot_actors[slot as usize];
+            let update = UpdateInterRegion { links };
+            send_ctl(ctx, self.cell, dst, wire::MEMBERSHIP, update);
         }
     }
 

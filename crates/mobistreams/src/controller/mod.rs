@@ -37,9 +37,10 @@ use std::sync::Arc;
 
 use dsps::graph::{OpId, QueryGraph};
 use dsps::placement::Placement;
-use simkernel::{ActorId, SimDuration, SimTime};
+use simkernel::{ActorId, SimDuration};
 
 pub use coordinator::{Coordinator, RegionWiring};
+pub use dsps::placement::RecoveryRecord;
 pub use region::RegionController;
 
 /// Controller parameters (paper values as defaults).
@@ -110,35 +111,18 @@ impl Default for MsControllerConfig {
 pub struct RegionSpec {
     /// The region's query network.
     pub graph: Arc<QueryGraph>,
-    /// Initial operator placement.
+    /// The region's slot table: initial operator placement, bound to
+    /// the phone actors.
     pub placement: Placement,
     /// The region's WiFi medium actor.
     pub wifi: ActorId,
-    /// Phone actor per slot.
-    pub slot_actors: Vec<ActorId>,
     /// Downstream regions: (region index, source op fed there).
     pub downstream: Vec<(usize, OpId)>,
     /// Minimum active phones to keep the region running.
     pub min_active: u32,
-    /// Phones required before a stopped region restarts (≈ the number
-    /// of hosting slots, so the restart isn't hopelessly overloaded).
-    pub restart_min: u32,
     /// Sensor (workload driver) actors to re-pair when a source op
     /// moves to another phone.
     pub sensors: Vec<ActorId>,
-}
-
-/// Recovery episode record (for experiment reports).
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryRecord {
-    /// Region recovered.
-    pub region: usize,
-    /// Failure burst size.
-    pub failures: usize,
-    /// When recovery started (burst gathered).
-    pub started: SimTime,
-    /// When the region resumed (acks in, replay issued).
-    pub finished: SimTime,
 }
 
 /// How long after a reconfiguration (recovery end, install ack) nodes

@@ -28,28 +28,20 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dsps::graph::{EdgeId, OpId};
-use dsps::node::{Install, InstallStates, Pong, ReportDead, SetUrgentEdges, UpdateRouting};
-use simkernel::{impl_actor_any, Actor, ActorId, Ctx, Event, EventBox, SimDuration, SimTime};
-use simnet::cellular::{CellRx, CellSend};
-use simnet::stats::TrafficClass;
-use simnet::{payload, payload_as, LinkState, TxFailed};
+use dsps::graph::{EdgeId, QueryGraph};
+use dsps::node::{Install, InstallStates, Pong, ReportDead, SetUrgentEdges};
+use dsps::placement::{PingRounds, Placement, RecoveryEpisode, RecoveryRecord, SlotState};
+use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration, SimTime};
+use simnet::cellular::{send_ctl, send_ctl_tagged, CellRx};
+use simnet::{payload_as, LinkState, TxFailed};
 
 use super::msgs::{
     CtlTimer, InstallOutcome, InstallOutcomeKind, RegionStatus, RelaySensorRedirect, RelayWifiLink,
     ShipInstall,
 };
 use super::reconcile::{MembershipLog, SuffixCache};
-use super::{MsControllerConfig, RecoveryRecord, RegionSpec, Start, QUIET_GRACE};
+use super::{MsControllerConfig, RegionSpec, Start, QUIET_GRACE};
 use crate::msgs::*;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    Active,
-    Dead,
-    Departing,
-    Gone,
-}
 
 /// One in-flight departure state transfer (§III-E, Fig 7).
 struct DepartingTransfer {
@@ -75,22 +67,21 @@ enum FlushScope {
 }
 
 struct RegionRt {
-    spec: RegionSpec,
-    /// Shared snapshot payload: built once, `Arc`ed into every
-    /// membership snapshot instead of cloned per target.
-    slot_actors: Arc<Vec<ActorId>>,
-    op_slot: Vec<u32>,
-    slot_state: Vec<SlotState>,
+    graph: Arc<QueryGraph>,
+    /// The region's slot table: placement, phone actors, slot states.
+    table: Placement,
+    wifi: ActorId,
+    sensors: Vec<ActorId>,
+    min_active: u32,
+    /// Phones required before the stopped region restarts: the number
+    /// of hosting slots it was deployed with, so the restart isn't
+    /// hopelessly overloaded.
+    restart_min: u32,
     version: u64,
     last_complete: u64,
     ckpt_expected: BTreeSet<u32>,
     ckpt_got: BTreeSet<u32>,
-    pending_failures: BTreeSet<u32>,
-    recover_scheduled: bool,
-    recovering: bool,
-    recovery_started: SimTime,
-    recovery_failures: usize,
-    outstanding_acks: BTreeSet<u32>,
+    episode: RecoveryEpisode,
     last_recovery_end: SimTime,
     stopped: bool,
     /// In-flight departure transfers, keyed by the departing slot.
@@ -125,49 +116,6 @@ struct RegionRt {
     pending_flush: Option<FlushScope>,
 }
 
-impl RegionRt {
-    fn active_slots(&self) -> Vec<u32> {
-        (0..self.slot_state.len() as u32)
-            .filter(|&s| self.slot_state[s as usize] == SlotState::Active)
-            .collect()
-    }
-
-    fn hosting_slots(&self) -> BTreeSet<u32> {
-        self.op_slot
-            .iter()
-            .copied()
-            .filter(|&s| s != u32::MAX)
-            .collect()
-    }
-
-    fn idle_active_slots(&self) -> Vec<u32> {
-        let hosting = self.hosting_slots();
-        self.active_slots()
-            .into_iter()
-            .filter(|s| !hosting.contains(s))
-            .collect()
-    }
-
-    fn ops_on(&self, slot: u32) -> Vec<OpId> {
-        self.op_slot
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s == slot)
-            .map(|(i, _)| OpId(i as u32))
-            .collect()
-    }
-
-    fn source_slots(&self) -> BTreeSet<u32> {
-        self.spec
-            .graph
-            .sources()
-            .iter()
-            .map(|&op| self.op_slot[op.index()])
-            .filter(|&s| s != u32::MAX)
-            .collect()
-    }
-}
-
 /// The per-region-group controller actor.
 pub struct RegionController {
     cfg: MsControllerConfig,
@@ -177,8 +125,7 @@ pub struct RegionController {
     /// First global region index of the group (regions are contiguous).
     first_region: usize,
     regions: Vec<RegionRt>,
-    ping_round: u64,
-    ping_outstanding: BTreeMap<u64, BTreeSet<(usize, u32)>>,
+    pings: PingRounds,
     next_tag: u64,
     /// Tagged ping/probe sends: tag → target region. A `TxSevered`
     /// completion on one of these is the evidence that marks the
@@ -226,34 +173,28 @@ impl RegionController {
     ) -> Self {
         let regions = specs
             .into_iter()
-            .map(|spec| {
-                let slots = spec.slot_actors.len();
-                RegionRt {
-                    slot_actors: Arc::new(spec.slot_actors.clone()),
-                    op_slot: spec.placement.op_slot.clone(),
-                    slot_state: vec![SlotState::Active; slots],
-                    version: 0,
-                    last_complete: 0,
-                    ckpt_expected: BTreeSet::new(),
-                    ckpt_got: BTreeSet::new(),
-                    pending_failures: BTreeSet::new(),
-                    recover_scheduled: false,
-                    recovering: false,
-                    recovery_started: SimTime::ZERO,
-                    recovery_failures: 0,
-                    outstanding_acks: BTreeSet::new(),
-                    last_recovery_end: SimTime::ZERO,
-                    stopped: false,
-                    departing_transfers: BTreeMap::new(),
-                    degraded_urgent: BTreeMap::new(),
-                    recent_installs: BTreeMap::new(),
-                    severed: false,
-                    probe_epoch: 0,
-                    probe_backoff: SimDuration::ZERO,
-                    log: MembershipLog::new(slots),
-                    pending_flush: None,
-                    spec,
-                }
+            .map(|spec| RegionRt {
+                graph: spec.graph,
+                restart_min: spec.placement.hosting_slots().len() as u32,
+                log: MembershipLog::new(spec.placement.slots() as usize),
+                table: spec.placement,
+                wifi: spec.wifi,
+                sensors: spec.sensors,
+                min_active: spec.min_active,
+                version: 0,
+                last_complete: 0,
+                ckpt_expected: BTreeSet::new(),
+                ckpt_got: BTreeSet::new(),
+                episode: RecoveryEpisode::default(),
+                last_recovery_end: SimTime::ZERO,
+                stopped: false,
+                departing_transfers: BTreeMap::new(),
+                degraded_urgent: BTreeMap::new(),
+                recent_installs: BTreeMap::new(),
+                severed: false,
+                probe_epoch: 0,
+                probe_backoff: SimDuration::ZERO,
+                pending_flush: None,
             })
             .collect();
         RegionController {
@@ -263,8 +204,7 @@ impl RegionController {
             group,
             first_region,
             regions,
-            ping_round: 0,
-            ping_outstanding: BTreeMap::new(),
+            pings: PingRounds::default(),
             next_tag: 1,
             ping_tags: BTreeMap::new(),
             severed_episodes: Vec::new(),
@@ -307,7 +247,7 @@ impl RegionController {
             && self
                 .regions
                 .get(region - self.first_region)
-                .is_some_and(|rt| (slot as usize) < rt.slot_state.len());
+                .is_some_and(|rt| rt.table.valid(slot));
         if !ok {
             self.malformed_msgs += 1;
         }
@@ -324,31 +264,14 @@ impl RegionController {
         self.rt(region).stopped
     }
 
-    fn send_ctl(&mut self, ctx: &mut Ctx, dst: ActorId, bytes: u64, ev: impl Event) {
-        let src = ctx.self_id();
-        let cell = self.cell;
-        ctx.send(
-            cell,
-            CellSend {
-                src,
-                dst,
-                class: TrafficClass::Control,
-                bytes,
-                tag: 0,
-                payload: Some(payload(ev)),
-            },
-        );
-    }
-
     /// Record any slot-activity transitions into the region's
     /// membership log and make sure a flush is pending for this tick.
     /// Consecutive calls within one tick (e.g. a rejoin that also
     /// triggers a reinstall) coalesce into a single flush.
     fn membership_changed(&mut self, region: usize, scope: FlushScope, ctx: &mut Ctx) {
         let rt = self.rt_mut(region);
-        for s in 0..rt.slot_state.len() {
-            let active = rt.slot_state[s] == SlotState::Active;
-            rt.log.record(s as u32, active);
+        for s in 0..rt.table.slots() {
+            rt.log.record(s, rt.table.is_active(s));
         }
         match rt.pending_flush {
             Some(FlushScope::AllActive) => {}
@@ -378,80 +301,64 @@ impl RegionController {
     /// observed epoch (suffixes shared across targets). Phones already
     /// at the head get nothing.
     fn send_deltas(&mut self, region: usize, scope: FlushScope, ctx: &mut Ctx) {
-        let (snapshots, snapshot, deltas) = {
-            let rt = self.rt_mut(region);
-            // Behind a partition every send would age out unobserved;
-            // the heal resync resets observed epochs and re-flushes.
-            if rt.severed {
-                return;
+        let rt = &mut self.regions[region - self.first_region];
+        // Behind a partition every send would age out unobserved;
+        // the heal resync resets observed epochs and re-flushes.
+        if rt.severed {
+            return;
+        }
+        let head = rt.log.head();
+        let active = rt.table.active_slots();
+        let targets: Vec<u32> = match scope {
+            FlushScope::AllActive => active,
+            FlushScope::Stakeholders => {
+                let hosting = rt.table.hosting_slots();
+                let proxy = active.first().copied();
+                active
+                    .into_iter()
+                    .filter(|&s| {
+                        hosting.contains(&s) || Some(s) == proxy || rt.log.observed(s).is_none()
+                    })
+                    .collect()
             }
-            let head = rt.log.head();
-            let active = rt.active_slots();
-            let targets: Vec<u32> = match scope {
-                FlushScope::AllActive => active,
-                FlushScope::Stakeholders => {
-                    let hosting = rt.hosting_slots();
-                    let proxy = active.first().copied();
-                    active
-                        .into_iter()
-                        .filter(|&s| {
-                            hosting.contains(&s) || Some(s) == proxy || rt.log.observed(s).is_none()
-                        })
-                        .collect()
-                }
-            };
-            let mut snapshots: Vec<ActorId> = Vec::new();
-            let mut deltas: Vec<(ActorId, MembershipDelta)> = Vec::new();
-            let mut cache = SuffixCache::new();
-            let mut active_arc: Option<Arc<Vec<u32>>> = None;
-            for slot in targets {
-                let dst = rt.slot_actors[slot as usize];
-                match rt.log.observed(slot) {
-                    None => {
-                        snapshots.push(dst);
-                        rt.log.note_synced(slot, head);
-                    }
-                    Some(base) if base < head => {
-                        let (base, changes) = cache.for_base(&rt.log, base);
-                        deltas.push((
-                            dst,
-                            MembershipDelta {
-                                base_epoch: base,
-                                epoch: head,
-                                changes,
-                            },
-                        ));
-                        rt.log.note_synced(slot, head);
-                    }
-                    Some(_) => {}
-                }
-            }
-            let snapshot = if snapshots.is_empty() {
-                None
-            } else {
-                let active = active_arc
-                    .get_or_insert_with(|| Arc::new(rt.active_slots()))
-                    .clone();
-                Some(MembershipUpdate {
-                    slot_actors: Arc::clone(&rt.slot_actors),
-                    active_slots: active,
-                    epoch: head,
-                })
-            };
-            (snapshots, snapshot, deltas)
         };
-        if let Some(update) = snapshot {
-            for dst in snapshots {
-                self.membership_msgs += 1;
-                self.membership_bytes += wire::MEMBERSHIP;
-                self.send_ctl(ctx, dst, wire::MEMBERSHIP, update.clone());
+        // Snapshots go out first, then the deltas.
+        let mut snapshot: Option<MembershipUpdate> = None;
+        let mut deltas: Vec<(ActorId, MembershipDelta)> = Vec::new();
+        let mut cache = SuffixCache::new();
+        for slot in targets {
+            let dst = rt.table.actor(slot);
+            match rt.log.observed(slot) {
+                None => {
+                    let update = snapshot.get_or_insert_with(|| MembershipUpdate {
+                        slot_actors: Arc::clone(rt.table.slot_actors()),
+                        active_slots: Arc::new(rt.table.active_slots()),
+                        epoch: head,
+                    });
+                    self.membership_msgs += 1;
+                    self.membership_bytes += wire::MEMBERSHIP;
+                    send_ctl(ctx, self.cell, dst, wire::MEMBERSHIP, update.clone());
+                }
+                Some(base) if base < head => {
+                    let (base, changes) = cache.for_base(&rt.log, base);
+                    deltas.push((
+                        dst,
+                        MembershipDelta {
+                            base_epoch: base,
+                            epoch: head,
+                            changes,
+                        },
+                    ));
+                }
+                Some(_) => continue,
             }
+            rt.log.note_synced(slot, head);
         }
         for (dst, delta) in deltas {
             let bytes = wire::DELTA_BASE + wire::DELTA_PER_CHANGE * delta.changes.len() as u64;
             self.membership_msgs += 1;
             self.membership_bytes += bytes;
-            self.send_ctl(ctx, dst, bytes, delta);
+            send_ctl(ctx, self.cell, dst, bytes, delta);
         }
     }
 
@@ -468,25 +375,21 @@ impl RegionController {
     /// adjacent phone). Relayed through the coordinator: the sensors
     /// live on their region's shard, which within a group may differ
     /// from this controller's.
-    fn redirect_sensors(&mut self, region: usize, ctx: &mut Ctx) {
+    fn redirect_sensors(&self, region: usize, ctx: &mut Ctx) {
         let rt = self.rt(region);
-        if rt.spec.sensors.is_empty() {
-            return;
-        }
-        let mut redirects = Vec::new();
-        for &op in &rt.spec.graph.sources() {
-            let slot = rt.op_slot[op.index()];
-            if slot != u32::MAX {
-                redirects.push(dsps::workload::SensorRedirect {
-                    op,
-                    actor: rt.spec.slot_actors[slot as usize],
-                });
-            }
-        }
-        let coordinator = self.coordinator;
-        for &sensor in &self.rt(region).spec.sensors.clone() {
+        let redirects: Vec<_> = rt
+            .graph
+            .sources()
+            .into_iter()
+            .filter(|&op| rt.table.slot_of(op) != u32::MAX)
+            .map(|op| dsps::workload::SensorRedirect {
+                op,
+                actor: rt.table.actor_of(op),
+            })
+            .collect();
+        for &sensor in &rt.sensors {
             for &redirect in &redirects {
-                ctx.send(coordinator, RelaySensorRedirect { sensor, redirect });
+                ctx.send(self.coordinator, RelaySensorRedirect { sensor, redirect });
             }
         }
     }
@@ -495,44 +398,34 @@ impl RegionController {
     /// data: hosting phones plus degraded departed phones still
     /// computing over cellular. (Idle phones receive their tables with
     /// the `Install` if they ever become replacements.)
-    fn push_routing(&mut self, region: usize, ctx: &mut Ctx) {
-        let (update, targets) = {
-            let rt = self.rt(region);
-            let hosting = rt.hosting_slots();
-            let mut slots: BTreeSet<u32> = rt
-                .active_slots()
-                .into_iter()
-                .filter(|s| hosting.contains(s))
-                .collect();
-            slots.extend(rt.degraded_urgent.keys().copied());
-            (
-                UpdateRouting {
-                    op_slot: Some(rt.op_slot.clone()),
-                    slot_actors: Some(rt.spec.slot_actors.clone()),
-                },
-                slots
-                    .into_iter()
-                    .map(|s| rt.spec.slot_actors[s as usize])
-                    .collect::<Vec<_>>(),
-            )
-        };
-        for dst in targets {
-            self.send_ctl(ctx, dst, wire::MEMBERSHIP, update.clone());
+    fn push_routing(&self, region: usize, ctx: &mut Ctx) {
+        let rt = self.rt(region);
+        let hosting = rt.table.hosting_slots();
+        let mut slots: BTreeSet<u32> = rt
+            .table
+            .active_slots()
+            .into_iter()
+            .filter(|s| hosting.contains(s))
+            .collect();
+        slots.extend(rt.degraded_urgent.keys().copied());
+        let update = rt.table.routing();
+        for s in slots {
+            let dst = rt.table.actor(s);
+            send_ctl(ctx, self.cell, dst, wire::MEMBERSHIP, update.clone());
         }
     }
 
     /// Report this region's placement / stop state to the coordinator,
     /// which bumps the placement epoch and re-resolves inter-region
     /// wiring for the region and its upstreams.
-    fn send_status(&mut self, region: usize, ctx: &mut Ctx) {
+    fn send_status(&self, region: usize, ctx: &mut Ctx) {
         let rt = self.rt(region);
         let status = RegionStatus {
             region,
-            op_slot: Arc::new(rt.op_slot.clone()),
+            op_slot: Arc::new(rt.table.op_slot().to_vec()),
             stopped: rt.stopped,
         };
-        let coordinator = self.coordinator;
-        ctx.send(coordinator, status);
+        ctx.send(self.coordinator, status);
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
@@ -556,11 +449,12 @@ impl RegionController {
     /// snapshots onto WiFi: any active phone (lowest slot for
     /// determinism).
     fn pick_proxy(&self, region: usize, degraded: u32) -> Option<ActorId> {
-        let rt = self.rt(region);
-        rt.active_slots()
+        let table = &self.rt(region).table;
+        table
+            .active_slots()
             .into_iter()
             .find(|&s| s != degraded)
-            .map(|s| rt.spec.slot_actors[s as usize])
+            .map(|s| table.actor(s))
     }
 
     fn on_ckpt_tick(&mut self, region: usize, ctx: &mut Ctx) {
@@ -570,40 +464,21 @@ impl RegionController {
             me,
             CtlTimer::CheckpointTick { region },
         );
-        {
-            let rt = self.rt_mut(region);
-            if rt.stopped || rt.recovering {
-                return;
-            }
-            // Behind a partition no trigger would arrive and no report
-            // would return: freeze the round counter so the in-flight
-            // round can still commit from retried reports after the
-            // heal instead of being obsoleted by a stillborn round.
-            if rt.severed {
-                return;
-            }
-            rt.version += 1;
-            rt.ckpt_expected = rt.hosting_slots();
-            rt.ckpt_got = BTreeSet::new();
+        let rt = self.rt_mut(region);
+        if rt.stopped || rt.episode.recovering() {
+            return;
         }
-        let (version, targets, degraded) = {
-            let rt = self.rt(region);
-            // Degraded slots (departed, no replacement) keep computing
-            // over cellular and stay in `ckpt_expected` — a degraded
-            // *source* must still receive the round trigger, which
-            // reaches it over its live cellular link.
-            let targets: Vec<ActorId> = rt
-                .source_slots()
-                .into_iter()
-                .filter(|&s| {
-                    rt.slot_state[s as usize] == SlotState::Active
-                        || rt.degraded_urgent.contains_key(&s)
-                })
-                .map(|s| rt.spec.slot_actors[s as usize])
-                .collect();
-            let degraded: Vec<u32> = rt.degraded_urgent.keys().copied().collect();
-            (rt.version, targets, degraded)
-        };
+        // Behind a partition no trigger would arrive and no report
+        // would return: freeze the round counter so the in-flight
+        // round can still commit from retried reports after the
+        // heal instead of being obsoleted by a stillborn round.
+        if rt.severed {
+            return;
+        }
+        rt.version += 1;
+        rt.ckpt_expected = rt.table.hosting_slots();
+        rt.ckpt_got = BTreeSet::new();
+        let rt = self.rt(region);
         // Refresh each degraded slot's snapshot proxy once per round so
         // proxy churn (the relay failing or departing) self-heals.
         // Sent BEFORE StartCheckpoint: both ride the same FIFO cellular
@@ -611,14 +486,34 @@ impl RegionController {
         // moment the trigger arrives — with the old ordering it would
         // ship this round's snapshot to the previous round's (possibly
         // departed) proxy and lose the round.
-        for slot in degraded {
+        for &slot in rt.degraded_urgent.keys() {
             if let Some(proxy) = self.pick_proxy(region, slot) {
-                let dst = self.rt(region).spec.slot_actors[slot as usize];
-                self.send_ctl(ctx, dst, wire::CONTROL, DegradedCheckpointVia { proxy });
+                let dst = rt.table.actor(slot);
+                send_ctl(
+                    ctx,
+                    self.cell,
+                    dst,
+                    wire::CONTROL,
+                    DegradedCheckpointVia { proxy },
+                );
             }
         }
-        for dst in targets {
-            self.send_ctl(ctx, dst, wire::CONTROL, StartCheckpoint { version });
+        // Degraded slots (departed, no replacement) keep computing
+        // over cellular and stay in `ckpt_expected` — a degraded
+        // *source* must still receive the round trigger, which
+        // reaches it over its live cellular link.
+        let version = rt.version;
+        for s in rt.table.source_slots(&rt.graph) {
+            if rt.table.is_active(s) || rt.degraded_urgent.contains_key(&s) {
+                let dst = rt.table.actor(s);
+                send_ctl(
+                    ctx,
+                    self.cell,
+                    dst,
+                    wire::CONTROL,
+                    StartCheckpoint { version },
+                );
+            }
         }
     }
 
@@ -646,7 +541,7 @@ impl RegionController {
     /// extra epoch.
     fn try_commit_round(&mut self, region: usize, ctx: &mut Ctx) {
         let rt = self.rt_mut(region);
-        if rt.recovering || rt.stopped {
+        if rt.episode.recovering() || rt.stopped {
             return;
         }
         // `last_complete >= version` also guards double commits: a
@@ -661,64 +556,58 @@ impl RegionController {
         let version = rt.version;
         rt.last_complete = version;
         self.commits.push((region, version, ctx.now()));
-        let targets: Vec<ActorId> = {
-            let rt = self.rt(region);
-            // Degraded slots are not "active" but participate in every
-            // round over cellular — without the commit notice their
-            // stores never GC and grow by a full state copy plus an
-            // epoch's preserved inputs per tick, unbounded for the
-            // life of the degradation.
-            rt.active_slots()
-                .into_iter()
-                .chain(rt.degraded_urgent.keys().copied())
-                .map(|s| rt.spec.slot_actors[s as usize])
-                .collect()
-        };
-        for dst in targets {
-            self.send_ctl(ctx, dst, wire::CONTROL, CheckpointComplete { version });
+        let rt = self.rt(region);
+        // Degraded slots are not "active" but participate in every
+        // round over cellular — without the commit notice their
+        // stores never GC and grow by a full state copy plus an
+        // epoch's preserved inputs per tick, unbounded for the
+        // life of the degradation.
+        let notified = rt
+            .table
+            .active_slots()
+            .into_iter()
+            .chain(rt.degraded_urgent.keys().copied());
+        for s in notified {
+            let dst = rt.table.actor(s);
+            send_ctl(
+                ctx,
+                self.cell,
+                dst,
+                wire::CONTROL,
+                CheckpointComplete { version },
+            );
         }
     }
 
     fn on_ping_tick(&mut self, ctx: &mut Ctx) {
         let me = ctx.self_id();
         ctx.send_in(self.cfg.ping_period, me, CtlTimer::PingTick);
-        self.ping_round += 1;
-        let round = self.ping_round;
-        let mut outstanding = BTreeSet::new();
-        let mut targets = Vec::new();
+        let mut targets = BTreeSet::new();
         for (i, rt) in self.regions.iter().enumerate() {
-            let r = self.first_region + i;
             // Severed regions are unreachable, not dead: pinging them
             // would only arm deadlines that misread weather as failure.
             // The probe loop owns contact until the heal.
             if rt.stopped || rt.severed {
                 continue;
             }
-            for s in rt.source_slots() {
-                if rt.slot_state[s as usize] == SlotState::Active {
-                    outstanding.insert((r, s));
-                    targets.push((r, rt.spec.slot_actors[s as usize]));
-                }
-            }
+            let sources = rt.table.source_slots(&rt.graph);
+            let live = sources.into_iter().filter(|&s| rt.table.is_active(s));
+            targets.extend(live.map(|s| (self.first_region + i, s)));
         }
-        if outstanding.is_empty() {
+        let Some(round) = self.pings.begin(targets.clone()) else {
             return;
-        }
-        self.ping_outstanding.insert(round, outstanding);
-        for (r, dst) in targets {
+        };
+        for (r, s) in targets {
             // Tagged so a partition answers with `TxSevered` evidence
             // before the ping deadline can misfire.
+            let dst = self.rt(r).table.actor(s);
             self.send_ping_tagged(ctx, dst, r, round);
         }
-        let me = ctx.self_id();
         ctx.send_in(self.cfg.ping_timeout, me, CtlTimer::PingDeadline { round });
     }
 
     fn on_ping_deadline(&mut self, round: u64, ctx: &mut Ctx) {
-        let Some(unanswered) = self.ping_outstanding.remove(&round) else {
-            return;
-        };
-        for (region, slot) in unanswered {
+        for (region, slot) in self.pings.expire(round) {
             self.note_failure(region, slot, ctx);
         }
     }
@@ -729,19 +618,8 @@ impl RegionController {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.ping_tags.insert(tag, region);
-        let src = ctx.self_id();
-        let cell = self.cell;
-        ctx.send(
-            cell,
-            CellSend {
-                src,
-                dst,
-                class: TrafficClass::Control,
-                bytes: wire::PING,
-                tag,
-                payload: Some(payload(dsps::node::Ping { nonce })),
-            },
-        );
+        let ping = dsps::node::Ping { nonce };
+        send_ctl_tagged(ctx, self.cell, dst, wire::PING, tag, ping);
     }
 
     /// A tagged controller send aged out behind a partition: the whole
@@ -764,9 +642,10 @@ impl RegionController {
         // Amnesty for failures noted in the evidence gap just before
         // the partition was recognized: their silence was the weather.
         // Anything genuinely dead is re-detected by post-heal pings.
-        for s in std::mem::take(&mut rt.pending_failures) {
-            if rt.slot_state[s as usize] == SlotState::Dead {
-                rt.slot_state[s as usize] = SlotState::Active;
+        // (The gather timer stays armed and finds nothing to recover.)
+        for s in std::mem::take(&mut rt.episode.pending) {
+            if rt.table.state(s) == SlotState::Dead {
+                rt.table.set_state(s, SlotState::Active);
             }
         }
         rt.probe_epoch += 1;
@@ -781,18 +660,13 @@ impl RegionController {
     /// Severed again → the next probe waits twice as long (capped).
     fn on_probe_severed(&mut self, region: usize, epoch: u64, ctx: &mut Ctx) {
         let cap = self.cfg.severed_probe_cap;
-        let (target, next) = {
-            let rt = self.rt_mut(region);
-            if !rt.severed || rt.probe_epoch != epoch {
-                return;
-            }
-            rt.probe_backoff = rt.probe_backoff.saturating_mul(2).min(cap);
-            let target = rt
-                .active_slots()
-                .first()
-                .map(|&s| rt.spec.slot_actors[s as usize]);
-            (target, rt.probe_backoff)
-        };
+        let rt = self.rt_mut(region);
+        if !rt.severed || rt.probe_epoch != epoch {
+            return;
+        }
+        rt.probe_backoff = rt.probe_backoff.saturating_mul(2).min(cap);
+        let next = rt.probe_backoff;
+        let target = rt.table.active_slots().first().map(|&s| rt.table.actor(s));
         if let Some(dst) = target {
             self.send_ping_tagged(ctx, dst, region, 0);
         }
@@ -802,9 +676,7 @@ impl RegionController {
 
     /// Any message from a severed region is proof the partition healed.
     fn note_region_contact(&mut self, region: usize, ctx: &mut Ctx) {
-        let in_group =
-            region >= self.first_region && region < self.first_region + self.regions.len();
-        if in_group && self.rt(region).severed {
+        if self.region_indices().contains(&region) && self.rt(region).severed {
             self.mark_healed(region, ctx);
         }
     }
@@ -816,19 +688,17 @@ impl RegionController {
     /// (the `last_complete >= version` guard makes double commits
     /// impossible).
     fn mark_healed(&mut self, region: usize, ctx: &mut Ctx) {
-        {
-            let rt = self.rt_mut(region);
-            if !rt.severed {
-                return;
-            }
-            rt.severed = false;
-            rt.probe_epoch += 1;
-            rt.probe_backoff = SimDuration::ZERO;
-            // Sends into the region aged out unobserved while severed:
-            // nothing can be assumed about any phone's membership
-            // epoch. Snapshot everyone on the next flush.
-            rt.log.reset_all();
+        let rt = self.rt_mut(region);
+        if !rt.severed {
+            return;
         }
+        rt.severed = false;
+        rt.probe_epoch += 1;
+        rt.probe_backoff = SimDuration::ZERO;
+        // Sends into the region aged out unobserved while severed:
+        // nothing can be assumed about any phone's membership
+        // epoch. Snapshot everyone on the next flush.
+        rt.log.reset_all();
         if let Some(start) = self.severed_open.remove(&region) {
             self.severed_episodes.push((region, start, ctx.now()));
         }
@@ -857,17 +727,16 @@ impl RegionController {
         // While a recovery is reconfiguring the region (and shortly
         // after), nodes legitimately go quiet — don't let that look
         // like fresh failures.
-        if rt.recovering
+        if rt.episode.recovering()
             || (rt.last_recovery_end != SimTime::ZERO
                 && ctx.now().since(rt.last_recovery_end) < QUIET_GRACE)
         {
             return;
         }
-        match rt.slot_state[slot as usize] {
-            SlotState::Active => {}
-            // Departures have their own flow (§III-E); dead/gone slots
-            // are already being handled.
-            SlotState::Departing | SlotState::Dead | SlotState::Gone => return,
+        // Departures have their own flow (§III-E); dead/gone slots
+        // are already being handled.
+        if !rt.table.is_active(slot) {
+            return;
         }
         // A departure replacement is loading the transferred state: it
         // answers nothing while installing, so peers legitimately
@@ -892,7 +761,7 @@ impl RegionController {
             // transfer, so it is released too (the recovery rebuilds
             // the WiFi routing anyway).
             let t = rt.departing_transfers.remove(&departing);
-            rt.slot_state[departing as usize] = SlotState::Gone;
+            rt.table.set_state(departing, SlotState::Gone);
             stalled_edges = t.map(|t| t.edges);
         }
         if let Some(&done_at) = rt.recent_installs.get(&slot) {
@@ -900,13 +769,8 @@ impl RegionController {
                 return;
             }
         }
-        rt.slot_state[slot as usize] = SlotState::Dead;
-        rt.pending_failures.insert(slot);
-        if !rt.recover_scheduled {
-            rt.recover_scheduled = true;
-            if rt.pending_failures.len() == 1 {
-                rt.recovery_started = ctx.now();
-            }
+        rt.table.set_state(slot, SlotState::Dead);
+        if rt.episode.note(slot, ctx.now()) {
             let me = ctx.self_id();
             ctx.send_in(gather_window, me, CtlTimer::RecoverNow { region });
         }
@@ -918,40 +782,28 @@ impl RegionController {
     /// Tear down urgent (cellular) routing for the edges of one
     /// finished or stalled departure transfer, keeping any edge some
     /// other in-flight transfer still bridges.
-    fn release_urgent_edges(&mut self, region: usize, edges: &[EdgeId], ctx: &mut Ctx) {
-        let (off, targets) = {
-            let rt = self.rt_mut(region);
-            let still_needed: BTreeSet<EdgeId> = rt
-                .departing_transfers
-                .values()
-                .flat_map(|t| t.edges.iter().copied())
-                .chain(rt.degraded_urgent.values().flatten().copied())
-                .collect();
-            let off: Vec<EdgeId> = edges
-                .iter()
-                .copied()
-                .filter(|e| !still_needed.contains(e))
-                .collect();
-            if off.is_empty() {
-                return;
-            }
-            let targets: Vec<ActorId> = rt
-                .active_slots()
-                .into_iter()
-                .map(|s| rt.spec.slot_actors[s as usize])
-                .collect();
-            (off, targets)
-        };
-        for dst in targets {
-            self.send_ctl(
-                ctx,
-                dst,
-                wire::CONTROL,
-                SetUrgentEdges {
-                    edges: off.clone(),
-                    on: false,
-                },
-            );
+    fn release_urgent_edges(&self, region: usize, edges: &[EdgeId], ctx: &mut Ctx) {
+        let rt = self.rt(region);
+        let still_needed: BTreeSet<EdgeId> = rt
+            .departing_transfers
+            .values()
+            .flat_map(|t| t.edges.iter().copied())
+            .chain(rt.degraded_urgent.values().flatten().copied())
+            .collect();
+        let off: Vec<EdgeId> = edges
+            .iter()
+            .copied()
+            .filter(|e| !still_needed.contains(e))
+            .collect();
+        if off.is_empty() {
+            return;
+        }
+        for s in rt.table.active_slots() {
+            let update = SetUrgentEdges {
+                edges: off.clone(),
+                on: false,
+            };
+            send_ctl(ctx, self.cell, rt.table.actor(s), wire::CONTROL, update);
         }
     }
 
@@ -963,188 +815,105 @@ impl RegionController {
         self.send_status(region, ctx);
     }
 
-    /// Hand a bulk install to the coordinator, which ships it over its
-    /// fat cellular endpoint and reports the tagged completion back as
-    /// an [`InstallOutcome`].
-    fn ship_install(
-        &mut self,
-        ctx: &mut Ctx,
-        region: usize,
-        slot: u32,
-        dst: ActorId,
-        bytes: u64,
-        install: Install,
-    ) {
-        let coordinator = self.coordinator;
+    /// The install that makes `slot` host what the region's table says
+    /// it hosts, with the modeled load time of that many operators.
+    fn install_for(&self, region: usize, slot: u32, states: InstallStates) -> Install {
+        let table = &self.rt(region).table;
+        let mut install = table.install_for(slot, states, self.cfg.ready_overhead);
+        install.ready_in += self.cfg.ready_per_op * install.ops.len() as u64;
+        install
+    }
+
+    /// Hand `slot`'s bulk install to the coordinator, which ships it
+    /// (charged as operator code) over its fat cellular endpoint and
+    /// reports the tagged completion back as an [`InstallOutcome`].
+    fn ship_install(&self, ctx: &mut Ctx, region: usize, slot: u32, states: InstallStates) {
+        let install = self.install_for(region, slot, states);
         ctx.send(
-            coordinator,
+            self.coordinator,
             ShipInstall {
                 region,
                 slot,
-                dst,
-                bytes,
+                dst: self.rt(region).table.actor(slot),
+                bytes: self.cfg.code_bytes_per_op * install.ops.len().max(1) as u64,
                 install,
             },
         );
     }
 
+    /// Roll every usable hosting slot outside `installing` back to the
+    /// MRC `version`; the recovery ends once those and the `installing`
+    /// slots have acked.
+    fn rollback_survivors(
+        &mut self,
+        region: usize,
+        installing: BTreeSet<u32>,
+        version: u64,
+        ctx: &mut Ctx,
+    ) {
+        let rt = self.rt(region);
+        let hosting = rt.table.hosting_slots();
+        let survivors = hosting
+            .into_iter()
+            .filter(|&s| !installing.contains(&s) && rt.table.is_active(s));
+        let mut acks = installing.clone();
+        for s in survivors {
+            let dst = rt.table.actor(s);
+            send_ctl(ctx, self.cell, dst, wire::CONTROL, RollbackTo { version });
+            acks.insert(s);
+        }
+        self.rt_mut(region).episode.await_acks(acks);
+    }
+
     fn on_recover_now(&mut self, region: usize, ctx: &mut Ctx) {
         let now = ctx.now();
-        let (failed, version, hosting_failed) = {
-            let rt = self.rt_mut(region);
-            rt.recover_scheduled = false;
-            if rt.stopped {
-                rt.pending_failures.clear();
-                return;
-            }
-            // Partition evidence arrived after the burst gathered:
-            // launching a recovery at an unreachable region would only
-            // reassign operators nobody can be told about. The heal
-            // resync re-detects any real deaths.
-            if rt.severed {
-                rt.pending_failures.clear();
-                return;
-            }
-            let failed: Vec<u32> = std::mem::take(&mut rt.pending_failures)
-                .into_iter()
-                .collect();
-            if failed.is_empty() {
-                return;
-            }
-            rt.recovering = true;
-            rt.recovery_failures = failed.len();
-            if rt.recovery_started == SimTime::ZERO {
-                rt.recovery_started = now;
-            }
-            let hosting_failed: Vec<u32> = failed
-                .iter()
-                .copied()
-                .filter(|&s| !rt.ops_on(s).is_empty())
-                .collect();
-            (failed, rt.last_complete, hosting_failed)
-        };
-        let _ = failed;
-
-        // Pick replacements for every failed hosting slot: idle nodes
-        // preferred ("the controller can select any healthy node in the
-        // region (idle nodes are preferred)"), then spread over healthy
-        // hosting nodes round-robin — every node holds the MRC copy, so
-        // any of them can restore any operator.
-        let mut replacements: Vec<(u32, u32)> = Vec::new(); // (failed, replacement)
-        {
-            let rt = self.rt(region);
-            let mut idle = rt.idle_active_slots();
-            let survivors: Vec<u32> = rt
-                .active_slots()
-                .into_iter()
-                .filter(|s| !idle.contains(s))
-                .collect();
-            let mut rr = 0usize;
-            for &f in &hosting_failed {
-                if let Some(r) = idle.pop() {
-                    replacements.push((f, r));
-                } else if !survivors.is_empty() {
-                    replacements.push((f, survivors[rr % survivors.len()]));
-                    rr += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        if replacements.len() < hosting_failed.len() {
-            // No healthy phone at all: stop and bypass the region until
-            // phones re-register (reboot path).
-            self.rt_mut(region).recovering = false;
-            self.stop_region(region, ctx);
+        let rt = self.rt_mut(region);
+        let failed = rt.episode.gathered();
+        // Severed: partition evidence arrived after the burst
+        // gathered, and launching a recovery at an unreachable region
+        // would only reassign operators nobody can be told about. The
+        // heal resync re-detects any real deaths.
+        if rt.stopped || rt.severed || failed.is_empty() {
             return;
         }
-        // Apply the new assignment.
-        {
-            let rt = self.rt_mut(region);
-            for &(f, r) in &replacements {
-                for s in rt.op_slot.iter_mut() {
-                    if *s == f {
-                        *s = r;
-                    }
-                }
+        // A burst re-queued by a rejoin has no detection time yet.
+        if rt.episode.started() == SimTime::ZERO {
+            rt.episode.begin_now(failed.len(), now);
+        } else {
+            rt.episode.begin(failed.len());
+        }
+        let version = rt.last_complete;
+        let Some(replacements) = rt.table.plan_replacements(&failed) else {
+            // No healthy phone at all: stop and bypass the region until
+            // phones re-register (reboot path).
+            rt.episode.abort();
+            self.stop_region(region, ctx);
+            return;
+        };
+        // Slots whose operators are reassigned: end any degraded
+        // cellular bridging they held.
+        let mut released: Vec<EdgeId> = Vec::new();
+        for &(f, r) in &replacements {
+            rt.table.reassign_slot(f, r);
+            if let Some(edges) = rt.degraded_urgent.remove(&f) {
+                released.extend(edges);
+                // The replacement install hands this slot's ops
+                // back to the WiFi path mid-round: stop expecting
+                // the degraded phone's cellular snapshot, or the
+                // round stalls an extra epoch. The completion
+                // re-check runs when this recovery finishes.
+                rt.ckpt_expected.remove(&f);
             }
         }
-
-        // Ship code + install to replacements (cellular, brokered by
-        // the coordinator), and roll back survivors to the MRC.
-        let (installs, rollbacks, expected_acks) = {
-            let rt = self.rt(region);
-            let states = if version > 0 {
-                InstallStates::FromLocalStore { version }
-            } else {
-                InstallStates::Fresh
-            };
-            let installs: Vec<(ActorId, Install, usize, u32)> = replacements
-                .iter()
-                .map(|&(_, r)| {
-                    let ops = rt.ops_on(r);
-                    let n = ops.len();
-                    (
-                        rt.spec.slot_actors[r as usize],
-                        Install {
-                            ops,
-                            states: states.clone(),
-                            op_slot: rt.op_slot.clone(),
-                            slot_actors: rt.spec.slot_actors.clone(),
-                            ready_in: self.cfg.ready_overhead + self.cfg.ready_per_op * (n as u64),
-                        },
-                        n,
-                        r,
-                    )
-                })
-                .collect();
-            let survivors: Vec<u32> = rt
-                .hosting_slots()
-                .into_iter()
-                .filter(|s| !replacements.iter().any(|&(_, r)| r == *s))
-                .filter(|&s| rt.slot_state[s as usize] == SlotState::Active)
-                .collect();
-            let rollbacks: Vec<ActorId> = survivors
-                .iter()
-                .map(|&s| rt.spec.slot_actors[s as usize])
-                .collect();
-            let mut acks: BTreeSet<u32> = survivors.into_iter().collect();
-            acks.extend(replacements.iter().map(|&(_, r)| r));
-            (installs, rollbacks, acks)
-        };
-
-        // Slots whose operators were just reassigned: end any degraded
-        // cellular bridging they held, and tear down phones that are
-        // still computing remotely — a departed phone stays reachable
-        // over cellular and must stop once its operators moved, or the
-        // region processes every tuple twice.
-        let (released, teardowns) = {
-            let rt = self.rt_mut(region);
-            let mut released: Vec<EdgeId> = Vec::new();
-            let mut teardowns = Vec::new();
-            for &(f, _) in &replacements {
-                if let Some(edges) = rt.degraded_urgent.remove(&f) {
-                    released.extend(edges);
-                    // The replacement install hands this slot's ops
-                    // back to the WiFi path mid-round: stop expecting
-                    // the degraded phone's cellular snapshot, or the
-                    // round stalls an extra epoch. The completion
-                    // re-check runs when this recovery finishes.
-                    rt.ckpt_expected.remove(&f);
-                }
-                teardowns.push(rt.spec.slot_actors[f as usize]);
-            }
-            (released, teardowns)
-        };
-        let routing = {
-            let rt = self.rt(region);
-            UpdateRouting {
-                op_slot: Some(rt.op_slot.clone()),
-                slot_actors: Some(rt.spec.slot_actors.clone()),
-            }
-        };
-        for dst in teardowns {
-            self.send_ctl(ctx, dst, wire::MEMBERSHIP, routing.clone());
+        // Tear down phones that are still computing remotely — a
+        // departed phone stays reachable over cellular and must stop
+        // once its operators moved, or the region processes every
+        // tuple twice.
+        let rt = self.rt(region);
+        let routing = rt.table.routing();
+        for &(f, _) in &replacements {
+            let dst = rt.table.actor(f);
+            send_ctl(ctx, self.cell, dst, wire::MEMBERSHIP, routing.clone());
         }
         if !released.is_empty() {
             self.release_urgent_edges(region, &released, ctx);
@@ -1153,14 +922,13 @@ impl RegionController {
         self.push_routing(region, ctx);
         self.membership_changed(region, FlushScope::Stakeholders, ctx);
         self.redirect_sensors(region, ctx);
-        for (dst, install, n_ops, slot) in installs {
-            let bytes = self.cfg.code_bytes_per_op * n_ops as u64;
-            self.ship_install(ctx, region, slot, dst, bytes, install);
+        // Ship code + install to replacements (cellular, brokered by
+        // the coordinator), and roll back survivors to the MRC.
+        let installing: BTreeSet<u32> = replacements.iter().map(|&(_, r)| r).collect();
+        for &(_, r) in &replacements {
+            self.ship_install(ctx, region, r, InstallStates::from_mrc(version));
         }
-        for dst in rollbacks {
-            self.send_ctl(ctx, dst, wire::CONTROL, RollbackTo { version });
-        }
-        self.rt_mut(region).outstanding_acks = expected_acks;
+        self.rollback_survivors(region, installing, version, ctx);
         self.send_status(region, ctx);
         let me = ctx.self_id();
         ctx.send_in(self.cfg.ack_deadline, me, CtlTimer::AckDeadline { region });
@@ -1168,36 +936,24 @@ impl RegionController {
 
     /// All acks in (or deadline): restart the region's dataflow.
     fn finish_recovery(&mut self, region: usize, ctx: &mut Ctx) {
-        let (version, sources, started, failures) = {
-            let rt = self.rt_mut(region);
-            if !rt.recovering {
-                return;
-            }
-            rt.recovering = false;
-            rt.outstanding_acks.clear();
-            let version = rt.last_complete;
-            let sources: Vec<ActorId> = rt
-                .source_slots()
-                .into_iter()
-                .filter(|&s| rt.slot_state[s as usize] == SlotState::Active)
-                .map(|s| rt.spec.slot_actors[s as usize])
-                .collect();
-            let started = rt.recovery_started;
-            rt.recovery_started = SimTime::ZERO;
-            (version, sources, started, rt.recovery_failures)
-        };
+        let rt = self.rt_mut(region);
+        if !rt.episode.recovering() {
+            return;
+        }
+        let record = rt.episode.finish(region, ctx.now());
+        rt.last_recovery_end = ctx.now();
+        let rt = self.rt(region);
+        let version = rt.last_complete;
         if version > 0 {
-            for dst in sources {
-                self.send_ctl(ctx, dst, wire::CONTROL, ReplayInputs { epoch: version });
+            for s in rt.table.source_slots(&rt.graph) {
+                if rt.table.is_active(s) {
+                    let dst = rt.table.actor(s);
+                    let replay = ReplayInputs { epoch: version };
+                    send_ctl(ctx, self.cell, dst, wire::CONTROL, replay);
+                }
             }
         }
-        self.rt_mut(region).last_recovery_end = ctx.now();
-        self.recoveries.push(RecoveryRecord {
-            region,
-            failures,
-            started,
-            finished: ctx.now(),
-        });
+        self.recoveries.push(record);
         // Snapshot reports accepted while the recovery ran may have
         // completed the in-flight round — commit it now rather than
         // stalling it until the next report (which may never come).
@@ -1206,10 +962,10 @@ impl RegionController {
         if let Some(ix) = self
             .pending_reinstalls
             .iter()
-            .position(|&(r, s)| r == region && !self.rt(r).ops_on(s).is_empty())
+            .position(|&(r, s)| r == region && !self.rt(r).table.ops_on(s).is_empty())
         {
             let (r, slot) = self.pending_reinstalls.remove(ix);
-            if self.rt(r).slot_state[slot as usize] == SlotState::Active {
+            if self.rt(r).table.is_active(slot) {
                 self.reinstall_slot(r, slot, ctx);
             }
         } else {
@@ -1222,58 +978,35 @@ impl RegionController {
             return;
         }
         let region = m.region;
+        let rt = self.rt_mut(region);
         // Departure transfer ack?
-        let done_departure = {
-            let rt = self.rt_mut(region);
-            let departing: Option<u32> = rt
-                .departing_transfers
-                .iter()
-                .find(|(_, t)| t.replacement == m.slot)
-                .map(|(&d, _)| d);
-            if let Some(d) = departing {
-                let t = rt.departing_transfers.remove(&d);
-                rt.slot_state[d as usize] = SlotState::Gone;
-                rt.recent_installs.insert(m.slot, ctx.now());
-                t.map(|t| (d, t.edges))
-            } else {
-                None
-            }
-        };
-        if let Some((departed, edges)) = done_departure {
+        let departed = rt
+            .departing_transfers
+            .iter()
+            .find(|(_, t)| t.replacement == m.slot)
+            .map(|(&d, _)| d);
+        let transfer = departed.and_then(|d| rt.departing_transfers.remove_entry(&d));
+        if let Some((departed, transfer)) = transfer {
+            rt.table.set_state(departed, SlotState::Gone);
+            rt.recent_installs.insert(m.slot, ctx.now());
             self.departures_handled += 1;
             // Tear the departed phone down: it kept computing remotely
             // (urgent mode) until the hand-off completed; now that the
             // replacement owns its operators it must stop, or the
             // region would process every tuple twice.
-            let (departed_actor, op_slot, slot_actors) = {
-                let rt = self.rt(region);
-                (
-                    rt.spec.slot_actors[departed as usize],
-                    rt.op_slot.clone(),
-                    rt.spec.slot_actors.clone(),
-                )
-            };
-            self.send_ctl(
-                ctx,
-                departed_actor,
-                wire::MEMBERSHIP,
-                UpdateRouting {
-                    op_slot: Some(op_slot),
-                    slot_actors: Some(slot_actors),
-                },
-            );
+            let table = &self.rt(region).table;
+            let dst = table.actor(departed);
+            send_ctl(ctx, self.cell, dst, wire::MEMBERSHIP, table.routing());
             // Clear this transfer's urgent mode and publish the new
             // wiring.
-            self.release_urgent_edges(region, &edges, ctx);
+            self.release_urgent_edges(region, &transfer.edges, ctx);
             self.push_routing(region, ctx);
             self.membership_changed(region, FlushScope::Stakeholders, ctx);
             self.redirect_sensors(region, ctx);
             self.send_status(region, ctx);
             return;
         }
-        let rt = self.rt_mut(region);
-        rt.outstanding_acks.remove(&m.slot);
-        if rt.recovering && rt.outstanding_acks.is_empty() {
+        if rt.episode.ack(m.slot) {
             self.finish_recovery(region, ctx);
         }
     }
@@ -1284,85 +1017,59 @@ impl RegionController {
         }
         let region = m.region;
         let slot = m.slot;
-        let graph;
-        let replacement: Option<u32>;
-        let departing_actor;
-        let affected_edges: Vec<EdgeId>;
-        {
-            let rt = self.rt_mut(region);
-            if rt.slot_state[slot as usize] != SlotState::Active {
-                return;
-            }
-            rt.slot_state[slot as usize] = SlotState::Departing;
-            graph = Arc::clone(&rt.spec.graph);
-            departing_actor = rt.spec.slot_actors[slot as usize];
-            let ops = rt.ops_on(slot);
-            if ops.is_empty() {
-                // Idle node: just unregister.
-                rt.slot_state[slot as usize] = SlotState::Gone;
-                self.membership_changed(region, FlushScope::Stakeholders, ctx);
-                return;
-            }
-            // Urgent mode: edges crossing the departed phone's WiFi link.
-            let mut edges = Vec::new();
-            for &op in &ops {
-                for &e in &graph.op(op).in_edges {
-                    let from = graph.edge(e).from;
-                    if rt.op_slot[from.index()] != slot {
-                        edges.push(e);
-                    }
-                }
-                for &e in &graph.op(op).out_edges {
-                    let to = graph.edge(e).to;
-                    if rt.op_slot[to.index()] != slot {
-                        edges.push(e);
-                    }
+        let rt = self.rt_mut(region);
+        if !rt.table.is_active(slot) {
+            return;
+        }
+        rt.table.set_state(slot, SlotState::Departing);
+        let departing_actor = rt.table.actor(slot);
+        let ops = rt.table.ops_on(slot);
+        if ops.is_empty() {
+            // Idle node: just unregister.
+            rt.table.set_state(slot, SlotState::Gone);
+            self.membership_changed(region, FlushScope::Stakeholders, ctx);
+            return;
+        }
+        // Urgent mode: edges crossing the departed phone's WiFi link.
+        let mut affected_edges = Vec::new();
+        for &op in &ops {
+            for &e in &rt.graph.op(op).in_edges {
+                if rt.table.slot_of(rt.graph.edge(e).from) != slot {
+                    affected_edges.push(e);
                 }
             }
-            affected_edges = edges;
-            // Pick the replacement (idle nodes only; no replacement =
-            // degraded urgent mode until a phone rejoins).
-            replacement = rt.idle_active_slots().first().copied();
-            if let Some(r) = replacement {
-                rt.departing_transfers.insert(
-                    slot,
-                    DepartingTransfer {
-                        replacement: r,
-                        started: ctx.now(),
-                        edges: affected_edges.clone(),
-                    },
-                );
-                for s in rt.op_slot.iter_mut() {
-                    if *s == slot {
-                        *s = r;
-                    }
+            for &e in &rt.graph.op(op).out_edges {
+                if rt.table.slot_of(rt.graph.edge(e).to) != slot {
+                    affected_edges.push(e);
                 }
             }
+        }
+        // Pick the replacement (idle nodes only; no replacement =
+        // degraded urgent mode until a phone rejoins).
+        let replacement = rt.table.idle_active_slots().first().copied();
+        if let Some(r) = replacement {
+            rt.departing_transfers.insert(
+                slot,
+                DepartingTransfer {
+                    replacement: r,
+                    started: ctx.now(),
+                    edges: affected_edges.clone(),
+                },
+            );
+            rt.table.reassign_slot(slot, r);
         }
         // Tell everyone (including the departing node) to route the
         // affected edges over cellular for now — whether or not a
         // replacement exists: with none, the region runs degraded in
         // urgent mode and the departed phone keeps computing remotely.
-        let targets: Vec<ActorId> = {
-            let rt = self.rt(region);
-            let mut t: Vec<ActorId> = rt
-                .active_slots()
-                .into_iter()
-                .map(|s| rt.spec.slot_actors[s as usize])
-                .collect();
-            t.push(departing_actor);
-            t
-        };
-        for dst in targets {
-            self.send_ctl(
-                ctx,
-                dst,
-                wire::CONTROL,
-                SetUrgentEdges {
-                    edges: affected_edges.clone(),
-                    on: true,
-                },
-            );
+        let table = &self.rt(region).table;
+        let told = table.active_slots().into_iter().map(|s| table.actor(s));
+        for dst in told.chain([departing_actor]) {
+            let update = SetUrgentEdges {
+                edges: affected_edges.clone(),
+                on: true,
+            };
+            send_ctl(ctx, self.cell, dst, wire::CONTROL, update);
         }
         let Some(replacement) = replacement else {
             // No replacement available: if the region dropped below its
@@ -1371,8 +1078,8 @@ impl RegionController {
             // urgent edges must outlive other transfers' releases for
             // as long as the degraded phone computes remotely.
             let rt = self.rt_mut(region);
-            rt.degraded_urgent.insert(slot, affected_edges.clone());
-            if (rt.active_slots().len() as u32) < rt.spec.min_active {
+            rt.degraded_urgent.insert(slot, affected_edges);
+            if (rt.table.active_slots().len() as u32) < rt.min_active {
                 self.stop_region(region, ctx);
                 return;
             }
@@ -1380,8 +1087,9 @@ impl RegionController {
             // WiFi; route them through an in-region proxy so the
             // region's checkpoint rounds stay satisfiable (§III).
             if let Some(proxy) = self.pick_proxy(region, slot) {
-                self.send_ctl(
+                send_ctl(
                     ctx,
+                    self.cell,
                     departing_actor,
                     wire::CONTROL,
                     DegradedCheckpointVia { proxy },
@@ -1397,30 +1105,12 @@ impl RegionController {
         };
         // Ask the departing phone to transfer its state to the
         // replacement over cellular (Fig 7, time instant 3).
-        let (install, repl_actor) = {
-            let rt = self.rt(region);
-            let ops = rt.ops_on(replacement);
-            let n = ops.len() as u64;
-            (
-                Install {
-                    ops,
-                    states: InstallStates::Fresh, // filled by the departing node
-                    op_slot: rt.op_slot.clone(),
-                    slot_actors: rt.spec.slot_actors.clone(),
-                    ready_in: self.cfg.ready_overhead + self.cfg.ready_per_op * n,
-                },
-                rt.spec.slot_actors[replacement as usize],
-            )
+        let transfer = TransferStateTo {
+            replacement: table.actor(replacement),
+            // States are filled in by the departing node.
+            install: self.install_for(region, replacement, InstallStates::Fresh),
         };
-        self.send_ctl(
-            ctx,
-            departing_actor,
-            wire::CONTROL,
-            TransferStateTo {
-                replacement: repl_actor,
-                install,
-            },
-        );
+        send_ctl(ctx, self.cell, departing_actor, wire::CONTROL, transfer);
     }
 
     fn on_register(&mut self, m: RegisterNode, ctx: &mut Ctx) {
@@ -1428,18 +1118,13 @@ impl RegionController {
             return;
         }
         let region = m.region;
-        let (owns_ops, degraded_edges) = {
-            let rt = self.rt_mut(region);
-            rt.slot_state[m.slot as usize] = SlotState::Active;
-            // The phone may have missed any number of membership
-            // messages while dead or out of range: forget its epoch so
-            // the pending flush sends it one full snapshot.
-            rt.log.reset(m.slot);
-            (
-                !rt.ops_on(m.slot).is_empty(),
-                rt.degraded_urgent.remove(&m.slot),
-            )
-        };
+        let rt = self.rt_mut(region);
+        rt.table.set_state(m.slot, SlotState::Active);
+        // The phone may have missed any number of membership
+        // messages while dead or out of range: forget its epoch so
+        // the pending flush sends it one full snapshot.
+        rt.log.reset(m.slot);
+        let owns_ops = !rt.table.ops_on(m.slot).is_empty();
         // A degraded departure's phone is back in WiFi range: its
         // cellular bridging ends (the reinstall below restores normal
         // routing), and its slot leaves the in-flight round's
@@ -1455,7 +1140,7 @@ impl RegionController {
         // states live only in the rejoined phone's own store, and a
         // crash there would make a reassignment restore those ops
         // fresh (the pre-existing missing-state fallback).
-        if let Some(edges) = degraded_edges {
+        if let Some(edges) = rt.degraded_urgent.remove(&m.slot) {
             self.release_urgent_edges(region, &edges, ctx);
             self.rt_mut(region).ckpt_expected.remove(&m.slot);
             self.try_commit_round(region, ctx);
@@ -1465,7 +1150,8 @@ impl RegionController {
         // reinstall its operators from its own flash copy and roll the
         // region back so the dataflow is consistent again.
         if owns_ops {
-            if !self.rt(region).stopped && !self.rt(region).recovering {
+            let rt = self.rt(region);
+            if !rt.stopped && !rt.episode.recovering() {
                 self.reinstall_slot(region, m.slot, ctx);
             } else {
                 // Defer until the in-flight recovery / restart settles.
@@ -1475,54 +1161,36 @@ impl RegionController {
         // Update WiFi membership: the phone is back in range. Relayed
         // through the coordinator (the WiFi medium lives on the
         // phone's region shard).
-        let (wifi, actor) = {
-            let rt = self.rt(region);
-            (rt.spec.wifi, rt.spec.slot_actors[m.slot as usize])
-        };
-        let coordinator = self.coordinator;
+        let rt = self.rt(region);
         ctx.send(
-            coordinator,
+            self.coordinator,
             RelayWifiLink {
-                wifi,
-                node: actor,
+                wifi: rt.wifi,
+                node: rt.table.actor(m.slot),
                 state: LinkState::Active,
             },
         );
         self.membership_changed(region, FlushScope::Stakeholders, ctx);
-        // Restart a stopped region once enough phones are back.
-        let can_restart = {
-            let rt = self.rt(region);
-            rt.stopped && (rt.active_slots().len() as u32) >= rt.spec.restart_min
-        };
-        if can_restart {
-            self.restart_region(region, ctx);
-        } else if !self.rt(region).stopped {
-            // If the region is degraded (ops stuck on dead slots because
-            // no spare existed), retry recovery now that a phone is back.
-            let needs = {
-                let rt = self.rt(region);
-                rt.hosting_slots()
-                    .into_iter()
-                    .any(|s| rt.slot_state[s as usize] != SlotState::Active)
-            };
-            if needs {
-                let stuck: Vec<u32> = {
-                    let rt = self.rt(region);
-                    rt.hosting_slots()
-                        .into_iter()
-                        .filter(|&s| rt.slot_state[s as usize] != SlotState::Active)
-                        .collect()
-                };
-                for s in stuck {
-                    self.rt_mut(region).pending_failures.insert(s);
-                }
-                let gather_window = self.cfg.gather_window;
-                let rt = self.rt_mut(region);
-                if !rt.recover_scheduled {
-                    rt.recover_scheduled = true;
-                    let me = ctx.self_id();
-                    ctx.send_in(gather_window, me, CtlTimer::RecoverNow { region });
-                }
+        let rt = self.rt_mut(region);
+        if rt.stopped {
+            // Restart a stopped region once enough phones are back.
+            if rt.table.active_slots().len() as u32 >= rt.restart_min {
+                self.restart_region(region, ctx);
+            }
+            return;
+        }
+        // If the region is degraded (ops stuck on dead slots because
+        // no spare existed), retry recovery now that a phone is back.
+        let hosting = rt.table.hosting_slots();
+        let stuck: Vec<u32> = hosting
+            .into_iter()
+            .filter(|&s| !rt.table.is_active(s))
+            .collect();
+        if !stuck.is_empty() {
+            rt.episode.pending.extend(stuck);
+            if rt.episode.arm() {
+                let me = ctx.self_id();
+                ctx.send_in(self.cfg.gather_window, me, CtlTimer::RecoverNow { region });
             }
         }
     }
@@ -1530,115 +1198,31 @@ impl RegionController {
     /// Reinstall a re-registered slot's own operators (reboot rejoin)
     /// and roll back the region to the MRC.
     fn reinstall_slot(&mut self, region: usize, slot: u32, ctx: &mut Ctx) {
-        let ready_overhead = self.cfg.ready_overhead;
-        let ready_per_op = self.cfg.ready_per_op;
-        let (install, dst, n_ops, version, rollbacks, acks) = {
-            let rt = self.rt_mut(region);
-            rt.recovering = true;
-            rt.recovery_started = ctx.now();
-            rt.recovery_failures = 1;
-            let ops = rt.ops_on(slot);
-            let n = ops.len();
-            let version = rt.last_complete;
-            let states = if version > 0 {
-                InstallStates::FromLocalStore { version }
-            } else {
-                InstallStates::Fresh
-            };
-            let install = Install {
-                ops,
-                states,
-                op_slot: rt.op_slot.clone(),
-                slot_actors: rt.spec.slot_actors.clone(),
-                ready_in: ready_overhead + ready_per_op * (n as u64),
-            };
-            let survivors: Vec<u32> = rt
-                .hosting_slots()
-                .into_iter()
-                .filter(|&s| s != slot && rt.slot_state[s as usize] == SlotState::Active)
-                .collect();
-            let rollbacks: Vec<ActorId> = survivors
-                .iter()
-                .map(|&s| rt.spec.slot_actors[s as usize])
-                .collect();
-            let mut acks: BTreeSet<u32> = survivors.into_iter().collect();
-            acks.insert(slot);
-            (
-                install,
-                rt.spec.slot_actors[slot as usize],
-                n,
-                version,
-                rollbacks,
-                acks,
-            )
-        };
+        let rt = self.rt_mut(region);
+        rt.episode.begin_now(1, ctx.now());
+        let version = rt.last_complete;
         self.push_routing(region, ctx);
         self.membership_changed(region, FlushScope::Stakeholders, ctx);
         self.redirect_sensors(region, ctx);
-        let bytes = self.cfg.code_bytes_per_op * n_ops.max(1) as u64;
-        self.ship_install(ctx, region, slot, dst, bytes, install);
-        for d in rollbacks {
-            self.send_ctl(ctx, d, wire::CONTROL, RollbackTo { version });
-        }
-        self.rt_mut(region).outstanding_acks = acks;
+        self.ship_install(ctx, region, slot, InstallStates::from_mrc(version));
+        self.rollback_survivors(region, BTreeSet::from([slot]), version, ctx);
         let me = ctx.self_id();
         ctx.send_in(self.cfg.ack_deadline, me, CtlTimer::AckDeadline { region });
     }
 
     fn restart_region(&mut self, region: usize, ctx: &mut Ctx) {
-        let ready_overhead = self.cfg.ready_overhead;
-        let ready_per_op = self.cfg.ready_per_op;
-        let (installs, version) = {
-            let rt = self.rt_mut(region);
-            // Re-place every op onto active slots, preferring current
-            // assignment when that slot is active.
-            let active = rt.active_slots();
-            if active.is_empty() {
-                // Raced a failure between the restart check and now:
-                // stay stopped rather than panic.
-                return;
-            }
-            rt.stopped = false;
-            let mut rr = 0usize;
-            let graph = Arc::clone(&rt.spec.graph);
-            for op in graph.op_ids() {
-                let cur = rt.op_slot[op.index()];
-                if cur == u32::MAX || rt.slot_state[cur as usize] != SlotState::Active {
-                    rt.op_slot[op.index()] = active[rr % active.len()];
-                    rr += 1;
-                }
-            }
-            let version = rt.last_complete;
-            let states = if version > 0 {
-                InstallStates::FromLocalStore { version }
-            } else {
-                InstallStates::Fresh
-            };
-            let installs: Vec<(ActorId, Install, usize, u32)> = active
-                .iter()
-                .map(|&s| {
-                    let ops = rt.ops_on(s);
-                    let n = ops.len();
-                    (
-                        rt.spec.slot_actors[s as usize],
-                        Install {
-                            ops,
-                            states: states.clone(),
-                            op_slot: rt.op_slot.clone(),
-                            slot_actors: rt.spec.slot_actors.clone(),
-                            ready_in: ready_overhead + ready_per_op * (n as u64),
-                        },
-                        n,
-                        s,
-                    )
-                })
-                .collect();
-            (installs, version)
-        };
-        let _ = version;
-        for (dst, install, n_ops, slot) in installs {
-            let bytes = self.cfg.code_bytes_per_op * (n_ops.max(1)) as u64;
-            self.ship_install(ctx, region, slot, dst, bytes, install);
+        let rt = self.rt_mut(region);
+        // Re-place every op onto active slots, preferring current
+        // assignment when that slot is active. No active slot: raced a
+        // failure between the restart check and now — stay stopped
+        // rather than panic.
+        if !rt.table.respread() {
+            return;
+        }
+        rt.stopped = false;
+        let states = InstallStates::from_mrc(rt.last_complete);
+        for s in rt.table.active_slots() {
+            self.ship_install(ctx, region, s, states.clone());
         }
         self.membership_changed(region, FlushScope::AllActive, ctx);
         self.redirect_sensors(region, ctx);
@@ -1655,8 +1239,9 @@ impl RegionController {
             // The install never reached its target: that phone is dead;
             // fold it into a fresh recovery round.
             InstallOutcomeKind::Failed => {
-                let rt = self.rt_mut(o.region);
-                rt.slot_state[o.slot as usize] = SlotState::Active; // allow note_failure
+                // Active, so that `note_failure` takes the report.
+                let table = &mut self.rt_mut(o.region).table;
+                table.set_state(o.slot, SlotState::Active);
                 self.note_failure(o.region, o.slot, ctx);
             }
             // The install aged out behind a partition: the whole region
@@ -1688,9 +1273,7 @@ impl Actor for RegionController {
                 // partition healed — resync before handling it.
                 if let Some(m) = payload_as::<Pong>(&p) {
                     self.note_region_contact(m.region, ctx);
-                    if let Some(out) = self.ping_outstanding.get_mut(&m.nonce) {
-                        out.remove(&(m.region, m.slot));
-                    }
+                    self.pings.pong(m.nonce, m.region, m.slot);
                 } else if let Some(m) = payload_as::<NodeCheckpointed>(&p) {
                     self.note_region_contact(m.region, ctx);
                     self.on_node_checkpointed(*m, ctx);

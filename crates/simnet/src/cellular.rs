@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration};
+use simkernel::{impl_actor_any, Actor, ActorId, Ctx, Event, EventBox, SimDuration};
 
 use crate::link::RateQueue;
 use crate::stats::{NetStats, TrafficClass};
@@ -104,6 +104,36 @@ pub struct CellSend {
     pub tag: u64,
     /// Message content.
     pub payload: Option<Payload>,
+}
+
+/// Send the control message `ev` (`bytes` on the wire) from the calling
+/// actor to `dst` through the cellular network actor `cell`.
+pub fn send_ctl(ctx: &mut Ctx, cell: ActorId, dst: ActorId, bytes: u64, ev: impl Event) {
+    send_ctl_tagged(ctx, cell, dst, bytes, 0, ev);
+}
+
+/// [`send_ctl`] whose completion (`TxDone` / `TxFailed` / `TxSevered`)
+/// comes back to the caller under `tag`.
+pub fn send_ctl_tagged(
+    ctx: &mut Ctx,
+    cell: ActorId,
+    dst: ActorId,
+    bytes: u64,
+    tag: u64,
+    ev: impl Event,
+) {
+    let src = ctx.self_id();
+    ctx.send(
+        cell,
+        CellSend {
+            src,
+            dst,
+            class: TrafficClass::Control,
+            bytes,
+            tag,
+            payload: Some(crate::payload(ev)),
+        },
+    );
 }
 
 /// Delivery of a [`CellSend`].
