@@ -1015,6 +1015,75 @@ impl NodeActor {
         ctx.send_in(ready_in, me, InstallReady);
         inner.pending_install = Some(ins);
     }
+
+    /// A transmit completion. The tag is read through the box: the
+    /// runtime settles its own sends (dropping the box before it sends
+    /// anything, as a consuming match would), and a completion for any
+    /// other tag goes to the scheme in the box it arrived in.
+    fn on_tx_completion(&mut self, ev: EventBox, ctx: &mut Ctx) {
+        /// What is left to do once the box is gone.
+        enum Ours {
+            Settled,
+            ReportDead(u32),
+            Retry(u64),
+        }
+        let inner = &mut self.inner;
+        let ours = if let Some(d) = ev.downcast_ref::<TxDone>() {
+            (inner.take_pending(d.tag).is_some() || inner.ctl_retry_complete(d.tag))
+                .then_some(Ours::Settled)
+        } else if let Some(f) = ev.downcast_ref::<TxFailed>() {
+            match inner.take_pending(f.tag) {
+                Some((slot, _edge)) => Some(Ours::ReportDead(slot)),
+                None => inner.ctl_retry_complete(f.tag).then_some(Ours::Settled),
+            }
+        } else if let Some(d) = ev.downcast_ref::<simnet::TxDropped>() {
+            // Congestion loss, not death: the tuple is gone (replay
+            // covers it) but the peer is alive — no dead report.
+            inner.take_pending(d.tag).map(|_| {
+                inner.metrics.tx_queue_drops += 1;
+                Ours::Settled
+            })
+        } else if let Some(s) = ev.downcast_ref::<simnet::TxSevered>() {
+            // Partition loss: the path is cut, not the peer. Treat a
+            // tracked tuple like congestion (replay covers it);
+            // anything else is a scheme RPC that may want to retry
+            // with backoff.
+            if inner.take_pending(s.tag).is_some() {
+                inner.metrics.tx_severed += 1;
+                Some(Ours::Settled)
+            } else {
+                inner
+                    .ctl_retries
+                    .contains_key(&s.tag)
+                    .then_some(Ours::Retry(s.tag))
+            }
+        } else {
+            None
+        };
+        match ours {
+            None => {
+                self.scheme.on_custom(ev, inner, ctx);
+            }
+            Some(then) => {
+                drop(ev);
+                match then {
+                    Ours::Settled => {}
+                    Ours::ReportDead(slot) => {
+                        let report = ReportDead {
+                            region: inner.cfg.region,
+                            slot,
+                            observed_by: inner.cfg.slot,
+                        };
+                        inner.send_controller(ctx, 48, report);
+                    }
+                    Ours::Retry(tag) => {
+                        inner.ctl_retry_severed(tag, ctx);
+                    }
+                }
+            }
+        }
+        self.pump(ctx);
+    }
 }
 
 impl Actor for NodeActor {
@@ -1092,6 +1161,17 @@ impl Actor for NodeActor {
             self.pump(ctx);
             return;
         }
+        if [
+            TypeId::of::<TxDone>(),
+            TypeId::of::<TxFailed>(),
+            TypeId::of::<simnet::TxDropped>(),
+            TypeId::of::<simnet::TxSevered>(),
+        ]
+        .contains(&ty)
+        {
+            self.on_tx_completion(ev, ctx);
+            return;
+        }
 
         simkernel::match_event!(ev,
             _p: ProcDone => {
@@ -1144,49 +1224,6 @@ impl Actor for NodeActor {
             c: simnet::wifi::WifiCongestion => {
                 self.inner.net_congested = c.on;
             },
-            d: TxDone => {
-                if self.inner.take_pending(d.tag).is_none() && !self.inner.ctl_retry_complete(d.tag)
-                {
-                    let consumed = self.scheme.on_custom(EventBox::new(d), &mut self.inner, ctx);
-                    let _ = consumed;
-                }
-                self.pump(ctx);
-            },
-            f: TxFailed => {
-                if let Some((slot, _edge)) = self.inner.take_pending(f.tag) {
-                    let report = ReportDead {
-                        region: self.inner.cfg.region,
-                        slot,
-                        observed_by: self.inner.cfg.slot,
-                    };
-                    self.inner.send_controller(ctx, 48, report);
-                } else if !self.inner.ctl_retry_complete(f.tag) {
-                    self.scheme.on_custom(EventBox::new(f), &mut self.inner, ctx);
-                }
-                self.pump(ctx);
-            },
-            d: simnet::TxDropped => {
-                // Congestion loss, not death: the tuple is gone (replay
-                // covers it) but the peer is alive — no dead report.
-                if self.inner.take_pending(d.tag).is_some() {
-                    self.inner.metrics.tx_queue_drops += 1;
-                } else {
-                    self.scheme.on_custom(EventBox::new(d), &mut self.inner, ctx);
-                }
-                self.pump(ctx);
-            },
-            s: simnet::TxSevered => {
-                // Partition loss: the path is cut, not the peer. Treat
-                // a tracked tuple like congestion (replay covers it);
-                // anything else is a scheme RPC that may want to retry
-                // with backoff.
-                if self.inner.take_pending(s.tag).is_some() {
-                    self.inner.metrics.tx_severed += 1;
-                } else if !self.inner.ctl_retry_severed(s.tag, ctx) {
-                    self.scheme.on_custom(EventBox::new(s), &mut self.inner, ctx);
-                }
-                self.pump(ctx);
-            },
             r: CtlRetryFire => {
                 self.inner.ctl_retry_fire(r.tag, ctx);
                 self.pump(ctx);
@@ -1221,6 +1258,7 @@ mod tests {
     use simkernel::Sim;
     use simnet::cellular::{CellConfig, CellularNet};
     use simnet::wifi::{WifiConfig, WifiMedium};
+    use simnet::{TxDropped, TxSevered};
 
     /// Records control messages arriving at "the controller".
     #[derive(Default)]
@@ -1601,6 +1639,11 @@ mod tests {
                 "cell"
             } else if ev.is::<EthRx>() {
                 "eth"
+            } else if let Some(d) = ev.downcast_ref::<TxDone>() {
+                assert_eq!(d.tag, SCHEME_TAG);
+                "tx"
+            } else if ev.is::<TxFailed>() || ev.is::<TxDropped>() || ev.is::<TxSevered>() {
+                "tx"
             } else {
                 "other"
             };
@@ -1628,8 +1671,12 @@ mod tests {
     #[derive(Debug)]
     struct SchemeRpc;
 
-    /// Sends one delivery of each transport to `node` from inside the
-    /// simulation, so each arrives in a pooled box like real traffic.
+    /// A send tag the runtime never issued.
+    const SCHEME_TAG: u64 = u64::MAX - 7;
+
+    /// Sends one delivery of each transport and one of each transmit
+    /// completion to `node` from inside the simulation, so each
+    /// arrives in a pooled box like real traffic.
     struct Deliverer {
         node: ActorId,
     }
@@ -1665,12 +1712,18 @@ mod tests {
                     payload,
                 },
             );
+            let (tag, dst) = (SCHEME_TAG, src);
+            ctx.send(self.node, TxDone { tag });
+            ctx.send(self.node, TxFailed { tag, dst });
+            ctx.send(self.node, TxDropped { tag, dst });
+            ctx.send(self.node, TxSevered { tag, dst });
         }
         impl_actor_any!();
     }
 
-    /// A network delivery the runtime does not handle itself reaches
-    /// the scheme once, in the box it arrived in, and one pump follows.
+    /// A network delivery the runtime does not handle itself, or a
+    /// transmit completion for a tag it did not issue, reaches the
+    /// scheme once, in the box it arrived in, and one pump follows.
     #[test]
     fn scheme_deliveries_reach_on_custom_once_in_the_original_box() {
         let mut rig = chain_rig(0.0);
@@ -1690,14 +1743,22 @@ mod tests {
                 "pump",
                 "custom eth pooled=true",
                 "pump",
+                "custom tx pooled=true",
+                "pump",
+                "custom tx pooled=true",
+                "pump",
+                "custom tx pooled=true",
+                "pump",
+                "custom tx pooled=true",
+                "pump",
             ]
         );
         let pool = rig.sim.pool_stats();
         assert_eq!(pool.unpooled, 0, "nothing was re-boxed outside the pool");
         assert_eq!(
             pool.fresh + pool.recycled,
-            3,
-            "three deliveries, three slots"
+            7,
+            "seven deliveries, seven slots"
         );
     }
 }

@@ -24,6 +24,16 @@ pub trait Event: Any + fmt::Debug + Send + Sync {
     /// The concrete type's `TypeId` in one virtual call
     /// (`as_any().type_id()` costs two).
     fn event_type(&self) -> TypeId;
+    /// Bitwise-move `self` to `dst` and return the moved value with its
+    /// vtable: how [`EventBox`](crate::EventBox) re-homes a payload
+    /// whose concrete type it no longer knows.
+    ///
+    /// # Safety
+    /// `dst` must be valid for writes of `self`'s layout and not
+    /// overlap it; the caller owns `self` and must treat it as
+    /// moved-from afterwards.
+    #[doc(hidden)]
+    unsafe fn relocate(&self, dst: *mut u8) -> *mut dyn Event;
 }
 
 impl<T: Any + fmt::Debug + Send + Sync> Event for T {
@@ -38,6 +48,12 @@ impl<T: Any + fmt::Debug + Send + Sync> Event for T {
     }
     fn event_type(&self) -> TypeId {
         TypeId::of::<T>()
+    }
+    unsafe fn relocate(&self, dst: *mut u8) -> *mut dyn Event {
+        let dst = dst.cast::<T>();
+        // SAFETY: the caller's contract.
+        unsafe { std::ptr::copy_nonoverlapping(self, dst, 1) };
+        dst
     }
 }
 

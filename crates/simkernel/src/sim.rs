@@ -47,8 +47,9 @@
 //! * **Pooled events** ([`crate::pool`]): intra-shard sends recycle
 //!   generation-checked slab slots instead of heap-boxing every send;
 //!   cross-shard sends are flattened to plain boxes so pool traffic
-//!   never crosses shards (which would make free-list state depend on
-//!   thread interleaving).
+//!   never crosses shards — which is what lets the pool do without
+//!   locks or atomics, and keeps free-list state independent of thread
+//!   interleaving.
 //!
 //! # Causality sanitizer
 //!
@@ -341,6 +342,7 @@ pub(crate) fn run_window(
     inclusive_until: Option<SimTime>,
     outbox_cap: Option<SimDuration>,
 ) {
+    let _confined = core.pool.confine();
     while let Some(head) = core.heap.peek() {
         let at = head.at;
         if let Some(w) = strict_before {

@@ -3,12 +3,18 @@
 //! all handshake and almost no work. A lost wake-up or a claim that
 //! leaks across rounds shows up as a hang (the watchdog turns it into
 //! a failure) or as a count/ledger that differs from the 1-thread run.
+//!
+//! The same rounds carry the event pool's confinement proof: every
+//! region parks the pooled box of its latest tick and drops it on the
+//! next one, so slots are routinely acquired by one participant and
+//! released by another — whichever threads the shard migrated between.
 
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
 use simkernel::{
-    impl_actor_any, Actor, ActorId, CausalityReport, Ctx, EventBox, Sim, SimDuration, SimTime,
+    impl_actor_any, Actor, ActorId, CausalityReport, Ctx, EventBox, PoolStats, Sim, SimDuration,
+    SimTime,
 };
 
 const REGIONS: usize = 8;
@@ -38,18 +44,21 @@ impl Actor for Hub {
 /// Ticks itself every 0.4–2 ms (drawn from its shard's RNG stream):
 /// a 1 ms window holds at most three of its events and often none, so
 /// the busy set changes from round to round and some rounds fall back
-/// to the inline path. Reports to the hub on every 97th tick.
+/// to the inline path. Reports to the hub on every 97th tick. The box
+/// a tick arrived in stays parked until the next tick replaces it.
 struct Region {
     hub: ActorId,
     ticks: u64,
     nudges: u64,
+    parked: Option<EventBox>,
 }
 impl Actor for Region {
     fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
-        if ev.downcast::<Tick>().is_err() {
+        if !ev.is::<Tick>() {
             self.nudges += 1;
             return;
         }
+        self.parked = Some(ev);
         self.ticks += 1;
         let period = SimDuration::from_micros(400 + ctx.rng().range_u64(0, 1600));
         ctx.send_in(period, ctx.self_id(), Tick);
@@ -64,6 +73,7 @@ struct Outcome {
     events: u64,
     per_region: Vec<(u64, u64)>,
     report: CausalityReport,
+    pool: PoolStats,
 }
 
 fn run(threads: usize) -> Outcome {
@@ -75,6 +85,7 @@ fn run(threads: usize) -> Outcome {
                 hub,
                 ticks: 0,
                 nudges: 0,
+                parked: None,
             }));
             sim.schedule_at(SimTime::ZERO, id, Tick);
             id
@@ -94,6 +105,7 @@ fn run(threads: usize) -> Outcome {
             })
             .collect(),
         report: sim.causality_report().expect("sanitizer enabled"),
+        pool: sim.pool_stats(),
     }
 }
 
@@ -128,11 +140,20 @@ fn tiny_windows_at_2_3_and_8_threads_match_the_inline_run() {
         "windows too fat: {per_window:.1} events each"
     );
     assert_eq!(reference.report.violations, 0);
+    // A tick in flight and one parked per region: everything else is
+    // recycled, and no region event is too big for a slot.
+    let pool = reference.pool;
+    assert_eq!((pool.aliasing, pool.unpooled), (0, 0));
+    assert!(
+        pool.fresh <= 3 * REGIONS as u64 && pool.recycled > 100 * pool.fresh,
+        "fixture must live off recycled slots: {pool:?}"
+    );
     // 8 participants oversubscribe any host with fewer cores.
-    for threads in [2, 3, 8] {
+    for threads in [2, 3, 4, 8] {
         let got = under_watchdog(&format!("{threads} threads"), || run(threads));
         assert_eq!(got.events, reference.events, "{threads} threads");
         assert_eq!(got.per_region, reference.per_region, "{threads} threads");
         assert_eq!(got.report, reference.report, "{threads} threads");
+        assert_eq!(got.pool, pool, "{threads} threads");
     }
 }

@@ -6,41 +6,76 @@
 //! that *every* receiver has, and rebroadcasts the complement. The wire
 //! size of a bitmap (`ceil(n/8)` bytes) is part of the protocol's
 //! cost/gain accounting, so it is exposed here.
+//!
+//! One is made, cloned and dropped per receiver per batch, and on every
+//! fleet profile it is 16–64 bits long (operator state over 1 KiB
+//! blocks), so up to [`INLINE_BITS`] bits live in the struct itself and
+//! only longer bitmaps touch the heap.
 
 use std::fmt;
+
+/// Longest bitmap stored without a heap allocation.
+const INLINE_BITS: usize = 128;
+
+/// `len.div_ceil(64)` words; bits past `len` (and inline words past
+/// the last one in use) are zero, which is what lets `Eq` be derived.
+#[derive(Clone, PartialEq, Eq)]
+enum Words {
+    Inline([u64; INLINE_BITS / 64]),
+    Heap(Box<[u64]>),
+}
 
 /// A fixed-length bitset.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Bitmap {
     len: usize,
-    words: Vec<u64>,
+    words: Words,
 }
 
 impl Bitmap {
     /// All-zero bitmap of `len` bits.
     pub fn zeros(len: usize) -> Self {
-        Bitmap {
-            len,
-            words: vec![0; len.div_ceil(64)],
-        }
+        Self::filled(len, 0)
     }
 
     /// All-one bitmap of `len` bits.
     pub fn ones(len: usize) -> Self {
-        let mut b = Bitmap {
-            len,
-            words: vec![u64::MAX; len.div_ceil(64)],
-        };
-        b.mask_tail();
+        let mut b = Self::filled(len, u64::MAX);
+        let tail = len % 64;
+        if tail != 0 {
+            if let Some(last) = b.words_mut().last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
+        }
         b
     }
 
-    fn mask_tail(&mut self) {
-        let tail = self.len % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
+    /// `len` bits with every word in use set to `word`.
+    fn filled(len: usize, word: u64) -> Self {
+        let n = len.div_ceil(64);
+        let words = if len <= INLINE_BITS {
+            let mut inline = [0; INLINE_BITS / 64];
+            inline[..n].fill(word);
+            Words::Inline(inline)
+        } else {
+            Words::Heap(vec![word; n].into())
+        };
+        Bitmap { len, words }
+    }
+
+    #[inline]
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => &w[..self.len.div_ceil(64)],
+            Words::Heap(w) => w,
+        }
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => &mut w[..self.len.div_ceil(64)],
+            Words::Heap(w) => w,
         }
     }
 
@@ -63,14 +98,14 @@ impl Bitmap {
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of range (len {})", self.len);
-        self.words[i / 64] >> (i % 64) & 1 == 1
+        self.words()[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Set bit `i` to `v`.
     #[inline]
     pub fn set(&mut self, i: usize, v: bool) {
         assert!(i < self.len, "bit {i} out of range (len {})", self.len);
-        let w = &mut self.words[i / 64];
+        let w = &mut self.words_mut()[i / 64];
         if v {
             *w |= 1 << (i % 64);
         } else {
@@ -80,7 +115,7 @@ impl Bitmap {
 
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of clear bits.
@@ -96,7 +131,7 @@ impl Bitmap {
     /// In-place AND with another bitmap of the same length.
     pub fn and_assign(&mut self, other: &Bitmap) {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= *b;
         }
     }
@@ -104,7 +139,7 @@ impl Bitmap {
     /// In-place OR with another bitmap of the same length.
     pub fn or_assign(&mut self, other: &Bitmap) {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a |= *b;
         }
     }
@@ -113,7 +148,7 @@ impl Bitmap {
     pub fn zero_indices(&self) -> Vec<usize> {
         let zeros = self.count_zeros();
         let mut out = Vec::with_capacity(zeros + 63);
-        for (wi, &w) in self.words.iter().enumerate() {
+        for (wi, &w) in self.words().iter().enumerate() {
             push_set_bits(&mut out, wi, !w);
         }
         // The last word's complement also has the bits past `len`.
@@ -124,7 +159,7 @@ impl Bitmap {
     /// Indices of set bits, ascending.
     pub fn one_indices(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.count_ones());
-        for (wi, &w) in self.words.iter().enumerate() {
+        for (wi, &w) in self.words().iter().enumerate() {
             push_set_bits(&mut out, wi, w);
         }
         out
@@ -141,12 +176,13 @@ impl Bitmap {
             self.len
         );
         let (w0, sh) = (offset / 64, offset % 64);
-        for (i, &w) in src.words.iter().enumerate() {
-            self.words[w0 + i] |= w << sh;
+        let dst = &mut self.words_mut()[w0..];
+        for (i, &w) in src.words().iter().enumerate() {
+            dst[i] |= w << sh;
             // The spill is non-zero only for bits that exist in `src`,
             // so the word it lands in exists in `self`.
             if sh != 0 && w >> (64 - sh) != 0 {
-                self.words[w0 + i + 1] |= w >> (64 - sh);
+                dst[i + 1] |= w >> (64 - sh);
             }
         }
     }
@@ -156,7 +192,7 @@ impl Bitmap {
     /// target is in range.
     pub fn or_scattered(&mut self, src: &Bitmap, targets: &[u32]) {
         assert_eq!(src.len, targets.len(), "scatter length mismatch");
-        for (wi, &w) in src.words.iter().enumerate() {
+        for (wi, &w) in src.words().iter().enumerate() {
             let mut rest = w;
             while rest != 0 {
                 let i = wi * 64 + rest.trailing_zeros() as usize;
@@ -463,6 +499,89 @@ mod tests {
             fast.or_scattered(&from_bits(&src_bits), &targets);
             prop_assert_eq!(fast, slow);
         }
+    }
+
+    /// Lengths on both sides of the inline/heap boundary and of every
+    /// word boundary below it.
+    const BOUNDARY_LENS: [usize; 9] = [0, 1, 63, 64, 65, 127, 128, 129, 1000];
+
+    proptest! {
+        /// Every operation agrees with a `Vec<bool>` model whether the
+        /// words are inline or on the heap.
+        #[test]
+        fn prop_inline_and_heap_storage_match_a_bool_vec(
+            which in 0usize..BOUNDARY_LENS.len(),
+            seed_a in any::<u64>(),
+            seed_b in any::<u64>(),
+            offset in 0usize..70,
+        ) {
+            let len = BOUNDARY_LENS[which];
+            let bools = |seed: u64, n: usize| -> Vec<bool> {
+                let mut s = seed;
+                (0..n)
+                    .map(|_| {
+                        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        s >> 63 == 1
+                    })
+                    .collect()
+            };
+            let (ra, rb) = (bools(seed_a, len), bools(seed_b, len));
+            let (a, b) = (from_bits(&ra), from_bits(&rb));
+            let same = |m: &Bitmap, model: &[bool]| {
+                m.len() == model.len() && (0..model.len()).all(|i| m.get(i) == model[i])
+            };
+
+            prop_assert!(same(&Bitmap::zeros(len), &vec![false; len]));
+            prop_assert!(same(&Bitmap::ones(len), &vec![true; len]));
+            prop_assert_eq!(Bitmap::ones(len).count_ones(), len);
+            prop_assert!(same(&a, &ra));
+            prop_assert_eq!(a.count_ones(), ra.iter().filter(|&&v| v).count());
+            prop_assert_eq!(a.one_indices(), (0..len).filter(|&i| ra[i]).collect::<Vec<_>>());
+            prop_assert_eq!(a.zero_indices(), (0..len).filter(|&i| !ra[i]).collect::<Vec<_>>());
+
+            // Clone and Eq: equal exactly when the models are, and a
+            // clone is independent of its source.
+            let mut c = a.clone();
+            prop_assert_eq!(&c, &a);
+            prop_assert_eq!(a == b, ra == rb);
+            if len > 0 {
+                c.set(len - 1, !ra[len - 1]);
+                prop_assert_ne!(&c, &a);
+                prop_assert_eq!(a.get(len - 1), ra[len - 1]);
+            }
+
+            let (mut and, mut or) = (a.clone(), a.clone());
+            and.and_assign(&b);
+            or.or_assign(&b);
+            let r_and: Vec<bool> = (0..len).map(|i| ra[i] && rb[i]).collect();
+            let r_or: Vec<bool> = (0..len).map(|i| ra[i] || rb[i]).collect();
+            prop_assert!(same(&and, &r_and));
+            prop_assert!(same(&or, &r_or));
+            prop_assert_eq!(Bitmap::and_all([&a, &b, &a].into_iter()), Some(and));
+
+            // Shifted OR into a destination `offset` bits longer, so
+            // source and destination can sit on different sides of the
+            // boundary; scattered OR through a reversing target list.
+            let wide = bools(seed_a ^ seed_b, len + offset);
+            let mut shifted = from_bits(&wide);
+            shifted.or_shifted(&b, offset);
+            let r_shifted: Vec<bool> = (0..len + offset)
+                .map(|i| wide[i] || (i >= offset && rb[i - offset]))
+                .collect();
+            prop_assert!(same(&shifted, &r_shifted));
+            let targets: Vec<u32> = (0..len as u32).rev().collect();
+            let mut scattered = a.clone();
+            scattered.or_scattered(&b, &targets);
+            let r_scattered: Vec<bool> = (0..len).map(|i| ra[i] || rb[len - 1 - i]).collect();
+            prop_assert!(same(&scattered, &r_scattered));
+        }
+    }
+
+    /// An event carrying a bitmap should fit a small pool slot: the
+    /// inline storage must not grow the struct.
+    #[test]
+    fn bitmap_is_no_bigger_than_a_vec_and_a_length() {
+        assert!(std::mem::size_of::<Bitmap>() <= 32);
     }
 
     fn from_bits(bits: &[bool]) -> Bitmap {
