@@ -13,7 +13,10 @@ use std::sync::Arc;
 
 use dsps::graph::{EdgeId, QueryGraph};
 use dsps::node::{InstallStates, Ping, Pong, RegisterNode, ReportDead};
-use dsps::placement::{PingRounds, Placement, RecoveryEpisode, RecoveryRecord, SlotState};
+use dsps::placement::{
+    CheckpointSchedule, PingRounds, Placement, RecoveryEpisode, RecoveryRecord, SlotState,
+    GATHER_WINDOW, PING_PERIOD, PING_TIMEOUT,
+};
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration};
 use simnet::cellular::{send_ctl, send_ctl_tagged, CellRx};
 use simnet::payload_as;
@@ -53,36 +56,6 @@ impl BaselineKind {
             BaselineKind::Local => "local".into(),
             BaselineKind::Dist { n } => format!("dist-{n}"),
             BaselineKind::Upstream => "upstream".into(),
-        }
-    }
-}
-
-/// Coordinator parameters (paper-matched defaults).
-#[derive(Debug, Clone)]
-pub struct CoordinatorConfig {
-    /// Checkpoint period.
-    pub ckpt_period: SimDuration,
-    /// First tick offset.
-    pub ckpt_offset: SimDuration,
-    /// Source ping period.
-    pub ping_period: SimDuration,
-    /// Ping timeout.
-    pub ping_timeout: SimDuration,
-    /// Burst gather window.
-    pub gather_window: SimDuration,
-    /// Checkpoint ticks on/off.
-    pub checkpoints_enabled: bool,
-}
-
-impl Default for CoordinatorConfig {
-    fn default() -> Self {
-        CoordinatorConfig {
-            ckpt_period: SimDuration::from_secs(300),
-            ckpt_offset: SimDuration::from_secs(60),
-            ping_period: SimDuration::from_secs(30),
-            ping_timeout: SimDuration::from_secs(10),
-            gather_window: SimDuration::from_secs(2),
-            checkpoints_enabled: true,
         }
     }
 }
@@ -127,7 +100,7 @@ const ACK_DEADLINE: SimDuration = SimDuration::from_secs(30);
 
 /// The coordinator actor.
 pub struct BaselineCoordinator {
-    cfg: CoordinatorConfig,
+    schedule: CheckpointSchedule,
     kind: BaselineKind,
     cell: ActorId,
     regions: Vec<BRegion>,
@@ -148,7 +121,7 @@ pub struct BaselineCoordinator {
 impl BaselineCoordinator {
     /// Build over the given regions.
     pub fn new(
-        cfg: CoordinatorConfig,
+        schedule: CheckpointSchedule,
         kind: BaselineKind,
         cell: ActorId,
         specs: Vec<BaselineRegionSpec>,
@@ -166,7 +139,7 @@ impl BaselineCoordinator {
             })
             .collect();
         BaselineCoordinator {
-            cfg,
+            schedule,
             kind,
             cell,
             regions,
@@ -227,21 +200,21 @@ impl BaselineCoordinator {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
-        if self.cfg.checkpoints_enabled
+        if self.schedule.enabled
             && !matches!(self.kind, BaselineKind::Base | BaselineKind::Upstream)
         {
             for region in 0..self.regions.len() {
                 let me = ctx.self_id();
-                ctx.send_in(self.cfg.ckpt_offset, me, BTimer::Tick { region });
+                ctx.send_in(self.schedule.offset, me, BTimer::Tick { region });
             }
         }
         let me = ctx.self_id();
-        ctx.send_in(self.cfg.ping_period, me, BTimer::Ping);
+        ctx.send_in(PING_PERIOD, me, BTimer::Ping);
     }
 
     fn on_tick(&mut self, region: usize, ctx: &mut Ctx) {
         let me = ctx.self_id();
-        ctx.send_in(self.cfg.ckpt_period, me, BTimer::Tick { region });
+        ctx.send_in(self.schedule.period, me, BTimer::Tick { region });
         let rt = &mut self.regions[region];
         if rt.stopped || rt.episode.recovering() {
             return;
@@ -258,7 +231,7 @@ impl BaselineCoordinator {
 
     fn on_ping(&mut self, ctx: &mut Ctx) {
         let me = ctx.self_id();
-        ctx.send_in(self.cfg.ping_period, me, BTimer::Ping);
+        ctx.send_in(PING_PERIOD, me, BTimer::Ping);
         let mut targets = BTreeSet::new();
         for (r, rt) in self.regions.iter().enumerate() {
             if rt.stopped {
@@ -279,7 +252,7 @@ impl BaselineCoordinator {
             let ping = Ping { nonce: round };
             send_ctl(ctx, self.cell, dst, wire::PING_BYTES, ping);
         }
-        ctx.send_in(self.cfg.ping_timeout, me, BTimer::PingDeadline { round });
+        ctx.send_in(PING_TIMEOUT, me, BTimer::PingDeadline { round });
     }
 
     fn note_failure(&mut self, region: usize, slot: u32, ctx: &mut Ctx) {
@@ -325,7 +298,7 @@ impl BaselineCoordinator {
             BaselineKind::Dist { .. } => {
                 if rt.episode.note(slot, ctx.now()) {
                     let me = ctx.self_id();
-                    ctx.send_in(self.cfg.gather_window, me, BTimer::Recover { region });
+                    ctx.send_in(GATHER_WINDOW, me, BTimer::Recover { region });
                 }
             }
             BaselineKind::Upstream => self.upstream_takeover(region, slot, ctx),
@@ -450,7 +423,7 @@ impl BaselineCoordinator {
             // already armed one.
             rt.episode.pending.extend(stuck);
             let me = ctx.self_id();
-            ctx.send_in(self.cfg.gather_window, me, BTimer::Recover { region });
+            ctx.send_in(GATHER_WINDOW, me, BTimer::Recover { region });
         }
     }
 

@@ -19,17 +19,17 @@ use dsps::tuple::{StreamItem, Tuple};
 use simkernel::{Ctx, EventBox, SimDuration};
 use simnet::cellular::CellRx;
 use simnet::stats::TrafficClass;
-use simnet::wifi::{SendMode, Service, WifiRx};
+use simnet::wifi::WifiRx;
 use simnet::{payload, payload_as};
 
 use crate::local::{serialize_hold, RetentionBuffer};
 use crate::msgs::{BaselineAck, CkptTick, ResendRetained, ShipStateTo, StateCopy};
 
 /// Deterministic checkpoint peers of `slot`: the next `n` slots
-/// cyclically, skipping the slot itself. Shared by the scheme and the
-/// coordinator so both sides agree who holds whose state.
+/// cyclically, skipping the slot itself (none in a one-phone region).
+/// Shared by the scheme and the coordinator so both sides agree who
+/// holds whose state.
 pub fn peers_of(slot: u32, n: u32, total_slots: u32) -> Vec<u32> {
-    assert!(total_slots > 1);
     let mut v = Vec::new();
     let mut s = slot;
     while v.len() < n as usize && v.len() + 1 < total_slots as usize {
@@ -96,8 +96,7 @@ impl DistScheme {
                 let dst = node.slot_actors[peer as usize];
                 node.send_wifi(
                     ctx,
-                    SendMode::Unicast(dst),
-                    Service::Reliable,
+                    dst,
                     TrafficClass::Checkpoint,
                     total,
                     0,
@@ -148,8 +147,7 @@ impl DistScheme {
         // degradation of Fig 9.
         node.send_wifi(
             ctx,
-            SendMode::Unicast(req.to),
-            Service::Reliable,
+            req.to,
             TrafficClass::Recovery,
             bytes.max(1),
             0,
@@ -190,9 +188,9 @@ impl FtScheme for DistScheme {
         true
     }
 
-    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) -> bool {
+    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) {
         if !node.alive {
-            return true;
+            return;
         }
         simkernel::match_event!(ev,
             _h: CpuHoldDone => {
@@ -207,8 +205,6 @@ impl FtScheme for DistScheme {
                         node.store.put_state(copy.version, *op, st.clone(), *bytes);
                     }
                     node.store.mark_complete(copy.version);
-                } else {
-                    return false;
                 }
             },
             rx: CellRx => {
@@ -220,15 +216,10 @@ impl FtScheme for DistScheme {
                 } else if let Some(r) = payload_as::<ResendRetained>(&rx.payload) {
                     let edges = r.edges.clone();
                     self.resend_retained(&edges, node, ctx);
-                } else {
-                    return false;
                 }
             },
-            @else _other => {
-                return false;
-            }
+            @else _other => {}
         );
-        true
     }
 
     fn on_install(&mut self, node: &mut NodeInner, ctx: &mut Ctx) {
@@ -257,6 +248,8 @@ mod tests {
         assert_eq!(peers_of(7, 1, 8), vec![0]);
         // Region smaller than n: everyone else.
         assert_eq!(peers_of(0, 5, 3), vec![1, 2]);
+        // A one-phone region has nobody to hold a copy.
+        assert_eq!(peers_of(0, 1, 1), Vec::<u32>::new());
     }
 
     #[test]

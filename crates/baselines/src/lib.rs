@@ -29,7 +29,7 @@ pub mod msgs;
 pub mod rep2;
 pub mod upstream;
 
-pub use coordinator::{BaselineCoordinator, BaselineKind, CoordinatorConfig};
+pub use coordinator::{BaselineCoordinator, BaselineKind};
 pub use dist::DistScheme;
 pub use local::LocalScheme;
 pub use rep2::{duplicate_graph, Rep2Scheme};

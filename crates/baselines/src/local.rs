@@ -150,7 +150,7 @@ impl FtScheme for LocalScheme {
         true
     }
 
-    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) -> bool {
+    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) {
         simkernel::match_event!(ev,
             _h: CpuHoldDone => {
                 if self.cpu_held {
@@ -161,15 +161,10 @@ impl FtScheme for LocalScheme {
             rx: CellRx => {
                 if let Some(t) = payload_as::<CkptTick>(&rx.payload) {
                     self.take_checkpoint(t.version, node, ctx);
-                } else {
-                    return false;
                 }
             },
-            @else _other => {
-                return false;
-            }
+            @else _other => {}
         );
-        true
     }
 
     fn preserved_bytes(&self, node: &NodeInner) -> u64 {

@@ -114,21 +114,14 @@ impl FtScheme for Rep2Scheme {
         !tuple.replay && self.flow_of[op.index()] == self.primary
     }
 
-    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) -> bool {
+    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) {
         let _ = (node, ctx);
-        simkernel::match_event!(ev,
-            rx: CellRx => {
-                if let Some(p) = payload_as::<SetPrimary>(&rx.payload) {
-                    self.primary = p.flow;
-                } else {
-                    return false;
-                }
-            },
-            @else _other => {
-                return false;
-            }
-        );
-        true
+        if let Some(p) = ev
+            .downcast_ref::<CellRx>()
+            .and_then(|rx| payload_as::<SetPrimary>(&rx.payload))
+        {
+            self.primary = p.flow;
+        }
     }
 }
 

@@ -79,24 +79,19 @@ impl FtScheme for UpstreamScheme {
         true
     }
 
-    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) -> bool {
+    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) {
         if !node.alive {
-            return true;
+            return;
         }
         simkernel::match_event!(ev,
             rx: CellRx => {
                 if let Some(r) = payload_as::<ResendRetained>(&rx.payload) {
                     let edges = r.edges.clone();
                     self.resend(&edges, node, ctx);
-                } else {
-                    return false;
                 }
             },
-            @else _other => {
-                return false;
-            }
+            @else _other => {}
         );
-        true
     }
 
     fn on_install(&mut self, node: &mut NodeInner, ctx: &mut Ctx) {

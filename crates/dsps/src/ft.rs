@@ -5,19 +5,21 @@
 //! local / dist-n baselines — plugs in through [`FtScheme`]. Hooks are
 //! invoked at the points the paper's schemes differ:
 //!
-//! | Hook | MobiStreams | rep-2 | local / dist-n |
+//! | Hook | MobiStreams | rep-2 | local / dist-n / upstream |
 //! |---|---|---|---|
-//! | `on_source_input` | source preservation + region broadcast | — | — |
+//! | `on_source_input` | log the input under the current epoch | — | — |
+//! | `on_emit` | a source's remote emission becomes one preservation broadcast | — | output retention (input preservation) |
 //! | `on_marker` | token alignment, async checkpoint | — | — |
-//! | `on_emit` | — | — | output retention (input preservation) |
-//! | `allow_sink_publish` | catch-up discard | secondary-flow squelch | — |
-//! | `on_custom` | bitmaps, TCP tree, recovery RPC | takeover RPC | ckpt ticks, state fetch |
+//! | `allow_sink_publish` | catch-up discard (default) | secondary-flow squelch | catch-up discard (default) |
+//! | `on_custom` | bitmaps, TCP tree, controller RPCs, departure | primary flip | ckpt ticks, state copies, retained-output replay |
+//! | `on_install` | recovery ack | — | recovery ack (dist-n, upstream) |
+//! | `preserved_bytes` | preserved source inputs | — | retained outputs |
 
 use simkernel::{Ctx, EventBox};
 
 use crate::graph::{EdgeId, OpId};
 use crate::node::NodeInner;
-use crate::tuple::{Marker, StreamItem, Tuple};
+use crate::tuple::{Marker, Tuple};
 
 /// Scheme hooks invoked by [`crate::node::NodeActor`].
 ///
@@ -26,19 +28,6 @@ use crate::tuple::{Marker, StreamItem, Tuple};
 pub trait FtScheme: Send {
     /// Scheme name for traces and reports.
     fn name(&self) -> &'static str;
-
-    /// An item arrived on `edge` (remote or local), *before* enqueue.
-    /// Return `false` to drop it (e.g. replica dedup).
-    fn on_item_arrival(
-        &mut self,
-        item: &StreamItem,
-        edge: EdgeId,
-        node: &mut NodeInner,
-        ctx: &mut Ctx,
-    ) -> bool {
-        let _ = (item, edge, node, ctx);
-        true
-    }
 
     /// A marker reached the front of `edge`'s queue and was consumed.
     fn on_marker(&mut self, marker: Marker, edge: EdgeId, node: &mut NodeInner, ctx: &mut Ctx) {
@@ -78,11 +67,10 @@ pub trait FtScheme: Send {
         let _ = (tuple, op, node, ctx);
     }
 
-    /// An event the node runtime did not recognize. Return `true` if
-    /// the scheme consumed it.
-    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) -> bool {
+    /// An event the node runtime did not recognize; the scheme ignores
+    /// what it does not know either.
+    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) {
         let _ = (ev, node, ctx);
-        false
     }
 
     /// The node was (re)installed by the controller.

@@ -16,7 +16,7 @@ use simkernel::{impl_actor_any, Actor, ActorId, Ctx, Event, EventBox, SimDuratio
 use simnet::cellular::{CellRx, CellSend};
 use simnet::ethernet::{EthRx, EthSend};
 use simnet::stats::TrafficClass;
-use simnet::wifi::{SendMode, Service, WifiBatchRx, WifiRx, WifiSend};
+use simnet::wifi::{WifiBatchRx, WifiRx, WifiSend};
 use simnet::{payload, TxDone, TxFailed};
 
 use crate::ft::FtScheme;
@@ -216,8 +216,9 @@ pub struct InterRegionLink {
 pub enum PrimaryTransport {
     /// Ad-hoc WiFi within a region (phones).
     Wifi,
-    /// Datacenter Ethernet (server baseline).
-    Ethernet,
+    /// Datacenter Ethernet through this switch (server baseline); it
+    /// also carries the inter-region links.
+    Ethernet(ActorId),
 }
 
 /// Static node parameters.
@@ -279,8 +280,6 @@ pub struct NodeInner {
     pub wifi: ActorId,
     /// Global cellular network.
     pub cell: ActorId,
-    /// Datacenter Ethernet (server baseline only).
-    pub eth: Option<ActorId>,
     /// The controller actor.
     pub controller: ActorId,
     /// Traffic class used for this node's tuple sends (rep-2 labels the
@@ -345,7 +344,6 @@ impl NodeInner {
             alive: true,
             wifi,
             cell,
-            eth: None,
             controller,
             data_class: TrafficClass::Data,
             net_congested: false,
@@ -485,13 +483,11 @@ impl NodeInner {
             .push_back(StreamItem::Tuple(tuple));
     }
 
-    /// Low-level WiFi send.
-    #[allow(clippy::too_many_arguments)]
+    /// Low-level WiFi send (reliable unicast to `dst`).
     pub fn send_wifi(
         &mut self,
         ctx: &mut Ctx,
-        mode: SendMode,
-        service: Service,
+        dst: ActorId,
         class: TrafficClass,
         bytes: u64,
         tag: u64,
@@ -503,8 +499,7 @@ impl NodeInner {
             wifi,
             WifiSend {
                 src,
-                mode,
-                service,
+                dst,
                 class,
                 bytes,
                 tag,
@@ -642,23 +637,9 @@ impl NodeInner {
         }
         match self.cfg.primary {
             PrimaryTransport::Wifi => {
-                self.send_wifi(
-                    ctx,
-                    SendMode::Unicast(dst_actor),
-                    Service::Reliable,
-                    class,
-                    bytes,
-                    tag,
-                    Some(payload(msg)),
-                );
+                self.send_wifi(ctx, dst_actor, class, bytes, tag, Some(payload(msg)));
             }
-            PrimaryTransport::Ethernet => {
-                let Some(eth) = self.eth else {
-                    // Misconfigured node (Ethernet primary, no link):
-                    // drop rather than panic the deployment.
-                    self.metrics.routing_drops += 1;
-                    return;
-                };
+            PrimaryTransport::Ethernet(eth) => {
                 let src = ctx.self_id();
                 ctx.send(
                     eth,
@@ -854,9 +835,9 @@ impl NodeActor {
                     let dst = link.dst_actor;
                     let bytes = tuple.bytes;
                     let class = inner.data_class;
-                    match (inner.cfg.primary, inner.eth) {
+                    match inner.cfg.primary {
                         // Server baseline: regions live in one datacenter.
-                        (PrimaryTransport::Ethernet, Some(eth)) => {
+                        PrimaryTransport::Ethernet(eth) => {
                             let src = ctx.self_id();
                             ctx.send(
                                 eth,
@@ -870,7 +851,9 @@ impl NodeActor {
                                 },
                             );
                         }
-                        _ => inner.send_cell(ctx, dst, class, bytes, 0, Some(payload(msg))),
+                        PrimaryTransport::Wifi => {
+                            inner.send_cell(ctx, dst, class, bytes, 0, Some(payload(msg)))
+                        }
                     }
                 }
             } else {
@@ -910,23 +893,13 @@ impl NodeActor {
             // In-flight delivery raced a reconfiguration; drop it.
             return;
         }
-        if self
-            .scheme
-            .on_item_arrival(&msg.item, msg.edge, &mut self.inner, ctx)
-        {
-            self.inner.push_item(msg.edge, msg.item);
-        }
+        self.inner.push_item(msg.edge, msg.item);
         self.pump(ctx);
     }
 
-    /// Handle a fresh external input at a source op.
-    fn handle_source_input(&mut self, op: OpId, value: TupleValue, bytes: u64, ctx: &mut Ctx) {
-        self.handle_source_input_at(op, value, bytes, None, ctx);
-    }
-
-    /// As [`Self::handle_source_input`], optionally preserving an
-    /// upstream capture timestamp.
-    fn handle_source_input_at(
+    /// Handle a fresh external input at a source op. `entered`
+    /// overrides the capture timestamp (`None` = now).
+    fn handle_source_input(
         &mut self,
         op: OpId,
         value: TupleValue,
@@ -1124,7 +1097,7 @@ impl Actor for NodeActor {
                 if let Some(msg) = simnet::payload_as::<InterRegionMsg>(p) {
                     let m = msg.clone();
                     drop(ev);
-                    self.handle_source_input_at(m.dst_op, m.value, m.bytes, m.entered, ctx);
+                    self.handle_source_input(m.dst_op, m.value, m.bytes, m.entered, ctx);
                     return;
                 }
                 if let Some(ping) = simnet::payload_as::<Ping>(p) {
@@ -1178,7 +1151,7 @@ impl Actor for NodeActor {
                 self.complete_processing(ctx);
             },
             s: SourceEmit => {
-                self.handle_source_input(s.op, s.value, s.bytes, ctx);
+                self.handle_source_input(s.op, s.value, s.bytes, None, ctx);
             },
             _k: Kill => {
                 self.inner.alive = false;
@@ -1202,24 +1175,12 @@ impl Actor for NodeActor {
                 };
                 inner.send_controller_tracked(ctx, 64, reg);
             },
-            ins: Install => {
-                self.apply_install(ins, ctx);
-            },
             _r: InstallReady => {
                 if self.inner.pending_install.take().is_some() {
                     self.inner.alive = true;
                     self.scheme.on_install(&mut self.inner, ctx);
                     self.pump(ctx);
                 }
-            },
-            u: UpdateRouting => {
-                self.update_routing(u, ctx);
-            },
-            u: SetUrgentEdges => {
-                self.set_urgent_edges(&u);
-            },
-            u: UpdateInterRegion => {
-                self.inner.inter_region = u.links;
             },
             c: simnet::wifi::WifiCongestion => {
                 self.inner.net_congested = c.on;
@@ -1229,8 +1190,7 @@ impl Actor for NodeActor {
                 self.pump(ctx);
             },
             @else other => {
-                let consumed = self.scheme.on_custom(other, &mut self.inner, ctx);
-                let _ = consumed;
+                self.scheme.on_custom(other, &mut self.inner, ctx);
                 self.pump(ctx);
             }
         );
@@ -1386,6 +1346,18 @@ mod tests {
             controller,
             graph,
         }
+    }
+
+    /// Hand `msg` to `slot` at `at` as a cellular delivery from the
+    /// controller — the path every controller RPC takes.
+    fn deliver_ctl<T: Event>(rig: &mut Rig, slot: usize, at: SimTime, msg: T) {
+        let rx = CellRx {
+            src: rig.controller,
+            bytes: 64,
+            class: TrafficClass::Control,
+            payload: payload(msg),
+        };
+        rig.sim.schedule_at(at, rig.nodes[slot], rx);
     }
 
     fn feed(rig: &mut Rig, count: usize, every_ms: u64, bytes: u64) {
@@ -1549,27 +1521,22 @@ mod tests {
         // Install op A on idle slot 3, restoring the snapshot.
         let mut new_op_slot = op_slot.clone();
         new_op_slot[1] = 3;
-        rig.sim.schedule_at(
-            rig.sim.now(),
-            rig.nodes[3],
-            Install {
-                ops: vec![OpId(1)],
-                states: InstallStates::Explicit(vec![(OpId(1), snap)]),
+        let install = Install {
+            ops: vec![OpId(1)],
+            states: InstallStates::Explicit(vec![(OpId(1), snap)]),
+            op_slot: new_op_slot.clone(),
+            slot_actors: slot_actors.clone(),
+            ready_in: SimDuration::from_secs(1),
+        };
+        let now = rig.sim.now();
+        deliver_ctl(&mut rig, 3, now, install);
+        // Everyone learns the new routing.
+        for slot in 0..rig.nodes.len() {
+            let routing = UpdateRouting {
                 op_slot: new_op_slot.clone(),
                 slot_actors: slot_actors.clone(),
-                ready_in: SimDuration::from_secs(1),
-            },
-        );
-        // Everyone learns the new routing.
-        for &n in &rig.nodes {
-            rig.sim.schedule_at(
-                rig.sim.now(),
-                n,
-                UpdateRouting {
-                    op_slot: new_op_slot.clone(),
-                    slot_actors: slot_actors.clone(),
-                },
-            );
+            };
+            deliver_ctl(&mut rig, slot, now, routing);
         }
         rig.sim.run();
         {
@@ -1598,14 +1565,11 @@ mod tests {
     fn urgent_edge_routes_via_cellular() {
         let mut rig = chain_rig(0.0);
         // Put edge A→K (edge 1) into urgent mode at the emitting node.
-        rig.sim.schedule_at(
-            SimTime::ZERO,
-            rig.nodes[1],
-            SetUrgentEdges {
-                edges: vec![EdgeId(1)],
-                on: true,
-            },
-        );
+        let urgent = SetUrgentEdges {
+            edges: vec![EdgeId(1)],
+            on: true,
+        };
+        deliver_ctl(&mut rig, 1, SimTime::ZERO, urgent);
         feed(&mut rig, 2, 100, 1000);
         rig.sim.run();
         let sink = rig.sim.actor::<NodeActor>(rig.nodes[2]);
@@ -1632,7 +1596,7 @@ mod tests {
         fn as_any(&self) -> &dyn std::any::Any {
             self
         }
-        fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, _ctx: &mut Ctx) -> bool {
+        fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, _ctx: &mut Ctx) {
             let net = if ev.is::<WifiRx>() {
                 "wifi"
             } else if ev.is::<CellRx>() {
@@ -1654,7 +1618,6 @@ mod tests {
                 EdgeId(0),
                 StreamItem::Marker(crate::tuple::Marker::token(1)),
             );
-            true
         }
         fn on_marker(
             &mut self,

@@ -34,9 +34,11 @@
 //! Beside the table live the two small state holders both control
 //! planes need around it: [`PingRounds`] (which pinged slots have not
 //! answered yet) and [`RecoveryEpisode`] (the burst being gathered, the
-//! acks still owed, the [`RecoveryRecord`] a finished episode leaves).
-//! What to ping, when a report is believed and how a replacement is
-//! brought up stay protocol decisions of each controller.
+//! acks still owed, the [`RecoveryRecord`] a finished episode leaves),
+//! and the paper's timers both run on: the [`CheckpointSchedule`] and
+//! the ping period, ping timeout and gather window constants. What to
+//! ping, when a report is believed and how a replacement is brought up
+//! stay protocol decisions of each controller.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -294,6 +296,31 @@ impl Placement {
         }
     }
 }
+
+/// When a control plane triggers checkpoint rounds.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointSchedule {
+    /// Time between rounds ("the checkpoint period in MobiStreams is 5
+    /// minutes", §IV).
+    pub period: SimDuration,
+    /// The first round's offset from the start.
+    pub offset: SimDuration,
+    /// Rounds at all (off = Table I's "fault tolerance function turned
+    /// off").
+    pub enabled: bool,
+}
+
+/// How often a control plane pings the phones it watches ("every 30
+/// seconds", §IV).
+pub const PING_PERIOD: SimDuration = SimDuration::from_secs(30);
+
+/// How long a ping may go unanswered before its phone counts as failed
+/// ("the timeout period is 10 seconds", §IV).
+pub const PING_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+/// How long a burst's first failure waits for the rest, so simultaneous
+/// failures are recovered together.
+pub const GATHER_WINDOW: SimDuration = SimDuration::from_secs(2);
 
 /// Outstanding liveness probes: which pinged `(region, slot)` pairs
 /// have not answered, per ping round.

@@ -3,10 +3,10 @@
 //! * **broadcast vs unicast replication** — ms's single broadcast
 //!   reaching all 7 peers vs shipping the same state as 7 unicasts
 //!   (`dist-7`): the airtime argument behind §III-C.
-//! * **UDP block size** — the paper picks 1 KB because "large UDP
-//!   messages are more susceptible to a lossy network"; sweep it.
 //! * **checkpoint period** — §III-D: longer periods preserve more
 //!   input and lengthen catch-up.
+//! * **WiFi loss rate** — drives how many UDP phases the broadcast
+//!   loop runs before cost exceeds gain.
 //! * **source preservation on/off** — what §III-B step 3 costs.
 
 use serde::Serialize;

@@ -9,19 +9,15 @@
 use std::sync::Arc;
 
 use apps::{AppBundle, Calibration};
-use baselines::coordinator::{BaselineCoordinator, BaselineRegionSpec, CoordinatorConfig};
+use baselines::coordinator::{BaselineCoordinator, BaselineRegionSpec};
 use baselines::rep2::{duplicate_graph, twin_of, Rep2Scheme};
 use baselines::{BaselineKind, DistScheme, LocalScheme};
 use dsps::ft::{FtScheme, NullScheme};
 use dsps::graph::{OpId, QueryGraph};
 use dsps::node::{InterRegionLink, NodeActor, NodeConfig, NodeInner, PrimaryTransport};
-use dsps::placement::RecoveryRecord;
-use dsps::placement::{squeeze_placement, Placement};
+use dsps::placement::{squeeze_placement, CheckpointSchedule, Placement, RecoveryRecord};
 use dsps::workload::{Feed, StartFeeds, WorkloadDriver};
-use mobistreams::{
-    Coordinator, MsControllerConfig, MsScheme, MsSchemeConfig, RegionController, RegionSpec,
-    RegionWiring,
-};
+use mobistreams::{Coordinator, MsScheme, RegionController, RegionSpec, RegionWiring};
 use simkernel::{ActorId, ShardBound, Sim, SimDuration, SimTime};
 use simnet::cellular::{CellConfig, CellularNet};
 use simnet::ethernet::{EthConfig, EthernetNet};
@@ -160,6 +156,15 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
+    /// The checkpoint schedule the control plane runs.
+    fn schedule(&self) -> CheckpointSchedule {
+        CheckpointSchedule {
+            period: self.ckpt_period,
+            offset: self.ckpt_offset,
+            enabled: self.checkpoints_enabled,
+        }
+    }
+
     /// Phones deployed in region `r`.
     pub fn phones_in(&self, r: usize) -> u32 {
         self.overrides
@@ -238,10 +243,7 @@ impl Deployment {
     fn make_scheme(cfg: &ScenarioConfig, flow_of: Option<Arc<Vec<u8>>>) -> Box<dyn FtScheme> {
         match cfg.scheme {
             Scheme::Base => Box::new(NullScheme),
-            Scheme::Ms => Box::new(MsScheme::new(MsSchemeConfig {
-                broadcast: Default::default(),
-                preserve_inputs: cfg.checkpoints_enabled,
-            })),
+            Scheme::Ms => Box::new(MsScheme::new(cfg.checkpoints_enabled)),
             Scheme::Rep2 => Box::new(Rep2Scheme::new(flow_of.expect("rep-2 flow map"))),
             Scheme::Local => Box::new(LocalScheme::new(cfg.ckpt_period)),
             Scheme::Dist(n) => Box::new(DistScheme::new(n, cfg.ckpt_period)),
@@ -453,16 +455,9 @@ impl Deployment {
                         } else {
                             vec![]
                         },
-                        min_active: 1,
                         sensors: vec![regions[r].driver],
                     })
                     .collect();
-                let ctl_cfg = MsControllerConfig {
-                    ckpt_period: cfg.ckpt_period,
-                    ckpt_offset: cfg.ckpt_offset,
-                    checkpoints_enabled: cfg.checkpoints_enabled,
-                    ..MsControllerConfig::default()
-                };
                 // The coordinator keeps only the static cross-region
                 // view (graph shape, wiring, initial placement).
                 let wiring: Vec<RegionWiring> = specs
@@ -483,7 +478,7 @@ impl Deployment {
                     let take = specs.len().min(group_size);
                     let group_specs: Vec<RegionSpec> = specs.drain(..take).collect();
                     let ctl = RegionController::new(
-                        ctl_cfg.clone(),
+                        cfg.schedule(),
                         cell_id,
                         coordinator_id,
                         g,
@@ -523,17 +518,7 @@ impl Deployment {
                         placement: regions[r].placement.clone(),
                     })
                     .collect();
-                let coord = BaselineCoordinator::new(
-                    CoordinatorConfig {
-                        ckpt_period: cfg.ckpt_period,
-                        ckpt_offset: cfg.ckpt_offset,
-                        checkpoints_enabled: cfg.checkpoints_enabled,
-                        ..CoordinatorConfig::default()
-                    },
-                    kind,
-                    cell_id,
-                    specs,
-                );
+                let coord = BaselineCoordinator::new(cfg.schedule(), kind, cell_id, specs);
                 let id = sim.add_actor(Box::new(coord));
                 assert_eq!(id, controller_id, "coordinator id reservation");
                 (None, Some(id), Vec::new())
@@ -612,7 +597,7 @@ impl Deployment {
                     slot: slot as u32,
                     cpu_factor: 0.08, // 2013 server core vs 600 MHz A8
                     source_queue_cap: 64,
-                    primary: PrimaryTransport::Ethernet,
+                    primary: PrimaryTransport::Ethernet(eth_id),
                 };
                 let mut inner = NodeInner::new(
                     ncfg,
@@ -621,7 +606,6 @@ impl Deployment {
                     cell_id,
                     controller_id,
                 );
-                inner.eth = Some(eth_id);
                 inner.op_slot = op_slot.clone();
                 let id = sim.add_actor(Box::new(NodeActor::new(inner, Box::new(NullScheme))));
                 node_ids.push(id);
@@ -710,15 +694,11 @@ impl Deployment {
                 placement: regions[r].placement.clone(),
             })
             .collect();
-        let coord = BaselineCoordinator::new(
-            CoordinatorConfig {
-                checkpoints_enabled: false,
-                ..CoordinatorConfig::default()
-            },
-            BaselineKind::Base,
-            cell_id,
-            specs,
-        );
+        let schedule = CheckpointSchedule {
+            enabled: false,
+            ..cfg.schedule()
+        };
+        let coord = BaselineCoordinator::new(schedule, BaselineKind::Base, cell_id, specs);
         let id = sim.add_actor(Box::new(coord));
         assert_eq!(id, controller_id, "coordinator id reservation");
         {

@@ -70,6 +70,26 @@ mod unit {
         }
     }
 
+    /// Regression: a one-phone dist-n region has no checkpoint peer, and
+    /// `peers_of` asserted at least two slots, so the phone panicked on
+    /// its first checkpoint tick. It checkpoints locally and ships
+    /// nothing instead.
+    #[test]
+    fn one_phone_dist_region_checkpoints_without_peers() {
+        use simkernel::SimDuration;
+        let cfg = ScenarioConfig {
+            scheme: Scheme::Dist(1),
+            regions: 1,
+            phones: 1,
+            ckpt_offset: SimDuration::from_secs(5),
+            ckpt_period: SimDuration::from_secs(10),
+            ..ScenarioConfig::default()
+        };
+        let secs = SimDuration::from_secs;
+        let h = crate::run::measured_run(cfg, secs(0), secs(30), |_| {});
+        assert_eq!(h.ckpt_repl_bytes, 0, "no peer to ship a copy to");
+    }
+
     #[test]
     fn class_bytes_total_sums_all_classes() {
         let c = ClassBytes {

@@ -30,35 +30,9 @@ use simnet::bitmap::Bitmap;
 
 use crate::msgs::BlobContent;
 
-/// Engine parameters.
-#[derive(Debug, Clone)]
-pub struct BroadcastConfig {
-    /// Block size (the paper uses 1 KB: "large UDP messages are more
-    /// susceptible to a lossy network due to message fragmentation").
-    pub block_bytes: u64,
-    /// How long the sender waits for straggler bitmaps before treating
-    /// the silent receivers as gone.
-    pub bitmap_timeout: simkernel::SimDuration,
-    /// Hard cap on UDP phases (safety net; cost/gain normally stops
-    /// the loop after 2–4 phases).
-    pub max_phases: u32,
-    /// Phase chunking: blocks are broadcast in chunks of at most this
-    /// many bytes so data tuples interleave with a multi-MB checkpoint
-    /// instead of queueing behind it (the paper's asynchronous
-    /// background checkpointing).
-    pub chunk_bytes: u64,
-}
-
-impl Default for BroadcastConfig {
-    fn default() -> Self {
-        BroadcastConfig {
-            block_bytes: 1024,
-            bitmap_timeout: simkernel::SimDuration::from_secs(10),
-            max_phases: 16,
-            chunk_bytes: 256 * 1024,
-        }
-    }
-}
+/// Hard cap on UDP phases per job (a safety net: cost/gain normally
+/// stops the loop after 2–4 phases).
+const MAX_PHASES: u32 = 16;
 
 /// A malformed broadcast-protocol message. At fleet scale these MUST
 /// surface instead of being silently ignored: a dropped checkpoint
@@ -224,15 +198,9 @@ impl SenderJob {
             prev_recv_bytes: 0,
             sent_bytes_this_phase: 0,
             stats: JobStats::default(),
-            max_phases: 16,
+            max_phases: MAX_PHASES,
             done: false,
         }
-    }
-
-    /// Override the phase cap.
-    pub fn with_max_phases(mut self, max: u32) -> Self {
-        self.max_phases = max;
-        self
     }
 
     /// Has the job finished (Complete or TcpResidue issued)?
@@ -536,6 +504,14 @@ mod tests {
     use dsps::graph::OpId;
     use proptest::prelude::*;
     use simnet::stats::TrafficClass;
+
+    impl SenderJob {
+        /// Override the phase cap.
+        fn with_max_phases(mut self, max: u32) -> Self {
+            self.max_phases = max;
+            self
+        }
+    }
 
     fn actor(i: usize) -> ActorId {
         ActorId::from_index(i)

@@ -37,75 +37,11 @@ use std::sync::Arc;
 
 use dsps::graph::{OpId, QueryGraph};
 use dsps::placement::Placement;
-use simkernel::{ActorId, SimDuration};
+use simkernel::ActorId;
 
 pub use coordinator::{Coordinator, RegionWiring};
 pub use dsps::placement::RecoveryRecord;
 pub use region::RegionController;
-
-/// Controller parameters (paper values as defaults).
-#[derive(Debug, Clone)]
-pub struct MsControllerConfig {
-    /// Checkpoint period ("the checkpoint period in MobiStreams is 5
-    /// minutes").
-    pub ckpt_period: SimDuration,
-    /// First checkpoint offset from start.
-    pub ckpt_offset: SimDuration,
-    /// Source-node ping period ("every 30 seconds").
-    pub ping_period: SimDuration,
-    /// Ping timeout ("the timeout period is 10 seconds").
-    pub ping_timeout: SimDuration,
-    /// Window for gathering a burst of failures into one recovery.
-    pub gather_window: SimDuration,
-    /// Operator code size shipped to replacements over cellular.
-    pub code_bytes_per_op: u64,
-    /// Fixed install overhead (WiFi rebuild, process start).
-    pub ready_overhead: SimDuration,
-    /// Extra install time per restored operator (flash read etc.).
-    pub ready_per_op: SimDuration,
-    /// Give up waiting for recovery acks after this long.
-    pub ack_deadline: SimDuration,
-    /// Declare a departure state transfer stalled (replacement dead)
-    /// if its ack hasn't arrived after this long. Generous: a real
-    /// transfer can legitimately take minutes over the slow cellular
-    /// uplink, and a false stall re-introduces the rollback recovery
-    /// departures are meant to avoid.
-    pub transfer_stall_deadline: SimDuration,
-    /// Periodic checkpointing on/off (off = Table I "fault tolerance
-    /// function turned off").
-    pub checkpoints_enabled: bool,
-    /// First probe interval after a region is marked severed by a
-    /// network partition.
-    pub severed_probe_base: SimDuration,
-    /// Cap on the severed-probe backoff.
-    pub severed_probe_cap: SimDuration,
-    /// Period of the membership reconciliation sweep: every tick each
-    /// region controller pushes one catch-up delta to every active
-    /// phone still behind the membership log head (usually none — the
-    /// event-driven flush keeps stakeholders current).
-    pub reconcile_period: SimDuration,
-}
-
-impl Default for MsControllerConfig {
-    fn default() -> Self {
-        MsControllerConfig {
-            ckpt_period: SimDuration::from_secs(300),
-            ckpt_offset: SimDuration::from_secs(60),
-            ping_period: SimDuration::from_secs(30),
-            ping_timeout: SimDuration::from_secs(10),
-            gather_window: SimDuration::from_secs(2),
-            code_bytes_per_op: 50_000,
-            ready_overhead: SimDuration::from_secs(1),
-            ready_per_op: SimDuration::from_millis(200),
-            ack_deadline: SimDuration::from_secs(60),
-            transfer_stall_deadline: SimDuration::from_secs(300),
-            checkpoints_enabled: true,
-            severed_probe_base: SimDuration::from_secs(2),
-            severed_probe_cap: SimDuration::from_secs(32),
-            reconcile_period: SimDuration::from_secs(30),
-        }
-    }
-}
 
 /// Static description of one region handed to its region controller.
 pub struct RegionSpec {
@@ -118,21 +54,12 @@ pub struct RegionSpec {
     pub wifi: ActorId,
     /// Downstream regions: (region index, source op fed there).
     pub downstream: Vec<(usize, OpId)>,
-    /// Minimum active phones to keep the region running.
-    pub min_active: u32,
     /// Sensor (workload driver) actors to re-pair when a source op
     /// moves to another phone.
     pub sensors: Vec<ActorId>,
 }
 
-/// How long after a reconfiguration (recovery end, install ack) nodes
-/// may stay quiet before their silence counts as a failure again.
-pub(crate) const QUIET_GRACE: SimDuration = SimDuration::from_secs(20);
-
 /// Control-plane startup trigger (scheduled by the deployment builder
 /// to the coordinator and to every region controller).
 #[derive(Debug, Clone, Copy)]
 pub struct Start;
-
-/// Convenience re-export for deployment code.
-pub use dsps::node::Ping as NodePing;

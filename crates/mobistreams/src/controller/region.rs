@@ -30,7 +30,10 @@ use std::sync::Arc;
 
 use dsps::graph::{EdgeId, QueryGraph};
 use dsps::node::{Install, InstallStates, Pong, ReportDead, SetUrgentEdges};
-use dsps::placement::{PingRounds, Placement, RecoveryEpisode, RecoveryRecord, SlotState};
+use dsps::placement::{
+    CheckpointSchedule, PingRounds, Placement, RecoveryEpisode, RecoveryRecord, SlotState,
+    GATHER_WINDOW, PING_PERIOD, PING_TIMEOUT,
+};
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration, SimTime};
 use simnet::cellular::{send_ctl, send_ctl_tagged, CellRx};
 use simnet::{payload_as, LinkState, TxFailed};
@@ -40,8 +43,43 @@ use super::msgs::{
     ShipInstall,
 };
 use super::reconcile::{MembershipLog, SuffixCache};
-use super::{MsControllerConfig, RegionSpec, Start, QUIET_GRACE};
+use super::{RegionSpec, Start};
 use crate::msgs::*;
+
+/// Operator code shipped to a replacement over cellular, per operator.
+const CODE_BYTES_PER_OP: u64 = 50_000;
+
+/// Fixed install time of a replacement (WiFi rebuild, process start).
+const READY_OVERHEAD: SimDuration = SimDuration::from_secs(1);
+
+/// Extra install time per restored operator (flash read etc.).
+const READY_PER_OP: SimDuration = SimDuration::from_millis(200);
+
+/// A recovery gives up waiting for its acks after this long.
+const ACK_DEADLINE: SimDuration = SimDuration::from_secs(60);
+
+/// A departure state transfer whose ack has not arrived after this long
+/// is stalled (the replacement died). Generous: a real transfer can
+/// take minutes over the slow cellular uplink, and a false stall
+/// re-introduces the rollback recovery departures are meant to avoid.
+const TRANSFER_STALL_DEADLINE: SimDuration = SimDuration::from_secs(300);
+
+/// First probe interval after a region is marked severed by a network
+/// partition; the backoff doubles up to [`SEVERED_PROBE_CAP`].
+const SEVERED_PROBE_BASE: SimDuration = SimDuration::from_secs(2);
+
+/// Cap on the severed-probe backoff.
+const SEVERED_PROBE_CAP: SimDuration = SimDuration::from_secs(32);
+
+/// Period of the membership reconciliation sweep: every tick each
+/// region pushes one catch-up delta to every active phone still behind
+/// the membership log head (usually none — the event-driven flush
+/// keeps stakeholders current).
+const RECONCILE_PERIOD: SimDuration = SimDuration::from_secs(30);
+
+/// How long after a reconfiguration (recovery end, install ack) nodes
+/// may stay quiet before their silence counts as a failure again.
+const QUIET_GRACE: SimDuration = SimDuration::from_secs(20);
 
 /// One in-flight departure state transfer (§III-E, Fig 7).
 struct DepartingTransfer {
@@ -72,7 +110,6 @@ struct RegionRt {
     table: Placement,
     wifi: ActorId,
     sensors: Vec<ActorId>,
-    min_active: u32,
     /// Phones required before the stopped region restarts: the number
     /// of hosting slots it was deployed with, so the restart isn't
     /// hopelessly overloaded.
@@ -118,7 +155,7 @@ struct RegionRt {
 
 /// The per-region-group controller actor.
 pub struct RegionController {
-    cfg: MsControllerConfig,
+    schedule: CheckpointSchedule,
     cell: ActorId,
     coordinator: ActorId,
     group: usize,
@@ -164,7 +201,7 @@ impl RegionController {
     /// Build a controller over the contiguous region group starting at
     /// global index `first_region`.
     pub fn new(
-        cfg: MsControllerConfig,
+        schedule: CheckpointSchedule,
         cell: ActorId,
         coordinator: ActorId,
         group: usize,
@@ -180,7 +217,6 @@ impl RegionController {
                 table: spec.placement,
                 wifi: spec.wifi,
                 sensors: spec.sensors,
-                min_active: spec.min_active,
                 version: 0,
                 last_complete: 0,
                 ckpt_expected: BTreeSet::new(),
@@ -198,7 +234,7 @@ impl RegionController {
             })
             .collect();
         RegionController {
-            cfg,
+            schedule,
             cell,
             coordinator,
             group,
@@ -364,7 +400,7 @@ impl RegionController {
 
     fn on_reconcile_tick(&mut self, ctx: &mut Ctx) {
         let me = ctx.self_id();
-        ctx.send_in(self.cfg.reconcile_period, me, CtlTimer::ReconcileTick);
+        ctx.send_in(RECONCILE_PERIOD, me, CtlTimer::ReconcileTick);
         for region in self.region_indices() {
             self.send_deltas(region, FlushScope::AllActive, ctx);
         }
@@ -431,18 +467,15 @@ impl RegionController {
     fn on_start(&mut self, ctx: &mut Ctx) {
         for region in self.region_indices() {
             self.membership_changed(region, FlushScope::AllActive, ctx);
-            if self.cfg.checkpoints_enabled {
+            if self.schedule.enabled {
                 let me = ctx.self_id();
-                ctx.send_in(
-                    self.cfg.ckpt_offset,
-                    me,
-                    CtlTimer::CheckpointTick { region },
-                );
+                let tick = CtlTimer::CheckpointTick { region };
+                ctx.send_in(self.schedule.offset, me, tick);
             }
         }
         let me = ctx.self_id();
-        ctx.send_in(self.cfg.ping_period, me, CtlTimer::PingTick);
-        ctx.send_in(self.cfg.reconcile_period, me, CtlTimer::ReconcileTick);
+        ctx.send_in(PING_PERIOD, me, CtlTimer::PingTick);
+        ctx.send_in(RECONCILE_PERIOD, me, CtlTimer::ReconcileTick);
     }
 
     /// The in-region phone that relays a degraded slot's cellular
@@ -459,11 +492,8 @@ impl RegionController {
 
     fn on_ckpt_tick(&mut self, region: usize, ctx: &mut Ctx) {
         let me = ctx.self_id();
-        ctx.send_in(
-            self.cfg.ckpt_period,
-            me,
-            CtlTimer::CheckpointTick { region },
-        );
+        let tick = CtlTimer::CheckpointTick { region };
+        ctx.send_in(self.schedule.period, me, tick);
         let rt = self.rt_mut(region);
         if rt.stopped || rt.episode.recovering() {
             return;
@@ -581,7 +611,7 @@ impl RegionController {
 
     fn on_ping_tick(&mut self, ctx: &mut Ctx) {
         let me = ctx.self_id();
-        ctx.send_in(self.cfg.ping_period, me, CtlTimer::PingTick);
+        ctx.send_in(PING_PERIOD, me, CtlTimer::PingTick);
         let mut targets = BTreeSet::new();
         for (i, rt) in self.regions.iter().enumerate() {
             // Severed regions are unreachable, not dead: pinging them
@@ -603,7 +633,7 @@ impl RegionController {
             let dst = self.rt(r).table.actor(s);
             self.send_ping_tagged(ctx, dst, r, round);
         }
-        ctx.send_in(self.cfg.ping_timeout, me, CtlTimer::PingDeadline { round });
+        ctx.send_in(PING_TIMEOUT, me, CtlTimer::PingDeadline { round });
     }
 
     fn on_ping_deadline(&mut self, round: u64, ctx: &mut Ctx) {
@@ -633,7 +663,6 @@ impl RegionController {
     /// Partition evidence: freeze supervision of the region and start
     /// the capped-backoff probe loop that watches for the heal.
     fn mark_severed(&mut self, region: usize, ctx: &mut Ctx) {
-        let base = self.cfg.severed_probe_base;
         let rt = self.rt_mut(region);
         if rt.stopped || rt.severed {
             return;
@@ -649,22 +678,22 @@ impl RegionController {
             }
         }
         rt.probe_epoch += 1;
-        rt.probe_backoff = base;
+        rt.probe_backoff = SEVERED_PROBE_BASE;
         let epoch = rt.probe_epoch;
         self.severed_open.entry(region).or_insert_with(|| ctx.now());
         let me = ctx.self_id();
-        ctx.send_in(base, me, CtlTimer::ProbeSevered { region, epoch });
+        let probe = CtlTimer::ProbeSevered { region, epoch };
+        ctx.send_in(SEVERED_PROBE_BASE, me, probe);
     }
 
     /// Probe a severed region: one tagged ping at the current backoff.
     /// Severed again → the next probe waits twice as long (capped).
     fn on_probe_severed(&mut self, region: usize, epoch: u64, ctx: &mut Ctx) {
-        let cap = self.cfg.severed_probe_cap;
         let rt = self.rt_mut(region);
         if !rt.severed || rt.probe_epoch != epoch {
             return;
         }
-        rt.probe_backoff = rt.probe_backoff.saturating_mul(2).min(cap);
+        rt.probe_backoff = rt.probe_backoff.saturating_mul(2).min(SEVERED_PROBE_CAP);
         let next = rt.probe_backoff;
         let target = rt.table.active_slots().first().map(|&s| rt.table.actor(s));
         if let Some(dst) = target {
@@ -713,8 +742,6 @@ impl RegionController {
         if !self.valid_slot(region, slot) {
             return;
         }
-        let gather_window = self.cfg.gather_window;
-        let transfer_stall = self.cfg.transfer_stall_deadline;
         let rt = self.rt_mut(region);
         if rt.stopped {
             return;
@@ -751,7 +778,7 @@ impl RegionController {
             .map(|(&d, t)| (d, t.started));
         let mut stalled_edges: Option<Vec<EdgeId>> = None;
         if let Some((departing, started)) = stalled_transfer {
-            if ctx.now().since(started) < transfer_stall {
+            if ctx.now().since(started) < TRANSFER_STALL_DEADLINE {
                 return;
             }
             // Stalled: drop the transfer so the recovery below can
@@ -772,7 +799,7 @@ impl RegionController {
         rt.table.set_state(slot, SlotState::Dead);
         if rt.episode.note(slot, ctx.now()) {
             let me = ctx.self_id();
-            ctx.send_in(gather_window, me, CtlTimer::RecoverNow { region });
+            ctx.send_in(GATHER_WINDOW, me, CtlTimer::RecoverNow { region });
         }
         if let Some(edges) = stalled_edges {
             self.release_urgent_edges(region, &edges, ctx);
@@ -819,8 +846,8 @@ impl RegionController {
     /// it hosts, with the modeled load time of that many operators.
     fn install_for(&self, region: usize, slot: u32, states: InstallStates) -> Install {
         let table = &self.rt(region).table;
-        let mut install = table.install_for(slot, states, self.cfg.ready_overhead);
-        install.ready_in += self.cfg.ready_per_op * install.ops.len() as u64;
+        let mut install = table.install_for(slot, states, READY_OVERHEAD);
+        install.ready_in += READY_PER_OP * install.ops.len() as u64;
         install
     }
 
@@ -835,7 +862,7 @@ impl RegionController {
                 region,
                 slot,
                 dst: self.rt(region).table.actor(slot),
-                bytes: self.cfg.code_bytes_per_op * install.ops.len().max(1) as u64,
+                bytes: CODE_BYTES_PER_OP * install.ops.len().max(1) as u64,
                 install,
             },
         );
@@ -931,7 +958,7 @@ impl RegionController {
         self.rollback_survivors(region, installing, version, ctx);
         self.send_status(region, ctx);
         let me = ctx.self_id();
-        ctx.send_in(self.cfg.ack_deadline, me, CtlTimer::AckDeadline { region });
+        ctx.send_in(ACK_DEADLINE, me, CtlTimer::AckDeadline { region });
     }
 
     /// All acks in (or deadline): restart the region's dataflow.
@@ -1072,14 +1099,14 @@ impl RegionController {
             send_ctl(ctx, self.cell, dst, wire::CONTROL, update);
         }
         let Some(replacement) = replacement else {
-            // No replacement available: if the region dropped below its
-            // minimum it stops (bypass); otherwise it limps along over
+            // No replacement available: if no phone is left active the
+            // region stops (bypass); otherwise it limps along over
             // cellular until a reboot/rejoin provides a phone. The
             // urgent edges must outlive other transfers' releases for
             // as long as the degraded phone computes remotely.
             let rt = self.rt_mut(region);
             rt.degraded_urgent.insert(slot, affected_edges);
-            if (rt.table.active_slots().len() as u32) < rt.min_active {
+            if rt.table.active_slots().is_empty() {
                 self.stop_region(region, ctx);
                 return;
             }
@@ -1190,7 +1217,7 @@ impl RegionController {
             rt.episode.pending.extend(stuck);
             if rt.episode.arm() {
                 let me = ctx.self_id();
-                ctx.send_in(self.cfg.gather_window, me, CtlTimer::RecoverNow { region });
+                ctx.send_in(GATHER_WINDOW, me, CtlTimer::RecoverNow { region });
             }
         }
     }
@@ -1207,7 +1234,7 @@ impl RegionController {
         self.ship_install(ctx, region, slot, InstallStates::from_mrc(version));
         self.rollback_survivors(region, BTreeSet::from([slot]), version, ctx);
         let me = ctx.self_id();
-        ctx.send_in(self.cfg.ack_deadline, me, CtlTimer::AckDeadline { region });
+        ctx.send_in(ACK_DEADLINE, me, CtlTimer::AckDeadline { region });
     }
 
     fn restart_region(&mut self, region: usize, ctx: &mut Ctx) {

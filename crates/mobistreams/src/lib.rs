@@ -28,5 +28,5 @@ pub mod controller;
 pub mod msgs;
 pub mod scheme;
 
-pub use controller::{Coordinator, MsControllerConfig, RegionController, RegionSpec, RegionWiring};
-pub use scheme::{MsScheme, MsSchemeConfig};
+pub use controller::{Coordinator, RegionController, RegionSpec, RegionWiring};
+pub use scheme::MsScheme;

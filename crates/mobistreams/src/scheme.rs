@@ -23,35 +23,29 @@ use dsps::ft::FtScheme;
 use dsps::graph::{EdgeId, OpId, OpKind};
 use dsps::node::{InstallStates, NodeInner};
 use dsps::tuple::{Marker, StreamItem, Tuple};
-use simkernel::{ActorId, Ctx, EventBox};
-use simnet::bitmap::Bitmap;
+use simkernel::{ActorId, Ctx, EventBox, SimDuration};
 use simnet::cellular::CellRx;
 use simnet::stats::TrafficClass;
-use simnet::wifi::{SendMode, Service, WifiBatchRx, WifiBatchSend, WifiRx};
+use simnet::wifi::{WifiBatchRx, WifiBatchSend, WifiRx};
 use simnet::{payload, payload_as};
 
-use crate::broadcast::{BroadcastConfig, PhaseDecision, ReceiverState, SenderJob};
+use crate::broadcast::{PhaseDecision, ReceiverState, SenderJob};
 use crate::msgs::*;
 
-/// MobiStreams per-node parameters.
-#[derive(Debug, Clone, Default)]
-pub struct MsSchemeConfig {
-    /// Broadcast engine parameters.
-    pub broadcast: BroadcastConfig,
-    /// Replicate source inputs to the region (on in the paper; off
-    /// only for ablation benches).
-    pub preserve_inputs: bool,
-}
+/// Broadcast block size: the paper uses 1 KB because "large UDP
+/// messages are more susceptible to a lossy network due to message
+/// fragmentation" (§III-C).
+const BLOCK_BYTES: u64 = 1024;
 
-impl MsSchemeConfig {
-    /// Paper defaults.
-    pub fn paper() -> Self {
-        MsSchemeConfig {
-            broadcast: BroadcastConfig::default(),
-            preserve_inputs: true,
-        }
-    }
-}
+/// How long a sender waits for straggler bitmaps after a phase before
+/// treating the silent receivers as gone.
+const BITMAP_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+/// A phase goes on the air in chunks of at most this many bytes, so
+/// data tuples interleave with a multi-MB checkpoint instead of
+/// queueing behind it (the paper's asynchronous background
+/// checkpointing).
+const CHUNK_BYTES: u64 = 256 * 1024;
 
 /// Alignment bookkeeping for one checkpoint version.
 #[derive(Debug, Default)]
@@ -89,7 +83,9 @@ pub struct SchemeStats {
 
 /// The MobiStreams fault-tolerance scheme.
 pub struct MsScheme {
-    cfg: MsSchemeConfig,
+    /// Replicate source inputs to the region (on in the paper; off when
+    /// fault tolerance is off).
+    preserve_inputs: bool,
     /// Current preservation epoch (version of the last started ckpt).
     pub epoch: u64,
     align: BTreeMap<u64, AlignState>,
@@ -127,10 +123,10 @@ pub struct MsScheme {
 }
 
 impl MsScheme {
-    /// New scheme with the given parameters.
-    pub fn new(cfg: MsSchemeConfig) -> Self {
+    /// New scheme; `preserve_inputs` replicates source inputs.
+    pub fn new(preserve_inputs: bool) -> Self {
         MsScheme {
-            cfg,
+            preserve_inputs,
             epoch: 0,
             align: BTreeMap::new(),
             last_aligned: 0,
@@ -147,11 +143,6 @@ impl MsScheme {
             degraded_proxy: None,
             stats: SchemeStats::default(),
         }
-    }
-
-    /// Paper-default scheme.
-    pub fn paper() -> Self {
-        MsScheme::new(MsSchemeConfig::paper())
     }
 
     /// Active peers (actors) excluding this node.
@@ -195,15 +186,7 @@ impl MsScheme {
             return;
         }
         let stream = self.alloc_stream(node);
-        let mut job = SenderJob::new(
-            stream,
-            content,
-            class,
-            total_bytes,
-            self.cfg.broadcast.block_bytes,
-            expected,
-        )
-        .with_max_phases(self.cfg.broadcast.max_phases);
+        let mut job = SenderJob::new(stream, content, class, total_bytes, BLOCK_BYTES, expected);
         let blocks = job.begin();
         self.jobs.insert(stream, job);
         self.stats.jobs_started += 1;
@@ -222,7 +205,7 @@ impl MsScheme {
         let mut cur_bytes = 0u64;
         for b in blocks {
             let sz = job.block_size(b);
-            if cur_bytes + sz > self.cfg.broadcast.chunk_bytes && !cur.is_empty() {
+            if cur_bytes + sz > CHUNK_BYTES && !cur.is_empty() {
                 chunks.push_back(std::mem::take(&mut cur));
                 cur_bytes = 0;
             }
@@ -270,11 +253,7 @@ impl MsScheme {
 
     fn arm_timeout(&self, ctx: &mut Ctx, stream: u64, phase: u32) {
         let me = ctx.self_id();
-        ctx.send_in(
-            self.cfg.broadcast.bitmap_timeout,
-            me,
-            BitmapTimeout { stream, phase },
-        );
+        ctx.send_in(BITMAP_TIMEOUT, me, BitmapTimeout { stream, phase });
     }
 
     /// Drive a job forward after a phase decision.
@@ -314,15 +293,7 @@ impl MsScheme {
                     if tag != 0 {
                         self.tcp_tags.insert(tag, stream);
                     }
-                    node.send_wifi(
-                        ctx,
-                        SendMode::Unicast(dst),
-                        Service::Reliable,
-                        class,
-                        bytes,
-                        tag,
-                        None,
-                    );
+                    node.send_wifi(ctx, dst, class, bytes, tag, None);
                 }
             }
             PhaseDecision::Complete => {
@@ -629,7 +600,7 @@ impl FtScheme for MsScheme {
         node: &mut NodeInner,
         ctx: &mut Ctx,
     ) -> bool {
-        if !self.cfg.preserve_inputs || tuple.replay || edge.is_source() {
+        if !self.preserve_inputs || tuple.replay || edge.is_source() {
             return true;
         }
         let from = node.graph.edge(edge).from;
@@ -690,11 +661,11 @@ impl FtScheme for MsScheme {
         node.store.preserve_input(self.epoch, op, tuple.clone());
     }
 
-    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) -> bool {
+    fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) {
         // Dead nodes react to nothing (reboot is handled by the node
         // runtime itself).
         if !node.alive {
-            return true;
+            return;
         }
         simkernel::match_event!(ev,
             // --- receiver side of the broadcast protocol ---
@@ -704,15 +675,7 @@ impl FtScheme for MsScheme {
                         if b.reply_expected {
                             let reply = BitmapReply { stream: b.stream, received: cum };
                             let bytes = reply.received.wire_bytes();
-                            node.send_wifi(
-                                ctx,
-                                SendMode::Unicast(b.src),
-                                Service::Reliable,
-                                b.class,
-                                bytes,
-                                0,
-                                Some(payload(reply)),
-                            );
+                            node.send_wifi(ctx, b.src, b.class, bytes, 0, Some(payload(reply)));
                         }
                     }
                     Err(_) => {
@@ -865,7 +828,7 @@ impl FtScheme for MsScheme {
                         // A stale/misrouted snapshot from another region
                         // must not be relayed into this region's round.
                         self.stats.protocol_errors += 1;
-                        return true;
+                        return;
                     }
                     self.stats.proxied_snapshots += 1;
                     let mut total = 0u64;
@@ -897,8 +860,6 @@ impl FtScheme for MsScheme {
                         0,
                         Some(payload(install)),
                     );
-                } else {
-                    return false;
                 }
             },
             // --- fault injection ---
@@ -909,11 +870,8 @@ impl FtScheme for MsScheme {
                 };
                 node.send_controller_tracked(ctx, wire::CONTROL, notice);
             },
-            @else _other => {
-                return false;
-            }
+            @else _other => {}
         );
-        true
     }
 
     fn on_install(&mut self, node: &mut NodeInner, ctx: &mut Ctx) {
@@ -937,10 +895,6 @@ impl FtScheme for MsScheme {
     }
 }
 
-/// Dummy bitmap type re-export check (keeps `Bitmap` linked in docs).
-#[doc(hidden)]
-pub type _BitmapAlias = Bitmap;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -949,7 +903,8 @@ mod tests {
     use dsps::node::{NodeActor, NodeConfig, NodeInner, PrimaryTransport, SourceEmit};
     use dsps::ops::{Counter, Relay};
     use dsps::tuple::value;
-    use simkernel::{impl_actor_any, Actor, Sim, SimDuration, SimTime};
+    use simkernel::{impl_actor_any, Actor, Sim, SimTime};
+    use simnet::bitmap::Bitmap;
     use simnet::cellular::{CellConfig, CellSend, CellularNet};
     use simnet::wifi::{WifiConfig, WifiMedium};
     use std::sync::Arc;
@@ -1019,7 +974,7 @@ mod tests {
                 ctl,
             );
             inner.op_slot = vec![0, 1, 2];
-            let mut scheme = MsScheme::paper();
+            let mut scheme = MsScheme::new(true);
             scheme.active_slots = vec![0, 1, 2, 3];
             let id = sim.add_actor(Box::new(NodeActor::new(inner, Box::new(scheme))));
             nodes.push(id);

@@ -17,8 +17,6 @@ use std::fmt;
 pub trait Event: Any + fmt::Debug + Send + Sync {
     /// Upcast to `&dyn Any` for downcasting.
     fn as_any(&self) -> &dyn Any;
-    /// Upcast to `Box<dyn Any>` for by-value downcasting.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
     /// The event's type name, for "unhandled event" panics and diagnostics.
     fn type_name(&self) -> &'static str;
     /// The concrete type's `TypeId` in one virtual call
@@ -38,9 +36,6 @@ pub trait Event: Any + fmt::Debug + Send + Sync {
 
 impl<T: Any + fmt::Debug + Send + Sync> Event for T {
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
     fn type_name(&self) -> &'static str {
@@ -89,29 +84,6 @@ impl dyn Event {
     /// Borrowing downcast.
     pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
         self.as_any().downcast_ref::<T>()
-    }
-
-    /// Consuming downcast; returns the original box on mismatch so the
-    /// caller can try the next candidate type.
-    pub fn downcast<T: Any>(self: Box<dyn Event>) -> Result<Box<T>, Box<dyn Event>> {
-        if self.is::<T>() {
-            // simlint::allow(P001): guarded by the is::<T> check one line up — this downcast cannot fail
-            Ok(self.into_any().downcast::<T>().expect("checked by is::<T>"))
-        } else {
-            Err(self)
-        }
-    }
-
-    /// Consuming downcast for handlers that accept exactly one type:
-    /// on mismatch, returns a [`MisroutedEvent`] naming both the
-    /// expected and the actual type, so dispatch errors carry enough
-    /// context to find the bad sender.
-    pub fn downcast_expected<T: Any>(self: Box<dyn Event>) -> Result<Box<T>, MisroutedEvent> {
-        let actual = (*self).type_name();
-        self.downcast::<T>().map_err(|_| MisroutedEvent {
-            expected: std::any::type_name::<T>(),
-            actual,
-        })
     }
 }
 
@@ -182,13 +154,13 @@ mod tests {
 
     #[test]
     fn consuming_downcast_success_and_recovery() {
-        let ev: Box<dyn Event> = Box::new(Ping(3));
+        let ev = crate::EventBox::new(Ping(3));
         let ev = match ev.downcast::<Pong>() {
             Ok(_) => panic!("wrong type matched"),
             Err(original) => original,
         };
         let ping = ev.downcast::<Ping>().expect("should match Ping");
-        assert_eq!(*ping, Ping(3));
+        assert_eq!(ping, Ping(3));
     }
 
     #[test]
@@ -201,7 +173,7 @@ mod tests {
 
     #[test]
     fn downcast_expected_names_both_types() {
-        let ev: Box<dyn Event> = Box::new(Ping(4));
+        let ev = crate::EventBox::new(Ping(4));
         let err = ev.downcast_expected::<Pong>().unwrap_err();
         assert!(
             err.expected.ends_with("Pong"),
@@ -212,8 +184,8 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("mis-routed"), "message = {msg}");
 
-        let ev: Box<dyn Event> = Box::new(Ping(4));
-        assert_eq!(*ev.downcast_expected::<Ping>().unwrap(), Ping(4));
+        let ev = crate::EventBox::new(Ping(4));
+        assert_eq!(ev.downcast_expected::<Ping>().unwrap(), Ping(4));
     }
 
     #[test]

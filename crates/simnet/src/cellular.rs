@@ -265,15 +265,6 @@ impl CellularNet {
         Some(self.cfg.rtt / 2 + crate::link::tx_time(self.cfg.overhead, ep.down.rate_bps()))
     }
 
-    /// Change an endpoint's reachability (setup-time wiring; event-path
-    /// callers go through [`Self::set_link_state_at`] so a death drains
-    /// the queued backlog into the drop accounting).
-    pub fn set_link_state(&mut self, node: ActorId, state: LinkState) {
-        if let Some(ep) = self.endpoints.get_mut(&node) {
-            ep.state = state;
-        }
-    }
-
     /// Change an endpoint's reachability at a known sim time. A
     /// transition out of `Active` drains whatever is still waiting on
     /// both directions: those bytes will never be transmitted, so they
@@ -649,8 +640,11 @@ mod tests {
     #[test]
     fn send_to_dead_endpoint_fails() {
         let (mut sim, net, nodes) = setup();
-        sim.actor_mut::<CellularNet>(net)
-            .set_link_state(nodes[1], LinkState::Dead);
+        sim.actor_mut::<CellularNet>(net).set_link_state_at(
+            nodes[1],
+            LinkState::Dead,
+            SimTime::ZERO,
+        );
         sim.schedule_at(
             SimTime::ZERO,
             net,
@@ -672,8 +666,11 @@ mod tests {
     #[test]
     fn dead_destination_does_not_occupy_the_uplink() {
         let (mut sim, net, nodes) = setup();
-        sim.actor_mut::<CellularNet>(net)
-            .set_link_state(nodes[1], LinkState::Gone);
+        sim.actor_mut::<CellularNet>(net).set_link_state_at(
+            nodes[1],
+            LinkState::Gone,
+            SimTime::ZERO,
+        );
         // A huge payload to the departed endpoint (10 s of uplink if it
         // were serialized), then a small urgent message to a live peer.
         sim.schedule_at(

@@ -4,10 +4,10 @@
 //!
 //! * [`wifi::WifiMedium`] — one per region: a shared, half-duplex,
 //!   broadcast-capable, *lossy* channel (the phones' ad-hoc WiFi,
-//!   1–5 Mbps in the paper). Supports unreliable datagrams (UDP), a
-//!   retransmission-expanded reliable service (TCP), true broadcast
-//!   (one airtime slot reaches every member), and efficient datagram
-//!   *batches* used by the checkpoint broadcast protocol.
+//!   1–5 Mbps in the paper). Supports retransmission-expanded reliable
+//!   unicast (TCP) and the datagram *batches* of the checkpoint
+//!   broadcast protocol (UDP: one airtime slot reaches every member,
+//!   each block lost per receiver).
 //! * [`cellular::CellularNet`] — one global: per-endpoint asymmetric
 //!   uplink/downlink rate queues plus RTT (the 3G network: 0.016–0.32
 //!   Mbps up, 0.35–1.14 Mbps down in the paper). Reliable.

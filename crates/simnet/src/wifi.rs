@@ -3,22 +3,19 @@
 //! Model: a single shared, half-duplex channel. Every transmission —
 //! unicast or broadcast — occupies the channel for its airtime, so all
 //! traffic within a region serializes (no spatial reuse inside a
-//! ≤ 20 m region, matching §III of the paper). Three services:
+//! ≤ 20 m region, matching §III of the paper). Two services:
 //!
-//! * **Datagram** (UDP): per-receiver iid frame loss; a multi-frame
-//!   message is lost for a receiver if *any* fragment is lost (the
-//!   paper's "a message will be dropped completely as long as a part of
-//!   the message has not been received").
-//! * **Reliable** (TCP): never lost to an `Active` receiver; costs extra
-//!   airtime — the byte stream is expanded by the expected
-//!   retransmission factor `1/(1-p)` plus per-frame ACK overhead. A
-//!   reliable send to a `Dead`/`Gone` node consumes one attempt's
-//!   airtime and reports [`TxFailed`] after the timeout — this is how
-//!   upstream neighbors detect failures.
-//! * **Datagram batch**: the checkpoint broadcast sends thousands of
-//!   1 KB blocks back-to-back; a batch collapses them into one event
-//!   while sampling per-block, per-receiver loss exactly as individual
-//!   sends would.
+//! * **Reliable unicast** ([`WifiSend`], TCP): never lost to an
+//!   `Active` receiver; costs extra airtime — the byte stream is
+//!   expanded by the expected retransmission factor `1/(1-p)` plus
+//!   per-frame ACK overhead. A send to a `Dead`/`Gone` node consumes
+//!   one attempt's airtime and reports [`TxFailed`] after the timeout —
+//!   this is how upstream neighbors detect failures.
+//! * **Datagram batch** ([`WifiBatchSend`], UDP broadcast): the
+//!   checkpoint broadcast sends thousands of 1 KB blocks back-to-back
+//!   in one airtime slot that reaches every member; a batch collapses
+//!   them into one event while sampling per-block, per-receiver iid
+//!   loss exactly as individual one-frame datagrams would.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -98,40 +95,15 @@ impl WifiConfig {
         let expansion = 1.0 / (1.0 - self.loss.min(0.99));
         (base as f64 * expansion).ceil() as u64
     }
-
-    /// Probability a whole datagram message survives to one receiver.
-    pub fn datagram_delivery_prob(&self, bytes: u64) -> f64 {
-        (1.0 - self.loss).powi(self.frames(bytes) as i32)
-    }
 }
 
-/// Addressing mode of a WiFi send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendMode {
-    /// To a single region member.
-    Unicast(ActorId),
-    /// To every active member except the sender (one airtime slot).
-    Broadcast,
-}
-
-/// Delivery service of a WiFi send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Service {
-    /// Lossy, unacknowledged (UDP).
-    Datagram,
-    /// Retransmission-expanded, loss-free to active receivers (TCP).
-    Reliable,
-}
-
-/// Request: transmit one logical message on the region's channel.
+/// Request: transmit one logical message reliably to one region member.
 #[derive(Debug)]
 pub struct WifiSend {
     /// Transmitting member.
     pub src: ActorId,
-    /// Unicast or broadcast.
-    pub mode: SendMode,
-    /// Datagram or reliable.
-    pub service: Service,
+    /// Receiving member.
+    pub dst: ActorId,
     /// Accounting class.
     pub class: TrafficClass,
     /// Payload size in bytes (drives airtime).
@@ -372,13 +344,21 @@ impl WifiMedium {
     }
 
     fn handle_send(&mut self, s: WifiSend, ctx: &mut Ctx) {
-        if !self.link_state(s.src).reachable() {
+        let WifiSend {
+            src,
+            dst,
+            class,
+            bytes,
+            tag,
+            payload,
+        } = s;
+        if !self.link_state(src).reachable() {
             // Dead phones transmit nothing: the send never reached the
             // channel, so it is a reject, not a channel drop.
             self.stats.rejects += 1;
             return;
         }
-        let droppable = matches!(s.class, TrafficClass::Data | TrafficClass::Replication);
+        let droppable = matches!(class, TrafficClass::Data | TrafficClass::Replication);
         if droppable && self.channel.backlog(ctx.now()) > self.cfg.max_backlog {
             // Congestion collapse guard: transient tuple buffers are
             // full; the message is lost (sender still sees a completion
@@ -387,97 +367,37 @@ impl WifiMedium {
             // and their cost surfaces as airtime that sheds new frames
             // at the sources.
             self.stats.drops += 1;
-            if s.tag != 0 {
-                ctx.send_in(self.cfg.max_backlog, s.src, TxDone { tag: s.tag });
+            if tag != 0 {
+                ctx.send_in(self.cfg.max_backlog, src, TxDone { tag });
             }
             return;
         }
-        let wire = match s.service {
-            Service::Datagram => self.cfg.datagram_wire_bytes(s.bytes),
-            Service::Reliable => self.cfg.reliable_wire_bytes(s.bytes),
-        };
+        let wire = self.cfg.reliable_wire_bytes(bytes);
         let air = tx_time(wire, self.cfg.rate_bps);
         let (_, end) = self.channel.reserve_span(ctx.now(), air, wire);
-        self.stats.record_send(s.class, s.bytes, wire, air);
+        self.stats.record_send(class, bytes, wire, air);
         self.after_reserve(ctx);
 
         let delay = end - ctx.now();
-        let deliver = |ctx: &mut Ctx, to: ActorId, payload: &Payload| {
-            ctx.send_in(
-                delay,
-                to,
-                WifiRx {
-                    src: s.src,
-                    bytes: s.bytes,
-                    class: s.class,
-                    payload: payload.clone(),
-                },
-            );
-        };
-
-        match s.mode {
-            SendMode::Unicast(dst) => {
-                let reachable = self.link_state(dst).reachable();
-                match (s.service, reachable) {
-                    (Service::Reliable, true) => {
-                        if let Some(p) = &s.payload {
-                            deliver(ctx, dst, p);
-                        }
-                        if s.tag != 0 {
-                            ctx.send_in(delay, s.src, TxDone { tag: s.tag });
-                        }
-                    }
-                    (Service::Reliable, false) => {
-                        self.stats.failed_sends += 1;
-                        let when = delay.max(self.cfg.reliable_timeout);
-                        if s.tag != 0 {
-                            ctx.send_in(when, s.src, TxFailed { tag: s.tag, dst });
-                        }
-                    }
-                    (Service::Datagram, true) => {
-                        let p_ok = self.cfg.datagram_delivery_prob(s.bytes);
-                        if ctx.rng().chance(p_ok) {
-                            if let Some(p) = &s.payload {
-                                deliver(ctx, dst, p);
-                            }
-                        } else {
-                            self.stats.drops += 1;
-                        }
-                        if s.tag != 0 {
-                            ctx.send_in(delay, s.src, TxDone { tag: s.tag });
-                        }
-                    }
-                    (Service::Datagram, false) => {
-                        self.stats.drops += 1;
-                        if s.tag != 0 {
-                            ctx.send_in(delay, s.src, TxDone { tag: s.tag });
-                        }
-                    }
-                }
+        if !self.link_state(dst).reachable() {
+            self.stats.failed_sends += 1;
+            if tag != 0 {
+                let when = delay.max(self.cfg.reliable_timeout);
+                ctx.send_in(when, src, TxFailed { tag, dst });
             }
-            SendMode::Broadcast => {
-                assert!(
-                    matches!(s.service, Service::Datagram),
-                    "broadcast is datagram-only; reliable fan-out goes through the TCP tree"
-                );
-                let p_ok = self.cfg.datagram_delivery_prob(s.bytes);
-                // One draw per reachable member, in member order.
-                for (&dst, st) in &self.members {
-                    if dst == s.src || !st.reachable() {
-                        continue;
-                    }
-                    if ctx.rng().chance(p_ok) {
-                        if let Some(p) = &s.payload {
-                            deliver(ctx, dst, p);
-                        }
-                    } else {
-                        self.stats.drops += 1;
-                    }
-                }
-                if s.tag != 0 {
-                    ctx.send_in(delay, s.src, TxDone { tag: s.tag });
-                }
-            }
+            return;
+        }
+        if let Some(payload) = payload {
+            let rx = WifiRx {
+                src,
+                bytes,
+                class,
+                payload,
+            };
+            ctx.send_in(delay, dst, rx);
+        }
+        if tag != 0 {
+            ctx.send_in(delay, src, TxDone { tag });
         }
     }
 
@@ -650,6 +570,18 @@ mod tests {
         (sim, m, nodes)
     }
 
+    /// A reliable unicast of `bytes` carrying an empty payload.
+    fn send(src: ActorId, dst: ActorId, class: TrafficClass, bytes: u64, tag: u64) -> WifiSend {
+        WifiSend {
+            src,
+            dst,
+            class,
+            bytes,
+            tag,
+            payload: Some(crate::payload(())),
+        }
+    }
+
     #[test]
     fn reliable_unicast_delivers_and_times_airtime() {
         let (mut sim, m, nodes) = setup(0.0);
@@ -658,8 +590,7 @@ mod tests {
             m,
             WifiSend {
                 src: nodes[0],
-                mode: SendMode::Unicast(nodes[1]),
-                service: Service::Reliable,
+                dst: nodes[1],
                 class: TrafficClass::Data,
                 bytes: 125_000, // 1 s at 1 Mbps
                 tag: 42,
@@ -678,30 +609,19 @@ mod tests {
     #[test]
     fn broadcast_reaches_all_active_members_once() {
         let (mut sim, m, nodes) = setup(0.0);
-        sim.schedule_at(
-            SimTime::ZERO,
-            m,
-            WifiSend {
-                src: nodes[0],
-                mode: SendMode::Broadcast,
-                service: Service::Datagram,
-                class: TrafficClass::Preservation,
-                bytes: 1000,
-                tag: 1,
-                payload: Some(crate::payload("img")),
-            },
-        );
+        sim.actor_mut::<WifiMedium>(m)
+            .set_link_state(nodes[3], LinkState::Dead);
+        sim.schedule_at(SimTime::ZERO, m, batch(nodes[0], (0..4).collect(), 1));
         sim.run();
-        for &n in &nodes[1..] {
-            assert_eq!(sim.actor::<Sink>(n).rx.len(), 1, "{n:?} missed broadcast");
+        for &n in &nodes[1..3] {
+            assert_eq!(sim.actor::<Sink>(n).batch, vec![(1, 4)], "{n:?}");
         }
-        assert!(
-            sim.actor::<Sink>(nodes[0]).rx.is_empty(),
-            "no self-delivery"
-        );
-        // One airtime slot for three receivers: medium busy exactly once.
+        for n in [nodes[0], nodes[3]] {
+            assert!(sim.actor::<Sink>(n).batch.is_empty(), "self or dead {n:?}");
+        }
+        // One airtime slot for two receivers: medium busy exactly once.
         let med = sim.actor::<WifiMedium>(m);
-        assert_eq!(med.stats().messages(TrafficClass::Preservation), 1);
+        assert_eq!(med.stats().messages(TrafficClass::Checkpoint), 1);
     }
 
     #[test]
@@ -711,15 +631,7 @@ mod tests {
             sim.schedule_at(
                 SimTime::ZERO,
                 m,
-                WifiSend {
-                    src: nodes[0],
-                    mode: SendMode::Unicast(nodes[1]),
-                    service: Service::Reliable,
-                    class: TrafficClass::Data,
-                    bytes: 125_000,
-                    tag,
-                    payload: Some(crate::payload(())),
-                },
+                send(nodes[0], nodes[1], TrafficClass::Data, 125_000, tag),
             );
         }
         sim.run();
@@ -740,15 +652,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             m,
-            WifiSend {
-                src: nodes[0],
-                mode: SendMode::Unicast(nodes[1]),
-                service: Service::Reliable,
-                class: TrafficClass::Data,
-                bytes: 100,
-                tag: 9,
-                payload: Some(crate::payload(())),
-            },
+            send(nodes[0], nodes[1], TrafficClass::Data, 100, 9),
         );
         sim.run();
         assert!(sim.actor::<Sink>(nodes[1]).rx.is_empty());
@@ -761,48 +665,16 @@ mod tests {
         let (mut sim, m, nodes) = setup(0.0);
         sim.actor_mut::<WifiMedium>(m)
             .set_link_state(nodes[0], LinkState::Dead);
-        sim.schedule_at(
-            SimTime::ZERO,
-            m,
-            WifiSend {
-                src: nodes[0],
-                mode: SendMode::Broadcast,
-                service: Service::Datagram,
-                class: TrafficClass::Data,
-                bytes: 100,
-                tag: 3,
-                payload: Some(crate::payload(())),
-            },
-        );
+        let to = |dst| send(nodes[0], dst, TrafficClass::Data, 100, 3);
+        for &n in &nodes[1..] {
+            sim.schedule_at(SimTime::ZERO, m, to(n));
+        }
         sim.run();
         for &n in &nodes {
             assert!(sim.actor::<Sink>(n).rx.is_empty());
         }
-    }
-
-    #[test]
-    fn datagram_loss_statistics() {
-        let (mut sim, m, nodes) = setup(0.3);
-        let sends = 2000u64;
-        for _ in 0..sends {
-            sim.schedule_at(
-                SimTime::ZERO,
-                m,
-                WifiSend {
-                    src: nodes[0],
-                    mode: SendMode::Unicast(nodes[1]),
-                    service: Service::Datagram,
-                    class: TrafficClass::Data,
-                    bytes: 100,
-                    tag: 0,
-                    payload: Some(crate::payload(())),
-                },
-            );
-        }
-        sim.run();
-        let got = sim.actor::<Sink>(nodes[1]).rx.len() as f64;
-        let rate = got / sends as f64;
-        assert!((rate - 0.7).abs() < 0.05, "delivery rate {rate}");
+        let sender = sim.actor::<Sink>(nodes[0]);
+        assert!(sender.done.is_empty() && sender.failed.is_empty());
     }
 
     #[test]
@@ -858,19 +730,8 @@ mod tests {
         sim.actor_mut::<WifiMedium>(m)
             .set_link_state(nodes[0], LinkState::Dead);
         // Dead source, unicast send.
-        sim.schedule_at(
-            SimTime::ZERO,
-            m,
-            WifiSend {
-                src: nodes[0],
-                mode: SendMode::Unicast(nodes[1]),
-                service: Service::Datagram,
-                class: TrafficClass::Data,
-                bytes: 100,
-                tag: 0,
-                payload: Some(crate::payload(())),
-            },
-        );
+        let unicast = send(nodes[0], nodes[1], TrafficClass::Data, 100, 0);
+        sim.schedule_at(SimTime::ZERO, m, unicast);
         // Dead source, batch send.
         sim.schedule_at(SimTime::ZERO, m, batch(nodes[0], (0..10).collect(), 0));
         // Live source, degenerate empty batch.
@@ -971,22 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn delivery_prob_decays_with_fragments() {
-        let cfg = WifiConfig {
-            loss: 0.05,
-            mtu: 1500,
-            ..WifiConfig::default()
-        };
-        let small = cfg.datagram_delivery_prob(1000);
-        let big = cfg.datagram_delivery_prob(100_000);
-        assert!(small > 0.94);
-        assert!(
-            big < 0.05,
-            "67-fragment message almost surely lost, got {big}"
-        );
-    }
-
-    #[test]
     fn congestion_signals_high_and_low_water() {
         let mut sim = Sim::new(7);
         let a = sim.add_actor(Box::<Sink>::default());
@@ -1007,19 +852,7 @@ mod tests {
         let m = sim.add_actor(Box::new(medium));
         // 4 s of airtime: crosses the 2 s high-water mark.
         for _ in 0..4 {
-            sim.schedule_at(
-                SimTime::ZERO,
-                m,
-                WifiSend {
-                    src: a,
-                    mode: SendMode::Unicast(b),
-                    service: Service::Reliable,
-                    class: TrafficClass::Data,
-                    bytes: 125_000,
-                    tag: 0,
-                    payload: Some(crate::payload(())),
-                },
-            );
+            sim.schedule_at(SimTime::ZERO, m, send(a, b, TrafficClass::Data, 125_000, 0));
         }
         sim.run();
         assert!(!sim.actor::<WifiMedium>(m).is_congested(), "drained by end");
@@ -1052,19 +885,8 @@ mod tests {
             TrafficClass::Data,
             TrafficClass::Checkpoint,
         ] {
-            sim.schedule_at(
-                SimTime::ZERO,
-                m,
-                WifiSend {
-                    src: a,
-                    mode: SendMode::Unicast(b),
-                    service: Service::Reliable,
-                    class,
-                    bytes: 125_000, // 1 s each; cap is 0.5 s backlog
-                    tag: 0,
-                    payload: Some(crate::payload(())),
-                },
-            );
+            // 1 s each; cap is 0.5 s backlog.
+            sim.schedule_at(SimTime::ZERO, m, send(a, b, class, 125_000, 0));
         }
         sim.run();
         // First Data send transmits; second Data send is dropped by the
@@ -1078,47 +900,25 @@ mod tests {
     #[test]
     fn set_loss_changes_channel_at_runtime() {
         let (mut sim, m, nodes) = setup(0.0);
-        // Ramp the channel to total loss, then datagram nothing arrives.
+        // Ramp the channel to (clamped) 95 % loss: a 100-block batch
+        // loses almost every block at every receiver.
         sim.schedule_at(SimTime::ZERO, m, WifiSetLoss { loss: 2.0 });
-        sim.schedule_at(
-            SimTime::from_millis(1),
-            m,
-            WifiSend {
-                src: nodes[0],
-                mode: SendMode::Broadcast,
-                service: Service::Datagram,
-                class: TrafficClass::Data,
-                bytes: 1000,
-                tag: 0,
-                payload: Some(crate::payload(())),
-            },
-        );
+        let at = SimTime::from_millis(1);
+        sim.schedule_at(at, m, batch(nodes[0], (0..100).collect(), 0));
         sim.run();
         let med = sim.actor::<WifiMedium>(m);
         assert_eq!(med.config().loss, 0.95, "loss clamped to 0.95");
-        // At 95 % per-frame loss a single frame usually dies; with the
-        // fixed seed nothing got through.
         for &n in &nodes[1..] {
-            assert!(sim.actor::<Sink>(n).rx.is_empty());
+            let got = sim.actor::<Sink>(n).batch[0].1;
+            assert!(got < 20, "{got} of 100 blocks through 95 % loss");
         }
-        // Back to lossless: delivery resumes deterministically.
+        // Back to lossless: every block arrives.
         sim.schedule_at(sim.now(), m, WifiSetLoss { loss: 0.0 });
-        sim.schedule_at(
-            sim.now() + SimDuration::from_millis(1),
-            m,
-            WifiSend {
-                src: nodes[0],
-                mode: SendMode::Broadcast,
-                service: Service::Datagram,
-                class: TrafficClass::Data,
-                bytes: 1000,
-                tag: 0,
-                payload: Some(crate::payload(())),
-            },
-        );
+        let at = sim.now() + SimDuration::from_millis(1);
+        sim.schedule_at(at, m, batch(nodes[0], (0..100).collect(), 0));
         sim.run();
         for &n in &nodes[1..] {
-            assert_eq!(sim.actor::<Sink>(n).rx.len(), 1);
+            assert_eq!(sim.actor::<Sink>(n).batch[1].1, 100);
         }
     }
 
