@@ -1,4 +1,5 @@
-//! Ablations of MobiStreams' design choices (DESIGN.md §7):
+//! Ablations of MobiStreams' design choices (`msx ablate`; see README
+//! "Quickstart"):
 //!
 //! * **broadcast vs unicast replication** — ms's single broadcast
 //!   reaching all 7 peers vs shipping the same state as 7 unicasts

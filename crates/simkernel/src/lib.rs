@@ -6,8 +6,9 @@
 //! * [`Event`] — type-erased messages exchanged between actors,
 //! * [`Actor`] — the unit of simulated behaviour (a phone, a WiFi medium,
 //!   the MobiStreams controller, …),
-//! * [`Sim`] — the event loop: a binary heap of `(time, seq)`-ordered
-//!   events dispatched to actors, plus one seeded RNG.
+//! * [`Sim`] — the event loop: a run-length priority queue of
+//!   `(time, seq)`-ordered events dispatched to actors, plus one seeded
+//!   RNG.
 //!
 //! Determinism contract: two runs constructed identically (same actor
 //! insertion order, same seed, same scheduled events) process the exact
@@ -43,6 +44,7 @@
 pub mod actor;
 pub mod event;
 pub mod pool;
+mod queue;
 pub mod rng;
 pub mod sim;
 pub mod time;

@@ -21,8 +21,8 @@
 //!
 //! * `Core::push`/`push_typed` pool intra-shard sends only and flatten
 //!   ([`EventBox::into_plain`]) every box that leaves the shard, as
-//!   does `Sim::enable_sharding` for what is already queued — heaps and
-//!   actors of a shard hold only its own pool's slots, outboxes none;
+//!   does `Sim::enable_sharding` for what is already queued — event
+//!   queues and actors of a shard hold only its own pool's slots, outboxes none;
 //! * a `Core` and its actors change threads only through `workers.rs`'s
 //!   slot hand-off, whose epoch publish/claim and `pending` countdown
 //!   order one holder's last pool access before the next one's first.
@@ -585,7 +585,7 @@ mod tests {
         }
     }
 
-    /// The heap entry carries the box by value: keep it two words, and
+    /// A queue node carries the box by value: keep it two words, and
     /// `Option` of it free.
     #[test]
     fn event_box_is_sixteen_bytes() {

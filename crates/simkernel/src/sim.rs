@@ -1,17 +1,17 @@
 //! The simulation event loop.
 //!
-//! [`Sim`] owns the clock, the pending-event heaps, the actor table and
-//! the RNG streams. Events are totally ordered by `(time, sequence)`,
-//! where the sequence number is assigned at scheduling time — so two
-//! events scheduled for the same instant are delivered in the order
-//! they were scheduled, and runs are bit-for-bit reproducible.
+//! [`Sim`] owns the clock, the pending-event queues, the actor table and
+//! the RNG streams. Events are totally ordered by `(time, scheduling
+//! order)` — so two events scheduled for the same instant are delivered
+//! in the order they were scheduled, and runs are bit-for-bit
+//! reproducible.
 //!
 //! # Sharded (parallel) mode
 //!
 //! A fresh `Sim` runs everything on one core, exactly as before. Once
 //! the topology is known, [`Sim::enable_sharding`] partitions the actors
 //! into a *global* shard 0 plus independent shards `1..n`, each with its
-//! own event heap, clock and forked RNG stream. The contract the
+//! own event queue, clock and forked RNG stream. The contract the
 //! caller must uphold: **actors in shard `i > 0` never send to actors in
 //! shard `j > 0, j ≠ i`**, and every event chain from a shard-`i` send
 //! back into any non-global shard passes through shard 0 with a total
@@ -28,7 +28,7 @@
 //! regardless of worker thread count**, and the thread count only
 //! decides how the per-window work is scheduled onto OS threads.
 //!
-//! Three hot-path optimisations preserve that schedule exactly:
+//! Four hot-path optimisations preserve that schedule exactly:
 //!
 //! * **Per-destination lookahead** ([`Sim::set_shard_bounds`]): instead
 //!   of one global lookahead, each shard `d` carries a [`ShardBound`] —
@@ -50,6 +50,12 @@
 //!   never crosses shards — which is what lets the pool do without
 //!   locks or atomics, and keeps free-list state independent of thread
 //!   interleaving.
+//! * **Run-length event queue** (`queue.rs`): consecutive pushes at
+//!   one instant — a broadcast's fan-out to every receiver, and the
+//!   receivers' same-instant replies — form one run that enters and
+//!   leaves the queue's heap as a single entry, so a burst of `n`
+//!   events costs one heap push and one heap pop instead of `n` of
+//!   each.
 //!
 //! # Causality sanitizer
 //!
@@ -66,42 +72,15 @@
 //! consumption — the earliest observable symptom of a schedule
 //! divergence.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::actor::{Actor, ActorId};
 use crate::event::Event;
 use crate::pool::{EventBox, EventPool, PoolStats};
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::workers::Workers;
-
-struct Entry {
-    at: SimTime,
-    seq: u64,
-    to: ActorId,
-    ev: EventBox,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-    // first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
 
 /// A cross-shard send, parked until the next barrier merge. The event
 /// is always plain-backed (never pooled): `Core::push` flattens pooled
@@ -121,8 +100,9 @@ struct OutEntry {
 /// [`Ctx`]. An unsharded [`Sim`] is exactly one `Core`.
 pub(crate) struct Core {
     now: SimTime,
+    /// Numbers this core's outbox entries (their `src_seq`).
     seq: u64,
-    heap: BinaryHeap<Entry>,
+    queue: EventQueue,
     rng: SimRng,
     events_processed: u64,
     event_limit: u64,
@@ -180,19 +160,18 @@ impl Core {
 
     fn push_routed(&mut self, at: SimTime, to: ActorId, dest: u16, ev: EventBox) {
         debug_assert!(to != ActorId::UNSET, "event scheduled to ActorId::UNSET");
-        let seq = self.seq;
-        self.seq += 1;
         if dest == self.my_shard {
-            self.heap.push(Entry { at, seq, to, ev });
+            self.queue.push(at, to, ev);
         } else {
             self.outbox_min = Some(self.outbox_min.map_or(at, |m| m.min(at)));
             self.outbox.push(OutEntry {
                 dest,
                 at,
-                src_seq: seq,
+                src_seq: self.seq,
                 to,
                 ev,
             });
+            self.seq += 1;
         }
     }
 
@@ -203,7 +182,7 @@ impl Core {
         Core {
             now: SimTime::ZERO,
             seq: 0,
-            heap: BinaryHeap::new(),
+            queue: EventQueue::default(),
             rng: SimRng::new(0),
             events_processed: 0,
             event_limit: u64::MAX,
@@ -327,7 +306,7 @@ pub struct ShardBound {
 /// window has parked (`Core::outbox_min`, re-checked after every
 /// dispatch) plus `offset`. The global shard's solo window passes
 /// `offset = 0`: its own sends can wake a region *earlier* than the
-/// region's pending heap suggested, and the woken region may reply
+/// region's pending queue suggested, and the woken region may reply
 /// into shard 0 with zero delay — so shard 0 must not advance past
 /// any time at which such a reply could still arrive. Region
 /// windows pass their `ShardBound::self_bound`: a parked send can
@@ -343,8 +322,7 @@ pub(crate) fn run_window(
     outbox_cap: Option<SimDuration>,
 ) {
     let _confined = core.pool.confine();
-    while let Some(head) = core.heap.peek() {
-        let at = head.at;
+    while let Some(at) = core.queue.peek_at() {
         if let Some(w) = strict_before {
             if at >= w {
                 break;
@@ -365,37 +343,31 @@ pub(crate) fn run_window(
                 }
             }
         }
-        let Some(entry) = core.heap.pop() else {
+        let Some((at, to, ev)) = core.queue.pop() else {
             break;
         };
-        debug_assert!(entry.at >= core.now, "time went backwards");
-        core.now = entry.at;
+        debug_assert!(at >= core.now, "time went backwards");
+        core.now = at;
         core.events_processed += 1;
         assert!(
             core.events_processed <= core.event_limit,
             "event limit exceeded ({} events): runaway event loop?",
             core.event_limit
         );
-        let ix = local_ix[entry.to.index()] as usize;
+        let ix = local_ix[to.index()] as usize;
         let mut actor = actors
             .get_mut(ix)
             // simlint::allow(P001): kernel-integrity invariant — an event addressed past the actor table means the shard map is corrupt; fail fast
-            .unwrap_or_else(|| panic!("event for unknown {:?}", entry.to))
+            .unwrap_or_else(|| panic!("event for unknown {to:?}"))
             .take()
             // simlint::allow(P001): the slot is always restored after dispatch; a vacant slot here is kernel corruption, not an input error
-            .unwrap_or_else(|| panic!("re-entrant dispatch to {:?}", entry.to));
-        {
-            let mut ctx = Ctx {
-                core,
-                self_id: entry.to,
-            };
-            actor.on_event(entry.ev, &mut ctx);
-        }
+            .unwrap_or_else(|| panic!("re-entrant dispatch to {to:?}"));
+        actor.on_event(ev, &mut Ctx { core, self_id: to });
         actors[ix] = Some(actor);
     }
 }
 
-/// A discrete-event simulation: actor table + event heap(s) + clock(s).
+/// A discrete-event simulation: actor table + event queue(s) + clock(s).
 pub struct Sim {
     cores: Vec<Core>,
     /// Actor storage, partitioned by shard. Before sharding everything
@@ -439,7 +411,7 @@ impl Sim {
             cores: vec![Core {
                 now: SimTime::ZERO,
                 seq: 0,
-                heap: BinaryHeap::new(),
+                queue: EventQueue::default(),
                 rng: SimRng::new(seed),
                 events_processed: 0,
                 event_limit: u64::MAX,
@@ -564,11 +536,6 @@ impl Sim {
         self.shard_of = Arc::clone(&shard_of);
         self.cores[0].shard_of = Arc::clone(&shard_of);
 
-        // Drain already-scheduled events in their global (time, seq)
-        // order so per-shard FIFO order is preserved on re-routing.
-        let mut pending: Vec<Entry> = std::mem::take(&mut self.cores[0].heap).into_vec();
-        pending.sort_by_key(|a| (a.at, a.seq));
-
         for s in 1..n_shards {
             // Deterministic per-shard RNG streams, forked from the root
             // stream in shard order.
@@ -578,7 +545,7 @@ impl Sim {
             self.cores.push(Core {
                 now,
                 seq: 0,
-                heap: BinaryHeap::new(),
+                queue: EventQueue::default(),
                 rng,
                 events_processed: 0,
                 event_limit,
@@ -601,21 +568,15 @@ impl Sim {
             self.shard_actors[s].push(a);
         }
 
-        // Hand each pending event to its owner, flattening pooled
+        // Hand each pending event to its owner in global (time, seq)
+        // order, so per-shard FIFO order is preserved, flattening pooled
         // payloads that leave shard 0 (they were allocated from its
         // pool back when everything was local).
-        for e in pending {
-            let d = shard_of[e.to.index()] as usize;
-            let ev = if d == 0 { e.ev } else { e.ev.into_plain() };
-            let core = &mut self.cores[d];
-            let seq = core.seq;
-            core.seq += 1;
-            core.heap.push(Entry {
-                at: e.at,
-                seq,
-                to: e.to,
-                ev,
-            });
+        let mut pending = std::mem::take(&mut self.cores[0].queue);
+        while let Some((at, to, ev)) = pending.pop() {
+            let d = shard_of[to.index()] as usize;
+            let ev = if d == 0 { ev } else { ev.into_plain() };
+            self.cores[d].queue.push(at, to, ev);
         }
 
         self.threads = threads.max(1);
@@ -710,16 +671,15 @@ impl Sim {
         self.cores
             .iter()
             .flat_map(|c| {
-                c.heap
-                    .peek()
-                    .map(|e| e.at)
+                c.queue
+                    .peek_at()
                     .into_iter()
                     .chain(c.outbox.iter().map(|o| o.at))
             })
             .min()
     }
 
-    /// Move every parked cross-shard send into its destination heap.
+    /// Move every parked cross-shard send into its destination queue.
     /// Arrival order is the stable `(time, source shard, source seq)`
     /// sort, independent of which worker thread ran which shard.
     fn merge_outboxes(&mut self) {
@@ -817,14 +777,7 @@ impl Sim {
                     e.at,
                     core.now,
                 );
-                let seq = core.seq;
-                core.seq += 1;
-                core.heap.push(Entry {
-                    at: e.at,
-                    seq,
-                    to: e.to,
-                    ev: e.ev,
-                });
+                core.queue.push(e.at, e.to, e.ev);
             }
         }
         if violations > 0 {
@@ -857,7 +810,7 @@ impl Sim {
         let mut min1: Option<(SimTime, usize)> = None;
         let mut min2: Option<SimTime> = None;
         for (i, c) in self.cores[1..].iter().enumerate() {
-            let Some(t) = c.heap.peek().map(|e| e.at) else {
+            let Some(t) = c.queue.peek_at() else {
                 continue;
             };
             match min1 {
@@ -892,8 +845,8 @@ impl Sim {
         self.busy.clear();
         if self.workers.is_some() {
             self.busy.extend((0..n).filter(|&i| {
-                self.cores[i + 1].heap.peek().is_some_and(|head| {
-                    plans[i].0.is_none_or(|w| head.at < w) && until.is_none_or(|u| head.at <= u)
+                self.cores[i + 1].queue.peek_at().is_some_and(|at| {
+                    plans[i].0.is_none_or(|w| at < w) && until.is_none_or(|u| at <= u)
                 })
             }));
         }
@@ -906,7 +859,7 @@ impl Sim {
                 // round's critical path is usually one region's fan-out
                 // burst, and the other participants absorb the small
                 // regions meanwhile.
-                self.busy.sort_by_key(|&i| self.cores[i + 1].heap.len());
+                self.busy.sort_by_key(|&i| self.cores[i + 1].queue.len());
                 for (k, &i) in self.busy.iter().enumerate() {
                     let mut task = workers.slot(k);
                     task.swap_shard(&mut self.cores[i + 1], &mut self.shard_actors[i + 1]);
@@ -941,7 +894,7 @@ impl Sim {
             // really granted is the static bound clipped by `until` and
             // by the dynamic outbox cap (whose final value is visible
             // in `outbox_min` now that the window is over). All-None
-            // means the shard ran to exhaustion — its heap emptied, so
+            // means the shard ran to exhaustion — its queue emptied, so
             // no horizon was promised and none is recorded.
             for (i, plan) in plans.iter().enumerate().take(n) {
                 let core = &self.cores[i + 1];
@@ -965,10 +918,10 @@ impl Sim {
     fn run_barrier(&mut self, until: Option<SimTime>) {
         loop {
             self.merge_outboxes();
-            let t_g = self.cores[0].heap.peek().map(|e| e.at);
+            let t_g = self.cores[0].queue.peek_at();
             let t_r = self.cores[1..]
                 .iter()
-                .filter_map(|c| c.heap.peek().map(|e| e.at))
+                .filter_map(|c| c.queue.peek_at())
                 .min();
             let next = match (t_g, t_r) {
                 (Some(g), Some(r)) => Some(g.min(r)),
@@ -1039,7 +992,7 @@ impl Sim {
         }
     }
 
-    /// Run until every event heap is empty.
+    /// Run until every event queue is empty.
     pub fn run(&mut self) {
         self.run_barrier(None);
     }

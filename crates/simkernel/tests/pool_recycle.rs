@@ -5,7 +5,9 @@
 //! pool and its boxes are gone. These are the memory-safety proof
 //! obligations behind `CausalityReport::pool_aliasing == 0`; the CI
 //! AddressSanitizer step runs them for the accesses assertions cannot
-//! see.
+//! see. The same counting allocator shows that a warm simulation's
+//! fan-out cycle — pool slots, queue nodes and queue runs — allocates
+//! nothing at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,11 +15,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use simkernel::{Event, EventBox, EventPool};
+use simkernel::{
+    impl_actor_any, Actor, ActorId, Ctx, Event, EventBox, EventPool, Sim, SimDuration, SimTime,
+};
 
 thread_local! {
     /// Bytes the current thread has allocated and not yet freed.
     static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    /// Allocations the current thread has made (reallocations included).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// `Unit` destructor runs on the current thread.
     static UNIT_DROPS: Cell<u64> = const { Cell::new(0) };
 }
@@ -32,6 +38,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = LIVE_BYTES.try_with(|b| b.set(b.get() + layout.size() as isize));
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -350,4 +357,84 @@ fn slabs_outlive_the_handle_and_die_with_the_last_box() {
         consume(ev, i as u64);
     }
     assert_eq!(live_bytes(), before, "the last box out frees everything");
+}
+
+/// Starts one fan-out cycle at the hub.
+#[derive(Debug)]
+struct Kick;
+
+/// The hub's same-instant send to each leaf.
+#[derive(Debug)]
+struct Fan;
+
+/// A leaf's same-instant answer to a [`Fan`].
+#[derive(Debug)]
+struct Reply;
+
+/// On each [`Kick`], schedules the next one a millisecond later, then
+/// sends one [`Fan`] to every leaf at the current instant.
+struct Hub {
+    leaves: Vec<ActorId>,
+    replies: u64,
+}
+
+impl Actor for Hub {
+    fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
+        if ev.is::<Kick>() {
+            ctx.send_in(SimDuration::from_millis(1), ctx.self_id(), Kick);
+            for &leaf in &self.leaves {
+                ctx.send(leaf, Fan);
+            }
+        } else if ev.is::<Reply>() {
+            self.replies += 1;
+        }
+    }
+    impl_actor_any!();
+}
+
+/// Answers every [`Fan`] with a [`Reply`] to the hub at the same instant.
+struct Leaf {
+    hub: ActorId,
+}
+
+impl Actor for Leaf {
+    fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
+        if ev.is::<Fan>() {
+            ctx.send(self.hub, Reply);
+        }
+    }
+    impl_actor_any!();
+}
+
+/// Once warm, a broadcast-shaped cycle — N events pushed at one
+/// instant behind a later timer, each pop pushing one reply at the
+/// current instant — allocates nothing: the pool recycles its slots
+/// and the event queue its nodes and run entries.
+#[test]
+fn warm_fan_out_cycles_allocate_nothing() {
+    const LEAVES: usize = 64;
+    let mut sim = Sim::new(3);
+    let hub = sim.add_actor(Box::new(Hub {
+        leaves: Vec::new(),
+        replies: 0,
+    }));
+    let leaves: Vec<ActorId> = (0..LEAVES)
+        .map(|_| sim.add_actor(Box::new(Leaf { hub })))
+        .collect();
+    sim.actor_mut::<Hub>(hub).leaves = leaves;
+    sim.schedule_at(SimTime::ZERO, hub, Kick);
+    sim.run_until(SimTime::from_millis(2));
+    let (allocations, bytes) = (ALLOCATIONS.with(Cell::get), live_bytes());
+    sim.run_until(SimTime::from_millis(50));
+    assert_eq!(
+        sim.actor::<Hub>(hub).replies,
+        51 * LEAVES as u64,
+        "every cycle ran"
+    );
+    assert_eq!(
+        ALLOCATIONS.with(Cell::get) - allocations,
+        0,
+        "a warm fan-out cycle allocated"
+    );
+    assert_eq!(live_bytes(), bytes);
 }

@@ -2,7 +2,8 @@
 //!
 //! Re-exports the whole workspace so examples, integration tests and
 //! downstream users can depend on a single crate. See the README for a
-//! tour and `DESIGN.md` for the system inventory.
+//! tour, and its "Workspace layout" and "Crate dependency DAG" sections
+//! for the system inventory.
 
 pub use apps;
 pub use baselines;
