@@ -10,66 +10,26 @@
 //!   loop runs before cost exceeds gain.
 //! * **source preservation on/off** — what §III-B step 3 costs.
 
-use serde::Serialize;
 use simkernel::SimDuration;
 
 use crate::report::{Cell, Table};
-use crate::run::measured_run;
 use crate::scenario::{AppKind, ScenarioConfig, Scheme};
-use crate::{run_jobs, ExpOptions};
+use crate::sweep::{sweep, Means, Point};
+use crate::ExpOptions;
 
-/// One ablation data point.
-#[derive(Debug, Clone, Serialize)]
-pub struct AblationPoint {
-    /// Which knob.
-    pub knob: String,
-    /// Setting label.
-    pub setting: String,
-    /// Throughput (tuples/s/region).
-    pub throughput: f64,
-    /// Mean latency (s).
-    pub latency_s: f64,
-    /// Checkpoint/replication wifi bytes (MB).
-    pub ckpt_mb: f64,
-    /// Preservation wifi bytes (MB).
-    pub preservation_mb: f64,
-}
+/// An ablation point: the knob and its setting.
+pub type Key = (&'static str, String);
 
-/// Full ablation result.
-#[derive(Debug, Clone, Serialize)]
-pub struct Ablation {
-    /// All points.
-    pub points: Vec<AblationPoint>,
-}
-
-/// Run the ablation suite on BCP.
-pub fn run_ablation(opts: ExpOptions) -> Ablation {
-    type Job = Box<dyn FnOnce() -> AblationPoint + Send>;
-    let mut jobs: Vec<Job> = Vec::new();
-
-    let run_one = move |knob: String,
-                        setting: String,
-                        mutate: Box<dyn Fn(&mut ScenarioConfig) + Send>,
-                        opts: ExpOptions| {
-        move || {
-            let mut cfg = ScenarioConfig {
-                app: AppKind::Bcp,
-                scheme: Scheme::Ms,
-                seed: 4000,
-                ..ScenarioConfig::default()
-            };
-            mutate(&mut cfg);
-            let h = measured_run(cfg, opts.warmup, opts.window, |_| {});
-            AblationPoint {
-                knob,
-                setting,
-                throughput: h.mean_throughput,
-                latency_s: h.mean_latency_s,
-                ckpt_mb: h.ckpt_repl_bytes as f64 / 1e6,
-                preservation_mb: h.wifi_bytes.preservation as f64 / 1e6,
-            }
-        }
+/// The ablations' means on BCP, MobiStreams unless the setting says
+/// otherwise, in table order. Every point runs the one seed 4000.
+pub fn means(opts: ExpOptions) -> Vec<(Key, Means)> {
+    let ms = ScenarioConfig {
+        app: AppKind::Bcp,
+        scheme: Scheme::Ms,
+        ..ScenarioConfig::default()
     };
+    let mut points = Vec::new();
+    let mut add = |knob, setting: String, cfg| points.push(Point::steady((knob, setting), cfg));
 
     // (a) replication strategy: ms broadcast vs n-unicast (dist-n).
     for (label, scheme) in [
@@ -78,92 +38,64 @@ pub fn run_ablation(opts: ExpOptions) -> Ablation {
         ("unicast x3 (dist-3)", Scheme::Dist(3)),
         ("unicast x7 (dist-7 ≈ same coverage)", Scheme::Dist(7)),
     ] {
-        jobs.push(Box::new(run_one(
-            "replication".into(),
-            label.into(),
-            Box::new(move |c| c.scheme = scheme),
-            opts,
-        )));
+        let cfg = ScenarioConfig {
+            scheme,
+            ..ms.clone()
+        };
+        add("replication", label.into(), cfg);
     }
-
     // (b) checkpoint period.
     for secs in [120u64, 300, 600] {
-        jobs.push(Box::new(run_one(
-            "ckpt-period".into(),
+        let ckpt_period = SimDuration::from_secs(secs);
+        add(
+            "ckpt-period",
             format!("{secs}s"),
-            Box::new(move |c| {
-                c.ckpt_period = SimDuration::from_secs(secs);
-            }),
-            opts,
-        )));
+            ScenarioConfig {
+                ckpt_period,
+                ..ms.clone()
+            },
+        );
     }
-
     // (c) WiFi loss rate (drives the multi-phase loop depth).
     for loss in [0.01f64, 0.05, 0.15] {
-        jobs.push(Box::new(run_one(
-            "wifi-loss".into(),
-            format!("{:.0}%", loss * 100.0),
-            Box::new(move |c| c.wifi.loss = loss),
-            opts,
-        )));
+        let mut cfg = ms.clone();
+        cfg.wifi.loss = loss;
+        add("wifi-loss", format!("{:.0}%", loss * 100.0), cfg);
     }
+    // (d) preservation off: base has no preservation and no
+    // checkpoints — what §III-B step 3 costs.
+    add("preservation", "on (paper)".into(), ms.clone());
+    let base = ScenarioConfig {
+        scheme: Scheme::Base,
+        ..ms
+    };
+    add("preservation", "off (base)".into(), base);
 
-    // (d) preservation off (FT of state only — what §III-B step 3 buys
-    // costs).
-    jobs.push(Box::new(run_one(
-        "preservation".into(),
-        "on (paper)".into(),
-        Box::new(|_| {}),
-        opts,
-    )));
-    jobs.push(Box::new({
-        move || {
-            let cfg = ScenarioConfig {
-                app: AppKind::Bcp,
-                scheme: Scheme::Base, // no preservation, no checkpoints
-                seed: 4000,
-                ..ScenarioConfig::default()
-            };
-            let h = measured_run(cfg, opts.warmup, opts.window, |_| {});
-            AblationPoint {
-                knob: "preservation".into(),
-                setting: "off (base)".into(),
-                throughput: h.mean_throughput,
-                latency_s: h.mean_latency_s,
-                ckpt_mb: h.ckpt_repl_bytes as f64 / 1e6,
-                preservation_mb: h.wifi_bytes.preservation as f64 / 1e6,
-            }
-        }
-    }));
-
-    let points = run_jobs(opts.parallel, jobs);
-    Ablation { points }
+    sweep(points, 4000, ExpOptions { seeds: 1, ..opts })
 }
 
-impl Ablation {
-    /// Render the ablation table.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablations (BCP, MobiStreams unless noted)",
+/// The ablation table, one row per point.
+pub fn tables(means: &[(Key, Means)]) -> Vec<(String, Table)> {
+    let mut t = Table::new(
+        "Ablations (BCP, MobiStreams unless noted)",
+        vec![
+            "knob / setting".into(),
+            "tput/s".into(),
+            "lat s".into(),
+            "ckpt MB".into(),
+            "pres MB".into(),
+        ],
+    );
+    for ((knob, setting), m) in means {
+        t.row(
+            format!("{knob} = {setting}"),
             vec![
-                "knob / setting".into(),
-                "tput/s".into(),
-                "lat s".into(),
-                "ckpt MB".into(),
-                "pres MB".into(),
+                Cell::Num(m.throughput),
+                Cell::Num(m.latency_s),
+                Cell::Num(m.ckpt_repl_bytes / 1e6),
+                Cell::Num(m.preservation_bytes / 1e6),
             ],
         );
-        for p in &self.points {
-            t.row(
-                format!("{} = {}", p.knob, p.setting),
-                vec![
-                    Cell::Num(p.throughput),
-                    Cell::Num(p.latency_s),
-                    Cell::Num(p.ckpt_mb),
-                    Cell::Num(p.preservation_mb),
-                ],
-            );
-        }
-        t
     }
+    vec![("ablations".into(), t)]
 }

@@ -8,7 +8,7 @@
 //! the phone itself notifies the controller (§III-E).
 
 use dsps::node::Kill;
-use simkernel::SimTime;
+use simkernel::{SimDuration, SimTime};
 use simnet::cellular::CellSetLink;
 use simnet::wifi::WifiSetLink;
 use simnet::LinkState;
@@ -109,4 +109,19 @@ pub fn failure_order(dep: &Deployment, region: usize) -> Vec<u32> {
         }
     }
     order
+}
+
+/// Schedule Fig 9's burst at `at`: the first `n` slots of every
+/// region's [`failure_order`] depart, or fail and reboot 60 s later.
+pub fn inject_burst(dep: &mut Deployment, n: u32, at: SimTime, departures: bool) {
+    for region in 0..dep.cfg.regions {
+        for slot in failure_order(dep, region).into_iter().take(n as usize) {
+            if departures {
+                inject_departure(dep, region, slot, at);
+            } else {
+                inject_failure(dep, region, slot, at);
+                inject_reboot(dep, region, slot, at + SimDuration::from_secs(60));
+            }
+        }
+    }
 }

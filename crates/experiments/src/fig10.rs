@@ -10,172 +10,52 @@
 //! TCP residue); dist-n unicasts n copies; rep-2's duplicate dataflow
 //! is all replication traffic; local sends nothing; base does nothing.
 
-use serde::Serialize;
-
-use crate::fig8::schemes;
+use crate::fig8::{scheme_table, steady_points};
 use crate::report::{Cell, Table};
-use crate::run::measured_run;
-use crate::scenario::{AppKind, ScenarioConfig, Scheme};
-use crate::{mean, run_jobs, ExpOptions};
+use crate::scenario::{AppKind, Scheme};
+use crate::sweep::{relative, sweep, Means};
+use crate::ExpOptions;
 
-/// One scheme's byte accounting.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig10Point {
-    /// Application.
-    pub app: String,
-    /// Scheme.
-    pub scheme: String,
-    /// Preserved bytes (Fig 10a), absolute.
-    pub preserved_bytes: f64,
-    /// Checkpoint/replication network bytes (Fig 10b), absolute.
-    pub ckpt_repl_bytes: f64,
-    /// Preservation traffic shipped by ms (informational).
-    pub preservation_net_bytes: f64,
-    /// Relative to ms-8 (the paper normalizes to MobiStreams).
-    pub rel_preserved: f64,
-    /// Relative network bytes.
-    pub rel_ckpt_repl: f64,
+/// Fig 10's seed means per `(app, scheme)`: Fig 8's fault-free points
+/// on their own seeds.
+pub fn means(opts: ExpOptions) -> Vec<((AppKind, Scheme), Means)> {
+    sweep(steady_points(), 2000, opts)
 }
 
-/// Full Fig 10 result.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig10 {
-    /// All points.
-    pub points: Vec<Fig10Point>,
-}
-
-/// Run Fig 10 (fault-free steady state, same setup as Fig 8).
-pub fn run_fig10(opts: ExpOptions) -> Fig10 {
-    type Key = (AppKind, String);
-    let mut jobs: Vec<crate::Job<(Key, f64, f64, f64)>> = Vec::new();
-    for app in [AppKind::Bcp, AppKind::SignalGuru] {
-        for scheme in schemes() {
-            for seed in 0..opts.seeds {
-                jobs.push(Box::new(move || {
-                    let cfg = ScenarioConfig {
-                        app,
-                        scheme,
-                        seed: 2000 + seed,
-                        ..ScenarioConfig::default()
-                    };
-                    let h = measured_run(cfg, opts.warmup, opts.window, |_| {});
-                    (
-                        (app, scheme.label()),
-                        h.preserved_bytes as f64,
-                        h.ckpt_repl_bytes as f64,
-                        h.wifi_bytes.preservation as f64,
-                    )
-                }));
-            }
-        }
-    }
-    let results = run_jobs(opts.parallel, jobs);
-    let agg = |key: &Key| -> (f64, f64, f64) {
-        let p: Vec<f64> = results
-            .iter()
-            .filter(|(k, ..)| k == key)
-            .map(|&(_, p, _, _)| p)
-            .collect();
-        let c: Vec<f64> = results
-            .iter()
-            .filter(|(k, ..)| k == key)
-            .map(|&(_, _, c, _)| c)
-            .collect();
-        let pn: Vec<f64> = results
-            .iter()
-            .filter(|(k, ..)| k == key)
-            .map(|&(_, _, _, pn)| pn)
-            .collect();
-        (mean(&p), mean(&c), mean(&pn))
-    };
-
-    let mut points = Vec::new();
-    for app in [AppKind::Bcp, AppKind::SignalGuru] {
-        let (ms_p, ms_c, _) = agg(&(app, Scheme::Ms.label()));
-        for scheme in schemes() {
-            let (p, c, pn) = agg(&(app, scheme.label()));
-            points.push(Fig10Point {
-                app: app.label().into(),
-                scheme: scheme.label(),
-                preserved_bytes: p,
-                ckpt_repl_bytes: c,
-                preservation_net_bytes: pn,
-                rel_preserved: if ms_p > 0.0 { p / ms_p } else { 0.0 },
-                rel_ckpt_repl: if ms_c > 0.0 { c / ms_c } else { 0.0 },
-            });
-        }
-    }
-    Fig10 { points }
-}
-
-impl Fig10 {
-    /// Paper-style tables.
-    pub fn tables(&self) -> Vec<Table> {
-        let mut ta = Table::new(
-            "Fig 10a — input/source preservation data (relative to ms-8)",
-            vec![
-                "scheme".into(),
-                "BCP".into(),
-                "BCP MB".into(),
-                "SignalGuru".into(),
-                "SG MB".into(),
-            ],
-        );
-        let mut tb = Table::new(
-            "Fig 10b — checkpoint/replication network data (relative to ms-8)",
-            vec![
-                "scheme".into(),
-                "BCP".into(),
-                "BCP MB".into(),
-                "SignalGuru".into(),
-                "SG MB".into(),
-            ],
-        );
-        let mb = 1024.0 * 1024.0;
-        for scheme in schemes() {
-            let find = |app: &str| {
-                self.points
-                    .iter()
-                    .find(|p| p.app == app && p.scheme == scheme.label())
-                    .cloned()
-            };
-            let b = find("BCP");
-            let s = find("SignalGuru");
-            ta.row(
-                scheme.label(),
-                vec![
-                    b.as_ref()
-                        .map(|p| Cell::Num(p.rel_preserved))
-                        .unwrap_or(Cell::Dash),
-                    b.as_ref()
-                        .map(|p| Cell::Num(p.preserved_bytes / mb))
-                        .unwrap_or(Cell::Dash),
-                    s.as_ref()
-                        .map(|p| Cell::Num(p.rel_preserved))
-                        .unwrap_or(Cell::Dash),
-                    s.as_ref()
-                        .map(|p| Cell::Num(p.preserved_bytes / mb))
-                        .unwrap_or(Cell::Dash),
-                ],
-            );
-            tb.row(
-                scheme.label(),
-                vec![
-                    b.as_ref()
-                        .map(|p| Cell::Num(p.rel_ckpt_repl))
-                        .unwrap_or(Cell::Dash),
-                    b.as_ref()
-                        .map(|p| Cell::Num(p.ckpt_repl_bytes / mb))
-                        .unwrap_or(Cell::Dash),
-                    s.as_ref()
-                        .map(|p| Cell::Num(p.rel_ckpt_repl))
-                        .unwrap_or(Cell::Dash),
-                    s.as_ref()
-                        .map(|p| Cell::Num(p.ckpt_repl_bytes / mb))
-                        .unwrap_or(Cell::Dash),
-                ],
-            );
-        }
-        vec![ta, tb]
-    }
+/// Fig 10a (preserved bytes) and 10b (checkpoint/replication network
+/// bytes), relative to ms-8 as the paper normalizes them.
+pub fn tables(means: &[((AppKind, Scheme), Means)]) -> Vec<(String, Table)> {
+    const MB: f64 = 1024.0 * 1024.0;
+    vec![
+        (
+            "fig10_0".into(),
+            scheme_table(
+                "Fig 10a — input/source preservation data (relative to ms-8)",
+                "MB",
+                means,
+                Scheme::Ms,
+                |m, ms| {
+                    [
+                        Cell::Num(relative(m.preserved_bytes, ms.preserved_bytes, 0.0)),
+                        Cell::Num(m.preserved_bytes / MB),
+                    ]
+                },
+            ),
+        ),
+        (
+            "fig10_1".into(),
+            scheme_table(
+                "Fig 10b — checkpoint/replication network data (relative to ms-8)",
+                "MB",
+                means,
+                Scheme::Ms,
+                |m, ms| {
+                    [
+                        Cell::Num(relative(m.ckpt_repl_bytes, ms.ckpt_repl_bytes, 0.0)),
+                        Cell::Num(m.ckpt_repl_bytes / MB),
+                    ]
+                },
+            ),
+        ),
+    ]
 }

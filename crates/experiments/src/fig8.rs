@@ -3,12 +3,10 @@
 //! steady-state overhead (source/input preservation, checkpointing or
 //! replication traffic competing with the data flow).
 
-use serde::Serialize;
-
 use crate::report::{Cell, Table};
-use crate::run::measured_run;
 use crate::scenario::{AppKind, ScenarioConfig, Scheme};
-use crate::{mean, run_jobs, ExpOptions};
+use crate::sweep::{at, relative, sweep, Means, Point, APPS};
+use crate::ExpOptions;
 
 /// Scheme order of the paper's bars.
 pub fn schemes() -> Vec<Scheme> {
@@ -23,154 +21,89 @@ pub fn schemes() -> Vec<Scheme> {
     ]
 }
 
-/// One bar of Fig 8.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig8Point {
-    /// Application.
-    pub app: String,
-    /// Scheme label.
-    pub scheme: String,
-    /// Absolute per-region throughput (tuples/s).
-    pub throughput: f64,
-    /// Absolute mean latency (s).
-    pub latency_s: f64,
-    /// Relative to the same app's base.
-    pub rel_throughput: f64,
-    /// Relative latency.
-    pub rel_latency: f64,
-}
-
-/// Full Fig 8 result.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig8 {
-    /// All bars.
-    pub points: Vec<Fig8Point>,
-}
-
-/// Run Fig 8.
-pub fn run_fig8(opts: ExpOptions) -> Fig8 {
-    let mut jobs: Vec<crate::Job<(AppKind, Scheme, f64, f64)>> = Vec::new();
-    for app in [AppKind::Bcp, AppKind::SignalGuru] {
-        for scheme in schemes() {
-            for seed in 0..opts.seeds {
-                jobs.push(Box::new(move || {
-                    let cfg = ScenarioConfig {
-                        app,
-                        scheme,
-                        seed: 1000 + seed,
-                        ..ScenarioConfig::default()
-                    };
-                    let h = measured_run(cfg, opts.warmup, opts.window, |_| {});
-                    (app, scheme, h.mean_throughput, h.mean_latency_s)
-                }));
-            }
-        }
-    }
-    let results = run_jobs(opts.parallel, jobs);
-
-    let agg = |app: AppKind, scheme: Scheme| -> (f64, f64) {
-        let tputs: Vec<f64> = results
-            .iter()
-            .filter(|(a, s, _, _)| *a == app && *s == scheme)
-            .map(|&(_, _, t, _)| t)
-            .collect();
-        let lats: Vec<f64> = results
-            .iter()
-            .filter(|(a, s, _, _)| *a == app && *s == scheme)
-            .map(|&(_, _, _, l)| l)
-            .collect();
-        (mean(&tputs), mean(&lats))
-    };
-
+/// The points of Figs 8 and 10: every scheme on both apps, fault-free.
+pub(crate) fn steady_points() -> Vec<Point<(AppKind, Scheme)>> {
     let mut points = Vec::new();
-    for app in [AppKind::Bcp, AppKind::SignalGuru] {
-        let (base_t, base_l) = agg(app, Scheme::Base);
+    for app in APPS {
         for scheme in schemes() {
-            let (t, l) = agg(app, scheme);
-            points.push(Fig8Point {
-                app: app.label().into(),
-                scheme: scheme.label(),
-                throughput: t,
-                latency_s: l,
-                rel_throughput: if base_t > 0.0 { t / base_t } else { 0.0 },
-                rel_latency: if base_l > 0.0 {
-                    l / base_l
-                } else {
-                    f64::INFINITY
-                },
-            });
+            let cfg = ScenarioConfig {
+                app,
+                scheme,
+                ..ScenarioConfig::default()
+            };
+            points.push(Point::steady((app, scheme), cfg));
         }
     }
-    Fig8 { points }
+    points
 }
 
-impl Fig8 {
-    /// Paper-style tables (one throughput, one latency).
-    pub fn tables(&self) -> Vec<Table> {
-        let mut t1 = Table::new(
-            "Fig 8 — relative throughput (fault-free, normalized to base)",
-            vec![
-                "scheme".into(),
-                "BCP".into(),
-                "BCP tput/s".into(),
-                "SignalGuru".into(),
-                "SG tput/s".into(),
-            ],
-        );
-        let mut t2 = Table::new(
-            "Fig 8 — relative latency (fault-free, normalized to base)",
-            vec![
-                "scheme".into(),
-                "BCP".into(),
-                "BCP lat s".into(),
-                "SignalGuru".into(),
-                "SG lat s".into(),
-            ],
-        );
-        for scheme in schemes() {
-            let find = |app: &str| {
-                self.points
-                    .iter()
-                    .find(|p| p.app == app && p.scheme == scheme.label())
-                    .cloned()
-            };
-            let b = find("BCP");
-            let s = find("SignalGuru");
-            t1.row(
-                scheme.label(),
-                vec![
-                    b.as_ref()
-                        .map(|p| Cell::Pct(p.rel_throughput))
-                        .unwrap_or(Cell::Dash),
-                    b.as_ref()
-                        .map(|p| Cell::Num(p.throughput))
-                        .unwrap_or(Cell::Dash),
-                    s.as_ref()
-                        .map(|p| Cell::Pct(p.rel_throughput))
-                        .unwrap_or(Cell::Dash),
-                    s.as_ref()
-                        .map(|p| Cell::Num(p.throughput))
-                        .unwrap_or(Cell::Dash),
-                ],
-            );
-            t2.row(
-                scheme.label(),
-                vec![
-                    b.as_ref()
-                        .map(|p| Cell::Num(p.rel_latency))
-                        .unwrap_or(Cell::Dash),
-                    b.as_ref()
-                        .map(|p| Cell::Num(p.latency_s))
-                        .unwrap_or(Cell::Dash),
-                    s.as_ref()
-                        .map(|p| Cell::Num(p.rel_latency))
-                        .unwrap_or(Cell::Dash),
-                    s.as_ref()
-                        .map(|p| Cell::Num(p.latency_s))
-                        .unwrap_or(Cell::Dash),
-                ],
-            );
-        }
-        vec![t1, t2]
+/// Fig 8's seed means per `(app, scheme)`.
+pub fn means(opts: ExpOptions) -> Vec<((AppKind, Scheme), Means)> {
+    sweep(steady_points(), 1000, opts)
+}
+
+/// Fig 8: throughput, then latency, relative to each app's base.
+pub fn tables(means: &[((AppKind, Scheme), Means)]) -> Vec<(String, Table)> {
+    vec![
+        (
+            "fig8_0".into(),
+            scheme_table(
+                "Fig 8 — relative throughput (fault-free, normalized to base)",
+                "tput/s",
+                means,
+                Scheme::Base,
+                |m, base| {
+                    [
+                        Cell::Pct(relative(m.throughput, base.throughput, 0.0)),
+                        Cell::Num(m.throughput),
+                    ]
+                },
+            ),
+        ),
+        (
+            "fig8_1".into(),
+            scheme_table(
+                "Fig 8 — relative latency (fault-free, normalized to base)",
+                "lat s",
+                means,
+                Scheme::Base,
+                |m, base| {
+                    [
+                        Cell::Num(relative(m.latency_s, base.latency_s, f64::INFINITY)),
+                        Cell::Num(m.latency_s),
+                    ]
+                },
+            ),
+        ),
+    ]
+}
+
+/// The layout of Figs 8 and 10: one row per scheme and, per app, the
+/// `cells` of the scheme's means next to the app's `reference` scheme's
+/// means — a relative value, then an absolute one in `unit`.
+pub(crate) fn scheme_table(
+    title: &str,
+    unit: &str,
+    means: &[((AppKind, Scheme), Means)],
+    reference: Scheme,
+    cells: impl Fn(Means, Means) -> [Cell; 2],
+) -> Table {
+    let mut t = Table::new(
+        title,
+        vec![
+            "scheme".into(),
+            "BCP".into(),
+            format!("BCP {unit}"),
+            "SignalGuru".into(),
+            format!("SG {unit}"),
+        ],
+    );
+    for scheme in schemes() {
+        let row = APPS
+            .into_iter()
+            .flat_map(|app| cells(at(means, (app, scheme)), at(means, (app, reference))))
+            .collect();
+        t.row(scheme.label(), row);
     }
+    t
 }

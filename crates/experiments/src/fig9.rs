@@ -8,17 +8,16 @@
 //! at n; rep-2 ends at 1; ms departures cost less than failures until
 //! many phones hit the cellular network at once.
 
-use serde::Serialize;
-use simkernel::SimDuration;
+use simkernel::{SimDuration, SimTime};
 
-use crate::faults::{failure_order, inject_departure, inject_failure, inject_reboot};
+use crate::faults::inject_burst;
 use crate::report::{Cell, Table};
-use crate::run::measured_run;
 use crate::scenario::{AppKind, ScenarioConfig, Scheme};
-use crate::{mean, run_jobs, ExpOptions};
+use crate::sweep::{at, relative, sweep, Means, Point, APPS};
+use crate::ExpOptions;
 
 /// A Fig 9 curve id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Curve {
     /// ms-8 with n simultaneous failures.
     MsFailure,
@@ -60,30 +59,6 @@ impl Curve {
     }
 }
 
-/// One measured point.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig9Point {
-    /// Application.
-    pub app: String,
-    /// Curve.
-    pub curve: String,
-    /// Burst size.
-    pub n: u32,
-    /// Relative throughput vs fault-free base.
-    pub rel_throughput: f64,
-    /// Relative latency vs fault-free base.
-    pub rel_latency: f64,
-    /// Whether the paper's scheme claims to tolerate this n.
-    pub tolerated: bool,
-}
-
-/// Full Fig 9 result.
-#[derive(Debug, Clone, Serialize)]
-pub struct Fig9 {
-    /// All points.
-    pub points: Vec<Fig9Point>,
-}
-
 /// The curves of the figure.
 pub fn curves() -> Vec<Curve> {
     vec![
@@ -96,150 +71,74 @@ pub fn curves() -> Vec<Curve> {
     ]
 }
 
-/// Run Fig 9. `max_n` caps the burst size (paper: 8).
-pub fn run_fig9(opts: ExpOptions, max_n: u32) -> Fig9 {
-    // The measurement window is exactly one checkpoint period starting
-    // after the first commit, with the burst 30 s in.
-    let inject_after = SimDuration::from_secs(30);
-    let reboot_after = SimDuration::from_secs(60);
+/// A Fig 9 point: an app and either a curve at burst size `n` or, with
+/// no curve and `n` = 0, the fault-free base every curve is relative to.
+pub type Key = (AppKind, Option<Curve>, u32);
 
-    type Key = (AppKind, String, u32);
-    let mut jobs: Vec<crate::Job<(Key, f64, f64)>> = Vec::new();
-
-    // Base fault-free reference per app/seed.
-    for app in [AppKind::Bcp, AppKind::SignalGuru] {
-        for seed in 0..opts.seeds {
-            jobs.push(Box::new(move || {
+/// Fig 9's seed means for every curve at every `n` in `0..=max_n`
+/// (paper: 8), plus each app's fault-free base.
+pub fn means(opts: ExpOptions, max_n: u32) -> Vec<(Key, Means)> {
+    // The burst lands 30 s into the measurement window.
+    let burst_at = SimTime::ZERO + opts.warmup + SimDuration::from_secs(30);
+    let mut points = Vec::new();
+    for app in APPS {
+        let base = ScenarioConfig {
+            app,
+            scheme: Scheme::Base,
+            ..ScenarioConfig::default()
+        };
+        points.push(Point::steady((app, None, 0), base));
+        for curve in curves() {
+            let departures = curve == Curve::MsDeparture;
+            for n in 0..=max_n {
                 let cfg = ScenarioConfig {
                     app,
-                    scheme: Scheme::Base,
-                    seed: 500 + seed,
+                    scheme: curve.scheme(),
                     ..ScenarioConfig::default()
                 };
-                let h = measured_run(cfg, opts.warmup, opts.window, |_| {});
-                (
-                    (app, "base-ref".to_string(), 0),
-                    h.mean_throughput,
-                    h.mean_latency_s,
-                )
-            }));
-        }
-    }
-
-    for app in [AppKind::Bcp, AppKind::SignalGuru] {
-        for curve in curves() {
-            for n in 0..=max_n {
-                for seed in 0..opts.seeds {
-                    let warmup = opts.warmup;
-                    let window = opts.window;
-                    jobs.push(Box::new(move || {
-                        let cfg = ScenarioConfig {
-                            app,
-                            scheme: curve.scheme(),
-                            seed: 500 + seed,
-                            ..ScenarioConfig::default()
-                        };
-                        let h = measured_run(cfg, warmup, window, |dep| {
-                            let at = simkernel::SimTime::ZERO + warmup + inject_after;
-                            for region in 0..dep.cfg.regions {
-                                let order = failure_order(dep, region);
-                                for &slot in order.iter().take(n as usize) {
-                                    match curve {
-                                        Curve::MsDeparture => {
-                                            inject_departure(dep, region, slot, at)
-                                        }
-                                        _ => {
-                                            inject_failure(dep, region, slot, at);
-                                            inject_reboot(dep, region, slot, at + reboot_after);
-                                        }
-                                    }
-                                }
-                            }
-                        });
-                        ((app, curve.label(), n), h.mean_throughput, h.mean_latency_s)
-                    }));
-                }
+                let mut point = Point::steady((app, Some(curve), n), cfg);
+                point.faults = Box::new(move |dep| inject_burst(dep, n, burst_at, departures));
+                points.push(point);
             }
         }
     }
-
-    let results = run_jobs(opts.parallel, jobs);
-    let agg = |key: &Key| -> (f64, f64) {
-        let t: Vec<f64> = results
-            .iter()
-            .filter(|(k, _, _)| k == key)
-            .map(|&(_, t, _)| t)
-            .collect();
-        let l: Vec<f64> = results
-            .iter()
-            .filter(|(k, _, _)| k == key)
-            .map(|&(_, _, l)| l)
-            .collect();
-        (mean(&t), mean(&l))
-    };
-
-    let mut points = Vec::new();
-    for app in [AppKind::Bcp, AppKind::SignalGuru] {
-        let (base_t, base_l) = agg(&(app, "base-ref".into(), 0));
-        for curve in curves() {
-            for n in 0..=max_n {
-                let (t, l) = agg(&(app, curve.label(), n));
-                points.push(Fig9Point {
-                    app: app.label().into(),
-                    curve: curve.label(),
-                    n,
-                    rel_throughput: if base_t > 0.0 { t / base_t } else { 0.0 },
-                    rel_latency: if base_l > 0.0 && l.is_finite() {
-                        l / base_l
-                    } else {
-                        f64::INFINITY
-                    },
-                    tolerated: n <= curve.max_tolerated(8),
-                });
-            }
-        }
-    }
-    Fig9 { points }
+    sweep(points, 500, opts)
 }
 
-impl Fig9 {
-    /// Tables: one per app per metric.
-    pub fn tables(&self, max_n: u32) -> Vec<Table> {
-        let mut tables = Vec::new();
-        for app in ["BCP", "SignalGuru"] {
-            for (metric, title) in [("tput", "relative throughput"), ("lat", "relative latency")] {
-                let mut cols = vec!["curve".to_string()];
-                cols.extend((0..=max_n).map(|n| format!("n={n}")));
-                let mut t = Table::new(
-                    format!("Fig 9 — {app} {title} vs n simultaneous failures/departures"),
-                    cols,
-                );
-                for curve in curves() {
-                    let cells: Vec<Cell> = (0..=max_n)
-                        .map(|n| {
-                            let p = self
-                                .points
-                                .iter()
-                                .find(|p| p.app == app && p.curve == curve.label() && p.n == n);
-                            match p {
-                                Some(p) if p.tolerated => {
-                                    if metric == "tput" {
-                                        Cell::Pct(p.rel_throughput)
-                                    } else {
-                                        Cell::Num(p.rel_latency)
-                                    }
-                                }
-                                // Beyond the scheme's tolerance the paper
-                                // truncates the curve.
-                                _ => Cell::Dash,
-                            }
-                        })
-                        .collect();
-                    t.row(curve.label(), cells);
-                }
-                tables.push(t);
+/// One table per app per metric: a row per curve, a column per `n`.
+pub fn tables(means: &[(Key, Means)], max_n: u32) -> Vec<(String, Table)> {
+    let mut tables = Vec::new();
+    for app in APPS {
+        let base = at(means, (app, None, 0));
+        for (tput, title) in [(true, "relative throughput"), (false, "relative latency")] {
+            let mut cols = vec!["curve".to_string()];
+            cols.extend((0..=max_n).map(|n| format!("n={n}")));
+            let mut t = Table::new(
+                format!(
+                    "Fig 9 — {} {title} vs n simultaneous failures/departures",
+                    app.label()
+                ),
+                cols,
+            );
+            for curve in curves() {
+                let cells = (0..=max_n)
+                    .map(|n| {
+                        let m = at(means, (app, Some(curve), n));
+                        if n > curve.max_tolerated(8) {
+                            // Beyond the scheme's tolerance the paper
+                            // truncates the curve.
+                            Cell::Dash
+                        } else if tput {
+                            Cell::Pct(relative(m.throughput, base.throughput, 0.0))
+                        } else {
+                            Cell::Num(relative(m.latency_s, base.latency_s, f64::INFINITY))
+                        }
+                    })
+                    .collect();
+                t.row(curve.label(), cells);
             }
+            tables.push((format!("fig9_{}", tables.len()), t));
         }
-        tables
     }
+    tables
 }

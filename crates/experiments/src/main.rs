@@ -6,7 +6,8 @@
 //! msx fig8   [--quick] [--seeds N]
 //! msx fig9   [--quick] [--seeds N] [--max-n N]
 //! msx fig10  [--quick] [--seeds N]
-//! msx all    [--quick] [--seeds N]
+//! msx ablate [--quick]
+//! msx all    [--quick] [--seeds N] [--max-n N]
 //! msx scenarios list
 //! msx scenarios run --profile <stadium|commute|flash-crowd|lossy-wifi|metro> [--seed N] [--threads N] [--sanitize] [--weather NAME]
 //! msx scenarios matrix [--smoke] [--seed N] [--threads N]
@@ -16,18 +17,19 @@
 //! Text tables print to stdout; JSON copies land in `./results/`
 //! (fleet reports under `./results/scenarios/`).
 
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use experiments::report::{Cell, Table};
-use experiments::{ablate, fig10, fig8, fig9, fleet, table1, weather, ExpOptions};
+use experiments::{fleet, weather, ExpOptions, ARTIFACTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let quick = args.iter().any(|a| a == "--quick");
-    let seeds: Option<u64> = flag(&args, "--seeds");
-    let max_n: u32 = flag(&args, "--max-n").unwrap_or(8);
+    let seeds: Option<NonZeroU64> = arg(&args, "--seeds");
+    let max_n: u32 = arg(&args, "--max-n").unwrap_or(8);
 
     let mut opts = if quick {
         ExpOptions::quick()
@@ -35,43 +37,63 @@ fn main() {
         ExpOptions::default()
     };
     if let Some(s) = seeds {
-        opts.seeds = s;
+        opts.seeds = s.get();
     }
 
     let out = PathBuf::from("results");
     let started = std::time::Instant::now();
 
     match cmd {
-        "table1" => table1_cmd(opts, &out),
-        "fig8" => fig8_cmd(opts, &out),
-        "fig9" => fig9_cmd(opts, max_n, &out),
-        "fig10" => fig10_cmd(opts, &out),
-        "ablate" => ablate_cmd(opts, &out),
         "scenarios" => scenarios_cmd(&args, &out),
         "lint" => lint_cmd(&args),
-        "all" => {
-            table1_cmd(opts, &out);
-            fig8_cmd(opts, &out);
-            fig9_cmd(opts, max_n, &out);
-            fig10_cmd(opts, &out);
-            ablate_cmd(opts, &out);
-        }
-        other => {
-            eprintln!(
-                "unknown command '{other}'; use table1|fig8|fig9|fig10|ablate|scenarios|lint|all"
-            );
-            std::process::exit(2);
+        _ => {
+            let chosen: Vec<_> = ARTIFACTS
+                .into_iter()
+                .filter(|&(name, _)| cmd == "all" || cmd == name)
+                .collect();
+            if chosen.is_empty() {
+                eprintln!(
+                    "unknown command '{cmd}'; use table1|fig8|fig9|fig10|ablate|scenarios|lint|all"
+                );
+                std::process::exit(2);
+            }
+            for (name, run) in chosen {
+                eprintln!("[msx] {name}...");
+                for (json, t) in run(opts, max_n) {
+                    println!("{}", t.render());
+                    if let Err(e) = t.save_json(&out, &json) {
+                        eprintln!("[msx] cannot write {}/{json}.json: {e}", out.display());
+                        std::process::exit(1);
+                    }
+                }
+            }
         }
     }
     eprintln!("[msx] done in {:.1}s", started.elapsed().as_secs_f64());
 }
 
-/// The parsed value following `name` in `args`, if present and valid.
-fn flag<T: FromStr>(args: &[String], name: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
+/// The value following `name` in `args`: `None` when the flag is
+/// absent, an error naming the flag when its value is missing or does
+/// not parse as a `T`.
+fn flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("invalid value '{v}' for {name}")),
+        None => Err(format!("{name} needs a value")),
+    }
+}
+
+/// [`flag`], exiting with status 2 on a missing or malformed value.
+fn arg<T: FromStr>(args: &[String], name: &str) -> Option<T> {
+    flag(args, name).unwrap_or_else(|e| {
+        eprintln!("[msx] {e}");
+        std::process::exit(2)
+    })
 }
 
 /// `msx lint [--rules] [--root DIR]` — run the determinism lint pass
@@ -90,7 +112,7 @@ fn lint_cmd(args: &[String]) {
         println!("\nsuppress with a comment: simlint::allow(RULE): reason");
         return;
     }
-    let root: PathBuf = flag(args, "--root").unwrap_or_else(|| PathBuf::from("."));
+    let root: PathBuf = arg(args, "--root").unwrap_or_else(|| PathBuf::from("."));
     match simlint::lint_workspace(&root) {
         Ok(findings) if findings.is_empty() => {
             println!("[msx] lint clean: no determinism findings");
@@ -133,9 +155,9 @@ fn scenarios_cmd(args: &[String], out: &Path) {
             }
         }
         "run" => {
-            let name: String = flag(args, "--profile").unwrap_or_else(|| "stadium".into());
-            let seed: u64 = flag(args, "--seed").unwrap_or(1);
-            let threads: usize = flag(args, "--threads").unwrap_or(1);
+            let name: String = arg(args, "--profile").unwrap_or_else(|| "stadium".into());
+            let seed: u64 = arg(args, "--seed").unwrap_or(1);
+            let threads: usize = arg(args, "--threads").unwrap_or(1);
             let Some(mut cfg) = fleet::profile(&name, seed) else {
                 eprintln!(
                     "unknown profile '{name}'; available: {}",
@@ -145,7 +167,7 @@ fn scenarios_cmd(args: &[String], out: &Path) {
             };
             cfg.threads = threads.max(1);
             cfg.sanitize = args.iter().any(|a| a == "--sanitize");
-            if let Some(wname) = flag::<String>(args, "--weather") {
+            if let Some(wname) = arg::<String>(args, "--weather") {
                 let Some(program) = weather::weather(&wname, seed, cfg.topo()) else {
                     eprintln!(
                         "unknown weather '{wname}'; available: {}",
@@ -241,8 +263,8 @@ fn report_faults(r: &fleet::FleetReport) -> Vec<String> {
 /// missed recovery SLO, or double-committed round.
 fn matrix_cmd(args: &[String], out: &Path) {
     let smoke = args.iter().any(|a| a == "--smoke");
-    let seed: u64 = flag(args, "--seed").unwrap_or(1);
-    let threads = flag::<usize>(args, "--threads").unwrap_or(4).max(2);
+    let seed: u64 = arg(args, "--seed").unwrap_or(1);
+    let threads = arg::<usize>(args, "--threads").unwrap_or(4).max(2);
     eprintln!(
         "[msx] scenario matrix: {} profiles × {} weathers, seed {seed}, digests at 1 vs {threads} threads{}...",
         fleet::PROFILE_NAMES.len(),
@@ -251,17 +273,16 @@ fn matrix_cmd(args: &[String], out: &Path) {
     );
 
     let mut labels = Vec::new();
-    let mut jobs: Vec<experiments::Job<(fleet::FleetReport, fleet::FleetReport)>> = Vec::new();
-    for pname in fleet::PROFILE_NAMES {
-        for wname in weather::WEATHER_NAMES {
-            labels.push((*pname, *wname));
-            let (p, w) = (pname.to_string(), wname.to_string());
-            jobs.push(Box::new(move || {
-                let mut cfg = fleet::profile(&p, seed).expect("built-in profile");
+    let mut jobs = Vec::new();
+    for &pname in fleet::PROFILE_NAMES {
+        for &wname in weather::WEATHER_NAMES {
+            labels.push((pname, wname));
+            jobs.push(move || {
+                let mut cfg = fleet::profile(pname, seed).expect("built-in profile");
                 if smoke {
                     cfg.shrink_to_smoke();
                 }
-                cfg.weather = weather::weather(&w, seed, cfg.topo());
+                cfg.weather = weather::weather(wname, seed, cfg.topo());
                 cfg.sanitize = true;
                 cfg.threads = 1;
                 let r1 = fleet::run_fleet(&cfg);
@@ -269,7 +290,7 @@ fn matrix_cmd(args: &[String], out: &Path) {
                 cfg_n.threads = threads;
                 let rn = fleet::run_fleet(&cfg_n);
                 (r1, rn)
-            }));
+            });
         }
     }
     // Full-scale cells are too big to overlap safely; smoke cells fan
@@ -489,45 +510,33 @@ fn fleet_table(r: &fleet::FleetReport) -> Table {
     t
 }
 
-fn table1_cmd(opts: ExpOptions, out: &Path) {
-    eprintln!("[msx] Table I ({} seed(s))...", opts.seeds);
-    let r = table1::run_table1(opts);
-    let t = r.table();
-    println!("{}", t.render());
-    let _ = t.save_json(out, "table1");
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn fig8_cmd(opts: ExpOptions, out: &Path) {
-    eprintln!("[msx] Fig 8 ({} seed(s))...", opts.seeds);
-    let r = fig8::run_fig8(opts);
-    for (i, t) in r.tables().iter().enumerate() {
-        println!("{}", t.render());
-        let _ = t.save_json(out, &format!("fig8_{i}"));
+    fn args(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
     }
-}
 
-fn fig9_cmd(opts: ExpOptions, max_n: u32, out: &Path) {
-    eprintln!("[msx] Fig 9 (n = 0..={max_n}, {} seed(s))...", opts.seeds);
-    let r = fig9::run_fig9(opts, max_n);
-    for (i, t) in r.tables(max_n).iter().enumerate() {
-        println!("{}", t.render());
-        let _ = t.save_json(out, &format!("fig9_{i}"));
+    #[test]
+    fn flag_parses_present_values_and_ignores_absent_flags() {
+        let a = args("fig9 --quick --seeds 2 --max-n 3");
+        assert_eq!(flag::<u64>(&a, "--seeds"), Ok(Some(2)));
+        assert_eq!(flag::<u32>(&a, "--max-n"), Ok(Some(3)));
+        assert_eq!(flag::<usize>(&a, "--threads"), Ok(None));
+        let p = args("scenarios run --profile metro");
+        assert_eq!(flag::<String>(&p, "--profile"), Ok(Some("metro".into())));
     }
-}
 
-fn ablate_cmd(opts: ExpOptions, out: &Path) {
-    eprintln!("[msx] ablations...");
-    let r = ablate::run_ablation(opts);
-    let t = r.table();
-    println!("{}", t.render());
-    let _ = t.save_json(out, "ablations");
-}
-
-fn fig10_cmd(opts: ExpOptions, out: &Path) {
-    eprintln!("[msx] Fig 10 ({} seed(s))...", opts.seeds);
-    let r = fig10::run_fig10(opts);
-    for (i, t) in r.tables().iter().enumerate() {
-        println!("{}", t.render());
-        let _ = t.save_json(out, &format!("fig10_{i}"));
+    #[test]
+    fn flag_rejects_malformed_missing_and_zero_values_by_name() {
+        for line in ["fig8 --seeds x", "fig8 --quick --seeds 0", "fig8 --seeds"] {
+            let err = flag::<NonZeroU64>(&args(line), "--seeds").expect_err(line);
+            assert!(err.contains("--seeds"), "{line}: {err}");
+        }
+        let err = flag::<u32>(&args("fig9 --max-n -1"), "--max-n").unwrap_err();
+        assert!(err.contains("--max-n"), "{err}");
+        let err = flag::<usize>(&args("scenarios run --threads zero"), "--threads").unwrap_err();
+        assert!(err.contains("--threads") && err.contains("zero"), "{err}");
     }
 }

@@ -7,44 +7,34 @@
 //! computes in-region over WiFi; three rows: FT off, FT on with a
 //! departure every 5 minutes, FT on with a failure every 5 minutes.
 
-use serde::Serialize;
 use simkernel::{SimDuration, SimTime};
 
 use crate::faults::{failure_order, inject_departure, inject_failure, inject_reboot};
 use crate::report::{Cell, Table};
-use crate::run::measured_run;
-use crate::scenario::{AppKind, Platform, ScenarioConfig, Scheme};
-use crate::{mean, run_jobs, ExpOptions};
+use crate::scenario::{AppKind, Deployment, Platform, ScenarioConfig, Scheme};
+use crate::sweep::{at, sweep, Means, Point, APPS};
+use crate::ExpOptions;
 
-/// One Table I row for one app.
-#[derive(Debug, Clone, Serialize)]
-pub struct Table1Cell {
-    /// Row label.
-    pub system: String,
-    /// Application.
-    pub app: String,
-    /// Per-region throughput, tuples/s (min for bands).
-    pub tput_lo: f64,
-    /// Max of the band (== lo for single-value rows).
-    pub tput_hi: f64,
-    /// Latency seconds (min).
-    pub lat_lo: f64,
-    /// Latency max.
-    pub lat_hi: f64,
-}
-
-/// Full Table I.
-#[derive(Debug, Clone, Serialize)]
-pub struct Table1 {
-    /// All cells.
-    pub cells: Vec<Table1Cell>,
+/// One measured Table I configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Row {
+    /// Server platform over the slowest uplink (0.016 Mbps).
+    ServerLo,
+    /// Server platform over the fastest uplink (0.32 Mbps).
+    ServerHi,
+    /// MobiStreams with fault tolerance off.
+    MsFtOff,
+    /// MobiStreams with a departure every checkpoint period.
+    MsDeparture,
+    /// MobiStreams with a failure every checkpoint period.
+    MsFailure,
 }
 
 /// The periodic-fault pattern of the ms rows: one event per checkpoint
 /// period, rotating over computing slots, with rebooted/returning
 /// phones re-registering 120 s later.
 fn periodic_faults(
-    dep: &mut crate::scenario::Deployment,
+    dep: &mut Deployment,
     departures: bool,
     start: SimDuration,
     end: SimDuration,
@@ -70,220 +60,107 @@ fn periodic_faults(
     }
 }
 
-/// Run Table I.
-pub fn run_table1(opts: ExpOptions) -> Table1 {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Row {
-        ServerLo,
-        ServerHi,
-        MsFtOff,
-        MsDeparture,
-        MsFailure,
-    }
-    let rows = [
-        Row::ServerLo,
-        Row::ServerHi,
-        Row::MsFtOff,
-        Row::MsDeparture,
-        Row::MsFailure,
-    ];
-
-    type Key = (AppKind, usize);
-    let mut jobs: Vec<crate::Job<(Key, f64, f64)>> = Vec::new();
-    for app in [AppKind::Bcp, AppKind::SignalGuru] {
-        for (row_ix, &row) in rows.iter().enumerate() {
-            for seed in 0..opts.seeds {
-                let warmup = opts.warmup;
-                let window = opts.window;
-                jobs.push(Box::new(move || {
-                    let (platform, scheme, checkpoints) = match row {
-                        Row::ServerLo => (
-                            Platform::Server {
-                                uplink_bps: 16_000.0,
-                            },
-                            Scheme::Base,
-                            false,
-                        ),
-                        Row::ServerHi => (
-                            Platform::Server {
-                                uplink_bps: 320_000.0,
-                            },
-                            Scheme::Base,
-                            false,
-                        ),
-                        Row::MsFtOff => (Platform::Phones, Scheme::Base, false),
-                        Row::MsDeparture | Row::MsFailure => (Platform::Phones, Scheme::Ms, true),
-                    };
-                    let cfg = ScenarioConfig {
-                        app,
-                        scheme,
-                        platform,
-                        checkpoints_enabled: checkpoints,
-                        seed: 3000 + seed,
-                        ..ScenarioConfig::default()
-                    };
-                    let period = cfg.ckpt_period;
-                    let h = measured_run(cfg, warmup, window, |dep| match row {
-                        Row::MsDeparture => periodic_faults(
-                            dep,
-                            true,
-                            warmup + SimDuration::from_secs(30),
-                            warmup + window,
-                            period,
-                        ),
-                        Row::MsFailure => periodic_faults(
-                            dep,
-                            false,
-                            warmup + SimDuration::from_secs(30),
-                            warmup + window,
-                            period,
-                        ),
-                        _ => {}
-                    });
-                    ((app, row_ix), h.mean_throughput, h.mean_latency_s)
-                }));
-            }
-        }
-    }
-    let results = run_jobs(opts.parallel, jobs);
-    let agg = |key: Key| -> (f64, f64) {
-        let t: Vec<f64> = results
-            .iter()
-            .filter(|(k, _, _)| *k == key)
-            .map(|&(_, t, _)| t)
-            .collect();
-        let l: Vec<f64> = results
-            .iter()
-            .filter(|(k, _, _)| *k == key)
-            .map(|&(_, _, l)| l)
-            .collect();
-        (mean(&t), mean(&l))
-    };
-
-    let mut cells = Vec::new();
-    for app in [AppKind::Bcp, AppKind::SignalGuru] {
-        // Server band: combine the two uplink extremes.
-        let (t_lo, l_hi) = agg((app, 0)); // 0.016 Mbps: lowest tput, highest lat
-        let (t_hi, l_lo) = agg((app, 1));
-        cells.push(Table1Cell {
-            system: "Server-based DSPS".into(),
-            app: app.label().into(),
-            tput_lo: t_lo.min(t_hi),
-            tput_hi: t_lo.max(t_hi),
-            lat_lo: l_lo.min(l_hi),
-            lat_hi: l_lo.max(l_hi),
-        });
-        for (label, row_ix) in [
-            ("MobiStreams (FT off)", 2usize),
-            ("MobiStreams (departure / 5 min)", 3),
-            ("MobiStreams (failure / 5 min)", 4),
+/// Table I's seed means per `(app, row)`.
+pub fn means(opts: ExpOptions) -> Vec<((AppKind, Row), Means)> {
+    let server = |uplink_bps| (Platform::Server { uplink_bps }, Scheme::Base, false);
+    let mut points = Vec::new();
+    for app in APPS {
+        for row in [
+            Row::ServerLo,
+            Row::ServerHi,
+            Row::MsFtOff,
+            Row::MsDeparture,
+            Row::MsFailure,
         ] {
-            let (t, l) = agg((app, row_ix));
-            cells.push(Table1Cell {
-                system: label.into(),
-                app: app.label().into(),
-                tput_lo: t,
-                tput_hi: t,
-                lat_lo: l,
-                lat_hi: l,
-            });
+            let (platform, scheme, checkpoints_enabled) = match row {
+                Row::ServerLo => server(16_000.0),
+                Row::ServerHi => server(320_000.0),
+                Row::MsFtOff => (Platform::Phones, Scheme::Base, false),
+                Row::MsDeparture | Row::MsFailure => (Platform::Phones, Scheme::Ms, true),
+            };
+            let cfg = ScenarioConfig {
+                app,
+                scheme,
+                platform,
+                checkpoints_enabled,
+                ..ScenarioConfig::default()
+            };
+            let mut point = Point::steady((app, row), cfg);
+            if matches!(row, Row::MsDeparture | Row::MsFailure) {
+                let departures = row == Row::MsDeparture;
+                let start = opts.warmup + SimDuration::from_secs(30);
+                let end = opts.warmup + opts.window;
+                let period = point.cfg.ckpt_period;
+                point.faults = Box::new(move |dep| {
+                    periodic_faults(dep, departures, start, end, period);
+                });
+            }
+            points.push(point);
         }
     }
-    Table1 { cells }
+    sweep(points, 3000, opts)
 }
 
-impl Table1 {
-    /// Paper-style table.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "Table I — MobiStreams vs server-based DSPS (per-region)",
+/// Table I: one row per system, each app's throughput and latency as a
+/// band (the server's over its uplink range, a single value otherwise).
+pub fn tables(means: &[((AppKind, Row), Means)]) -> Vec<(String, Table)> {
+    let mut t = Table::new(
+        "Table I — MobiStreams vs server-based DSPS (per-region)",
+        vec![
+            "system".into(),
+            "BCP tput/s".into(),
+            "BCP lat s".into(),
+            "SG tput/s".into(),
+            "SG lat s".into(),
+        ],
+    );
+    let text = |(lo, hi): (f64, f64)| {
+        if (hi - lo).abs() < 1e-9 {
+            format!("{lo:.3}")
+        } else {
+            format!("{lo:.3}~{hi:.3}")
+        }
+    };
+    for (system, lo, hi) in [
+        ("Server-based DSPS", Row::ServerLo, Row::ServerHi),
+        ("MobiStreams (FT off)", Row::MsFtOff, Row::MsFtOff),
+        (
+            "MobiStreams (departure / 5 min)",
+            Row::MsDeparture,
+            Row::MsDeparture,
+        ),
+        (
+            "MobiStreams (failure / 5 min)",
+            Row::MsFailure,
+            Row::MsFailure,
+        ),
+    ] {
+        // The slow uplink gives the low throughput and the high latency.
+        let band = |app| {
+            let (a, b) = (at(means, (app, lo)), at(means, (app, hi)));
+            let span = |x: f64, y: f64| (x.min(y), x.max(y));
+            [
+                span(a.throughput, b.throughput),
+                span(b.latency_s, a.latency_s),
+            ]
+        };
+        let [b_tput, b_lat] = band(AppKind::Bcp);
+        let [s_tput, s_lat] = band(AppKind::SignalGuru);
+        t.row(
+            format!(
+                "{system} | BCP {} t/s, {} s | SG {} t/s, {} s",
+                text(b_tput),
+                text(b_lat),
+                text(s_tput),
+                text(s_lat)
+            ),
             vec![
-                "system".into(),
-                "BCP tput/s".into(),
-                "BCP lat s".into(),
-                "SG tput/s".into(),
-                "SG lat s".into(),
+                Cell::Num(b_tput.0),
+                Cell::Num(b_lat.1),
+                Cell::Num(s_tput.0),
+                Cell::Num(s_lat.1),
             ],
         );
-        let systems: Vec<String> = self
-            .cells
-            .iter()
-            .map(|c| c.system.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        // Preserve paper row order.
-        let order = [
-            "Server-based DSPS",
-            "MobiStreams (FT off)",
-            "MobiStreams (departure / 5 min)",
-            "MobiStreams (failure / 5 min)",
-        ];
-        for sys in order.iter().filter(|s| systems.iter().any(|x| x == *s)) {
-            let find = |app: &str| {
-                self.cells
-                    .iter()
-                    .find(|c| c.system == *sys && c.app == app)
-                    .cloned()
-            };
-            let b = find("BCP");
-            let s = find("SignalGuru");
-            let fmt = |c: &Option<Table1Cell>, tput: bool| -> Cell {
-                match c {
-                    None => Cell::Dash,
-                    Some(c) => {
-                        if tput {
-                            Cell::Num(c.tput_lo) // band rendered via two cells below
-                        } else {
-                            Cell::Num(c.lat_lo)
-                        }
-                    }
-                }
-            };
-            let _ = fmt;
-            let band = |c: &Option<Table1Cell>, tput: bool| -> String {
-                match c {
-                    None => "-".into(),
-                    Some(c) => {
-                        let (lo, hi) = if tput {
-                            (c.tput_lo, c.tput_hi)
-                        } else {
-                            (c.lat_lo, c.lat_hi)
-                        };
-                        if (hi - lo).abs() < 1e-9 {
-                            format!("{lo:.3}")
-                        } else {
-                            format!("{lo:.3}~{hi:.3}")
-                        }
-                    }
-                }
-            };
-            // Table cells are numeric; encode bands in the row label
-            // suffix instead: keep it simple by flattening into text.
-            t.row(
-                format!(
-                    "{sys} | BCP {} t/s, {} s | SG {} t/s, {} s",
-                    band(&b, true),
-                    band(&b, false),
-                    band(&s, true),
-                    band(&s, false)
-                ),
-                vec![
-                    b.as_ref()
-                        .map(|c| Cell::Num(c.tput_lo))
-                        .unwrap_or(Cell::Dash),
-                    b.as_ref()
-                        .map(|c| Cell::Num(c.lat_hi))
-                        .unwrap_or(Cell::Dash),
-                    s.as_ref()
-                        .map(|c| Cell::Num(c.tput_lo))
-                        .unwrap_or(Cell::Dash),
-                    s.as_ref()
-                        .map(|c| Cell::Num(c.lat_hi))
-                        .unwrap_or(Cell::Dash),
-                ],
-            );
-        }
-        t
     }
+    vec![("table1".into(), t)]
 }

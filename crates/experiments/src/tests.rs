@@ -121,10 +121,13 @@ mod unit {
 
     #[test]
     fn run_jobs_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let out = crate::run_jobs(true, jobs);
-        assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+        // More jobs than workers, so every worker pulls several.
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let n = 4 * workers + 3;
+        let expected: Vec<usize> = (0..n).map(|i| i * i).collect();
+        for parallel in [true, false] {
+            let jobs: Vec<_> = (0..n).map(|i| move || i * i).collect();
+            assert_eq!(crate::run_jobs(parallel, jobs), expected);
+        }
     }
 }
