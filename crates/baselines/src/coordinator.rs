@@ -18,8 +18,8 @@ use dsps::placement::{
     GATHER_WINDOW, PING_PERIOD, PING_TIMEOUT,
 };
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration};
-use simnet::cellular::{send_ctl, send_ctl_tagged, CellRx};
-use simnet::payload_as;
+use simnet::stats::TrafficClass::Control;
+use simnet::{net_send, payload, payload_as, NetRx};
 
 use crate::dist::peers_of;
 use crate::msgs::*;
@@ -196,7 +196,8 @@ impl BaselineCoordinator {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.ship_tags.insert(tag, (region, ship, holder));
-        send_ctl_tagged(ctx, self.cell, dst, wire::CONTROL, tag, ship);
+        let msg = payload(ship);
+        net_send(ctx, self.cell, dst, Control, wire::CONTROL, tag, msg);
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
@@ -221,10 +222,11 @@ impl BaselineCoordinator {
         }
         rt.version += 1;
         let version = rt.version;
+        let tick = payload(CkptTick { version });
         for s in rt.table.hosting_slots() {
             if rt.table.is_active(s) {
                 let dst = rt.table.actor(s);
-                send_ctl(ctx, self.cell, dst, wire::CONTROL, CkptTick { version });
+                net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, tick.clone());
             }
         }
     }
@@ -249,8 +251,8 @@ impl BaselineCoordinator {
         };
         for (r, s) in targets {
             let dst = self.regions[r].table.actor(s);
-            let ping = Ping { nonce: round };
-            send_ctl(ctx, self.cell, dst, wire::PING_BYTES, ping);
+            let ping = payload(Ping { nonce: round });
+            net_send(ctx, self.cell, dst, Control, wire::PING_BYTES, 0, ping);
         }
         ctx.send_in(PING_TIMEOUT, me, BTimer::PingDeadline { round });
     }
@@ -282,10 +284,10 @@ impl BaselineCoordinator {
                 if flow == rt.primary {
                     rt.primary = 1 - flow;
                     self.takeovers += 1;
+                    let flip = payload(SetPrimary { flow: rt.primary });
                     for s in rt.table.active_slots() {
                         let dst = rt.table.actor(s);
-                        let flip = SetPrimary { flow: rt.primary };
-                        send_ctl(ctx, self.cell, dst, wire::CONTROL, flip);
+                        net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, flip.clone());
                     }
                     self.recoveries.push(RecoveryRecord {
                         region,
@@ -335,14 +337,15 @@ impl BaselineCoordinator {
         rt.table.reassign_slot(slot, host);
         rt.episode.begin_now(1, ctx.now());
         rt.episode.await_acks(BTreeSet::from([host]));
-        let routing = rt.table.routing();
+        let msg = payload(rt.table.routing());
         for s in rt.table.active_slots() {
             let dst = rt.table.actor(s);
-            send_ctl(ctx, self.cell, dst, wire::CONTROL, routing.clone());
+            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
         }
         let ready_in = SimDuration::from_millis(500);
-        let install = rt.table.install_for(host, InstallStates::Fresh, ready_in);
-        send_ctl(ctx, self.cell, rt.table.actor(host), wire::CONTROL, install);
+        let install = payload(rt.table.install_for(host, InstallStates::Fresh, ready_in));
+        let dst = rt.table.actor(host);
+        net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, install);
     }
 
     fn on_recover(&mut self, region: usize, ctx: &mut Ctx) {
@@ -381,10 +384,10 @@ impl BaselineCoordinator {
         for &(f, r) in &plan {
             rt.table.reassign_slot(f, r);
         }
-        let routing = rt.table.routing();
+        let msg = payload(rt.table.routing());
         for s in rt.table.active_slots() {
             let dst = rt.table.actor(s);
-            send_ctl(ctx, self.cell, dst, wire::CONTROL, routing.clone());
+            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
         }
         rt.episode
             .await_acks(plan.iter().map(|&(_, r)| r).collect());
@@ -441,8 +444,8 @@ impl BaselineCoordinator {
         let install = rt
             .table
             .install_for(m.slot, states, SimDuration::from_secs(1));
-        let dst = rt.table.actor(m.slot);
-        send_ctl(ctx, self.cell, dst, wire::CONTROL, install);
+        let (dst, msg) = (rt.table.actor(m.slot), payload(install));
+        net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg);
         let me = ctx.self_id();
         ctx.send_in(ACK_DEADLINE, me, BTimer::AckDeadline { region: m.region });
     }
@@ -468,16 +471,16 @@ impl BaselineCoordinator {
         for (s, edges) in per_slot {
             if rt.table.is_active(s) {
                 let dst = rt.table.actor(s);
-                let resend = ResendRetained { edges };
-                send_ctl(ctx, self.cell, dst, wire::CONTROL, resend);
+                let resend = payload(ResendRetained { edges });
+                net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, resend);
             }
         }
         // Authoritative routing broadcast: overlapping recovery flows
         // converge (nodes unhost ops that moved away).
-        let routing = rt.table.routing();
+        let msg = payload(rt.table.routing());
         for s in rt.table.active_slots() {
             let dst = rt.table.actor(s);
-            send_ctl(ctx, self.cell, dst, wire::CONTROL, routing.clone());
+            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
         }
         self.recoveries.push(rt.episode.finish(m.region, ctx.now()));
     }
@@ -504,7 +507,7 @@ impl BaselineCoordinator {
 
 impl Actor for BaselineCoordinator {
     fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
-        let ev = match ev.downcast::<CellRx>() {
+        let ev = match ev.downcast::<NetRx>() {
             Ok(rx) => {
                 let p = rx.payload.clone();
                 if let Some(m) = payload_as::<Pong>(&p) {

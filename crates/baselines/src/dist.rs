@@ -17,10 +17,8 @@ use dsps::graph::EdgeId;
 use dsps::node::{Install, InstallStates, NodeInner};
 use dsps::tuple::{StreamItem, Tuple};
 use simkernel::{Ctx, EventBox, SimDuration};
-use simnet::cellular::CellRx;
 use simnet::stats::TrafficClass;
-use simnet::wifi::WifiRx;
-use simnet::{payload, payload_as};
+use simnet::{net_send, payload, payload_as, NetRx};
 
 use crate::local::{serialize_hold, RetentionBuffer};
 use crate::msgs::{BaselineAck, CkptTick, ResendRetained, ShipStateTo, StateCopy};
@@ -87,21 +85,15 @@ impl DistScheme {
             // Ship the state to each peer as reliable unicast — n copies
             // on the wire (vs MobiStreams' single broadcast).
             let total_slots = node.slot_actors.len() as u32;
-            let copy = StateCopy {
+            let copy = payload(StateCopy {
                 version,
                 from_slot: node.cfg.slot,
                 states: snaps,
-            };
+            });
+            let class = TrafficClass::Checkpoint;
             for peer in peers_of(node.cfg.slot, self.n, total_slots) {
                 let dst = node.slot_actors[peer as usize];
-                node.send_wifi(
-                    ctx,
-                    dst,
-                    TrafficClass::Checkpoint,
-                    total,
-                    0,
-                    Some(payload(copy.clone())),
-                );
+                net_send(ctx, node.primary, dst, class, total, 0, copy.clone());
             }
             if !node.busy {
                 node.busy = true;
@@ -145,14 +137,8 @@ impl DistScheme {
         // The fetch+restore crosses the shared WiFi channel: with k
         // simultaneous failures these transfers serialize — the dist-n
         // degradation of Fig 9.
-        node.send_wifi(
-            ctx,
-            req.to,
-            TrafficClass::Recovery,
-            bytes.max(1),
-            0,
-            Some(payload(install)),
-        );
+        let (class, install) = (TrafficClass::Recovery, payload(install));
+        net_send(ctx, node.primary, req.to, class, bytes.max(1), 0, install);
     }
 
     fn resend_retained(&mut self, edges: &[EdgeId], node: &mut NodeInner, ctx: &mut Ctx) {
@@ -199,16 +185,13 @@ impl FtScheme for DistScheme {
                     node.busy = false;
                 }
             },
-            rx: WifiRx => {
+            rx: NetRx => {
                 if let Some(copy) = payload_as::<StateCopy>(&rx.payload) {
                     for (op, st, bytes) in &copy.states {
                         node.store.put_state(copy.version, *op, st.clone(), *bytes);
                     }
                     node.store.mark_complete(copy.version);
-                }
-            },
-            rx: CellRx => {
-                if let Some(t) = payload_as::<CkptTick>(&rx.payload) {
+                } else if let Some(t) = payload_as::<CkptTick>(&rx.payload) {
                     self.take_checkpoint(t.version, node, ctx);
                 } else if let Some(req) = payload_as::<ShipStateTo>(&rx.payload) {
                     let req = *req;

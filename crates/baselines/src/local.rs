@@ -16,8 +16,7 @@ use dsps::graph::EdgeId;
 use dsps::node::NodeInner;
 use dsps::tuple::Tuple;
 use simkernel::{Ctx, EventBox, SimDuration, SimTime};
-use simnet::cellular::CellRx;
-use simnet::payload_as;
+use simnet::{payload_as, NetRx};
 
 use crate::msgs::CkptTick;
 
@@ -158,7 +157,7 @@ impl FtScheme for LocalScheme {
                     node.busy = false;
                 }
             },
-            rx: CellRx => {
+            rx: NetRx => {
                 if let Some(t) = payload_as::<CkptTick>(&rx.payload) {
                     self.take_checkpoint(t.version, node, ctx);
                 }

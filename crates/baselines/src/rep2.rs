@@ -21,8 +21,7 @@ use dsps::graph::{OpId, QueryGraph};
 use dsps::node::NodeInner;
 use dsps::tuple::Tuple;
 use simkernel::{Ctx, EventBox};
-use simnet::cellular::CellRx;
-use simnet::payload_as;
+use simnet::{payload_as, NetRx};
 
 use crate::msgs::SetPrimary;
 
@@ -117,7 +116,7 @@ impl FtScheme for Rep2Scheme {
     fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) {
         let _ = (node, ctx);
         if let Some(p) = ev
-            .downcast_ref::<CellRx>()
+            .downcast_ref::<NetRx>()
             .and_then(|rx| payload_as::<SetPrimary>(&rx.payload))
         {
             self.primary = p.flow;

@@ -13,8 +13,7 @@ use dsps::graph::EdgeId;
 use dsps::node::NodeInner;
 use dsps::tuple::{StreamItem, Tuple};
 use simkernel::{Ctx, EventBox, SimDuration};
-use simnet::cellular::CellRx;
-use simnet::payload_as;
+use simnet::{payload_as, NetRx};
 
 use crate::local::RetentionBuffer;
 use crate::msgs::{BaselineAck, ResendRetained};
@@ -84,7 +83,7 @@ impl FtScheme for UpstreamScheme {
             return;
         }
         simkernel::match_event!(ev,
-            rx: CellRx => {
+            rx: NetRx => {
                 if let Some(r) = payload_as::<ResendRetained>(&rx.payload) {
                     let edges = r.edges.clone();
                     self.resend(&edges, node, ctx);

@@ -4,20 +4,18 @@
 //! phone, keeps a FIFO input queue per in-edge, models the phone's
 //! single-core CPU (one tuple in service at a time, cost charged from
 //! the operator's cost model), routes outputs to downstream nodes over
-//! WiFi (or cellular in urgent mode / between regions), and invokes the
-//! plugged-in [`crate::ft::FtScheme`] at every fault-tolerance-relevant
-//! point.
+//! the region's primary network (phones: WiFi; servers: Ethernet) or
+//! cellular in urgent mode, and invokes the plugged-in
+//! [`crate::ft::FtScheme`] at every fault-tolerance-relevant point.
 
 use std::any::TypeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, Event, EventBox, SimDuration, SimTime};
-use simnet::cellular::{CellRx, CellSend};
-use simnet::ethernet::{EthRx, EthSend};
 use simnet::stats::TrafficClass;
-use simnet::wifi::{WifiBatchRx, WifiRx, WifiSend};
-use simnet::{payload, TxDone, TxFailed};
+use simnet::wifi::WifiBatchRx;
+use simnet::{net_send, payload, NetRx, TxDone, TxFailed};
 
 use crate::ft::FtScheme;
 use crate::graph::{EdgeId, OpId, OpKind, QueryGraph};
@@ -50,7 +48,7 @@ pub struct SourceEmit {
 }
 
 /// A result published by an upstream region's sink, arriving at this
-/// region's source operator over the cellular network.
+/// region's source operator over the link's network.
 #[derive(Debug, Clone)]
 pub struct InterRegionMsg {
     /// Target source operator in the receiving region.
@@ -209,16 +207,9 @@ pub struct InterRegionLink {
     pub dst_actor: ActorId,
     /// Source operator fed there.
     pub dst_op: OpId,
-}
-
-/// Which transport carries intra-deployment tuple traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrimaryTransport {
-    /// Ad-hoc WiFi within a region (phones).
-    Wifi,
-    /// Datacenter Ethernet through this switch (server baseline); it
-    /// also carries the inter-region links.
-    Ethernet(ActorId),
+    /// Network carrying the link: cellular between phone regions, the
+    /// Ethernet switch between server regions.
+    pub net: ActorId,
 }
 
 /// Static node parameters.
@@ -233,8 +224,6 @@ pub struct NodeConfig {
     pub cpu_factor: f64,
     /// Bound on buffered external inputs per source op (drop-oldest).
     pub source_queue_cap: usize,
-    /// Transport for intra-deployment edges.
-    pub primary: PrimaryTransport,
 }
 
 impl Default for NodeConfig {
@@ -244,7 +233,6 @@ impl Default for NodeConfig {
             slot: 0,
             cpu_factor: 1.0,
             source_queue_cap: 10,
-            primary: PrimaryTransport::Wifi,
         }
     }
 }
@@ -276,8 +264,9 @@ pub struct NodeInner {
     current: Option<(EdgeId, Tuple)>,
     /// Fail-stop flag.
     pub alive: bool,
-    /// WiFi medium of this region.
-    pub wifi: ActorId,
+    /// Network for intra-region edges: the region's WiFi medium, or
+    /// the Ethernet switch on the server platform.
+    pub primary: ActorId,
     /// Global cellular network.
     pub cell: ActorId,
     /// The controller actor.
@@ -324,7 +313,7 @@ impl NodeInner {
     pub fn new(
         cfg: NodeConfig,
         graph: Arc<QueryGraph>,
-        wifi: ActorId,
+        primary: ActorId,
         cell: ActorId,
         controller: ActorId,
     ) -> Self {
@@ -342,7 +331,7 @@ impl NodeInner {
             busy: false,
             current: None,
             alive: true,
-            wifi,
+            primary,
             cell,
             controller,
             data_class: TrafficClass::Data,
@@ -483,60 +472,10 @@ impl NodeInner {
             .push_back(StreamItem::Tuple(tuple));
     }
 
-    /// Low-level WiFi send (reliable unicast to `dst`).
-    pub fn send_wifi(
-        &mut self,
-        ctx: &mut Ctx,
-        dst: ActorId,
-        class: TrafficClass,
-        bytes: u64,
-        tag: u64,
-        payload: Option<simnet::Payload>,
-    ) {
-        let src = ctx.self_id();
-        let wifi = self.wifi;
-        ctx.send(
-            wifi,
-            WifiSend {
-                src,
-                dst,
-                class,
-                bytes,
-                tag,
-                payload,
-            },
-        );
-    }
-
-    /// Low-level cellular send.
-    pub fn send_cell(
-        &mut self,
-        ctx: &mut Ctx,
-        dst: ActorId,
-        class: TrafficClass,
-        bytes: u64,
-        tag: u64,
-        payload: Option<simnet::Payload>,
-    ) {
-        let src = ctx.self_id();
-        let cell = self.cell;
-        ctx.send(
-            cell,
-            CellSend {
-                src,
-                dst,
-                class,
-                bytes,
-                tag,
-                payload,
-            },
-        );
-    }
-
     /// Send a small control message to the controller over cellular.
     pub fn send_controller(&mut self, ctx: &mut Ctx, bytes: u64, ev: impl Event) {
-        let dst = self.controller;
-        self.send_cell(ctx, dst, TrafficClass::Control, bytes, 0, Some(payload(ev)));
+        let (cell, dst, class) = (self.cell, self.controller, TrafficClass::Control);
+        net_send(ctx, cell, dst, class, bytes, 0, payload(ev));
     }
 
     /// Send a controller RPC that must survive network weather: the
@@ -555,7 +494,7 @@ impl NodeInner {
                 attempt: 0,
             },
         );
-        self.send_cell(ctx, dst, TrafficClass::Control, bytes, tag, Some(pl));
+        net_send(ctx, self.cell, dst, TrafficClass::Control, bytes, tag, pl);
     }
 
     /// A tracked controller RPC completed (delivered, or the controller
@@ -597,12 +536,13 @@ impl NodeInner {
             return;
         };
         let dst = self.controller;
-        self.send_cell(ctx, dst, TrafficClass::Control, bytes, tag, Some(pl));
+        net_send(ctx, self.cell, dst, TrafficClass::Control, bytes, tag, pl);
     }
 
-    /// Route one item along `edge`: local fast path or remote transport.
-    /// Remote tuple sends are tracked so a `TxFailed` triggers a
-    /// [`ReportDead`] to the controller.
+    /// Route one item along `edge`: local fast path, cellular for an
+    /// urgent edge, the primary network otherwise. Remote tuple sends
+    /// are tracked so a `TxFailed` triggers a [`ReportDead`] to the
+    /// controller.
     pub fn route_item(&mut self, ctx: &mut Ctx, edge: EdgeId, item: StreamItem) {
         let dst_op = self.graph.edge_target(edge);
         let dst_slot = self.op_slot[dst_op.index()];
@@ -630,30 +570,13 @@ impl NodeInner {
             from_slot: self.cfg.slot,
             item,
         };
+        let net = if self.urgent_edges.contains(&edge) {
+            self.cell
+        } else {
+            self.primary
+        };
         let class = self.data_class;
-        if self.urgent_edges.contains(&edge) {
-            self.send_cell(ctx, dst_actor, class, bytes, tag, Some(payload(msg)));
-            return;
-        }
-        match self.cfg.primary {
-            PrimaryTransport::Wifi => {
-                self.send_wifi(ctx, dst_actor, class, bytes, tag, Some(payload(msg)));
-            }
-            PrimaryTransport::Ethernet(eth) => {
-                let src = ctx.self_id();
-                ctx.send(
-                    eth,
-                    EthSend {
-                        src,
-                        dst: dst_actor,
-                        class,
-                        bytes,
-                        tag,
-                        payload: Some(payload(msg)),
-                    },
-                );
-            }
-        }
+        net_send(ctx, net, dst_actor, class, bytes, tag, payload(msg));
     }
 
     /// Is the completion tag one of the runtime's tracked tuple sends?
@@ -832,29 +755,8 @@ impl NodeActor {
                         bytes: tuple.bytes,
                         entered: None,
                     };
-                    let dst = link.dst_actor;
-                    let bytes = tuple.bytes;
-                    let class = inner.data_class;
-                    match inner.cfg.primary {
-                        // Server baseline: regions live in one datacenter.
-                        PrimaryTransport::Ethernet(eth) => {
-                            let src = ctx.self_id();
-                            ctx.send(
-                                eth,
-                                EthSend {
-                                    src,
-                                    dst,
-                                    class,
-                                    bytes,
-                                    tag: 0,
-                                    payload: Some(payload(msg)),
-                                },
-                            );
-                        }
-                        PrimaryTransport::Wifi => {
-                            inner.send_cell(ctx, dst, class, bytes, 0, Some(payload(msg)))
-                        }
-                    }
+                    let (dst, bytes, class) = (link.dst_actor, tuple.bytes, inner.data_class);
+                    net_send(ctx, link.net, dst, class, bytes, 0, payload(msg));
                 }
             } else {
                 inner.metrics.catchup_discards += 1;
@@ -1067,17 +969,7 @@ impl Actor for NodeActor {
         // anything else — and every batch reception — goes to the
         // scheme in the box it arrived in.
         let ty = ev.event_type();
-        let wifi = ty == TypeId::of::<WifiRx>();
-        let cell = ty == TypeId::of::<CellRx>();
-        let payload = if wifi {
-            ev.downcast_ref::<WifiRx>().map(|rx| &rx.payload)
-        } else if cell {
-            ev.downcast_ref::<CellRx>().map(|rx| &rx.payload)
-        } else if ty == TypeId::of::<EthRx>() {
-            ev.downcast_ref::<EthRx>().map(|rx| &rx.payload)
-        } else {
-            None
-        };
+        let payload = ev.downcast_ref::<NetRx>().map(|rx| &rx.payload);
         if let Some(p) = payload {
             if let Some(msg) = simnet::payload_as::<ItemMsg>(p) {
                 let msg = msg.clone();
@@ -1085,48 +977,44 @@ impl Actor for NodeActor {
                 self.handle_item(msg, ctx);
                 return;
             }
-            if wifi || cell {
-                if let Some(ins) = simnet::payload_as::<Install>(p) {
-                    let ins = ins.clone();
-                    drop(ev);
-                    self.apply_install(ins, ctx);
-                    return;
-                }
+            if let Some(ins) = simnet::payload_as::<Install>(p) {
+                let ins = ins.clone();
+                drop(ev);
+                self.apply_install(ins, ctx);
+                return;
             }
-            if cell {
-                if let Some(msg) = simnet::payload_as::<InterRegionMsg>(p) {
-                    let m = msg.clone();
-                    drop(ev);
-                    self.handle_source_input(m.dst_op, m.value, m.bytes, m.entered, ctx);
-                    return;
+            if let Some(msg) = simnet::payload_as::<InterRegionMsg>(p) {
+                let m = msg.clone();
+                drop(ev);
+                self.handle_source_input(m.dst_op, m.value, m.bytes, m.entered, ctx);
+                return;
+            }
+            if let Some(ping) = simnet::payload_as::<Ping>(p) {
+                let nonce = ping.nonce;
+                drop(ev);
+                if self.inner.alive {
+                    let pong = Pong {
+                        nonce,
+                        region: self.inner.cfg.region,
+                        slot: self.inner.cfg.slot,
+                    };
+                    self.inner.send_controller(ctx, 32, pong);
                 }
-                if let Some(ping) = simnet::payload_as::<Ping>(p) {
-                    let nonce = ping.nonce;
-                    drop(ev);
-                    if self.inner.alive {
-                        let pong = Pong {
-                            nonce,
-                            region: self.inner.cfg.region,
-                            slot: self.inner.cfg.slot,
-                        };
-                        self.inner.send_controller(ctx, 32, pong);
-                    }
-                    return;
-                }
-                if let Some(u) = simnet::payload_as::<UpdateRouting>(p) {
-                    let u = u.clone();
-                    drop(ev);
-                    self.update_routing(u, ctx);
-                    return;
-                }
-                if let Some(u) = simnet::payload_as::<SetUrgentEdges>(p) {
-                    self.set_urgent_edges(u);
-                    return;
-                }
-                if let Some(u) = simnet::payload_as::<UpdateInterRegion>(p) {
-                    self.inner.inter_region = u.links.clone();
-                    return;
-                }
+                return;
+            }
+            if let Some(u) = simnet::payload_as::<UpdateRouting>(p) {
+                let u = u.clone();
+                drop(ev);
+                self.update_routing(u, ctx);
+                return;
+            }
+            if let Some(u) = simnet::payload_as::<SetUrgentEdges>(p) {
+                self.set_urgent_edges(u);
+                return;
+            }
+            if let Some(u) = simnet::payload_as::<UpdateInterRegion>(p) {
+                self.inner.inter_region = u.links.clone();
+                return;
             }
         }
         if payload.is_some() || ty == TypeId::of::<WifiBatchRx>() {
@@ -1158,6 +1046,9 @@ impl Actor for NodeActor {
                 self.inner.busy = false;
                 self.inner.current = None;
                 self.inner.ctl_retries.clear();
+                // A crash loses the install being loaded: its
+                // `InstallReady` must not bring the phone back.
+                self.inner.pending_install = None;
             },
             _r: Reboot => {
                 let inner = &mut self.inner;
@@ -1218,7 +1109,7 @@ mod tests {
     use simkernel::Sim;
     use simnet::cellular::{CellConfig, CellularNet};
     use simnet::wifi::{WifiConfig, WifiMedium};
-    use simnet::{TxDropped, TxSevered};
+    use simnet::{NetSend, TxDropped, TxSevered};
 
     /// Records control messages arriving at "the controller".
     #[derive(Default)]
@@ -1229,7 +1120,7 @@ mod tests {
 
     impl Actor for ControllerStub {
         fn on_event(&mut self, ev: EventBox, _ctx: &mut Ctx) {
-            if let Ok(rx) = ev.downcast::<CellRx>() {
+            if let Ok(rx) = ev.downcast::<NetRx>() {
                 if let Some(r) = simnet::payload_as::<ReportDead>(&rx.payload) {
                     self.dead_reports.push((r.region, r.slot, r.observed_by));
                 } else if let Some(p) = simnet::payload_as::<Pong>(&rx.payload) {
@@ -1292,7 +1183,6 @@ mod tests {
                 slot,
                 cpu_factor: 1.0,
                 source_queue_cap: 10,
-                primary: PrimaryTransport::Wifi,
             };
             let inner = NodeInner::new(cfg, Arc::clone(&graph), wifi, cell, controller);
             let id = sim.add_actor(Box::new(NodeActor::new(inner, Box::new(NullScheme))));
@@ -1351,7 +1241,7 @@ mod tests {
     /// Hand `msg` to `slot` at `at` as a cellular delivery from the
     /// controller — the path every controller RPC takes.
     fn deliver_ctl<T: Event>(rig: &mut Rig, slot: usize, at: SimTime, msg: T) {
-        let rx = CellRx {
+        let rx = NetRx {
             src: rig.controller,
             bytes: 64,
             class: TrafficClass::Control,
@@ -1461,7 +1351,7 @@ mod tests {
         rig.sim.schedule_at(
             SimTime::ZERO,
             cell,
-            CellSend {
+            NetSend {
                 src: controller,
                 dst: target,
                 class: TrafficClass::Control,
@@ -1485,7 +1375,7 @@ mod tests {
         rig.sim.schedule_at(
             SimTime::from_millis(1),
             cell,
-            CellSend {
+            NetSend {
                 src: controller,
                 dst: target,
                 class: TrafficClass::Control,
@@ -1597,12 +1487,10 @@ mod tests {
             self
         }
         fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, _ctx: &mut Ctx) {
-            let net = if ev.is::<WifiRx>() {
-                "wifi"
-            } else if ev.is::<CellRx>() {
-                "cell"
-            } else if ev.is::<EthRx>() {
-                "eth"
+            let what = if ev.is::<NetRx>() {
+                "net"
+            } else if ev.is::<WifiBatchRx>() {
+                "batch"
             } else if let Some(d) = ev.downcast_ref::<TxDone>() {
                 assert_eq!(d.tag, SCHEME_TAG);
                 "tx"
@@ -1612,7 +1500,7 @@ mod tests {
                 "other"
             };
             self.log
-                .push(format!("custom {net} pooled={}", ev.is_pooled()));
+                .push(format!("custom {what} pooled={}", ev.is_pooled()));
             // The pump that follows consumes a marker at a queue front.
             node.push_item(
                 EdgeId(0),
@@ -1628,6 +1516,9 @@ mod tests {
         ) {
             self.log.push("pump".into());
         }
+        fn on_install(&mut self, _node: &mut NodeInner, _ctx: &mut Ctx) {
+            self.log.push("install".into());
+        }
     }
 
     /// A payload no runtime handler recognises.
@@ -1637,42 +1528,36 @@ mod tests {
     /// A send tag the runtime never issued.
     const SCHEME_TAG: u64 = u64::MAX - 7;
 
-    /// Sends one delivery of each transport and one of each transmit
-    /// completion to `node` from inside the simulation, so each
-    /// arrives in a pooled box like real traffic.
+    /// Sends one network delivery, one broadcast batch and one of each
+    /// transmit completion to `node` from inside the simulation, so
+    /// each arrives in a pooled box like real traffic.
     struct Deliverer {
         node: ActorId,
     }
 
     impl Actor for Deliverer {
         fn on_event(&mut self, _ev: EventBox, ctx: &mut Ctx) {
-            let (src, bytes, class) = (ctx.self_id(), 8, TrafficClass::Control);
+            let (src, class) = (ctx.self_id(), TrafficClass::Control);
             let payload = payload(SchemeRpc);
             ctx.send(
                 self.node,
-                WifiRx {
+                NetRx {
                     src,
-                    bytes,
-                    class,
-                    payload: payload.clone(),
-                },
-            );
-            ctx.send(
-                self.node,
-                CellRx {
-                    src,
-                    bytes,
-                    class,
-                    payload: payload.clone(),
-                },
-            );
-            ctx.send(
-                self.node,
-                EthRx {
-                    src,
-                    bytes,
+                    bytes: 8,
                     class,
                     payload,
+                },
+            );
+            ctx.send(
+                self.node,
+                WifiBatchRx {
+                    src,
+                    class,
+                    stream: 1,
+                    total_blocks: 4,
+                    blocks: (0..4).collect(),
+                    received: simnet::bitmap::Bitmap::ones(4),
+                    reply_expected: false,
                 },
             );
             let (tag, dst) = (SCHEME_TAG, src);
@@ -1684,9 +1569,10 @@ mod tests {
         impl_actor_any!();
     }
 
-    /// A network delivery the runtime does not handle itself, or a
-    /// transmit completion for a tag it did not issue, reaches the
-    /// scheme once, in the box it arrived in, and one pump follows.
+    /// A network delivery the runtime does not handle itself, a
+    /// broadcast batch, or a transmit completion for a tag it did not
+    /// issue, reaches the scheme once, in the box it arrived in, and
+    /// one pump follows.
     #[test]
     fn scheme_deliveries_reach_on_custom_once_in_the_original_box() {
         let mut rig = chain_rig(0.0);
@@ -1700,11 +1586,9 @@ mod tests {
         assert_eq!(
             log,
             &[
-                "custom wifi pooled=true",
+                "custom net pooled=true",
                 "pump",
-                "custom cell pooled=true",
-                "pump",
-                "custom eth pooled=true",
+                "custom batch pooled=true",
                 "pump",
                 "custom tx pooled=true",
                 "pump",
@@ -1718,10 +1602,33 @@ mod tests {
         );
         let pool = rig.sim.pool_stats();
         assert_eq!(pool.unpooled, 0, "nothing was re-boxed outside the pool");
-        assert_eq!(
-            pool.fresh + pool.recycled,
-            7,
-            "seven deliveries, seven slots"
+        assert_eq!(pool.fresh + pool.recycled, 6, "six deliveries, six slots");
+    }
+
+    /// Regression: `Kill` left the install being loaded pending, so its
+    /// `InstallReady` revived the crashed phone and ran the scheme's
+    /// `on_install` on a node whose links were dead.
+    #[test]
+    fn kill_while_loading_an_install_stays_dead() {
+        let mut rig = chain_rig(0.0);
+        let node = rig.nodes[3];
+        rig.sim.actor_mut::<NodeActor>(node).scheme = Box::<Recorder>::default();
+        let install = Install {
+            ops: vec![OpId(1)],
+            states: InstallStates::Fresh,
+            op_slot: vec![0, 3, 2],
+            slot_actors: rig.nodes.clone(),
+            ready_in: SimDuration::from_secs(1),
+        };
+        deliver_ctl(&mut rig, 3, SimTime::ZERO, install);
+        rig.sim.schedule_at(SimTime::from_millis(500), node, Kill);
+        rig.sim.run_until(SimTime::from_secs(5));
+        let na = rig.sim.actor::<NodeActor>(node);
+        assert!(!na.inner.alive, "the killed phone came back");
+        let log = &na.scheme.as_any().downcast_ref::<Recorder>().unwrap().log;
+        assert!(
+            !log.iter().any(|l| l == "install"),
+            "on_install ran on a dead phone: {log:?}"
         );
     }
 }

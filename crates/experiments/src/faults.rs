@@ -9,9 +9,7 @@
 
 use dsps::node::Kill;
 use simkernel::{SimDuration, SimTime};
-use simnet::cellular::CellSetLink;
-use simnet::wifi::WifiSetLink;
-use simnet::LinkState;
+use simnet::{LinkState, SetLink};
 
 use crate::scenario::Deployment;
 
@@ -24,22 +22,15 @@ fn sever_links(
     region: usize,
     slot: u32,
     at: SimTime,
-    wifi_state: LinkState,
-    cell_state: Option<LinkState>,
+    wifi: LinkState,
+    cell: Option<LinkState>,
 ) {
     let node = dep.regions[region].nodes[slot as usize];
-    let wifi = dep.regions[region].wifi;
-    dep.sim.schedule_at(
-        at,
-        wifi,
-        WifiSetLink {
-            node,
-            state: wifi_state,
-        },
-    );
-    if let Some(state) = cell_state {
-        dep.sim
-            .schedule_at(at, dep.cell, CellSetLink { node, state });
+    let medium = dep.regions[region].wifi;
+    dep.sim
+        .schedule_at(at, medium, SetLink { node, state: wifi });
+    if let Some(state) = cell {
+        dep.sim.schedule_at(at, dep.cell, SetLink { node, state });
     }
 }
 

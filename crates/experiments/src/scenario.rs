@@ -14,7 +14,7 @@ use baselines::rep2::{duplicate_graph, twin_of, Rep2Scheme};
 use baselines::{BaselineKind, DistScheme, LocalScheme};
 use dsps::ft::{FtScheme, NullScheme};
 use dsps::graph::{OpId, QueryGraph};
-use dsps::node::{InterRegionLink, NodeActor, NodeConfig, NodeInner, PrimaryTransport};
+use dsps::node::{InterRegionLink, NodeActor, NodeConfig, NodeInner};
 use dsps::placement::{squeeze_placement, CheckpointSchedule, Placement, RecoveryRecord};
 use dsps::workload::{Feed, StartFeeds, WorkloadDriver};
 use mobistreams::{Coordinator, MsScheme, RegionController, RegionSpec, RegionWiring};
@@ -342,7 +342,6 @@ impl Deployment {
                     slot,
                     cpu_factor: 1.0,
                     source_queue_cap: 10,
-                    primary: PrimaryTransport::Wifi,
                 };
                 let node_ctl = if cfg.scheme == Scheme::Ms {
                     ctl_id_of_group(r / group_size)
@@ -419,6 +418,7 @@ impl Deployment {
                             src_op: sink,
                             dst_actor: next_table.actor_of(dst_op),
                             dst_op,
+                            net: cell_id,
                         })
                         .collect();
                     let na = sim.actor_mut::<NodeActor>(table.actor_of(sink));
@@ -570,7 +570,8 @@ impl Deployment {
         let mut sim = Sim::new(cfg.seed);
         let cell_id = sim.add_actor(Box::new(CellularNet::new(cfg.cell.clone())));
         let eth_id = sim.add_actor(Box::new(EthernetNet::new(EthConfig::default())));
-        // Dummy WiFi (NodeInner requires one; unused on servers).
+        // Dummy WiFi: every region has a medium to harvest; servers
+        // send nothing over it.
         let dummy_wifi = sim.add_actor(Box::new(WifiMedium::new(cfg.wifi.clone())));
 
         let servers_per_region = 4usize;
@@ -597,15 +598,9 @@ impl Deployment {
                     slot: slot as u32,
                     cpu_factor: 0.08, // 2013 server core vs 600 MHz A8
                     source_queue_cap: 64,
-                    primary: PrimaryTransport::Ethernet(eth_id),
                 };
-                let mut inner = NodeInner::new(
-                    ncfg,
-                    Arc::clone(&bundle.graph),
-                    dummy_wifi,
-                    cell_id,
-                    controller_id,
-                );
+                let graph = Arc::clone(&bundle.graph);
+                let mut inner = NodeInner::new(ncfg, graph, eth_id, cell_id, controller_id);
                 inner.op_slot = op_slot.clone();
                 let id = sim.add_actor(Box::new(NodeActor::new(inner, Box::new(NullScheme))));
                 node_ids.push(id);
@@ -665,6 +660,7 @@ impl Deployment {
                         src_op: sink,
                         dst_actor: next.actor_of(next_input),
                         dst_op: next_input,
+                        net: eth_id,
                     };
                     let na = sim.actor_mut::<NodeActor>(regions[r].placement.actor_of(sink));
                     na.inner.inter_region.push(link);
@@ -969,17 +965,8 @@ impl simkernel::Actor for SensorUplink {
                     bytes: s.bytes,
                     entered: Some(ctx.now()),
                 };
-                let src = ctx.self_id();
-                let cell = self.cell;
-                let dst = self.dst;
-                ctx.send(cell, simnet::cellular::CellSend {
-                    src,
-                    dst,
-                    class: TrafficClass::Data,
-                    bytes: s.bytes,
-                    tag,
-                    payload: Some(simnet::payload(msg)),
-                });
+                let msg = simnet::payload(msg);
+                simnet::net_send(ctx, self.cell, self.dst, TrafficClass::Data, s.bytes, tag, msg);
             },
             _d: simnet::TxDone => {
                 self.in_flight = self.in_flight.saturating_sub(1);

@@ -2,10 +2,15 @@
 
 #[cfg(test)]
 mod unit {
-    use crate::faults::failure_order;
+    use crate::faults::{failure_order, inject_departure, inject_failure, inject_reboot};
     use crate::report::{Cell, Table};
     use crate::run::ClassBytes;
     use crate::{AppKind, Deployment, Platform, ScenarioConfig, Scheme};
+    use dsps::node::NodeActor;
+    use simkernel::SimTime;
+    use simnet::cellular::CellularNet;
+    use simnet::wifi::WifiMedium;
+    use simnet::LinkState::{Active, Dead, Gone};
 
     #[test]
     fn failure_order_covers_every_slot_once() {
@@ -68,6 +73,64 @@ mod unit {
             assert!(r.uplink.is_some());
             assert_eq!(r.nodes.len(), 4, "4 servers per region");
         }
+    }
+
+    /// Regression: on the server platform a region's sink output
+    /// reaches the next region's `S0` over Ethernet, and the node
+    /// runtime accepted inter-region input from cellular deliveries
+    /// only, so region 1 never saw an upstream tuple.
+    #[test]
+    fn server_regions_feed_the_next_region() {
+        for app in [AppKind::Bcp, AppKind::SignalGuru] {
+            let mut dep = Deployment::build(ScenarioConfig {
+                app,
+                platform: Platform::Server {
+                    uplink_bps: 64_000.0,
+                },
+                regions: 2,
+                seed: 1,
+                ..ScenarioConfig::default()
+            });
+            dep.start();
+            dep.run_until(SimTime::from_secs(120));
+            let r1 = &dep.regions[1];
+            let s0 = r1.graph.op_by_name("S0").expect("S0");
+            let host = dep.sim.actor::<NodeActor>(r1.placement.actor_of(s0));
+            assert!(
+                host.inner.metrics.source_inputs > 0,
+                "{}: region 1's S0 got no upstream tuple",
+                app.label()
+            );
+        }
+    }
+
+    /// The three fault injectors' link semantics, read back from the
+    /// WiFi medium and the cellular network.
+    #[test]
+    fn fault_injectors_set_wifi_and_cellular_links() {
+        let mut dep = Deployment::build(ScenarioConfig {
+            regions: 1,
+            seed: 1,
+            ..ScenarioConfig::default()
+        });
+        let nodes = dep.regions[0].nodes.clone();
+        let at = SimTime::from_secs;
+        inject_failure(&mut dep, 0, 0, at(1));
+        inject_departure(&mut dep, 0, 1, at(1));
+        inject_failure(&mut dep, 0, 2, at(1));
+        inject_reboot(&mut dep, 0, 2, at(3));
+        let links = |dep: &Deployment, n: usize| {
+            let wifi = dep.sim.actor::<WifiMedium>(dep.regions[0].wifi);
+            let cell = dep.sim.actor::<CellularNet>(dep.cell);
+            (wifi.link_state(nodes[n]), cell.link_state(nodes[n]))
+        };
+        dep.run_until(at(2));
+        assert_eq!(links(&dep, 0), (Dead, Dead), "failure");
+        assert_eq!(links(&dep, 1), (Gone, Active), "departure keeps cellular");
+        assert_eq!(links(&dep, 2), (Dead, Dead), "failure before the reboot");
+        dep.run_until(at(4));
+        assert_eq!(links(&dep, 2), (Active, Active), "reboot");
+        assert_eq!(links(&dep, 0), (Dead, Dead), "no reboot, still dead");
     }
 
     /// Regression: a one-phone dist-n region has no checkpoint peer, and

@@ -18,9 +18,9 @@ use experiments::weather::{WeatherProgram, WeatherSystem};
 use experiments::{harvest, AppKind, Deployment, ScenarioConfig, Scheme};
 use mobistreams::msgs::NodeCheckpointed;
 use simkernel::{SimDuration, SimTime};
-use simnet::cellular::CellRx;
 use simnet::payload;
 use simnet::stats::TrafficClass;
+use simnet::NetRx;
 
 /// Shrunk operator states (same trick as the smoke tests) so a
 /// checkpoint round fits the shortened period.
@@ -150,7 +150,7 @@ fn out_of_group_reports_are_counted_and_change_nothing() {
                 }),
             ];
             for payload in bad {
-                let rx = CellRx {
+                let rx = NetRx {
                     src,
                     bytes: 64,
                     class: TrafficClass::Control,
@@ -220,7 +220,7 @@ fn baseline_coordinator_counts_malformed_messages_and_changes_nothing() {
                 }),
             ];
             for payload in bad {
-                let rx = CellRx {
+                let rx = NetRx {
                     src,
                     bytes: 64,
                     class: TrafficClass::Control,

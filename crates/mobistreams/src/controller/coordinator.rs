@@ -26,10 +26,8 @@ use std::sync::Arc;
 use dsps::graph::{OpId, QueryGraph};
 use dsps::node::{InterRegionLink, UpdateInterRegion};
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration};
-use simnet::cellular::{send_ctl, CellSend};
 use simnet::stats::TrafficClass;
-use simnet::wifi::WifiSetLink;
-use simnet::{payload, TxFailed};
+use simnet::{net_send, payload, SetLink, TxFailed};
 
 use super::msgs::{
     InstallOutcome, InstallOutcomeKind, RegionStatus, RelaySensorRedirect, RelayWifiLink,
@@ -143,6 +141,7 @@ impl Coordinator {
                         src_op: sink,
                         dst_actor: drt.slot_actors[dst_slot as usize],
                         dst_op,
+                        net: self.cell,
                     }
                 })
                 .collect();
@@ -150,8 +149,9 @@ impl Coordinator {
         }
         for (slot, links) in per_slot {
             let dst = rt.wiring.slot_actors[slot as usize];
-            let update = UpdateInterRegion { links };
-            send_ctl(ctx, self.cell, dst, wire::MEMBERSHIP, update);
+            let update = payload(UpdateInterRegion { links });
+            let class = TrafficClass::Control;
+            net_send(ctx, self.cell, dst, class, wire::MEMBERSHIP, 0, update);
         }
     }
 
@@ -191,19 +191,8 @@ impl Coordinator {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.install_tags.insert(tag, (s.region, s.slot));
-        let src = ctx.self_id();
-        let cell = self.cell;
-        ctx.send(
-            cell,
-            CellSend {
-                src,
-                dst: s.dst,
-                class: TrafficClass::Recovery,
-                bytes: s.bytes,
-                tag,
-                payload: Some(payload(s.install)),
-            },
-        );
+        let (class, install) = (TrafficClass::Recovery, payload(s.install));
+        net_send(ctx, self.cell, s.dst, class, s.bytes, tag, install);
     }
 
     /// Report a shipped install's completion back to the owning region
@@ -229,7 +218,7 @@ impl Actor for Coordinator {
             s: ShipInstall => { self.on_ship_install(s, ctx); },
             w: RelayWifiLink => {
                 let delay = self.relay_delay;
-                ctx.send_in(delay, w.wifi, WifiSetLink { node: w.node, state: w.state });
+                ctx.send_in(delay, w.wifi, SetLink { node: w.node, state: w.state });
             },
             r: RelaySensorRedirect => {
                 let delay = self.relay_delay;

@@ -35,8 +35,8 @@ use dsps::placement::{
     GATHER_WINDOW, PING_PERIOD, PING_TIMEOUT,
 };
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration, SimTime};
-use simnet::cellular::{send_ctl, send_ctl_tagged, CellRx};
-use simnet::{payload_as, LinkState, TxFailed};
+use simnet::stats::TrafficClass::Control;
+use simnet::{net_send, payload, payload_as, LinkState, NetRx, Payload, TxFailed};
 
 use super::msgs::{
     CtlTimer, InstallOutcome, InstallOutcomeKind, RegionStatus, RelaySensorRedirect, RelayWifiLink,
@@ -359,21 +359,25 @@ impl RegionController {
             }
         };
         // Snapshots go out first, then the deltas.
-        let mut snapshot: Option<MembershipUpdate> = None;
+        let mut snapshot: Option<Payload> = None;
         let mut deltas: Vec<(ActorId, MembershipDelta)> = Vec::new();
         let mut cache = SuffixCache::new();
         for slot in targets {
             let dst = rt.table.actor(slot);
             match rt.log.observed(slot) {
                 None => {
-                    let update = snapshot.get_or_insert_with(|| MembershipUpdate {
-                        slot_actors: Arc::clone(rt.table.slot_actors()),
-                        active_slots: Arc::new(rt.table.active_slots()),
-                        epoch: head,
-                    });
+                    let msg = snapshot
+                        .get_or_insert_with(|| {
+                            payload(MembershipUpdate {
+                                slot_actors: Arc::clone(rt.table.slot_actors()),
+                                active_slots: Arc::new(rt.table.active_slots()),
+                                epoch: head,
+                            })
+                        })
+                        .clone();
                     self.membership_msgs += 1;
                     self.membership_bytes += wire::MEMBERSHIP;
-                    send_ctl(ctx, self.cell, dst, wire::MEMBERSHIP, update.clone());
+                    net_send(ctx, self.cell, dst, Control, wire::MEMBERSHIP, 0, msg);
                 }
                 Some(base) if base < head => {
                     let (base, changes) = cache.for_base(&rt.log, base);
@@ -394,7 +398,7 @@ impl RegionController {
             let bytes = wire::DELTA_BASE + wire::DELTA_PER_CHANGE * delta.changes.len() as u64;
             self.membership_msgs += 1;
             self.membership_bytes += bytes;
-            send_ctl(ctx, self.cell, dst, bytes, delta);
+            net_send(ctx, self.cell, dst, Control, bytes, 0, payload(delta));
         }
     }
 
@@ -444,10 +448,18 @@ impl RegionController {
             .filter(|s| hosting.contains(s))
             .collect();
         slots.extend(rt.degraded_urgent.keys().copied());
-        let update = rt.table.routing();
+        let msg = payload(rt.table.routing());
         for s in slots {
             let dst = rt.table.actor(s);
-            send_ctl(ctx, self.cell, dst, wire::MEMBERSHIP, update.clone());
+            net_send(
+                ctx,
+                self.cell,
+                dst,
+                Control,
+                wire::MEMBERSHIP,
+                0,
+                msg.clone(),
+            );
         }
     }
 
@@ -519,13 +531,8 @@ impl RegionController {
         for &slot in rt.degraded_urgent.keys() {
             if let Some(proxy) = self.pick_proxy(region, slot) {
                 let dst = rt.table.actor(slot);
-                send_ctl(
-                    ctx,
-                    self.cell,
-                    dst,
-                    wire::CONTROL,
-                    DegradedCheckpointVia { proxy },
-                );
+                let msg = payload(DegradedCheckpointVia { proxy });
+                net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg);
             }
         }
         // Degraded slots (departed, no replacement) keep computing
@@ -533,16 +540,11 @@ impl RegionController {
         // *source* must still receive the round trigger, which
         // reaches it over its live cellular link.
         let version = rt.version;
+        let msg = payload(StartCheckpoint { version });
         for s in rt.table.source_slots(&rt.graph) {
             if rt.table.is_active(s) || rt.degraded_urgent.contains_key(&s) {
                 let dst = rt.table.actor(s);
-                send_ctl(
-                    ctx,
-                    self.cell,
-                    dst,
-                    wire::CONTROL,
-                    StartCheckpoint { version },
-                );
+                net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
             }
         }
     }
@@ -597,15 +599,10 @@ impl RegionController {
             .active_slots()
             .into_iter()
             .chain(rt.degraded_urgent.keys().copied());
+        let msg = payload(CheckpointComplete { version });
         for s in notified {
             let dst = rt.table.actor(s);
-            send_ctl(
-                ctx,
-                self.cell,
-                dst,
-                wire::CONTROL,
-                CheckpointComplete { version },
-            );
+            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
         }
     }
 
@@ -648,8 +645,8 @@ impl RegionController {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.ping_tags.insert(tag, region);
-        let ping = dsps::node::Ping { nonce };
-        send_ctl_tagged(ctx, self.cell, dst, wire::PING, tag, ping);
+        let ping = payload(dsps::node::Ping { nonce });
+        net_send(ctx, self.cell, dst, Control, wire::PING, tag, ping);
     }
 
     /// A tagged controller send aged out behind a partition: the whole
@@ -825,12 +822,13 @@ impl RegionController {
         if off.is_empty() {
             return;
         }
+        let msg = payload(SetUrgentEdges {
+            edges: off,
+            on: false,
+        });
         for s in rt.table.active_slots() {
-            let update = SetUrgentEdges {
-                edges: off.clone(),
-                on: false,
-            };
-            send_ctl(ctx, self.cell, rt.table.actor(s), wire::CONTROL, update);
+            let dst = rt.table.actor(s);
+            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
         }
     }
 
@@ -884,9 +882,10 @@ impl RegionController {
             .into_iter()
             .filter(|&s| !installing.contains(&s) && rt.table.is_active(s));
         let mut acks = installing.clone();
+        let msg = payload(RollbackTo { version });
         for s in survivors {
             let dst = rt.table.actor(s);
-            send_ctl(ctx, self.cell, dst, wire::CONTROL, RollbackTo { version });
+            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
             acks.insert(s);
         }
         self.rt_mut(region).episode.await_acks(acks);
@@ -937,10 +936,18 @@ impl RegionController {
         // once its operators moved, or the region processes every
         // tuple twice.
         let rt = self.rt(region);
-        let routing = rt.table.routing();
+        let msg = payload(rt.table.routing());
         for &(f, _) in &replacements {
             let dst = rt.table.actor(f);
-            send_ctl(ctx, self.cell, dst, wire::MEMBERSHIP, routing.clone());
+            net_send(
+                ctx,
+                self.cell,
+                dst,
+                Control,
+                wire::MEMBERSHIP,
+                0,
+                msg.clone(),
+            );
         }
         if !released.is_empty() {
             self.release_urgent_edges(region, &released, ctx);
@@ -975,8 +982,8 @@ impl RegionController {
             for s in rt.table.source_slots(&rt.graph) {
                 if rt.table.is_active(s) {
                     let dst = rt.table.actor(s);
-                    let replay = ReplayInputs { epoch: version };
-                    send_ctl(ctx, self.cell, dst, wire::CONTROL, replay);
+                    let replay = payload(ReplayInputs { epoch: version });
+                    net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, replay);
                 }
             }
         }
@@ -1022,8 +1029,8 @@ impl RegionController {
             // replacement owns its operators it must stop, or the
             // region would process every tuple twice.
             let table = &self.rt(region).table;
-            let dst = table.actor(departed);
-            send_ctl(ctx, self.cell, dst, wire::MEMBERSHIP, table.routing());
+            let (dst, msg) = (table.actor(departed), payload(table.routing()));
+            net_send(ctx, self.cell, dst, Control, wire::MEMBERSHIP, 0, msg);
             // Clear this transfer's urgent mode and publish the new
             // wiring.
             self.release_urgent_edges(region, &transfer.edges, ctx);
@@ -1049,7 +1056,7 @@ impl RegionController {
             return;
         }
         rt.table.set_state(slot, SlotState::Departing);
-        let departing_actor = rt.table.actor(slot);
+        let departing = rt.table.actor(slot);
         let ops = rt.table.ops_on(slot);
         if ops.is_empty() {
             // Idle node: just unregister.
@@ -1091,12 +1098,12 @@ impl RegionController {
         // urgent mode and the departed phone keeps computing remotely.
         let table = &self.rt(region).table;
         let told = table.active_slots().into_iter().map(|s| table.actor(s));
-        for dst in told.chain([departing_actor]) {
-            let update = SetUrgentEdges {
-                edges: affected_edges.clone(),
-                on: true,
-            };
-            send_ctl(ctx, self.cell, dst, wire::CONTROL, update);
+        let msg = payload(SetUrgentEdges {
+            edges: affected_edges.clone(),
+            on: true,
+        });
+        for dst in told.chain([departing]) {
+            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
         }
         let Some(replacement) = replacement else {
             // No replacement available: if no phone is left active the
@@ -1114,13 +1121,8 @@ impl RegionController {
             // WiFi; route them through an in-region proxy so the
             // region's checkpoint rounds stay satisfiable (§III).
             if let Some(proxy) = self.pick_proxy(region, slot) {
-                send_ctl(
-                    ctx,
-                    self.cell,
-                    departing_actor,
-                    wire::CONTROL,
-                    DegradedCheckpointVia { proxy },
-                );
+                let msg = payload(DegradedCheckpointVia { proxy });
+                net_send(ctx, self.cell, departing, Control, wire::CONTROL, 0, msg);
             }
             // Drop the departed phone from everyone's broadcast
             // receiver set: it is off WiFi indefinitely, and leaving it
@@ -1132,12 +1134,12 @@ impl RegionController {
         };
         // Ask the departing phone to transfer its state to the
         // replacement over cellular (Fig 7, time instant 3).
-        let transfer = TransferStateTo {
+        let msg = payload(TransferStateTo {
             replacement: table.actor(replacement),
             // States are filled in by the departing node.
             install: self.install_for(region, replacement, InstallStates::Fresh),
-        };
-        send_ctl(ctx, self.cell, departing_actor, wire::CONTROL, transfer);
+        });
+        net_send(ctx, self.cell, departing, Control, wire::CONTROL, 0, msg);
     }
 
     fn on_register(&mut self, m: RegisterNode, ctx: &mut Ctx) {
@@ -1293,7 +1295,7 @@ impl RegionController {
 
 impl Actor for RegionController {
     fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
-        let ev = match ev.downcast::<CellRx>() {
+        let ev = match ev.downcast::<NetRx>() {
             Ok(rx) => {
                 let p = rx.payload.clone();
                 // Any message out of a severed region proves the

@@ -24,10 +24,9 @@ use dsps::graph::{EdgeId, OpId, OpKind};
 use dsps::node::{InstallStates, NodeInner};
 use dsps::tuple::{Marker, StreamItem, Tuple};
 use simkernel::{ActorId, Ctx, EventBox, SimDuration};
-use simnet::cellular::CellRx;
 use simnet::stats::TrafficClass;
-use simnet::wifi::{WifiBatchRx, WifiBatchSend, WifiRx};
-use simnet::{payload, payload_as};
+use simnet::wifi::{WifiBatchRx, WifiBatchSend};
+use simnet::{net_send, payload, payload_as, NetRx};
 
 use crate::broadcast::{PhaseDecision, ReceiverState, SenderJob};
 use crate::msgs::*;
@@ -235,9 +234,8 @@ impl MsScheme {
         let tag = node.alloc_tag();
         self.batch_tags.insert(tag, stream);
         let src = ctx.self_id();
-        let wifi = node.wifi;
         ctx.send(
-            wifi,
+            node.primary,
             WifiBatchSend {
                 src,
                 class: job.class,
@@ -293,7 +291,7 @@ impl MsScheme {
                     if tag != 0 {
                         self.tcp_tags.insert(tag, stream);
                     }
-                    node.send_wifi(ctx, dst, class, bytes, tag, None);
+                    net_send(ctx, node.primary, dst, class, bytes, tag, None);
                 }
             }
             PhaseDecision::Complete => {
@@ -422,14 +420,8 @@ impl MsScheme {
                 version,
                 states: snaps,
             };
-            node.send_cell(
-                ctx,
-                proxy,
-                TrafficClass::Checkpoint,
-                total,
-                0,
-                Some(payload(snap)),
-            );
+            let class = TrafficClass::Checkpoint;
+            net_send(ctx, node.cell, proxy, class, total, 0, payload(snap));
         } else {
             self.start_job(
                 node,
@@ -675,7 +667,8 @@ impl FtScheme for MsScheme {
                         if b.reply_expected {
                             let reply = BitmapReply { stream: b.stream, received: cum };
                             let bytes = reply.received.wire_bytes();
-                            node.send_wifi(ctx, b.src, b.class, bytes, 0, Some(payload(reply)));
+                            let reply = payload(reply);
+                            net_send(ctx, node.primary, b.src, b.class, bytes, 0, reply);
                         }
                     }
                     Err(_) => {
@@ -688,8 +681,9 @@ impl FtScheme for MsScheme {
                     }
                 }
             },
-            // --- sender side: bitmap replies arrive over WiFi ---
-            rx: WifiRx => {
+            // --- network deliveries: a receiver's bitmap reply (the
+            // sender side of the broadcast), controller RPCs ---
+            rx: NetRx => {
                 if let Some(reply) = payload_as::<BitmapReply>(&rx.payload) {
                     let stream = reply.stream;
                     if let Some(job) = self.jobs.get_mut(&stream) {
@@ -701,6 +695,82 @@ impl FtScheme for MsScheme {
                             self.apply_decision(stream, d, node, ctx);
                         }
                     }
+                } else if let Some(s) = payload_as::<StartCheckpoint>(&rx.payload) {
+                    self.on_start_checkpoint(s.version, node, ctx);
+                } else if let Some(c) = payload_as::<CheckpointComplete>(&rx.payload) {
+                    node.store.mark_complete(c.version);
+                    node.store.gc_before(c.version);
+                } else if let Some(r) = payload_as::<RollbackTo>(&rx.payload) {
+                    self.on_rollback(r.version, node, ctx);
+                } else if let Some(r) = payload_as::<ReplayInputs>(&rx.payload) {
+                    self.on_replay(r.epoch, node, ctx);
+                } else if let Some(m) = payload_as::<MembershipUpdate>(&rx.payload) {
+                    // A snapshot carries the full state at its epoch;
+                    // apply unless we already hold something newer
+                    // (cellular is FIFO, but a resync snapshot may
+                    // race a delta issued the same tick).
+                    if m.epoch >= self.membership_epoch {
+                        node.slot_actors = (*m.slot_actors).clone();
+                        self.active_slots = (*m.active_slots).clone();
+                        self.membership_epoch = m.epoch;
+                        self.evict_departed_senders(node);
+                    }
+                } else if let Some(d) = payload_as::<MembershipDelta>(&rx.payload) {
+                    // Apply only if our epoch falls in the delta's
+                    // coverage; overlap re-applies idempotently
+                    // (changes are absolute activity assignments).
+                    if self.membership_epoch >= d.base_epoch && d.epoch > self.membership_epoch {
+                        for ch in d.changes.iter() {
+                            match self.active_slots.binary_search(&ch.slot) {
+                                Ok(i) if !ch.active => {
+                                    self.active_slots.remove(i);
+                                }
+                                Err(i) if ch.active => {
+                                    self.active_slots.insert(i, ch.slot);
+                                }
+                                _ => {}
+                            }
+                        }
+                        self.membership_epoch = d.epoch;
+                        self.evict_departed_senders(node);
+                    }
+                } else if let Some(d) = payload_as::<DegradedCheckpointVia>(&rx.payload) {
+                    self.degraded_proxy = Some(d.proxy);
+                } else if let Some(s) = payload_as::<DegradedSnapshot>(&rx.payload) {
+                    // Proxy duty: a degraded departed phone shipped its
+                    // snapshot here over cellular. Keep a local MRC
+                    // copy, then relay it to the whole region on WiFi;
+                    // the finished job reports the DEGRADED slot to the
+                    // controller so the round can still commit.
+                    if s.region != node.cfg.region {
+                        // A stale/misrouted snapshot from another region
+                        // must not be relayed into this region's round.
+                        self.stats.protocol_errors += 1;
+                        return;
+                    }
+                    self.stats.proxied_snapshots += 1;
+                    let mut total = 0u64;
+                    for (op, st, bytes) in &s.states {
+                        node.store.put_state(s.version, *op, st.clone(), *bytes);
+                        total += bytes;
+                    }
+                    let content = BlobContent::ProxyCheckpoint {
+                        origin_slot: s.origin_slot,
+                        version: s.version,
+                        states: s.states.clone(),
+                    };
+                    self.start_job(node, ctx, content, total, TrafficClass::Checkpoint);
+                } else if let Some(t) = payload_as::<TransferStateTo>(&rx.payload) {
+                    // Departing node: package states and ship the install
+                    // over cellular (we are out of WiFi range).
+                    let snaps = node.snapshot_ops();
+                    let bytes: u64 = snaps.iter().map(|(_, _, b)| *b).sum();
+                    let mut install = t.install.clone();
+                    install.states = InstallStates::Explicit(
+                        snaps.into_iter().map(|(op, st, _)| (op, st)).collect(),
+                    );
+                    let (dst, class) = (t.replacement, TrafficClass::Recovery);
+                    net_send(ctx, node.cell, dst, class, bytes.max(1), 0, payload(install));
                 }
             },
             t: BitmapTimeout => {
@@ -775,93 +845,6 @@ impl FtScheme for MsScheme {
             blob: BlobDeliver => {
                 self.on_blob(blob, node, ctx);
             },
-            // --- controller RPCs over cellular ---
-            rx: CellRx => {
-                if let Some(s) = payload_as::<StartCheckpoint>(&rx.payload) {
-                    self.on_start_checkpoint(s.version, node, ctx);
-                } else if let Some(c) = payload_as::<CheckpointComplete>(&rx.payload) {
-                    node.store.mark_complete(c.version);
-                    node.store.gc_before(c.version);
-                } else if let Some(r) = payload_as::<RollbackTo>(&rx.payload) {
-                    self.on_rollback(r.version, node, ctx);
-                } else if let Some(r) = payload_as::<ReplayInputs>(&rx.payload) {
-                    self.on_replay(r.epoch, node, ctx);
-                } else if let Some(m) = payload_as::<MembershipUpdate>(&rx.payload) {
-                    // A snapshot carries the full state at its epoch;
-                    // apply unless we already hold something newer
-                    // (cellular is FIFO, but a resync snapshot may
-                    // race a delta issued the same tick).
-                    if m.epoch >= self.membership_epoch {
-                        node.slot_actors = (*m.slot_actors).clone();
-                        self.active_slots = (*m.active_slots).clone();
-                        self.membership_epoch = m.epoch;
-                        self.evict_departed_senders(node);
-                    }
-                } else if let Some(d) = payload_as::<MembershipDelta>(&rx.payload) {
-                    // Apply only if our epoch falls in the delta's
-                    // coverage; overlap re-applies idempotently
-                    // (changes are absolute activity assignments).
-                    if self.membership_epoch >= d.base_epoch && d.epoch > self.membership_epoch {
-                        for ch in d.changes.iter() {
-                            match self.active_slots.binary_search(&ch.slot) {
-                                Ok(i) if !ch.active => {
-                                    self.active_slots.remove(i);
-                                }
-                                Err(i) if ch.active => {
-                                    self.active_slots.insert(i, ch.slot);
-                                }
-                                _ => {}
-                            }
-                        }
-                        self.membership_epoch = d.epoch;
-                        self.evict_departed_senders(node);
-                    }
-                } else if let Some(d) = payload_as::<DegradedCheckpointVia>(&rx.payload) {
-                    self.degraded_proxy = Some(d.proxy);
-                } else if let Some(s) = payload_as::<DegradedSnapshot>(&rx.payload) {
-                    // Proxy duty: a degraded departed phone shipped its
-                    // snapshot here over cellular. Keep a local MRC
-                    // copy, then relay it to the whole region on WiFi;
-                    // the finished job reports the DEGRADED slot to the
-                    // controller so the round can still commit.
-                    if s.region != node.cfg.region {
-                        // A stale/misrouted snapshot from another region
-                        // must not be relayed into this region's round.
-                        self.stats.protocol_errors += 1;
-                        return;
-                    }
-                    self.stats.proxied_snapshots += 1;
-                    let mut total = 0u64;
-                    for (op, st, bytes) in &s.states {
-                        node.store.put_state(s.version, *op, st.clone(), *bytes);
-                        total += bytes;
-                    }
-                    let content = BlobContent::ProxyCheckpoint {
-                        origin_slot: s.origin_slot,
-                        version: s.version,
-                        states: s.states.clone(),
-                    };
-                    self.start_job(node, ctx, content, total, TrafficClass::Checkpoint);
-                } else if let Some(t) = payload_as::<TransferStateTo>(&rx.payload) {
-                    // Departing node: package states and ship the install
-                    // over cellular (we are out of WiFi range).
-                    let snaps = node.snapshot_ops();
-                    let bytes: u64 = snaps.iter().map(|(_, _, b)| *b).sum();
-                    let mut install = t.install.clone();
-                    install.states = InstallStates::Explicit(
-                        snaps.into_iter().map(|(op, st, _)| (op, st)).collect(),
-                    );
-                    let dst = t.replacement;
-                    node.send_cell(
-                        ctx,
-                        dst,
-                        TrafficClass::Recovery,
-                        bytes.max(1),
-                        0,
-                        Some(payload(install)),
-                    );
-                }
-            },
             // --- fault injection ---
             _d: Depart => {
                 let notice = DepartureNotice {
@@ -900,13 +883,14 @@ mod tests {
     use super::*;
     use dsps::ft::NullScheme;
     use dsps::graph::QueryGraph;
-    use dsps::node::{NodeActor, NodeConfig, NodeInner, PrimaryTransport, SourceEmit};
+    use dsps::node::{NodeActor, NodeConfig, NodeInner, SourceEmit};
     use dsps::ops::{Counter, Relay};
     use dsps::tuple::value;
     use simkernel::{impl_actor_any, Actor, Sim, SimTime};
     use simnet::bitmap::Bitmap;
-    use simnet::cellular::{CellConfig, CellSend, CellularNet};
+    use simnet::cellular::{CellConfig, CellularNet};
     use simnet::wifi::{WifiConfig, WifiMedium};
+    use simnet::NetSend;
     use std::sync::Arc;
 
     /// Records control messages arriving at "the controller".
@@ -918,7 +902,7 @@ mod tests {
 
     impl Actor for CtlStub {
         fn on_event(&mut self, ev: simkernel::EventBox, _ctx: &mut Ctx) {
-            if let Ok(rx) = ev.downcast::<CellRx>() {
+            if let Ok(rx) = ev.downcast::<NetRx>() {
                 if let Some(m) = payload_as::<NodeCheckpointed>(&rx.payload) {
                     self.checkpointed.push((m.version, m.slot));
                 } else if let Some(a) = payload_as::<RecoveredAck>(&rx.payload) {
@@ -965,7 +949,6 @@ mod tests {
             let mut inner = NodeInner::new(
                 NodeConfig {
                     slot,
-                    primary: PrimaryTransport::Wifi,
                     ..NodeConfig::default()
                 },
                 Arc::clone(&graph),
@@ -1025,7 +1008,7 @@ mod tests {
         rig.sim.schedule_at(
             SimTime::from_millis(at_ms),
             rig.cell,
-            CellSend {
+            NetSend {
                 src: ctl,
                 dst,
                 class: TrafficClass::Control,
@@ -1104,7 +1087,7 @@ mod tests {
             rig.sim.schedule_at(
                 rig.sim.now(),
                 rig.cell,
-                CellSend {
+                NetSend {
                     src: ctl,
                     dst: nid,
                     class: TrafficClass::Control,
@@ -1141,7 +1124,7 @@ mod tests {
         rig.sim.schedule_at(
             rig.sim.now(),
             rig.cell,
-            CellSend {
+            NetSend {
                 src: ctl,
                 dst: a_node,
                 class: TrafficClass::Control,
@@ -1164,7 +1147,7 @@ mod tests {
     /// Hand `msg` to `slot` as a cellular delivery from the controller,
     /// at the current instant.
     fn deliver_ctl<T: simkernel::Event>(rig: &mut Rig, slot: usize, msg: T) {
-        let rx = CellRx {
+        let rx = NetRx {
             src: rig.ctl,
             bytes: 64,
             class: TrafficClass::Control,
@@ -1266,7 +1249,7 @@ mod tests {
             assert!(guard < 20_000, "A never started its second job");
         }
         let (stream, errors) = job_of_a(&rig);
-        let reply = WifiRx {
+        let reply = NetRx {
             src: rig.nodes[3],
             bytes: 1,
             class: TrafficClass::Checkpoint,
@@ -1302,7 +1285,7 @@ mod tests {
         rig.sim.schedule_at(
             rig.sim.now(),
             rig.cell,
-            CellSend {
+            NetSend {
                 src: ctl,
                 dst: s_node,
                 class: TrafficClass::Control,

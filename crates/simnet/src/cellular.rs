@@ -12,7 +12,7 @@
 //!
 //! Link queues are *bounded*: each direction buffers at most
 //! [`CellConfig::max_queue_bytes`] of backlog. Droppable traffic (see
-//! [`TrafficClass::droppable`]) arriving at a full queue is
+//! [`crate::stats::TrafficClass::droppable`]) arriving at a full queue is
 //! tail-dropped and counted (per endpoint and in [`NetStats`]);
 //! priority classes (control, checkpoint, recovery) are never shed, so
 //! saturation degrades the data plane without breaking protocol
@@ -21,11 +21,11 @@
 
 use std::collections::BTreeMap;
 
-use simkernel::{impl_actor_any, Actor, ActorId, Ctx, Event, EventBox, SimDuration};
+use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration};
 
 use crate::link::RateQueue;
-use crate::stats::{NetStats, TrafficClass};
-use crate::{LinkState, Payload, TxDone, TxDropped, TxFailed, TxSevered};
+use crate::stats::NetStats;
+use crate::{LinkState, NetRx, NetSend, SetLink, TxDone, TxDropped, TxFailed, TxSevered};
 
 /// Cellular network parameters (paper's measured 3G band midpoints).
 #[derive(Debug, Clone)]
@@ -72,7 +72,7 @@ impl CellConfig {
     /// Lower bound on the delay between any message entering the
     /// cellular network and the earliest response it can trigger back
     /// out to an endpoint at the default rates: the minimum of the
-    /// drop-notify delay ([`TxDropped`]), half the RTT ([`CellRx`]),
+    /// drop-notify delay ([`TxDropped`]), half the RTT ([`NetRx`]),
     /// the failure timeout ([`TxFailed`]) and the time to clock a
     /// minimum-size message through the default uplink ([`TxDone`]).
     ///
@@ -89,77 +89,12 @@ impl CellConfig {
     }
 }
 
-/// Request: transfer `bytes` from `src` to `dst` over cellular.
-#[derive(Debug)]
-pub struct CellSend {
-    /// Sending endpoint.
-    pub src: ActorId,
-    /// Receiving endpoint.
-    pub dst: ActorId,
-    /// Accounting class.
-    pub class: TrafficClass,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Completion tag; 0 = none.
-    pub tag: u64,
-    /// Message content.
-    pub payload: Option<Payload>,
-}
-
-/// Send the control message `ev` (`bytes` on the wire) from the calling
-/// actor to `dst` through the cellular network actor `cell`.
-pub fn send_ctl(ctx: &mut Ctx, cell: ActorId, dst: ActorId, bytes: u64, ev: impl Event) {
-    send_ctl_tagged(ctx, cell, dst, bytes, 0, ev);
-}
-
-/// [`send_ctl`] whose completion (`TxDone` / `TxFailed` / `TxSevered`)
-/// comes back to the caller under `tag`.
-pub fn send_ctl_tagged(
-    ctx: &mut Ctx,
-    cell: ActorId,
-    dst: ActorId,
-    bytes: u64,
-    tag: u64,
-    ev: impl Event,
-) {
-    let src = ctx.self_id();
-    ctx.send(
-        cell,
-        CellSend {
-            src,
-            dst,
-            class: TrafficClass::Control,
-            bytes,
-            tag,
-            payload: Some(crate::payload(ev)),
-        },
-    );
-}
-
-/// Delivery of a [`CellSend`].
-#[derive(Debug, Clone)]
-pub struct CellRx {
-    /// Sending endpoint.
-    pub src: ActorId,
-    /// Payload size.
-    pub bytes: u64,
-    /// Accounting class.
-    pub class: TrafficClass,
-    /// Message content.
-    pub payload: Payload,
-}
-
-/// Control: change an endpoint's reachability.
-#[derive(Debug, Clone, Copy)]
-pub struct CellSetLink {
-    /// Endpoint.
-    pub node: ActorId,
-    /// New state.
-    pub state: LinkState,
-}
+/// [`NetSend`] under its old cellular name: the benchmark package
+/// (`msbench`, its own workspace) still builds cellular sends by it.
+pub use crate::NetSend as CellSend;
 
 /// Control: sever or restore the path between an endpoint and the core
-/// (a network-weather partition). Unlike [`CellSetLink`] the endpoint
+/// (a network-weather partition). Unlike [`SetLink`] the endpoint
 /// is *not* killed: its link state, queues and registration survive,
 /// and sends involving it age out with [`TxSevered`] after the timeout
 /// instead of failing — so upper layers retry with backoff rather than
@@ -247,8 +182,8 @@ impl CellularNet {
         );
     }
 
-    /// Minimum delay between any [`CellSend`] issued anywhere and the
-    /// resulting [`CellRx`] delivered to `node`: half the RTT plus the
+    /// Minimum delay between any [`NetSend`] issued anywhere and the
+    /// resulting [`NetRx`] delivered to `node`: half the RTT plus the
     /// time to clock a minimum-size (payload-less) message through
     /// `node`'s downlink. `None` when `node` is not a registered
     /// endpoint.
@@ -258,7 +193,7 @@ impl CellularNet {
     /// with such a delivery, so the shard's window may run this far
     /// past the earliest foreign send — typically 30–40× wider than
     /// [`CellConfig::min_response_delay`]. Endpoint rates are fixed at
-    /// registration ([`CellSetLink`] changes reachability, not rates),
+    /// registration ([`SetLink`] changes reachability, not rates),
     /// so the bound is stable for the whole run.
     pub fn min_delivery_delay_to(&self, node: ActorId) -> Option<SimDuration> {
         let ep = self.endpoints.get(&node)?;
@@ -319,7 +254,7 @@ impl CellularNet {
         })
     }
 
-    fn handle_send(&mut self, s: CellSend, ctx: &mut Ctx) {
+    fn handle_send(&mut self, s: NetSend, ctx: &mut Ctx) {
         let now = ctx.now();
         let wire = s.bytes + self.cfg.overhead;
         let cap = self.cfg.max_queue_bytes;
@@ -455,7 +390,7 @@ impl CellularNet {
             ctx.send_in(
                 down_end - now,
                 s.dst,
-                CellRx {
+                NetRx {
                     src: s.src,
                     bytes: s.bytes,
                     class: s.class,
@@ -472,8 +407,8 @@ impl CellularNet {
 impl Actor for CellularNet {
     fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
         simkernel::match_event!(ev,
-            s: CellSend => { self.handle_send(s, ctx); },
-            l: CellSetLink => { self.set_link_state_at(l.node, l.state, ctx.now()); },
+            s: NetSend => { self.handle_send(s, ctx); },
+            l: SetLink => { self.set_link_state_at(l.node, l.state, ctx.now()); },
             p: CellSetPartition => { self.set_partitioned(p.node, p.on); },
             @else _other => {
                 // Unknown event types are counted, not fatal (PR 2
@@ -493,6 +428,7 @@ impl Actor for CellularNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::TrafficClass;
     use simkernel::{Sim, SimTime};
 
     #[derive(Default)]
@@ -507,7 +443,7 @@ mod tests {
     impl Actor for Sink {
         fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
             simkernel::match_event!(ev,
-                r: CellRx => { self.rx.push((ctx.now(), r.bytes)); },
+                r: NetRx => { self.rx.push((ctx.now(), r.bytes)); },
                 d: TxDone => { self.done.push(d.tag); },
                 f: TxFailed => { self.failed.push(f.tag); },
                 d: TxDropped => { self.dropped.push(d.tag); },
@@ -563,7 +499,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             net,
-            CellSend {
+            NetSend {
                 src: nodes[0],
                 dst: nodes[1],
                 class: TrafficClass::Data,
@@ -592,7 +528,7 @@ mod tests {
             sim.schedule_at(
                 SimTime::ZERO,
                 net,
-                CellSend {
+                NetSend {
                     src: nodes[0],
                     dst: nodes[1],
                     class: TrafficClass::Data,
@@ -618,7 +554,7 @@ mod tests {
             sim.schedule_at(
                 SimTime::ZERO,
                 net,
-                CellSend {
+                NetSend {
                     src,
                     dst: nodes[2],
                     class: TrafficClass::Data,
@@ -648,7 +584,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             net,
-            CellSend {
+            NetSend {
                 src: nodes[0],
                 dst: nodes[1],
                 class: TrafficClass::Control,
@@ -676,7 +612,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             net,
-            CellSend {
+            NetSend {
                 src: nodes[0],
                 dst: nodes[1],
                 class: TrafficClass::Data,
@@ -688,7 +624,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             net,
-            CellSend {
+            NetSend {
                 src: nodes[0],
                 dst: nodes[2],
                 class: TrafficClass::Control,
@@ -723,7 +659,7 @@ mod tests {
             sim.schedule_at(
                 SimTime::ZERO,
                 net,
-                CellSend {
+                NetSend {
                     src: nodes[0],
                     dst: nodes[1],
                     class: TrafficClass::Data,
@@ -737,7 +673,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             net,
-            CellSend {
+            NetSend {
                 src: nodes[0],
                 dst: nodes[1],
                 class: TrafficClass::Control,
@@ -780,7 +716,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             net,
-            CellSend {
+            NetSend {
                 src: nodes[0],
                 dst: nodes[1],
                 class: TrafficClass::Data,
@@ -792,7 +728,7 @@ mod tests {
         sim.schedule_at(
             SimTime::from_secs(1),
             net,
-            CellSend {
+            NetSend {
                 src: nodes[2],
                 dst: nodes[1],
                 class: TrafficClass::Data,
@@ -817,7 +753,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             net,
-            CellSend {
+            NetSend {
                 src: nodes[0],
                 dst: nodes[1],
                 class: TrafficClass::Data,
@@ -847,7 +783,7 @@ mod tests {
             sim.schedule_at(
                 SimTime::from_millis(1),
                 net,
-                CellSend {
+                NetSend {
                     src,
                     dst,
                     class: TrafficClass::Control,
@@ -869,7 +805,7 @@ mod tests {
         sim.schedule_at(
             SimTime::from_secs(10),
             net,
-            CellSend {
+            NetSend {
                 src: nodes[0],
                 dst: nodes[1],
                 class: TrafficClass::Control,
@@ -910,7 +846,7 @@ mod tests {
             sim.schedule_at(
                 SimTime::ZERO,
                 net,
-                CellSend {
+                NetSend {
                     src: nodes[0],
                     dst: nodes[1],
                     class: TrafficClass::Data,
@@ -924,7 +860,7 @@ mod tests {
         sim.schedule_at(
             SimTime::from_secs(1),
             net,
-            CellSetLink {
+            SetLink {
                 node: nodes[0],
                 state: LinkState::Dead,
             },
@@ -945,7 +881,7 @@ mod tests {
         sim.schedule_at(
             SimTime::from_secs(2),
             net,
-            CellSetLink {
+            SetLink {
                 node: nodes[0],
                 state: LinkState::Active,
             },
@@ -953,7 +889,7 @@ mod tests {
         sim.schedule_at(
             SimTime::from_secs(2),
             net,
-            CellSend {
+            NetSend {
                 src: nodes[0],
                 dst: nodes[2],
                 class: TrafficClass::Data,
@@ -1009,7 +945,7 @@ mod tests {
                     sim.schedule_at(
                         SimTime::from_millis(at),
                         net,
-                        CellSend {
+                        NetSend {
                             src: nodes[0],
                             dst: nodes[1],
                             class: TrafficClass::Control,
@@ -1074,7 +1010,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             net,
-            CellSend {
+            NetSend {
                 src: nodes[0],
                 dst: nodes[1],
                 class: TrafficClass::Data,

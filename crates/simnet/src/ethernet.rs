@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration};
 
 use crate::link::RateQueue;
-use crate::stats::{NetStats, TrafficClass};
-use crate::{Payload, TxDone};
+use crate::stats::NetStats;
+use crate::{NetRx, NetSend, TxDone};
 
 /// Ethernet parameters (defaults: GigE, 50 µs switch latency).
 #[derive(Debug, Clone)]
@@ -34,36 +34,6 @@ impl Default for EthConfig {
             overhead: 66,
         }
     }
-}
-
-/// Request: transfer `bytes` from `src` to `dst`.
-#[derive(Debug)]
-pub struct EthSend {
-    /// Sending endpoint.
-    pub src: ActorId,
-    /// Receiving endpoint.
-    pub dst: ActorId,
-    /// Accounting class.
-    pub class: TrafficClass,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Completion tag; 0 = none.
-    pub tag: u64,
-    /// Message content.
-    pub payload: Option<Payload>,
-}
-
-/// Delivery of an [`EthSend`].
-#[derive(Debug, Clone)]
-pub struct EthRx {
-    /// Sending endpoint.
-    pub src: ActorId,
-    /// Payload size.
-    pub bytes: u64,
-    /// Accounting class.
-    pub class: TrafficClass,
-    /// Message content.
-    pub payload: Payload,
 }
 
 /// The switched network actor.
@@ -93,7 +63,7 @@ impl EthernetNet {
         &self.stats
     }
 
-    fn handle_send(&mut self, s: EthSend, ctx: &mut Ctx) {
+    fn handle_send(&mut self, s: NetSend, ctx: &mut Ctx) {
         let now = ctx.now();
         let wire = s.bytes + self.cfg.overhead;
         // Sends from unregistered endpoints are counted, not fatal
@@ -110,7 +80,7 @@ impl EthernetNet {
             ctx.send_in(
                 deliver_at - now,
                 s.dst,
-                EthRx {
+                NetRx {
                     src: s.src,
                     bytes: s.bytes,
                     class: s.class,
@@ -127,7 +97,7 @@ impl EthernetNet {
 impl Actor for EthernetNet {
     fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
         simkernel::match_event!(ev,
-            s: EthSend => { self.handle_send(s, ctx); },
+            s: NetSend => { self.handle_send(s, ctx); },
             @else _other => {
                 // Unknown event types are counted, not fatal (PR 2
                 // de-panicking convention).
@@ -146,6 +116,7 @@ impl Actor for EthernetNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::TrafficClass;
     use simkernel::{Sim, SimTime};
 
     #[derive(Default)]
@@ -155,7 +126,7 @@ mod tests {
 
     impl Actor for Sink {
         fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
-            if let Ok(r) = ev.downcast::<EthRx>() {
+            if let Ok(r) = ev.downcast::<NetRx>() {
                 self.rx.push((ctx.now(), r.bytes));
             }
         }
@@ -178,7 +149,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             n,
-            EthSend {
+            NetSend {
                 src: a,
                 dst: b,
                 class: TrafficClass::Data,
@@ -214,7 +185,7 @@ mod tests {
             sim.schedule_at(
                 SimTime::ZERO,
                 n,
-                EthSend {
+                NetSend {
                     src,
                     dst: c,
                     class: TrafficClass::Data,

@@ -5,7 +5,7 @@
 //! traffic within a region serializes (no spatial reuse inside a
 //! ≤ 20 m region, matching §III of the paper). Two services:
 //!
-//! * **Reliable unicast** ([`WifiSend`], TCP): never lost to an
+//! * **Reliable unicast** ([`NetSend`], TCP): never lost to an
 //!   `Active` receiver; costs extra airtime — the byte stream is
 //!   expanded by the expected retransmission factor `1/(1-p)` plus
 //!   per-frame ACK overhead. A send to a `Dead`/`Gone` node consumes
@@ -25,7 +25,7 @@ use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration, SimR
 use crate::bitmap::Bitmap;
 use crate::link::{tx_time, RateQueue};
 use crate::stats::{NetStats, TrafficClass};
-use crate::{LinkState, Payload, TxDone, TxFailed};
+use crate::{LinkState, NetRx, NetSend, SetLink, TxDone, TxFailed};
 
 /// WiFi channel parameters. Defaults follow the paper's measured
 /// 1–5 Mbps ad-hoc band (midpoint 2.5 Mbps) and typical 802.11 framing.
@@ -97,36 +97,6 @@ impl WifiConfig {
     }
 }
 
-/// Request: transmit one logical message reliably to one region member.
-#[derive(Debug)]
-pub struct WifiSend {
-    /// Transmitting member.
-    pub src: ActorId,
-    /// Receiving member.
-    pub dst: ActorId,
-    /// Accounting class.
-    pub class: TrafficClass,
-    /// Payload size in bytes (drives airtime).
-    pub bytes: u64,
-    /// Completion tag; 0 = no [`TxDone`]/[`TxFailed`] wanted.
-    pub tag: u64,
-    /// Message content forwarded to receivers.
-    pub payload: Option<Payload>,
-}
-
-/// Delivery of a [`WifiSend`] to one receiver.
-#[derive(Debug, Clone)]
-pub struct WifiRx {
-    /// Transmitting member.
-    pub src: ActorId,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Accounting class (receivers may re-account).
-    pub class: TrafficClass,
-    /// Message content.
-    pub payload: Payload,
-}
-
 /// Request: broadcast a batch of equal-size datagram blocks (the
 /// checkpoint broadcast's workhorse). Each listed block is one frame.
 #[derive(Debug)]
@@ -187,15 +157,6 @@ pub struct WifiCongestion {
 /// mark.
 #[derive(Debug, Clone, Copy)]
 struct DrainCheck;
-
-/// Control: change a member's link state (failure/departure/return).
-#[derive(Debug, Clone, Copy)]
-pub struct WifiSetLink {
-    /// The member whose state changes.
-    pub node: ActorId,
-    /// New state.
-    pub state: LinkState,
-}
 
 /// Control: change the channel's frame-loss probability at runtime —
 /// per-region loss *profiles* (interference ramps, crowd build-up)
@@ -343,8 +304,8 @@ impl WifiMedium {
         &self.cfg
     }
 
-    fn handle_send(&mut self, s: WifiSend, ctx: &mut Ctx) {
-        let WifiSend {
+    fn handle_send(&mut self, s: NetSend, ctx: &mut Ctx) {
+        let NetSend {
             src,
             dst,
             class,
@@ -388,7 +349,7 @@ impl WifiMedium {
             return;
         }
         if let Some(payload) = payload {
-            let rx = WifiRx {
+            let rx = NetRx {
                 src,
                 bytes,
                 class,
@@ -496,9 +457,9 @@ impl WifiMedium {
 impl Actor for WifiMedium {
     fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
         simkernel::match_event!(ev,
-            s: WifiSend => { self.handle_send(s, ctx); },
+            s: NetSend => { self.handle_send(s, ctx); },
             b: WifiBatchSend => { self.handle_batch(b, ctx); },
-            l: WifiSetLink => { self.set_link_state(l.node, l.state); },
+            l: SetLink => { self.set_link_state(l.node, l.state); },
             l: WifiSetLoss => { self.set_loss(l.loss); },
             b: WifiSetBrownout => { self.set_brownout(b.on, b.loss); },
             _d: DrainCheck => { self.on_drain_check(ctx); },
@@ -536,7 +497,7 @@ mod tests {
     impl Actor for Sink {
         fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
             simkernel::match_event!(ev,
-                r: WifiRx => { self.rx.push((ctx.now(), r.bytes)); },
+                r: NetRx => { self.rx.push((ctx.now(), r.bytes)); },
                 b: WifiBatchRx => { self.batch.push((b.stream, b.received.count_ones())); },
                 d: TxDone => { self.done.push(d.tag); },
                 f: TxFailed => { self.failed.push(f.tag); },
@@ -571,8 +532,8 @@ mod tests {
     }
 
     /// A reliable unicast of `bytes` carrying an empty payload.
-    fn send(src: ActorId, dst: ActorId, class: TrafficClass, bytes: u64, tag: u64) -> WifiSend {
-        WifiSend {
+    fn send(src: ActorId, dst: ActorId, class: TrafficClass, bytes: u64, tag: u64) -> NetSend {
+        NetSend {
             src,
             dst,
             class,
@@ -588,7 +549,7 @@ mod tests {
         sim.schedule_at(
             SimTime::ZERO,
             m,
-            WifiSend {
+            NetSend {
                 src: nodes[0],
                 dst: nodes[1],
                 class: TrafficClass::Data,
