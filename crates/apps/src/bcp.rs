@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dsps::graph::{OpKind, QueryGraph};
-use dsps::operator::{op_state, OpState, Operator, Outputs};
+use dsps::operator::{OpStateCell, Operator, Outputs};
 use dsps::placement::Placement;
 use dsps::tuple::{value, Tuple};
 use simkernel::{SimDuration, SimRng};
@@ -163,9 +163,6 @@ struct NoiseFilter {
     smooth: Ewma,
 }
 
-#[derive(Debug, Clone)]
-struct NoiseFilterState(Ewma);
-
 impl Operator for NoiseFilter {
     fn process(&mut self, tuple: &Tuple, _port: usize, out: &mut Outputs, _rng: &mut SimRng) {
         let Some(p) = tuple.value_as::<PrevStopMsg>() else {
@@ -185,13 +182,8 @@ impl Operator for NoiseFilter {
     fn state_bytes(&self) -> u64 {
         24
     }
-    fn snapshot(&self) -> OpState {
-        op_state(NoiseFilterState(self.smooth))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<NoiseFilterState>() {
-            self.smooth = s.0;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.smooth)
     }
 }
 
@@ -202,9 +194,6 @@ struct ArrivalOp {
     state_padding: u64,
     small_bytes: u64,
 }
-
-#[derive(Debug, Clone)]
-struct ArrivalState(ArrivalModel);
 
 impl Operator for ArrivalOp {
     fn process(&mut self, tuple: &Tuple, _port: usize, out: &mut Outputs, _rng: &mut SimRng) {
@@ -229,13 +218,8 @@ impl Operator for ArrivalOp {
     fn state_bytes(&self) -> u64 {
         32 + self.state_padding
     }
-    fn snapshot(&self) -> OpState {
-        op_state(ArrivalState(self.model.clone()))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<ArrivalState>() {
-            self.model = s.0.clone();
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.model)
     }
 }
 
@@ -246,9 +230,6 @@ struct AlightOp {
     state_padding: u64,
     small_bytes: u64,
 }
-
-#[derive(Debug, Clone)]
-struct AlightState(AlightingModel);
 
 impl Operator for AlightOp {
     fn process(&mut self, tuple: &Tuple, _port: usize, out: &mut Outputs, _rng: &mut SimRng) {
@@ -270,13 +251,8 @@ impl Operator for AlightOp {
     fn state_bytes(&self) -> u64 {
         24 + self.state_padding
     }
-    fn snapshot(&self) -> OpState {
-        op_state(AlightState(self.model.clone()))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<AlightState>() {
-            self.model = s.0.clone();
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.model)
     }
 }
 
@@ -303,9 +279,6 @@ struct MotionSplit {
     state_padding: u64,
     crop_bytes: u64,
 }
-
-#[derive(Debug, Clone)]
-struct MotionSplitState(Ewma);
 
 impl Operator for MotionSplit {
     fn process(&mut self, tuple: &Tuple, _port: usize, out: &mut Outputs, _rng: &mut SimRng) {
@@ -340,13 +313,8 @@ impl Operator for MotionSplit {
     fn state_bytes(&self) -> u64 {
         24 + self.state_padding
     }
-    fn snapshot(&self) -> OpState {
-        op_state(MotionSplitState(self.background))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<MotionSplitState>() {
-            self.background = s.0;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.background)
     }
 }
 
@@ -358,9 +326,6 @@ struct HaarCounter {
     /// Tuples counted (tiny state).
     counted: u64,
 }
-
-#[derive(Debug, Clone)]
-struct HaarCounterState(u64);
 
 impl Operator for HaarCounter {
     fn process(&mut self, tuple: &Tuple, _port: usize, out: &mut Outputs, _rng: &mut SimRng) {
@@ -385,13 +350,8 @@ impl Operator for HaarCounter {
     fn state_bytes(&self) -> u64 {
         8
     }
-    fn snapshot(&self) -> OpState {
-        op_state(HaarCounterState(self.counted))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<HaarCounterState>() {
-            self.counted = s.0;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.counted)
     }
 }
 
@@ -399,17 +359,11 @@ impl Operator for HaarCounter {
 /// boardings.
 struct BoardingOp {
     cost: SimDuration,
-    partial: BTreeMap<u64, (u32, u32)>, // seq -> (quadrants seen, total)
-    model: BoardingModel,
+    /// The state: per-frame partial counts (seq -> (quadrants seen,
+    /// total)) and the boarding model.
+    st: (BTreeMap<u64, (u32, u32)>, BoardingModel),
     state_padding: u64,
     small_bytes: u64,
-    last_onboard: u32,
-}
-
-#[derive(Debug, Clone)]
-struct BoardingState {
-    partial: Vec<(u64, u32, u32)>,
-    model: BoardingModel,
     last_onboard: u32,
 }
 
@@ -418,13 +372,14 @@ impl Operator for BoardingOp {
         let Some(c) = tuple.value_as::<CountMsg>() else {
             return;
         };
-        let entry = self.partial.entry(c.seq).or_insert((0, 0));
+        let (partial, model) = &mut self.st;
+        let entry = partial.entry(c.seq).or_insert((0, 0));
         entry.0 += 1;
         entry.1 += c.count;
         if entry.0 == 4 {
-            let (_, waiting) = self.partial.remove(&c.seq).expect("present");
-            let boarding = self.model.predict(waiting, self.last_onboard);
-            self.model.observe(waiting, boarding);
+            let (_, waiting) = partial.remove(&c.seq).expect("present");
+            let boarding = model.predict(waiting, self.last_onboard);
+            model.observe(waiting, boarding);
             out.emit(
                 0,
                 value(WaitingMsg {
@@ -436,30 +391,19 @@ impl Operator for BoardingOp {
             );
         }
         // Bound the partial map (frames whose counters died).
-        while self.partial.len() > 64 {
-            let oldest = *self.partial.keys().next().expect("non-empty");
-            self.partial.remove(&oldest);
+        while partial.len() > 64 {
+            let oldest = *partial.keys().next().expect("non-empty");
+            partial.remove(&oldest);
         }
     }
     fn cost(&self, _t: &Tuple) -> SimDuration {
         self.cost
     }
     fn state_bytes(&self) -> u64 {
-        self.partial.len() as u64 * 24 + 32 + self.state_padding
+        self.st.0.len() as u64 * 24 + 32 + self.state_padding
     }
-    fn snapshot(&self) -> OpState {
-        op_state(BoardingState {
-            partial: self.partial.iter().map(|(&s, &(q, t))| (s, q, t)).collect(),
-            model: self.model.clone(),
-            last_onboard: self.last_onboard,
-        })
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<BoardingState>() {
-            self.partial = s.partial.iter().map(|&(s, q, t)| (s, (q, t))).collect();
-            self.model = s.model.clone();
-            self.last_onboard = s.last_onboard;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.st)
     }
 }
 
@@ -471,9 +415,6 @@ struct JoinOp {
     state_padding: u64,
     small_bytes: u64,
 }
-
-#[derive(Debug, Clone)]
-struct JoinState(Option<BusEtaMsg>);
 
 impl Operator for JoinOp {
     fn process(&mut self, tuple: &Tuple, port: usize, out: &mut Outputs, _rng: &mut SimRng) {
@@ -503,13 +444,8 @@ impl Operator for JoinOp {
     fn state_bytes(&self) -> u64 {
         40 + self.state_padding
     }
-    fn snapshot(&self) -> OpState {
-        op_state(JoinState(self.latest_bus))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<JoinState>() {
-            self.latest_bus = s.0;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.latest_bus)
     }
 }
 
@@ -521,9 +457,6 @@ struct CapacityOp {
     state_padding: u64,
     small_bytes: u64,
 }
-
-#[derive(Debug, Clone)]
-struct CapacityState(Option<AlightMsg>);
 
 impl Operator for CapacityOp {
     fn process(&mut self, tuple: &Tuple, port: usize, out: &mut Outputs, _rng: &mut SimRng) {
@@ -563,13 +496,8 @@ impl Operator for CapacityOp {
     fn state_bytes(&self) -> u64 {
         24 + self.state_padding
     }
-    fn snapshot(&self) -> OpState {
-        op_state(CapacityState(self.latest_alight))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<CapacityState>() {
-            self.latest_alight = s.0;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.latest_alight)
     }
 }
 
@@ -680,8 +608,7 @@ pub fn build_bcp(cal: &Calibration, slots: u32, first_stop: bool) -> AppBundle {
         move || {
             Box::new(BoardingOp {
                 cost: c.cost_b,
-                partial: BTreeMap::new(),
-                model: BoardingModel::new(60),
+                st: (BTreeMap::new(), BoardingModel::new(60)),
                 state_padding: c.state_b,
                 small_bytes: c.bcp_small_bytes,
                 last_onboard: 0,
@@ -843,10 +770,12 @@ mod tests {
     fn operators_instantiate_and_snapshot() {
         let bundle = build_bcp(&Calibration::default(), 8, true);
         for op in bundle.graph.op_ids() {
-            let inst = bundle.graph.op(op).instantiate();
-            let st = inst.snapshot();
+            let mut inst = bundle.graph.op(op).instantiate();
+            let Some(st) = inst.state().map(|cell| cell.snapshot()) else {
+                continue;
+            };
             let mut inst2 = bundle.graph.op(op).instantiate();
-            inst2.restore(&st); // must not panic
+            inst2.state().expect("same op type").restore(&st); // must not panic
         }
     }
 

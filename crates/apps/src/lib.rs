@@ -82,3 +82,31 @@ impl FeedSpec {
 /// re-exported here because the app builders squeeze their canonical
 /// 8-phone groupings onto smaller regions.
 pub use dsps::placement::squeeze_placement;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every operator of both applications models a nonzero state size
+    /// exactly when it exposes a state: a modelled-but-unsaved state
+    /// would be a checkpoint hole, and a saved-but-unmodelled one free
+    /// checkpoint traffic.
+    #[test]
+    fn modelled_state_is_exactly_the_exposed_state() {
+        let cal = Calibration::default();
+        for bundle in [build_bcp(&cal, 8, true), build_signalguru(&cal, 8, true)] {
+            let g = &bundle.graph;
+            for op in g.op_ids() {
+                let mut inst = g.op(op).instantiate();
+                assert_eq!(
+                    inst.state_bytes() > 0,
+                    inst.state().is_some(),
+                    "{} {}: state_bytes {}",
+                    bundle.name,
+                    g.op(op).name,
+                    inst.state_bytes()
+                );
+            }
+        }
+    }
+}

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use dsps::graph::{OpKind, QueryGraph};
-use dsps::operator::{op_state, OpState, Operator, Outputs};
+use dsps::operator::{OpStateCell, Operator, Outputs};
 use dsps::placement::Placement;
 use dsps::tuple::{value, Tuple};
 use simkernel::{SimDuration, SimRng};
@@ -100,9 +100,6 @@ struct CameraDispatch {
     next: usize,
 }
 
-#[derive(Debug, Clone)]
-struct CameraDispatchState(usize);
-
 impl Operator for CameraDispatch {
     fn process(&mut self, tuple: &Tuple, _port: usize, out: &mut Outputs, _rng: &mut SimRng) {
         let port = self.next % 3;
@@ -115,13 +112,8 @@ impl Operator for CameraDispatch {
     fn state_bytes(&self) -> u64 {
         8
     }
-    fn snapshot(&self) -> OpState {
-        op_state(CameraDispatchState(self.next))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<CameraDispatchState>() {
-            self.next = s.0;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.next)
     }
 }
 
@@ -197,9 +189,6 @@ struct MotionOp {
     small_bytes: u64,
 }
 
-#[derive(Debug, Clone)]
-struct MotionOpState(Option<(f64, f64)>);
-
 impl Operator for MotionOp {
     fn process(&mut self, tuple: &Tuple, _port: usize, out: &mut Outputs, _rng: &mut SimRng) {
         let Some(m) = tuple.value_as::<BlobMsg>() else {
@@ -223,13 +212,8 @@ impl Operator for MotionOp {
     fn state_bytes(&self) -> u64 {
         16 + self.state_padding
     }
-    fn snapshot(&self) -> OpState {
-        op_state(MotionOpState(self.filter.state()))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<MotionOpState>() {
-            self.filter.restore(s.0);
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.filter)
     }
 }
 
@@ -240,9 +224,6 @@ struct VoteOp {
     state_padding: u64,
     small_bytes: u64,
 }
-
-#[derive(Debug, Clone)]
-struct VoteOpState(Vec<LightColor>);
 
 impl Operator for VoteOp {
     fn process(&mut self, tuple: &Tuple, _port: usize, out: &mut Outputs, _rng: &mut SimRng) {
@@ -265,15 +246,10 @@ impl Operator for VoteOp {
         self.cost
     }
     fn state_bytes(&self) -> u64 {
-        self.filter.state().len() as u64 + 8 + self.state_padding
+        self.filter.held() as u64 + 8 + self.state_padding
     }
-    fn snapshot(&self) -> OpState {
-        op_state(VoteOpState(self.filter.state()))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<VoteOpState>() {
-            self.filter.restore(s.0.clone());
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.filter)
     }
 }
 
@@ -285,9 +261,6 @@ struct GroupOp {
     state_padding: u64,
     small_bytes: u64,
 }
-
-#[derive(Debug, Clone)]
-struct GroupOpState(Option<TransitionMsg>);
 
 impl Operator for GroupOp {
     fn process(&mut self, tuple: &Tuple, port: usize, out: &mut Outputs, _rng: &mut SimRng) {
@@ -317,28 +290,17 @@ impl Operator for GroupOp {
     fn state_bytes(&self) -> u64 {
         32 + self.state_padding
     }
-    fn snapshot(&self) -> OpState {
-        op_state(GroupOpState(self.latest_upstream))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<GroupOpState>() {
-            self.latest_upstream = s.0;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.latest_upstream)
     }
 }
 
 /// `P`: SVM-backed transition predictor.
 struct SvmOp {
     cost: SimDuration,
-    predictor: PhasePredictor,
-    current: Option<(LightColor, f64)>, // (color, phase start)
+    /// The state: the predictor and the current (color, phase start).
+    st: (PhasePredictor, Option<(LightColor, f64)>),
     small_bytes: u64,
-}
-
-#[derive(Debug, Clone)]
-struct SvmOpState {
-    predictor: PhasePredictor,
-    current: Option<(LightColor, f64)>,
 }
 
 impl Operator for SvmOp {
@@ -348,17 +310,18 @@ impl Operator for SvmOp {
         };
         // Phase-change bookkeeping: when the color flips, the previous
         // phase's duration becomes a training observation.
-        match self.current {
+        let (predictor, current) = &mut self.st;
+        match *current {
             Some((color, _start)) if color == g.color => {}
             Some((color, start)) => {
-                self.predictor.observe(color, (g.at_s - start).max(0.0));
-                self.current = Some((g.color, g.at_s));
+                predictor.observe(color, (g.at_s - start).max(0.0));
+                *current = Some((g.color, g.at_s));
             }
-            None => self.current = Some((g.color, g.at_s)),
+            None => *current = Some((g.color, g.at_s)),
         }
-        let (color, start) = self.current.expect("set above");
+        let (color, start) = current.expect("set above");
         let in_phase = (g.at_s - start).max(0.0);
-        let remaining = self.predictor.remaining(color, in_phase);
+        let remaining = predictor.remaining(color, in_phase);
         out.emit(
             0,
             value(TransitionMsg {
@@ -373,19 +336,10 @@ impl Operator for SvmOp {
         self.cost
     }
     fn state_bytes(&self) -> u64 {
-        self.predictor.state_bytes() + 24
+        self.st.0.state_bytes() + 24
     }
-    fn snapshot(&self) -> OpState {
-        op_state(SvmOpState {
-            predictor: self.predictor.clone(),
-            current: self.current,
-        })
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<SvmOpState>() {
-            self.predictor = s.predictor.clone();
-            self.current = s.current;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.st)
     }
 }
 
@@ -492,8 +446,7 @@ pub fn build_signalguru(cal: &Calibration, slots: u32, first: bool) -> AppBundle
         move || {
             Box::new(SvmOp {
                 cost: c.cost_svm,
-                predictor: PhasePredictor::new([40.0, 5.0, 35.0], c.state_svm),
-                current: None,
+                st: (PhasePredictor::new([40.0, 5.0, 35.0], c.state_svm), None),
                 small_bytes: c.sg_small_bytes,
             })
         }

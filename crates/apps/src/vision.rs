@@ -122,16 +122,6 @@ impl MotionFilter {
     pub fn reset(&mut self) {
         self.last = None;
     }
-
-    /// Snapshot of the internal state.
-    pub fn state(&self) -> Option<(f64, f64)> {
-        self.last
-    }
-
-    /// Restore the internal state.
-    pub fn restore(&mut self, st: Option<(f64, f64)>) {
-        self.last = st;
-    }
 }
 
 /// Voting filter: majority color over a sliding window of recent
@@ -178,14 +168,9 @@ impl VotingFilter {
         })
     }
 
-    /// Snapshot the window.
-    pub fn state(&self) -> Vec<LightColor> {
-        self.recent.clone()
-    }
-
-    /// Restore the window.
-    pub fn restore(&mut self, st: Vec<LightColor>) {
-        self.recent = st;
+    /// Detections currently in the window.
+    pub fn held(&self) -> usize {
+        self.recent.len()
     }
 }
 
@@ -370,12 +355,14 @@ mod tests {
 
     #[test]
     fn voting_state_round_trips() {
+        use dsps::operator::OpStateCell;
         let mut v = VotingFilter::new(3);
         v.vote(LightColor::Red);
         v.vote(LightColor::Green);
-        let st = v.state();
+        let st = v.snapshot();
         let mut w = VotingFilter::new(3);
-        w.restore(st);
-        assert_eq!(w.state(), v.state());
+        w.restore(&st);
+        assert_eq!(w.recent, v.recent);
+        assert_eq!(w.held(), 2);
     }
 }

@@ -71,12 +71,8 @@ impl DistScheme {
 
     fn take_checkpoint(&mut self, version: u64, node: &mut NodeInner, ctx: &mut Ctx) {
         self.version = version;
-        let snaps = node.snapshot_ops();
-        let mut total = 0;
-        for (op, st, bytes) in &snaps {
-            node.store.put_state(version, *op, st.clone(), *bytes);
-            total += *bytes;
-        }
+        let snap = node.snapshot();
+        let total = node.store.put_snapshot(version, &snap);
         node.store.mark_complete(version);
         node.store.gc_before(version.saturating_sub(1)); // keep v-1 and v
         self.retention
@@ -88,7 +84,7 @@ impl DistScheme {
             let copy = payload(StateCopy {
                 version,
                 from_slot: node.cfg.slot,
-                states: snaps,
+                states: snap,
             });
             let class = TrafficClass::Checkpoint;
             for peer in peers_of(node.cfg.slot, self.n, total_slots) {
@@ -105,31 +101,16 @@ impl DistScheme {
     }
 
     fn ship_state(&mut self, req: &ShipStateTo, node: &mut NodeInner, ctx: &mut Ctx) {
-        // Collect the failed node's states we hold.
-        let ops = node
-            .graph
-            .op_ids()
-            .filter(|op| node.store.state(req.version, *op).is_some())
-            .collect::<Vec<_>>();
         // Build the install: the coordinator already updated op_slot, so
-        // the replacement's op set is whatever maps to its slot.
+        // the replacement's op set is whatever maps to its slot, and it
+        // gets those of the failed node's states we hold.
         let their_ops = dsps::placement::ops_on(&node.op_slot, req.to_slot);
-        let states: Vec<(dsps::graph::OpId, dsps::operator::OpState)> = their_ops
-            .iter()
-            .filter(|op| ops.contains(op))
-            .filter_map(|&op| node.store.state(req.version, op).map(|s| (op, s.clone())))
-            .collect();
-        let bytes: u64 = their_ops
-            .iter()
-            .filter_map(|&op| {
-                node.store
-                    .version(req.version)
-                    .and_then(|v| v.state_bytes.get(&op).copied())
-            })
-            .sum();
+        let mut snap = node.store.snapshot(req.version);
+        snap.retain(|(op, ..)| their_ops.contains(op));
+        let bytes: u64 = snap.iter().map(|&(_, _, b)| b).sum();
         let install = Install {
             ops: their_ops,
-            states: InstallStates::Explicit(states),
+            states: InstallStates::Explicit(snap),
             op_slot: node.op_slot.clone(),
             slot_actors: node.slot_actors.clone(),
             ready_in: SimDuration::from_secs(1),
@@ -187,9 +168,7 @@ impl FtScheme for DistScheme {
             },
             rx: NetRx => {
                 if let Some(copy) = payload_as::<StateCopy>(&rx.payload) {
-                    for (op, st, bytes) in &copy.states {
-                        node.store.put_state(copy.version, *op, st.clone(), *bytes);
-                    }
+                    node.store.put_snapshot(copy.version, &copy.states);
                     node.store.mark_complete(copy.version);
                 } else if let Some(t) = payload_as::<CkptTick>(&rx.payload) {
                     self.take_checkpoint(t.version, node, ctx);

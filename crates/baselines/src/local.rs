@@ -105,12 +105,8 @@ impl LocalScheme {
 
     fn take_checkpoint(&mut self, version: u64, node: &mut NodeInner, ctx: &mut Ctx) {
         self.version = version;
-        let snaps = node.snapshot_ops();
-        let mut total = 0;
-        for (op, st, bytes) in snaps {
-            node.store.put_state(version, op, st, bytes);
-            total += bytes;
-        }
+        let snap = node.snapshot();
+        let total = node.store.put_snapshot(version, &snap);
         node.store.mark_complete(version);
         node.store.gc_before(version);
         self.retention

@@ -1,7 +1,6 @@
 //! Protocol records shared by the baseline schemes.
 
-use dsps::graph::OpId;
-use dsps::operator::OpState;
+use dsps::store::Snapshot;
 
 /// Coordinator → all hosting nodes: take checkpoint `version` now
 /// (uncoordinated per-node snapshot; consistency is restored at
@@ -19,8 +18,8 @@ pub struct StateCopy {
     pub version: u64,
     /// Originating slot.
     pub from_slot: u32,
-    /// States (with sizes).
-    pub states: Vec<(OpId, OpState, u64)>,
+    /// The node's snapshot.
+    pub states: Snapshot,
 }
 
 /// rep-2: which flow's sinks publish.

@@ -21,7 +21,7 @@ use crate::ft::FtScheme;
 use crate::graph::{EdgeId, OpId, OpKind, QueryGraph};
 use crate::metrics::NodeMetrics;
 use crate::operator::{OpState, Operator, Outputs};
-use crate::store::CheckpointStore;
+use crate::store::{CheckpointStore, Snapshot};
 use crate::tuple::{StreamItem, Tuple, TupleValue};
 
 /// A stream item crossing the network between two nodes.
@@ -139,7 +139,7 @@ pub enum InstallStates {
         version: u64,
     },
     /// Explicit states shipped by the controller / a peer.
-    Explicit(Vec<(OpId, OpState)>),
+    Explicit(Snapshot),
 }
 
 impl InstallStates {
@@ -414,19 +414,24 @@ impl NodeInner {
         v
     }
 
-    /// Snapshot every hosted operator: `(op, state, bytes)`.
-    pub fn snapshot_ops(&self) -> Vec<(OpId, OpState, u64)> {
+    /// Snapshot every hosted operator that exposes a state, in
+    /// operator order (the node checkpoint of §III-B).
+    pub fn snapshot(&mut self) -> Snapshot {
         self.ops
-            .iter()
-            .map(|(&op, inst)| (op, inst.snapshot(), inst.state_bytes()))
+            .iter_mut()
+            .filter_map(|(&op, inst)| {
+                let bytes = inst.state_bytes();
+                inst.state().map(|st| (op, st.snapshot(), bytes))
+            })
             .collect()
     }
 
-    /// Restore hosted ops from explicit states.
-    pub fn restore_ops(&mut self, states: &[(OpId, OpState)]) {
-        for (op, st) in states {
-            if let Some(inst) = self.ops.get_mut(op) {
-                inst.restore(st);
+    /// Restore the hosted operators from `snap`; states of operators
+    /// not hosted here are skipped.
+    pub fn restore(&mut self, snap: &[(OpId, OpState, u64)]) {
+        for (op, st, _) in snap {
+            if let Some(cell) = self.ops.get_mut(op).and_then(|inst| inst.state()) {
+                cell.restore(st);
             }
         }
     }
@@ -856,6 +861,11 @@ impl NodeActor {
 
     fn apply_install(&mut self, ins: Install, ctx: &mut Ctx) {
         let inner = &mut self.inner;
+        if !inner.alive && inner.pending_install.is_none() {
+            // A crashed phone (not one loading an earlier install) does
+            // not come back because an install was already in flight.
+            return;
+        }
         // Tear down current hosting.
         let hosted: Vec<OpId> = inner.ops.keys().copied().collect();
         for op in hosted {
@@ -873,16 +883,10 @@ impl NodeActor {
         match &ins.states {
             InstallStates::Fresh => {}
             InstallStates::FromLocalStore { version } => {
-                let states: Vec<(OpId, OpState)> = ins
-                    .ops
-                    .iter()
-                    .filter_map(|&op| inner.store.state(*version, op).map(|st| (op, st.clone())))
-                    .collect();
-                inner.restore_ops(&states);
+                let snap = inner.store.snapshot(*version);
+                inner.restore(&snap);
             }
-            InstallStates::Explicit(states) => {
-                inner.restore_ops(states);
-            }
+            InstallStates::Explicit(snap) => inner.restore(snap),
         }
         inner.alive = false; // comes alive at InstallReady
         let ready_in = ins.ready_in;
@@ -1399,11 +1403,11 @@ mod tests {
         rig.sim.run();
         // Snapshot A's counter (should be 3).
         let (snap, op_slot, slot_actors) = {
-            let mid = rig.sim.actor::<NodeActor>(rig.nodes[1]);
-            let snaps = mid.inner.snapshot_ops();
-            assert_eq!(snaps.len(), 1);
+            let mid = rig.sim.actor_mut::<NodeActor>(rig.nodes[1]);
+            let snap = mid.inner.snapshot();
+            assert_eq!(snap.len(), 1);
             (
-                snaps[0].1.clone(),
+                snap,
                 mid.inner.op_slot.clone(),
                 mid.inner.slot_actors.clone(),
             )
@@ -1413,7 +1417,7 @@ mod tests {
         new_op_slot[1] = 3;
         let install = Install {
             ops: vec![OpId(1)],
-            states: InstallStates::Explicit(vec![(OpId(1), snap)]),
+            states: InstallStates::Explicit(snap),
             op_slot: new_op_slot.clone(),
             slot_actors: slot_actors.clone(),
             ready_in: SimDuration::from_secs(1),
@@ -1625,6 +1629,37 @@ mod tests {
         rig.sim.run_until(SimTime::from_secs(5));
         let na = rig.sim.actor::<NodeActor>(node);
         assert!(!na.inner.alive, "the killed phone came back");
+        let log = &na.scheme.as_any().downcast_ref::<Recorder>().unwrap().log;
+        assert!(
+            !log.iter().any(|l| l == "install"),
+            "on_install ran on a dead phone: {log:?}"
+        );
+    }
+
+    /// Regression: an `Install` still in flight when its phone crashed
+    /// revived the phone at `InstallReady` — the install path had no
+    /// kill guard, so a dead phone came back hosting operators.
+    #[test]
+    fn killed_phone_ignores_an_install_in_flight() {
+        let mut rig = chain_rig(0.0);
+        let node = rig.nodes[3];
+        rig.sim.actor_mut::<NodeActor>(node).scheme = Box::<Recorder>::default();
+        rig.sim.schedule_at(SimTime::ZERO, node, Kill);
+        let install = Install {
+            ops: vec![OpId(1)],
+            states: InstallStates::Fresh,
+            op_slot: vec![0, 3, 2],
+            slot_actors: rig.nodes.clone(),
+            ready_in: SimDuration::from_secs(1),
+        };
+        deliver_ctl(&mut rig, 3, SimTime::from_millis(500), install);
+        rig.sim.run_until(SimTime::from_secs(5));
+        let na = rig.sim.actor::<NodeActor>(node);
+        assert!(!na.inner.alive, "the killed phone came back");
+        assert!(
+            !na.inner.hosts(OpId(1)),
+            "the dead phone hosts the install's op"
+        );
         let log = &na.scheme.as_any().downcast_ref::<Recorder>().unwrap().log;
         assert!(
             !log.iter().any(|l| l == "install"),

@@ -6,7 +6,23 @@
 //! * `process` — the *actual* computation (kernels really run),
 //! * `cost` — the simulated CPU time charged on the reference phone
 //!   (an iPhone 3GS-class 600 MHz core in the paper's testbed),
-//! * `snapshot`/`restore`/`state_bytes` — what checkpointing saves.
+//! * `state`/`state_bytes` — what checkpointing saves.
+//!
+//! # The checkpoint contract
+//!
+//! An operator exposes its checkpointed state once, through
+//! [`Operator::state`]: a `&mut` to one `Clone` value (a field, or a
+//! tuple of fields) or `None` when it is stateless. Every such value is
+//! an [`OpStateCell`] by the blanket impl below: a snapshot is a clone
+//! behind an [`OpState`], and a restore downcasts back to the same
+//! type and overwrites the value — a snapshot of any other type (a
+//! malformed install shipped over the network) is ignored, never a
+//! panic. `state_bytes` is the modelled serialized size, and it is
+//! nonzero for every operator of the paper's applications exactly when
+//! `state` is `Some`. The node runtime is the only reader:
+//! `NodeInner::{snapshot, restore}` turn the hosted operators into a
+//! [`crate::store::Snapshot`] and back, and that one type travels
+//! unchanged through the store, the broadcast and every install.
 
 use std::sync::Arc;
 
@@ -20,6 +36,31 @@ pub type OpState = Arc<dyn Event>;
 /// Make an [`OpState`] from a concrete state type.
 pub fn op_state<T: Event>(st: T) -> OpState {
     Arc::new(st)
+}
+
+/// An operator's checkpointed state as the runtime reads and writes
+/// it. Implemented for every `Clone` event type; operators never
+/// implement it by hand.
+pub trait OpStateCell {
+    /// Copy the state out. The paper checkpoints asynchronously on a
+    /// separate thread, so the copy must not alias the live value.
+    fn snapshot(&self) -> OpState;
+
+    /// Overwrite the state from a snapshot of the same type; a snapshot
+    /// of any other type is ignored.
+    fn restore(&mut self, st: &OpState);
+}
+
+impl<T: Event + Clone> OpStateCell for T {
+    fn snapshot(&self) -> OpState {
+        op_state(self.clone())
+    }
+
+    fn restore(&mut self, st: &OpState) {
+        if let Some(s) = (**st).as_any().downcast_ref::<T>() {
+            self.clone_from(s);
+        }
+    }
 }
 
 /// Output collector passed to [`Operator::process`].
@@ -61,25 +102,15 @@ pub trait Operator: Send {
         SimDuration::from_micros(100)
     }
 
-    /// Serialized state size (0 = stateless).
+    /// Modelled serialized size of [`Operator::state`] (0 = stateless).
     fn state_bytes(&self) -> u64 {
         0
     }
 
-    /// Snapshot the operator state. Must be cheap (copy-on-write): the
-    /// paper checkpoints asynchronously on a separate thread.
-    fn snapshot(&self) -> OpState {
-        op_state(())
-    }
-
-    /// Restore from a snapshot produced by the same operator type.
-    fn restore(&mut self, state: &OpState) {
-        let _ = state;
-    }
-
-    /// True if the operator carries no state worth checkpointing.
-    fn is_stateless(&self) -> bool {
-        self.state_bytes() == 0
+    /// The checkpointed state (see the module docs), `None` if the
+    /// operator is stateless.
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        None
     }
 }
 
@@ -114,12 +145,55 @@ mod tests {
         assert_eq!((**v).as_any().downcast_ref::<u64>(), Some(&42));
     }
 
+    /// A stateless operator exposes no state and models none.
     #[test]
     fn default_trait_behaviour() {
-        let op = Doubler;
-        assert!(op.is_stateless());
+        let mut op = Doubler;
+        assert!(op.state().is_none());
         assert_eq!(op.state_bytes(), 0);
         let t = Tuple::new(1, SimTime::ZERO, 8, value(1u64));
         assert!(op.cost(&t) > SimDuration::ZERO);
+    }
+
+    /// Sums its inputs; the running sum is its whole state.
+    struct Summer {
+        sum: u64,
+    }
+    impl Operator for Summer {
+        fn process(&mut self, tuple: &Tuple, _port: usize, _out: &mut Outputs, _rng: &mut SimRng) {
+            self.sum += *tuple.value_as::<u64>().expect("u64 input");
+        }
+        fn state_bytes(&self) -> u64 {
+            8
+        }
+        fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+            Some(&mut self.sum)
+        }
+    }
+
+    fn feed(op: &mut dyn Operator, x: u64) {
+        let t = Tuple::new(1, SimTime::ZERO, 8, value(x));
+        op.process(&t, 0, &mut Outputs::default(), &mut SimRng::new(0));
+    }
+
+    #[test]
+    fn state_round_trips_and_the_snapshot_does_not_alias() {
+        let mut op = Summer { sum: 0 };
+        feed(&mut op, 5);
+        let snap = op.state().unwrap().snapshot();
+        feed(&mut op, 7);
+        assert_eq!(op.sum, 12);
+        assert_eq!((*snap).as_any().downcast_ref::<u64>(), Some(&5));
+        op.state().unwrap().restore(&snap);
+        assert_eq!(op.sum, 5);
+    }
+
+    #[test]
+    fn a_wrong_typed_state_is_ignored() {
+        let mut op = Summer { sum: 9 };
+        for wrong in [op_state(()), op_state(3u32), op_state("nine")] {
+            op.state().unwrap().restore(&wrong);
+            assert_eq!(op.sum, 9);
+        }
     }
 }

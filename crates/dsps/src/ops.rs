@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use simkernel::{SimDuration, SimRng};
 
-use crate::operator::{op_state, OpState, Operator, Outputs};
+use crate::operator::{OpStateCell, Operator, Outputs};
 use crate::tuple::{value, Tuple, TupleValue};
 
 /// Forwards every input to every output port, unchanged. Stateless.
@@ -82,10 +82,6 @@ pub struct Counter {
     pub state_padding: u64,
 }
 
-/// Snapshot payload of [`Counter`].
-#[derive(Debug, Clone)]
-pub struct CounterState(pub u64);
-
 impl Counter {
     /// Counter that emits every `emit_every` inputs.
     pub fn new(cost: SimDuration, emit_every: u64) -> Self {
@@ -120,16 +116,8 @@ impl Operator for Counter {
         8 + self.state_padding
     }
 
-    fn snapshot(&self) -> OpState {
-        op_state(CounterState(self.count))
-    }
-
-    fn restore(&mut self, state: &OpState) {
-        // Wrong-typed state (a malformed explicit install shipped over
-        // the network) is ignored rather than panicking the phone.
-        if let Some(st) = state.as_any().downcast_ref::<CounterState>() {
-            self.count = st.0;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.count)
     }
 }
 
@@ -172,17 +160,8 @@ pub struct KeyJoin {
     combine: Box<dyn Fn(&Tuple, &Tuple) -> (TupleValue, u64) + Send>,
     window: usize,
     cost: SimDuration,
-    left: VecDeque<(u64, Tuple)>,
-    right: VecDeque<(u64, Tuple)>,
-}
-
-/// Snapshot payload of [`KeyJoin`]: the buffered tuples.
-#[derive(Debug, Clone)]
-pub struct KeyJoinState {
-    /// Buffered (key, tuple) pairs, left port.
-    pub left: Vec<(u64, Tuple)>,
-    /// Buffered (key, tuple) pairs, right port.
-    pub right: Vec<(u64, Tuple)>,
+    /// Buffered `(key, tuple)` pairs per input port (the state).
+    buffers: [VecDeque<(u64, Tuple)>; 2],
 }
 
 impl KeyJoin {
@@ -198,24 +177,24 @@ impl KeyJoin {
             combine: Box::new(combine),
             window: window.max(1),
             cost,
-            left: VecDeque::new(),
-            right: VecDeque::new(),
+            buffers: Default::default(),
         }
     }
 
     /// Buffered tuples (test introspection).
     pub fn buffered(&self) -> (usize, usize) {
-        (self.left.len(), self.right.len())
+        (self.buffers[0].len(), self.buffers[1].len())
     }
 }
 
 impl Operator for KeyJoin {
     fn process(&mut self, tuple: &Tuple, port: usize, out: &mut Outputs, _rng: &mut SimRng) {
         let k = (self.key)(tuple);
+        let [left, right] = &mut self.buffers;
         let (mine, theirs) = if port == 0 {
-            (&mut self.left, &mut self.right)
+            (left, right)
         } else {
-            (&mut self.right, &mut self.left)
+            (right, left)
         };
         if let Some((_, other)) = theirs
             .iter()
@@ -242,27 +221,11 @@ impl Operator for KeyJoin {
     }
 
     fn state_bytes(&self) -> u64 {
-        self.left
-            .iter()
-            .chain(self.right.iter())
-            .map(|(_, t)| t.bytes)
-            .sum()
+        self.buffers.iter().flatten().map(|(_, t)| t.bytes).sum()
     }
 
-    fn snapshot(&self) -> OpState {
-        op_state(KeyJoinState {
-            left: self.left.iter().cloned().collect(),
-            right: self.right.iter().cloned().collect(),
-        })
-    }
-
-    fn restore(&mut self, state: &OpState) {
-        // Wrong-typed state (a malformed explicit install shipped over
-        // the network) is ignored rather than panicking the phone.
-        if let Some(st) = state.as_any().downcast_ref::<KeyJoinState>() {
-            self.left = st.left.iter().cloned().collect();
-            self.right = st.right.iter().cloned().collect();
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.buffers)
     }
 }
 
@@ -312,18 +275,18 @@ mod tests {
         assert_eq!(outs.len(), 1);
         assert_eq!(c.count, 3);
 
-        let snap = c.snapshot();
+        let snap = c.state().unwrap().snapshot();
         run(&mut c, &t(4, 0), 0);
         assert_eq!(c.count, 4);
-        c.restore(&snap);
+        c.state().unwrap().restore(&snap);
         assert_eq!(c.count, 3);
     }
 
     #[test]
     fn counter_state_padding_inflates_size() {
-        let c = Counter::new(SimDuration::ZERO, 1).with_state_padding(1 << 20);
+        let mut c = Counter::new(SimDuration::ZERO, 1).with_state_padding(1 << 20);
         assert_eq!(c.state_bytes(), 8 + (1 << 20));
-        assert!(!c.is_stateless());
+        assert!(c.state().is_some());
     }
 
     #[test]
@@ -376,11 +339,11 @@ mod tests {
         );
         run(&mut j, &t(1, 10), 0);
         run(&mut j, &t(2, 20), 1);
-        let snap = j.snapshot();
+        let snap = j.state().unwrap().snapshot();
         assert!(j.state_bytes() >= 16);
         run(&mut j, &t(3, 10), 1); // consumes left entry
         assert_eq!(j.buffered(), (0, 1));
-        j.restore(&snap);
+        j.state().unwrap().restore(&snap);
         assert_eq!(j.buffered(), (1, 1));
     }
 }
@@ -393,10 +356,6 @@ pub struct Sampler {
     seen: u64,
     cost: SimDuration,
 }
-
-/// Snapshot payload of [`Sampler`].
-#[derive(Debug, Clone)]
-pub struct SamplerState(pub u64);
 
 impl Sampler {
     /// Keep every `k`-th tuple.
@@ -422,13 +381,8 @@ impl Operator for Sampler {
     fn state_bytes(&self) -> u64 {
         8
     }
-    fn snapshot(&self) -> OpState {
-        op_state(SamplerState(self.seen))
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<SamplerState>() {
-            self.seen = s.0;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.seen)
     }
 }
 
@@ -442,7 +396,7 @@ pub struct WindowAgg {
     acc: WindowAccum,
 }
 
-/// Running aggregate (also the snapshot payload).
+/// Running aggregate (also [`WindowAgg`]'s state).
 #[derive(Debug, Clone, Copy)]
 pub struct WindowAccum {
     /// Inputs in the current window.
@@ -501,13 +455,8 @@ impl Operator for WindowAgg {
     fn state_bytes(&self) -> u64 {
         32
     }
-    fn snapshot(&self) -> OpState {
-        op_state(self.acc)
-    }
-    fn restore(&mut self, st: &OpState) {
-        if let Some(s) = (**st).as_any().downcast_ref::<WindowAccum>() {
-            self.acc = *s;
-        }
+    fn state(&mut self) -> Option<&mut dyn OpStateCell> {
+        Some(&mut self.acc)
     }
 }
 
@@ -554,9 +503,9 @@ mod more_ops_tests {
         let kept: usize = (0..9).map(|i| run(&mut s, &t(i, i), 0).len()).sum();
         assert_eq!(kept, 3);
         // Snapshot/restore preserves the phase.
-        let snap = s.snapshot();
+        let snap = s.state().unwrap().snapshot();
         run(&mut s, &t(9, 9), 0);
-        s.restore(&snap);
+        s.state().unwrap().restore(&snap);
         let outs = run(&mut s, &t(9, 9), 0);
         assert!(!outs.is_empty() || s.state_bytes() == 8);
     }
@@ -584,10 +533,10 @@ mod more_ops_tests {
         });
         run(&mut w, &t(1, 5), 0);
         run(&mut w, &t(2, 7), 0);
-        let snap = w.snapshot();
+        let snap = w.state().unwrap().snapshot();
         run(&mut w, &t(3, 100), 0);
-        w.restore(&snap);
-        let acc = (*w.snapshot())
+        w.state().unwrap().restore(&snap);
+        let acc = (*w.state().unwrap().snapshot())
             .as_any()
             .downcast_ref::<WindowAccum>()
             .cloned()

@@ -12,22 +12,19 @@ use crate::graph::OpId;
 use crate::operator::OpState;
 use crate::tuple::Tuple;
 
-/// A complete (per-node view of a) checkpoint version.
-#[derive(Default)]
-pub struct CheckpointVersion {
-    /// Operator states captured in this version.
-    pub states: BTreeMap<OpId, OpState>,
-    /// Serialized size of each operator's state.
-    pub state_bytes: BTreeMap<OpId, u64>,
-    /// True once the whole region committed this version.
-    pub complete: bool,
-}
+/// Operator states with their modelled serialized sizes: what a node
+/// checkpoint captures, the store keeps, the broadcast and the
+/// baselines' copies carry, and an install restores — one type from
+/// operator to wire to store.
+pub type Snapshot = Vec<(OpId, OpState, u64)>;
 
-impl CheckpointVersion {
-    /// Total serialized bytes in this version.
-    pub fn total_bytes(&self) -> u64 {
-        self.state_bytes.values().sum()
-    }
+/// A (per-node view of a) checkpoint version.
+#[derive(Default)]
+struct CheckpointVersion {
+    /// Operator states captured in this version, with their sizes.
+    states: BTreeMap<OpId, (OpState, u64)>,
+    /// True once the whole region committed this version.
+    complete: bool,
 }
 
 /// Preserved source input log for one source operator.
@@ -64,19 +61,38 @@ impl CheckpointStore {
     /// Record one operator's state under `version`.
     pub fn put_state(&mut self, version: u64, op: OpId, state: OpState, bytes: u64) {
         let v = self.versions.entry(version).or_default();
-        v.states.insert(op, state);
-        v.state_bytes.insert(op, bytes);
+        v.states.insert(op, (state, bytes));
         self.bytes_written += bytes;
+    }
+
+    /// Record every state of `snap` under `version`; returns the
+    /// snapshot's total bytes.
+    pub fn put_snapshot(&mut self, version: u64, snap: &[(OpId, OpState, u64)]) -> u64 {
+        let mut total = 0;
+        for (op, st, bytes) in snap {
+            self.put_state(version, *op, st.clone(), *bytes);
+            total += bytes;
+        }
+        total
+    }
+
+    /// Every state held for `version`, in operator order (empty if the
+    /// version is unknown).
+    pub fn snapshot(&self, version: u64) -> Snapshot {
+        self.versions
+            .get(&version)
+            .map(|v| {
+                v.states
+                    .iter()
+                    .map(|(&op, (st, bytes))| (op, st.clone(), *bytes))
+                    .collect()
+            })
+            .unwrap_or_default()
     }
 
     /// Mark `version` complete (region-wide commit).
     pub fn mark_complete(&mut self, version: u64) {
         self.versions.entry(version).or_default().complete = true;
-    }
-
-    /// Fetch one operator's state from `version`.
-    pub fn state(&self, version: u64, op: OpId) -> Option<&OpState> {
-        self.versions.get(&version)?.states.get(&op)
     }
 
     /// The newest complete version, if any.
@@ -86,11 +102,6 @@ impl CheckpointStore {
             .rev()
             .find(|(_, v)| v.complete)
             .map(|(ver, _)| *ver)
-    }
-
-    /// A version's record.
-    pub fn version(&self, version: u64) -> Option<&CheckpointVersion> {
-        self.versions.get(&version)
     }
 
     /// Append a preserved source tuple for (`version`, `op`).
@@ -152,7 +163,12 @@ impl CheckpointStore {
 
     /// Bytes currently retained (states of kept versions + logs).
     pub fn retained_bytes(&self) -> u64 {
-        let states: u64 = self.versions.values().map(|v| v.total_bytes()).sum();
+        let states: u64 = self
+            .versions
+            .values()
+            .flat_map(|v| v.states.values())
+            .map(|(_, bytes)| bytes)
+            .sum();
         let logs: u64 = self.source_logs.values().map(|l| l.bytes()).sum();
         states + logs
     }
@@ -186,12 +202,14 @@ mod tests {
     #[test]
     fn put_and_fetch_state() {
         let mut s = CheckpointStore::new();
-        s.put_state(1, OpId(0), op_state(42u64), 100);
         s.put_state(1, OpId(1), op_state(43u64), 200);
-        assert_eq!(s.version(1).unwrap().total_bytes(), 300);
-        let st = s.state(1, OpId(0)).unwrap();
-        assert_eq!((**st).as_any().downcast_ref::<u64>(), Some(&42));
-        assert!(s.state(2, OpId(0)).is_none());
+        assert_eq!(s.put_snapshot(1, &[(OpId(0), op_state(42u64), 100)]), 100);
+        assert_eq!(s.retained_bytes(), 300);
+        let snap = s.snapshot(1);
+        let ops: Vec<_> = snap.iter().map(|&(op, _, bytes)| (op, bytes)).collect();
+        assert_eq!(ops, [(OpId(0), 100), (OpId(1), 200)], "operator order");
+        assert_eq!((*snap[0].1).as_any().downcast_ref::<u64>(), Some(&42));
+        assert!(s.snapshot(2).is_empty());
         assert_eq!(s.bytes_written, 300);
     }
 
@@ -278,7 +296,8 @@ mod proptests {
             prop_assert_eq!(s.retained_bytes(), expect_states + expect_logs);
             prop_assert_eq!(s.preserved_input_bytes(), expect_logs);
             for &(v, op, _) in &writes {
-                prop_assert_eq!(s.state(v, OpId(op)).is_some(), v >= keep);
+                let held = s.snapshot(v).iter().any(|&(o, ..)| o == OpId(op));
+                prop_assert_eq!(held, v >= keep);
             }
         }
 

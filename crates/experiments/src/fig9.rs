@@ -76,7 +76,9 @@ pub fn curves() -> Vec<Curve> {
 pub type Key = (AppKind, Option<Curve>, u32);
 
 /// Fig 9's seed means for every curve at every `n` in `0..=max_n`
-/// (paper: 8), plus each app's fault-free base.
+/// (paper: 8) up to the curve's tolerance, plus each app's fault-free
+/// base. Points past the tolerance are not run: the table prints them
+/// as `-`.
 pub fn means(opts: ExpOptions, max_n: u32) -> Vec<(Key, Means)> {
     // The burst lands 30 s into the measurement window.
     let burst_at = SimTime::ZERO + opts.warmup + SimDuration::from_secs(30);
@@ -90,7 +92,7 @@ pub fn means(opts: ExpOptions, max_n: u32) -> Vec<(Key, Means)> {
         points.push(Point::steady((app, None, 0), base));
         for curve in curves() {
             let departures = curve == Curve::MsDeparture;
-            for n in 0..=max_n {
+            for n in 0..=max_n.min(curve.max_tolerated(8)) {
                 let cfg = ScenarioConfig {
                     app,
                     scheme: curve.scheme(),
@@ -123,12 +125,13 @@ pub fn tables(means: &[(Key, Means)], max_n: u32) -> Vec<(String, Table)> {
             for curve in curves() {
                 let cells = (0..=max_n)
                     .map(|n| {
-                        let m = at(means, (app, Some(curve), n));
                         if n > curve.max_tolerated(8) {
                             // Beyond the scheme's tolerance the paper
                             // truncates the curve.
-                            Cell::Dash
-                        } else if tput {
+                            return Cell::Dash;
+                        }
+                        let m = at(means, (app, Some(curve), n));
+                        if tput {
                             Cell::Pct(relative(m.throughput, base.throughput, 0.0))
                         } else {
                             Cell::Num(relative(m.latency_s, base.latency_s, f64::INFINITY))

@@ -18,7 +18,7 @@ use dsps::node::{InterRegionLink, NodeActor, NodeConfig, NodeInner};
 use dsps::placement::{squeeze_placement, CheckpointSchedule, Placement, RecoveryRecord};
 use dsps::workload::{Feed, StartFeeds, WorkloadDriver};
 use mobistreams::{Coordinator, MsScheme, RegionController, RegionSpec, RegionWiring};
-use simkernel::{ActorId, ShardBound, Sim, SimDuration, SimTime};
+use simkernel::{ActorId, Sim, SimDuration, SimTime};
 use simnet::cellular::{CellConfig, CellularNet};
 use simnet::ethernet::{EthConfig, EthernetNet};
 use simnet::stats::TrafficClass;
@@ -805,23 +805,17 @@ impl Deployment {
     /// coordinator relay (bounded below by `Coordinator::relay_delay`
     /// = rtt/2). The smallest such re-entry delay is how far shard
     /// `d`'s window may safely run past the earliest foreign shard
-    /// head; typically ~75 ms against a 2 ms uniform lookahead. The
-    /// self-bound stays at the uniform lookahead (the kernel caps each
-    /// window dynamically on the shard's own outbox instead).
+    /// head; typically ~75 ms against a 2 ms uniform lookahead.
     ///
     /// On the server platform ([`EthernetNet`] present) deliveries
     /// into region shards can undercut the cellular floor, so the
     /// bounds collapse to the uniform lookahead.
-    pub fn shard_bounds(&self) -> Vec<ShardBound> {
+    pub fn shard_bounds(&self) -> Vec<SimDuration> {
         let map = self.shard_map();
         let lookahead = self.cfg.cell.min_response_delay();
         let n_shards = map.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
-        let uniform = ShardBound {
-            self_bound: lookahead,
-            cross_bound: lookahead,
-        };
         if self.eth.is_some() {
-            return vec![uniform; n_shards];
+            return vec![lookahead; n_shards];
         }
         let cn = self.sim.actor::<CellularNet>(self.cell);
         let relay = self.controller.map(|_| self.cfg.cell.rtt / 2);
@@ -838,17 +832,14 @@ impl Deployment {
         (0..n_shards)
             .map(|d| {
                 if d == 0 {
-                    return uniform;
+                    return lookahead;
                 }
                 let cross = [cell_min[d], relay]
                     .into_iter()
                     .flatten()
                     .min()
                     .unwrap_or(lookahead);
-                ShardBound {
-                    self_bound: lookahead,
-                    cross_bound: cross.max(lookahead),
-                }
+                cross.max(lookahead)
             })
             .collect()
     }

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use dsps::graph::OpId;
-use dsps::operator::OpState;
+use dsps::store::Snapshot;
 use dsps::tuple::Tuple;
 use simkernel::ActorId;
 use simnet::bitmap::Bitmap;
@@ -112,8 +112,8 @@ pub enum BlobContent {
     Checkpoint {
         /// Version being replicated.
         version: u64,
-        /// Operator states with their sizes.
-        states: Vec<(OpId, OpState, u64)>,
+        /// The node's snapshot.
+        states: Snapshot,
     },
     /// Checkpoint states re-broadcast by a proxy on behalf of a
     /// *degraded* departed phone (out of WiFi range, snapshot arrived
@@ -124,8 +124,8 @@ pub enum BlobContent {
         origin_slot: u32,
         /// Version being replicated.
         version: u64,
-        /// Operator states with their sizes.
-        states: Vec<(OpId, OpState, u64)>,
+        /// The degraded slot's snapshot.
+        states: Snapshot,
     },
     /// One preserved source input. The broadcast doubles as the data
     /// delivery: the receiver hosting `deliver_edge`'s target enqueues
@@ -230,8 +230,8 @@ pub struct DegradedSnapshot {
     pub origin_slot: u32,
     /// Checkpoint version snapshotted.
     pub version: u64,
-    /// Operator states with their sizes.
-    pub states: Vec<(OpId, OpState, u64)>,
+    /// The degraded slot's snapshot.
+    pub states: Snapshot,
 }
 
 pub use dsps::node::{Reboot, RegisterNode};

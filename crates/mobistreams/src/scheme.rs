@@ -52,25 +52,9 @@ struct AlignState {
     got: BTreeSet<EdgeId>,
 }
 
-/// Aggregate per-node protocol statistics (harvested by experiments).
+/// Per-node protocol statistics.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SchemeStats {
-    /// Checkpoints this node completed.
-    pub checkpoints: u64,
-    /// Tokens consumed.
-    pub tokens_seen: u64,
-    /// Broadcast jobs started.
-    pub jobs_started: u64,
-    /// Total UDP payload bytes across finished jobs.
-    pub udp_bytes: u64,
-    /// Total bitmap reply bytes across finished jobs.
-    pub bitmap_bytes: u64,
-    /// Total TCP-residue bytes across finished jobs.
-    pub tcp_bytes: u64,
-    /// Rollbacks performed.
-    pub rollbacks: u64,
-    /// Source tuples replayed.
-    pub replayed: u64,
     /// Malformed broadcast-protocol messages rejected.
     pub protocol_errors: u64,
     /// Snapshots shipped over cellular while degraded (§III-E, no
@@ -188,7 +172,6 @@ impl MsScheme {
         let mut job = SenderJob::new(stream, content, class, total_bytes, BLOCK_BYTES, expected);
         let blocks = job.begin();
         self.jobs.insert(stream, job);
-        self.stats.jobs_started += 1;
         self.send_phase(node, ctx, stream, blocks);
     }
 
@@ -305,9 +288,6 @@ impl MsScheme {
         let Some(job) = self.jobs.remove(&stream) else {
             return;
         };
-        self.stats.udp_bytes += job.stats.udp_bytes;
-        self.stats.bitmap_bytes += job.stats.bitmap_bytes;
-        self.stats.tcp_bytes += job.stats.tcp_bytes;
         let deliver = BlobDeliver {
             from_slot: node.cfg.slot,
             stream,
@@ -324,7 +304,6 @@ impl MsScheme {
     fn finish_content(&mut self, content: &BlobContent, node: &mut NodeInner, ctx: &mut Ctx) {
         match content {
             BlobContent::Checkpoint { version, .. } => {
-                self.stats.checkpoints += 1;
                 let msg = NodeCheckpointed {
                     version: *version,
                     region: node.cfg.region,
@@ -366,12 +345,8 @@ impl MsScheme {
     /// of Fig 5).
     fn do_checkpoint(&mut self, version: u64, node: &mut NodeInner, ctx: &mut Ctx) {
         self.last_aligned = self.last_aligned.max(version);
-        let snaps = node.snapshot_ops();
-        let mut total = 0u64;
-        for (op, st, bytes) in &snaps {
-            node.store.put_state(version, *op, st.clone(), *bytes);
-            total += bytes;
-        }
+        let snap = node.snapshot();
+        let total = node.store.put_snapshot(version, &snap);
         // Forward the token downstream first — checkpoint shipping is
         // asynchronous and must not delay the token wave.
         for e in node.remote_out_edges() {
@@ -418,7 +393,7 @@ impl MsScheme {
                 region: node.cfg.region,
                 origin_slot: node.cfg.slot,
                 version,
-                states: snaps,
+                states: snap,
             };
             let class = TrafficClass::Checkpoint;
             net_send(ctx, node.cell, proxy, class, total, 0, payload(snap));
@@ -428,7 +403,7 @@ impl MsScheme {
                 ctx,
                 BlobContent::Checkpoint {
                     version,
-                    states: snaps,
+                    states: snap,
                 },
                 total,
                 TrafficClass::Checkpoint,
@@ -493,9 +468,7 @@ impl MsScheme {
             | BlobContent::ProxyCheckpoint {
                 version, states, ..
             } => {
-                for (op, st, bytes) in states {
-                    node.store.put_state(version, op, st, bytes);
-                }
+                node.store.put_snapshot(version, &states);
             }
             BlobContent::Preserve {
                 epoch,
@@ -524,13 +497,8 @@ impl MsScheme {
         // the reception state held here.
         self.rx = ReceiverState::default();
         self.tokens_emitted.clear();
-        let ops: Vec<OpId> = node.ops.keys().copied().collect();
-        let states: Vec<(OpId, dsps::operator::OpState)> = ops
-            .iter()
-            .filter_map(|&op| node.store.state(version, op).map(|s| (op, s.clone())))
-            .collect();
-        node.restore_ops(&states);
-        self.stats.rollbacks += 1;
+        let snap = node.store.snapshot(version);
+        node.restore(&snap);
         let ack = RecoveredAck {
             region: node.cfg.region,
             slot: node.cfg.slot,
@@ -568,7 +536,6 @@ impl MsScheme {
                 .source_log(epoch, op)
                 .map(|l| l.tuples.clone())
                 .unwrap_or_default();
-            self.stats.replayed += tuples.len() as u64;
             for t in tuples {
                 node.push_source_replay(op, t);
             }
@@ -613,7 +580,6 @@ impl FtScheme for MsScheme {
         if marker.kind != Marker::CHECKPOINT_TOKEN {
             return;
         }
-        self.stats.tokens_seen += 1;
         let v = marker.version;
         // A duplicate or stale token (this node already checkpointed
         // that version): pausing the edge again would freeze it
@@ -749,11 +715,7 @@ impl FtScheme for MsScheme {
                         return;
                     }
                     self.stats.proxied_snapshots += 1;
-                    let mut total = 0u64;
-                    for (op, st, bytes) in &s.states {
-                        node.store.put_state(s.version, *op, st.clone(), *bytes);
-                        total += bytes;
-                    }
+                    let total = node.store.put_snapshot(s.version, &s.states);
                     let content = BlobContent::ProxyCheckpoint {
                         origin_slot: s.origin_slot,
                         version: s.version,
@@ -763,12 +725,10 @@ impl FtScheme for MsScheme {
                 } else if let Some(t) = payload_as::<TransferStateTo>(&rx.payload) {
                     // Departing node: package states and ship the install
                     // over cellular (we are out of WiFi range).
-                    let snaps = node.snapshot_ops();
-                    let bytes: u64 = snaps.iter().map(|(_, _, b)| *b).sum();
+                    let snap = node.snapshot();
+                    let bytes: u64 = snap.iter().map(|&(_, _, b)| b).sum();
                     let mut install = t.install.clone();
-                    install.states = InstallStates::Explicit(
-                        snaps.into_iter().map(|(op, st, _)| (op, st)).collect(),
-                    );
+                    install.states = InstallStates::Explicit(snap);
                     let (dst, class) = (t.replacement, TrafficClass::Recovery);
                     net_send(ctx, node.cell, dst, class, bytes.max(1), 0, payload(install));
                 }
@@ -1045,7 +1005,11 @@ mod tests {
             }
             let na = rig.sim.actor::<NodeActor>(nid);
             assert!(
-                na.inner.store.state(1, dsps::graph::OpId(1)).is_some(),
+                na.inner
+                    .store
+                    .snapshot(1)
+                    .iter()
+                    .any(|&(op, ..)| op == dsps::graph::OpId(1)),
                 "slot {i} holds A's checkpoint"
             );
         }

@@ -54,5 +54,5 @@ pub use actor::{Actor, ActorId};
 pub use event::{Event, MisroutedEvent};
 pub use pool::{EventBox, EventPool, PoolStats};
 pub use rng::SimRng;
-pub use sim::{CausalityReport, Ctx, ShardBound, Sim};
+pub use sim::{CausalityReport, Ctx, Sim};
 pub use time::{SimDuration, SimTime};

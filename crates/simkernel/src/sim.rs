@@ -31,15 +31,15 @@
 //! Four hot-path optimisations preserve that schedule exactly:
 //!
 //! * **Per-destination lookahead** ([`Sim::set_shard_bounds`]): instead
-//!   of one global lookahead, each shard `d` carries a [`ShardBound`] —
-//!   `self_bound` (minimum delay of any chain leaving `d` through
-//!   shard 0 and coming back) and `cross_bound` (minimum delay of any
-//!   chain from *another* region into `d`). Shard `d`'s window runs to
-//!   `min(t_global, t_other(d) + cross_bound(d))`, dynamically capped
-//!   at its own earliest parked cross-shard send plus `self_bound(d)` —
-//!   so independent regions no longer synchronise on every cellular
-//!   hop, and a region doing pure intra-region work runs unbounded
-//!   until it actually talks to the core.
+//!   of one global lookahead, each shard `d` carries a cross bound —
+//!   the minimum delay of any chain from *another* region into `d`.
+//!   Shard `d`'s window runs to `min(t_global, t_other(d) +
+//!   cross(d))`, dynamically capped at its own earliest parked
+//!   cross-shard send plus the lookahead (no chain leaving `d` through
+//!   shard 0 comes back sooner) — so independent regions no longer
+//!   synchronise on every cellular hop, and a region doing pure
+//!   intra-region work runs unbounded until it actually talks to the
+//!   core.
 //! * **Cheap rounds** (`workers.rs`): only shards whose window
 //!   holds an event are handed out, the calling thread runs them too
 //!   alongside `threads - 1` warm helpers, and a round with fewer than
@@ -284,20 +284,6 @@ pub struct CausalityReport {
     pub pool_aliasing: u64,
 }
 
-/// Per-shard conservative delay bounds for the barrier loop (see the
-/// module docs). The defaults set by [`Sim::enable_sharding`] use the
-/// single global lookahead for both; [`Sim::set_shard_bounds`] widens
-/// them per destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardBound {
-    /// Minimum total delay of any event chain that leaves this shard,
-    /// passes through shard 0, and re-enters this same shard.
-    pub self_bound: SimDuration,
-    /// Minimum total delay of any event chain from a send in *another*
-    /// non-global shard to a delivery into this shard.
-    pub cross_bound: SimDuration,
-}
-
 /// Pop-and-dispatch `core`'s events while `at < strict_before` (if
 /// set) and `at <= inclusive_until` (if set).
 ///
@@ -309,10 +295,10 @@ pub struct ShardBound {
 /// region's pending queue suggested, and the woken region may reply
 /// into shard 0 with zero delay — so shard 0 must not advance past
 /// any time at which such a reply could still arrive. Region
-/// windows pass their `ShardBound::self_bound`: a parked send can
-/// provoke a reply back into this shard no sooner than that bound
-/// after it leaves, which lets a region with no parked sends run
-/// its whole window regardless of how wide it is.
+/// windows pass the lookahead: a parked send can provoke a reply back
+/// into this shard no sooner than that after it leaves, which lets a
+/// region with no parked sends run its whole window regardless of how
+/// wide it is.
 pub(crate) fn run_window(
     core: &mut Core,
     actors: &mut [Option<Box<dyn Actor>>],
@@ -381,9 +367,11 @@ pub struct Sim {
     threads: usize,
     /// Minimum cross-boundary delay the topology guarantees.
     lookahead: SimDuration,
-    /// Per-shard window bounds (index = shard; `[0]` unused). Uniform
-    /// (`lookahead` everywhere) until [`Sim::set_shard_bounds`].
-    bounds: Vec<ShardBound>,
+    /// Per-shard cross bounds: the minimum delay of any event chain
+    /// from a send in *another* region shard to a delivery into this
+    /// one (index = shard; `[0]` unused). Uniform (`lookahead`
+    /// everywhere) until [`Sim::set_shard_bounds`].
+    cross_bounds: Vec<SimDuration>,
     /// Widest window bound ever granted to each shard (index = shard).
     /// Maintained while the sanitizer is on; merged deliveries into a
     /// region below its horizon mean a configured bound overstated the
@@ -426,7 +414,7 @@ impl Sim {
             shard_of: Arc::from([]),
             threads: 1,
             lookahead: SimDuration::ZERO,
-            bounds: Vec::new(),
+            cross_bounds: Vec::new(),
             horizons: Vec::new(),
             workers: None,
             plans: Vec::new(),
@@ -582,13 +570,7 @@ impl Sim {
         self.threads = threads.max(1);
         self.lookahead = lookahead;
         // Uniform bounds until `set_shard_bounds` widens them.
-        self.bounds = vec![
-            ShardBound {
-                self_bound: lookahead,
-                cross_bound: lookahead,
-            };
-            n_shards
-        ];
+        self.cross_bounds = vec![lookahead; n_shards];
         self.horizons = vec![SimTime::ZERO; n_shards];
         // The caller is one of the `threads` participants.
         let regions = n_shards - 1;
@@ -598,24 +580,29 @@ impl Sim {
         }
     }
 
-    /// Replace the uniform per-shard window bounds installed by
-    /// [`Sim::enable_sharding`] with per-destination ones (one
-    /// [`ShardBound`] per shard; index 0 is unused). Each bound must be
-    /// a true conservative minimum for its shard or the causality
+    /// Replace the uniform cross bounds installed by
+    /// [`Sim::enable_sharding`] with per-destination ones: one per
+    /// shard (index 0 is unused), each the minimum delay of any event
+    /// chain from another region shard into that shard. Each must be a
+    /// true conservative minimum for its shard or the causality
     /// sanitizer (and ultimately the merge assertion) will fire.
-    pub fn set_shard_bounds(&mut self, bounds: Vec<ShardBound>) {
+    pub fn set_shard_bounds(&mut self, cross_bounds: Vec<SimDuration>) {
         assert!(
             self.cores.len() > 1,
             "set_shard_bounds requires enable_sharding first"
         );
-        assert_eq!(bounds.len(), self.cores.len(), "one ShardBound per shard");
-        for (i, b) in bounds.iter().enumerate().skip(1) {
+        assert_eq!(
+            cross_bounds.len(),
+            self.cores.len(),
+            "one cross bound per shard"
+        );
+        for (i, b) in cross_bounds.iter().enumerate().skip(1) {
             assert!(
-                b.self_bound > SimDuration::ZERO && b.cross_bound > SimDuration::ZERO,
+                *b > SimDuration::ZERO,
                 "shard {i}: conservative bounds must be > 0"
             );
         }
-        self.bounds = bounds;
+        self.cross_bounds = cross_bounds;
     }
 
     /// Threads taking part in the region-window phase, caller
@@ -747,12 +734,12 @@ impl Sim {
                     if let Some(&h) = self.horizons.get(d) {
                         if e.at < h {
                             if cfg!(debug_assertions) {
-                                // simlint::allow(P001): causality sanitizer — a delivery below the widest window ever granted means a configured ShardBound overstated the real minimum delay
+                                // simlint::allow(P001): causality sanitizer — a delivery below the widest window ever granted means a configured cross bound overstated the real minimum delay
                                 panic!(
                                     "causality sanitizer: cross-shard message into shard {d} \
                                      is below its widened horizon: {} from shard {} for {:?} \
                                      at {:?}, but windows up to {h:?} were already granted — \
-                                     a configured ShardBound exceeds the actual minimum \
+                                     a configured cross bound exceeds the actual minimum \
                                      cross-shard delay of this event chain",
                                     (*e.ev).type_name(),
                                     e.dest,
@@ -788,17 +775,17 @@ impl Sim {
     }
 
     /// Run every non-global shard's window, each bounded by its own
-    /// [`ShardBound`] (∩ `<= until`); with helper threads, the busy
+    /// cross bound (∩ `<= until`); with helper threads, the busy
     /// ones run as one `workers.rs` round.
     ///
-    /// Shard `d`'s static window is `min(t_g, t_other(d) +
-    /// cross_bound(d))` where `t_other(d)` is the earliest pending
-    /// event of any *other* region: resident global events all sit at
-    /// `>= t_g`, and any chain seeded by another region's window starts
-    /// at its head and accumulates at least `cross_bound(d)` before it
-    /// can land in `d`. Chains seeded by `d`'s *own* sends are handled
-    /// dynamically by the outbox cap (`self_bound(d)` past the earliest
-    /// parked send), so a region doing pure intra-region work runs
+    /// Shard `d`'s static window is `min(t_g, t_other(d) + cross(d))`
+    /// where `t_other(d)` is the earliest pending event of any *other*
+    /// region: resident global events all sit at `>= t_g`, and any
+    /// chain seeded by another region's window starts at its head and
+    /// accumulates at least `cross(d)` before it can land in `d`.
+    /// Chains seeded by `d`'s *own* sends are handled dynamically by
+    /// the outbox cap (the lookahead past the earliest parked send),
+    /// so a region doing pure intra-region work runs
     /// unbounded until it actually talks to the core. Progress is
     /// guaranteed: outboxes are empty at window start (the barrier
     /// merge drained them), so the earliest region's first event always
@@ -828,12 +815,12 @@ impl Sim {
                 Some((m, am)) if am != i => Some(m),
                 _ => min2,
             };
-            let cross = other.map(|t| t + self.bounds[i + 1].cross_bound);
+            let cross = other.map(|t| t + self.cross_bounds[i + 1]);
             let w = match (t_g, cross) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
-            (w, Some(self.bounds[i + 1].self_bound))
+            (w, Some(self.lookahead))
         }));
         let plans = &self.plans;
 
@@ -898,7 +885,7 @@ impl Sim {
             // no horizon was promised and none is recorded.
             for (i, plan) in plans.iter().enumerate().take(n) {
                 let core = &self.cores[i + 1];
-                let cap = core.outbox_min.map(|m| m + self.bounds[i + 1].self_bound);
+                let cap = core.outbox_min.map(|m| m + self.lookahead);
                 // Deliveries at exactly a cap time are legal (ties are
                 // broken by merge seq), so every term — strict window,
                 // inclusive until, outbox cap — yields the same check:
@@ -941,7 +928,7 @@ impl Sim {
             match t_r {
                 Some(_) if !global_first => {
                     // Every region runs a window bounded by its own
-                    // ShardBound (see `run_region_windows`).
+                    // cross bound (see `run_region_windows`).
                     self.run_region_windows(t_g, until);
                 }
                 _ => {

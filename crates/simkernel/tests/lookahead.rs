@@ -5,9 +5,7 @@
 //! per-destination bounds the same run takes a fraction of the
 //! windows — and both reproduce the unsharded schedule exactly.
 
-use simkernel::{
-    impl_actor_any, Actor, ActorId, Ctx, EventBox, ShardBound, Sim, SimDuration, SimTime,
-};
+use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, Sim, SimDuration, SimTime};
 
 #[derive(Debug, Clone, Copy)]
 struct Tick(u64);
@@ -141,9 +139,9 @@ fn witness(sim: &Sim, a: ActorId, b: ActorId) -> Witness {
     )
 }
 
-/// Run sharded to `until` with the given per-destination bounds
+/// Run sharded to `until` with the given per-destination cross bounds
 /// (`None` = keep the uniform defaults from `enable_sharding`).
-fn run_sharded(seed: u64, bounds: Option<Vec<ShardBound>>, threads: usize) -> (Sim, u64) {
+fn run_sharded(seed: u64, bounds: Option<Vec<SimDuration>>, threads: usize) -> (Sim, u64) {
     let (mut sim, a, b) = build(seed);
     sim.enable_sharding(vec![0, 1, 2], UNIFORM, threads);
     if let Some(bounds) = bounds {
@@ -156,21 +154,8 @@ fn run_sharded(seed: u64, bounds: Option<Vec<ShardBound>>, threads: usize) -> (S
     (sim, windows)
 }
 
-fn per_dest_bounds() -> Vec<ShardBound> {
-    vec![
-        ShardBound {
-            self_bound: UNIFORM,
-            cross_bound: UNIFORM,
-        },
-        ShardBound {
-            self_bound: UNIFORM,
-            cross_bound: CROSS_FLOOR,
-        },
-        ShardBound {
-            self_bound: UNIFORM,
-            cross_bound: CROSS_FLOOR,
-        },
-    ]
+fn per_dest_bounds() -> Vec<SimDuration> {
+    vec![UNIFORM, CROSS_FLOOR, CROSS_FLOOR]
 }
 
 /// The headline claim: with the true 100 ms cross-region floor
@@ -254,19 +239,10 @@ fn overdeclared_cross_bound_trips_the_sanitizer() {
     let (mut sim, _a, _b) = build_with(17, false);
     sim.enable_sharding(vec![0, 1, 2], UNIFORM, 1);
     sim.set_shard_bounds(vec![
-        ShardBound {
-            self_bound: UNIFORM,
-            cross_bound: UNIFORM,
-        },
-        ShardBound {
-            self_bound: UNIFORM,
-            cross_bound: UNIFORM,
-        },
-        ShardBound {
-            self_bound: UNIFORM,
-            // Lie: claim 500 ms when probes really arrive after 100 ms.
-            cross_bound: SimDuration::from_millis(500),
-        },
+        UNIFORM,
+        UNIFORM,
+        // Lie: claim 500 ms when probes really arrive after 100 ms.
+        SimDuration::from_millis(500),
     ]);
     sim.enable_sanitizer();
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));

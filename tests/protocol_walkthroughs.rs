@@ -36,7 +36,13 @@ fn token_checkpoint_commits() {
     let mut holders = 0;
     for &nid in &dep.regions[0].nodes {
         let na = dep.sim.actor::<dsps::node::NodeActor>(nid);
-        if na.inner.store.version(v).map(|rec| rec.total_bytes() > 0) == Some(true) {
+        if na
+            .inner
+            .store
+            .snapshot(v)
+            .iter()
+            .any(|&(_, _, bytes)| bytes > 0)
+        {
             holders += 1;
         }
     }
