@@ -21,8 +21,8 @@ use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration};
 use simnet::stats::TrafficClass::Control;
 use simnet::{net_send, payload, payload_as, NetRx};
 
-use crate::dist::peers_of;
 use crate::msgs::*;
+use crate::retain::peers_of;
 
 /// Which baseline this coordinator drives.
 #[derive(Clone)]
@@ -45,19 +45,6 @@ pub enum BaselineKind {
     /// upstream neighbor re-hosts the failed operators and replays its
     /// retained outputs. Single-failure only.
     Upstream,
-}
-
-impl BaselineKind {
-    /// Scheme label for reports.
-    pub fn label(&self) -> String {
-        match self {
-            BaselineKind::Base => "base".into(),
-            BaselineKind::Rep2 { .. } => "rep-2".into(),
-            BaselineKind::Local => "local".into(),
-            BaselineKind::Dist { n } => format!("dist-{n}"),
-            BaselineKind::Upstream => "upstream".into(),
-        }
-    }
 }
 
 /// One region as the coordinator sees it.
@@ -431,11 +418,12 @@ impl BaselineCoordinator {
     }
 
     /// A rebooted phone re-registered: mark alive; if it still owns ops
-    /// (no recovery ran), reinstall from its own flash copy.
+    /// (no recovery ran) and its region was not declared lost,
+    /// reinstall from its own flash copy.
     fn on_register(&mut self, m: RegisterNode, ctx: &mut Ctx) {
         let rt = &mut self.regions[m.region];
         rt.table.set_state(m.slot, SlotState::Active);
-        if rt.table.ops_on(m.slot).is_empty() || rt.episode.recovering() {
+        if rt.stopped || rt.table.ops_on(m.slot).is_empty() || rt.episode.recovering() {
             return;
         }
         rt.episode.begin_now(1, ctx.now());
@@ -559,7 +547,7 @@ impl Actor for BaselineCoordinator {
     }
 
     fn name(&self) -> String {
-        format!("coordinator[{}]", self.kind.label())
+        "baseline-coordinator".into()
     }
 
     impl_actor_any!();

@@ -9,28 +9,27 @@
 //!   secondary's sink output is squelched; on a (single) failure the
 //!   surviving flow takes over immediately. Tolerates exactly one
 //!   failure ([`rep2`]).
-//! * **local** — checkpoint to each node's own storage plus input
-//!   preservation; "not a realistic fault model … but represents an
-//!   upper bound in performance" ([`local`]).
-//! * **dist-n** — "modeled after Cooperative HA and SGuard": each node
-//!   periodically unicasts its checkpoint to `n` peers, and every
-//!   operator retains its output tuples (input preservation) for
-//!   replay. Tolerates up to `n` simultaneous failures ([`dist`]).
+//! * **local** and **dist-n** — one scheme, [`retain::RetainScheme`]:
+//!   each node periodically checkpoints and every operator retains its
+//!   output tuples (input preservation) for replay. `local` keeps the
+//!   copy in the node's own storage ("not a realistic fault model … but
+//!   represents an upper bound in performance"); dist-n, "modeled after
+//!   Cooperative HA and SGuard", also unicasts it to `n` peers and
+//!   tolerates up to `n` simultaneous failures.
+//!
+//! Upstream backup (Hwang'05, a related-work extension) is the same
+//! retention with no checkpoints ([`retain`]).
 //!
 //! All schemes plug into the same [`dsps::node::NodeActor`] runtime via
 //! [`dsps::ft::FtScheme`]; the per-region [`coordinator`] actor
-//! triggers checkpoint ticks, pings source nodes, and drives
+//! triggers checkpoint ticks, pings hosting nodes, and drives
 //! scheme-specific recovery.
 
 pub mod coordinator;
-pub mod dist;
-pub mod local;
 pub mod msgs;
 pub mod rep2;
-pub mod upstream;
+pub mod retain;
 
 pub use coordinator::{BaselineCoordinator, BaselineKind};
-pub use dist::DistScheme;
-pub use local::LocalScheme;
 pub use rep2::{duplicate_graph, Rep2Scheme};
-pub use upstream::UpstreamScheme;
+pub use retain::RetainScheme;

@@ -124,9 +124,6 @@ impl FtScheme for Rep2Scheme {
     }
 }
 
-/// Kinds re-exported for placement code.
-pub use dsps::graph::OpKind as Rep2OpKind;
-
 #[cfg(test)]
 mod tests {
     use super::*;

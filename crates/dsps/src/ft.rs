@@ -5,14 +5,14 @@
 //! local / dist-n baselines — plugs in through [`FtScheme`]. Hooks are
 //! invoked at the points the paper's schemes differ:
 //!
-//! | Hook | MobiStreams | rep-2 | local / dist-n / upstream |
+//! | Hook | MobiStreams | rep-2 | local / dist-n / upstream (one scheme: output retention + n peer copies) |
 //! |---|---|---|---|
 //! | `on_source_input` | log the input under the current epoch | — | — |
-//! | `on_emit` | a source's remote emission becomes one preservation broadcast | — | output retention (input preservation) |
+//! | `on_emit` | a source's remote emission becomes one preservation broadcast | — | output retention (input preservation); trimmed once per window when no checkpoints are taken (upstream) |
 //! | `on_marker` | token alignment, async checkpoint | — | — |
 //! | `allow_sink_publish` | catch-up discard (default) | secondary-flow squelch | catch-up discard (default) |
-//! | `on_custom` | bitmaps, TCP tree, controller RPCs, departure | primary flip | ckpt ticks, state copies, retained-output replay |
-//! | `on_install` | recovery ack | — | recovery ack (dist-n, upstream) |
+//! | `on_custom` | bitmaps, TCP tree, controller RPCs, departure | primary flip | ckpt tick (own store + n peer copies, n = 0 for local), peer copies, state ship, retained-output replay |
+//! | `on_install` | recovery ack | — | recovery ack; a checkpointing node also clears its retention |
 //! | `preserved_bytes` | preserved source inputs | — | retained outputs |
 
 use simkernel::{Ctx, EventBox};

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use apps::{AppBundle, Calibration};
 use baselines::coordinator::{BaselineCoordinator, BaselineRegionSpec};
 use baselines::rep2::{duplicate_graph, twin_of, Rep2Scheme};
-use baselines::{BaselineKind, DistScheme, LocalScheme};
+use baselines::{BaselineKind, RetainScheme};
 use dsps::ft::{FtScheme, NullScheme};
 use dsps::graph::{OpId, QueryGraph};
 use dsps::node::{InterRegionLink, NodeActor, NodeConfig, NodeInner};
@@ -245,9 +245,9 @@ impl Deployment {
             Scheme::Base => Box::new(NullScheme),
             Scheme::Ms => Box::new(MsScheme::new(cfg.checkpoints_enabled)),
             Scheme::Rep2 => Box::new(Rep2Scheme::new(flow_of.expect("rep-2 flow map"))),
-            Scheme::Local => Box::new(LocalScheme::new(cfg.ckpt_period)),
-            Scheme::Dist(n) => Box::new(DistScheme::new(n, cfg.ckpt_period)),
-            Scheme::Upstream => Box::new(baselines::UpstreamScheme::new(cfg.ckpt_period)),
+            Scheme::Local => Box::new(RetainScheme::new(Some(0), cfg.ckpt_period)),
+            Scheme::Dist(n) => Box::new(RetainScheme::new(Some(n), cfg.ckpt_period)),
+            Scheme::Upstream => Box::new(RetainScheme::new(None, cfg.ckpt_period)),
         }
     }
 

@@ -257,8 +257,10 @@ fn dist_n_tolerates_exactly_n() {
     assert!(co.stops >= 1, "dist-1 cannot survive a 2-node burst");
 }
 
-/// Fig 10 invariants on byte accounting: ms preserves far less than
-/// input preservation, and dist-n network cost grows with n.
+/// Fig 10 invariants on byte accounting, over every mode of the
+/// output-retention scheme: ms preserves far less than input
+/// preservation, `local` and upstream backup ship no checkpoint bytes,
+/// and dist-n ships n copies.
 #[test]
 fn byte_accounting_shapes() {
     let run = |scheme| {
@@ -268,22 +270,92 @@ fn byte_accounting_shapes() {
         harvest(&dep, SimTime::ZERO, SimTime::from_secs(400))
     };
     let ms = run(Scheme::Ms);
-    let local = run(Scheme::Local);
-    let d1 = run(Scheme::Dist(1));
-    let d3 = run(Scheme::Dist(3));
+    for scheme in [Scheme::Local, Scheme::Upstream] {
+        let h = run(scheme);
+        assert!(
+            h.preserved_bytes > 2 * ms.preserved_bytes,
+            "{scheme:?}: input preservation ({}) ≫ source preservation ({})",
+            h.preserved_bytes,
+            ms.preserved_bytes
+        );
+        assert_eq!(h.ckpt_repl_bytes, 0, "{scheme:?} ships no checkpoint");
+    }
+    let d1 = run(Scheme::Dist(1)).ckpt_repl_bytes as f64;
+    assert!(d1 > 0.0, "dist-1 ships its checkpoints");
+    for n in [2, 3] {
+        let ratio = run(Scheme::Dist(n)).ckpt_repl_bytes as f64 / d1;
+        assert!(
+            (ratio - n as f64).abs() <= 0.01 * n as f64,
+            "dist-{n} ships {ratio:.4}x dist-1's checkpoint bytes, not {n}x"
+        );
+    }
+}
+
+/// Every checkpoint copy lands where the coordinator will look for it:
+/// after the first tick each slot's store holds exactly its own
+/// stateful operators plus those of every slot that names it a peer
+/// (`peers_of`, the holders recovery asks to ship). Under `local` that
+/// is only its own.
+#[test]
+fn checkpoint_copies_land_on_the_named_peers() {
+    use baselines::retain::peers_of;
+    use dsps::graph::OpId;
+    use dsps::node::NodeActor;
+    use std::collections::BTreeSet;
+
+    for (scheme, n) in [(Scheme::Dist(2), 2), (Scheme::Local, 0)] {
+        let mut dep = Deployment::build(small(AppKind::Bcp, scheme, 13));
+        dep.start();
+        // Ticks go out at 40 s and 160 s: every copy of version 1 is in.
+        dep.run_until(SimTime::from_secs(150));
+        for region in &dep.regions {
+            let slots = region.placement.slots();
+            let own = |slot: u32| -> BTreeSet<OpId> {
+                let ops = region.placement.ops_on(slot).into_iter();
+                ops.filter(|&op| region.graph.op(op).instantiate().state().is_some())
+                    .collect()
+            };
+            for slot in 0..slots {
+                let na = dep.sim.actor::<NodeActor>(region.nodes[slot as usize]);
+                let snap = na.inner.store.snapshot(1);
+                let held: BTreeSet<OpId> = snap.iter().map(|&(op, ..)| op).collect();
+                let mut expected = own(slot);
+                for s in (0..slots).filter(|&s| peers_of(s, n, slots).contains(&slot)) {
+                    expected.extend(own(s));
+                }
+                assert_eq!(held, expected, "{scheme:?}: slot {slot}'s store");
+            }
+            let stateful: usize = (0..slots).map(|s| own(s).len()).sum();
+            assert!(stateful > 0, "the region checkpoints some state");
+        }
+    }
+}
+
+/// Regression: a rebooted phone re-registering with a region the
+/// baseline coordinator already declared lost got its operators back
+/// from its own store and resumed output, opening a recovery episode
+/// that never closed.
+#[test]
+fn a_stopped_baseline_region_stays_stopped_after_a_reboot() {
+    let mut dep = Deployment::build(small(AppKind::Bcp, Scheme::Local, 14));
+    dep.start();
+    inject_failure(&mut dep, 0, 2, SimTime::from_secs(170));
+    inject_reboot(&mut dep, 0, 2, SimTime::from_secs(230));
+    dep.run_until(SimTime::from_secs(300));
+    let co = dep
+        .sim
+        .actor::<baselines::BaselineCoordinator>(dep.coordinator.unwrap());
     assert!(
-        local.preserved_bytes > 2 * ms.preserved_bytes,
-        "input preservation ({}) ≫ source preservation ({})",
-        local.preserved_bytes,
-        ms.preserved_bytes
+        co.is_stopped(0),
+        "local has no recovery: the region is lost"
     );
+    let phone = dep
+        .sim
+        .actor::<dsps::node::NodeActor>(dep.regions[0].nodes[2]);
+    assert!(phone.inner.alive, "the phone rebooted");
     assert!(
-        d3.ckpt_repl_bytes > 2 * d1.ckpt_repl_bytes,
-        "dist-3 ships ~3x dist-1's checkpoint bytes"
-    );
-    assert_eq!(
-        local.ckpt_repl_bytes, 0,
-        "local checkpoints stay off the network"
+        phone.inner.ops.is_empty(),
+        "the rebooted phone was reinstalled into a stopped region"
     );
 }
 
