@@ -90,10 +90,10 @@ pub fn tables(means: &[(Key, Means)]) -> Vec<(String, Table)> {
         t.row(
             format!("{knob} = {setting}"),
             vec![
-                Cell::Num(m.throughput),
-                Cell::Num(m.latency_s),
-                Cell::Num(m.ckpt_repl_bytes / 1e6),
-                Cell::Num(m.preservation_bytes / 1e6),
+                Cell::Num(m.throughput.mean),
+                Cell::Num(m.latency_s.mean),
+                Cell::Num(m.ckpt_repl_bytes.mean / 1e6),
+                Cell::Num(m.preservation_bytes.mean / 1e6),
             ],
         );
     }

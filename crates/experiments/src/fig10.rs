@@ -36,8 +36,12 @@ pub fn tables(means: &[((AppKind, Scheme), Means)]) -> Vec<(String, Table)> {
                 Scheme::Ms,
                 |m, ms| {
                     [
-                        Cell::Num(relative(m.preserved_bytes, ms.preserved_bytes, 0.0)),
-                        Cell::Num(m.preserved_bytes / MB),
+                        Cell::Num(relative(
+                            m.preserved_bytes.mean,
+                            ms.preserved_bytes.mean,
+                            0.0,
+                        )),
+                        Cell::Num(m.preserved_bytes.mean / MB),
                     ]
                 },
             ),
@@ -51,8 +55,12 @@ pub fn tables(means: &[((AppKind, Scheme), Means)]) -> Vec<(String, Table)> {
                 Scheme::Ms,
                 |m, ms| {
                     [
-                        Cell::Num(relative(m.ckpt_repl_bytes, ms.ckpt_repl_bytes, 0.0)),
-                        Cell::Num(m.ckpt_repl_bytes / MB),
+                        Cell::Num(relative(
+                            m.ckpt_repl_bytes.mean,
+                            ms.ckpt_repl_bytes.mean,
+                            0.0,
+                        )),
+                        Cell::Num(m.ckpt_repl_bytes.mean / MB),
                     ]
                 },
             ),

@@ -54,8 +54,8 @@ pub fn tables(means: &[((AppKind, Scheme), Means)]) -> Vec<(String, Table)> {
                 Scheme::Base,
                 |m, base| {
                     [
-                        Cell::Pct(relative(m.throughput, base.throughput, 0.0)),
-                        Cell::Num(m.throughput),
+                        Cell::Pct(relative(m.throughput.mean, base.throughput.mean, 0.0)),
+                        Cell::Num(m.throughput.mean),
                     ]
                 },
             ),
@@ -69,8 +69,12 @@ pub fn tables(means: &[((AppKind, Scheme), Means)]) -> Vec<(String, Table)> {
                 Scheme::Base,
                 |m, base| {
                     [
-                        Cell::Num(relative(m.latency_s, base.latency_s, f64::INFINITY)),
-                        Cell::Num(m.latency_s),
+                        Cell::Num(relative(
+                            m.latency_s.mean,
+                            base.latency_s.mean,
+                            f64::INFINITY,
+                        )),
+                        Cell::Num(m.latency_s.mean),
                     ]
                 },
             ),

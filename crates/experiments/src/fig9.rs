@@ -132,9 +132,13 @@ pub fn tables(means: &[(Key, Means)], max_n: u32) -> Vec<(String, Table)> {
                         }
                         let m = at(means, (app, Some(curve), n));
                         if tput {
-                            Cell::Pct(relative(m.throughput, base.throughput, 0.0))
+                            Cell::Pct(relative(m.throughput.mean, base.throughput.mean, 0.0))
                         } else {
-                            Cell::Num(relative(m.latency_s, base.latency_s, f64::INFINITY))
+                            Cell::Num(relative(
+                                m.latency_s.mean,
+                                base.latency_s.mean,
+                                f64::INFINITY,
+                            ))
                         }
                     })
                     .collect();

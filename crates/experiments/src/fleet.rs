@@ -1,15 +1,15 @@
-//! Fleet-scale scenario engine: N regions × M phones under seeded,
-//! parameterized churn.
+//! Fleet-scale scenarios: N regions × M phones under seeded,
+//! parameterized churn, and the library of named profiles.
 //!
 //! The paper validates MobiStreams on an 8-phone, 4-region testbed;
-//! this module opens the scale and scenario-diversity axes. A
-//! [`FleetConfig`] describes a deployment (per-region phone counts,
-//! per-region WiFi loss profiles) plus a *churn model* (fail-stop
-//! crashes, departures, inter-region mobility, rejoins). From the
-//! config's seed a deterministic [`ChurnEvent`] schedule is generated
-//! and injected into the simulation before it starts, so a fleet run
-//! is exactly as reproducible as the paper scenarios: same seed, same
-//! report.
+//! this module opens the scale and scenario-diversity axes. From a
+//! [`ScenarioConfig`]'s seed its [`ChurnProfile`] (fail-stop crashes,
+//! departures, inter-region moves, rejoins) becomes a deterministic
+//! [`ChurnEvent`] schedule, which [`deploy`] injects into the started
+//! deployment together with the per-region loss steps and the weather.
+//! [`crate::run::run`] then runs and reports it like any other
+//! scenario, so a fleet run is exactly as reproducible as the paper
+//! scenarios: same seed, same report.
 //!
 //! A small library of named profiles covers the scenarios the ROADMAP
 //! asks for:
@@ -35,14 +35,13 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::Serialize;
 use simkernel::{SimDuration, SimRng, SimTime};
 use simnet::cellular::CellSetPartition;
-use simnet::wifi::{WifiConfig, WifiSetBrownout, WifiSetLoss};
+use simnet::wifi::{WifiSetBrownout, WifiSetLoss};
 
 use crate::faults::{inject_departure, inject_failure, inject_reboot};
-use crate::run::harvest;
-use crate::scenario::{AppKind, Deployment, RegionOverride, ScenarioConfig, Scheme};
+use crate::run::{run, FleetReport};
+use crate::scenario::{Deployment, RegionOverride, ScenarioConfig};
 use crate::weather::{self, CtlTopology, WeatherAction, WeatherProgram};
 
 /// Churn model: rates are per phone-hour, so the same profile scales
@@ -87,133 +86,9 @@ impl Default for ChurnProfile {
     }
 }
 
-/// Time-varying WiFi loss for one region: `(at_s, loss)` steps applied
-/// to the region's medium while the simulation runs.
-#[derive(Debug, Clone, Default)]
-pub struct LossProfile {
-    /// Scheduled loss changes.
-    pub steps: Vec<(f64, f64)>,
-}
-
-/// One region of the fleet.
-#[derive(Debug, Clone)]
-pub struct FleetRegion {
-    /// Phones deployed here.
-    pub phones: u32,
-    /// Base WiFi channel parameters.
-    pub wifi: WifiConfig,
-    /// Scheduled loss changes (empty = constant `wifi.loss`).
-    pub loss: LossProfile,
-}
-
-impl FleetRegion {
-    /// A region with `phones` phones on the default channel.
-    pub fn of(phones: u32) -> Self {
-        FleetRegion {
-            phones,
-            wifi: WifiConfig::default(),
-            loss: LossProfile::default(),
-        }
-    }
-}
-
-/// A full fleet scenario: deployment shape + churn + run windows.
-#[derive(Clone)]
-pub struct FleetConfig {
-    /// Profile name (report label).
-    pub name: String,
-    /// Application.
-    pub app: AppKind,
-    /// FT scheme.
-    pub scheme: Scheme,
-    /// The regions, cascaded in a line as in the paper.
-    pub regions: Vec<FleetRegion>,
-    /// Regions per region-group controller (ms only). 1 = one
-    /// controller per region; `regions.len()` = a single controller
-    /// owning the whole fleet.
-    pub ctl_group_size: usize,
-    /// Churn model.
-    pub churn: ChurnProfile,
-    /// Network weather rolling over the fleet (None = clear skies).
-    /// Compiled into the event schedule before the run starts, so
-    /// weather is exactly as deterministic as churn.
-    pub weather: Option<WeatherProgram>,
-    /// Application calibration (fleet profiles shrink operator states
-    /// so checkpoint rounds fit their shorter periods).
-    pub cal: apps::Calibration,
-    /// Checkpoint period.
-    pub ckpt_period: SimDuration,
-    /// First checkpoint offset.
-    pub ckpt_offset: SimDuration,
-    /// Total simulated span.
-    pub duration: SimDuration,
-    /// Measurement starts here (boot/warm-up excluded).
-    pub warmup: SimDuration,
-    /// Seed driving the whole run (workload, channel AND churn).
-    pub seed: u64,
-    /// Worker threads for the parallel event kernel. Purely a
-    /// wall-clock knob: the report digest is bit-identical for every
-    /// value (see `Sim::enable_sharding`).
-    pub threads: usize,
-    /// Force the kernel's causality sanitizer on (it is already on by
-    /// default in debug builds). Observation-only: the simulated
-    /// schedule and the report digest are unchanged; the report's
-    /// `sanitizer_*` fields carry the per-window ledger.
-    pub sanitize: bool,
-}
-
-impl FleetConfig {
-    /// Phones across the fleet.
-    pub fn total_phones(&self) -> u32 {
-        self.regions.iter().map(|r| r.phones).sum()
-    }
-
-    /// Shrink to the CI smoke scale of `msx scenarios matrix --smoke`:
-    /// 3 regions × ≤8 phones over 360 s. 360 s keeps the latest
-    /// partition-heal window and its post-heal commit round inside the
-    /// horizon; the checkpoint cadence shrinks with it so the post-heal
-    /// commit opportunities per horizon match the full-scale profiles
-    /// (~5-6 rounds).
-    pub fn shrink_to_smoke(&mut self) {
-        self.regions.truncate(3);
-        for region in &mut self.regions {
-            region.phones = region.phones.min(8);
-        }
-        self.duration = SimDuration::from_secs(360);
-        self.warmup = SimDuration::from_secs(60);
-        self.ckpt_period = SimDuration::from_secs(60);
-        self.ckpt_offset = SimDuration::from_secs(20);
-    }
-
-    /// Control-plane topology (regions × group size).
-    pub fn topo(&self) -> CtlTopology {
-        CtlTopology::new(self.regions.len(), self.ctl_group_size)
-    }
-
-    /// The underlying deployment parameters.
-    pub fn scenario(&self) -> ScenarioConfig {
-        ScenarioConfig {
-            app: self.app,
-            scheme: self.scheme,
-            regions: self.regions.len(),
-            phones: self.regions.iter().map(|r| r.phones).max().unwrap_or(8),
-            cal: self.cal.clone(),
-            ckpt_period: self.ckpt_period,
-            ckpt_offset: self.ckpt_offset,
-            ctl_group_size: self.ctl_group_size,
-            seed: self.seed,
-            overrides: self
-                .regions
-                .iter()
-                .map(|r| RegionOverride {
-                    phones: Some(r.phones),
-                    wifi: Some(r.wifi.clone()),
-                })
-                .collect(),
-            ..ScenarioConfig::default()
-        }
-    }
-}
+/// `msbench`'s name for a [`ScenarioConfig`]; the next change to the
+/// benchmark deletes it.
+pub type FleetConfig = ScenarioConfig;
 
 /// What happens to one phone at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,7 +128,7 @@ enum Presence {
 
 /// Generate the deterministic churn schedule for `cfg`. Pure function
 /// of the config (notably its seed): two calls yield identical events.
-pub fn churn_schedule(cfg: &FleetConfig) -> Vec<ChurnEvent> {
+pub fn churn_schedule(cfg: &ScenarioConfig) -> Vec<ChurnEvent> {
     let mut rng = SimRng::new(cfg.seed ^ 0xF1EE_7CA5_7A60_0D5E);
     let churn = &cfg.churn;
     let horizon = cfg.duration.as_secs_f64();
@@ -265,20 +140,12 @@ pub fn churn_schedule(cfg: &FleetConfig) -> Vec<ChurnEvent> {
     };
 
     let mut events: Vec<ChurnEvent> = Vec::new();
-    let mut presence: Vec<Vec<Presence>> = cfg
-        .regions
-        .iter()
-        .map(|r| vec![Presence::Present; r.phones as usize])
-        .collect();
+    let mut presence = vec![vec![Presence::Present; cfg.phones as usize]; cfg.regions];
     // Slots whose first leave candidate is already scheduled (arrival-
     // burst phones): the general seeding loop below must not give them
     // a second, independent candidate — it could fire before the phone
     // even arrives.
-    let mut seeded: Vec<Vec<bool>> = cfg
-        .regions
-        .iter()
-        .map(|r| vec![false; r.phones as usize])
-        .collect();
+    let mut seeded = vec![vec![false; cfg.phones as usize]; cfg.regions];
     // Min-heap of candidate leave times per present phone; fully
     // deterministic (ties break on (region, slot)).
     let mut heap: BinaryHeap<Reverse<(u64, usize, u32)>> = BinaryHeap::new();
@@ -288,9 +155,9 @@ pub fn churn_schedule(cfg: &FleetConfig) -> Vec<ChurnEvent> {
     // configured burst window. An arriving phone becomes churn-eligible
     // after its arrival; slots with no scheduled arrival are the free
     // capacity inter-region moves claim.
-    for (r, region) in cfg.regions.iter().enumerate() {
-        let absent = (region.phones as f64 * churn.initial_absent_fraction).floor() as u32;
-        for s in (region.phones - absent)..region.phones {
+    for r in 0..cfg.regions {
+        let absent = (cfg.phones as f64 * churn.initial_absent_fraction).floor() as u32;
+        for s in (cfg.phones - absent)..cfg.phones {
             // A failure at t=0 models "was never there": links dead
             // before the first ping round.
             events.push(ChurnEvent {
@@ -325,8 +192,8 @@ pub fn churn_schedule(cfg: &FleetConfig) -> Vec<ChurnEvent> {
     }
 
     if leave_rate > 0.0 {
-        for (r, region) in cfg.regions.iter().enumerate() {
-            for s in 0..region.phones {
+        for r in 0..cfg.regions {
+            for s in 0..cfg.phones {
                 if presence[r][s as usize] != Presence::Present || seeded[r][s as usize] {
                     continue;
                 }
@@ -360,7 +227,7 @@ pub fn churn_schedule(cfg: &FleetConfig) -> Vec<ChurnEvent> {
         // claiming a free absent slot there.
         let moved = !is_fail
             && rng.chance(cfg.churn.move_fraction)
-            && cfg.regions.len() > 1
+            && cfg.regions > 1
             && arrive_next_region(
                 cfg,
                 &mut presence,
@@ -403,7 +270,7 @@ pub fn churn_schedule(cfg: &FleetConfig) -> Vec<ChurnEvent> {
 /// phone; returns false when no capacity is free there.
 #[allow(clippy::too_many_arguments)]
 fn arrive_next_region(
-    cfg: &FleetConfig,
+    cfg: &ScenarioConfig,
     presence: &mut [Vec<Presence>],
     events: &mut Vec<ChurnEvent>,
     heap: &mut BinaryHeap<Reverse<(u64, usize, u32)>>,
@@ -413,7 +280,7 @@ fn arrive_next_region(
     horizon: f64,
     leave_rate: f64,
 ) -> bool {
-    let dest = (from + 1) % cfg.regions.len();
+    let dest = (from + 1) % cfg.regions;
     let Some(free) = presence[dest]
         .iter()
         .position(|&p| p == Presence::AbsentFree)
@@ -439,12 +306,13 @@ fn arrive_next_region(
     true
 }
 
-/// Build the deployment and inject the churn + loss schedules.
-/// Returns the deployment (started, not yet run) and the applied
-/// schedule for reporting.
-pub fn build_fleet(cfg: &FleetConfig) -> (Deployment, Vec<ChurnEvent>) {
+/// Build and start the deployment, then schedule its churn, loss
+/// steps and weather: the set-up half of [`run`]. Returns the started
+/// deployment, the churn schedule and the number of weather
+/// injections.
+pub fn deploy(cfg: &ScenarioConfig) -> (Deployment, Vec<ChurnEvent>, u64) {
     let schedule = churn_schedule(cfg);
-    let mut dep = Deployment::build(cfg.scenario());
+    let mut dep = Deployment::build(cfg.clone());
     dep.start();
     for ev in &schedule {
         match ev.kind {
@@ -453,9 +321,9 @@ pub fn build_fleet(cfg: &FleetConfig) -> (Deployment, Vec<ChurnEvent>) {
             ChurnKind::Rejoin => inject_reboot(&mut dep, ev.region, ev.slot, ev.at),
         }
     }
-    for (r, region) in cfg.regions.iter().enumerate() {
+    for (r, region) in cfg.overrides.iter().enumerate().take(cfg.regions) {
         let wifi = dep.regions[r].wifi;
-        for &(at_s, loss) in &region.loss.steps {
+        for &(at_s, loss) in &region.loss {
             dep.sim.schedule_at(
                 SimTime::from_nanos((at_s * 1e9) as u64),
                 wifi,
@@ -463,10 +331,24 @@ pub fn build_fleet(cfg: &FleetConfig) -> (Deployment, Vec<ChurnEvent>) {
             );
         }
     }
-    if let Some(program) = &cfg.weather {
-        apply_weather(&mut dep, program, cfg.topo());
-    }
+    let injections = cfg
+        .weather
+        .as_ref()
+        .map_or(0, |program| apply_weather(&mut dep, program, cfg.topo()));
+    (dep, schedule, injections)
+}
+
+/// [`deploy`] without the injection count: `msbench`'s entry point,
+/// which the next change to the benchmark deletes.
+pub fn build_fleet(cfg: &FleetConfig) -> (Deployment, Vec<ChurnEvent>) {
+    let (dep, schedule, _) = deploy(cfg);
     (dep, schedule)
+}
+
+/// [`run`] without faults: `msbench`'s entry point, which the next
+/// change to the benchmark deletes.
+pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
+    run(cfg, |_| {})
 }
 
 /// Compile a weather program and schedule its injections against the
@@ -502,417 +384,24 @@ fn apply_weather(dep: &mut Deployment, program: &WeatherProgram, topo: CtlTopolo
     injections.len() as u64
 }
 
-/// One region's recovery timeline through one weather fault window:
-/// fault start → scheduled heal → first checkpoint round committed
-/// after the heal. Recovery latency is measured from the *scheduled*
-/// heal (when the weather clears), so it includes the controller's
-/// heal-detection probes — that is the latency a declared SLO is
-/// about.
-#[derive(Debug, Clone, Serialize)]
-pub struct FaultTimeline {
-    /// Region the window covers.
-    pub region: usize,
-    /// Partition start (seconds).
-    pub fault_at_s: f64,
-    /// Scheduled heal (seconds).
-    pub heal_at_s: f64,
-    /// First committed round at/after the heal (-1 = none before the
-    /// simulation ended).
-    pub first_commit_s: f64,
-    /// `first_commit_s - heal_at_s` (-1 = never recovered).
-    pub recovery_s: f64,
-    /// Whether the window met the program's declared recovery SLO
-    /// (vacuously true when no SLO is declared).
-    pub slo_met: bool,
-}
-
-/// Machine-readable result of one fleet run. Everything except the
-/// wall-clock and sanitizer-observation fields is a pure function of
-/// the config — the [`FleetReport::digest`] over those fields is the
-/// determinism contract (same seed ⇒ same digest).
-#[derive(Debug, Clone, Serialize)]
-pub struct FleetReport {
-    /// Profile name.
-    pub profile: String,
-    /// Seed used.
-    pub seed: u64,
-    /// Regions deployed.
-    pub regions: usize,
-    /// Phones deployed.
-    pub phones: u32,
-    /// Simulated span (seconds).
-    pub sim_secs: f64,
-    /// Events the kernel dispatched.
-    pub events_processed: u64,
-    /// Wall-clock run time (seconds; excluded from the digest).
-    pub wall_secs: f64,
-    /// Simulation throughput (events/s of wall time; excluded from the
-    /// digest).
-    pub events_per_sec: f64,
-    /// Scheduled fail-stop crashes.
-    pub churn_failures: u64,
-    /// Scheduled departures.
-    pub churn_departures: u64,
-    /// Scheduled rejoins/arrivals.
-    pub churn_rejoins: u64,
-    /// Sink outputs inside the measurement window, per region.
-    pub per_region_outputs: Vec<u64>,
-    /// Sink outputs inside the measurement window, total.
-    pub outputs: u64,
-    /// Mean per-region throughput (tuples/s).
-    pub mean_throughput: f64,
-    /// Mean latency over regions with output (seconds; -1 = no output).
-    pub mean_latency_s: f64,
-    /// Source inputs shed at full queues / congestion.
-    pub source_drops: u64,
-    /// Recoveries the controller completed.
-    pub recoveries: u64,
-    /// Mean recovery duration (seconds).
-    pub mean_recovery_s: f64,
-    /// Departure transfers completed.
-    pub departures_handled: u64,
-    /// Regions stopped (bypass) at least once.
-    pub region_stops: u64,
-    /// Checkpoint versions committed across regions.
-    pub checkpoint_commits: u64,
-    /// WiFi payload bytes, all classes and regions.
-    pub wifi_total_bytes: u64,
-    /// Cellular payload bytes, all classes.
-    pub cell_total_bytes: u64,
-    /// Cellular messages tail-dropped at full bounded link queues,
-    /// network-wide (the cellular-collapse signal).
-    pub cell_drops: u64,
-    /// Deepest cellular link backlog observed network-wide (bytes).
-    pub cell_max_queue_depth: u64,
-    /// Cellular tail-drops at each region's phones.
-    pub per_region_cell_drops: Vec<u64>,
-    /// Deepest cellular link backlog at each region's phones (bytes).
-    pub per_region_cell_max_queue_depth: Vec<u64>,
-    /// Weather program applied ("" = clear skies).
-    pub weather: String,
-    /// Compiled weather injections scheduled.
-    pub weather_injections: u64,
-    /// Declared recovery SLO (seconds; negative = none declared).
-    pub recovery_slo_s: f64,
-    /// Per-region fault timelines, one per control-path fault window.
-    pub fault_timelines: Vec<FaultTimeline>,
-    /// Median recovery latency over recovered windows (-1 = no
-    /// windows recovered).
-    pub recovery_p50_s: f64,
-    /// 99th-percentile recovery latency (-1 = no windows recovered).
-    pub recovery_p99_s: f64,
-    /// Fault windows that missed the declared recovery SLO (always 0
-    /// when no SLO is declared).
-    pub slo_violations: u64,
-    /// `(region, version)` checkpoint rounds committed more than once
-    /// — must be 0: a heal resync may never double-commit a round.
-    pub duplicate_commits: u64,
-    /// Partition episodes the controller actually observed (severed →
-    /// healed transitions on its side).
-    pub severed_observed: u64,
-    /// Cellular sends aged out behind a weather partition.
-    pub cell_severed_sends: u64,
-    /// Backlogged cellular bytes drained undelivered (endpoint death
-    /// or partition ageing).
-    pub cell_queue_drop_bytes: u64,
-    /// Cellular sends rejected at dead/unknown endpoints.
-    pub cell_rejects: u64,
-    /// Barrier windows the causality sanitizer folded (0 when it was
-    /// off). Excluded from the digest: digests must agree between
-    /// sanitized and unsanitized runs of the same config.
-    pub sanitizer_windows: u64,
-    /// The sanitizer's per-window RNG/event ledger (0 when off;
-    /// excluded from the digest for the same reason).
-    pub sanitizer_ledger: u64,
-    /// Causality violations the sanitizer recorded (0 when off;
-    /// excluded from the digest like the other sanitizer fields, and
-    /// enforced separately — `msx scenarios run`/`matrix` exit nonzero
-    /// when it is not 0).
-    pub sanitizer_violations: u64,
-    /// Event-pool allocations served from recycled slots, summed over
-    /// shards. A pure function of the schedule (pooled slots never
-    /// cross shards), so it must match across thread counts; excluded
-    /// from the digest as an observation-only kernel counter.
-    pub pool_recycled: u64,
-    /// Event-pool generation mismatches (double free / aliased live
-    /// slot). Any nonzero value is a kernel memory-safety bug — `msx
-    /// scenarios run`/`matrix` exit nonzero when it is not 0. Excluded
-    /// from the digest like the other observation fields.
-    pub pool_aliasing: u64,
-    /// FNV-1a digest of the deterministic fields above.
-    pub digest: u64,
-}
-
-impl FleetReport {
-    /// FNV-1a over the deterministic fields (wall-clock excluded).
-    fn compute_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(self.seed);
-        mix(self.regions as u64);
-        mix(self.phones as u64);
-        mix(self.events_processed);
-        mix(self.churn_failures);
-        mix(self.churn_departures);
-        mix(self.churn_rejoins);
-        for &o in &self.per_region_outputs {
-            mix(o);
-        }
-        mix(self.outputs);
-        mix(self.mean_throughput.to_bits());
-        mix(self.mean_latency_s.to_bits());
-        mix(self.source_drops);
-        mix(self.recoveries);
-        mix(self.mean_recovery_s.to_bits());
-        mix(self.departures_handled);
-        mix(self.region_stops);
-        mix(self.checkpoint_commits);
-        mix(self.wifi_total_bytes);
-        mix(self.cell_total_bytes);
-        mix(self.cell_drops);
-        mix(self.cell_max_queue_depth);
-        for &d in &self.per_region_cell_drops {
-            mix(d);
-        }
-        for &d in &self.per_region_cell_max_queue_depth {
-            mix(d);
-        }
-        for b in self.weather.bytes() {
-            mix(b as u64);
-        }
-        mix(self.weather_injections);
-        mix(self.recovery_slo_s.to_bits());
-        for t in &self.fault_timelines {
-            mix(t.region as u64);
-            mix(t.fault_at_s.to_bits());
-            mix(t.heal_at_s.to_bits());
-            mix(t.first_commit_s.to_bits());
-            mix(t.recovery_s.to_bits());
-            mix(t.slo_met as u64);
-        }
-        mix(self.recovery_p50_s.to_bits());
-        mix(self.recovery_p99_s.to_bits());
-        mix(self.slo_violations);
-        mix(self.duplicate_commits);
-        mix(self.severed_observed);
-        mix(self.cell_severed_sends);
-        mix(self.cell_queue_drop_bytes);
-        mix(self.cell_rejects);
-        h
-    }
-
-    /// Write the report as pretty JSON under `dir`.
-    pub fn save_json(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}_seed{}.json", self.profile, self.seed));
-        let json = serde_json::to_string_pretty(self).expect("serialize fleet report");
-        std::fs::write(&path, json)?;
-        Ok(path)
-    }
-}
-
-/// Build, run and harvest one fleet scenario.
-pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    let wall = std::time::Instant::now();
-    let (mut dep, schedule) = build_fleet(cfg);
-    dep.enable_sharding(cfg.threads);
-    if cfg.sanitize {
-        dep.sim.enable_sanitizer();
-    }
-    let to = SimTime::ZERO + cfg.duration;
-    dep.run_until(to);
-    let san = dep.sim.causality_report();
-    let pool = dep.sim.pool_stats();
-    let h = harvest(&dep, SimTime::ZERO + cfg.warmup, to);
-
-    let (churn_failures, churn_departures, churn_rejoins) =
-        schedule
-            .iter()
-            .fold((0u64, 0u64, 0u64), |acc, e| match e.kind {
-                ChurnKind::Fail => (acc.0 + 1, acc.1, acc.2),
-                ChurnKind::Depart => (acc.0, acc.1 + 1, acc.2),
-                ChurnKind::Rejoin => (acc.0, acc.1, acc.2 + 1),
-            });
-
-    let (departures_handled, commit_log, severed_observed) = if dep.region_controllers.is_empty() {
-        (0, Vec::new(), 0)
-    } else {
-        (
-            dep.ms_departures_handled(),
-            dep.ms_commits(),
-            dep.ms_severed_episodes().len() as u64,
-        )
-    };
-    let checkpoint_commits = commit_log.len() as u64;
-    let mut seen_rounds = std::collections::BTreeSet::new();
-    let duplicate_commits = commit_log
-        .iter()
-        .filter(|&&(r, v, _)| !seen_rounds.insert((r, v)))
-        .count() as u64;
-
-    let recovery_slo_s = cfg
-        .weather
-        .as_ref()
-        .map(|w| w.recovery_slo_s)
-        .unwrap_or(-1.0);
-    let weather_injections = cfg
-        .weather
-        .as_ref()
-        .map(|w| weather::compile(w, cfg.topo()).len() as u64)
-        .unwrap_or(0);
-    let fault_timelines: Vec<FaultTimeline> = cfg
-        .weather
-        .as_ref()
-        .map(|w| weather::fault_windows(w, cfg.topo()))
-        .unwrap_or_default()
-        .into_iter()
-        .map(|(region, start, heal)| {
-            let first = commit_log
-                .iter()
-                .filter(|&&(r, _, at)| r == region && at >= heal)
-                .map(|&(_, _, at)| at)
-                .min();
-            let heal_at_s = heal.as_secs_f64();
-            let (first_commit_s, recovery_s) = match first {
-                Some(at) => (at.as_secs_f64(), at.as_secs_f64() - heal_at_s),
-                None => (-1.0, -1.0),
-            };
-            let slo_met =
-                recovery_slo_s < 0.0 || (recovery_s >= 0.0 && recovery_s <= recovery_slo_s);
-            FaultTimeline {
-                region,
-                fault_at_s: start.as_secs_f64(),
-                heal_at_s,
-                first_commit_s,
-                recovery_s,
-                slo_met,
-            }
-        })
-        .collect();
-    let slo_violations = fault_timelines.iter().filter(|t| !t.slo_met).count() as u64;
-    let mut recovered: Vec<f64> = fault_timelines
-        .iter()
-        .filter(|t| t.recovery_s >= 0.0)
-        .map(|t| t.recovery_s)
-        .collect();
-    recovered.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let pct = |xs: &[f64], p: f64| -> f64 {
-        if xs.is_empty() {
-            return -1.0;
-        }
-        xs[((p / 100.0) * (xs.len() - 1) as f64).round() as usize]
-    };
-    let recovery_p50_s = pct(&recovered, 50.0);
-    let recovery_p99_s = pct(&recovered, 99.0);
-
-    let per_region_outputs: Vec<u64> = h.per_region.iter().map(|r| r.outputs as u64).collect();
-    let wall_secs = wall.elapsed().as_secs_f64();
-    let events_processed = dep.sim.events_processed();
-    let mut report = FleetReport {
-        profile: cfg.name.clone(),
-        seed: cfg.seed,
-        regions: cfg.regions.len(),
-        phones: cfg.total_phones(),
-        sim_secs: cfg.duration.as_secs_f64(),
-        events_processed,
-        wall_secs,
-        events_per_sec: events_processed as f64 / wall_secs.max(1e-9),
-        churn_failures,
-        churn_departures,
-        churn_rejoins,
-        outputs: per_region_outputs.iter().sum(),
-        per_region_outputs,
-        mean_throughput: h.mean_throughput,
-        mean_latency_s: if h.mean_latency_s.is_finite() {
-            h.mean_latency_s
-        } else {
-            -1.0
-        },
-        source_drops: h.per_region.iter().map(|r| r.source_drops).sum(),
-        recoveries: h.recoveries as u64,
-        mean_recovery_s: h.mean_recovery_s,
-        departures_handled,
-        region_stops: h.stops,
-        checkpoint_commits,
-        wifi_total_bytes: h.wifi_bytes.total(),
-        cell_total_bytes: h.cell_bytes.total(),
-        cell_drops: h.cell_drops,
-        cell_max_queue_depth: h.cell_max_queue_depth,
-        per_region_cell_drops: h.per_region.iter().map(|r| r.cell_drops).collect(),
-        per_region_cell_max_queue_depth: h
-            .per_region
-            .iter()
-            .map(|r| r.cell_max_queue_depth)
-            .collect(),
-        weather: cfg
-            .weather
-            .as_ref()
-            .map(|w| w.name.clone())
-            .unwrap_or_default(),
-        weather_injections,
-        recovery_slo_s,
-        fault_timelines,
-        recovery_p50_s,
-        recovery_p99_s,
-        slo_violations,
-        duplicate_commits,
-        severed_observed,
-        cell_severed_sends: h.cell_severed_sends,
-        cell_queue_drop_bytes: h.cell_queue_drop_bytes,
-        cell_rejects: h.cell_rejects,
-        sanitizer_windows: san.map(|r| r.windows).unwrap_or(0),
-        sanitizer_ledger: san.map(|r| r.ledger).unwrap_or(0),
-        sanitizer_violations: san.map(|r| r.violations).unwrap_or(0),
-        pool_recycled: pool.recycled,
-        pool_aliasing: pool.aliasing,
-        digest: 0,
-    };
-    report.digest = report.compute_digest();
-    report
-}
-
 /// A stadium-shaped fleet scaled to `regions × phones`, trimmed to a
 /// 60 s window so one run stays subsecond-ish. `msbench`'s layer
 /// drivers build their deployments from it.
-pub fn bench_profile(regions: usize, phones: u32, seed: u64) -> FleetConfig {
-    let cal = apps::Calibration {
-        state_a: 16 * 1024,
-        state_l: 16 * 1024,
-        state_b: 64 * 1024,
-        state_j: 48 * 1024,
-        state_p: 16 * 1024,
-        state_h: 16 * 1024,
-        ..apps::Calibration::default()
+pub fn bench_profile(regions: usize, phones: u32, seed: u64) -> ScenarioConfig {
+    let mut cfg = base_profile(&format!("bench-{regions}x{phones}"), seed, regions, phones);
+    cfg.churn = ChurnProfile {
+        fail_per_phone_hour: 2.0,
+        depart_per_phone_hour: 4.0,
+        move_fraction: 0.3,
+        mean_rejoin_s: 30.0,
+        quiet_start_s: 15.0,
+        ..ChurnProfile::default()
     };
-    FleetConfig {
-        name: format!("bench-{regions}x{phones}"),
-        app: AppKind::Bcp,
-        scheme: Scheme::Ms,
-        regions: (0..regions).map(|_| FleetRegion::of(phones)).collect(),
-        ctl_group_size: 1,
-        churn: ChurnProfile {
-            fail_per_phone_hour: 2.0,
-            depart_per_phone_hour: 4.0,
-            move_fraction: 0.3,
-            mean_rejoin_s: 30.0,
-            quiet_start_s: 15.0,
-            ..ChurnProfile::default()
-        },
-        weather: None,
-        cal,
-        ckpt_period: SimDuration::from_secs(30),
-        ckpt_offset: SimDuration::from_secs(10),
-        duration: SimDuration::from_secs(60),
-        warmup: SimDuration::from_secs(10),
-        seed,
-        threads: 1,
-        sanitize: false,
-    }
+    cfg.ckpt_period = SimDuration::from_secs(30);
+    cfg.ckpt_offset = SimDuration::from_secs(10);
+    cfg.duration = SimDuration::from_secs(60);
+    cfg.warmup = SimDuration::from_secs(10);
+    cfg
 }
 
 // ---------------------------------------------------------------------
@@ -941,15 +430,13 @@ fn fleet_cal() -> apps::Calibration {
     }
 }
 
-fn base_profile(name: &str, seed: u64, regions: Vec<FleetRegion>) -> FleetConfig {
-    FleetConfig {
+/// `regions × phones` of BCP under MobiStreams on the shrunk states,
+/// at one thread: the shape every library profile starts from.
+fn base_profile(name: &str, seed: u64, regions: usize, phones: u32) -> ScenarioConfig {
+    ScenarioConfig {
         name: name.to_string(),
-        app: AppKind::Bcp,
-        scheme: Scheme::Ms,
         regions,
-        ctl_group_size: 1,
-        churn: ChurnProfile::default(),
-        weather: None,
+        phones,
         cal: fleet_cal(),
         ckpt_period: SimDuration::from_secs(120),
         ckpt_offset: SimDuration::from_secs(45),
@@ -957,18 +444,17 @@ fn base_profile(name: &str, seed: u64, regions: Vec<FleetRegion>) -> FleetConfig
         warmup: SimDuration::from_secs(60),
         seed,
         threads: 1,
-        sanitize: false,
+        ..ScenarioConfig::default()
     }
 }
 
 /// Look up a named profile. `None` for unknown names.
-pub fn profile(name: &str, seed: u64) -> Option<FleetConfig> {
+pub fn profile(name: &str, seed: u64) -> Option<ScenarioConfig> {
     match name {
         "stadium" => {
             // 8 regions × 128 phones = 1024: a packed venue. Huge idle
             // standby capacity, light churn.
-            let regions = (0..8).map(|_| FleetRegion::of(128)).collect();
-            let mut cfg = base_profile(name, seed, regions);
+            let mut cfg = base_profile(name, seed, 8, 128);
             cfg.churn = ChurnProfile {
                 fail_per_phone_hour: 0.5,
                 depart_per_phone_hour: 1.0,
@@ -981,8 +467,7 @@ pub fn profile(name: &str, seed: u64) -> Option<FleetConfig> {
         "commute" => {
             // Heavy inter-region mobility: phones stream from region to
             // region like cars along a road.
-            let regions = (0..8).map(|_| FleetRegion::of(16)).collect();
-            let mut cfg = base_profile(name, seed, regions);
+            let mut cfg = base_profile(name, seed, 8, 16);
             cfg.duration = SimDuration::from_secs(600);
             cfg.churn = ChurnProfile {
                 fail_per_phone_hour: 1.0,
@@ -997,8 +482,7 @@ pub fn profile(name: &str, seed: u64) -> Option<FleetConfig> {
         "flash-crowd" => {
             // Regions boot half-empty; the crowd arrives in one burst
             // after a minute, then churns away.
-            let regions = (0..4).map(|_| FleetRegion::of(64)).collect();
-            let mut cfg = base_profile(name, seed, regions);
+            let mut cfg = base_profile(name, seed, 4, 64);
             cfg.churn = ChurnProfile {
                 fail_per_phone_hour: 1.0,
                 depart_per_phone_hour: 12.0,
@@ -1013,15 +497,15 @@ pub fn profile(name: &str, seed: u64) -> Option<FleetConfig> {
         }
         "lossy-wifi" => {
             // Staggered interference ramps per region: 5 % → 25 % → 10 %.
-            let regions = (0..4)
+            let mut cfg = base_profile(name, seed, 4, 8);
+            cfg.overrides = (0..4)
                 .map(|r| {
-                    let mut region = FleetRegion::of(8);
                     let t0 = 90.0 + 60.0 * r as f64;
-                    region.loss.steps = vec![(t0, 0.25), (t0 + 120.0, 0.10)];
-                    region
+                    RegionOverride {
+                        loss: vec![(t0, 0.25), (t0 + 120.0, 0.10)],
+                    }
                 })
                 .collect();
-            let mut cfg = base_profile(name, seed, regions);
             cfg.duration = SimDuration::from_secs(600);
             cfg.churn = ChurnProfile {
                 fail_per_phone_hour: 1.0,
@@ -1036,8 +520,7 @@ pub fn profile(name: &str, seed: u64) -> Option<FleetConfig> {
             // controllers of 4 regions each behind the thin global
             // coordinator. Light churn; the scale itself is the
             // stressor. Trimmed to 180 s so a smoke run stays cheap.
-            let regions = (0..32).map(|_| FleetRegion::of(320)).collect();
-            let mut cfg = base_profile(name, seed, regions);
+            let mut cfg = base_profile(name, seed, 32, 320);
             cfg.ctl_group_size = 4;
             cfg.ckpt_period = SimDuration::from_secs(60);
             cfg.ckpt_offset = SimDuration::from_secs(30);
@@ -1060,8 +543,8 @@ pub fn profile(name: &str, seed: u64) -> Option<FleetConfig> {
 mod tests {
     use super::*;
 
-    fn mini(seed: u64) -> FleetConfig {
-        let mut cfg = base_profile("mini", seed, (0..3).map(|_| FleetRegion::of(6)).collect());
+    fn mini(seed: u64) -> ScenarioConfig {
+        let mut cfg = base_profile("mini", seed, 3, 6);
         cfg.duration = SimDuration::from_secs(240);
         cfg.warmup = SimDuration::from_secs(40);
         cfg.ckpt_period = SimDuration::from_secs(60);
@@ -1135,8 +618,8 @@ mod tests {
 
     #[test]
     fn fleet_run_is_deterministic_under_churn() {
-        let r1 = run_fleet(&mini(21));
-        let r2 = run_fleet(&mini(21));
+        let r1 = run(&mini(21), |_| {});
+        let r2 = run(&mini(21), |_| {});
         assert_eq!(r1.digest, r2.digest, "same seed must reproduce the report");
         assert_eq!(r1.events_processed, r2.events_processed);
         assert!(r1.outputs > 0, "fleet produced no sink output");
@@ -1155,10 +638,8 @@ mod tests {
     fn thread_count_never_changes_profile_digests() {
         for name in PROFILE_NAMES {
             let mut cfg = profile(name, 11).expect("known profile");
-            cfg.regions.truncate(3);
-            for r in &mut cfg.regions {
-                r.phones = r.phones.min(6);
-            }
+            cfg.regions = cfg.regions.min(3);
+            cfg.phones = cfg.phones.min(6);
             // Keep metro's control plane sharded after the truncation
             // (2 groups over 3 regions) so the invariance check covers
             // region-group controllers on distinct shards.
@@ -1170,8 +651,8 @@ mod tests {
             seq.threads = 1;
             let mut par = cfg;
             par.threads = 4;
-            let r1 = run_fleet(&seq);
-            let rn = run_fleet(&par);
+            let r1 = run(&seq, |_| {});
+            let rn = run(&par, |_| {});
             assert_eq!(
                 r1.digest, rn.digest,
                 "profile {name}: 4-thread digest diverged from sequential"
@@ -1191,16 +672,17 @@ mod tests {
             stadium.total_phones() >= 1000,
             "stadium must be 1000+ phones"
         );
-        assert!(stadium.regions.len() >= 8, "stadium must span 8+ regions");
+        assert!(stadium.regions >= 8, "stadium must span 8+ regions");
         assert!(profile("nope", 1).is_none());
     }
 
-    /// D002's allowlist lets `run_fleet` read the wall clock, but the
+    /// D002's allowlist lets `run` read the wall clock, but the
     /// reading must never feed the determinism digest: rewriting every
-    /// wall-clock-derived (and sanitizer) field leaves it unchanged.
+    /// wall-clock-derived (and sanitizer, pool and Fig 10 byte) field
+    /// leaves it unchanged.
     #[test]
     fn wall_clock_and_sanitizer_fields_never_feed_the_digest() {
-        let mut r = run_fleet(&mini(13));
+        let mut r = run(&mini(13), |_| {});
         let before = r.digest;
         r.wall_secs = 1e9;
         r.events_per_sec = -7.5;
@@ -1209,6 +691,9 @@ mod tests {
         r.sanitizer_violations = u64::MAX;
         r.pool_recycled = u64::MAX;
         r.pool_aliasing = u64::MAX;
+        r.preserved_bytes = u64::MAX;
+        r.ckpt_repl_bytes = u64::MAX;
+        r.preservation_bytes = u64::MAX;
         assert_eq!(
             r.compute_digest(),
             before,
@@ -1220,10 +705,10 @@ mod tests {
     /// the report digest, and a clean run folds a non-trivial ledger.
     #[test]
     fn sanitize_flag_never_changes_the_digest() {
-        let plain = run_fleet(&mini(17));
+        let plain = run(&mini(17), |_| {});
         let mut cfg = mini(17);
         cfg.sanitize = true;
-        let sanitized = run_fleet(&cfg);
+        let sanitized = run(&cfg, |_| {});
         assert_eq!(plain.digest, sanitized.digest);
         assert_eq!(plain.events_processed, sanitized.events_processed);
         assert!(sanitized.sanitizer_windows > 0, "no windows folded");
@@ -1240,8 +725,8 @@ mod tests {
         seq.sanitize = true;
         let mut par = seq.clone();
         par.threads = 4;
-        let r1 = run_fleet(&seq);
-        let rn = run_fleet(&par);
+        let r1 = run(&seq, |_| {});
+        let rn = run(&par, |_| {});
         assert_eq!(r1.digest, rn.digest);
         assert_eq!(r1.sanitizer_windows, rn.sanitizer_windows);
         assert_eq!(
@@ -1253,7 +738,7 @@ mod tests {
     /// A mini fleet under the built-in partition-heal weather, long
     /// enough that both episodes heal and the post-heal checkpoint
     /// round lands inside the horizon.
-    fn mini_weather(seed: u64) -> FleetConfig {
+    fn mini_weather(seed: u64) -> ScenarioConfig {
         let mut cfg = mini(seed);
         cfg.duration = SimDuration::from_secs(360);
         cfg.weather = crate::weather::weather("partition-heal", seed, cfg.topo());
@@ -1268,7 +753,7 @@ mod tests {
     #[test]
     fn partition_heal_meets_slo_and_never_double_commits() {
         let cfg = mini_weather(31);
-        let r = run_fleet(&cfg);
+        let r = run(&cfg, |_| {});
         assert!(
             !r.fault_timelines.is_empty(),
             "partition-heal produced no fault windows"
@@ -1295,11 +780,11 @@ mod tests {
     /// it.
     #[test]
     fn weather_runs_are_digest_stable_across_threads_and_sanitize() {
-        let r1 = run_fleet(&mini_weather(31));
+        let r1 = run(&mini_weather(31), |_| {});
         let mut par = mini_weather(31);
         par.threads = 4;
         par.sanitize = true;
-        let rn = run_fleet(&par);
+        let rn = run(&par, |_| {});
         assert_eq!(r1.digest, rn.digest, "weather digest diverged");
         assert_eq!(r1.events_processed, rn.events_processed);
         assert_eq!(rn.sanitizer_violations, 0, "sanitizer flagged the run");
@@ -1342,10 +827,10 @@ mod tests {
                 });
                 cfg.sanitize = true;
                 cfg.threads = 1;
-                let r1 = run_fleet(&cfg);
+                let r1 = run(&cfg, |_| {});
                 let mut par = cfg.clone();
                 par.threads = 4;
-                let rn = run_fleet(&par);
+                let rn = run(&par, |_| {});
                 prop_assert_eq!(r1.digest, rn.digest, "digest diverged across threads");
                 prop_assert_eq!(r1.events_processed, rn.events_processed);
                 prop_assert_eq!(r1.sanitizer_violations, 0);
@@ -1362,7 +847,7 @@ mod tests {
     fn brownout_weather_has_no_fault_windows() {
         let mut cfg = mini(37);
         cfg.weather = crate::weather::weather("brownout-front", 37, cfg.topo());
-        let r = run_fleet(&cfg);
+        let r = run(&cfg, |_| {});
         assert!(r.weather_injections > 0);
         assert!(r.fault_timelines.is_empty());
         assert_eq!(r.slo_violations, 0);

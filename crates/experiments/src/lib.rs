@@ -1,9 +1,14 @@
 //! # experiments — regenerate every table and figure of the paper
 //!
-//! Every artifact is a list of keyed [`sweep::Point`]s run by one
-//! [`sweep::sweep`], which returns each point's seed means; the
-//! artifact's `tables` lays those out. `msx` runs them from
-//! [`ARTIFACTS`].
+//! One spec, one run, one report: a [`ScenarioConfig`] holds a whole
+//! scenario (deployment, churn, weather, measurement window, threads),
+//! and [`run()`] turns it and a fault injection into a [`FleetReport`]
+//! with its determinism digest. Every artifact is a list of keyed
+//! [`sweep::Point`]s run through [`sweep::sweep`], which reduces each
+//! point's per-seed reports to [`sweep::Means`]; the artifact's
+//! `tables` lays those out. `msx` runs the artifacts from
+//! [`ARTIFACTS`], and the [`fleet`] profiles and their weather matrix
+//! through the same `run`.
 //!
 //! | Artifact | Functions | Paper claim reproduced |
 //! |---|---|---|
@@ -28,8 +33,7 @@ pub mod sweep;
 pub mod table1;
 pub mod weather;
 
-pub use fleet::{run_fleet, FleetConfig, FleetReport};
-pub use run::{harvest, measured_run, Harvest};
+pub use run::{harvest, measured_run, run, FleetReport, Harvest};
 pub use scenario::{AppKind, Deployment, Platform, RegionOverride, ScenarioConfig, Scheme};
 
 use report::Table;

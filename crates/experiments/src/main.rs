@@ -22,7 +22,8 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use experiments::report::{Cell, Table};
-use experiments::{fleet, weather, ExpOptions, ARTIFACTS};
+use experiments::sweep::{self, Point};
+use experiments::{fleet, weather, ExpOptions, FleetReport, ARTIFACTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -143,8 +144,8 @@ fn scenarios_cmd(args: &[String], out: &Path) {
                 let cfg = fleet::profile(name, 1).expect("built-in profile");
                 println!(
                     "  {name:<12} {} regions × {} phones = {} total, {:.0}s sim",
-                    cfg.regions.len(),
-                    cfg.regions.first().map(|r| r.phones).unwrap_or(0),
+                    cfg.regions,
+                    cfg.phones,
                     cfg.total_phones(),
                     cfg.duration.as_secs_f64(),
                 );
@@ -179,12 +180,12 @@ fn scenarios_cmd(args: &[String], out: &Path) {
             }
             eprintln!(
                 "[msx] scenario '{name}' seed {seed}: {} regions × ~{} phones ({} total), {:.0}s sim...",
-                cfg.regions.len(),
-                cfg.regions.first().map(|r| r.phones).unwrap_or(0),
+                cfg.regions,
+                cfg.phones,
                 cfg.total_phones(),
                 cfg.duration.as_secs_f64(),
             );
-            let r = fleet::run_fleet(&cfg);
+            let r = experiments::run(&cfg, |_| {});
             if cfg.sanitize {
                 eprintln!(
                     "[msx] causality sanitizer: {} windows clean, ledger {:#018x}",
@@ -220,7 +221,7 @@ fn scenarios_cmd(args: &[String], out: &Path) {
 /// The per-report conditions that make `scenarios run`/`matrix` fail:
 /// causality violations, pool aliasing, a missed recovery SLO, or a
 /// round committed twice across a heal.
-fn report_faults(r: &fleet::FleetReport) -> Vec<String> {
+fn report_faults(r: &FleetReport) -> Vec<String> {
     let mut faults = Vec::new();
     if r.sanitizer_violations > 0 {
         faults.push(format!(
@@ -272,30 +273,29 @@ fn matrix_cmd(args: &[String], out: &Path) {
         if smoke { " (smoke scale)" } else { "" },
     );
 
-    let mut labels = Vec::new();
-    let mut jobs = Vec::new();
-    for &pname in fleet::PROFILE_NAMES {
-        for &wname in weather::WEATHER_NAMES {
-            labels.push((pname, wname));
-            jobs.push(move || {
+    // Every profile × weather cell as a sweep point at `threads`
+    // workers, under the causality sanitizer.
+    let cells = |threads: usize| -> Vec<Point<(&'static str, &'static str)>> {
+        let mut points = Vec::new();
+        for &pname in fleet::PROFILE_NAMES {
+            for &wname in weather::WEATHER_NAMES {
                 let mut cfg = fleet::profile(pname, seed).expect("built-in profile");
                 if smoke {
                     cfg.shrink_to_smoke();
                 }
                 cfg.weather = weather::weather(wname, seed, cfg.topo());
                 cfg.sanitize = true;
-                cfg.threads = 1;
-                let r1 = fleet::run_fleet(&cfg);
-                let mut cfg_n = cfg.clone();
-                cfg_n.threads = threads;
-                let rn = fleet::run_fleet(&cfg_n);
-                (r1, rn)
-            });
+                cfg.threads = threads;
+                points.push(Point::steady((pname, wname), cfg));
+            }
         }
-    }
+        points
+    };
     // Full-scale cells are too big to overlap safely; smoke cells fan
     // out across cores.
-    let results = experiments::run_jobs(smoke, jobs);
+    let points = cells(1);
+    let single = sweep::runs(&points, seed..seed + 1, smoke);
+    let multi = sweep::runs(&cells(threads), seed..seed + 1, smoke);
 
     let mut t = Table::new(
         format!("scenario matrix (seed {seed})"),
@@ -313,7 +313,9 @@ fn matrix_cmd(args: &[String], out: &Path) {
     let num_or_dash = |x: f64| if x >= 0.0 { Cell::Num(x) } else { Cell::Dash };
     let mut cells_json = Vec::new();
     let mut failures = Vec::new();
-    for ((pname, wname), (r1, rn)) in labels.iter().zip(&results) {
+    let reports = single.iter().flatten().zip(multi.iter().flatten());
+    for (p, (r1, rn)) in points.iter().zip(reports) {
+        let (pname, wname) = p.key;
         let label = format!("{pname}/{wname}");
         if r1.digest != rn.digest {
             failures.push(format!(
@@ -397,7 +399,7 @@ fn matrix_cmd(args: &[String], out: &Path) {
     if failures.is_empty() {
         println!(
             "[msx] matrix OK: {} cells, digests thread-count-invariant, no sanitizer/SLO/commit faults",
-            results.len()
+            points.len()
         );
     } else {
         for f in &failures {
@@ -407,7 +409,7 @@ fn matrix_cmd(args: &[String], out: &Path) {
     }
 }
 
-fn fleet_table(r: &fleet::FleetReport) -> Table {
+fn fleet_table(r: &FleetReport) -> Table {
     let mut t = Table::new(
         format!("scenario '{}' (seed {})", r.profile, r.seed),
         vec!["metric".into(), "value".into()],

@@ -24,6 +24,9 @@ use simnet::ethernet::{EthConfig, EthernetNet};
 use simnet::stats::TrafficClass;
 use simnet::wifi::{WifiConfig, WifiMedium};
 
+use crate::fleet::ChurnProfile;
+use crate::weather::{CtlTopology, WeatherProgram};
+
 /// Which application drives the deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppKind {
@@ -87,21 +90,23 @@ pub enum Platform {
     },
 }
 
-/// Per-region overrides for heterogeneous, fleet-scale deployments
-/// (phones platform only; the server baseline ignores them). Entry `r`
-/// overrides region `r`; missing entries fall back to the scenario's
-/// homogeneous `phones`/`wifi`.
+/// What one region does differently (phones platform only; the server
+/// baseline ignores it). Entry `r` of [`ScenarioConfig::overrides`]
+/// overrides region `r`; a region without an entry keeps the constant
+/// `wifi.loss`.
 #[derive(Clone, Default)]
 pub struct RegionOverride {
-    /// Phones in this region.
-    pub phones: Option<u32>,
-    /// This region's WiFi channel parameters (loss profile, rate).
-    pub wifi: Option<WifiConfig>,
+    /// Scheduled `(at_s, loss)` changes of this region's WiFi loss.
+    pub loss: Vec<(f64, f64)>,
 }
 
-/// Full deployment parameters.
+/// One run's full spec: the deployment, its churn and weather, the
+/// measurement window and how the kernel runs it. The default is the
+/// paper's 4 × 8 testbed on the unsharded kernel.
 #[derive(Clone)]
 pub struct ScenarioConfig {
+    /// Report label (a library profile's name).
+    pub name: String,
     /// Application.
     pub app: AppKind,
     /// FT scheme.
@@ -126,17 +131,38 @@ pub struct ScenarioConfig {
     pub checkpoints_enabled: bool,
     /// RNG seed.
     pub seed: u64,
-    /// Per-region overrides (fleet-scale heterogeneous deployments).
+    /// Per-region overrides.
     pub overrides: Vec<RegionOverride>,
     /// Regions per region-group controller (MobiStreams only): regions
     /// `[g·size, (g+1)·size)` share one `RegionController`, placed on
     /// the group's first region's shard. 1 = one controller per region.
     pub ctl_group_size: usize,
+    /// Churn model, compiled from the seed into a schedule of
+    /// failures, departures and rejoins before the run starts.
+    pub churn: ChurnProfile,
+    /// Network weather rolling over the deployment (None = clear
+    /// skies), compiled into the schedule like churn.
+    pub weather: Option<WeatherProgram>,
+    /// Measurement starts here (boot/warm-up excluded).
+    pub warmup: SimDuration,
+    /// The run ends here: the measurement window is
+    /// `[warmup, duration)`.
+    pub duration: SimDuration,
+    /// Worker threads of the sharded kernel, one shard per region. A
+    /// wall-clock knob only: the report digest is the same for every
+    /// value ≥ 1. 0 keeps the unsharded kernel, whose single RNG stream
+    /// the paper artifacts are pinned on (sharding forks it per shard).
+    pub threads: usize,
+    /// Force the kernel's causality sanitizer on (it is already on in
+    /// debug builds). Observation-only: the report's `sanitizer_*`
+    /// fields carry its per-window ledger; the digest does not change.
+    pub sanitize: bool,
 }
 
 impl Default for ScenarioConfig {
     fn default() -> Self {
         ScenarioConfig {
+            name: "testbed".into(),
             app: AppKind::Bcp,
             scheme: Scheme::Ms,
             platform: Platform::Phones,
@@ -151,6 +177,12 @@ impl Default for ScenarioConfig {
             seed: 1,
             overrides: Vec::new(),
             ctl_group_size: 1,
+            churn: ChurnProfile::default(),
+            weather: None,
+            warmup: SimDuration::from_secs(150),
+            duration: SimDuration::from_secs(1350),
+            threads: 0,
+            sanitize: false,
         }
     }
 }
@@ -165,25 +197,29 @@ impl ScenarioConfig {
         }
     }
 
-    /// Phones deployed in region `r`.
-    pub fn phones_in(&self, r: usize) -> u32 {
-        self.overrides
-            .get(r)
-            .and_then(|o| o.phones)
-            .unwrap_or(self.phones)
-    }
-
-    /// WiFi channel parameters of region `r`.
-    pub fn wifi_in(&self, r: usize) -> WifiConfig {
-        self.overrides
-            .get(r)
-            .and_then(|o| o.wifi.clone())
-            .unwrap_or_else(|| self.wifi.clone())
-    }
-
     /// Phones across the whole deployment.
     pub fn total_phones(&self) -> u32 {
-        (0..self.regions).map(|r| self.phones_in(r)).sum()
+        self.regions as u32 * self.phones
+    }
+
+    /// Control-plane topology (regions × group size).
+    pub fn topo(&self) -> CtlTopology {
+        CtlTopology::new(self.regions, self.ctl_group_size)
+    }
+
+    /// Shrink to the CI smoke scale of `msx scenarios matrix --smoke`:
+    /// 3 regions × ≤8 phones over 360 s. 360 s keeps the latest
+    /// partition-heal window and its post-heal commit round inside the
+    /// horizon; the checkpoint cadence shrinks with it so the post-heal
+    /// commit opportunities per horizon match the full-scale profiles
+    /// (~5-6 rounds).
+    pub fn shrink_to_smoke(&mut self) {
+        self.regions = self.regions.min(3);
+        self.phones = self.phones.min(8);
+        self.duration = SimDuration::from_secs(360);
+        self.warmup = SimDuration::from_secs(60);
+        self.ckpt_period = SimDuration::from_secs(60);
+        self.ckpt_offset = SimDuration::from_secs(20);
     }
 }
 
@@ -267,7 +303,7 @@ impl Deployment {
 
         let mut plans = Vec::new();
         for r in 0..cfg.regions {
-            let bundle = build_bundle(&cfg, cfg.phones_in(r), r == 0);
+            let bundle = build_bundle(&cfg, cfg.phones, r == 0);
             let (graph, placement, flow_of) = if cfg.scheme == Scheme::Rep2 {
                 let (g2, flows) = duplicate_graph(&bundle.graph);
                 let n = bundle.graph.op_count();
@@ -279,7 +315,7 @@ impl Deployment {
                 // intentionally replacing the old ad-hoc `(s + 1) / 2`
                 // mapping — group pairings shift slightly, but flows
                 // stay disjoint and stage order is preserved.
-                let half = cfg.phones_in(r) / 2;
+                let half = cfg.phones / 2;
                 assert!(half >= 1, "rep-2 needs at least 2 phones (one per flow)");
                 let compressed = squeeze_placement(&bundle.placement, half);
                 // flow 0 on slots 0..k, flow 1 on slots k..2k.
@@ -291,7 +327,7 @@ impl Deployment {
                     op_slot[op] = s;
                     op_slot[op + n] = s + half;
                 }
-                let placement = Placement::from_op_slot(op_slot, cfg.phones_in(r));
+                let placement = Placement::from_op_slot(op_slot, cfg.phones);
                 (Arc::new(g2), placement, Some(Arc::new(flows)))
             } else {
                 (Arc::clone(&bundle.graph), bundle.placement.clone(), None)
@@ -321,11 +357,8 @@ impl Deployment {
         // Baselines: one coordinator actor right after the regions.
         // MobiStreams: one region controller per region group, then the
         // global coordinator.
-        let actors_before_controller: usize = (0..cfg.regions)
-            .map(
-                |r| 1 /*wifi*/ + cfg.phones_in(r) as usize + 1, /*driver*/
-            )
-            .sum();
+        // Per region: its WiFi medium, its phones and its sensor driver.
+        let actors_before_controller = cfg.regions * (cfg.phones as usize + 2);
         let group_size = cfg.ctl_group_size.max(1);
         let n_groups = cfg.regions.div_ceil(group_size);
         let ctl_id_of_group = |g: usize| ActorId::from_index(1 + actors_before_controller + g);
@@ -334,9 +367,9 @@ impl Deployment {
 
         let mut regions = Vec::new();
         for (r, plan) in plans.iter().enumerate() {
-            let wifi_id = sim.add_actor(Box::new(WifiMedium::new(cfg.wifi_in(r))));
+            let wifi_id = sim.add_actor(Box::new(WifiMedium::new(cfg.wifi.clone())));
             let mut node_ids = Vec::new();
-            for slot in 0..cfg.phones_in(r) {
+            for slot in 0..cfg.phones {
                 let ncfg = NodeConfig {
                     region: regions.len(),
                     slot,
@@ -768,20 +801,13 @@ impl Deployment {
 
     /// Switch the kernel to deterministic parallel mode: one shard per
     /// region plus the global shard, with the cellular network's
-    /// minimum response delay as the conservative lookahead and
-    /// per-destination cross-shard bounds from [`Deployment::shard_bounds`].
-    /// Call after [`Deployment::start`] and any setup-time scheduling;
-    /// the result is bit-identical for every `threads` value.
-    pub fn enable_sharding(&mut self, threads: usize) {
-        self.enable_sharding_opts(threads, true);
-    }
-
-    /// As [`Deployment::enable_sharding`], with per-destination
-    /// cross-shard bounds optionally disabled: the kernel then barriers
-    /// on the uniform cellular lookahead for every destination — the
-    /// reference side of the digest cross-check. Digests are identical
-    /// either way; the bound only changes how far region windows may
-    /// run between barriers.
+    /// minimum response delay as the conservative lookahead. With
+    /// `per_destination`, cross-shard bounds come from
+    /// [`Deployment::shard_bounds`]; without, the kernel barriers on the
+    /// uniform lookahead for every destination — the reference side of
+    /// the digest cross-check. Call after [`Deployment::start`] and any
+    /// setup-time scheduling; the result is bit-identical for every
+    /// `threads` value and either bound.
     pub fn enable_sharding_opts(&mut self, threads: usize, per_destination: bool) {
         let map = self.shard_map();
         let lookahead = self.cfg.cell.min_response_delay();

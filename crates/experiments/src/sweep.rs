@@ -1,8 +1,11 @@
-//! The one measured-run sweep behind every paper artifact: a list of
-//! keyed points (a scenario plus its fault injection), each run at
-//! every seed of a range and reduced to its seed means.
+//! The one sweep behind every paper artifact and the scenario matrix:
+//! a list of keyed points (a scenario plus its fault injection), each
+//! [`run`] at every seed of a range. The artifacts reduce each point's
+//! reports to [`Means`].
 
-use crate::run::measured_run;
+use std::ops::Range;
+
+use crate::run::{run, FleetReport};
 use crate::scenario::{AppKind, Deployment, ScenarioConfig};
 use crate::{mean, run_jobs, ExpOptions};
 
@@ -14,7 +17,7 @@ pub type Faults = Box<dyn Fn(&mut Deployment) + Send + Sync>;
 
 /// One point of a sweep.
 pub struct Point<K> {
-    /// Names the point's means in the sweep's result.
+    /// Names the point's results.
     pub key: K,
     /// The scenario; the sweep sets its `seed`.
     pub cfg: ScenarioConfig,
@@ -33,29 +36,68 @@ impl<K> Point<K> {
     }
 }
 
-/// The seed means of the [`crate::Harvest`] numbers the artifacts
-/// print.
+/// One number over a point's seeds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// The seed mean, summed in seed order.
+    pub mean: f64,
+    /// The smallest seed's value.
+    pub min: f64,
+    /// The largest seed's value.
+    pub max: f64,
+}
+
+/// The report numbers the artifacts print, each over a point's seeds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Means {
     /// `mean_throughput`: tuples/s per region.
-    pub throughput: f64,
-    /// `mean_latency_s`.
-    pub latency_s: f64,
+    pub throughput: Spread,
+    /// `mean_latency_s`, ∞ for a run without output.
+    pub latency_s: Spread,
     /// `preserved_bytes` (Fig 10a).
-    pub preserved_bytes: f64,
+    pub preserved_bytes: Spread,
     /// `ckpt_repl_bytes` (Fig 10b).
-    pub ckpt_repl_bytes: f64,
-    /// `wifi_bytes.preservation`: source-preservation WiFi bytes.
-    pub preservation_bytes: f64,
+    pub ckpt_repl_bytes: Spread,
+    /// `preservation_bytes`: source-preservation WiFi bytes.
+    pub preservation_bytes: Spread,
 }
 
-/// Run every point at seeds `seed_base .. seed_base + opts.seeds` and
-/// return each point's key and seed means, in point order. Each mean
-/// sums its runs in seed order, so it does not depend on which run
-/// finished first.
-pub fn sweep<K: Sync>(points: Vec<Point<K>>, seed_base: u64, opts: ExpOptions) -> Vec<(K, Means)> {
-    assert!(opts.seeds > 0, "a sweep needs at least one seed");
-    let seeds = seed_base..seed_base + opts.seeds;
+impl Means {
+    /// Reduce one point's reports, one per seed.
+    fn of(reports: &[FleetReport]) -> Self {
+        let col = |f: fn(&FleetReport) -> f64| {
+            let xs: Vec<f64> = reports.iter().map(f).collect();
+            Spread {
+                mean: mean(&xs),
+                min: xs.iter().copied().fold(f64::INFINITY, f64::min),
+                max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            }
+        };
+        Means {
+            throughput: col(|r| r.mean_throughput),
+            // The report's -1 for "no output" is ∞ in the artifacts.
+            latency_s: col(|r| {
+                if r.mean_latency_s < 0.0 {
+                    f64::INFINITY
+                } else {
+                    r.mean_latency_s
+                }
+            }),
+            preserved_bytes: col(|r| r.preserved_bytes as f64),
+            ckpt_repl_bytes: col(|r| r.ckpt_repl_bytes as f64),
+            preservation_bytes: col(|r| r.preservation_bytes as f64),
+        }
+    }
+}
+
+/// Run every point at every seed of `seeds`: each point's reports in
+/// seed order, in point order. With `parallel` the runs spread over
+/// the host's cores, without they run one after another.
+pub fn runs<K: Sync>(
+    points: &[Point<K>],
+    seeds: Range<u64>,
+    parallel: bool,
+) -> Vec<Vec<FleetReport>> {
     let jobs: Vec<_> = points
         .iter()
         .flat_map(|p| {
@@ -65,33 +107,36 @@ pub fn sweep<K: Sync>(points: Vec<Point<K>>, seed_base: u64, opts: ExpOptions) -
                         seed,
                         ..p.cfg.clone()
                     };
-                    let h = measured_run(cfg, opts.warmup, opts.window, |dep| (p.faults)(dep));
-                    [
-                        h.mean_throughput,
-                        h.mean_latency_s,
-                        h.preserved_bytes as f64,
-                        h.ckpt_repl_bytes as f64,
-                        h.wifi_bytes.preservation as f64,
-                    ]
+                    run(&cfg, |dep| (p.faults)(dep))
                 }
             })
         })
         .collect();
-    let runs = run_jobs(true, jobs);
+    let mut reports = run_jobs(parallel, jobs).into_iter();
+    points
+        .iter()
+        .map(|_| reports.by_ref().take(seeds.clone().count()).collect())
+        .collect()
+}
+
+/// The paper artifacts' sweep: every point measured over
+/// `[opts.warmup, opts.warmup + opts.window)` at seeds
+/// `seed_base .. seed_base + opts.seeds`, reduced to its [`Means`].
+pub fn sweep<K: Sync>(
+    mut points: Vec<Point<K>>,
+    seed_base: u64,
+    opts: ExpOptions,
+) -> Vec<(K, Means)> {
+    assert!(opts.seeds > 0, "a sweep needs at least one seed");
+    for p in &mut points {
+        p.cfg.warmup = opts.warmup;
+        p.cfg.duration = opts.warmup + opts.window;
+    }
+    let reports = runs(&points, seed_base..seed_base + opts.seeds, true);
     points
         .into_iter()
-        .zip(runs.chunks(opts.seeds as usize))
-        .map(|(p, runs)| {
-            let col = |i: usize| mean(&runs.iter().map(|r| r[i]).collect::<Vec<_>>());
-            let m = Means {
-                throughput: col(0),
-                latency_s: col(1),
-                preserved_bytes: col(2),
-                ckpt_repl_bytes: col(3),
-                preservation_bytes: col(4),
-            };
-            (p.key, m)
-        })
+        .zip(reports)
+        .map(|(p, reports)| (p.key, Means::of(&reports)))
         .collect()
 }
 
@@ -111,5 +156,83 @@ pub(crate) fn relative(x: f64, reference: f64, fallback: f64) -> f64 {
         x / reference
     } else {
         fallback
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::inject_burst;
+    use crate::scenario::Scheme;
+    use simkernel::{SimDuration, SimTime};
+
+    /// `scheme` on the testbed at the smoke pin's scale: a 120 s
+    /// warm-up and a 60 s window.
+    fn smoke(scheme: Scheme) -> ScenarioConfig {
+        ScenarioConfig {
+            scheme,
+            warmup: SimDuration::from_secs(120),
+            duration: SimDuration::from_secs(180),
+            ..ScenarioConfig::default()
+        }
+    }
+
+    /// Three artifact points: ms-8 fault-free, dist-2 hit by Fig 9's
+    /// 2-failure burst 30 s into the window, and rep-2.
+    fn points() -> Vec<Point<Scheme>> {
+        let mut dist = Point::steady(Scheme::Dist(2), smoke(Scheme::Dist(2)));
+        let burst = SimTime::from_secs(150);
+        dist.faults = Box::new(move |dep| inject_burst(dep, 2, burst, false));
+        vec![
+            Point::steady(Scheme::Ms, smoke(Scheme::Ms)),
+            dist,
+            Point::steady(Scheme::Rep2, smoke(Scheme::Rep2)),
+        ]
+    }
+
+    /// The artifacts are deterministic by digest: every seed of every
+    /// point reports the same digest on a second sweep, and two seeds
+    /// report different ones.
+    #[test]
+    fn paper_points_are_deterministic_by_digest() {
+        let digests = |reports: Vec<Vec<FleetReport>>| -> Vec<Vec<u64>> {
+            reports
+                .iter()
+                .map(|seeds| seeds.iter().map(|r| r.digest).collect())
+                .collect()
+        };
+        let first = digests(runs(&points(), 1..3, true));
+        let second = digests(runs(&points(), 1..3, true));
+        for ((p, a), b) in points().iter().zip(&first).zip(&second) {
+            let label = p.key.label();
+            assert_eq!(a, b, "{label}: a seed's digest moved between sweeps");
+            assert_ne!(a[0], a[1], "{label}: two seeds, one digest");
+        }
+    }
+
+    /// Every number carries its range over the seeds next to its mean.
+    #[test]
+    fn means_carry_their_seed_range() {
+        let opts = ExpOptions {
+            seeds: 2,
+            warmup: SimDuration::from_secs(120),
+            window: SimDuration::from_secs(60),
+        };
+        let means = sweep(vec![Point::steady((), smoke(Scheme::Ms))], 1, opts);
+        let m = means[0].1;
+        for s in [
+            m.throughput,
+            m.latency_s,
+            m.preserved_bytes,
+            m.ckpt_repl_bytes,
+            m.preservation_bytes,
+        ] {
+            assert!(s.min <= s.mean && s.mean <= s.max, "{s:?}");
+        }
+        assert!(
+            m.throughput.min < m.throughput.max,
+            "two seeds, one throughput: {:?}",
+            m.throughput
+        );
     }
 }

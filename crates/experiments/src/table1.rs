@@ -140,8 +140,8 @@ pub fn tables(means: &[((AppKind, Row), Means)]) -> Vec<(String, Table)> {
             let (a, b) = (at(means, (app, lo)), at(means, (app, hi)));
             let span = |x: f64, y: f64| (x.min(y), x.max(y));
             [
-                span(a.throughput, b.throughput),
-                span(b.latency_s, a.latency_s),
+                span(a.throughput.mean, b.throughput.mean),
+                span(b.latency_s.mean, a.latency_s.mean),
             ]
         };
         let [b_tput, b_lat] = band(AppKind::Bcp);

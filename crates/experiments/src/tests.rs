@@ -146,11 +146,12 @@ mod unit {
             phones: 1,
             ckpt_offset: SimDuration::from_secs(5),
             ckpt_period: SimDuration::from_secs(10),
+            warmup: SimDuration::ZERO,
+            duration: SimDuration::from_secs(30),
             ..ScenarioConfig::default()
         };
-        let secs = SimDuration::from_secs;
-        let h = crate::run::measured_run(cfg, secs(0), secs(30), |_| {});
-        assert_eq!(h.ckpt_repl_bytes, 0, "no peer to ship a copy to");
+        let r = crate::run(&cfg, |_| {});
+        assert_eq!(r.ckpt_repl_bytes, 0, "no peer to ship a copy to");
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! flapping links, controller blackouts — plus a declared recovery
 //! SLO. [`compile`] turns a program into a sorted schedule of
 //! [`WeatherInjection`]s (pure function, unit-testable without a
-//! deployment); `fleet::build_fleet` maps those onto the simnet
+//! deployment); `fleet::deploy` maps those onto the simnet
 //! primitives ([`simnet::cellular::CellSetPartition`],
 //! [`simnet::wifi::WifiSetBrownout`]). [`fault_windows`] derives the
 //! per-region fault timeline skeleton (partition start → scheduled
-//! heal) that `run_fleet` joins against the controller's commit log to
+//! heal) that `run::run` joins against the controller's commit log to
 //! measure recovery latency and enforce the SLO.
 //!
 //! The seeded generators behind [`weather`] place partition starts in

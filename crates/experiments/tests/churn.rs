@@ -319,7 +319,7 @@ fn rejoin_mid_cellular_snapshot_commits_once_without_stalling() {
 #[test]
 fn flash_crowd_reports_cellular_queue_pressure() {
     let cfg = experiments::fleet::profile("flash-crowd", 1).expect("built-in profile");
-    let r = experiments::run_fleet(&cfg);
+    let r = experiments::run(&cfg, |_| {});
     assert_eq!(r.per_region_cell_drops.len(), r.regions);
     assert_eq!(r.per_region_cell_max_queue_depth.len(), r.regions);
     assert!(

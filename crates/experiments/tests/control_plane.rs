@@ -13,7 +13,7 @@ use baselines::msgs::BaselineAck;
 use baselines::BaselineCoordinator;
 use dsps::node::{Pong, RegisterNode, ReportDead};
 use experiments::faults::{inject_departure, inject_reboot};
-use experiments::fleet::{build_fleet, ChurnProfile, FleetConfig, FleetRegion};
+use experiments::fleet::deploy;
 use experiments::weather::{WeatherProgram, WeatherSystem};
 use experiments::{harvest, AppKind, Deployment, ScenarioConfig, Scheme};
 use mobistreams::msgs::NodeCheckpointed;
@@ -253,14 +253,14 @@ fn baseline_coordinator_counts_malformed_messages_and_changes_nothing() {
 }
 
 /// The blackout-isolation contract of the sharded control plane.
-fn blackout_fleet() -> FleetConfig {
-    FleetConfig {
+fn blackout_fleet() -> ScenarioConfig {
+    ScenarioConfig {
         name: "blackout-isolation".into(),
         app: AppKind::Bcp,
         scheme: Scheme::Ms,
-        regions: (0..3).map(|_| FleetRegion::of(5)).collect(),
+        regions: 3,
+        phones: 5,
         ctl_group_size: 1, // three groups: one controller per region
-        churn: ChurnProfile::default(),
         // Group 1's controller goes dark for 60 s; starts sit in the
         // ping-safe band (102 ≡ 162 ≡ 12 mod 30).
         weather: Some(WeatherProgram {
@@ -278,15 +278,14 @@ fn blackout_fleet() -> FleetConfig {
         duration: SimDuration::from_secs(260),
         warmup: SimDuration::from_secs(40),
         seed: 19,
-        threads: 1,
-        sanitize: false,
+        ..ScenarioConfig::default()
     }
 }
 
 #[test]
 fn one_group_blackout_leaves_other_groups_committing() {
     let cfg = blackout_fleet();
-    let (mut dep, _schedule) = build_fleet(&cfg);
+    let (mut dep, ..) = deploy(&cfg);
     dep.run_until(SimTime::ZERO + cfg.duration);
 
     let commits = dep.ms_commits();

@@ -10,8 +10,8 @@
 //! nightly CI step (`cargo test -p experiments --test
 //! determinism_stress -- --ignored`).
 
-use experiments::fleet::{build_fleet, profile, run_fleet, FleetConfig, FleetReport};
-use experiments::run::harvest;
+use experiments::fleet::{deploy, profile};
+use experiments::{harvest, run, FleetReport, ScenarioConfig};
 use simkernel::{SimDuration, SimTime};
 
 /// Profiles whose shapes stress the parallel kernel hardest.
@@ -24,12 +24,10 @@ const THREADS: &[usize] = &[1, 2, 4, 8];
 /// sweep stays in test time, while preserving the stressor: sharded
 /// control plane (metro keeps ≥2 controller groups), staggered loss
 /// ramps, and the arrival burst all survive the truncation.
-fn scaled(name: &str, seed: u64) -> FleetConfig {
+fn scaled(name: &str, seed: u64) -> ScenarioConfig {
     let mut cfg = profile(name, seed).expect("known stress profile");
-    cfg.regions.truncate(4);
-    for r in &mut cfg.regions {
-        r.phones = r.phones.min(8);
-    }
+    cfg.regions = cfg.regions.min(4);
+    cfg.phones = cfg.phones.min(8);
     cfg.ctl_group_size = cfg.ctl_group_size.min(2);
     cfg.duration = SimDuration::from_secs(240);
     cfg.warmup = SimDuration::from_secs(40);
@@ -39,12 +37,12 @@ fn scaled(name: &str, seed: u64) -> FleetConfig {
 
 /// Run `cfg` at every thread count and assert the full determinism
 /// contract between each pair of runs.
-fn assert_thread_invariant(name: &str, cfg: &FleetConfig) -> FleetReport {
+fn assert_thread_invariant(name: &str, cfg: &ScenarioConfig) -> FleetReport {
     let mut base: Option<FleetReport> = None;
     for &threads in THREADS {
         let mut c = cfg.clone();
         c.threads = threads;
-        let r = run_fleet(&c);
+        let r = run(&c, |_| {});
         assert_eq!(
             r.sanitizer_violations, 0,
             "{name} @ {threads} threads: causality violations"
@@ -103,16 +101,16 @@ fn flash_crowd_digests_thread_invariant() {
 
 /// Per-destination lookahead is a window-shape knob, never a schedule
 /// knob: the uniform global bound (the reference side, driven here
-/// directly since no config selects it) must reproduce `run_fleet`'s
+/// directly since no config selects it) must reproduce `run`'s
 /// results exactly.
 #[test]
 fn uniform_lookahead_reproduces_per_destination_digests() {
     for &name in STRESS_PROFILES {
         let mut cfg = scaled(name, 37);
         cfg.threads = 4;
-        let rd = run_fleet(&cfg);
+        let rd = run(&cfg, |_| {});
 
-        let (mut dep, _) = build_fleet(&cfg);
+        let (mut dep, ..) = deploy(&cfg);
         dep.enable_sharding_opts(4, false);
         dep.sim.enable_sanitizer();
         let to = SimTime::ZERO + cfg.duration;

@@ -103,7 +103,7 @@ pub const RULES: &[Rule] = &[
         skip_test_code: false,
         allow_files: &[
             "crates/experiments/src/main.rs",
-            "crates/experiments/src/fleet.rs",
+            "crates/experiments/src/run.rs",
         ],
         patterns: &["Instant", "SystemTime"],
     },

@@ -27,7 +27,7 @@ fn d002_fires_everywhere_but_the_harness_allowlist() {
     assert!(rules_hit("crates/experiments/src/fig8.rs", src).contains(&"D002"));
     // The two wall-clock harness files are exempt by path.
     assert!(rules_hit("crates/experiments/src/main.rs", src).is_empty());
-    assert!(rules_hit("crates/experiments/src/fleet.rs", src).is_empty());
+    assert!(rules_hit("crates/experiments/src/run.rs", src).is_empty());
 }
 
 #[test]
