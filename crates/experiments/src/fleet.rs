@@ -5,8 +5,8 @@
 //! this module opens the scale and scenario-diversity axes. From a
 //! [`ScenarioConfig`]'s seed its [`ChurnProfile`] (fail-stop crashes,
 //! departures, inter-region moves, rejoins) becomes a deterministic
-//! [`ChurnEvent`] schedule, which [`deploy`] injects into the started
-//! deployment together with the per-region loss steps and the weather.
+//! [`ChurnEvent`] schedule, which [`Deployment::start`] injects
+//! together with the per-region loss steps and the weather.
 //! [`crate::run::run`] then runs and reports it like any other
 //! scenario, so a fleet run is exactly as reproducible as the paper
 //! scenarios: same seed, same report.
@@ -41,8 +41,8 @@ use simnet::wifi::{WifiSetBrownout, WifiSetLoss};
 
 use crate::faults::{inject_departure, inject_failure, inject_reboot};
 use crate::run::{run, FleetReport};
-use crate::scenario::{Deployment, RegionOverride, ScenarioConfig};
-use crate::weather::{self, CtlTopology, WeatherAction, WeatherProgram};
+use crate::scenario::{Deployment, ScenarioConfig};
+use crate::weather::{self, WeatherAction, WeatherInjection};
 
 /// Churn model: rates are per phone-hour, so the same profile scales
 /// from 10 phones to 10 000.
@@ -306,24 +306,22 @@ fn arrive_next_region(
     true
 }
 
-/// Build and start the deployment, then schedule its churn, loss
-/// steps and weather: the set-up half of [`run`]. Returns the started
-/// deployment, the churn schedule and the number of weather
-/// injections.
-pub fn deploy(cfg: &ScenarioConfig) -> (Deployment, Vec<ChurnEvent>, u64) {
-    let schedule = churn_schedule(cfg);
-    let mut dep = Deployment::build(cfg.clone());
-    dep.start();
+/// Schedule the spec's churn, WiFi loss steps and weather against a
+/// deployment whose start events are already queued: the tail of
+/// [`Deployment::start`]. Returns the churn schedule and the number of
+/// weather injections.
+pub(crate) fn schedule_injections(dep: &mut Deployment) -> (Vec<ChurnEvent>, u64) {
+    let schedule = churn_schedule(&dep.cfg);
     for ev in &schedule {
         match ev.kind {
-            ChurnKind::Fail => inject_failure(&mut dep, ev.region, ev.slot, ev.at),
-            ChurnKind::Depart => inject_departure(&mut dep, ev.region, ev.slot, ev.at),
-            ChurnKind::Rejoin => inject_reboot(&mut dep, ev.region, ev.slot, ev.at),
+            ChurnKind::Fail => inject_failure(dep, ev.region, ev.slot, ev.at),
+            ChurnKind::Depart => inject_departure(dep, ev.region, ev.slot, ev.at),
+            ChurnKind::Rejoin => inject_reboot(dep, ev.region, ev.slot, ev.at),
         }
     }
-    for (r, region) in cfg.overrides.iter().enumerate().take(cfg.regions) {
+    for (r, steps) in dep.cfg.loss_steps.iter().enumerate().take(dep.cfg.regions) {
         let wifi = dep.regions[r].wifi;
-        for &(at_s, loss) in &region.loss {
+        for &(at_s, loss) in steps {
             dep.sim.schedule_at(
                 SimTime::from_nanos((at_s * 1e9) as u64),
                 wifi,
@@ -331,17 +329,18 @@ pub fn deploy(cfg: &ScenarioConfig) -> (Deployment, Vec<ChurnEvent>, u64) {
             );
         }
     }
-    let injections = cfg
-        .weather
-        .as_ref()
-        .map_or(0, |program| apply_weather(&mut dep, program, cfg.topo()));
-    (dep, schedule, injections)
+    let injections = dep.cfg.weather.as_ref().map_or_else(Vec::new, |program| {
+        weather::compile(program, dep.cfg.topo())
+    });
+    schedule_weather(dep, &injections);
+    (schedule, injections.len() as u64)
 }
 
-/// [`deploy`] without the injection count: `msbench`'s entry point,
-/// which the next change to the benchmark deletes.
+/// Build and start the deployment: `msbench`'s entry point, which the
+/// next change to the benchmark deletes.
 pub fn build_fleet(cfg: &FleetConfig) -> (Deployment, Vec<ChurnEvent>) {
-    let (dep, schedule, _) = deploy(cfg);
+    let mut dep = Deployment::build(cfg.clone());
+    let (schedule, _) = dep.start();
     (dep, schedule)
 }
 
@@ -351,11 +350,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     run(cfg, |_| {})
 }
 
-/// Compile a weather program and schedule its injections against the
-/// deployment's simnet actors. Returns the number of injections.
-fn apply_weather(dep: &mut Deployment, program: &WeatherProgram, topo: CtlTopology) -> u64 {
-    let injections = weather::compile(program, topo);
-    for inj in &injections {
+/// Schedule compiled weather injections against the deployment's
+/// simnet actors.
+fn schedule_weather(dep: &mut Deployment, injections: &[WeatherInjection]) {
+    for inj in injections {
         match inj.action {
             WeatherAction::PartitionRegion { region, on } => {
                 // Sever every phone endpoint of the region; endpoints
@@ -381,7 +379,6 @@ fn apply_weather(dep: &mut Deployment, program: &WeatherProgram, topo: CtlTopolo
             }
         }
     }
-    injections.len() as u64
 }
 
 /// A stadium-shaped fleet scaled to `regions × phones`, trimmed to a
@@ -498,12 +495,10 @@ pub fn profile(name: &str, seed: u64) -> Option<ScenarioConfig> {
         "lossy-wifi" => {
             // Staggered interference ramps per region: 5 % → 25 % → 10 %.
             let mut cfg = base_profile(name, seed, 4, 8);
-            cfg.overrides = (0..4)
+            cfg.loss_steps = (0..4)
                 .map(|r| {
                     let t0 = 90.0 + 60.0 * r as f64;
-                    RegionOverride {
-                        loss: vec![(t0, 0.25), (t0 + 120.0, 0.10)],
-                    }
+                    vec![(t0, 0.25), (t0 + 120.0, 0.10)]
                 })
                 .collect();
             cfg.duration = SimDuration::from_secs(600);

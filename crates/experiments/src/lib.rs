@@ -34,7 +34,7 @@ pub mod table1;
 pub mod weather;
 
 pub use run::{harvest, measured_run, run, FleetReport, Harvest};
-pub use scenario::{AppKind, Deployment, Platform, RegionOverride, ScenarioConfig, Scheme};
+pub use scenario::{AppKind, Deployment, Platform, ScenarioConfig, Scheme};
 
 use report::Table;
 use simkernel::SimDuration;

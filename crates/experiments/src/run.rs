@@ -10,7 +10,7 @@ use simnet::cellular::CellularNet;
 use simnet::stats::TrafficClass;
 use simnet::wifi::WifiMedium;
 
-use crate::fleet::{deploy, ChurnEvent, ChurnKind};
+use crate::fleet::{ChurnEvent, ChurnKind};
 use crate::scenario::{Deployment, ScenarioConfig, Scheme};
 use crate::weather;
 
@@ -456,8 +456,8 @@ impl FleetReport {
 }
 
 /// Run one scenario and report it. The steps, in an order that fixes
-/// every same-instant tie: build and start the deployment, schedule
-/// its churn, loss steps and weather ([`deploy`]), apply `faults`,
+/// every same-instant tie: build and start the deployment (which
+/// schedules its churn, loss steps and weather), apply `faults`,
 /// shard the kernel when `threads` ≥ 1, run to `duration`, harvest
 /// `[warmup, duration)`, report.
 pub fn run(cfg: &ScenarioConfig, faults: impl FnOnce(&mut Deployment)) -> FleetReport {
@@ -609,7 +609,8 @@ fn simulate(
     cfg: &ScenarioConfig,
     faults: impl FnOnce(&mut Deployment),
 ) -> (Deployment, Vec<ChurnEvent>, u64) {
-    let (mut dep, schedule, weather_injections) = deploy(cfg);
+    let mut dep = Deployment::build(cfg.clone());
+    let (schedule, weather_injections) = dep.start();
     faults(&mut dep);
     if cfg.threads > 0 {
         dep.enable_sharding_opts(cfg.threads, true);

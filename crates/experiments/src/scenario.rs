@@ -24,7 +24,7 @@ use simnet::ethernet::{EthConfig, EthernetNet};
 use simnet::stats::TrafficClass;
 use simnet::wifi::{WifiConfig, WifiMedium};
 
-use crate::fleet::ChurnProfile;
+use crate::fleet::{schedule_injections, ChurnEvent, ChurnProfile};
 use crate::weather::{CtlTopology, WeatherProgram};
 
 /// Which application drives the deployment.
@@ -90,16 +90,6 @@ pub enum Platform {
     },
 }
 
-/// What one region does differently (phones platform only; the server
-/// baseline ignores it). Entry `r` of [`ScenarioConfig::overrides`]
-/// overrides region `r`; a region without an entry keeps the constant
-/// `wifi.loss`.
-#[derive(Clone, Default)]
-pub struct RegionOverride {
-    /// Scheduled `(at_s, loss)` changes of this region's WiFi loss.
-    pub loss: Vec<(f64, f64)>,
-}
-
 /// One run's full spec: the deployment, its churn and weather, the
 /// measurement window and how the kernel runs it. The default is the
 /// paper's 4 × 8 testbed on the unsharded kernel.
@@ -131,8 +121,10 @@ pub struct ScenarioConfig {
     pub checkpoints_enabled: bool,
     /// RNG seed.
     pub seed: u64,
-    /// Per-region overrides.
-    pub overrides: Vec<RegionOverride>,
+    /// Scheduled `(at_s, loss)` changes of each region's WiFi loss:
+    /// entry `r` is region `r`'s; a region without one keeps the
+    /// constant `wifi.loss`. Phones platform only.
+    pub loss_steps: Vec<Vec<(f64, f64)>>,
     /// Regions per region-group controller (MobiStreams only): regions
     /// `[g·size, (g+1)·size)` share one `RegionController`, placed on
     /// the group's first region's shard. 1 = one controller per region.
@@ -175,7 +167,7 @@ impl Default for ScenarioConfig {
             ckpt_offset: SimDuration::from_secs(60),
             checkpoints_enabled: true,
             seed: 1,
-            overrides: Vec::new(),
+            loss_steps: Vec::new(),
             ctl_group_size: 1,
             churn: ChurnProfile::default(),
             weather: None,
@@ -747,8 +739,11 @@ impl Deployment {
         }
     }
 
-    /// Kick off controller timers and sensor feeds at t = 0.
-    pub fn start(&mut self) {
+    /// Kick off controller timers and sensor feeds at t = 0, then
+    /// schedule the spec's churn, WiFi loss steps and weather, in that
+    /// order. Returns the churn schedule and the number of weather
+    /// injections.
+    pub fn start(&mut self) -> (Vec<ChurnEvent>, u64) {
         if let Some(ctl) = self.controller {
             self.sim
                 .schedule_at(SimTime::ZERO, ctl, mobistreams::controller::Start);
@@ -764,6 +759,7 @@ impl Deployment {
         for r in &self.regions {
             self.sim.schedule_at(SimTime::ZERO, r.driver, StartFeeds);
         }
+        schedule_injections(self)
     }
 
     /// Run the simulation to `t`.

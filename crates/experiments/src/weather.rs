@@ -6,7 +6,7 @@
 //! flapping links, controller blackouts — plus a declared recovery
 //! SLO. [`compile`] turns a program into a sorted schedule of
 //! [`WeatherInjection`]s (pure function, unit-testable without a
-//! deployment); `fleet::deploy` maps those onto the simnet
+//! deployment); `Deployment::start` maps those onto the simnet
 //! primitives ([`simnet::cellular::CellSetPartition`],
 //! [`simnet::wifi::WifiSetBrownout`]). [`fault_windows`] derives the
 //! per-region fault timeline skeleton (partition start → scheduled

@@ -13,7 +13,6 @@ use baselines::msgs::BaselineAck;
 use baselines::BaselineCoordinator;
 use dsps::node::{Pong, RegisterNode, ReportDead};
 use experiments::faults::{inject_departure, inject_reboot};
-use experiments::fleet::deploy;
 use experiments::weather::{WeatherProgram, WeatherSystem};
 use experiments::{harvest, AppKind, Deployment, ScenarioConfig, Scheme};
 use mobistreams::msgs::NodeCheckpointed;
@@ -285,7 +284,8 @@ fn blackout_fleet() -> ScenarioConfig {
 #[test]
 fn one_group_blackout_leaves_other_groups_committing() {
     let cfg = blackout_fleet();
-    let (mut dep, ..) = deploy(&cfg);
+    let mut dep = Deployment::build(cfg.clone());
+    dep.start();
     dep.run_until(SimTime::ZERO + cfg.duration);
 
     let commits = dep.ms_commits();

@@ -10,8 +10,8 @@
 //! nightly CI step (`cargo test -p experiments --test
 //! determinism_stress -- --ignored`).
 
-use experiments::fleet::{deploy, profile};
-use experiments::{harvest, run, FleetReport, ScenarioConfig};
+use experiments::fleet::profile;
+use experiments::{harvest, run, Deployment, FleetReport, ScenarioConfig};
 use simkernel::{SimDuration, SimTime};
 
 /// Profiles whose shapes stress the parallel kernel hardest.
@@ -110,7 +110,8 @@ fn uniform_lookahead_reproduces_per_destination_digests() {
         cfg.threads = 4;
         let rd = run(&cfg, |_| {});
 
-        let (mut dep, ..) = deploy(&cfg);
+        let mut dep = Deployment::build(cfg.clone());
+        dep.start();
         dep.enable_sharding_opts(4, false);
         dep.sim.enable_sanitizer();
         let to = SimTime::ZERO + cfg.duration;

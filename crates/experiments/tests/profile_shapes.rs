@@ -63,7 +63,7 @@ fn library_profiles_keep_their_full_scale_shape() {
             "{name}: shape"
         );
         let steps: Vec<&[(f64, f64)]> = (0..regions)
-            .map(|r| cfg.overrides.get(r).map_or(&[][..], |o| &o.loss[..]))
+            .map(|r| cfg.loss_steps.get(r).map_or(&[][..], |s| &s[..]))
             .collect();
         let pinned: Vec<&[(f64, f64)]> = if name == "lossy-wifi" {
             LOSSY_WIFI_STEPS.iter().map(|s| &s[..]).collect()
