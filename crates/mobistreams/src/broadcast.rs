@@ -6,8 +6,11 @@
 //!
 //! 1. the blob is split into 1 KB blocks; all blocks are UDP-broadcast
 //!    (one airtime slot reaches every receiver);
-//! 2. each receiver returns a bitmap — one bit per block of the whole
-//!    job — marking what it has so far;
+//! 2. at the end of each phase every receiver returns a bitmap — one
+//!    bit per block of the whole job — marking the blocks that arrived
+//!    since its last reply; the sender ORs it into its own cumulative
+//!    bitmap for that receiver, so a phone keeps reception state for a
+//!    job only while the job's current phase is arriving;
 //! 3. the sender ANDs all bitmaps; blocks missing at *any* receiver
 //!    form the next phase's rebroadcast set;
 //! 4. after each phase the sender compares the phase's **cost** (bytes
@@ -56,7 +59,7 @@ pub enum BroadcastError {
         stream: u64,
         /// Newly declared total.
         declared: u32,
-        /// Total the receiver's cumulative bitmap was sized for.
+        /// Total the receiver's pending bitmap was sized for.
         expected: u32,
     },
     /// A batch's reception bitmap does not have one bit per listed
@@ -105,7 +108,7 @@ impl std::fmt::Display for BroadcastError {
 impl std::error::Error for BroadcastError {}
 
 /// What the sender must do next after a phase concludes.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum PhaseDecision {
     /// Rebroadcast these blocks (next UDP phase).
     Resend(Vec<u32>),
@@ -117,7 +120,7 @@ pub enum PhaseDecision {
 }
 
 /// Byte accounting for one job (drives Fig 10b).
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct JobStats {
     /// Block payload bytes broadcast over UDP (all phases).
     pub udp_bytes: u64,
@@ -266,8 +269,9 @@ impl SenderJob {
             .sum()
     }
 
-    /// Merge a receiver's cumulative bitmap. Returns the next decision
-    /// once all awaited receivers have replied.
+    /// OR a receiver's reply (the blocks that arrived since its
+    /// previous one) into its cumulative bitmap. Returns the next
+    /// decision once all awaited receivers have replied.
     pub fn on_bitmap(&mut self, from: ActorId, bitmap: &Bitmap) -> Option<PhaseDecision> {
         if self.done {
             return None;
@@ -410,25 +414,93 @@ pub fn tcp_tree_edges(
     edges
 }
 
-/// Receiver-side bookkeeping: cumulative reception bitmaps per
-/// (sender, stream).
+/// Receiver-side bookkeeping: per (sender, stream), the blocks that
+/// arrived since this phone last reported to the sender.
+///
+/// Reception state for a job lives for one phase. [`Self::on_batch`]
+/// folds a phase's earlier chunks into a pending bitmap;
+/// [`Self::report`] folds the phase's last chunk in, drops the entry
+/// and returns the bitmap the phone sends back. A reply therefore
+/// carries what arrived since the last reply, not since the job began:
+/// the sender ORs every reply into its own bitmap for that receiver
+/// and starts no phase before it has merged the receiver's reply or
+/// dropped the receiver, so its decisions are the same as with
+/// whole-job bitmaps. An entry outlives its phase only when the phone
+/// misses the phase's last chunk; [`Self::finish`],
+/// [`Self::retain_senders`] and a rollback's reset free those.
 #[derive(Default)]
 pub struct ReceiverState {
     jobs: BTreeMap<(ActorId, u64), Bitmap>,
 }
 
+/// Check one batch against the job's pending bitmap, if there is one.
+/// Returns the first block id when the ids are an ascending run (a
+/// phase-1 chunk always is), `None` when they must be scattered.
+///
+/// A block id beyond the job's size, a `total_blocks` that disagrees
+/// with the pending bitmap, or a reception bitmap that is not one bit
+/// per listed block is a protocol error: silently skipping such blocks
+/// (as an earlier version did) would let the sender believe a
+/// checkpoint block was replicated when it never landed anywhere.
+fn check_batch(
+    stream: u64,
+    total_blocks: u32,
+    blocks: &[u32],
+    received: &Bitmap,
+    pending: Option<&Bitmap>,
+) -> Result<Option<u32>, BroadcastError> {
+    if received.len() != blocks.len() {
+        return Err(BroadcastError::ReceptionLengthMismatch {
+            stream,
+            blocks: blocks.len(),
+            received: received.len(),
+        });
+    }
+    if let Some(pending) = pending {
+        let expected = pending.len();
+        if expected != total_blocks as usize {
+            return Err(BroadcastError::TotalBlocksMismatch {
+                stream,
+                declared: total_blocks,
+                expected: expected as u32,
+            });
+        }
+    }
+    // One pass: the largest id, and whether the ids are an ascending
+    // run.
+    let first = blocks.first().copied().unwrap_or(0);
+    let (mut max, mut run) = (0u32, true);
+    for (i, &b) in blocks.iter().enumerate() {
+        max = max.max(b);
+        run &= b == first.wrapping_add(i as u32);
+    }
+    if max >= total_blocks {
+        if let Some(&block) = blocks.iter().find(|&&b| b >= total_blocks) {
+            return Err(BroadcastError::BlockOutOfRange {
+                stream,
+                block,
+                total: total_blocks,
+            });
+        }
+    }
+    Ok(run.then_some(first))
+}
+
+/// Set the bits of `blocks` that `received` marks as arrived.
+fn fold_batch(bitmap: &mut Bitmap, blocks: &[u32], received: &Bitmap, run: Option<u32>) {
+    match run {
+        Some(first) => bitmap.or_shifted(received, first as usize),
+        None => bitmap.or_scattered(received, blocks),
+    }
+}
+
 impl ReceiverState {
-    /// Fold one batch's reception report in; returns the cumulative
-    /// bitmap to send back to the sender.
+    /// Fold one chunk of a phase into the job's pending bitmap; returns
+    /// that bitmap.
     ///
-    /// A block id beyond the job's size, a `total_blocks` that
-    /// disagrees with the first batch of the stream, or a reception
-    /// bitmap that is not one bit per listed block is a protocol
-    /// error: silently skipping such blocks (as an earlier version did)
-    /// would let the sender believe a checkpoint block was replicated
-    /// when it never landed anywhere. The batch is rejected whole —
-    /// the cumulative state is left untouched, so a retransmission of
-    /// a well-formed batch still works.
+    /// A malformed batch (see [`check_batch`]) is rejected whole — the
+    /// pending state is left untouched, so a retransmission of a
+    /// well-formed batch still works.
     pub fn on_batch(
         &mut self,
         src: ActorId,
@@ -437,48 +509,43 @@ impl ReceiverState {
         blocks: &[u32],
         received: &Bitmap,
     ) -> Result<Bitmap, BroadcastError> {
-        if received.len() != blocks.len() {
-            return Err(BroadcastError::ReceptionLengthMismatch {
-                stream,
-                blocks: blocks.len(),
-                received: received.len(),
-            });
-        }
         let entry = self.jobs.entry((src, stream));
-        if let Entry::Occupied(existing) = &entry {
-            let expected = existing.get().len();
-            if expected != total_blocks as usize {
-                return Err(BroadcastError::TotalBlocksMismatch {
-                    stream,
-                    declared: total_blocks,
-                    expected: expected as u32,
-                });
-            }
-        }
-        // One pass: the largest id, and whether the ids are an
-        // ascending run (a phase-1 chunk always is).
-        let first = blocks.first().copied().unwrap_or(0);
-        let (mut max, mut run) = (0u32, true);
-        for (i, &b) in blocks.iter().enumerate() {
-            max = max.max(b);
-            run &= b == first.wrapping_add(i as u32);
-        }
-        if max >= total_blocks {
-            if let Some(&block) = blocks.iter().find(|&&b| b >= total_blocks) {
-                return Err(BroadcastError::BlockOutOfRange {
-                    stream,
-                    block,
-                    total: total_blocks,
-                });
-            }
-        }
-        let cum = entry.or_insert_with(|| Bitmap::zeros(total_blocks as usize));
-        if run {
-            cum.or_shifted(received, first as usize);
-        } else {
-            cum.or_scattered(received, blocks);
-        }
-        Ok(cum.clone())
+        let pending = match &entry {
+            Entry::Occupied(e) => Some(e.get()),
+            Entry::Vacant(_) => None,
+        };
+        let run = check_batch(stream, total_blocks, blocks, received, pending)?;
+        let bitmap = entry.or_insert_with(|| Bitmap::zeros(total_blocks as usize));
+        fold_batch(bitmap, blocks, received, run);
+        Ok(bitmap.clone())
+    }
+
+    /// Fold the last chunk of a phase in and end the phase: the job's
+    /// pending entry, if any, is taken out, and the bitmap of every
+    /// block that arrived since the last report is returned for the
+    /// reply. A malformed batch is rejected as in [`Self::on_batch`],
+    /// leaving the pending entry in place.
+    pub fn report(
+        &mut self,
+        src: ActorId,
+        stream: u64,
+        total_blocks: u32,
+        blocks: &[u32],
+        received: &Bitmap,
+    ) -> Result<Bitmap, BroadcastError> {
+        let (run, pending) = match self.jobs.entry((src, stream)) {
+            Entry::Occupied(e) => (
+                check_batch(stream, total_blocks, blocks, received, Some(e.get()))?,
+                Some(e.remove()),
+            ),
+            Entry::Vacant(_) => (
+                check_batch(stream, total_blocks, blocks, received, None)?,
+                None,
+            ),
+        };
+        let mut bitmap = pending.unwrap_or_else(|| Bitmap::zeros(total_blocks as usize));
+        fold_batch(&mut bitmap, blocks, received, run);
+        Ok(bitmap)
     }
 
     /// Drop a finished job's state.
@@ -492,7 +559,7 @@ impl ReceiverState {
         self.jobs.retain(|&(src, _), _| live(src));
     }
 
-    /// Number of in-flight jobs (test/introspection).
+    /// Number of jobs with a pending bitmap (test/introspection).
     pub fn in_flight(&self) -> usize {
         self.jobs.len()
     }
@@ -867,7 +934,7 @@ mod tests {
     /// Regression: a batch listing a block id beyond the job's size
     /// used to be silently skipped — the sender then believed the
     /// block was replicated even though it landed nowhere. It must be
-    /// rejected as a protocol error, leaving the cumulative state
+    /// rejected as a protocol error, leaving the pending state
     /// untouched.
     #[test]
     fn receiver_state_rejects_out_of_range_block() {
@@ -887,7 +954,7 @@ mod tests {
                 total: 8,
             }
         );
-        // The malformed batch left the cumulative bitmap untouched
+        // The malformed batch left the pending bitmap untouched
         // (block 7 from the bad batch must NOT have been applied).
         let cum = rx.on_batch(src, 1, 8, &[2], &bm(1, |_| true)).unwrap();
         assert_eq!(cum.count_ones(), 3);
@@ -948,14 +1015,69 @@ mod tests {
         }
         rx.retain_senders(|a| a != actor(1));
         assert_eq!(rx.in_flight(), 2);
-        // The surviving senders' cumulative state is intact.
+        // The surviving senders' pending state is intact.
         let cum = rx.on_batch(actor(2), 1, 4, &[1], &bm(1, |_| true)).unwrap();
         assert_eq!(cum.count_ones(), 2);
     }
 
+    /// A phase's last chunk ends the receiver's state for the job: the
+    /// reply carries the phase's chunks, the next phase starts empty.
+    #[test]
+    fn report_ends_the_phase() {
+        let mut rx = ReceiverState::default();
+        let src = actor(9);
+        // Phase 1 in two chunks: the first is pending until the last.
+        rx.on_batch(src, 1, 8, &[0, 1, 2, 3], &bm(4, |i| i == 0))
+            .unwrap();
+        assert_eq!(rx.in_flight(), 1);
+        let reply = rx
+            .report(src, 1, 8, &[4, 5, 6, 7], &bm(4, |i| i < 2))
+            .unwrap();
+        assert_eq!(reply, bm(8, |i| i == 0 || i == 4 || i == 5));
+        assert_eq!(rx.in_flight(), 0);
+        // Phase 2 in one chunk: only what arrived since the last reply.
+        let reply = rx.report(src, 1, 8, &[1, 2], &bm(2, |i| i == 1)).unwrap();
+        assert_eq!(reply, bm(8, |i| i == 2));
+        assert_eq!(rx.in_flight(), 0);
+    }
+
+    /// A malformed last chunk is rejected like any batch and leaves the
+    /// pending bitmap for a well-formed retransmission.
+    #[test]
+    fn report_rejects_a_malformed_last_chunk_and_keeps_the_phase() {
+        let mut rx = ReceiverState::default();
+        let src = actor(9);
+        rx.on_batch(src, 1, 8, &[0, 1], &bm(2, |_| true)).unwrap();
+        let err = rx.report(src, 1, 16, &[2], &bm(1, |_| true)).unwrap_err();
+        assert_eq!(
+            err,
+            BroadcastError::TotalBlocksMismatch {
+                stream: 1,
+                declared: 16,
+                expected: 8,
+            }
+        );
+        let err = rx.report(src, 1, 8, &[8], &bm(1, |_| true)).unwrap_err();
+        assert!(matches!(
+            err,
+            BroadcastError::BlockOutOfRange { block: 8, .. }
+        ));
+        let err = rx.report(src, 1, 8, &[2], &bm(2, |_| true)).unwrap_err();
+        assert!(matches!(
+            err,
+            BroadcastError::ReceptionLengthMismatch { .. }
+        ));
+        assert_eq!(rx.in_flight(), 1);
+        let reply = rx.report(src, 1, 8, &[2], &bm(1, |_| true)).unwrap();
+        assert_eq!(reply, bm(8, |i| i < 3));
+        assert_eq!(rx.in_flight(), 0);
+    }
+
     /// The receiver as it was before the word-parallel rewrite: two
     /// lookups, a linear `find`, one `get`/`set` per block. Kept as the
-    /// reference the fast path must equal.
+    /// reference the fast path must equal, and — since it keeps one
+    /// cumulative bitmap per job until the end — as the whole-job
+    /// receiver the per-phase replies must be equivalent to.
     #[derive(Default)]
     struct ReferenceReceiver {
         jobs: BTreeMap<(ActorId, u64), Bitmap>,
@@ -1070,6 +1192,89 @@ mod tests {
                 prop_assert_eq!(got, want);
                 prop_assert_eq!(&fast.jobs, &slow.jobs);
             }
+        }
+
+        /// Per-phase replies drive a `SenderJob` exactly as whole-job
+        /// cumulative replies do: the same decisions, the same bitmap
+        /// per receiver and the same byte accounting. Random job sizes,
+        /// chunkings and per-receiver losses; a receiver may fall
+        /// silent in one phase — missing the phase's last chunk or
+        /// losing its reply — be dropped at the timeout, and keep
+        /// hearing (and answering) the later phases.
+        #[test]
+        fn prop_per_phase_replies_match_whole_job_replies(
+            n_blocks in 1u32..400,
+            chunk in 1usize..100,
+            // Per receiver: loss %, the phase it falls silent in (0 =
+            // never), and whether it loses its reply rather than the
+            // last chunk.
+            rxs in prop::collection::vec((0u32..90, 0u32..5, any::<bool>()), 1..6),
+            seed in any::<u64>(),
+        ) {
+            let receivers: Vec<ActorId> = (0..rxs.len()).map(actor).collect();
+            let new_job = || SenderJob::new(
+                3, ckpt_content(), TrafficClass::Checkpoint,
+                n_blocks as u64 * 1024, 1024, receivers.clone(),
+            );
+            let (mut want_job, mut got_job) = (new_job(), new_job());
+            // One whole-job and one per-phase receiver state per phone.
+            let mut whole: Vec<ReferenceReceiver> = rxs.iter().map(|_| Default::default()).collect();
+            let mut per_phase: Vec<ReceiverState> = rxs.iter().map(|_| Default::default()).collect();
+            let (src, stream) = (actor(99), 3);
+            let mut rng = seed;
+            let mut next = move || {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (rng >> 33) as u32 % 100
+            };
+            let mut blocks = want_job.begin();
+            prop_assert_eq!(&got_job.begin(), &blocks);
+            let mut phase = 1;
+            loop {
+                let chunks: Vec<&[u32]> = blocks.chunks(chunk).collect();
+                let mut decision = None;
+                for (r, &(loss, silent_in, loses_reply)) in rxs.iter().enumerate() {
+                    let silent = silent_in == phase;
+                    for (i, c) in chunks.iter().enumerate() {
+                        let last = i + 1 == chunks.len();
+                        if last && silent && !loses_reply {
+                            break;
+                        }
+                        let bits: Vec<bool> = c.iter().map(|_| next() >= loss).collect();
+                        let received = bm(c.len(), |i| bits[i]);
+                        let cum = whole[r].on_batch(src, stream, n_blocks, c, &received).unwrap();
+                        if !last {
+                            per_phase[r].on_batch(src, stream, n_blocks, c, &received).unwrap();
+                            continue;
+                        }
+                        let reply = per_phase[r].report(src, stream, n_blocks, c, &received).unwrap();
+                        if silent {
+                            continue;
+                        }
+                        let want = want_job.on_bitmap(receivers[r], &cum);
+                        let got = got_job.on_bitmap(receivers[r], &reply);
+                        prop_assert_eq!(&got, &want);
+                        if want.is_some() {
+                            decision = want;
+                        }
+                    }
+                }
+                if decision.is_none() {
+                    let want = want_job.on_timeout(want_job.phase);
+                    prop_assert_eq!(&got_job.on_timeout(got_job.phase), &want);
+                    prop_assert!(want.is_some(), "a phase ended without a decision");
+                    decision = want;
+                }
+                prop_assert_eq!(&got_job.per_rx, &want_job.per_rx);
+                prop_assert_eq!(got_job.stats, want_job.stats);
+                match decision {
+                    Some(PhaseDecision::Resend(next_blocks)) => {
+                        blocks = next_blocks;
+                        phase += 1;
+                    }
+                    _ => break,
+                }
+            }
+            prop_assert!(got_job.is_done() && want_job.is_done());
         }
 
         /// `count_ones` plus the tail correction equals summing block

@@ -90,7 +90,8 @@ pub struct MembershipDelta {
 pub struct BitmapReply {
     /// The job this reply belongs to.
     pub stream: u64,
-    /// Cumulative reception bitmap over all job blocks.
+    /// One bit per job block: the blocks that arrived since the
+    /// receiver's previous reply for this job.
     pub received: Bitmap,
 }
 

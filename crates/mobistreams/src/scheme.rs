@@ -487,11 +487,20 @@ impl MsScheme {
         }
     }
 
+    /// Tear down every job this phone is sending, with the chunk queues
+    /// and tags that drive them.
+    fn drop_sender_jobs(&mut self) {
+        self.jobs.clear();
+        self.chunk_queues.clear();
+        self.batch_tags.clear();
+        self.tcp_tags.clear();
+    }
+
     fn on_rollback(&mut self, version: u64, node: &mut NodeInner, ctx: &mut Ctx) {
         node.abort_current();
         node.clear_queues();
         self.align.clear();
-        self.jobs.clear();
+        self.drop_sender_jobs();
         // A rollback is region-wide: every sender drops its jobs on the
         // same controller broadcast, so no `BlobDeliver` will finish
         // the reception state held here.
@@ -628,15 +637,23 @@ impl FtScheme for MsScheme {
         simkernel::match_event!(ev,
             // --- receiver side of the broadcast protocol ---
             b: WifiBatchRx => {
-                match self.rx.on_batch(b.src, b.stream, b.total_blocks, &b.blocks, &b.received) {
-                    Ok(cum) => {
-                        if b.reply_expected {
-                            let reply = BitmapReply { stream: b.stream, received: cum };
-                            let bytes = reply.received.wire_bytes();
-                            let reply = payload(reply);
-                            net_send(ctx, node.primary, b.src, b.class, bytes, 0, reply);
-                        }
+                let (src, stream, total) = (b.src, b.stream, b.total_blocks);
+                // The phase's last chunk ends the phone's reception
+                // state for the job; the reply carries what arrived
+                // since the previous one.
+                let folded = if b.reply_expected {
+                    self.rx.report(src, stream, total, &b.blocks, &b.received).map(Some)
+                } else {
+                    self.rx.on_batch(src, stream, total, &b.blocks, &b.received).map(|_| None)
+                };
+                match folded {
+                    Ok(Some(received)) => {
+                        let reply = BitmapReply { stream, received };
+                        let bytes = reply.received.wire_bytes();
+                        let reply = payload(reply);
+                        net_send(ctx, node.primary, src, b.class, bytes, 0, reply);
                     }
+                    Ok(None) => {}
                     Err(_) => {
                         // Malformed batch: reject it whole and send no
                         // bitmap — the sender's phase timeout treats us
@@ -819,7 +836,7 @@ impl FtScheme for MsScheme {
 
     fn on_install(&mut self, node: &mut NodeInner, ctx: &mut Ctx) {
         self.align.clear();
-        self.jobs.clear();
+        self.drop_sender_jobs();
         // `rx` stays: a reinstall (reboot-rejoin, replacement) is local
         // to this phone, and the other phones' jobs toward it go on.
         self.tokens_emitted.clear();
@@ -880,15 +897,25 @@ mod tests {
         ctl: simkernel::ActorId,
     }
 
+    /// A's state padding that puts its checkpoint phase on the air in
+    /// three chunks of at most `CHUNK_BYTES`.
+    const THREE_CHUNKS: u64 = 600 * 1024;
+
     /// Chain S → A(counter) → K on slots 0,1,2 (+1 idle), MsScheme on
-    /// every node, lossless WiFi for deterministic assertions.
+    /// every node, lossless WiFi for deterministic assertions. A's
+    /// checkpoint is one broadcast chunk.
     fn rig() -> Rig {
+        rig_with_padding(64 * 1024)
+    }
+
+    /// [`rig`] with A's state padded to `padding` bytes.
+    fn rig_with_padding(padding: u64) -> Rig {
         let mut g = QueryGraph::new();
         let s = g.add_op("S", dsps::graph::OpKind::Source, || {
             Box::new(Relay::new(SimDuration::from_millis(1)))
         });
-        let a = g.add_op("A", dsps::graph::OpKind::Compute, || {
-            Box::new(Counter::new(SimDuration::from_millis(20), 1).with_state_padding(64 * 1024))
+        let a = g.add_op("A", dsps::graph::OpKind::Compute, move || {
+            Box::new(Counter::new(SimDuration::from_millis(20), 1).with_state_padding(padding))
         });
         let k = g.add_op("K", dsps::graph::OpKind::Sink, || {
             Box::new(Relay::new(SimDuration::from_millis(1)))
@@ -1102,10 +1129,36 @@ mod tests {
         assert!(ctl_stub.acks.contains(&1), "rollback acked");
     }
 
-    fn rx_in_flight(rig: &Rig, slot: usize) -> usize {
+    fn scheme_of(rig: &Rig, slot: usize) -> &MsScheme {
         let na = rig.sim.actor::<NodeActor>(rig.nodes[slot]);
-        let ms = na.scheme.as_any().downcast_ref::<MsScheme>().unwrap();
-        ms.rx.in_flight()
+        na.scheme.as_any().downcast_ref::<MsScheme>().unwrap()
+    }
+
+    fn rx_in_flight(rig: &Rig, slot: usize) -> usize {
+        scheme_of(rig, slot).rx.in_flight()
+    }
+
+    /// Sizes of the sender-side maps: jobs, chunk queues, batch tags,
+    /// TCP tags.
+    fn sender_maps(rig: &Rig, slot: usize) -> [usize; 4] {
+        let ms = scheme_of(rig, slot);
+        [
+            ms.jobs.len(),
+            ms.chunk_queues.len(),
+            ms.batch_tags.len(),
+            ms.tcp_tags.len(),
+        ]
+    }
+
+    /// Step the simulation 1 ms at a time until `ready` holds.
+    fn run_until_ready(rig: &mut Rig, what: &str, ready: impl Fn(&Rig) -> bool) {
+        let mut guard = 0;
+        while !ready(rig) {
+            rig.sim
+                .run_until(rig.sim.now() + SimDuration::from_millis(1));
+            guard += 1;
+            assert!(guard < 20_000, "{what} never happened");
+        }
     }
 
     /// Hand `msg` to `slot` as a cellular delivery from the controller,
@@ -1120,21 +1173,18 @@ mod tests {
         rig.sim.schedule_at(rig.sim.now(), rig.nodes[slot], rx);
     }
 
-    /// Run until A's checkpoint broadcast has reached its receivers,
-    /// then tear the job down at the sender alone: the receivers hold
-    /// reception state no `BlobDeliver` will ever finish.
+    /// On a rig whose A checkpoint takes three chunks, run until the
+    /// first chunk has reached the receivers, then tear the job down at
+    /// the sender alone: the receivers hold reception state for a phase
+    /// whose last chunk, and `BlobDeliver`, never come.
     fn abandon_a_job_mid_flight(rig: &mut Rig) {
         feed(rig, 3, 100);
         rig.sim.run_until(SimTime::from_secs(5));
         assert_eq!(rx_in_flight(rig, 3), 0, "preservation jobs all finished");
         start_ckpt(rig, 5_000, 1);
-        let mut guard = 0;
-        while rx_in_flight(rig, 3) == 0 {
-            rig.sim
-                .run_until(rig.sim.now() + SimDuration::from_millis(1));
-            guard += 1;
-            assert!(guard < 20_000, "A's checkpoint batch never arrived");
-        }
+        run_until_ready(rig, "A's first checkpoint chunk arriving", |rig| {
+            rx_in_flight(rig, 3) > 0
+        });
         deliver_ctl(rig, 1, RollbackTo { version: 0 });
         rig.sim
             .run_until(rig.sim.now() + SimDuration::from_secs(30));
@@ -1152,7 +1202,7 @@ mod tests {
     /// their maps for the rest of the run.
     #[test]
     fn region_recovery_frees_abandoned_reception_state() {
-        let mut rig = rig();
+        let mut rig = rig_with_padding(THREE_CHUNKS);
         abandon_a_job_mid_flight(&mut rig);
         for slot in 0..4 {
             deliver_ctl(&mut rig, slot, RollbackTo { version: 0 });
@@ -1171,7 +1221,7 @@ mod tests {
     /// it; other senders' jobs are untouched.
     #[test]
     fn membership_drop_evicts_the_departed_senders_jobs() {
-        let mut rig = rig();
+        let mut rig = rig_with_padding(THREE_CHUNKS);
         abandon_a_job_mid_flight(&mut rig);
         let drop_slot = |slot| MembershipDelta {
             base_epoch: 0,
@@ -1192,26 +1242,109 @@ mod tests {
         assert_eq!(rx_in_flight(&rig, 0), 0, "A left: its job is evicted");
     }
 
+    /// With every phase one chunk, no receiver holds reception state at
+    /// any instant: the only chunk of a phase is also its last, and the
+    /// reply ends the state it would have opened.
+    #[test]
+    fn single_chunk_phases_leave_no_reception_state() {
+        let mut rig = rig();
+        feed(&mut rig, 3, 100);
+        start_ckpt(&mut rig, 600, 1);
+        while rig.sim.now() < SimTime::from_secs(10) {
+            rig.sim
+                .run_until(rig.sim.now() + SimDuration::from_millis(1));
+            for slot in 0..4 {
+                assert_eq!(
+                    rx_in_flight(&rig, slot),
+                    0,
+                    "slot {slot} at {:?}",
+                    rig.sim.now()
+                );
+            }
+        }
+        for slot in [0, 2, 3] {
+            let na = rig.sim.actor::<NodeActor>(rig.nodes[slot]);
+            let snap = na.inner.store.snapshot(1);
+            assert!(
+                snap.iter().any(|&(op, ..)| op == dsps::graph::OpId(1)),
+                "slot {slot} holds A's checkpoint"
+            );
+        }
+    }
+
+    /// A sender rolled back mid-phase drops its chunk queue and tags
+    /// with its jobs, and the in-flight chunk's `TxDone` brings none
+    /// back.
+    #[test]
+    fn rollback_mid_phase_drops_the_senders_bookkeeping() {
+        let mut rig = rig_with_padding(THREE_CHUNKS);
+        feed(&mut rig, 1, 100);
+        start_ckpt(&mut rig, 600, 1);
+        run_until_ready(&mut rig, "A's checkpoint phase starting", |rig| {
+            sender_maps(rig, 1)[1] > 0
+        });
+        let [jobs, queues, batches, _] = sender_maps(&rig, 1);
+        assert!(jobs > 0 && queues > 0 && batches > 0);
+        deliver_ctl(&mut rig, 1, RollbackTo { version: 0 });
+        rig.sim
+            .run_until(rig.sim.now() + SimDuration::from_millis(1));
+        assert_eq!(sender_maps(&rig, 1), [0; 4], "right after the rollback");
+        rig.sim
+            .run_until(rig.sim.now() + SimDuration::from_secs(30));
+        assert_eq!(sender_maps(&rig, 1), [0; 4], "after the chunk in flight");
+    }
+
+    /// A batch that declares a different total while the receiver holds
+    /// no pending bitmap for the job — the position of every later
+    /// phase's first chunk — cannot be rejected at the receiver. It is
+    /// still a counted protocol error: the reply has the wrong length,
+    /// and the sender's length check counts it.
+    #[test]
+    fn total_mismatch_without_pending_state_is_counted_at_the_sender() {
+        let mut rig = rig_with_padding(THREE_CHUNKS);
+        start_ckpt(&mut rig, 600, 1);
+        run_until_ready(&mut rig, "A's checkpoint job starting", |rig| {
+            !scheme_of(rig, 1).jobs.is_empty()
+        });
+        assert_eq!(
+            rx_in_flight(&rig, 3),
+            0,
+            "slot 3 holds nothing for the job yet"
+        );
+        let (&stream, job) = scheme_of(&rig, 1).jobs.iter().next().unwrap();
+        let bogus = WifiBatchRx {
+            src: rig.nodes[1],
+            class: TrafficClass::Checkpoint,
+            stream,
+            total_blocks: job.n_blocks + 1,
+            blocks: vec![0u32].into(),
+            received: Bitmap::ones(1),
+            reply_expected: true,
+        };
+        rig.sim.schedule_at(rig.sim.now(), rig.nodes[3], bogus);
+        rig.sim
+            .run_until(rig.sim.now() + SimDuration::from_secs(30));
+        let errors: Vec<u64> = (0..4)
+            .map(|slot| scheme_of(&rig, slot).stats.protocol_errors)
+            .collect();
+        assert_eq!(errors, [0, 1, 0, 0], "counted once, by the sender A");
+    }
+
     /// A bitmap reply of the wrong length is a counted protocol error.
     #[test]
     fn wrong_length_bitmap_reply_is_a_protocol_error() {
-        let mut rig = rig();
+        let mut rig = rig_with_padding(THREE_CHUNKS);
         abandon_a_job_mid_flight(&mut rig);
         // Start a fresh job at A and answer it with a 3-bit bitmap.
         start_ckpt(&mut rig, 40_000, 2);
         let a = rig.nodes[1];
         let job_of_a = |rig: &Rig| {
-            let na = rig.sim.actor::<NodeActor>(a);
-            let ms = na.scheme.as_any().downcast_ref::<MsScheme>().unwrap();
+            let ms = scheme_of(rig, 1);
             (ms.jobs.keys().next().copied(), ms.stats.protocol_errors)
         };
-        let mut guard = 0;
-        while job_of_a(&rig).0.is_none() {
-            rig.sim
-                .run_until(rig.sim.now() + SimDuration::from_millis(1));
-            guard += 1;
-            assert!(guard < 20_000, "A never started its second job");
-        }
+        run_until_ready(&mut rig, "A's second job starting", |rig| {
+            job_of_a(rig).0.is_some()
+        });
         let (stream, errors) = job_of_a(&rig);
         let reply = NetRx {
             src: rig.nodes[3],
