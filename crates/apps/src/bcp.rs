@@ -26,7 +26,7 @@ use dsps::tuple::{value, Tuple};
 use simkernel::{SimDuration, SimRng};
 
 use crate::calib::Calibration;
-use crate::haar::{count_faces_quadrant, Cascade};
+use crate::haar::{Cascade, HaarScan};
 use crate::image::{Frame, FrameGen};
 use crate::models::{combine_capacity, AlightingModel, ArrivalModel, BoardingModel, Ewma};
 use crate::{AppBundle, FeedSpec};
@@ -322,6 +322,8 @@ impl Operator for MotionSplit {
 struct HaarCounter {
     cost: SimDuration,
     cascade: Cascade,
+    /// Scan scratch, reused across tuples (not state).
+    scan: HaarScan,
     small_bytes: u64,
     /// Tuples counted (tiny state).
     counted: u64,
@@ -332,7 +334,9 @@ impl Operator for HaarCounter {
         let Some(c) = tuple.value_as::<CropMsg>() else {
             return;
         };
-        let count = count_faces_quadrant(&c.frame, &self.cascade, c.quadrant);
+        let count = self
+            .scan
+            .count_quadrant(&c.frame, &self.cascade, c.quadrant);
         self.counted += 1;
         out.emit(
             0,
@@ -596,6 +600,7 @@ pub fn build_bcp(cal: &Calibration, slots: u32, first_stop: bool) -> AppBundle {
                     Box::new(HaarCounter {
                         cost: c.cost_haar,
                         cascade: Cascade::default(),
+                        scan: HaarScan::default(),
                         small_bytes: c.bcp_small_bytes,
                         counted: 0,
                     }) as Box<dyn Operator>

@@ -7,14 +7,47 @@
 //! background → brow darker than mouth → eye corners darkest) slides
 //! over the frame; overlapping detections are suppressed greedily.
 //! It genuinely detects the faces planted by [`crate::image::FrameGen`].
+//!
+//! The scan is integer-only and, once warm, allocation-free: a
+//! `HaarScan` keeps its `u32` integral image and its suppression
+//! bit-rows between calls, and each stage compares an integer box sum
+//! with its threshold pre-multiplied by the box's area. Every area is a
+//! power of two, so dividing a sum by it and scaling a threshold by it
+//! are both exact in `f64`: `sum / area > t ⇔ sum > t·area ⇔ sum >
+//! ⌊t·area⌋` for every threshold, and the detections are exactly those
+//! of the mean-based cascade.
 
 use crate::image::{Frame, FACE};
 
+/// Stage 1's box: the whole window.
+const WINDOW_AREA: usize = FACE * FACE;
+/// Stage 2's boxes: the brow (upper third) and the mouth (lower half).
+const BROW_AREA: usize = FACE * (FACE / 3);
+const MOUTH_AREA: usize = FACE * (FACE - FACE / 2);
+/// Stage 3's boxes: one 2 × 2 eye corner each.
+const EYE_AREA: usize = 2 * 2;
+/// Stage 2 compares `brow − mouth` scaled by the larger of its areas,
+/// which both divide.
+const CONTRAST_SCALE: usize = if BROW_AREA > MOUTH_AREA {
+    BROW_AREA
+} else {
+    MOUTH_AREA
+};
+// The integer stages are exact only for power-of-two areas.
+const _: () = assert!(
+    WINDOW_AREA.is_power_of_two()
+        && BROW_AREA.is_power_of_two()
+        && MOUTH_AREA.is_power_of_two()
+        && EYE_AREA.is_power_of_two()
+);
+
 /// Integral image: `sums[y][x]` = Σ pixels in `[0,x) × [0,y)` of the
-/// integrated rectangle.
+/// integrated rectangle. Sums are `u32`, which holds any rectangle of
+/// up to 2³² / 255 pixels.
+#[derive(Debug, Clone, Default)]
 pub struct IntegralImage {
     w: usize,
-    sums: Vec<u64>,
+    sums: Vec<u32>,
 }
 
 impl IntegralImage {
@@ -27,39 +60,56 @@ impl IntegralImage {
     /// Integrate only the rectangle `[x0, x1) × [y0, y1)` of a `w`-wide
     /// plane. Box coordinates are then relative to `(x0, y0)`.
     pub fn of_rect(pixels: &[u8], w: usize, x0: usize, y0: usize, x1: usize, y1: usize) -> Self {
+        let mut ii = Self::default();
+        ii.integrate(pixels, w, x0, y0, x1, y1);
+        ii
+    }
+
+    /// [`IntegralImage::of_rect`] into this image's buffer, which is
+    /// reused: nothing is allocated once it has held a rectangle this
+    /// large.
+    fn integrate(&mut self, pixels: &[u8], w: usize, x0: usize, y0: usize, x1: usize, y1: usize) {
         assert!(x0 <= x1 && x1 <= w && y0 <= y1 && y1 * w <= pixels.len());
         let (rw, rh) = (x1 - x0, y1 - y0);
+        assert!(
+            rw * rh <= u32::MAX as usize / 255,
+            "rectangle too large for u32 sums"
+        );
         let sw = rw + 1;
-        let mut sums = vec![0u64; sw * (rh + 1)];
+        self.w = sw;
+        // Row 0 and column 0 are the zero borders; the rest is
+        // overwritten below.
+        self.sums.resize(sw * (rh + 1), 0);
+        self.sums[..sw].fill(0);
         for dy in 0..rh {
             let src = &pixels[(y0 + dy) * w + x0..][..rw];
-            let (above, below) = sums[dy * sw..(dy + 2) * sw].split_at_mut(sw);
-            let mut row = 0u64;
+            let (above, below) = self.sums[dy * sw..(dy + 2) * sw].split_at_mut(sw);
+            below[0] = 0;
+            let mut row = 0u32;
             for ((sum, &up), &p) in below[1..].iter_mut().zip(&above[1..]).zip(src) {
-                row += p as u64;
+                row += p as u32;
                 *sum = up + row;
             }
         }
-        IntegralImage { w: sw, sums }
+    }
+
+    /// The [`Edges`] of the windows whose top is at row `y`.
+    fn edges(&self, y: usize) -> Edges<'_> {
+        std::array::from_fn(|dy| &self.sums[(y + dy) * self.w..][..self.w])
     }
 
     /// Sum of the box `[x0, x1) × [y0, y1)`.
-    pub fn box_sum(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> u64 {
+    pub fn box_sum(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> u32 {
         debug_assert!(x0 <= x1 && y0 <= y1);
-        self.sums[y1 * self.w + x1] + self.sums[y0 * self.w + x0]
-            - self.sums[y0 * self.w + x1]
-            - self.sums[y1 * self.w + x0]
-    }
-
-    /// Mean gray level of a box (0 for empty boxes).
-    pub fn box_mean(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
-        let area = (x1 - x0) * (y1 - y0);
-        if area == 0 {
-            return 0.0;
-        }
-        self.box_sum(x0, y0, x1, y1) as f64 / area as f64
+        let at = |x: usize, y: usize| self.sums[y * self.w + x];
+        // Rows [y0, y1) left of x1, minus the same rows left of x0:
+        // neither difference can underflow.
+        (at(x1, y1) - at(x1, y0)) - (at(x0, y1) - at(x0, y0))
     }
 }
+
+/// A rectangle `(x0, y0, x1, y1)`: columns `[x0, x1)`, rows `[y0, y1)`.
+pub(crate) type Rect = (usize, usize, usize, usize);
 
 /// Cascade thresholds.
 #[derive(Debug, Clone)]
@@ -84,6 +134,74 @@ impl Default for Cascade {
     }
 }
 
+/// A cascade's thresholds multiplied by their stages' box areas, as
+/// the largest integer sum that passes: an integer `s` is not above a
+/// real `t·area` exactly when `s ≤ ⌊t·area⌋`.
+struct SumLimits {
+    window: i64,
+    contrast: i64,
+    eye: i64,
+}
+
+/// The `FACE + 1` integral rows from a window's top edge down: `[dy]`
+/// is row `y + dy`, so every box of the window is four reads of them.
+type Edges<'a> = [&'a [u32]; FACE + 1];
+
+/// Σ of columns `[x0, x1)` between integral rows `top` and `bottom`.
+#[inline]
+fn band_sum(edges: &Edges, top: usize, bottom: usize, x0: usize, x1: usize) -> i64 {
+    let (t, b) = (edges[top], edges[bottom]);
+    ((b[x1] - t[x1]) - (b[x0] - t[x0])) as i64
+}
+
+impl SumLimits {
+    fn of(cascade: &Cascade) -> Self {
+        // `as` saturates at ±∞; a NaN threshold rejects nothing, as
+        // `mean > NaN` is false.
+        let floor = |t: f64| {
+            if t.is_nan() {
+                i64::MAX
+            } else {
+                t.floor() as i64
+            }
+        };
+        SumLimits {
+            window: floor(cascade.max_window_mean * WINDOW_AREA as f64),
+            contrast: floor(-cascade.brow_contrast * CONTRAST_SCALE as f64),
+            eye: floor(cascade.max_eye_mean * EYE_AREA as f64),
+        }
+    }
+
+    // Each stage is the mean-based test, `mean > threshold` rejecting,
+    // scaled by its box's area.
+
+    /// Stage 1: is the window at column `x` dark overall?
+    #[inline]
+    fn dark(&self, edges: &Edges, x: usize) -> bool {
+        band_sum(edges, 0, FACE, x, x + FACE) <= self.window
+    }
+
+    /// Stages 2 and 3: does the window at column `x` have a face's
+    /// contrast?
+    #[inline]
+    fn face_like(&self, edges: &Edges, x: usize) -> bool {
+        // Stage 2: brow (upper third) darker than mouth (lower half).
+        let brow = band_sum(edges, 0, FACE / 3, x, x + FACE);
+        let mouth = band_sum(edges, FACE / 2, FACE, x, x + FACE);
+        let contrast = brow * (CONTRAST_SCALE / BROW_AREA) as i64
+            - mouth * (CONTRAST_SCALE / MOUTH_AREA) as i64;
+        if contrast > self.contrast {
+            return false;
+        }
+        // Stage 3: BOTH eye corners must be dark (rejects windows
+        // straddling two adjacent faces, where only one side has an
+        // eye).
+        let eye_l = band_sum(edges, 1, 3, x + 1, x + 3);
+        let eye_r = band_sum(edges, 1, 3, x + FACE - 3, x + FACE - 1);
+        eye_l.max(eye_r) <= self.eye
+    }
+}
+
 /// One detection (window top-left).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Detection {
@@ -91,6 +209,87 @@ pub struct Detection {
     pub x: usize,
     /// Window y.
     pub y: usize,
+}
+
+/// The cascade scan with its scratch: the integral image and one
+/// suppression bit-row per window row. Kept across calls, it allocates
+/// nothing once it has scanned a rectangle this large.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HaarScan {
+    ii: IntegralImage,
+    /// Bit `x` of row `y`: window position `(x, y)` overlaps an
+    /// earlier hit.
+    taken: Vec<u64>,
+}
+
+impl HaarScan {
+    /// [`detect_in`]'s scan, calling `hit` for each detection.
+    pub(crate) fn scan(
+        &mut self,
+        frame: &Frame,
+        cascade: &Cascade,
+        (x0, y0, x1, y1): Rect,
+        mut hit: impl FnMut(Detection),
+    ) {
+        let (x1, y1) = (x1.min(frame.w), y1.min(frame.h));
+        let (x0, y0) = (x0.min(x1), y0.min(y1));
+        let (rw, rh) = (x1 - x0, y1 - y0);
+        if rw <= FACE || rh <= FACE {
+            return;
+        }
+        // From here on `x`, `y` are relative to the rectangle's corner.
+        self.ii.integrate(&frame.pixels, frame.w, x0, y0, x1, y1);
+        let (cols, rows) = (rw - FACE + 1, rh - FACE + 1);
+        let words = cols.div_ceil(64);
+        self.taken.clear();
+        self.taken.resize(rows * words, 0);
+        let limits = SumLimits::of(cascade);
+        for y in 0..rows {
+            let edges = self.ii.edges(y);
+            for x in 0..cols {
+                // Stage 1 rejects almost every window: test it before
+                // the suppression bit.
+                if !limits.dark(&edges, x)
+                    || self.taken[y * words + x / 64] >> (x % 64) & 1 != 0
+                    || !limits.face_like(&edges, x)
+                {
+                    continue;
+                }
+                hit(Detection {
+                    x: x0 + x,
+                    y: y0 + y,
+                });
+                // Suppress every later window position overlapping
+                // this hit (the rows above are already scanned).
+                let span = x.saturating_sub(FACE - 1)..(x + FACE).min(cols);
+                let below = &mut self.taken[y * words..(y + FACE).min(rows) * words];
+                for row in below.chunks_exact_mut(words) {
+                    for sx in span.clone() {
+                        row[sx / 64] |= 1 << (sx % 64);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Count faces in one quadrant (0..4, row-major) of the frame; there
+    /// are no faces in a quadrant that does not exist.
+    pub(crate) fn count_quadrant(
+        &mut self,
+        frame: &Frame,
+        cascade: &Cascade,
+        quadrant: usize,
+    ) -> u32 {
+        if quadrant >= 4 {
+            return 0;
+        }
+        let (qw, qh) = (frame.w / 2, frame.h / 2);
+        let (qx, qy) = (quadrant % 2, quadrant / 2);
+        let rect = (qx * qw, qy * qh, (qx + 1) * qw, (qy + 1) * qh);
+        let mut n = 0;
+        self.scan(frame, cascade, rect, |_| n += 1);
+        n
+    }
 }
 
 /// Count faces inside the sub-rectangle `[x0, x1) × [y0, y1)` of the
@@ -103,12 +302,15 @@ pub fn count_faces_in(
     x1: usize,
     y1: usize,
 ) -> u32 {
-    detect_in(frame, cascade, x0, y0, x1, y1).len() as u32
+    let mut n = 0;
+    HaarScan::default().scan(frame, cascade, (x0, y0, x1, y1), |_| n += 1);
+    n
 }
 
 /// Detect faces inside a sub-rectangle (window size = planted face
-/// size; stride 1; greedy non-maximum suppression). The rectangle is
-/// clamped to the frame; only its own pixels are integrated.
+/// size; stride 1; greedy non-maximum suppression), in row-major
+/// order. The rectangle is clamped to the frame; only its own pixels
+/// are integrated.
 pub fn detect_in(
     frame: &Frame,
     cascade: &Cascade,
@@ -117,69 +319,15 @@ pub fn detect_in(
     x1: usize,
     y1: usize,
 ) -> Vec<Detection> {
-    let (x1, y1) = (x1.min(frame.w), y1.min(frame.h));
-    let (x0, y0) = (x0.min(x1), y0.min(y1));
-    let (rw, rh) = (x1 - x0, y1 - y0);
     let mut hits = Vec::new();
-    if rw <= FACE || rh <= FACE {
-        return hits;
-    }
-    // From here on `x`, `y` are relative to the rectangle's corner.
-    let ii = IntegralImage::of_rect(&frame.pixels, frame.w, x0, y0, x1, y1);
-    let mut taken = vec![false; rw * rh];
-    for y in 0..=(rh - FACE) {
-        for x in 0..=(rw - FACE) {
-            if taken[y * rw + x] {
-                continue;
-            }
-            // Stage 1: overall darkness.
-            let mean = ii.box_mean(x, y, x + FACE, y + FACE);
-            if mean > cascade.max_window_mean {
-                continue;
-            }
-            // Stage 2: brow (upper third) darker than mouth (lower half).
-            let brow = ii.box_mean(x, y, x + FACE, y + FACE / 3);
-            let mouth = ii.box_mean(x, y + FACE / 2, x + FACE, y + FACE);
-            if brow - mouth > -cascade.brow_contrast {
-                continue;
-            }
-            // Stage 3: BOTH eye corners must be dark (rejects windows
-            // straddling two adjacent faces, where only one side has
-            // an eye).
-            let eye_l = ii.box_mean(x + 1, y + 1, x + 3, y + 3);
-            let eye_r = ii.box_mean(x + FACE - 3, y + 1, x + FACE - 1, y + 3);
-            if eye_l.max(eye_r) > cascade.max_eye_mean {
-                continue;
-            }
-            hits.push(Detection {
-                x: x0 + x,
-                y: y0 + y,
-            });
-            // Suppress every window position overlapping this hit.
-            for sy in y.saturating_sub(FACE - 1)..(y + FACE).min(rh) {
-                taken[sy * rw..][x.saturating_sub(FACE - 1)..(x + FACE).min(rw)].fill(true);
-            }
-        }
-    }
+    HaarScan::default().scan(frame, cascade, (x0, y0, x1, y1), |d| hits.push(d));
     hits
 }
 
 /// Count faces in one quadrant (0..4, row-major) of the frame; there
 /// are no faces in a quadrant that does not exist.
 pub fn count_faces_quadrant(frame: &Frame, cascade: &Cascade, quadrant: usize) -> u32 {
-    if quadrant >= 4 {
-        return 0;
-    }
-    let (qw, qh) = (frame.w / 2, frame.h / 2);
-    let (qx, qy) = (quadrant % 2, quadrant / 2);
-    count_faces_in(
-        frame,
-        cascade,
-        qx * qw,
-        qy * qh,
-        (qx + 1) * qw,
-        (qy + 1) * qh,
-    )
+    HaarScan::default().count_quadrant(frame, cascade, quadrant)
 }
 
 #[cfg(test)]
@@ -189,9 +337,19 @@ mod tests {
     use proptest::prelude::*;
     use simkernel::SimRng;
 
-    /// The scan as it was before the rectangle-local rewrite: the whole
-    /// frame integrated, a whole-frame suppression mask, frame
-    /// coordinates throughout. Needs the rectangle inside the frame.
+    /// Mean gray level of a box (0 for empty boxes), in `f64`.
+    fn box_mean(ii: &IntegralImage, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
+        let area = (x1 - x0) * (y1 - y0);
+        if area == 0 {
+            return 0.0;
+        }
+        ii.box_sum(x0, y0, x1, y1) as f64 / area as f64
+    }
+
+    /// The scan as it was before the rectangle-local and integer
+    /// rewrites: the whole frame integrated, a whole-frame suppression
+    /// mask, frame coordinates throughout, every stage on `f64` means.
+    /// Needs the rectangle inside the frame.
     fn detect_in_reference(
         frame: &Frame,
         cascade: &Cascade,
@@ -211,17 +369,17 @@ mod tests {
                 if taken[y * frame.w + x] {
                     continue;
                 }
-                let mean = ii.box_mean(x, y, x + FACE, y + FACE);
+                let mean = box_mean(&ii, x, y, x + FACE, y + FACE);
                 if mean > cascade.max_window_mean {
                     continue;
                 }
-                let brow = ii.box_mean(x, y, x + FACE, y + FACE / 3);
-                let mouth = ii.box_mean(x, y + FACE / 2, x + FACE, y + FACE);
+                let brow = box_mean(&ii, x, y, x + FACE, y + FACE / 3);
+                let mouth = box_mean(&ii, x, y + FACE / 2, x + FACE, y + FACE);
                 if brow - mouth > -cascade.brow_contrast {
                     continue;
                 }
-                let eye_l = ii.box_mean(x + 1, y + 1, x + 3, y + 3);
-                let eye_r = ii.box_mean(x + FACE - 3, y + 1, x + FACE - 1, y + 3);
+                let eye_l = box_mean(&ii, x + 1, y + 1, x + 3, y + 3);
+                let eye_r = box_mean(&ii, x + FACE - 3, y + 1, x + FACE - 1, y + 3);
                 if eye_l.max(eye_r) > cascade.max_eye_mean {
                     continue;
                 }
@@ -238,12 +396,82 @@ mod tests {
 
     /// A crowded bus stop: adjacent faces, so suppression matters.
     fn crowded_frame(seed: u64) -> Frame {
+        crowded_frame_with_noise(seed, FrameGen::default().noise)
+    }
+
+    /// ... with the given noise; without noise, window sums take few
+    /// values and exact ties with a threshold are common.
+    fn crowded_frame_with_noise(seed: u64, noise: u8) -> Frame {
         let gen = FrameGen {
             mean_faces: 14.0,
+            noise,
             ..FrameGen::default()
         };
         gen.faces_frame(&mut SimRng::new(seed), 0)
     }
+
+    /// A threshold of one of five kinds, from 64 random bits: zero; a
+    /// multiple of 1/64, positive or negative, where exact ties with a
+    /// box mean are likely; an arbitrary fraction in `[-300, 300)`;
+    /// larger than any mean; or too large to scale (±MAX, ±∞, NaN).
+    fn threshold(bits: u64) -> f64 {
+        let k = ((bits >> 8) % (300 * 64)) as i64;
+        match bits % 5 {
+            0 => 0.0,
+            1 => (k - 40 * 64) as f64 / 64.0,
+            2 => (bits >> 11) as f64 / (1u64 << 53) as f64 * 600.0 - 300.0,
+            3 => 256.0 + k as f64 / 64.0,
+            _ => [
+                f64::MAX,
+                -f64::MAX,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ][(k % 5) as usize],
+        }
+    }
+
+    /// The window at `(x, y)`'s three stage values, each the threshold
+    /// it ties with: its mean, mouth − brow, and the larger eye-corner
+    /// mean.
+    fn stage_means(f: &Frame, x: usize, y: usize) -> [f64; 3] {
+        let ii = IntegralImage::new(&f.pixels, f.w, f.h);
+        let brow = box_mean(&ii, x, y, x + FACE, y + FACE / 3);
+        let mouth = box_mean(&ii, x, y + FACE / 2, x + FACE, y + FACE);
+        let eye_l = box_mean(&ii, x + 1, y + 1, x + 3, y + 3);
+        let eye_r = box_mean(&ii, x + FACE - 3, y + 1, x + FACE - 1, y + 3);
+        [
+            box_mean(&ii, x, y, x + FACE, y + FACE),
+            mouth - brow,
+            eye_l.max(eye_r),
+        ]
+    }
+
+    /// `scan`'s detections as a list.
+    fn scanned(scan: &mut HaarScan, f: &Frame, cascade: &Cascade, rect: Rect) -> Vec<Detection> {
+        let mut hits = Vec::new();
+        scan.scan(f, cascade, rect, |d| hits.push(d));
+        hits
+    }
+
+    /// A 9 × 9 frame: the 8 × 8 window at the origin has the given row
+    /// levels, the ninth row and column are white.
+    fn window_frame(rows: [u8; FACE]) -> Frame {
+        let gen = FrameGen {
+            w: FACE + 1,
+            h: FACE + 1,
+            noise: 0,
+            background: 255,
+            ..FrameGen::default()
+        };
+        let mut f = gen.blank(&mut SimRng::new(0), 0);
+        for (y, &level) in rows.iter().enumerate() {
+            f.pixels[y * f.w..][..FACE].fill(level);
+        }
+        f
+    }
+
+    const ORIGIN: Detection = Detection { x: 0, y: 0 };
 
     /// Two of `0..=max` in ascending order.
     fn span(a: usize, b: usize) -> (usize, usize) {
@@ -268,10 +496,70 @@ mod tests {
                 span(bx.0 % (x1 - x0 + 1), bx.1 % (x1 - x0 + 1)),
                 span(bx.2 % (y1 - y0 + 1), bx.3 % (y1 - y0 + 1)),
             );
-            prop_assert_eq!(
-                local.box_sum(bx0, by0, bx1, by1),
-                whole.box_sum(x0 + bx0, y0 + by0, x0 + bx1, y0 + by1)
-            );
+            let sum = local.box_sum(bx0, by0, bx1, by1);
+            prop_assert_eq!(sum, whole.box_sum(x0 + bx0, y0 + by0, x0 + bx1, y0 + by1));
+            let direct: u64 = (y0 + by0..y0 + by1)
+                .flat_map(|y| (x0 + bx0..x0 + bx1).map(move |x| (x, y)))
+                .map(|(x, y)| f.px(x, y) as u64)
+                .sum();
+            prop_assert_eq!(sum as u64, direct);
+        }
+
+        /// The integer scan decides every stage as the `f64` means do,
+        /// under any thresholds, on any rectangle; one scan's scratch
+        /// serves rectangles of every size in turn.
+        #[test]
+        fn prop_integer_scan_matches_reference_under_any_thresholds(
+            seed in any::<u64>(),
+            bits in (any::<u64>(), any::<u64>(), any::<u64>()),
+            rect in (0usize..65, 0usize..65, 0usize..49, 0usize..49),
+        ) {
+            let f = crowded_frame_with_noise(seed, (seed % 2) as u8 * 10);
+            let cascade = Cascade {
+                max_window_mean: threshold(bits.0),
+                brow_contrast: threshold(bits.1),
+                max_eye_mean: threshold(bits.2),
+            };
+            let ((x0, x1), (y0, y1)) = (span(rect.0, rect.1), span(rect.2, rect.3));
+            let (qw, qh) = (f.w / 2, f.h / 2);
+            let mut rects = vec![(x0, y0, x1, y1), (0, 0, f.w, f.h)];
+            rects.extend((0..4).map(|q| (q % 2 * qw, q / 2 * qh, (q % 2 + 1) * qw, (q / 2 + 1) * qh)));
+            let mut scan = HaarScan::default();
+            for (x0, y0, x1, y1) in rects {
+                prop_assert_eq!(
+                    scanned(&mut scan, &f, &cascade, (x0, y0, x1, y1)),
+                    detect_in_reference(&f, &cascade, x0, y0, x1, y1),
+                    "{:?} on {:?}", cascade, (x0, y0, x1, y1)
+                );
+            }
+        }
+
+        /// Thresholds exactly at, or a hair (1/512) either side of, one
+        /// window's own stage values: the integer scan decides that
+        /// window, scanned first, as the means do.
+        #[test]
+        fn prop_integer_scan_matches_reference_at_a_windows_own_means(
+            seed in any::<u64>(),
+            at in (0usize..64 - FACE, 0usize..48 - FACE),
+            nudges in (0usize..3, 0usize..3, 0usize..3),
+        ) {
+            let f = crowded_frame_with_noise(seed, (seed % 2) as u8 * 10);
+            let (x, y) = at;
+            let [mean, contrast, eye] = stage_means(&f, x, y);
+            let nudge = |n: usize| [-1.0 / 512.0, 0.0, 1.0 / 512.0][n];
+            let cascade = Cascade {
+                max_window_mean: mean + nudge(nudges.0),
+                brow_contrast: contrast + nudge(nudges.1),
+                max_eye_mean: eye + nudge(nudges.2),
+            };
+            let mut scan = HaarScan::default();
+            for (x0, y0, x1, y1) in [(x, y, x + FACE + 1, y + FACE + 1), (0, 0, f.w, f.h)] {
+                prop_assert_eq!(
+                    scanned(&mut scan, &f, &cascade, (x0, y0, x1, y1)),
+                    detect_in_reference(&f, &cascade, x0, y0, x1, y1),
+                    "{:?} on {:?}", cascade, (x0, y0, x1, y1)
+                );
+            }
         }
 
         /// The rectangle-local scan finds the reference scan's faces,
@@ -313,7 +601,110 @@ mod tests {
         assert_eq!(ii.box_sum(1, 1, 3, 3), 4);
         assert_eq!(ii.box_sum(0, 0, 1, 1), 1);
         assert_eq!(ii.box_sum(2, 2, 2, 2), 0);
-        assert!((ii.box_mean(0, 0, 3, 1) - 1.0).abs() < 1e-12);
+        assert_eq!(ii.box_sum(0, 0, 3, 1), 3);
+    }
+
+    #[test]
+    fn integrate_reuses_the_buffer_across_sizes() {
+        let f = crowded_frame(5);
+        let mut ii = IntegralImage::default();
+        for &(x0, y0, x1, y1) in &[(0, 0, 64, 48), (3, 2, 9, 5), (32, 24, 64, 48), (0, 0, 0, 0)] {
+            ii.integrate(&f.pixels, f.w, x0, y0, x1, y1);
+            let fresh = IntegralImage::of_rect(&f.pixels, f.w, x0, y0, x1, y1);
+            assert_eq!(ii.sums, fresh.sums);
+        }
+    }
+
+    /// A window whose mean is exactly the stage-1 threshold passes it:
+    /// every stage rejects only on a strict `>`.
+    #[test]
+    fn stage_one_tie_passes() {
+        let f = window_frame([150; FACE]);
+        // Stages 2 and 3 tie as well: brow − mouth = 0 > −0 and eye
+        // 150 > 150 are both false.
+        let ties = Cascade {
+            brow_contrast: 0.0,
+            max_eye_mean: 150.0,
+            ..Cascade::default()
+        };
+        assert_eq!(ties.max_window_mean, 150.0);
+        let rect = (0, 0, f.w, f.h);
+        assert_eq!(detect_in(&f, &ties, 0, 0, f.w, f.h), vec![ORIGIN]);
+        assert_eq!(
+            detect_in(&f, &ties, 0, 0, f.w, f.h),
+            detect_in_reference(&f, &ties, 0, 0, f.w, f.h)
+        );
+        // A quarter of one pixel level's share below the window mean
+        // rejects it: the scaled threshold 9 599.75 is not an integer.
+        let below = Cascade {
+            max_window_mean: 150.0 - 1.0 / 256.0,
+            ..ties.clone()
+        };
+        let mut scan = HaarScan::default();
+        assert!(scanned(&mut scan, &f, &below, rect).is_empty());
+        assert!(detect_in_reference(&f, &below, 0, 0, f.w, f.h).is_empty());
+        // Under the default cascade the window passes stage 1 and
+        // fails stage 2 (no contrast).
+        let limits = SumLimits::of(&Cascade::default());
+        scan.ii.integrate(&f.pixels, f.w, 0, 0, f.w, f.h);
+        assert_eq!(scan.ii.box_sum(0, 0, FACE, FACE) as i64, limits.window);
+        assert!(limits.dark(&scan.ii.edges(0), 0));
+        assert!(!limits.face_like(&scan.ii.edges(0), 0));
+    }
+
+    /// Brow − mouth exactly `-brow_contrast` and an eye mean exactly
+    /// `max_eye_mean` pass stages 2 and 3; a step past either rejects,
+    /// also where the scaled threshold is not an integer.
+    #[test]
+    fn stage_two_and_three_ties_pass() {
+        // Brow (rows 0-1) and the eye rows (1-2) at 100, mouth (rows
+        // 4-7) at 110: brow − mouth = −10, eye mean 100.
+        let f = window_frame([100, 100, 100, 100, 110, 110, 110, 110]);
+        let ties = Cascade {
+            max_eye_mean: 100.0,
+            ..Cascade::default()
+        };
+        assert_eq!(ties.brow_contrast, 10.0);
+        let check = |cascade: &Cascade, found: bool| {
+            let got = detect_in(&f, cascade, 0, 0, f.w, f.h);
+            assert_eq!(got, detect_in_reference(&f, cascade, 0, 0, f.w, f.h));
+            assert_eq!(got.contains(&ORIGIN), found, "{cascade:?}: {got:?}");
+        };
+        check(&ties, true);
+        for step in [1.0 / 32.0, 1.0 / 128.0] {
+            check(
+                &Cascade {
+                    brow_contrast: 10.0 + step,
+                    ..ties.clone()
+                },
+                false,
+            );
+        }
+        for step in [1.0 / 4.0, 1.0 / 16.0] {
+            check(
+                &Cascade {
+                    max_eye_mean: 100.0 - step,
+                    ..ties.clone()
+                },
+                false,
+            );
+        }
+    }
+
+    #[test]
+    fn a_warm_scan_allocates_nothing_more() {
+        let f = crowded_frame(9);
+        let cascade = Cascade::default();
+        let mut scan = HaarScan::default();
+        scan.count_quadrant(&f, &cascade, 0);
+        let (ii, taken) = (scan.ii.sums.as_ptr(), scan.taken.as_ptr());
+        for q in 0..4 {
+            assert_eq!(
+                scan.count_quadrant(&f, &cascade, q),
+                count_faces_quadrant(&f, &cascade, q)
+            );
+            assert_eq!((scan.ii.sums.as_ptr(), scan.taken.as_ptr()), (ii, taken));
+        }
     }
 
     #[test]

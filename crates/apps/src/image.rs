@@ -6,9 +6,11 @@
 //! * **network/storage cost** — `wire_bytes` (e.g. 128 KB), which is
 //!   what the WiFi medium, preservation logs and checkpoints charge;
 //! * **computation** — a small real pixel grid (default 64×48
-//!   grayscale + hue plane) that the Haar counter and the SignalGuru
-//!   filters genuinely process, with planted ground truth to verify
-//!   kernel accuracy.
+//!   grayscale) that the Haar counter and the SignalGuru filters
+//!   genuinely process, with planted ground truth to verify kernel
+//!   accuracy. Hue is sparse: a frame stores only its colored pixels
+//!   (the lamp disc of an intersection frame), so a bus-stop frame
+//!   carries its grayscale plane and nothing else.
 
 use simkernel::SimRng;
 
@@ -57,8 +59,8 @@ pub struct Frame {
     pub h: usize,
     /// Grayscale plane, row-major, `w*h` bytes.
     pub pixels: Vec<u8>,
-    /// Hue plane (0 = colorless), row-major.
-    pub hue: Vec<u8>,
+    /// The colored pixels; every other pixel has hue 0 (colorless).
+    hue: SparseHue,
     /// Ground truth: faces planted.
     pub truth_faces: u32,
     /// Ground truth: traffic light planted (with disc center x,y,r).
@@ -71,9 +73,55 @@ impl Frame {
         self.pixels[y * self.w + x]
     }
 
-    /// Hue at (x, y).
+    /// Hue at (x, y) (0 = colorless).
     pub fn hue_at(&self, x: usize, y: usize) -> u8 {
-        self.hue[y * self.w + x]
+        assert!(x < self.w && y < self.h, "({x}, {y}) is outside the frame");
+        self.hue.get(y * self.w + x)
+    }
+
+    /// The colored pixels as `(x, y, hue)`, in row-major order.
+    pub(crate) fn colored(&self) -> impl Iterator<Item = (usize, usize, u8)> + '_ {
+        let w = self.w;
+        self.hue
+            .0
+            .iter()
+            .map(move |&(ix, hue)| (ix as usize % w, ix as usize / w, hue))
+    }
+
+    /// The hue plane, dense and row-major.
+    #[cfg(test)]
+    pub(crate) fn dense_hue(&self) -> Vec<u8> {
+        let mut plane = vec![0; self.w * self.h];
+        for &(ix, hue) in &self.hue.0 {
+            plane[ix as usize] = hue;
+        }
+        plane
+    }
+
+    /// Replace the hue with a dense row-major plane of `w*h` bytes.
+    #[cfg(test)]
+    pub(crate) fn set_dense_hue(&mut self, plane: &[u8]) {
+        assert_eq!(plane.len(), self.w * self.h);
+        self.hue = SparseHue(
+            (0u32..)
+                .zip(plane)
+                .filter(|&(_, &hue)| hue != 0)
+                .map(|(ix, &hue)| (ix, hue))
+                .collect(),
+        );
+    }
+}
+
+/// A sparse hue plane: `(row-major index, hue)` of every colored pixel,
+/// in strictly increasing index order.
+#[derive(Debug, Clone, Default)]
+struct SparseHue(Box<[(u32, u8)]>);
+
+impl SparseHue {
+    fn get(&self, ix: usize) -> u8 {
+        self.0
+            .binary_search_by_key(&ix, |&(i, _)| i as usize)
+            .map_or(0, |at| self.0[at].1)
     }
 }
 
@@ -115,8 +163,8 @@ impl FrameGen {
     /// Generate a bus-stop frame with planted faces.
     pub fn faces_frame(&self, rng: &mut SimRng, seq: u64) -> Frame {
         let mut f = self.blank(rng, seq);
-        let n = rng.poisson(self.mean_faces).min(self.max_faces() as u64) as u32;
-        let mut cells: Vec<(usize, usize)> = self.face_cells();
+        let mut cells = self.face_cells();
+        let n = rng.poisson(self.mean_faces).min(cells.len() as u64) as u32;
         rng.shuffle(&mut cells);
         for &(cx, cy) in cells.iter().take(n as usize) {
             plant_face(&mut f, cx, cy);
@@ -154,7 +202,8 @@ impl FrameGen {
         f
     }
 
-    fn blank(&self, rng: &mut SimRng, seq: u64) -> Frame {
+    /// Background plus noise, nothing planted.
+    pub(crate) fn blank(&self, rng: &mut SimRng, seq: u64) -> Frame {
         let n = self.w * self.h;
         let mut pixels = vec![self.background; n];
         if self.noise > 0 {
@@ -171,7 +220,7 @@ impl FrameGen {
             w: self.w,
             h: self.h,
             pixels,
-            hue: vec![0; n],
+            hue: SparseHue::default(),
             truth_faces: 0,
             truth_light: None,
         }
@@ -180,13 +229,13 @@ impl FrameGen {
     /// Grid cells where faces may be planted (each fully inside one
     /// quadrant, with a 1px margin).
     fn face_cells(&self) -> Vec<(usize, usize)> {
-        let mut v = Vec::new();
         let (qw, qh) = (self.w / 2, self.h / 2);
+        let cols = (qw - 2) / (FACE + 2);
+        let rows = (qh - 2) / (FACE + 2);
+        let mut v = Vec::with_capacity(4 * rows * cols);
         for qy in 0..2 {
             for qx in 0..2 {
                 let (ox, oy) = (qx * qw, qy * qh);
-                let cols = (qw - 2) / (FACE + 2);
-                let rows = (qh - 2) / (FACE + 2);
                 for r in 0..rows {
                     for c in 0..cols {
                         v.push((ox + 1 + c * (FACE + 2), oy + 1 + r * (FACE + 2)));
@@ -195,11 +244,6 @@ impl FrameGen {
             }
         }
         v
-    }
-
-    /// Maximum faces that fit on the planting grid.
-    pub fn max_faces(&self) -> usize {
-        self.face_cells().len()
     }
 }
 
@@ -241,21 +285,26 @@ fn plant_light(f: &mut Frame, cx: usize, cy: usize, r: usize, color: LightColor)
             }
         }
     }
-    // Lamp disc.
-    let rr = (r * r) as isize;
-    for dy in -(r as isize)..=(r as isize) {
-        for dx in -(r as isize)..=(r as isize) {
-            if dx * dx + dy * dy <= rr {
-                let x = cx as isize + dx;
-                let y = cy as isize + dy;
-                if x >= 0 && (x as usize) < f.w && y >= 0 && (y as usize) < f.h {
-                    let ix = y as usize * f.w + x as usize;
-                    f.pixels[ix] = 250;
-                    f.hue[ix] = color.hue();
-                }
-            }
-        }
+    // Lamp disc: its in-frame pixels in row-major order, so the sparse
+    // hue is built sorted, and counted first, so it is allocated once.
+    let (w, h) = (f.w, f.h);
+    assert!(
+        w * h <= u32::MAX as usize,
+        "frame too large for its hue index"
+    );
+    let r = r as isize;
+    let disc = (-r..=r)
+        .flat_map(|dy| (-r..=r).map(move |dx| (dx, dy)))
+        .filter(|&(dx, dy)| dx * dx + dy * dy <= r * r)
+        .map(|(dx, dy)| (cx as isize + dx, cy as isize + dy))
+        .filter(|&(x, y)| x >= 0 && (x as usize) < w && y >= 0 && (y as usize) < h)
+        .map(|(x, y)| y as usize * w + x as usize);
+    let mut hue = Vec::with_capacity(disc.clone().count());
+    for ix in disc {
+        f.pixels[ix] = 250;
+        hue.push((ix as u32, color.hue()));
     }
+    f.hue = SparseHue(hue.into_boxed_slice());
 }
 
 #[cfg(test)]
@@ -303,6 +352,86 @@ mod tests {
     }
 
     #[test]
+    fn faces_frames_hold_no_color() {
+        let gen = FrameGen::default();
+        let mut rng = SimRng::new(19);
+        for seq in 0..32 {
+            let f = gen.faces_frame(&mut rng, seq);
+            assert!(f.hue.0.is_empty(), "frame {seq} holds a hue entry");
+            assert_eq!(f.colored().count(), 0);
+        }
+    }
+
+    #[test]
+    fn light_frame_hue_is_exactly_the_lamp_disc() {
+        let gen = FrameGen::default();
+        let mut rng = SimRng::new(23);
+        let colors = [LightColor::Red, LightColor::Yellow, LightColor::Green];
+        // Positions at, inside and beyond the clamp limits.
+        for (i, &(x, y)) in [(0, 0), (30, 12), (63, 47), (8, 6), (55, 24), (17, 3)]
+            .iter()
+            .enumerate()
+        {
+            let color = colors[i % 3];
+            let f = gen.light_frame_at(&mut rng, i as u64, color, x, y);
+            let ix: Vec<u32> = f.hue.0.iter().map(|&(ix, _)| ix).collect();
+            assert!(ix.windows(2).all(|p| p[0] < p[1]), "indices not increasing");
+            assert!(ix.iter().all(|&i| (i as usize) < f.w * f.h));
+            assert!(f.hue.0.iter().all(|&(_, hue)| hue == color.hue()));
+            let (_, cx, cy, r) = f.truth_light.expect("light planted");
+            assert_eq!(r, 4);
+            let disc: Vec<u32> = (0..f.h)
+                .flat_map(|y| (0..f.w).map(move |x| (x, y)))
+                .filter(|&(x, y)| {
+                    let (dx, dy) = (x as isize - cx as isize, y as isize - cy as isize);
+                    dx * dx + dy * dy <= (r * r) as isize
+                })
+                .map(|(x, y)| (y * f.w + x) as u32)
+                .collect();
+            assert_eq!(disc.len(), 49);
+            assert_eq!(ix, disc);
+        }
+    }
+
+    #[test]
+    fn hue_at_matches_the_dense_plane() {
+        let gen = FrameGen::default();
+        let mut rng = SimRng::new(29);
+        for seq in 0..8u64 {
+            let f = if seq % 2 == 0 {
+                gen.faces_frame(&mut rng, seq)
+            } else {
+                gen.light_frame(&mut rng, seq, LightColor::Yellow)
+            };
+            let dense = f.dense_hue();
+            for y in 0..f.h {
+                for x in 0..f.w {
+                    assert_eq!(f.hue_at(x, y), dense[y * f.w + x], "({x}, {y})");
+                }
+            }
+            let colored: Vec<_> = f.colored().collect();
+            let want: Vec<_> = (0..f.w * f.h)
+                .filter(|&i| dense[i] != 0)
+                .map(|i| (i % f.w, i / f.w, dense[i]))
+                .collect();
+            assert_eq!(colored, want);
+        }
+    }
+
+    #[test]
+    fn dense_hue_round_trips() {
+        let gen = FrameGen::default();
+        let mut f = gen.faces_frame(&mut SimRng::new(31), 0);
+        let plane: Vec<u8> = (0..f.w * f.h).map(|i| (i * 7 % 5 * 40) as u8).collect();
+        f.set_dense_hue(&plane);
+        assert_eq!(f.dense_hue(), plane);
+        assert_eq!(
+            f.colored().count(),
+            plane.iter().filter(|&&h| h != 0).count()
+        );
+    }
+
+    #[test]
     fn hue_codec_round_trips() {
         for c in [LightColor::Red, LightColor::Yellow, LightColor::Green] {
             assert_eq!(LightColor::from_hue(c.hue()), Some(c));
@@ -337,14 +466,14 @@ mod tests {
         for seq in 0..64 {
             let f = gen.faces_frame(&mut rng, seq);
             mix(&f.pixels);
-            mix(&f.hue);
+            mix(&f.dense_hue());
             mix(&f.truth_faces.to_le_bytes());
         }
         let colors = [LightColor::Red, LightColor::Yellow, LightColor::Green];
         for seq in 0..64usize {
             let f = gen.light_frame_at(&mut rng, seq as u64, colors[seq % 3], seq, seq / 2);
             mix(&f.pixels);
-            mix(&f.hue);
+            mix(&f.dense_hue());
             let (_, x, y, r) = f.truth_light.expect("light planted");
             mix(&[x as u8, y as u8, r as u8]);
         }

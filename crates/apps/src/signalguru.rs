@@ -134,7 +134,7 @@ impl Operator for PrevIntersectionSource {
     }
 }
 
-/// `C`: color filter — the kernel really scans the hue plane.
+/// `C`: color filter — the kernel really folds the frame's colored pixels.
 struct ColorOp {
     cost: SimDuration,
     small_bytes: u64,

@@ -22,21 +22,19 @@ pub struct ColorBlob {
 /// equally large blobs the first of red, yellow, green wins.
 pub fn color_filter(frame: &Frame) -> Option<ColorBlob> {
     const COLORS: [LightColor; 3] = [LightColor::Red, LightColor::Yellow, LightColor::Green];
-    // One pass over the hue plane: (Σx, Σy, count) per color.
+    // One fold over the colored pixels: (Σx, Σy, count) per color.
     let mut acc = [(0u64, 0u64, 0u32); 3];
-    for (y, row) in frame.hue.chunks_exact(frame.w.max(1)).enumerate() {
-        for (x, &hue) in row.iter().enumerate() {
-            let slot = match LightColor::from_hue(hue) {
-                Some(LightColor::Red) => 0,
-                Some(LightColor::Yellow) => 1,
-                Some(LightColor::Green) => 2,
-                None => continue,
-            };
-            let (sx, sy, n) = &mut acc[slot];
-            *sx += x as u64;
-            *sy += y as u64;
-            *n += 1;
-        }
+    for (x, y, hue) in frame.colored() {
+        let slot = match LightColor::from_hue(hue) {
+            Some(LightColor::Red) => 0,
+            Some(LightColor::Yellow) => 1,
+            Some(LightColor::Green) => 2,
+            None => continue,
+        };
+        let (sx, sy, n) = &mut acc[slot];
+        *sx += x as u64;
+        *sy += y as u64;
+        *n += 1;
     }
     let mut best: Option<ColorBlob> = None;
     for (color, &(sx, sy, n)) in COLORS.into_iter().zip(&acc) {
@@ -220,16 +218,17 @@ mod tests {
         for (dst, &src) in hue.iter_mut().zip(hues) {
             *dst = src;
         }
-        Frame {
-            seq: 0,
-            wire_bytes: 0,
+        let gen = FrameGen {
             w,
             h,
-            pixels: vec![0; w * h],
-            hue,
-            truth_faces: 0,
-            truth_light: None,
-        }
+            wire_bytes: 0,
+            mean_faces: 0.0,
+            noise: 0,
+            background: 0,
+        };
+        let mut f = gen.blank(&mut SimRng::new(0), 0);
+        f.set_dense_hue(&hue);
+        f
     }
 
     proptest! {
@@ -315,10 +314,12 @@ mod tests {
         };
         let mut rng = SimRng::new(9);
         let mut f = gen.faces_frame(&mut rng, 0);
+        let mut hue = f.dense_hue();
         for x in 10..40 {
             f.pixels[12 * f.w + x] = 250;
-            f.hue[12 * f.w + x] = LightColor::Red.hue();
+            hue[12 * f.w + x] = LightColor::Red.hue();
         }
+        f.set_dense_hue(&hue);
         let blob = color_filter(&f).unwrap();
         assert!(!shape_filter(&f, &blob), "streak must fail the circle test");
     }

@@ -7,10 +7,11 @@
 //! size of a bitmap (`ceil(n/8)` bytes) is part of the protocol's
 //! cost/gain accounting, so it is exposed here.
 //!
-//! One is made, cloned and dropped per receiver per batch, and on every
-//! fleet profile it is 16–64 bits long (operator state over 1 KiB
-//! blocks), so up to [`INLINE_BITS`] bits live in the struct itself and
-//! only longer bitmaps touch the heap.
+//! One is made, cloned and dropped per receiver per batch. On the fleet
+//! profiles a checkpoint of operator state is 16–64 blocks of 1 KiB and
+//! a preserved 128 KiB frame is 128 blocks, so up to [`INLINE_BITS`]
+//! bits live in the struct itself and only longer bitmaps touch the
+//! heap.
 
 use std::fmt;
 
