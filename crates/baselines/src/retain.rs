@@ -33,6 +33,7 @@
 //! off the one constructor argument.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use dsps::ft::FtScheme;
 use dsps::graph::EdgeId;
@@ -187,7 +188,7 @@ impl RetainScheme {
             ops: their_ops,
             states: InstallStates::Explicit(snap),
             op_slot: node.op_slot.clone(),
-            slot_actors: node.slot_actors.clone(),
+            slot_actors: Arc::clone(&node.slot_actors),
             ready_in: SimDuration::from_secs(1),
         };
         // The fetch+restore crosses the shared WiFi channel: with k

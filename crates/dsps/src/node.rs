@@ -164,8 +164,8 @@ pub struct Install {
     pub states: InstallStates,
     /// Fresh region-wide op→slot assignment.
     pub op_slot: Vec<u32>,
-    /// Fresh slot→actor binding.
-    pub slot_actors: Vec<ActorId>,
+    /// Fresh slot→actor binding, the region's one shared table.
+    pub slot_actors: Arc<Vec<ActorId>>,
     /// Modeling of code transfer + state load + WiFi rebuild time:
     /// the node comes alive this long after the Install arrives.
     pub ready_in: SimDuration,
@@ -176,8 +176,8 @@ pub struct Install {
 pub struct UpdateRouting {
     /// New op→slot assignment.
     pub op_slot: Vec<u32>,
-    /// New slot→actor binding.
-    pub slot_actors: Vec<ActorId>,
+    /// New slot→actor binding, the region's one shared table.
+    pub slot_actors: Arc<Vec<ActorId>>,
 }
 
 /// Controller RPC: toggle urgent (cellular) routing for edges whose
@@ -248,8 +248,9 @@ pub struct NodeInner {
     pub ops: BTreeMap<OpId, Box<dyn Operator>>,
     /// Region-wide op→slot assignment.
     pub op_slot: Vec<u32>,
-    /// Region-wide slot→actor binding.
-    pub slot_actors: Vec<ActorId>,
+    /// Region-wide slot→actor binding, shared by every phone of the
+    /// region (see [`crate::placement::Placement::slot_actors`]).
+    pub slot_actors: Arc<Vec<ActorId>>,
     /// Per-in-edge FIFO queues (includes source pseudo-edges).
     pub queues: BTreeMap<EdgeId, VecDeque<StreamItem>>,
     /// Edges the scheme paused (token alignment).
@@ -323,7 +324,7 @@ impl NodeInner {
             graph,
             ops: BTreeMap::new(),
             op_slot: vec![u32::MAX; op_count],
-            slot_actors: Vec::new(),
+            slot_actors: Arc::default(),
             queues: BTreeMap::new(),
             paused: BTreeSet::new(),
             urgent_edges: BTreeSet::new(),
@@ -876,7 +877,7 @@ impl NodeActor {
         inner.busy = false;
         inner.current = None;
         inner.op_slot = ins.op_slot.clone();
-        inner.slot_actors = ins.slot_actors.clone();
+        inner.slot_actors = Arc::clone(&ins.slot_actors);
         for &op in &ins.ops {
             inner.host_op(op);
         }
@@ -1220,10 +1221,11 @@ mod tests {
 
         // Wire placement: S→0, A→1, K→2; slot 3 idle.
         let op_slot = vec![0u32, 1, 2];
+        let table = Arc::new(nodes.clone());
         for (slot, &nid) in nodes.iter().enumerate() {
             let na = sim.actor_mut::<NodeActor>(nid);
             na.inner.op_slot = op_slot.clone();
-            na.inner.slot_actors = nodes.clone();
+            na.inner.slot_actors = Arc::clone(&table);
             match slot {
                 0 => na.inner.host_op(OpId(0)),
                 1 => na.inner.host_op(OpId(1)),
@@ -1409,7 +1411,7 @@ mod tests {
             (
                 snap,
                 mid.inner.op_slot.clone(),
-                mid.inner.slot_actors.clone(),
+                Arc::clone(&mid.inner.slot_actors),
             )
         };
         // Install op A on idle slot 3, restoring the snapshot.
@@ -1419,7 +1421,7 @@ mod tests {
             ops: vec![OpId(1)],
             states: InstallStates::Explicit(snap),
             op_slot: new_op_slot.clone(),
-            slot_actors: slot_actors.clone(),
+            slot_actors: Arc::clone(&slot_actors),
             ready_in: SimDuration::from_secs(1),
         };
         let now = rig.sim.now();
@@ -1428,7 +1430,7 @@ mod tests {
         for slot in 0..rig.nodes.len() {
             let routing = UpdateRouting {
                 op_slot: new_op_slot.clone(),
-                slot_actors: slot_actors.clone(),
+                slot_actors: Arc::clone(&slot_actors),
             };
             deliver_ctl(&mut rig, slot, now, routing);
         }
@@ -1621,7 +1623,7 @@ mod tests {
             ops: vec![OpId(1)],
             states: InstallStates::Fresh,
             op_slot: vec![0, 3, 2],
-            slot_actors: rig.nodes.clone(),
+            slot_actors: Arc::new(rig.nodes.clone()),
             ready_in: SimDuration::from_secs(1),
         };
         deliver_ctl(&mut rig, 3, SimTime::ZERO, install);
@@ -1649,7 +1651,7 @@ mod tests {
             ops: vec![OpId(1)],
             states: InstallStates::Fresh,
             op_slot: vec![0, 3, 2],
-            slot_actors: rig.nodes.clone(),
+            slot_actors: Arc::new(rig.nodes.clone()),
             ready_in: SimDuration::from_secs(1),
         };
         deliver_ctl(&mut rig, 3, SimTime::from_millis(500), install);

@@ -280,7 +280,7 @@ impl Placement {
     pub fn routing(&self) -> UpdateRouting {
         UpdateRouting {
             op_slot: self.op_slot.clone(),
-            slot_actors: self.slot_actors.to_vec(),
+            slot_actors: Arc::clone(&self.slot_actors),
         }
     }
 
@@ -291,7 +291,7 @@ impl Placement {
             ops: self.ops_on(slot),
             states,
             op_slot: self.op_slot.clone(),
-            slot_actors: self.slot_actors.to_vec(),
+            slot_actors: Arc::clone(&self.slot_actors),
             ready_in,
         }
     }
@@ -583,10 +583,16 @@ mod tests {
             InstallStates::FromLocalStore { version: 7 }
         ));
         assert!(matches!(InstallStates::from_mrc(0), InstallStates::Fresh));
-        assert_eq!((ins.op_slot, ins.slot_actors), (vec![0, 2, 2, 3], actors));
+        assert_eq!(
+            (ins.op_slot, &*ins.slot_actors),
+            (vec![0, 2, 2, 3], &actors)
+        );
         let routing = p.routing();
         assert_eq!(routing.op_slot, p.op_slot());
         assert_eq!(routing.slot_actors[3], p.actor(3));
+        // Both hand out the table itself, never a copy.
+        assert!(Arc::ptr_eq(&ins.slot_actors, p.slot_actors()));
+        assert!(Arc::ptr_eq(&routing.slot_actors, p.slot_actors()));
     }
 
     #[test]

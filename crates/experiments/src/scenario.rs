@@ -399,7 +399,7 @@ impl Deployment {
             let wifi = regions[r].wifi;
             for (slot, &nid) in handles_nodes.iter().enumerate() {
                 let na = sim.actor_mut::<NodeActor>(nid);
-                na.inner.slot_actors = handles_nodes.clone();
+                na.inner.slot_actors = Arc::clone(table.slot_actors());
                 for op in table.ops_on(slot as u32) {
                     na.inner.host_op(op);
                 }
@@ -490,7 +490,7 @@ impl Deployment {
                     .map(|s| RegionWiring {
                         graph: Arc::clone(&s.graph),
                         downstream: s.downstream.clone(),
-                        slot_actors: s.placement.slot_actors().to_vec(),
+                        slot_actors: Arc::clone(s.placement.slot_actors()),
                         op_slot: s.placement.op_slot().to_vec(),
                     })
                     .collect();
@@ -658,7 +658,7 @@ impl Deployment {
             let nodes = regions[r].nodes.clone();
             for (slot, &nid) in nodes.iter().enumerate() {
                 let na = sim.actor_mut::<NodeActor>(nid);
-                na.inner.slot_actors = nodes.clone();
+                na.inner.slot_actors = Arc::clone(regions[r].placement.slot_actors());
                 for op in regions[r].placement.ops_on(slot as u32) {
                     na.inner.host_op(op);
                 }

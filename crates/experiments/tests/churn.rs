@@ -13,6 +13,7 @@
 use experiments::faults::{inject_departure, inject_failure, inject_reboot};
 use experiments::{harvest, AppKind, Deployment, ScenarioConfig, Scheme};
 use simkernel::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// A small-but-real MS deployment: 2 regions × 5 phones, shortened
 /// checkpoint period, shrunk states (same trick as the smoke test so
@@ -156,6 +157,44 @@ fn phone_rejoins_mid_recovery() {
         h.recoveries >= 1,
         "the failure must have driven at least one recovery"
     );
+}
+
+/// Every phone of a region points at the one slot table its placement
+/// holds: after the build, and after the installs of a recovery, a
+/// departure's replacement and a rejoin's membership snapshot. A phone
+/// that copied the table fails this.
+#[test]
+fn a_region_shares_one_slot_table() {
+    let assert_shared = |dep: &Deployment, when: &str| {
+        for (r, region) in dep.regions.iter().enumerate() {
+            for (slot, &nid) in region.nodes.iter().enumerate() {
+                let table = &dep
+                    .sim
+                    .actor::<dsps::node::NodeActor>(nid)
+                    .inner
+                    .slot_actors;
+                assert!(
+                    Arc::ptr_eq(table, region.placement.slot_actors()),
+                    "{when}: phone {slot} of region {r} holds its own slot table"
+                );
+            }
+        }
+    };
+    let mut dep = Deployment::build(cfg(17));
+    assert_shared(&dep, "after build");
+    dep.start();
+    inject_failure(&mut dep, 0, 2, SimTime::from_secs(50));
+    inject_reboot(&mut dep, 0, 2, SimTime::from_secs(56));
+    inject_departure(&mut dep, 1, 1, SimTime::from_secs(21));
+    dep.run_until(SimTime::from_secs(240));
+    let h = harvest(&dep, SimTime::from_secs(40), SimTime::from_secs(240));
+    assert!(h.recoveries >= 1, "the failure drove no recovery");
+    assert_eq!(
+        dep.ms_departures_handled(),
+        1,
+        "the departure was not handled"
+    );
+    assert_shared(&dep, "after recovery, departure and rejoin");
 }
 
 /// Determinism holds under all three edge cases at once: the same

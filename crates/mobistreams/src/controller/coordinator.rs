@@ -42,8 +42,8 @@ pub struct RegionWiring {
     pub graph: Arc<QueryGraph>,
     /// Downstream regions: (region index, source op fed there).
     pub downstream: Vec<(usize, OpId)>,
-    /// Phone actor per slot.
-    pub slot_actors: Vec<ActorId>,
+    /// Phone actor per slot (the region's shared table).
+    pub slot_actors: Arc<Vec<ActorId>>,
     /// Initial operator → slot assignment.
     pub op_slot: Vec<u32>,
 }

@@ -137,8 +137,9 @@ pub enum BlobContent {
         epoch: u64,
         /// Source operator the input belongs to.
         op: OpId,
-        /// The tuple.
-        tuple: Tuple,
+        /// The tuple: one allocation that every receiver's
+        /// preservation log points at, never a copy per phone.
+        tuple: Arc<Tuple>,
         /// The out-edge this tuple travels on (None = pure log copy).
         deliver_edge: Option<dsps::graph::EdgeId>,
     },

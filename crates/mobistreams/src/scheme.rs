@@ -18,6 +18,7 @@
 //!   and ship state to the replacement over cellular (§III-E).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use dsps::ft::FtScheme;
 use dsps::graph::{EdgeId, OpId, OpKind};
@@ -476,13 +477,14 @@ impl MsScheme {
                 tuple,
                 deliver_edge,
             } => {
-                node.store.preserve_input(epoch, op, tuple.clone());
                 if let Some(edge) = deliver_edge {
                     let target = node.graph.edge_target(edge);
                     if node.hosts(target) {
-                        node.push_item(edge, dsps::tuple::StreamItem::Tuple(tuple));
+                        let item = dsps::tuple::StreamItem::Tuple(Tuple::clone(&tuple));
+                        node.push_item(edge, item);
                     }
                 }
+                node.store.preserve_input(epoch, op, tuple);
             }
         }
     }
@@ -530,7 +532,7 @@ impl MsScheme {
         let content = BlobContent::Preserve {
             epoch: self.epoch,
             op,
-            tuple: tuple.clone(),
+            tuple: Arc::new(tuple.clone()),
             deliver_edge: Some(edge),
         };
         let bytes = tuple.bytes;
@@ -543,7 +545,7 @@ impl MsScheme {
             let tuples: Vec<Tuple> = node
                 .store
                 .source_log(epoch, op)
-                .map(|l| l.tuples.clone())
+                .map(|l| l.tuples.iter().map(|t| Tuple::clone(t)).collect())
                 .unwrap_or_default();
             for t in tuples {
                 node.push_source_replay(op, t);
@@ -625,7 +627,8 @@ impl FtScheme for MsScheme {
         let _ = ctx;
         // Log locally; region-wide replication happens when the source
         // emits (the broadcast then doubles as the data delivery).
-        node.store.preserve_input(self.epoch, op, tuple.clone());
+        node.store
+            .preserve_input(self.epoch, op, Arc::new(tuple.clone()));
     }
 
     fn on_custom(&mut self, ev: EventBox, node: &mut NodeInner, ctx: &mut Ctx) {
@@ -693,7 +696,7 @@ impl FtScheme for MsScheme {
                     // (cellular is FIFO, but a resync snapshot may
                     // race a delta issued the same tick).
                     if m.epoch >= self.membership_epoch {
-                        node.slot_actors = (*m.slot_actors).clone();
+                        node.slot_actors = Arc::clone(&m.slot_actors);
                         self.active_slots = (*m.active_slots).clone();
                         self.membership_epoch = m.epoch;
                         self.evict_departed_senders(node);
@@ -949,9 +952,10 @@ mod tests {
             let id = sim.add_actor(Box::new(NodeActor::new(inner, Box::new(scheme))));
             nodes.push(id);
         }
+        let table = Arc::new(nodes.clone());
         for (slot, &nid) in nodes.iter().enumerate() {
             let na = sim.actor_mut::<NodeActor>(nid);
-            na.inner.slot_actors = nodes.clone();
+            na.inner.slot_actors = Arc::clone(&table);
             if slot < 3 {
                 na.inner.host_op(dsps::graph::OpId(slot as u32));
             }
@@ -1098,6 +1102,32 @@ mod tests {
             "epoch 0 garbage-collected after commit"
         );
         assert_eq!(src.inner.store.latest_complete(), Some(1));
+    }
+
+    /// One preservation job leaves one tuple allocation that every
+    /// receiver's log points at; a per-phone copy fails this.
+    #[test]
+    fn receivers_share_one_preserved_tuple() {
+        let mut rig = rig();
+        feed(&mut rig, 1, 100);
+        rig.sim.run_until(SimTime::from_secs(5));
+        let logged: Vec<&Arc<Tuple>> = rig.nodes[1..]
+            .iter()
+            .map(|&nid| {
+                let store = &rig.sim.actor::<NodeActor>(nid).inner.store;
+                let log = store
+                    .source_log(0, OpId(0))
+                    .expect("every receiver logs the input");
+                assert_eq!(log.tuples.len(), 1);
+                &log.tuples[0]
+            })
+            .collect();
+        assert!(logged.iter().all(|t| Arc::ptr_eq(t, logged[0])));
+        assert_eq!(
+            Arc::strong_count(logged[0]),
+            logged.len(),
+            "nothing else holds it"
+        );
     }
 
     #[test]
@@ -1422,9 +1452,9 @@ mod tests {
         inner.op_slot = vec![0, 0];
         inner.host_op(dsps::graph::OpId(0));
         inner.host_op(dsps::graph::OpId(1));
-        inner.slot_actors = vec![simkernel::ActorId::from_index(3)];
+        inner.slot_actors = Arc::new(vec![simkernel::ActorId::from_index(3)]);
         let node = sim.add_actor(Box::new(NodeActor::new(inner, Box::new(NullScheme))));
-        sim.actor_mut::<NodeActor>(node).inner.slot_actors = vec![node];
+        sim.actor_mut::<NodeActor>(node).inner.slot_actors = Arc::new(vec![node]);
         sim.schedule_at(
             SimTime::ZERO,
             node,
