@@ -40,15 +40,21 @@ pub struct FrameMsg {
     pub frame: Arc<Frame>,
 }
 
-/// A quadrant crop handed to one counter.
+/// A quadrant crop handed to one counter. `H` renders each frame it
+/// admits once; its four crops share that plane, and each counter
+/// crops its quadrant on the fly.
 #[derive(Debug, Clone)]
 pub struct CropMsg {
     /// Frame sequence.
     pub seq: u64,
     /// Which quadrant (0..4).
     pub quadrant: usize,
-    /// Shared frame (counters crop on the fly).
-    pub frame: Arc<Frame>,
+    /// Plane width.
+    pub w: usize,
+    /// Plane height.
+    pub h: usize,
+    /// The frame's rendered grayscale plane, row-major, shared.
+    pub plane: Arc<[u8]>,
 }
 
 /// One counter's result.
@@ -272,7 +278,8 @@ impl Operator for Dispatcher {
 
 /// `H`: motion detection / passerby filter — compares the frame's mean
 /// brightness against a background model (people change the scene) and
-/// splits admitted frames into four quadrant crops.
+/// splits admitted frames into four quadrant crops. It renders each
+/// frame once, and the four crops share the plane.
 struct MotionSplit {
     cost: SimDuration,
     background: Ewma,
@@ -287,8 +294,8 @@ impl Operator for MotionSplit {
         };
         let frame = &m.frame;
         // Real pixel work: frame mean vs adaptive background.
-        let mean =
-            frame.pixels.iter().map(|&p| p as u64).sum::<u64>() as f64 / frame.pixels.len() as f64;
+        let plane = frame.render();
+        let mean = plane.iter().map(|&p| p as u64).sum::<u64>() as f64 / plane.len() as f64;
         self.background.observe(mean);
         // Passerby filter: frames indistinguishable from background
         // (nobody present) are dropped.
@@ -301,7 +308,9 @@ impl Operator for MotionSplit {
                 value(CropMsg {
                     seq: frame.seq,
                     quadrant: q,
-                    frame: Arc::clone(frame),
+                    w: frame.w,
+                    h: frame.h,
+                    plane: Arc::clone(&plane),
                 }),
                 self.crop_bytes,
             );
@@ -336,7 +345,7 @@ impl Operator for HaarCounter {
         };
         let count = self
             .scan
-            .count_quadrant(&c.frame, &self.cascade, c.quadrant);
+            .count_quadrant((&c.plane, c.w, c.h), &self.cascade, c.quadrant);
         self.counted += 1;
         out.emit(
             0,
@@ -873,6 +882,50 @@ mod tests {
             truth
         );
         assert!(cap.onboard_next <= 60);
+    }
+
+    /// A catch-up replay feeds `H` a preserved frame again: `H`
+    /// renders it again, and `C0..C3` count the same faces.
+    #[test]
+    fn replaying_a_frame_through_h_and_the_counters_counts_the_same() {
+        let cal = Calibration::default();
+        let bundle = build_bcp(&cal, 8, true);
+        let g = &bundle.graph;
+        let mk = |name: &str| g.op(g.op_by_name(name).unwrap()).instantiate();
+        let gen = FrameGen {
+            mean_faces: 10.0,
+            ..FrameGen::default()
+        };
+        let mut rng = SimRng::new(17);
+        let frame = Arc::new(gen.faces_frame(&mut rng, 3));
+        let counts = |rng: &mut SimRng| {
+            let (mut h, mut counters) = (mk("H"), ["C0", "C1", "C2", "C3"].map(mk));
+            let t = Tuple::new(
+                1,
+                simkernel::SimTime::ZERO,
+                cal.bcp_frame_bytes,
+                value(FrameMsg {
+                    frame: Arc::clone(&frame),
+                }),
+            );
+            let mut out = Outputs::default();
+            h.process(&t, 0, &mut out, rng);
+            let mut counts = Vec::new();
+            for (q, crop, bytes) in out.drain() {
+                let t = Tuple::new(1, simkernel::SimTime::ZERO, bytes, crop);
+                let mut out = Outputs::default();
+                counters[q].process(&t, 0, &mut out, rng);
+                for (_, v, _) in out.drain() {
+                    let c = *(*v).as_any().downcast_ref::<CountMsg>().expect("a count");
+                    counts.push((c.seq, c.quadrant, c.count));
+                }
+            }
+            counts
+        };
+        let first = counts(&mut rng);
+        assert_eq!(first.len(), 4, "one count per quadrant");
+        assert_eq!(first.iter().map(|c| c.2).sum::<u32>(), frame.truth_faces);
+        assert_eq!(counts(&mut rng), first);
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! background → brow darker than mouth → eye corners darkest) slides
 //! over the frame; overlapping detections are suppressed greedily.
 //! It genuinely detects the faces planted by [`crate::image::FrameGen`].
+//! The scan reads a rendered plane: the public entry points render the
+//! frame they are given, and `C0..C3` count on the plane `H` rendered
+//! once for all four.
 //!
 //! The scan is integer-only and, once warm, allocation-free: a
 //! `HaarScan` keeps its `u32` integral image and its suppression
@@ -111,6 +114,9 @@ impl IntegralImage {
 /// A rectangle `(x0, y0, x1, y1)`: columns `[x0, x1)`, rows `[y0, y1)`.
 pub(crate) type Rect = (usize, usize, usize, usize);
 
+/// A grayscale plane `(pixels, w, h)`: `w * h` bytes, row-major.
+pub(crate) type Plane<'a> = (&'a [u8], usize, usize);
+
 /// Cascade thresholds.
 #[derive(Debug, Clone)]
 pub struct Cascade {
@@ -213,7 +219,8 @@ pub struct Detection {
 
 /// The cascade scan with its scratch: the integral image and one
 /// suppression bit-row per window row. Kept across calls, it allocates
-/// nothing once it has scanned a rectangle this large.
+/// nothing once it has scanned a rectangle this large. It scans a
+/// `w × h` grayscale plane, row-major.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct HaarScan {
     ii: IntegralImage,
@@ -226,19 +233,19 @@ impl HaarScan {
     /// [`detect_in`]'s scan, calling `hit` for each detection.
     pub(crate) fn scan(
         &mut self,
-        frame: &Frame,
+        (plane, w, h): Plane,
         cascade: &Cascade,
         (x0, y0, x1, y1): Rect,
         mut hit: impl FnMut(Detection),
     ) {
-        let (x1, y1) = (x1.min(frame.w), y1.min(frame.h));
+        let (x1, y1) = (x1.min(w), y1.min(h));
         let (x0, y0) = (x0.min(x1), y0.min(y1));
         let (rw, rh) = (x1 - x0, y1 - y0);
         if rw <= FACE || rh <= FACE {
             return;
         }
         // From here on `x`, `y` are relative to the rectangle's corner.
-        self.ii.integrate(&frame.pixels, frame.w, x0, y0, x1, y1);
+        self.ii.integrate(plane, w, x0, y0, x1, y1);
         let (cols, rows) = (rw - FACE + 1, rh - FACE + 1);
         let words = cols.div_ceil(64);
         self.taken.clear();
@@ -272,22 +279,22 @@ impl HaarScan {
         }
     }
 
-    /// Count faces in one quadrant (0..4, row-major) of the frame; there
-    /// are no faces in a quadrant that does not exist.
+    /// Count faces in one quadrant (0..4, row-major) of the plane;
+    /// there are no faces in a quadrant that does not exist.
     pub(crate) fn count_quadrant(
         &mut self,
-        frame: &Frame,
+        plane: Plane,
         cascade: &Cascade,
         quadrant: usize,
     ) -> u32 {
         if quadrant >= 4 {
             return 0;
         }
-        let (qw, qh) = (frame.w / 2, frame.h / 2);
+        let (qw, qh) = (plane.1 / 2, plane.2 / 2);
         let (qx, qy) = (quadrant % 2, quadrant / 2);
         let rect = (qx * qw, qy * qh, (qx + 1) * qw, (qy + 1) * qh);
         let mut n = 0;
-        self.scan(frame, cascade, rect, |_| n += 1);
+        self.scan(plane, cascade, rect, |_| n += 1);
         n
     }
 }
@@ -303,7 +310,7 @@ pub fn count_faces_in(
     y1: usize,
 ) -> u32 {
     let mut n = 0;
-    HaarScan::default().scan(frame, cascade, (x0, y0, x1, y1), |_| n += 1);
+    scan_frame(frame, cascade, (x0, y0, x1, y1), |_| n += 1);
     n
 }
 
@@ -320,14 +327,19 @@ pub fn detect_in(
     y1: usize,
 ) -> Vec<Detection> {
     let mut hits = Vec::new();
-    HaarScan::default().scan(frame, cascade, (x0, y0, x1, y1), |d| hits.push(d));
+    scan_frame(frame, cascade, (x0, y0, x1, y1), |d| hits.push(d));
     hits
 }
 
 /// Count faces in one quadrant (0..4, row-major) of the frame; there
 /// are no faces in a quadrant that does not exist.
 pub fn count_faces_quadrant(frame: &Frame, cascade: &Cascade, quadrant: usize) -> u32 {
-    HaarScan::default().count_quadrant(frame, cascade, quadrant)
+    HaarScan::default().count_quadrant((&frame.render(), frame.w, frame.h), cascade, quadrant)
+}
+
+/// A fresh scan of the rectangle `rect` of the frame, rendered.
+fn scan_frame(frame: &Frame, cascade: &Cascade, rect: Rect, hit: impl FnMut(Detection)) {
+    HaarScan::default().scan((&frame.render(), frame.w, frame.h), cascade, rect, hit);
 }
 
 #[cfg(test)]
@@ -336,6 +348,7 @@ mod tests {
     use crate::image::FrameGen;
     use proptest::prelude::*;
     use simkernel::SimRng;
+    use std::sync::Arc;
 
     /// Mean gray level of a box (0 for empty boxes), in `f64`.
     fn box_mean(ii: &IntegralImage, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
@@ -349,24 +362,24 @@ mod tests {
     /// The scan as it was before the rectangle-local and integer
     /// rewrites: the whole frame integrated, a whole-frame suppression
     /// mask, frame coordinates throughout, every stage on `f64` means.
-    /// Needs the rectangle inside the frame.
+    /// Needs the rectangle inside the plane.
     fn detect_in_reference(
-        frame: &Frame,
+        (plane, w, h): Plane,
         cascade: &Cascade,
         x0: usize,
         y0: usize,
         x1: usize,
         y1: usize,
     ) -> Vec<Detection> {
-        let ii = IntegralImage::new(&frame.pixels, frame.w, frame.h);
+        let ii = IntegralImage::new(plane, w, h);
         let mut hits = Vec::new();
         if x1 <= x0 + FACE || y1 <= y0 + FACE {
             return hits;
         }
-        let mut taken = vec![false; frame.w * frame.h];
+        let mut taken = vec![false; w * h];
         for y in y0..=(y1 - FACE) {
             for x in x0..=(x1 - FACE) {
-                if taken[y * frame.w + x] {
+                if taken[y * w + x] {
                     continue;
                 }
                 let mean = box_mean(&ii, x, y, x + FACE, y + FACE);
@@ -384,14 +397,19 @@ mod tests {
                     continue;
                 }
                 hits.push(Detection { x, y });
-                for sy in y.saturating_sub(FACE - 1)..(y + FACE).min(frame.h) {
-                    for sx in x.saturating_sub(FACE - 1)..(x + FACE).min(frame.w) {
-                        taken[sy * frame.w + sx] = true;
+                for sy in y.saturating_sub(FACE - 1)..(y + FACE).min(h) {
+                    for sx in x.saturating_sub(FACE - 1)..(x + FACE).min(w) {
+                        taken[sy * w + sx] = true;
                     }
                 }
             }
         }
         hits
+    }
+
+    /// A frame's rendered plane with its size.
+    fn rendered(f: &Frame) -> (Arc<[u8]>, usize, usize) {
+        (f.render(), f.w, f.h)
     }
 
     /// A crowded bus stop: adjacent faces, so suppression matters.
@@ -434,8 +452,8 @@ mod tests {
     /// The window at `(x, y)`'s three stage values, each the threshold
     /// it ties with: its mean, mouth − brow, and the larger eye-corner
     /// mean.
-    fn stage_means(f: &Frame, x: usize, y: usize) -> [f64; 3] {
-        let ii = IntegralImage::new(&f.pixels, f.w, f.h);
+    fn stage_means((plane, w, h): Plane, x: usize, y: usize) -> [f64; 3] {
+        let ii = IntegralImage::new(plane, w, h);
         let brow = box_mean(&ii, x, y, x + FACE, y + FACE / 3);
         let mouth = box_mean(&ii, x, y + FACE / 2, x + FACE, y + FACE);
         let eye_l = box_mean(&ii, x + 1, y + 1, x + 3, y + 3);
@@ -448,27 +466,23 @@ mod tests {
     }
 
     /// `scan`'s detections as a list.
-    fn scanned(scan: &mut HaarScan, f: &Frame, cascade: &Cascade, rect: Rect) -> Vec<Detection> {
+    fn scanned(scan: &mut HaarScan, plane: Plane, cascade: &Cascade, rect: Rect) -> Vec<Detection> {
         let mut hits = Vec::new();
-        scan.scan(f, cascade, rect, |d| hits.push(d));
+        scan.scan(plane, cascade, rect, |d| hits.push(d));
         hits
     }
 
-    /// A 9 × 9 frame: the 8 × 8 window at the origin has the given row
+    /// The side of [`window_plane`].
+    const W: usize = FACE + 1;
+
+    /// A 9 × 9 plane: the 8 × 8 window at the origin has the given row
     /// levels, the ninth row and column are white.
-    fn window_frame(rows: [u8; FACE]) -> Frame {
-        let gen = FrameGen {
-            w: FACE + 1,
-            h: FACE + 1,
-            noise: 0,
-            background: 255,
-            ..FrameGen::default()
-        };
-        let mut f = gen.blank(&mut SimRng::new(0), 0);
+    fn window_plane(rows: [u8; FACE]) -> Vec<u8> {
+        let mut plane = vec![255; W * W];
         for (y, &level) in rows.iter().enumerate() {
-            f.pixels[y * f.w..][..FACE].fill(level);
+            plane[y * W..][..FACE].fill(level);
         }
-        f
+        plane
     }
 
     const ORIGIN: Detection = Detection { x: 0, y: 0 };
@@ -487,10 +501,10 @@ mod tests {
             rect in (0usize..65, 0usize..65, 0usize..49, 0usize..49),
             bx in (0usize..65, 0usize..65, 0usize..49, 0usize..49),
         ) {
-            let f = crowded_frame(seed);
+            let (plane, w, h) = rendered(&crowded_frame(seed));
             let ((x0, x1), (y0, y1)) = (span(rect.0, rect.1), span(rect.2, rect.3));
-            let whole = IntegralImage::new(&f.pixels, f.w, f.h);
-            let local = IntegralImage::of_rect(&f.pixels, f.w, x0, y0, x1, y1);
+            let whole = IntegralImage::new(&plane, w, h);
+            let local = IntegralImage::of_rect(&plane, w, x0, y0, x1, y1);
             // A box inside the rectangle, in rectangle coordinates.
             let ((bx0, bx1), (by0, by1)) = (
                 span(bx.0 % (x1 - x0 + 1), bx.1 % (x1 - x0 + 1)),
@@ -500,7 +514,7 @@ mod tests {
             prop_assert_eq!(sum, whole.box_sum(x0 + bx0, y0 + by0, x0 + bx1, y0 + by1));
             let direct: u64 = (y0 + by0..y0 + by1)
                 .flat_map(|y| (x0 + bx0..x0 + bx1).map(move |x| (x, y)))
-                .map(|(x, y)| f.px(x, y) as u64)
+                .map(|(x, y)| plane[y * w + x] as u64)
                 .sum();
             prop_assert_eq!(sum as u64, direct);
         }
@@ -514,21 +528,22 @@ mod tests {
             bits in (any::<u64>(), any::<u64>(), any::<u64>()),
             rect in (0usize..65, 0usize..65, 0usize..49, 0usize..49),
         ) {
-            let f = crowded_frame_with_noise(seed, (seed % 2) as u8 * 10);
+            let (plane, w, h) = rendered(&crowded_frame_with_noise(seed, (seed % 2) as u8 * 10));
+            let p = (&plane[..], w, h);
             let cascade = Cascade {
                 max_window_mean: threshold(bits.0),
                 brow_contrast: threshold(bits.1),
                 max_eye_mean: threshold(bits.2),
             };
             let ((x0, x1), (y0, y1)) = (span(rect.0, rect.1), span(rect.2, rect.3));
-            let (qw, qh) = (f.w / 2, f.h / 2);
-            let mut rects = vec![(x0, y0, x1, y1), (0, 0, f.w, f.h)];
+            let (qw, qh) = (w / 2, h / 2);
+            let mut rects = vec![(x0, y0, x1, y1), (0, 0, w, h)];
             rects.extend((0..4).map(|q| (q % 2 * qw, q / 2 * qh, (q % 2 + 1) * qw, (q / 2 + 1) * qh)));
             let mut scan = HaarScan::default();
             for (x0, y0, x1, y1) in rects {
                 prop_assert_eq!(
-                    scanned(&mut scan, &f, &cascade, (x0, y0, x1, y1)),
-                    detect_in_reference(&f, &cascade, x0, y0, x1, y1),
+                    scanned(&mut scan, p, &cascade, (x0, y0, x1, y1)),
+                    detect_in_reference(p, &cascade, x0, y0, x1, y1),
                     "{:?} on {:?}", cascade, (x0, y0, x1, y1)
                 );
             }
@@ -543,9 +558,10 @@ mod tests {
             at in (0usize..64 - FACE, 0usize..48 - FACE),
             nudges in (0usize..3, 0usize..3, 0usize..3),
         ) {
-            let f = crowded_frame_with_noise(seed, (seed % 2) as u8 * 10);
+            let (plane, w, h) = rendered(&crowded_frame_with_noise(seed, (seed % 2) as u8 * 10));
+            let p = (&plane[..], w, h);
             let (x, y) = at;
-            let [mean, contrast, eye] = stage_means(&f, x, y);
+            let [mean, contrast, eye] = stage_means(p, x, y);
             let nudge = |n: usize| [-1.0 / 512.0, 0.0, 1.0 / 512.0][n];
             let cascade = Cascade {
                 max_window_mean: mean + nudge(nudges.0),
@@ -553,10 +569,10 @@ mod tests {
                 max_eye_mean: eye + nudge(nudges.2),
             };
             let mut scan = HaarScan::default();
-            for (x0, y0, x1, y1) in [(x, y, x + FACE + 1, y + FACE + 1), (0, 0, f.w, f.h)] {
+            for (x0, y0, x1, y1) in [(x, y, x + FACE + 1, y + FACE + 1), (0, 0, w, h)] {
                 prop_assert_eq!(
-                    scanned(&mut scan, &f, &cascade, (x0, y0, x1, y1)),
-                    detect_in_reference(&f, &cascade, x0, y0, x1, y1),
+                    scanned(&mut scan, p, &cascade, (x0, y0, x1, y1)),
+                    detect_in_reference(p, &cascade, x0, y0, x1, y1),
                     "{:?} on {:?}", cascade, (x0, y0, x1, y1)
                 );
             }
@@ -567,11 +583,12 @@ mod tests {
         #[test]
         fn prop_detect_in_matches_reference_on_quadrants(seed in any::<u64>()) {
             let f = crowded_frame(seed);
+            let (plane, w, h) = rendered(&f);
             let cascade = Cascade::default();
             let (qw, qh) = (f.w / 2, f.h / 2);
             for q in 0..4 {
                 let (x0, y0) = (q % 2 * qw, q / 2 * qh);
-                let want = detect_in_reference(&f, &cascade, x0, y0, x0 + qw, y0 + qh);
+                let want = detect_in_reference((&plane, w, h), &cascade, x0, y0, x0 + qw, y0 + qh);
                 prop_assert_eq!(detect_in(&f, &cascade, x0, y0, x0 + qw, y0 + qh), want.clone());
                 prop_assert_eq!(count_faces_quadrant(&f, &cascade, q), want.len() as u32);
             }
@@ -584,11 +601,12 @@ mod tests {
             rect in (0usize..65, 0usize..65, 0usize..49, 0usize..49),
         ) {
             let f = crowded_frame(seed);
+            let (plane, w, h) = rendered(&f);
             let cascade = Cascade::default();
             let ((x0, x1), (y0, y1)) = (span(rect.0, rect.1), span(rect.2, rect.3));
             prop_assert_eq!(
                 detect_in(&f, &cascade, x0, y0, x1, y1),
-                detect_in_reference(&f, &cascade, x0, y0, x1, y1)
+                detect_in_reference((&plane, w, h), &cascade, x0, y0, x1, y1)
             );
         }
     }
@@ -606,11 +624,11 @@ mod tests {
 
     #[test]
     fn integrate_reuses_the_buffer_across_sizes() {
-        let f = crowded_frame(5);
+        let (plane, w, _) = rendered(&crowded_frame(5));
         let mut ii = IntegralImage::default();
         for &(x0, y0, x1, y1) in &[(0, 0, 64, 48), (3, 2, 9, 5), (32, 24, 64, 48), (0, 0, 0, 0)] {
-            ii.integrate(&f.pixels, f.w, x0, y0, x1, y1);
-            let fresh = IntegralImage::of_rect(&f.pixels, f.w, x0, y0, x1, y1);
+            ii.integrate(&plane, w, x0, y0, x1, y1);
+            let fresh = IntegralImage::of_rect(&plane, w, x0, y0, x1, y1);
             assert_eq!(ii.sums, fresh.sums);
         }
     }
@@ -619,7 +637,8 @@ mod tests {
     /// every stage rejects only on a strict `>`.
     #[test]
     fn stage_one_tie_passes() {
-        let f = window_frame([150; FACE]);
+        let plane = window_plane([150; FACE]);
+        let p = (&plane[..], W, W);
         // Stages 2 and 3 tie as well: brow − mouth = 0 > −0 and eye
         // 150 > 150 are both false.
         let ties = Cascade {
@@ -628,11 +647,12 @@ mod tests {
             ..Cascade::default()
         };
         assert_eq!(ties.max_window_mean, 150.0);
-        let rect = (0, 0, f.w, f.h);
-        assert_eq!(detect_in(&f, &ties, 0, 0, f.w, f.h), vec![ORIGIN]);
+        let rect = (0, 0, W, W);
+        let mut scan = HaarScan::default();
+        assert_eq!(scanned(&mut scan, p, &ties, rect), vec![ORIGIN]);
         assert_eq!(
-            detect_in(&f, &ties, 0, 0, f.w, f.h),
-            detect_in_reference(&f, &ties, 0, 0, f.w, f.h)
+            scanned(&mut scan, p, &ties, rect),
+            detect_in_reference(p, &ties, 0, 0, W, W)
         );
         // A quarter of one pixel level's share below the window mean
         // rejects it: the scaled threshold 9 599.75 is not an integer.
@@ -640,13 +660,12 @@ mod tests {
             max_window_mean: 150.0 - 1.0 / 256.0,
             ..ties.clone()
         };
-        let mut scan = HaarScan::default();
-        assert!(scanned(&mut scan, &f, &below, rect).is_empty());
-        assert!(detect_in_reference(&f, &below, 0, 0, f.w, f.h).is_empty());
+        assert!(scanned(&mut scan, p, &below, rect).is_empty());
+        assert!(detect_in_reference(p, &below, 0, 0, W, W).is_empty());
         // Under the default cascade the window passes stage 1 and
         // fails stage 2 (no contrast).
         let limits = SumLimits::of(&Cascade::default());
-        scan.ii.integrate(&f.pixels, f.w, 0, 0, f.w, f.h);
+        scan.ii.integrate(&plane, W, 0, 0, W, W);
         assert_eq!(scan.ii.box_sum(0, 0, FACE, FACE) as i64, limits.window);
         assert!(limits.dark(&scan.ii.edges(0), 0));
         assert!(!limits.face_like(&scan.ii.edges(0), 0));
@@ -659,15 +678,16 @@ mod tests {
     fn stage_two_and_three_ties_pass() {
         // Brow (rows 0-1) and the eye rows (1-2) at 100, mouth (rows
         // 4-7) at 110: brow − mouth = −10, eye mean 100.
-        let f = window_frame([100, 100, 100, 100, 110, 110, 110, 110]);
+        let plane = window_plane([100, 100, 100, 100, 110, 110, 110, 110]);
+        let p = (&plane[..], W, W);
         let ties = Cascade {
             max_eye_mean: 100.0,
             ..Cascade::default()
         };
         assert_eq!(ties.brow_contrast, 10.0);
         let check = |cascade: &Cascade, found: bool| {
-            let got = detect_in(&f, cascade, 0, 0, f.w, f.h);
-            assert_eq!(got, detect_in_reference(&f, cascade, 0, 0, f.w, f.h));
+            let got = scanned(&mut HaarScan::default(), p, cascade, (0, 0, W, W));
+            assert_eq!(got, detect_in_reference(p, cascade, 0, 0, W, W));
             assert_eq!(got.contains(&ORIGIN), found, "{cascade:?}: {got:?}");
         };
         check(&ties, true);
@@ -694,13 +714,15 @@ mod tests {
     #[test]
     fn a_warm_scan_allocates_nothing_more() {
         let f = crowded_frame(9);
+        let (plane, w, h) = rendered(&f);
+        let p = (&plane[..], w, h);
         let cascade = Cascade::default();
         let mut scan = HaarScan::default();
-        scan.count_quadrant(&f, &cascade, 0);
+        scan.count_quadrant(p, &cascade, 0);
         let (ii, taken) = (scan.ii.sums.as_ptr(), scan.taken.as_ptr());
         for q in 0..4 {
             assert_eq!(
-                scan.count_quadrant(&f, &cascade, q),
+                scan.count_quadrant(p, &cascade, q),
                 count_faces_quadrant(&f, &cascade, q)
             );
             assert_eq!((scan.ii.sums.as_ptr(), scan.taken.as_ptr()), (ii, taken));

@@ -19,12 +19,18 @@ pub struct ColorBlob {
 }
 
 /// Color filter: find the dominant signal-colored blob, if any. Of
-/// equally large blobs the first of red, yellow, green wins.
+/// equally large blobs the first of red, yellow, green wins. It reads
+/// the frame's colored pixels, which need no plane.
 pub fn color_filter(frame: &Frame) -> Option<ColorBlob> {
+    dominant_blob(frame.colored())
+}
+
+/// [`color_filter`] over colored pixels `(x, y, hue)`.
+fn dominant_blob(colored: impl IntoIterator<Item = (usize, usize, u8)>) -> Option<ColorBlob> {
     const COLORS: [LightColor; 3] = [LightColor::Red, LightColor::Yellow, LightColor::Green];
     // One fold over the colored pixels: (Σx, Σy, count) per color.
     let mut acc = [(0u64, 0u64, 0u32); 3];
-    for (x, y, hue) in frame.colored() {
+    for (x, y, hue) in colored {
         let slot = match LightColor::from_hue(hue) {
             Some(LightColor::Red) => 0,
             Some(LightColor::Yellow) => 1,
@@ -53,7 +59,22 @@ pub fn color_filter(frame: &Frame) -> Option<ColorBlob> {
 /// Shape filter: is the blob circular? Checks that the blob's area is
 /// consistent with a disc of its bounding radius (a square or thin
 /// streak fails), using the bright-pixel mask around the centroid.
+///
+/// The lamp and its housing are known without a plane, and the window
+/// of a planted lamp's blob lies inside its housing; a window that
+/// reaches a noise pixel renders the frame, once.
 pub fn shape_filter(frame: &Frame, blob: &ColorBlob) -> bool {
+    let mut plane = None;
+    is_disc(blob, frame.w, frame.h, |x, y| {
+        frame
+            .planted_px(x, y)
+            .unwrap_or_else(|| plane.get_or_insert_with(|| frame.render())[y * frame.w + x])
+    })
+}
+
+/// [`shape_filter`] on a `w × h` plane whose pixel `(x, y)` is
+/// `px(x, y)`.
+fn is_disc(blob: &ColorBlob, w: usize, h: usize, mut px: impl FnMut(usize, usize) -> u8) -> bool {
     // Estimate the radius from the area, then verify that bright
     // pixels fill ~π r² of the (2r)² bounding box around the centroid.
     let r = (blob.area as f64 / std::f64::consts::PI).sqrt();
@@ -68,10 +89,10 @@ pub fn shape_filter(frame: &Frame, blob: &ColorBlob) -> bool {
         for dx in -r_i..=r_i {
             let x = cx + dx;
             let y = cy + dy;
-            if x < 0 || y < 0 || x as usize >= frame.w || y as usize >= frame.h {
+            if x < 0 || y < 0 || x as usize >= w || y as usize >= h {
                 continue;
             }
-            let lit = frame.px(x as usize, y as usize) > 200;
+            let lit = px(x as usize, y as usize) > 200;
             let in_disc = (dx * dx + dy * dy) as f64 <= r * r + r;
             match (lit, in_disc) {
                 (true, true) => inside += 1,
@@ -180,16 +201,16 @@ mod tests {
     use simkernel::SimRng;
 
     /// The filter as it was before the one-pass rewrite: one full pass
-    /// of `from_hue` per color.
-    fn color_filter_reference(frame: &Frame) -> Option<ColorBlob> {
+    /// of `from_hue` per color over a dense `w × h` hue plane.
+    fn color_filter_reference(hue: &[u8], w: usize, h: usize) -> Option<ColorBlob> {
         let mut best: Option<ColorBlob> = None;
         for color in [LightColor::Red, LightColor::Yellow, LightColor::Green] {
             let mut sx = 0u64;
             let mut sy = 0u64;
             let mut n = 0u32;
-            for y in 0..frame.h {
-                for x in 0..frame.w {
-                    if LightColor::from_hue(frame.hue_at(x, y)) == Some(color) {
+            for y in 0..h {
+                for x in 0..w {
+                    if LightColor::from_hue(hue[y * w + x]) == Some(color) {
                         sx += x as u64;
                         sy += y as u64;
                         n += 1;
@@ -211,24 +232,31 @@ mod tests {
         best
     }
 
-    /// A frame whose hue plane is `hues` tiled from the top-left (the
-    /// rest colorless).
-    fn hue_frame(w: usize, h: usize, hues: &[u8]) -> Frame {
+    /// A `w × h` hue plane: `hues` from the top-left, the rest
+    /// colorless.
+    fn hue_plane(w: usize, h: usize, hues: &[u8]) -> Vec<u8> {
         let mut hue = vec![0u8; w * h];
         for (dst, &src) in hue.iter_mut().zip(hues) {
             *dst = src;
         }
-        let gen = FrameGen {
-            w,
-            h,
-            wire_bytes: 0,
-            mean_faces: 0.0,
-            noise: 0,
-            background: 0,
-        };
-        let mut f = gen.blank(&mut SimRng::new(0), 0);
-        f.set_dense_hue(&hue);
-        f
+        hue
+    }
+
+    /// The colored pixels of a `w`-wide hue plane, as
+    /// [`Frame::colored`] lists them.
+    fn colored(hue: &[u8], w: usize) -> impl Iterator<Item = (usize, usize, u8)> + '_ {
+        (0..hue.len())
+            .filter(|&i| hue[i] != 0)
+            .map(move |i| (i % w, i / w, hue[i]))
+    }
+
+    /// The color filter's fold and the reference on one hue plane.
+    fn both(w: usize, h: usize, hues: &[u8]) -> (Option<ColorBlob>, Option<ColorBlob>) {
+        let hue = hue_plane(w, h, hues);
+        (
+            dominant_blob(colored(&hue, w)),
+            color_filter_reference(&hue, w, h),
+        )
     }
 
     proptest! {
@@ -239,8 +267,8 @@ mod tests {
             h in 1usize..30,
             hues in prop::collection::vec(any::<u8>(), 0..1200),
         ) {
-            let f = hue_frame(w, h, &hues);
-            prop_assert_eq!(color_filter(&f), color_filter_reference(&f));
+            let (got, want) = both(w, h, &hues);
+            prop_assert_eq!(got, want);
         }
 
         /// Few distinct hues and few colored pixels, so equal areas
@@ -251,19 +279,78 @@ mod tests {
         ) {
             let palette = [0u8, 16, 48, 112];
             let hues: Vec<u8> = picks.iter().map(|&p| palette[p]).collect();
-            let f = hue_frame(8, 6, &hues);
-            prop_assert_eq!(color_filter(&f), color_filter_reference(&f));
+            let (got, want) = both(8, 6, &hues);
+            prop_assert_eq!(got, want);
+        }
+
+        /// Lamps at every clamp corner and at jittered positions, with
+        /// their own blob and with hand-built blobs, some far larger
+        /// than the housing: the planted path decides as the rendered
+        /// plane does.
+        #[test]
+        fn prop_shape_filter_matches_the_rendered_plane(
+            seed in any::<u64>(),
+            at in (0usize..4, 0usize..4, 0usize..3, 0usize..3),
+            color in 0usize..3,
+            blob in (0u32..600, 0usize..640, 0usize..480),
+        ) {
+            let gen = FrameGen::default();
+            let mut rng = SimRng::new(seed);
+            // The clamp limits and beyond, then a camera's ±1 jitter.
+            let xs = [0, 8, 30, 63];
+            let ys = [0, 6, 12, 47];
+            let x = (xs[at.0] + at.2).saturating_sub(1);
+            let y = (ys[at.1] + at.3).saturating_sub(1);
+            let f = gen.light_frame_at(&mut rng, 0, COLORS[color], x, y);
+            let plane = f.render();
+            let rendered = |b: &ColorBlob| is_disc(b, f.w, f.h, |x, y| plane[y * f.w + x]);
+            let own = color_filter(&f).expect("the lamp is a blob");
+            prop_assert_eq!(shape_filter(&f, &own), rendered(&own));
+            prop_assert!(shape_filter(&f, &own), "a planted lamp is round");
+            let built = ColorBlob {
+                color: COLORS[color],
+                cx: blob.1 as f64 / 10.0,
+                cy: blob.2 as f64 / 10.0,
+                area: blob.0,
+            };
+            prop_assert_eq!(shape_filter(&f, &built), rendered(&built));
         }
     }
 
     #[test]
     fn equal_areas_go_to_the_first_color() {
         // Four yellow, four green, four red pixels, red last in the plane.
-        let f = hue_frame(8, 6, &[48, 48, 48, 48, 112, 112, 112, 112, 16, 16, 16, 16]);
-        assert_eq!(color_filter(&f).map(|b| b.color), Some(LightColor::Red));
-        assert_eq!(color_filter(&f), color_filter_reference(&f));
-        let f = hue_frame(8, 6, &[112, 112, 112, 112, 48, 48, 48, 48, 16, 16, 16]);
-        assert_eq!(color_filter(&f).map(|b| b.color), Some(LightColor::Yellow));
+        let (got, want) = both(8, 6, &[48, 48, 48, 48, 112, 112, 112, 112, 16, 16, 16, 16]);
+        assert_eq!(got.map(|b| b.color), Some(LightColor::Red));
+        assert_eq!(got, want);
+        let (got, _) = both(8, 6, &[112, 112, 112, 112, 48, 48, 48, 48, 16, 16, 16]);
+        assert_eq!(got.map(|b| b.color), Some(LightColor::Yellow));
+    }
+
+    const COLORS: [LightColor; 3] = [LightColor::Red, LightColor::Yellow, LightColor::Green];
+
+    /// A planted lamp's own window lies inside its housing, so
+    /// SignalGuru's shape filter never renders; a window reaching past
+    /// the housing reads noise and must render.
+    #[test]
+    fn shape_filter_renders_only_past_the_housing() {
+        let gen = FrameGen::default();
+        let mut rng = SimRng::new(13);
+        for (x, y) in [(0, 0), (63, 47), (30, 12), (8, 24), (55, 6)] {
+            let f = gen.light_frame_at(&mut rng, 0, LightColor::Red, x, y);
+            let own = color_filter(&f).expect("the lamp is a blob");
+            let planted = |x, y| f.planted_px(x, y).expect("the window stays planted");
+            assert!(is_disc(&own, f.w, f.h, planted));
+            let wide = ColorBlob { area: 400, ..own };
+            let mut noise = 0;
+            let plane = f.render();
+            let seen = is_disc(&wide, f.w, f.h, |x, y| {
+                noise += f.planted_px(x, y).is_none() as u32;
+                plane[y * f.w + x]
+            });
+            assert!(noise > 0, "a 400-pixel blob's window reaches noise");
+            assert_eq!(shape_filter(&f, &wide), seen);
+        }
     }
 
     fn light(rng: &mut SimRng, color: LightColor) -> Frame {
@@ -313,15 +400,18 @@ mod tests {
             ..FrameGen::default()
         };
         let mut rng = SimRng::new(9);
-        let mut f = gen.faces_frame(&mut rng, 0);
-        let mut hue = f.dense_hue();
+        let f = gen.faces_frame(&mut rng, 0);
+        let mut plane = f.render().to_vec();
+        let mut hue = vec![0; f.w * f.h];
         for x in 10..40 {
-            f.pixels[12 * f.w + x] = 250;
+            plane[12 * f.w + x] = 250;
             hue[12 * f.w + x] = LightColor::Red.hue();
         }
-        f.set_dense_hue(&hue);
-        let blob = color_filter(&f).unwrap();
-        assert!(!shape_filter(&f, &blob), "streak must fail the circle test");
+        let blob = dominant_blob(colored(&hue, f.w)).unwrap();
+        assert!(
+            !is_disc(&blob, f.w, f.h, |x, y| plane[y * f.w + x]),
+            "streak must fail the circle test"
+        );
     }
 
     #[test]

@@ -79,6 +79,17 @@ impl SimRng {
         }
     }
 
+    /// Advance the stream past `n` draws without producing them: the
+    /// same stream position and draw count afterwards as `n` calls of
+    /// [`range_u64`](Self::range_u64), each of which takes exactly one
+    /// word from the stream.
+    pub fn skip(&mut self, n: u64) {
+        self.draws += n;
+        for _ in 0..n {
+            self.inner.next_u64();
+        }
+    }
+
     /// Uniform usize in `[0, n)`. Panics if `n == 0`.
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {
@@ -447,6 +458,32 @@ mod tests {
             prop_assert_eq!(got, want);
             prop_assert_eq!(bulk.draw_count(), single.draw_count());
             prop_assert_eq!(bulk.next_u64(), single.next_u64());
+        }
+
+        /// Skipping `n` draws is `n` single draws and `n` bulk draws:
+        /// the draw count and the next value agree. A rand shim whose
+        /// `gen_range` took more than one word per call would fail here
+        /// rather than silently move every frame digest.
+        #[test]
+        fn prop_skip_is_n_single_draws(
+            seed in any::<u64>(),
+            span in 1u64..1 << 40,
+            n in 0usize..5000,
+        ) {
+            let mut skipped = SimRng::new(seed);
+            let mut bulk = SimRng::new(seed);
+            let mut single = SimRng::new(seed);
+            skipped.skip(n as u64);
+            bulk.fill_range_u64(0, span, &mut vec![0u64; n], |d| d);
+            for _ in 0..n {
+                single.range_u64(0, span);
+            }
+            prop_assert_eq!(skipped.draw_count(), n as u64);
+            prop_assert_eq!(skipped.draw_count(), bulk.draw_count());
+            prop_assert_eq!(skipped.draw_count(), single.draw_count());
+            let next = skipped.range_u64(0, span);
+            prop_assert_eq!(next, bulk.range_u64(0, span));
+            prop_assert_eq!(next, single.range_u64(0, span));
         }
 
         /// The precomputed-logarithm geometric is `geometric(p)`, draw
