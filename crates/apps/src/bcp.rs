@@ -17,7 +17,7 @@
 //! stop.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dsps::graph::{OpKind, QueryGraph};
 use dsps::operator::{OpStateCell, Operator, Outputs};
@@ -40,21 +40,40 @@ pub struct FrameMsg {
     pub frame: Arc<Frame>,
 }
 
-/// A quadrant crop handed to one counter. `H` renders each frame it
-/// admits once; its four crops share that plane, and each counter
-/// crops its quadrant on the fly.
-#[derive(Debug, Clone)]
+/// A quadrant crop handed to one counter. It keeps its frame, which is
+/// how to render the pixels, and `H` lends it the plane it rendered:
+/// the first reader takes the plane out of the crop, so once the four
+/// live crops are counted nothing holds it, even while a retention
+/// buffer keeps the crops for replay. A crop read again (a replayed
+/// retained crop) renders its frame, which gives the same bytes.
+#[derive(Debug)]
 pub struct CropMsg {
-    /// Frame sequence.
-    pub seq: u64,
     /// Which quadrant (0..4).
     pub quadrant: usize,
-    /// Plane width.
-    pub w: usize,
-    /// Plane height.
-    pub h: usize,
-    /// The frame's rendered grayscale plane, row-major, shared.
-    pub plane: Arc<[u8]>,
+    /// The frame the crop is cut from.
+    pub frame: Arc<Frame>,
+    /// `H`'s plane of `frame`, lent to the first reader.
+    plane: Mutex<Option<Arc<[u8]>>>,
+}
+
+impl CropMsg {
+    /// The crop of `frame`'s `quadrant`, lent `plane`, which is
+    /// `frame.render()`.
+    fn lend(frame: &Arc<Frame>, quadrant: usize, plane: &Arc<[u8]>) -> Self {
+        CropMsg {
+            quadrant,
+            frame: Arc::clone(frame),
+            plane: Mutex::new(Some(Arc::clone(plane))),
+        }
+    }
+
+    /// The frame's plane: the lent one on the first read, a render on
+    /// every later one. A poisoned cell reads as empty, since a render
+    /// is always right.
+    fn take_plane(&self) -> Arc<[u8]> {
+        let lent = self.plane.lock().ok().and_then(|mut cell| cell.take());
+        lent.unwrap_or_else(|| self.frame.render())
+    }
 }
 
 /// One counter's result.
@@ -279,7 +298,8 @@ impl Operator for Dispatcher {
 /// `H`: motion detection / passerby filter — compares the frame's mean
 /// brightness against a background model (people change the scene) and
 /// splits admitted frames into four quadrant crops. It renders each
-/// frame once, and the four crops share the plane.
+/// frame once and lends the plane to the four crops; it keeps no
+/// reference itself.
 struct MotionSplit {
     cost: SimDuration,
     background: Ewma,
@@ -303,17 +323,7 @@ impl Operator for MotionSplit {
             return;
         }
         for q in 0..4 {
-            out.emit(
-                q,
-                value(CropMsg {
-                    seq: frame.seq,
-                    quadrant: q,
-                    w: frame.w,
-                    h: frame.h,
-                    plane: Arc::clone(&plane),
-                }),
-                self.crop_bytes,
-            );
+            out.emit(q, value(CropMsg::lend(frame, q, &plane)), self.crop_bytes);
         }
     }
     fn cost(&self, _t: &Tuple) -> SimDuration {
@@ -327,7 +337,9 @@ impl Operator for MotionSplit {
     }
 }
 
-/// `C0..C3`: Haar face counter on one quadrant. The kernel really runs.
+/// `C0..C3`: Haar face counter on one quadrant. The kernel really runs,
+/// on the plane it takes from its crop (or renders, for a crop read
+/// before).
 struct HaarCounter {
     cost: SimDuration,
     cascade: Cascade,
@@ -343,14 +355,15 @@ impl Operator for HaarCounter {
         let Some(c) = tuple.value_as::<CropMsg>() else {
             return;
         };
+        let (plane, frame) = (c.take_plane(), &c.frame);
         let count = self
             .scan
-            .count_quadrant((&c.plane, c.w, c.h), &self.cascade, c.quadrant);
+            .count_quadrant((&plane, frame.w, frame.h), &self.cascade, c.quadrant);
         self.counted += 1;
         out.emit(
             0,
             value(CountMsg {
-                seq: c.seq,
+                seq: frame.seq,
                 quadrant: c.quadrant,
                 count,
             }),
@@ -753,6 +766,8 @@ pub fn build_bcp(cal: &Calibration, slots: u32, first_stop: bool) -> AppBundle {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Weak;
+
     use super::*;
 
     #[test]
@@ -884,8 +899,11 @@ mod tests {
         assert!(cap.onboard_next <= 60);
     }
 
-    /// A catch-up replay feeds `H` a preserved frame again: `H`
-    /// renders it again, and `C0..C3` count the same faces.
+    /// `H` lends one plane to its four crops, and counting them takes
+    /// it: the crops, kept as a retention buffer keeps them, then hold
+    /// no pixels. A retained crop replayed to a replacement counter
+    /// finds its cell empty, renders its frame and counts the same; so
+    /// does a catch-up replay that feeds `H` the preserved frame again.
     #[test]
     fn replaying_a_frame_through_h_and_the_counters_counts_the_same() {
         let cal = Calibration::default();
@@ -898,8 +916,8 @@ mod tests {
         };
         let mut rng = SimRng::new(17);
         let frame = Arc::new(gen.faces_frame(&mut rng, 3));
-        let counts = |rng: &mut SimRng| {
-            let (mut h, mut counters) = (mk("H"), ["C0", "C1", "C2", "C3"].map(mk));
+        // `H`'s crops, in quadrant order.
+        let split = |rng: &mut SimRng| {
             let t = Tuple::new(
                 1,
                 simkernel::SimTime::ZERO,
@@ -909,10 +927,23 @@ mod tests {
                 }),
             );
             let mut out = Outputs::default();
-            h.process(&t, 0, &mut out, rng);
+            mk("H").process(&t, 0, &mut out, rng);
+            out.drain()
+                .into_iter()
+                .map(|(_, crop, _)| crop)
+                .collect::<Vec<_>>()
+        };
+        // Fresh `C0..C3` count one crop each; the caller keeps the crops.
+        let count = |crops: &[dsps::tuple::TupleValue], rng: &mut SimRng| {
+            let mut counters = ["C0", "C1", "C2", "C3"].map(mk);
             let mut counts = Vec::new();
-            for (q, crop, bytes) in out.drain() {
-                let t = Tuple::new(1, simkernel::SimTime::ZERO, bytes, crop);
+            for (q, crop) in crops.iter().enumerate() {
+                let t = Tuple::new(
+                    1,
+                    simkernel::SimTime::ZERO,
+                    cal.bcp_crop_bytes,
+                    crop.clone(),
+                );
                 let mut out = Outputs::default();
                 counters[q].process(&t, 0, &mut out, rng);
                 for (_, v, _) in out.drain() {
@@ -922,10 +953,30 @@ mod tests {
             }
             counts
         };
-        let first = counts(&mut rng);
+        let cell = |crop: &dsps::tuple::TupleValue| {
+            let crop = (**crop).as_any().downcast_ref::<CropMsg>().expect("a crop");
+            crop.plane.lock().expect("an unpoisoned cell").clone()
+        };
+
+        let crops = split(&mut rng);
+        assert_eq!(crops.len(), 4, "one crop per quadrant");
+        let lent = Arc::downgrade(&cell(&crops[0]).expect("H lends its plane"));
+        assert!(
+            crops
+                .iter()
+                .all(|c| cell(c).is_some_and(|p| Weak::ptr_eq(&Arc::downgrade(&p), &lent))),
+            "the four crops share one plane"
+        );
+        let first = count(&crops, &mut rng);
         assert_eq!(first.len(), 4, "one count per quadrant");
         assert_eq!(first.iter().map(|c| c.2).sum::<u32>(), frame.truth_faces);
-        assert_eq!(counts(&mut rng), first);
+        assert!(
+            lent.upgrade().is_none(),
+            "kept crops hold no plane once counted"
+        );
+        assert!(crops.iter().all(|c| cell(c).is_none()));
+        assert_eq!(count(&crops, &mut rng), first, "a replayed crop renders");
+        assert_eq!(count(&split(&mut rng), &mut rng), first, "a replayed frame");
     }
 
     #[test]

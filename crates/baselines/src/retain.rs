@@ -6,8 +6,10 @@
 //! storage, and it practices input preservation: "every operator
 //! retains its output tuples until these tuples have been checkpointed
 //! by the downstream operators" (approximated by a retention window of
-//! one checkpoint period). They differ only in how many peers receive
-//! each copy:
+//! one checkpoint period). Retained tuples keep their modelled `bytes`;
+//! on the host, a retained BCP crop keeps its frame's seed and rebuilds
+//! the pixels on replay. The schemes differ only in how many peers
+//! receive each copy:
 //!
 //! * **`local`** (0 peers) keeps the copy to itself — "not a realistic
 //!   fault model in the context of smartphones, but represents an upper

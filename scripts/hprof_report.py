@@ -2,6 +2,7 @@
 """Turn scripts/hprof.c's hprof.out into MB-per-allocation-site tables.
 
     python3 scripts/hprof_report.py hprof.out [--top 25]
+    python3 scripts/hprof_report.py CHANGE.out --base PARENT.out
 
 A stack's bytes are the sampled bytes it held live when the heap last
 set a peak (see hprof.c). Frames go through sprof_report's addr2line
@@ -12,6 +13,9 @@ symbolizer, so a build with line tables
          Rust standard library), its file, and the library function it
          called: `... preserve_input (dsps/src/store.rs)  <- push<...>`
   crate  the innermost frame whose source is under crates/<name>/
+
+With --base, each table gives every name's MB in the base profile and
+in the profile, and the change, largest change first.
 """
 import argparse
 import collections
@@ -22,18 +26,18 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from sprof_report import Symbolizer, crate_of, read_profile  # noqa: E402
 
+MB = 1e6
+
 
 def in_workspace(path):
     return bool(path) and not path.startswith(("/rustc/", "??")) and "/.cargo/" not in path
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
-    ap.add_argument("profile", nargs="?", default="hprof.out")
-    ap.add_argument("--top", type=int, default=25, help="rows per table")
-    args = ap.parse_args()
-    maps, records = read_profile(args.profile, "S")
-    _, (peak,) = read_profile(args.profile, "P")
+def read_tables(path):
+    """The peak record, the crate and site tables and the total sampled
+    bytes of one hprof.out."""
+    maps, records = read_profile(path, "S")
+    _, (peak,) = read_profile(path, "P")
     peak = dict(zip(peak[::2], map(int, peak[1::2])))
     # Every return address points past its call: step back into it.
     stacks = [(int(r[0]), [int(a, 16) - 1 for a in r[1:]]) for r in records]
@@ -51,21 +55,39 @@ def main():
             name = chain[0][0] if chain else "(no frames)"
         else:
             fn, path = chain[k]
-            where = re.sub(r":\d+.*$", "", path.split("crates/")[-1])
+            # Relative to the checkout, so two checkouts name a site alike.
+            where = re.sub(r":\d+.*$", "", re.sub(r"^.*?(crates/|(?=msbench/))", "", path))
             name = f"{fn} ({where})" + (f"  <- {chain[k - 1][0]}" if k > 0 else "")
         site[name] += weight
         crate[crate_of(chain)] += weight
-    total = sum(w for w, _ in stacks)
-    mb = 1e6
+    return peak, crate, site, sum(w for w, _ in stacks), sym.exe
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("profile", nargs="?", default="hprof.out")
+    ap.add_argument("--base", help="a parent's hprof.out: print each name's MB in both, and the change")
+    ap.add_argument("--top", type=int, default=25, help="rows per table")
+    args = ap.parse_args()
+    peak, crate, site, total, exe = read_tables(args.profile)
     print(
-        f"peak live heap {peak['peak'] / mb:.2f} MB; attributed at {peak['recorded'] / mb:.2f} MB,"
-        f" of which {total / mb:.2f} MB sampled every {peak['sample']} B allocated"
-        f" ({peak['dropped']} samples dropped); {peak['allocated'] / mb:.0f} MB allocated in all, by {sym.exe}"
+        f"peak live heap {peak['peak'] / MB:.2f} MB; attributed at {peak['recorded'] / MB:.2f} MB,"
+        f" of which {total / MB:.2f} MB sampled every {peak['sample']} B allocated"
+        f" ({peak['dropped']} samples dropped); {peak['allocated'] / MB:.0f} MB allocated in all, by {exe}"
     )
-    for title, table in (("crate", crate), ("site", site)):
-        print(f"\n== {title}")
-        for name, w in table.most_common(args.top):
-            print(f"{w / mb:7.2f} MB {100 * w / total:5.1f} %  {name}")
+    if args.base is None:
+        for title, table in (("crate", crate), ("site", site)):
+            print(f"\n== {title}")
+            for name, w in table.most_common(args.top):
+                print(f"{w / MB:7.2f} MB {100 * w / total:5.1f} %  {name}")
+        return
+    base_peak, base_crate, base_site, _, base_exe = read_tables(args.base)
+    print(f"base: peak live heap {base_peak['peak'] / MB:.2f} MB, by {base_exe}")
+    for title, table, base in (("crate", crate, base_crate), ("site", site, base_site)):
+        print(f"\n== {title}: MB in base, MB here, change")
+        names = sorted(base.keys() | table.keys(), key=lambda n: (-abs(table[n] - base[n]), n))
+        for name in names[: args.top]:
+            print(f"{base[name] / MB:7.2f} {table[name] / MB:7.2f} {(table[name] - base[name]) / MB:+7.2f}  {name}")
 
 
 if __name__ == "__main__":

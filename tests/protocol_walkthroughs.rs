@@ -257,6 +257,79 @@ fn dist_n_tolerates_exactly_n() {
     assert!(co.stops >= 1, "dist-1 cannot survive a 2-node burst");
 }
 
+/// dist-n replays retained crops: a counter's slot fails while `H`
+/// lives elsewhere, so `H` resends its retained `CropMsg`s to the
+/// replacement counter. The live counters already took the plane `H`
+/// lent them, so the replacement renders each replayed frame from its
+/// seed. `B` keeps the replayed counts in its per-frame partial sums,
+/// next to its learned boarding propensity; both are pinned at the
+/// values counted from shared planes, so a replayed crop that counted
+/// differently would move them.
+#[test]
+fn dist_n_replays_retained_crops_to_a_replaced_counter() {
+    use apps::models::BoardingModel;
+    use std::collections::BTreeMap;
+
+    let mut dep = Deployment::build(small(AppKind::Bcp, Scheme::Dist(1), 10));
+    let (slot, b) = {
+        let region = &dep.regions[0];
+        let (g, placement) = (&region.graph, &region.placement);
+        let op = |name: &str| g.op_by_name(name).expect("a BCP operator");
+        let h_slot = placement.slot_of(op("H"));
+        let slot = ["C0", "C1", "C2", "C3"]
+            .map(|c| placement.slot_of(op(c)))
+            .into_iter()
+            .find(|&s| s != h_slot)
+            .expect("a counter that does not share H's slot");
+        (slot, op("B"))
+    };
+    dep.start();
+    inject_failure(&mut dep, 0, slot, SimTime::from_secs(170));
+    dep.run_until(SimTime::from_secs(420));
+    let finished = {
+        let co = dep
+            .sim
+            .actor::<baselines::BaselineCoordinator>(dep.coordinator.unwrap());
+        assert_eq!(co.stops, 0, "dist-1 recovers one failed counter slot");
+        let rec = co.recoveries.first().expect("the counter slot recovered");
+        assert_eq!(rec.region, 0);
+        rec.finished
+    };
+    let h = harvest(&dep, finished, SimTime::from_secs(420));
+    assert!(
+        h.per_region[0].outputs > 0,
+        "region 0 publishes after the recovery"
+    );
+    let b_node = dep.regions[0].nodes[dep.regions[0].placement.slot_of(b) as usize];
+    let snapshot = dep
+        .sim
+        .actor_mut::<dsps::node::NodeActor>(b_node)
+        .inner
+        .ops
+        .get_mut(&b)
+        .expect("B is hosted where it was placed")
+        .state()
+        .expect("B has state")
+        .snapshot();
+    let (partial, model) = (*snapshot)
+        .as_any()
+        .downcast_ref::<(BTreeMap<u64, (u32, u32)>, BoardingModel)>()
+        .expect("B's state type");
+    let (seen, faces) = partial
+        .values()
+        .fold((0, 0), |(seen, faces), &(n, f)| (seen + n, faces + f));
+    assert_eq!(
+        (partial.len(), seen, faces),
+        (59, 130, 217),
+        "B's partial counts moved"
+    );
+    assert_eq!(
+        (model.propensity.value.to_bits(), model.propensity.count),
+        (0x3fe5_c1a8_99c7_c4ae, 99),
+        "B's boarding propensity moved"
+    );
+}
+
 /// Fig 10 invariants on byte accounting, over every mode of the
 /// output-retention scheme: ms preserves far less than input
 /// preservation, `local` and upstream backup ship no checkpoint bytes,
