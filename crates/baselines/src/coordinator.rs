@@ -4,9 +4,11 @@
 //! checkpoint ticks, pings source nodes, receives failure reports, and
 //! drives the scheme-specific recovery (rep-2 takeover, dist-n state
 //! fetch + retained replay). `base` and `local` have no recovery — any
-//! failure stops the region (they appear only in fault-free
+//! detected failure stops the region (they appear only in fault-free
 //! experiments, plus rep-2's >1-failure and dist-n's >n-failure cases
-//! which the paper shows as truncated curves in Fig 9).
+//! which the paper shows as truncated curves in Fig 9). A phone that
+//! reboots before its failure is detected is re-installed from its own
+//! store, under `local` too, and its upstream slots replay into it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

@@ -18,6 +18,7 @@
 //!   loss exactly as individual one-frame datagrams would.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration, SimRng};
@@ -138,11 +139,44 @@ pub struct WifiBatchRx {
     /// Total blocks in the whole job.
     pub total_blocks: u32,
     /// The block ids that were broadcast (shared across receivers).
-    pub blocks: Arc<[u32]>,
+    pub blocks: BatchBlocks,
     /// `received.get(i)` ⇔ `blocks[i]` arrived here.
     pub received: Bitmap,
     /// Reply with a bitmap now?
     pub reply_expected: bool,
+}
+
+/// The block ids of one broadcast batch, shared by every receiver's
+/// [`WifiBatchRx`] through one thin pointer. The medium wraps the
+/// send's `Arc<[u32]>` once per batch: a fat `Arc<[u32]>` is 16 bytes
+/// and would push the event out of the event pool's 64-byte size class.
+#[derive(Debug, Clone)]
+pub struct BatchBlocks(Arc<Arc<[u32]>>);
+
+impl Deref for BatchBlocks {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.0
+    }
+}
+
+impl From<Arc<[u32]>> for BatchBlocks {
+    fn from(blocks: Arc<[u32]>) -> Self {
+        BatchBlocks(Arc::new(blocks))
+    }
+}
+
+impl From<Vec<u32>> for BatchBlocks {
+    fn from(blocks: Vec<u32>) -> Self {
+        Arc::<[u32]>::from(blocks).into()
+    }
+}
+
+impl FromIterator<u32> for BatchBlocks {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
+        iter.into_iter().collect::<Arc<[u32]>>().into()
+    }
 }
 
 /// Medium → members: channel congestion state changed. Source nodes
@@ -427,12 +461,13 @@ impl WifiMedium {
         let delay = end - ctx.now();
 
         let loss = self.cfg.loss;
+        let blocks = BatchBlocks::from(b.blocks);
         // Receptions are sampled per reachable member, in member order.
         for (&dst, st) in &self.members {
             if dst == b.src || !st.reachable() {
                 continue;
             }
-            let (received, lost) = Self::sample_reception(b.blocks.len(), loss, ctx.rng());
+            let (received, lost) = Self::sample_reception(blocks.len(), loss, ctx.rng());
             self.stats.drops += lost;
             ctx.send_in(
                 delay,
@@ -442,7 +477,7 @@ impl WifiMedium {
                     class: b.class,
                     stream: b.stream,
                     total_blocks: b.total_blocks,
-                    blocks: Arc::clone(&b.blocks),
+                    blocks: blocks.clone(),
                     received,
                     reply_expected: b.reply_expected,
                 },
@@ -565,6 +600,20 @@ mod tests {
         assert_eq!(sim.actor::<Sink>(nodes[0]).done, vec![42]);
         // No one else heard it.
         assert!(sim.actor::<Sink>(nodes[2]).rx.is_empty());
+    }
+
+    /// A delivery fits the event pool's 64-byte size class, and every
+    /// receiver of a batch reads the send's one block list.
+    #[test]
+    fn batch_delivery_holds_one_thin_handle() {
+        let size = std::mem::size_of::<WifiBatchRx>();
+        assert!(size <= 64, "WifiBatchRx is {size} bytes");
+        let sent: Arc<[u32]> = (0..4).collect();
+        let rx = BatchBlocks::from(Arc::clone(&sent));
+        let other = rx.clone();
+        assert_eq!(&*rx, &[0, 1, 2, 3]);
+        assert!(std::ptr::eq(&*rx, &*sent) && std::ptr::eq(&*other, &*sent));
+        assert_eq!(Arc::strong_count(&sent), 2, "one wrap per batch");
     }
 
     #[test]

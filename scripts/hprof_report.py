@@ -11,7 +11,8 @@ symbolizer, so a build with line tables
 
   site   the innermost frame whose source is in the workspace (not the
          Rust standard library), its file, and the library function it
-         called: `... preserve_input (dsps/src/store.rs)  <- push<...>`
+         called, without that callee's generic arguments:
+         `... preserve_input (dsps/src/store.rs)  <- push`
   crate  the innermost frame whose source is under crates/<name>/
 
 With --base, each table gives every name's MB in the base profile and
@@ -31,6 +32,23 @@ MB = 1e6
 
 def in_workspace(path):
     return bool(path) and not path.startswith(("/rustc/", "??")) and "/.cargo/" not in path
+
+
+def without_generics(name):
+    """`name` with every `<...>` group dropped: `clone<u32>` and
+    `clone<EdgeId>` are both `clone`. The compiler merges identical
+    monomorphizations and keeps one of their names, not always the same
+    one in two builds, so a callee's type arguments would split one
+    site in two under --base."""
+    out, depth = [], 0
+    for i, ch in enumerate(name):
+        if ch == "<":
+            depth += 1
+        elif ch == ">" and depth and name[i - 1 : i] != "-":
+            depth -= 1
+        elif depth == 0:
+            out.append(ch)
+    return "".join(out).lstrip(":") or name
 
 
 def read_tables(path):
@@ -57,7 +75,7 @@ def read_tables(path):
             fn, path = chain[k]
             # Relative to the checkout, so two checkouts name a site alike.
             where = re.sub(r":\d+.*$", "", re.sub(r"^.*?(crates/|(?=msbench/))", "", path))
-            name = f"{fn} ({where})" + (f"  <- {chain[k - 1][0]}" if k > 0 else "")
+            name = f"{fn} ({where})" + (f"  <- {without_generics(chain[k - 1][0])}" if k > 0 else "")
         site[name] += weight
         crate[crate_of(chain)] += weight
     return peak, crate, site, sum(w for w, _ in stacks), sym.exe

@@ -267,9 +267,6 @@ fn dist_n_tolerates_exactly_n() {
 /// differently would move them.
 #[test]
 fn dist_n_replays_retained_crops_to_a_replaced_counter() {
-    use apps::models::BoardingModel;
-    use std::collections::BTreeMap;
-
     let mut dep = Deployment::build(small(AppKind::Bcp, Scheme::Dist(1), 10));
     let (slot, b) = {
         let region = &dep.regions[0];
@@ -300,14 +297,37 @@ fn dist_n_replays_retained_crops_to_a_replaced_counter() {
         h.per_region[0].outputs > 0,
         "region 0 publishes after the recovery"
     );
-    let b_node = dep.regions[0].nodes[dep.regions[0].placement.slot_of(b) as usize];
+    assert_eq!(
+        boarding_state(&mut dep, b),
+        ((59, 130, 217), (0x3fe5_c1a8_99c7_c4ae, 99)),
+        "B's partial counts or boarding propensity moved"
+    );
+}
+
+/// `B`'s state in region 0, wherever it is hosted now: its per-frame
+/// partial sums as `(frames, counts seen, faces)`, and its learned
+/// boarding propensity as `(value bits, samples)`. Replayed counts land
+/// in both.
+fn boarding_state(dep: &mut Deployment, b: dsps::graph::OpId) -> ((usize, u32, u32), (u64, u64)) {
+    use apps::models::BoardingModel;
+    use std::collections::BTreeMap;
+
+    let host = dep.regions[0]
+        .nodes
+        .iter()
+        .copied()
+        .find(|&n| {
+            let phone = &dep.sim.actor::<dsps::node::NodeActor>(n).inner;
+            phone.alive && phone.hosts(b)
+        })
+        .expect("a live phone hosts B");
     let snapshot = dep
         .sim
-        .actor_mut::<dsps::node::NodeActor>(b_node)
+        .actor_mut::<dsps::node::NodeActor>(host)
         .inner
         .ops
         .get_mut(&b)
-        .expect("B is hosted where it was placed")
+        .expect("B is hosted here")
         .state()
         .expect("B has state")
         .snapshot();
@@ -318,15 +338,91 @@ fn dist_n_replays_retained_crops_to_a_replaced_counter() {
     let (seen, faces) = partial
         .values()
         .fold((0, 0), |(seen, faces), &(n, f)| (seen + n, faces + f));
+    let propensity = (model.propensity.value.to_bits(), model.propensity.count);
+    ((partial.len(), seen, faces), propensity)
+}
+
+/// Upstream backup replays from every upstream slot of a failed node,
+/// not only from the neighbour that takes it over. Slot 5 hosts `B`,
+/// `J`, `P` and `K`, fed from slots 1 (`A → J`, `L → P`), 3 (`C0`,
+/// `C1` → `B`) and 4 (`C2`, `C3` → `B`). `C0`'s slot 3 takes the four
+/// operators over with fresh state, and its recovery asks slots 1, 2
+/// (`H`, whose crops feed the re-installed counters) and 4 to resend
+/// what they retained. The sink's output after the recovery and `B`'s
+/// rebuilt state, where the replayed counts land, are pinned.
+#[test]
+fn upstream_backup_replays_from_every_upstream_slot() {
+    let mut dep = Deployment::build(small(AppKind::Bcp, Scheme::Upstream, 12));
+    let b = dep.regions[0]
+        .graph
+        .op_by_name("B")
+        .expect("a BCP operator");
+    dep.start();
+    inject_failure(&mut dep, 0, 5, SimTime::from_secs(170));
+    dep.run_until(SimTime::from_secs(420));
+    let finished = {
+        let co = dep
+            .sim
+            .actor::<baselines::BaselineCoordinator>(dep.coordinator.unwrap());
+        assert_eq!(co.stops, 0, "one failure survivable");
+        let rec = co.recoveries.first().expect("slot 5 recovered");
+        assert_eq!(rec.region, 0);
+        rec.finished
+    };
+    let host = dep
+        .sim
+        .actor::<dsps::node::NodeActor>(dep.regions[0].nodes[3]);
+    assert!(host.inner.hosts(b), "C0's slot took B over");
+    let h = harvest(&dep, finished, SimTime::from_secs(420));
     assert_eq!(
-        (partial.len(), seen, faces),
-        (59, 130, 217),
-        "B's partial counts moved"
+        h.per_region[0].outputs, 61,
+        "sink outputs after the recovery moved"
     );
     assert_eq!(
-        (model.propensity.value.to_bits(), model.propensity.count),
-        (0x3fe5_c1a8_99c7_c4ae, 99),
-        "B's boarding propensity moved"
+        boarding_state(&mut dep, b),
+        ((61, 153, 224), (0x3fea_b890_46c1_5540, 61)),
+        "B's rebuilt partial counts or boarding propensity moved"
+    );
+}
+
+/// `local` recovers a phone that reboots before its failure is
+/// detected: the coordinator re-installs it from its own flash copy and
+/// asks its upstream slots to resend what they retained. Killing the
+/// `C0`, `C1` slot and rebooting it 200 ms later replays `H`'s retained
+/// crops into the restored counters; `B`, where the recounts land, is
+/// pinned.
+#[test]
+fn local_replays_retained_outputs_to_a_phone_rebooted_before_detection() {
+    let mut dep = Deployment::build(small(AppKind::Bcp, Scheme::Local, 14));
+    let b = dep.regions[0]
+        .graph
+        .op_by_name("B")
+        .expect("a BCP operator");
+    dep.start();
+    let at = SimTime::from_secs(170);
+    inject_failure(&mut dep, 0, 3, at);
+    inject_reboot(&mut dep, 0, 3, at + SimDuration::from_millis(200));
+    dep.run_until(SimTime::from_secs(420));
+    let finished = {
+        let co = dep
+            .sim
+            .actor::<baselines::BaselineCoordinator>(dep.coordinator.unwrap());
+        assert_eq!(co.stops, 0, "the failure was never detected");
+        let rec = co
+            .recoveries
+            .first()
+            .expect("the rebooted slot re-installed");
+        rec.finished
+    };
+    let h = harvest(&dep, finished, SimTime::from_secs(420));
+    assert_eq!(
+        h.per_region[0].outputs, 83,
+        "sink outputs after the recovery moved"
+    );
+    assert_eq!(
+        boarding_state(&mut dep, b),
+        ((52, 106, 165), (0x3fef_fff8_9122_2fb0, 174)),
+        "B's partial counts or boarding propensity moved"
     );
 }
 
