@@ -1,30 +1,41 @@
 //! The per-deployment coordinator for baseline schemes.
 //!
-//! Plays the controller's role for rep-2 / local / dist-n: broadcasts
-//! checkpoint ticks, pings source nodes, receives failure reports, and
-//! drives the scheme-specific recovery (rep-2 takeover, dist-n state
-//! fetch + retained replay). `base` and `local` have no recovery — any
-//! detected failure stops the region (they appear only in fault-free
-//! experiments, plus rep-2's >1-failure and dist-n's >n-failure cases
-//! which the paper shows as truncated curves in Fig 9). A phone that
-//! reboots before its failure is detected is re-installed from its own
-//! store, under `local` too, and its upstream slots replay into it.
+//! Plays the controller's role for rep-2 / local / dist-n / upstream
+//! backup: broadcasts checkpoint ticks, pings every hosting node and
+//! receives failure reports. It does not decide what a failure costs.
+//! dist-n's recovery, upstream backup's takeover and a rebooted phone's
+//! reinstall each gather their failed slots, ask
+//! [`dsps::placement::plan_recovery`] for a plan (kinds `DistN`,
+//! `Upstream` and `Reboot`) and execute it: reassign and publish the
+//! routing, await the plan's acks, then ship its installs or ask the
+//! state holders to ship their copies. When the last ack arrives, the
+//! live upstream slots replay their retained outputs
+//! ([`dsps::placement::plan_replay`], read from the table at that
+//! event).
+//!
+//! Two rules stay here. Rep-2 flips its primary flow. `base` and `local`
+//! have no recovery, so any detected failure stops the region (they
+//! appear only in fault-free experiments, plus rep-2's >1-failure and
+//! dist-n's >n-failure cases which the paper shows as truncated curves
+//! in Fig 9). A phone that reboots before its failure is detected is
+//! re-installed from its own store, under `local` too, and its upstream
+//! slots replay into it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dsps::graph::{EdgeId, QueryGraph};
-use dsps::node::{InstallStates, Ping, Pong, RegisterNode, ReportDead};
+use dsps::graph::QueryGraph;
+use dsps::node::{Ping, Pong, RegisterNode, ReportDead};
 use dsps::placement::{
-    CheckpointSchedule, PingRounds, Placement, RecoveryEpisode, RecoveryRecord, SlotState,
-    GATHER_WINDOW, PING_PERIOD, PING_TIMEOUT,
+    plan_recovery, plan_replay, CheckpointSchedule, PingRounds, Placement, RecoveryEpisode,
+    RecoveryKind, RecoveryPlan, RecoveryRecord, SlotState, Unrecoverable, GATHER_WINDOW,
+    PING_PERIOD, PING_TIMEOUT,
 };
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration};
 use simnet::stats::TrafficClass::Control;
 use simnet::{net_send, payload, payload_as, NetRx};
 
 use crate::msgs::*;
-use crate::retain::peers_of;
 
 /// Which baseline this coordinator drives.
 #[derive(Clone)]
@@ -296,45 +307,74 @@ impl BaselineCoordinator {
         }
     }
 
-    /// Upstream backup: move the failed node's operators onto their
-    /// upstream neighbor (fresh state) and replay retained outputs into
-    /// them. A second failure is fatal ("it only handles single node
-    /// failure").
-    fn upstream_takeover(&mut self, region: usize, slot: u32, ctx: &mut Ctx) {
-        let rt = &mut self.regions[region];
-        if rt.episode.recovering() {
-            // Second failure while rebuilding: game over.
-            self.stop_region(region);
-            return;
-        }
-        let ops = rt.table.ops_on(slot);
-        if ops.is_empty() {
-            return;
-        }
-        // Host on the upstream neighbor of the first failed op. The
-        // retained outputs live ONLY on the upstream neighbor; if it is
-        // dead too, nothing can rebuild the state.
-        let upstream = ops
-            .iter()
-            .flat_map(|&op| rt.graph.op(op).in_edges.clone())
-            .map(|e| rt.table.slot_of(rt.graph.edge(e).from))
-            .find(|&s| s != slot && s != u32::MAX && rt.table.is_active(s));
-        let Some(host) = upstream else {
-            self.stop_region(region);
-            return;
-        };
-        rt.table.reassign_slot(slot, host);
-        rt.episode.begin_now(1, ctx.now());
-        rt.episode.await_acks(BTreeSet::from([host]));
+    /// Publish the region's routing to every usable phone: nodes host
+    /// what it says and unhost what moved away.
+    fn broadcast_routing(&self, region: usize, ctx: &mut Ctx) {
+        let rt = &self.regions[region];
         let msg = payload(rt.table.routing());
         for s in rt.table.active_slots() {
             let dst = rt.table.actor(s);
             net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
         }
-        let ready_in = SimDuration::from_millis(500);
-        let install = payload(rt.table.install_for(host, InstallStates::Fresh, ready_in));
-        let dst = rt.table.actor(host);
-        net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, install);
+    }
+
+    /// Execute a recovery plan's sends: move the replaced slots'
+    /// operators and publish the routing, await the plan's acks, then
+    /// ship its installs (alive `ready_in` after they arrive) and ask
+    /// each state holder to ship its copy to the replacement over WiFi.
+    fn execute(
+        &mut self,
+        region: usize,
+        plan: &RecoveryPlan,
+        ready_in: SimDuration,
+        ctx: &mut Ctx,
+    ) {
+        let rt = &mut self.regions[region];
+        for (f, r) in plan.moved() {
+            rt.table.reassign_slot(f, r);
+        }
+        if plan.moved().next().is_some() {
+            self.broadcast_routing(region, ctx);
+        }
+        let rt = &mut self.regions[region];
+        rt.episode.await_acks(plan.acks.clone());
+        for (slot, states) in &plan.installs {
+            let install = rt.table.install_for(*slot, states.clone(), ready_in);
+            let (dst, msg) = (rt.table.actor(*slot), payload(install));
+            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg);
+        }
+        for (&(f, r), &holder) in plan.replacements.iter().zip(&plan.holders) {
+            let table = &self.regions[region].table;
+            let ship = ShipStateTo {
+                failed_slot: f,
+                version: plan.version,
+                to: table.actor(r),
+                to_slot: r,
+            };
+            self.send_ship(region, table.actor(holder), ship, holder, ctx);
+        }
+    }
+
+    /// Upstream backup: the failed node's operators move onto their
+    /// upstream neighbor and the other upstream slots replay into them
+    /// ([`RecoveryKind::Upstream`]). A second failure is fatal ("it
+    /// only handles single node failure").
+    fn upstream_takeover(&mut self, region: usize, slot: u32, ctx: &mut Ctx) {
+        let rt = &mut self.regions[region];
+        if rt.episode.recovering() {
+            // Second failure while rebuilding: game over.
+            return self.stop_region(region);
+        }
+        match plan_recovery(&rt.table, &rt.graph, &[slot], RecoveryKind::Upstream) {
+            Ok(plan) if plan.is_membership_only() => {}
+            Ok(plan) => {
+                rt.episode.begin_now(1, ctx.now());
+                self.execute(region, &plan, SimDuration::from_millis(500), ctx);
+            }
+            // The retained outputs live ONLY upstream: with no live
+            // upstream neighbor nothing can rebuild the state.
+            Err(Unrecoverable) => self.stop_region(region),
+        }
     }
 
     fn on_recover(&mut self, region: usize, ctx: &mut Ctx) {
@@ -347,73 +387,37 @@ impl BaselineCoordinator {
             return;
         }
         rt.episode.begin(failed.len());
-        let version = rt.version;
-        // Pick replacements (idle preferred, then spread over healthy
-        // hosting survivors) + surviving state holders.
-        let plan = match rt.table.plan_replacements(&failed) {
+        let kind = RecoveryKind::DistN {
+            n,
+            version: rt.version,
+        };
+        match plan_recovery(&rt.table, &rt.graph, &failed, kind) {
             // Only idle phones failed: nothing to restore.
-            Some(plan) if plan.is_empty() => {
-                rt.episode.abort();
-                return;
+            Ok(plan) if plan.is_membership_only() => rt.episode.abort(),
+            Ok(plan) => {
+                self.execute(region, &plan, SimDuration::ZERO, ctx);
+                // Retry guard: if acks don't arrive (e.g. the state
+                // holder was itself dead but not yet detected), re-run
+                // recovery.
+                let me = ctx.self_id();
+                ctx.send_in(ACK_DEADLINE, me, BTimer::AckDeadline { region });
             }
-            // dist-n tolerates at most n simultaneous failures.
-            Some(plan) if plan.len() as u32 <= n && version > 0 => plan,
-            _ => return self.give_up(region),
-        };
-        let total = rt.table.slots();
-        let holder_of = |f| {
-            let peers = peers_of(f, n, total);
-            peers.into_iter().find(|&p| rt.table.is_active(p))
-        };
-        let holders: Option<Vec<u32>> = plan.iter().map(|&(f, _)| holder_of(f)).collect();
-        let Some(holders) = holders else {
-            return self.give_up(region);
-        };
-        // Apply the new assignment and publish routing.
-        for &(f, r) in &plan {
-            rt.table.reassign_slot(f, r);
+            // More than n failed hosts, no checkpoint yet, or every
+            // copy of some failed slot's state perished.
+            Err(Unrecoverable) => self.give_up(region),
         }
-        let msg = payload(rt.table.routing());
-        for s in rt.table.active_slots() {
-            let dst = rt.table.actor(s);
-            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
-        }
-        rt.episode
-            .await_acks(plan.iter().map(|&(_, r)| r).collect());
-        // Ask each holder to ship the failed node's state to the
-        // replacement over WiFi.
-        for (&(f, r), &holder) in plan.iter().zip(&holders) {
-            let table = &self.regions[region].table;
-            let ship = ShipStateTo {
-                failed_slot: f,
-                version,
-                to: table.actor(r),
-                to_slot: r,
-            };
-            self.send_ship(region, table.actor(holder), ship, holder, ctx);
-        }
-        // Retry guard: if acks don't arrive (e.g. the state holder was
-        // itself dead but not yet detected), re-run recovery.
-        let me = ctx.self_id();
-        ctx.send_in(ACK_DEADLINE, me, BTimer::AckDeadline { region });
     }
 
-    /// Ack-deadline retry: re-queue still-dead hosting slots.
+    /// Ack-deadline retry: re-queue the stranded slots.
     fn on_ack_deadline(&mut self, region: usize, ctx: &mut Ctx) {
         let rt = &mut self.regions[region];
         if !rt.episode.recovering() || rt.stopped {
             return;
         }
         rt.episode.abort();
-        let hosting = rt.table.hosting_slots();
-        let stuck: Vec<u32> = hosting
-            .into_iter()
-            .filter(|&s| !rt.table.is_active(s))
-            .collect();
-        if !stuck.is_empty() {
-            // Its own gather timer, whether or not a fresh failure
-            // already armed one.
-            rt.episode.pending.extend(stuck);
+        // Its own gather timer, whether or not a fresh failure already
+        // armed one.
+        if rt.episode.requeue(rt.table.stranded_slots()) {
             let me = ctx.self_id();
             ctx.send_in(GATHER_WINDOW, me, BTimer::Recover { region });
         }
@@ -425,17 +429,19 @@ impl BaselineCoordinator {
     fn on_register(&mut self, m: RegisterNode, ctx: &mut Ctx) {
         let rt = &mut self.regions[m.region];
         rt.table.set_state(m.slot, SlotState::Active);
-        if rt.stopped || rt.table.ops_on(m.slot).is_empty() || rt.episode.recovering() {
+        if rt.stopped || rt.episode.recovering() {
             return;
         }
+        let kind = RecoveryKind::Reboot {
+            version: rt.version,
+            rollback: false,
+        };
+        let plan = plan_recovery(&rt.table, &rt.graph, &[m.slot], kind);
+        let Some(plan) = plan.ok().filter(|p| !p.is_membership_only()) else {
+            return;
+        };
         rt.episode.begin_now(1, ctx.now());
-        rt.episode.await_acks(BTreeSet::from([m.slot]));
-        let states = InstallStates::from_mrc(rt.version);
-        let install = rt
-            .table
-            .install_for(m.slot, states, SimDuration::from_secs(1));
-        let (dst, msg) = (rt.table.actor(m.slot), payload(install));
-        net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg);
+        self.execute(m.region, &plan, SimDuration::from_secs(1), ctx);
         let me = ctx.self_id();
         ctx.send_in(ACK_DEADLINE, me, BTimer::AckDeadline { region: m.region });
     }
@@ -447,31 +453,16 @@ impl BaselineCoordinator {
         }
         // All replacements installed: upstream nodes replay retained
         // tuples into the recovered operators. Approximate the
-        // recovered set by the ops on the slot whose ack completed the
-        // round.
-        let mut per_slot: BTreeMap<u32, Vec<EdgeId>> = BTreeMap::new();
-        for op in rt.table.ops_on(m.slot) {
-            for &e in &rt.graph.op(op).in_edges {
-                let from_slot = rt.table.slot_of(rt.graph.edge(e).from);
-                if from_slot != u32::MAX && from_slot != m.slot {
-                    per_slot.entry(from_slot).or_default().push(e);
-                }
-            }
-        }
-        for (s, edges) in per_slot {
-            if rt.table.is_active(s) {
-                let dst = rt.table.actor(s);
-                let resend = payload(ResendRetained { edges });
-                net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, resend);
-            }
+        // recovered set by the slot whose ack completed the round.
+        let recovered = BTreeSet::from([m.slot]);
+        for (s, edges) in plan_replay(&rt.table, &rt.graph, None, &recovered) {
+            let (dst, resend) = (rt.table.actor(s), payload(ResendRetained { edges }));
+            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, resend);
         }
         // Authoritative routing broadcast: overlapping recovery flows
         // converge (nodes unhost ops that moved away).
-        let msg = payload(rt.table.routing());
-        for s in rt.table.active_slots() {
-            let dst = rt.table.actor(s);
-            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
-        }
+        self.broadcast_routing(m.region, ctx);
+        let rt = &mut self.regions[m.region];
         self.recoveries.push(rt.episode.finish(m.region, ctx.now()));
     }
 
@@ -483,8 +474,7 @@ impl BaselineCoordinator {
         };
         let rt = &mut self.regions[region];
         rt.table.set_state(holder, SlotState::Dead);
-        let peers = peers_of(ship.failed_slot, n, rt.table.slots());
-        match peers.into_iter().find(|&p| rt.table.is_active(p)) {
+        match rt.table.holder_of(ship.failed_slot, n) {
             Some(p) => {
                 let dst = rt.table.actor(p);
                 self.send_ship(region, dst, ship, p, ctx);

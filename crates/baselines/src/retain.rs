@@ -40,9 +40,9 @@
 //! Every retained output counts its modelled `bytes` toward
 //! [`FtScheme::preserved_bytes`] (Fig 10a) until a trim drops it, but a
 //! replay reads only some of them. The coordinator asks for a replay
-//! (`ResendRetained`) after a recovery install: it asks each live slot
-//! that hosts the source op of an in-edge of the recovered slot's ops,
-//! and only when that slot is not the recovered one. So an output
+//! (`ResendRetained`) after a recovery install, by the replay rule
+//! stated on `dsps::placement::RecoveryPlan`: every replayed edge's
+//! source is a live slot other than the recovered one. So an output
 //! emitted while this node also hosts the edge's target op is never
 //! read again:
 //!
@@ -81,22 +81,7 @@ use simnet::stats::TrafficClass;
 use simnet::{net_send, payload, payload_as, NetRx};
 
 use crate::msgs::{wire, BaselineAck, CkptTick, ResendRetained, ShipStateTo, StateCopy};
-
-/// Deterministic checkpoint peers of `slot`: the next `n` slots
-/// cyclically, skipping the slot itself (none in a one-phone region).
-/// Shared by the scheme and the coordinator so both sides agree who
-/// holds whose state.
-pub fn peers_of(slot: u32, n: u32, total_slots: u32) -> Vec<u32> {
-    let mut v = Vec::new();
-    let mut s = slot;
-    while v.len() < n as usize && v.len() + 1 < total_slots as usize {
-        s = (s + 1) % total_slots;
-        if s != slot {
-            v.push(s);
-        }
-    }
-    v
-}
+use dsps::placement::peers_of;
 
 /// Serialize-cost model: how long the phone core is busy writing a
 /// snapshot of `bytes` (flash write + serialization, ~30 MB/s).

@@ -36,16 +36,23 @@
 //! answered yet) and [`RecoveryEpisode`] (the burst being gathered, the
 //! acks still owed, the [`RecoveryRecord`] a finished episode leaves),
 //! and the paper's timers both run on: the [`CheckpointSchedule`] and
-//! the ping period, ping timeout and gather window constants. What to
-//! ping, when a report is believed and how a replacement is brought up
-//! stay protocol decisions of each controller.
+//! the ping period, ping timeout and gather window constants.
+//!
+//! What a failure costs is decided here too, once for both planes:
+//! [`plan_recovery`] reads the table and returns a [`RecoveryPlan`] —
+//! who is replaced, what each replacement installs, who rolls back,
+//! whose acks end the episode and who replays what — and each
+//! controller only executes it (a reconciler: one pass computes the
+//! desired state, a thin effect layer applies it). What to ping and
+//! when a report is believed stay protocol decisions of each
+//! controller.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use simkernel::{ActorId, SimDuration, SimTime};
 
-use crate::graph::{OpId, QueryGraph};
+use crate::graph::{EdgeId, OpId, QueryGraph};
 use crate::node::{Install, InstallStates, UpdateRouting};
 
 /// What the control plane currently believes about a slot's phone.
@@ -188,6 +195,21 @@ impl Placement {
             .collect()
     }
 
+    /// Hosting slots that are not usable: their operators wait for a
+    /// recovery.
+    pub fn stranded_slots(&self) -> BTreeSet<u32> {
+        let mut stranded = self.hosting_slots();
+        stranded.retain(|&s| !self.is_active(s));
+        stranded
+    }
+
+    /// The usable checkpoint peer ([`peers_of`]) that ships `slot`'s
+    /// state copy under dist-n: the first one in peer order.
+    pub fn holder_of(&self, slot: u32, n: u32) -> Option<u32> {
+        let mut peers = peers_of(slot, n, self.slots()).into_iter();
+        peers.find(|&p| self.is_active(p))
+    }
+
     /// Slots hosting at least one source operator of `graph`.
     pub fn source_slots(&self, graph: &QueryGraph) -> BTreeSet<u32> {
         graph
@@ -297,6 +319,212 @@ impl Placement {
     }
 }
 
+/// Deterministic checkpoint peers of `slot`: the next `n` slots
+/// cyclically, skipping the slot itself (none in a one-phone region).
+/// Shared by the dist-n scheme and [`plan_recovery`] so both sides agree
+/// who holds whose state.
+pub fn peers_of(slot: u32, n: u32, total_slots: u32) -> Vec<u32> {
+    let next = (1..total_slots).map(|k| (slot + k) % total_slots);
+    next.take(n as usize).collect()
+}
+
+/// How a control plane recovers, and from which checkpoint `version`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryKind {
+    /// MobiStreams (§III-D): each replacement restores the MRC
+    /// `version` from its own copy, every other usable hosting slot
+    /// rolls back to it, and the sources replay their preserved inputs.
+    Mrc { version: u64 },
+    /// dist-n: a surviving checkpoint peer ([`peers_of`]) of each failed
+    /// slot ships its copy at `version` to the replacement, and the
+    /// upstream slots replay what they retained. More than `n` failed
+    /// hosts, or no checkpoint yet, cannot be recovered.
+    DistN { n: u32, version: u64 },
+    /// Upstream backup (Hwang et al., ICDE 2005): the one failed host's
+    /// operators restart fresh on the live upstream neighbour of its
+    /// first operator, and the other upstream slots replay into them.
+    /// Two deviations from the scheme stay on purpose, each a FOUND
+    /// entry of PR 40 in CHANGES.md, until ROADMAP item 17 deletes
+    /// upstream backup: the install is `Fresh` for the host's own
+    /// operators too, and the host replays none of its own retained
+    /// outputs (the replay rule on [`RecoveryPlan`] skips the recovered
+    /// slot).
+    Upstream,
+    /// A phone that rebooted while it still hosts operators is its own
+    /// replacement and reinstalls them from its store at `version`.
+    /// With `rollback` the region rolls back with it (MobiStreams); the
+    /// baselines' regions do not.
+    Reboot { version: u64, rollback: bool },
+}
+
+/// No usable phone can take the failed operators, or their state is
+/// lost: the control plane stops the region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Unrecoverable;
+
+/// One recovery, decided in one pass over the slot table by
+/// [`plan_recovery`]. A control plane executes it in field order:
+/// reassign and publish, install, roll back, await the acks and, when
+/// the episode ends, replay.
+///
+/// **Replay rule.** A region that rolled back replays from its
+/// sources. Otherwise every replayed edge's target sits on a recovered
+/// slot and its source on a live slot other than the recovered ones.
+/// The baselines' output retention (`baselines::retain`) keeps a
+/// replayable copy of exactly the outputs this rule can ask for.
+#[derive(Debug, Clone, Default)]
+pub struct RecoveryPlan {
+    /// Failed slots that host nothing: their loss is only a membership
+    /// change.
+    pub membership_only: Vec<u32>,
+    /// `(failed, replacement)` pairs in the order the failures were
+    /// given. A reboot's replacement is the failed slot itself.
+    pub replacements: Vec<(u32, u32)>,
+    /// The checkpoint installs restore and survivors roll back to.
+    pub version: u64,
+    /// Installs the control plane ships, one per replacement pair.
+    pub installs: Vec<(u32, InstallStates)>,
+    /// dist-n: the surviving peer that ships each replaced slot's
+    /// states to its replacement, one per replacement pair.
+    pub holders: Vec<u32>,
+    /// Usable hosting slots outside the installing ones that roll back
+    /// to `version`.
+    pub rollback: Vec<u32>,
+    /// The slots whose acks end the episode.
+    pub acks: BTreeSet<u32>,
+    /// The edges each live slot replays when the episode ends
+    /// ([`plan_replay`] over the table after the replacements). A
+    /// control plane recomputes them from its table at that event.
+    pub replay: Vec<(u32, Vec<EdgeId>)>,
+}
+
+impl RecoveryPlan {
+    /// No failed slot hosted an operator.
+    pub fn is_membership_only(&self) -> bool {
+        self.replacements.is_empty()
+    }
+
+    /// The pairs whose operators change slot (all but a reboot's).
+    pub fn moved(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.replacements.iter().copied().filter(|(f, r)| f != r)
+    }
+}
+
+/// Plan the recovery of the `failed` slots of `table` under `kind`.
+/// Replacements follow [`Placement::plan_replacements`] under `Mrc` and
+/// `DistN`. Failed slots that host nothing are a membership change
+/// only: a burst of only those replaces, installs and replays into
+/// nothing. A kind that rolls the region back still lists the
+/// survivors' rollback and the sources' replay; whether such a plan
+/// runs is the executor's choice (the baselines end the episode, and
+/// MobiStreams still runs it: ROADMAP 12(a), marked in
+/// `RegionController::on_recover_now`).
+pub fn plan_recovery(
+    table: &Placement,
+    graph: &QueryGraph,
+    failed: &[u32],
+    kind: RecoveryKind,
+) -> Result<RecoveryPlan, Unrecoverable> {
+    use RecoveryKind::*;
+    let hosting = table.hosting_slots();
+    let (lost, idle): (Vec<u32>, Vec<u32>) = failed.iter().partition(|f| hosting.contains(f));
+    let version = match kind {
+        Mrc { version } | DistN { version, .. } | Reboot { version, .. } => version,
+        Upstream => 0,
+    };
+    let mut plan = RecoveryPlan {
+        membership_only: idle,
+        version,
+        ..RecoveryPlan::default()
+    };
+    plan.replacements = match kind {
+        _ if lost.is_empty() => Some(Vec::new()),
+        Mrc { .. } => table.plan_replacements(failed),
+        DistN { n, .. } => table
+            .plan_replacements(failed)
+            .filter(|pairs| pairs.len() as u32 <= n && version > 0),
+        Reboot { .. } => Some(lost.iter().map(|&s| (s, s)).collect()),
+        Upstream => match lost[..] {
+            [f] => in_edges_of(table, graph, f)
+                .map(|(from, _)| from)
+                .find(|&s| s != f && s != u32::MAX && table.is_active(s))
+                .map(|host| vec![(f, host)]),
+            _ => None,
+        },
+    }
+    .ok_or(Unrecoverable)?;
+    for &(f, r) in &plan.replacements {
+        if let DistN { n, .. } = kind {
+            plan.holders
+                .push(table.holder_of(f, n).ok_or(Unrecoverable)?);
+        } else {
+            plan.installs.push((r, InstallStates::from_mrc(version)));
+        }
+    }
+    let mut after = table.clone();
+    for (f, r) in plan.moved() {
+        after.reassign_slot(f, r);
+    }
+    let installing: BTreeSet<u32> = plan.replacements.iter().map(|&(_, r)| r).collect();
+    let rollback = matches!(kind, Mrc { .. } | Reboot { rollback: true, .. });
+    if rollback {
+        let mut survivors = after.hosting_slots();
+        survivors.retain(|s| !installing.contains(s) && after.is_active(*s));
+        plan.rollback = survivors.into_iter().collect();
+    }
+    plan.acks = installing.iter().chain(&plan.rollback).copied().collect();
+    plan.replay = plan_replay(&after, graph, rollback.then_some(version), &installing);
+    Ok(plan)
+}
+
+/// The in-edges of the operators on `slot`, each with its source's slot.
+fn in_edges_of<'a>(
+    table: &'a Placement,
+    graph: &'a QueryGraph,
+    slot: u32,
+) -> impl Iterator<Item = (u32, EdgeId)> + 'a {
+    let edges = table
+        .ops_on(slot)
+        .into_iter()
+        .flat_map(|op| &graph.op(op).in_edges);
+    edges.map(|&e| (table.slot_of(graph.edge(e).from), e))
+}
+
+/// The edges each live slot replays once the recovery of `recovered`
+/// ends, read from `table` as it then stands, in ascending slot order.
+/// A region that rolled back to checkpoint `rollback_to` replays the
+/// source pseudo-edges of its source slots (nothing before the first
+/// checkpoint). One that did not follows the replay rule on
+/// [`RecoveryPlan`]: the in-edges of the recovered slots' operators
+/// whose source sits on a live slot outside `recovered`.
+pub fn plan_replay(
+    table: &Placement,
+    graph: &QueryGraph,
+    rollback_to: Option<u64>,
+    recovered: &BTreeSet<u32>,
+) -> Vec<(u32, Vec<EdgeId>)> {
+    let edges: Vec<(u32, EdgeId)> = match rollback_to {
+        Some(0) => Vec::new(),
+        Some(_) => graph
+            .sources()
+            .into_iter()
+            .map(|op| (table.slot_of(op), EdgeId::source(op)))
+            .collect(),
+        None => recovered
+            .iter()
+            .flat_map(|&s| in_edges_of(table, graph, s))
+            .filter(|(from, _)| !recovered.contains(from))
+            .collect(),
+    };
+    let mut per_slot: BTreeMap<u32, Vec<EdgeId>> = BTreeMap::new();
+    for (from, e) in edges {
+        if from != u32::MAX && table.is_active(from) {
+            per_slot.entry(from).or_default().push(e);
+        }
+    }
+    per_slot.into_iter().collect()
+}
+
 /// When a control plane triggers checkpoint rounds.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointSchedule {
@@ -377,11 +605,8 @@ pub struct RecoveryRecord {
 /// in flight — its size, detection time and the acks still owed.
 #[derive(Debug, Default)]
 pub struct RecoveryEpisode {
-    /// Failed slots gathered for the next recovery. Open to the
-    /// controllers because how slots get here besides [`Self::note`]
-    /// is their protocol: a retry re-queues stuck slots without a
-    /// detection time, a partition forgives the gathered ones.
-    pub pending: BTreeSet<u32>,
+    /// Failed slots gathered for the next recovery.
+    pending: BTreeSet<u32>,
     scheduled: bool,
     recovering: bool,
     started: SimTime,
@@ -400,6 +625,21 @@ impl RecoveryEpisode {
             self.started = now;
         }
         arm
+    }
+
+    /// Re-queue `slots` for the next recovery, with no detection time
+    /// of their own (a retry of stranded slots). `true` = any were
+    /// given; whether that arms a gather timer is the caller's rule.
+    pub fn requeue(&mut self, slots: BTreeSet<u32>) -> bool {
+        let any = !slots.is_empty();
+        self.pending.extend(slots);
+        any
+    }
+
+    /// Forgive the gathered failures (their silence was a partition):
+    /// the slots, ascending.
+    pub fn forgive(&mut self) -> BTreeSet<u32> {
+        std::mem::take(&mut self.pending)
     }
 
     /// Claim the gather timer: `true` = none is in flight, arm one.
@@ -674,6 +914,272 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A DAG over `ops.len()` operators: op 0 and every op whose value
+    /// says so are sources, every other op `i` reads from an earlier op
+    /// chosen by its value.
+    fn dag(ops: &[u32]) -> QueryGraph {
+        let mut g = QueryGraph::new();
+        for (i, &v) in ops.iter().enumerate() {
+            let kind = if i == 0 || v / 5 % 4 == 0 {
+                OpKind::Source
+            } else {
+                OpKind::Compute
+            };
+            let op = g.add_op(format!("op{i}"), kind, relay);
+            if kind == OpKind::Compute {
+                g.connect(OpId(v / 5 % i as u32), op);
+            }
+        }
+        g
+    }
+
+    /// The table as the plan leaves it.
+    fn after(p: &Placement, plan: &RecoveryPlan) -> Placement {
+        let mut after = p.clone();
+        for (f, r) in plan.moved() {
+            after.reassign_slot(f, r);
+        }
+        after
+    }
+
+    /// The slots a plan installs on.
+    fn installing(plan: &RecoveryPlan) -> BTreeSet<u32> {
+        plan.replacements.iter().map(|&(_, r)| r).collect()
+    }
+
+    /// Does `kind` roll the region back?
+    fn rolls_back(kind: RecoveryKind) -> bool {
+        matches!(
+            kind,
+            RecoveryKind::Mrc { .. } | RecoveryKind::Reboot { rollback: true, .. }
+        )
+    }
+
+    /// The kinds a table is planned under, from two drawn numbers.
+    fn kinds(n: u32, version: u64) -> [RecoveryKind; 5] {
+        [
+            RecoveryKind::Mrc { version },
+            RecoveryKind::DistN { n, version },
+            RecoveryKind::Upstream,
+            RecoveryKind::Reboot {
+                version,
+                rollback: true,
+            },
+            RecoveryKind::Reboot {
+                version,
+                rollback: false,
+            },
+        ]
+    }
+
+    proptest! {
+        /// A burst that hosts nothing is a membership change: under
+        /// dist-n, upstream backup and a baselines' reboot the plan
+        /// names the failed slots and nothing else. A kind that rolls
+        /// the region back still lists every usable hosting slot's
+        /// rollback, which MobiStreams runs (ROADMAP 12(a), kept).
+        #[test]
+        fn prop_plan_of_an_idle_burst_is_membership_only(
+            slots in 1u32..10,
+            ops in prop::collection::vec(0u32..1000, 1..12),
+            down in prop::collection::vec(0u32..10, 0..10),
+            n in 1u32..4,
+            version in 0u64..4,
+        ) {
+            let mut p = table(slots, &ops, &[]);
+            let hosting = p.hosting_slots();
+            let failed: BTreeSet<u32> =
+                down.iter().map(|d| d % slots).filter(|s| !hosting.contains(s)).collect();
+            for &f in &failed {
+                p.set_state(f, SlotState::Dead);
+            }
+            let failed: Vec<u32> = failed.into_iter().collect();
+            for kind in kinds(n, version) {
+                let plan = plan_recovery(&p, &dag(&ops), &failed, kind).expect("idle burst");
+                prop_assert_eq!(&plan.membership_only, &failed);
+                prop_assert!(plan.is_membership_only() && plan.installs.is_empty());
+                prop_assert!(plan.holders.is_empty());
+                if rolls_back(kind) {
+                    let live: Vec<u32> = hosting.iter().copied().filter(|&s| p.is_active(s)).collect();
+                    prop_assert_eq!(&plan.rollback, &live);
+                    prop_assert_eq!(plan.acks.iter().copied().collect::<Vec<u32>>(), live);
+                } else {
+                    prop_assert!(plan.rollback.is_empty() && plan.acks.is_empty(), "{kind:?}");
+                    prop_assert!(plan.replay.is_empty(), "{kind:?}");
+                }
+            }
+        }
+
+        /// Under MobiStreams and dist-n the replacements are exactly
+        /// `plan_replacements`' and every operator a plan installs
+        /// comes from a failed slot or restores checkpointed state: no
+        /// operator outside the failed slots is installed `Fresh` once
+        /// a checkpoint exists. Upstream backup's install is `Fresh`
+        /// for the host's own operators too (a FOUND deviation, kept).
+        /// The acks are the installing slots and the rollback, which is
+        /// every other usable hosting slot exactly when the region
+        /// rolls back.
+        #[test]
+        fn prop_plan_replaces_like_plan_replacements_and_installs_fresh_only_what_failed(
+            slots in 1u32..10,
+            ops in prop::collection::vec(0u32..1000, 1..12),
+            down in prop::collection::vec(0u32..10, 0..10),
+            n in 1u32..4,
+            version in 0u64..4,
+        ) {
+            let p = table(slots, &ops, &down);
+            let g = dag(&ops);
+            let failed: Vec<u32> = (0..slots).rev().filter(|&s| !p.is_active(s)).collect();
+            for kind in kinds(n, version) {
+                let failed = match kind {
+                    RecoveryKind::Upstream | RecoveryKind::Reboot { .. } => &failed[failed.len().min(1)..],
+                    _ => &failed[..],
+                };
+                let Ok(plan) = plan_recovery(&p, &g, failed, kind) else {
+                    continue;
+                };
+                if let RecoveryKind::Mrc { .. } | RecoveryKind::DistN { .. } = kind {
+                    prop_assert_eq!(Some(&plan.replacements), p.plan_replacements(failed).as_ref());
+                }
+                let after = after(&p, &plan);
+                for (slot, states) in &plan.installs {
+                    let fresh = matches!(states, InstallStates::Fresh);
+                    for op in after.ops_on(*slot) {
+                        let was = p.slot_of(op);
+                        prop_assert!(failed.contains(&was) || was == *slot, "{op:?} from {was}");
+                        if fresh && !failed.contains(&was) {
+                            prop_assert!(version == 0 || kind == RecoveryKind::Upstream, "{kind:?}");
+                        }
+                    }
+                }
+                if plan.is_membership_only() {
+                    prop_assert!(plan.installs.is_empty() && plan.holders.is_empty());
+                } else if let RecoveryKind::DistN { .. } = kind {
+                    prop_assert!(version > 0 && plan.installs.is_empty());
+                    prop_assert_eq!(plan.holders.len(), plan.replacements.len());
+                    for (&(f, _), &h) in plan.replacements.iter().zip(&plan.holders) {
+                        let first_live = peers_of(f, n, slots).into_iter().find(|&q| p.is_active(q));
+                        prop_assert_eq!(Some(h), first_live);
+                    }
+                } else {
+                    prop_assert_eq!(plan.installs.len(), plan.replacements.len());
+                }
+                let installing = installing(&plan);
+                let rolls_back = rolls_back(kind);
+                let survivors: Vec<u32> = after
+                    .hosting_slots()
+                    .into_iter()
+                    .filter(|s| rolls_back && !installing.contains(s) && after.is_active(*s))
+                    .collect();
+                prop_assert_eq!(&plan.rollback, &survivors);
+                let mut acks = installing;
+                acks.extend(survivors);
+                prop_assert_eq!(&plan.acks, &acks);
+            }
+        }
+
+        /// The replay rule: without a rollback every replayed edge runs
+        /// from a live slot other than the recovered ones into an
+        /// operator on a recovered slot, and every such in-edge is
+        /// replayed. With one, exactly the live source slots replay
+        /// their source pseudo-edges, once a checkpoint exists.
+        #[test]
+        fn prop_plan_replays_from_live_slots_other_than_the_recovered(
+            slots in 1u32..10,
+            ops in prop::collection::vec(0u32..1000, 1..12),
+            down in prop::collection::vec(0u32..10, 0..10),
+            n in 1u32..4,
+            version in 0u64..4,
+        ) {
+            let p = table(slots, &ops, &down);
+            let g = dag(&ops);
+            let failed: Vec<u32> = (0..slots).filter(|&s| !p.is_active(s)).collect();
+            for kind in kinds(n, version) {
+                let failed = match kind {
+                    RecoveryKind::Upstream | RecoveryKind::Reboot { .. } => &failed[failed.len().min(1)..],
+                    _ => &failed[..],
+                };
+                let Ok(plan) = plan_recovery(&p, &g, failed, kind) else {
+                    continue;
+                };
+                let (after, recovered) = (after(&p, &plan), installing(&plan));
+                let mut expected: BTreeMap<u32, Vec<EdgeId>> = BTreeMap::new();
+                if !rolls_back(kind) {
+                    for &r in &recovered {
+                        for op in after.ops_on(r) {
+                            for &e in &g.op(op).in_edges {
+                                let from = after.slot_of(g.edge(e).from);
+                                if from != u32::MAX && after.is_active(from) && !recovered.contains(&from) {
+                                    expected.entry(from).or_default().push(e);
+                                }
+                            }
+                        }
+                    }
+                    for (s, edges) in &plan.replay {
+                        prop_assert!(after.is_active(*s) && !recovered.contains(s), "{s}");
+                        for &e in edges {
+                            prop_assert_eq!(after.slot_of(g.edge(e).from), *s);
+                            prop_assert!(recovered.contains(&after.slot_of(g.edge(e).to)));
+                        }
+                    }
+                } else if version > 0 {
+                    for op in g.sources() {
+                        let s = after.slot_of(op);
+                        if s != u32::MAX && after.is_active(s) {
+                            expected.entry(s).or_default().push(EdgeId::source(op));
+                        }
+                    }
+                }
+                prop_assert_eq!(plan.replay, expected.into_iter().collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn plan_of_a_reboot_replaces_the_slot_with_itself() {
+        let (g, [s, a, b, k]) = chain();
+        let mut p = Placement::new(&g, 5);
+        p.assign(s, 0).assign(a, 1).assign(b, 2).assign(k, 3);
+        p.set_state(4, SlotState::Dead);
+        let reboot = RecoveryKind::Reboot {
+            version: 3,
+            rollback: true,
+        };
+        let plan = plan_recovery(&p, &g, &[1], reboot).unwrap();
+        assert_eq!(plan.replacements, vec![(1, 1)]);
+        assert_eq!(plan.moved().count(), 0);
+        assert!(matches!(
+            plan.installs[..],
+            [(1, InstallStates::FromLocalStore { version: 3 })]
+        ));
+        assert_eq!(plan.rollback, vec![0, 2, 3]);
+        assert_eq!(plan.acks, BTreeSet::from([0, 1, 2, 3]));
+        assert_eq!(plan.replay, vec![(0, vec![EdgeId::source(s)])]);
+        // Upstream backup hosts `A` on `S`'s slot 0. `A`'s one in-edge
+        // now runs inside the recovered slot, so nothing replays (a
+        // FOUND deviation, kept).
+        p.set_state(1, SlotState::Dead);
+        let plan = plan_recovery(&p, &g, &[1], RecoveryKind::Upstream).unwrap();
+        assert_eq!(plan.replacements, vec![(1, 0)]);
+        assert!(plan.replay.is_empty() && plan.rollback.is_empty());
+        // With `S`'s slot dead too, nothing can host `A`.
+        p.set_state(0, SlotState::Dead);
+        assert_eq!(
+            plan_recovery(&p, &g, &[1], RecoveryKind::Upstream).unwrap_err(),
+            Unrecoverable
+        );
+    }
+
+    #[test]
+    fn stranded_slots_host_and_are_not_usable() {
+        let mut p = Placement::from_op_slot(vec![0, 1, 1, 3], 5);
+        assert!(p.stranded_slots().is_empty());
+        p.set_state(1, SlotState::Dead);
+        p.set_state(2, SlotState::Dead);
+        p.set_state(3, SlotState::Departing);
+        assert_eq!(p.stranded_slots(), BTreeSet::from([1, 3]));
     }
 
     #[test]

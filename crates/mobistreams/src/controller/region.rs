@@ -31,8 +31,9 @@ use std::sync::Arc;
 use dsps::graph::{EdgeId, QueryGraph};
 use dsps::node::{Install, InstallStates, Pong, ReportDead, SetUrgentEdges};
 use dsps::placement::{
-    CheckpointSchedule, PingRounds, Placement, RecoveryEpisode, RecoveryRecord, SlotState,
-    GATHER_WINDOW, PING_PERIOD, PING_TIMEOUT,
+    plan_recovery, plan_replay, CheckpointSchedule, PingRounds, Placement, RecoveryEpisode,
+    RecoveryKind, RecoveryPlan, RecoveryRecord, SlotState, Unrecoverable, GATHER_WINDOW,
+    PING_PERIOD, PING_TIMEOUT,
 };
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration, SimTime};
 use simnet::stats::TrafficClass::Control;
@@ -669,7 +670,7 @@ impl RegionController {
         // the partition was recognized: their silence was the weather.
         // Anything genuinely dead is re-detected by post-heal pings.
         // (The gather timer stays armed and finds nothing to recover.)
-        for s in std::mem::take(&mut rt.episode.pending) {
+        for s in rt.episode.forgive() {
             if rt.table.state(s) == SlotState::Dead {
                 rt.table.set_state(s, SlotState::Active);
             }
@@ -866,29 +867,64 @@ impl RegionController {
         );
     }
 
-    /// Roll every usable hosting slot outside `installing` back to the
-    /// MRC `version`; the recovery ends once those and the `installing`
-    /// slots have acked.
-    fn rollback_survivors(
-        &mut self,
-        region: usize,
-        installing: BTreeSet<u32>,
-        version: u64,
-        ctx: &mut Ctx,
-    ) {
+    /// Execute a recovery plan's sends: move the replaced slots'
+    /// operators, publish the new wiring, ship the installs and roll
+    /// the survivors back. The plan's acks end the episode.
+    fn execute(&mut self, region: usize, plan: &RecoveryPlan, ctx: &mut Ctx) {
+        let rt = self.rt_mut(region);
+        // Slots whose operators are reassigned: end any degraded
+        // cellular bridging they held.
+        let mut released: Vec<EdgeId> = Vec::new();
+        for (f, r) in plan.moved() {
+            rt.table.reassign_slot(f, r);
+            if let Some(edges) = rt.degraded_urgent.remove(&f) {
+                released.extend(edges);
+                // The replacement install hands this slot's ops
+                // back to the WiFi path mid-round: stop expecting
+                // the degraded phone's cellular snapshot, or the
+                // round stalls an extra epoch. The completion
+                // re-check runs when this recovery finishes.
+                rt.ckpt_expected.remove(&f);
+            }
+        }
+        // Tear down phones that are still computing remotely — a
+        // departed phone stays reachable over cellular and must stop
+        // once its operators moved, or the region processes every
+        // tuple twice.
         let rt = self.rt(region);
-        let hosting = rt.table.hosting_slots();
-        let survivors = hosting
-            .into_iter()
-            .filter(|&s| !installing.contains(&s) && rt.table.is_active(s));
-        let mut acks = installing.clone();
-        let msg = payload(RollbackTo { version });
-        for s in survivors {
+        let msg = payload(rt.table.routing());
+        for (f, _) in plan.moved() {
+            let dst = rt.table.actor(f);
+            net_send(
+                ctx,
+                self.cell,
+                dst,
+                Control,
+                wire::MEMBERSHIP,
+                0,
+                msg.clone(),
+            );
+        }
+        if !released.is_empty() {
+            self.release_urgent_edges(region, &released, ctx);
+        }
+        self.push_routing(region, ctx);
+        self.membership_changed(region, FlushScope::Stakeholders, ctx);
+        self.redirect_sensors(region, ctx);
+        // Code + install to the replacements (cellular, brokered by
+        // the coordinator); the survivors roll back to the MRC.
+        for (slot, states) in &plan.installs {
+            self.ship_install(ctx, region, *slot, states.clone());
+        }
+        let rt = self.rt(region);
+        let msg = payload(RollbackTo {
+            version: plan.version,
+        });
+        for &s in &plan.rollback {
             let dst = rt.table.actor(s);
             net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
-            acks.insert(s);
         }
-        self.rt_mut(region).episode.await_acks(acks);
+        self.rt_mut(region).episode.await_acks(plan.acks.clone());
     }
 
     fn on_recover_now(&mut self, region: usize, ctx: &mut Ctx) {
@@ -909,63 +945,24 @@ impl RegionController {
             rt.episode.begin(failed.len());
         }
         let version = rt.last_complete;
-        let Some(replacements) = rt.table.plan_replacements(&failed) else {
+        match plan_recovery(&rt.table, &rt.graph, &failed, RecoveryKind::Mrc { version }) {
+            // ROADMAP 12(a), kept on purpose: this arm also runs a
+            // membership-only plan (a burst that hosts nothing), whose
+            // survivors still roll back and owe acks. The baselines
+            // abort the episode on such a plan; the fix is that arm.
+            Ok(plan) => {
+                self.execute(region, &plan, ctx);
+                self.send_status(region, ctx);
+                let me = ctx.self_id();
+                ctx.send_in(ACK_DEADLINE, me, CtlTimer::AckDeadline { region });
+            }
             // No healthy phone at all: stop and bypass the region until
             // phones re-register (reboot path).
-            rt.episode.abort();
-            self.stop_region(region, ctx);
-            return;
-        };
-        // Slots whose operators are reassigned: end any degraded
-        // cellular bridging they held.
-        let mut released: Vec<EdgeId> = Vec::new();
-        for &(f, r) in &replacements {
-            rt.table.reassign_slot(f, r);
-            if let Some(edges) = rt.degraded_urgent.remove(&f) {
-                released.extend(edges);
-                // The replacement install hands this slot's ops
-                // back to the WiFi path mid-round: stop expecting
-                // the degraded phone's cellular snapshot, or the
-                // round stalls an extra epoch. The completion
-                // re-check runs when this recovery finishes.
-                rt.ckpt_expected.remove(&f);
+            Err(Unrecoverable) => {
+                rt.episode.abort();
+                self.stop_region(region, ctx);
             }
         }
-        // Tear down phones that are still computing remotely — a
-        // departed phone stays reachable over cellular and must stop
-        // once its operators moved, or the region processes every
-        // tuple twice.
-        let rt = self.rt(region);
-        let msg = payload(rt.table.routing());
-        for &(f, _) in &replacements {
-            let dst = rt.table.actor(f);
-            net_send(
-                ctx,
-                self.cell,
-                dst,
-                Control,
-                wire::MEMBERSHIP,
-                0,
-                msg.clone(),
-            );
-        }
-        if !released.is_empty() {
-            self.release_urgent_edges(region, &released, ctx);
-        }
-
-        self.push_routing(region, ctx);
-        self.membership_changed(region, FlushScope::Stakeholders, ctx);
-        self.redirect_sensors(region, ctx);
-        // Ship code + install to replacements (cellular, brokered by
-        // the coordinator), and roll back survivors to the MRC.
-        let installing: BTreeSet<u32> = replacements.iter().map(|&(_, r)| r).collect();
-        for &(_, r) in &replacements {
-            self.ship_install(ctx, region, r, InstallStates::from_mrc(version));
-        }
-        self.rollback_survivors(region, installing, version, ctx);
-        self.send_status(region, ctx);
-        let me = ctx.self_id();
-        ctx.send_in(ACK_DEADLINE, me, CtlTimer::AckDeadline { region });
     }
 
     /// All acks in (or deadline): restart the region's dataflow.
@@ -977,15 +974,10 @@ impl RegionController {
         let record = rt.episode.finish(region, ctx.now());
         rt.last_recovery_end = ctx.now();
         let rt = self.rt(region);
-        let version = rt.last_complete;
-        if version > 0 {
-            for s in rt.table.source_slots(&rt.graph) {
-                if rt.table.is_active(s) {
-                    let dst = rt.table.actor(s);
-                    let replay = payload(ReplayInputs { epoch: version });
-                    net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, replay);
-                }
-            }
+        let epoch = rt.last_complete;
+        for (s, _) in plan_replay(&rt.table, &rt.graph, Some(epoch), &BTreeSet::new()) {
+            let (dst, replay) = (rt.table.actor(s), payload(ReplayInputs { epoch }));
+            net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, replay);
         }
         self.recoveries.push(record);
         // Snapshot reports accepted while the recovery ran may have
@@ -1208,19 +1200,12 @@ impl RegionController {
             }
             return;
         }
-        // If the region is degraded (ops stuck on dead slots because
-        // no spare existed), retry recovery now that a phone is back.
-        let hosting = rt.table.hosting_slots();
-        let stuck: Vec<u32> = hosting
-            .into_iter()
-            .filter(|&s| !rt.table.is_active(s))
-            .collect();
-        if !stuck.is_empty() {
-            rt.episode.pending.extend(stuck);
-            if rt.episode.arm() {
-                let me = ctx.self_id();
-                ctx.send_in(GATHER_WINDOW, me, CtlTimer::RecoverNow { region });
-            }
+        // If the region is degraded (ops stranded on dead slots
+        // because no spare existed), retry recovery now that a phone is
+        // back.
+        if rt.episode.requeue(rt.table.stranded_slots()) && rt.episode.arm() {
+            let me = ctx.self_id();
+            ctx.send_in(GATHER_WINDOW, me, CtlTimer::RecoverNow { region });
         }
     }
 
@@ -1229,14 +1214,15 @@ impl RegionController {
     fn reinstall_slot(&mut self, region: usize, slot: u32, ctx: &mut Ctx) {
         let rt = self.rt_mut(region);
         rt.episode.begin_now(1, ctx.now());
-        let version = rt.last_complete;
-        self.push_routing(region, ctx);
-        self.membership_changed(region, FlushScope::Stakeholders, ctx);
-        self.redirect_sensors(region, ctx);
-        self.ship_install(ctx, region, slot, InstallStates::from_mrc(version));
-        self.rollback_survivors(region, BTreeSet::from([slot]), version, ctx);
-        let me = ctx.self_id();
-        ctx.send_in(ACK_DEADLINE, me, CtlTimer::AckDeadline { region });
+        let kind = RecoveryKind::Reboot {
+            version: rt.last_complete,
+            rollback: true,
+        };
+        if let Ok(plan) = plan_recovery(&rt.table, &rt.graph, &[slot], kind) {
+            self.execute(region, &plan, ctx);
+            let me = ctx.self_id();
+            ctx.send_in(ACK_DEADLINE, me, CtlTimer::AckDeadline { region });
+        }
     }
 
     fn restart_region(&mut self, region: usize, ctx: &mut Ctx) {

@@ -467,9 +467,9 @@ fn byte_accounting_shapes() {
 /// is only its own.
 #[test]
 fn checkpoint_copies_land_on_the_named_peers() {
-    use baselines::retain::peers_of;
     use dsps::graph::OpId;
     use dsps::node::NodeActor;
+    use dsps::placement::peers_of;
     use std::collections::BTreeSet;
 
     for (scheme, n) in [(Scheme::Dist(2), 2), (Scheme::Local, 0)] {
