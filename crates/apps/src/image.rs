@@ -13,9 +13,12 @@
 //! A frame is its seed, not its pixels. It keeps the camera stream as
 //! it stood just before the frame's `w·h` noise draws, the background
 //! and noise levels, and what was planted: the face cells and the lamp.
-//! The generator skips the noise draws ([`SimRng::skip`]);
-//! [`Frame::render`] replays them into a fresh plane and paints the
-//! planted pixels on top. A plane is a pure function of the seed, so
+//! The generator jumps the camera stream past the noise draws
+//! ([`SimRng::skip`]): a 64×48 frame's 3 072 draws are one jump of
+//! about 256 generator steps, not 3 072 of them, and leave the stream
+//! and its draw count where the draws would. [`Frame::render`] replays
+//! the draws into a fresh plane and paints the planted pixels on top.
+//! A plane is a pure function of the seed, so
 //! every render of a frame gives the same bytes, and a frame waiting in
 //! a preservation log or a queue holds about 150 bytes plus its face
 //! list. Hue needs no plane either: the lamp disc has the light's hue
@@ -93,12 +96,17 @@ impl Frame {
         let px = Arc::get_mut(&mut plane).expect("a fresh plane has one owner");
         if self.noise > 0 {
             // Background plus uniform noise in `[-noise, noise]`, one
-            // draw per pixel in row-major order.
+            // draw per pixel in row-major order, each mapped through a
+            // table of the `span` gray levels a draw can give.
             let floor = self.background as i16 - self.noise as i16;
-            let span = 2 * self.noise as u64 + 1;
+            let span = 2 * self.noise as usize + 1;
+            let mut level = [0u8; 2 * u8::MAX as usize + 1];
+            for (d, l) in level[..span].iter_mut().enumerate() {
+                *l = (floor + d as i16).clamp(0, 255) as u8;
+            }
             self.noise_rng
                 .clone()
-                .fill_range_u64(0, span, px, |d| (floor + d as i16).clamp(0, 255) as u8);
+                .fill_range_u64(0, span as u64, px, |d| level[d as usize]);
         }
         for &(x0, y0) in &self.faces {
             for (dy, row) in FACE_BLOCK.iter().enumerate() {
@@ -291,7 +299,7 @@ impl FrameGen {
     }
 
     /// Background plus noise, nothing planted: the camera stream is
-    /// kept as the frame's seed, then skipped past the noise draws.
+    /// kept as the frame's seed, then jumped past the noise draws.
     fn blank(&self, rng: &mut SimRng, seq: u64) -> Frame {
         let noise_rng = rng.clone();
         if self.noise > 0 {

@@ -2,6 +2,7 @@
 """Turn scripts/sprof.c's sprof.out into leaf / inclusive / per-crate tables.
 
     python3 scripts/sprof_report.py sprof.out [--top 25]
+    python3 scripts/sprof_report.py sprof.out --callers next_u64
 
 Addresses inside the profiled executable go through
 `addr2line -a -f -C -i`, so a build with line tables
@@ -11,6 +12,11 @@ functions; addresses in shared objects are reported as `[libm.so.6]`.
   leaf       the innermost (possibly inlined) function at the sampled PC
   inclusive  every function on the stack, once per sample
   crate      the innermost frame whose source is under crates/<name>/
+  callers    with --callers FN, in place of the three tables: for each
+             sample whose stack holds FN (a full name, or its last
+             `::` segments), FN's innermost frame and the three
+             callers above it, std/core/alloc frames skipped, ranked by
+             share of all samples: `next_u64 <- skip <- blank <- ...`
 """
 import argparse
 import collections
@@ -71,10 +77,32 @@ def crate_of(chain):
     return next((m.group(1) for _, path in chain if (m := re.search(r"crates/(\w+)/", path))), "(other)")
 
 
+def is_named(fn, name):
+    """Is `fn` the function `name`, or a path ending in its segments?"""
+    return fn == name or fn.endswith("::" + name)
+
+
+def in_std(fn):
+    """A frame of the Rust standard library: std, core or alloc."""
+    return re.match(r"<*(std|core|alloc)::", fn) is not None
+
+
+def caller_chain(chain, name, depth=3):
+    """`name`'s innermost frame in `chain` (innermost first) and up to
+    `depth` of its callers outside the standard library, outermost last;
+    None if the chain does not hold `name`."""
+    at = next((i for i, (fn, _) in enumerate(chain) if is_named(fn, name)), None)
+    if at is None:
+        return None
+    callers = [fn for fn, _ in chain[at + 1:] if not in_std(fn)][:depth]
+    return " <- ".join([chain[at][0]] + callers)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("profile", nargs="?", default="sprof.out")
     ap.add_argument("--top", type=int, default=25, help="rows per table")
+    ap.add_argument("--callers", metavar="FN", help="rank the caller chains above FN")
     args = ap.parse_args()
     maps, samples = read_profile(args.profile, "S")
     # Return addresses point past the call: step back into it. The leaf
@@ -82,15 +110,20 @@ def main():
     stacks = [[a if i == 0 else a - 1 for i, a in enumerate(int(x, 16) for x in s)] for s in samples if s]
     sym = Symbolizer(maps, {a for s in stacks for a in s})
 
-    leaf, incl, crate = (collections.Counter() for _ in range(3))
+    leaf, incl, crate, callers = (collections.Counter() for _ in range(4))
     for s in stacks:
         chain = [fr for a in s for fr in sym.frames(a)]
         leaf[chain[0][0]] += 1
         incl.update({fn for fn, _ in chain})
         crate[crate_of(chain)] += 1
+        if args.callers and (c := caller_chain(chain, args.callers)):
+            callers[c] += 1
     n = len(stacks)
     print(f"{n} samples of {sym.exe}")
-    for title, table in (("crate", crate), ("leaf", leaf), ("inclusive", incl)):
+    tables = (("crate", crate), ("leaf", leaf), ("inclusive", incl))
+    if args.callers:
+        tables = ((f"callers of {args.callers}, {sum(callers.values())} samples", callers),)
+    for title, table in tables:
         print(f"\n== {title}")
         for name, c in table.most_common(args.top):
             print(f"{100 * c / n:6.1f} %  {c:6d}  {name}")
