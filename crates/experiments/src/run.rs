@@ -11,7 +11,7 @@ use simnet::stats::TrafficClass;
 use simnet::wifi::WifiMedium;
 
 use crate::fleet::{ChurnEvent, ChurnKind};
-use crate::scenario::{Deployment, ScenarioConfig, Scheme};
+use crate::scenario::{Deployment, ScenarioConfig, Scheme, SensorUplink};
 use crate::weather;
 
 /// Per-region observation window results.
@@ -25,7 +25,8 @@ pub struct RegionStats {
     pub mean_latency_s: Option<f64>,
     /// 95th-percentile latency.
     pub p95_latency_s: Option<f64>,
-    /// Source inputs dropped at full queues.
+    /// Source inputs dropped at full queues: the nodes' source queues
+    /// and, on the server platform, the sensor uplink's buffer.
     pub source_drops: u64,
     /// Catch-up discards at sinks.
     pub catchup_discards: u64,
@@ -154,6 +155,9 @@ pub fn harvest(dep: &Deployment, from: SimTime, to: SimTime) -> Harvest {
             let p = na.scheme.preserved_bytes(&na.inner);
             preserved_raw_sum += p;
             preserved_max = preserved_max.max(p);
+        }
+        if let Some(up) = handles.uplink {
+            drops += dep.sim.actor::<SensorUplink>(up).dropped;
         }
         let span = (to - from).as_secs_f64();
         lats.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());

@@ -1,10 +1,18 @@
-//! Deployment builder: stands up a full MobiStreams (or baseline, or
-//! server-based) system inside one deterministic simulation.
+//! Deployment builder: stands up a full MobiStreams, baseline or
+//! server-based system inside one deterministic simulation.
 //!
 //! The paper's testbed: 4 regions cascaded in a line, 8 phones per
 //! region, ad-hoc WiFi 1–5 Mbps, 3G uplink 0.016–0.32 Mbps / downlink
 //! 0.35–1.14 Mbps, checkpoint period 5 minutes, controller pings every
 //! 30 s with a 10 s timeout (§IV).
+//!
+//! Both platforms of Table I come out of one [`Deployment::build`]; a
+//! platform is only a shape. On the phones (Fig 1d) a region's phones
+//! stream over its WiFi medium and hand off to the next region over
+//! 3G. On the server DSPS (Fig 1c) four servers per region stream over
+//! one Ethernet switch, which also links the regions, and a sensor
+//! phone uploads feed 0 over its 3G uplink. The bundle, the node
+//! wiring, the links, the feeds and the control plane are one path.
 
 use std::sync::Arc;
 
@@ -13,7 +21,7 @@ use baselines::coordinator::{BaselineCoordinator, BaselineRegionSpec};
 use baselines::rep2::{duplicate_graph, twin_of, Rep2Scheme};
 use baselines::{BaselineKind, RetainScheme};
 use dsps::ft::{FtScheme, NullScheme};
-use dsps::graph::{OpId, QueryGraph};
+use dsps::graph::QueryGraph;
 use dsps::node::{InterRegionLink, NodeActor, NodeConfig, NodeInner};
 use dsps::placement::{squeeze_placement, CheckpointSchedule, Placement, RecoveryRecord};
 use dsps::workload::{Feed, StartFeeds, WorkloadDriver};
@@ -83,7 +91,12 @@ impl Scheme {
 pub enum Platform {
     /// Phones in regions over ad-hoc WiFi (Fig 1d).
     Phones,
-    /// Datacenter servers fed over the 3G uplink (Fig 1c).
+    /// Datacenter servers fed over the 3G uplink (Fig 1c): four
+    /// servers per region without fault tolerance (the deployment runs
+    /// [`Scheme::Base`] whatever the spec's scheme), one Ethernet switch
+    /// for every stream hop, and a sensor phone uploading feed 0. The
+    /// switch's 50 µs latency undercuts the kernel's lookahead, so the
+    /// deployment is one shard at every `threads` value.
     Server {
         /// Sensor phone uplink rate (the paper sweeps 0.016–0.32 Mbps).
         uplink_bps: f64,
@@ -144,6 +157,7 @@ pub struct ScenarioConfig {
     /// wall-clock knob only: the report digest is the same for every
     /// value ≥ 1. 0 keeps the unsharded kernel, whose single RNG stream
     /// the paper artifacts are pinned on (sharding forks it per shard).
+    /// The server platform is one shard, so every value reports alike.
     pub threads: usize,
     /// Force the kernel's causality sanitizer on (it is already on in
     /// debug builds). Observation-only: the report's `sanitizer_*`
@@ -219,7 +233,8 @@ impl ScenarioConfig {
 pub struct RegionHandles {
     /// Phone/server actor per slot.
     pub nodes: Vec<ActorId>,
-    /// The region's WiFi medium.
+    /// The region's WiFi medium (no members on the server platform,
+    /// whose nodes stream over Ethernet).
     pub wifi: ActorId,
     /// The region's sensor driver.
     pub driver: ActorId,
@@ -252,152 +267,154 @@ pub struct Deployment {
     pub eth: Option<ActorId>,
 }
 
-fn build_bundle(cfg: &ScenarioConfig, phones: u32, first: bool) -> AppBundle {
-    match cfg.app {
-        AppKind::Bcp => apps::build_bcp(&cfg.cal, phones, first),
-        AppKind::SignalGuru => apps::build_signalguru(&cfg.cal, phones, first),
-    }
-}
+/// Servers per region of the server platform.
+const SERVERS: u32 = 4;
 
 impl Deployment {
     /// Build the deployment. Call [`Deployment::start`] afterwards.
+    ///
+    /// The platform decides the nodes (`cfg.phones` phones or four
+    /// servers), their placement, the stream network, the nodes'
+    /// cellular rates and whether feed 0 rides a sensor uplink.
+    /// Everything else is one path for both platforms.
     pub fn build(cfg: ScenarioConfig) -> Deployment {
-        match cfg.platform {
-            Platform::Phones => Self::build_phones(cfg),
-            Platform::Server { .. } => Self::build_server(cfg),
-        }
-    }
-
-    fn make_scheme(cfg: &ScenarioConfig, flow_of: Option<Arc<Vec<u8>>>) -> Box<dyn FtScheme> {
-        match cfg.scheme {
-            Scheme::Base => Box::new(NullScheme),
-            Scheme::Ms => Box::new(MsScheme::new(cfg.checkpoints_enabled)),
-            Scheme::Rep2 => Box::new(Rep2Scheme::new(flow_of.expect("rep-2 flow map"))),
-            Scheme::Local => Box::new(RetainScheme::new(Some(0), cfg.ckpt_period)),
-            Scheme::Dist(n) => Box::new(RetainScheme::new(Some(n), cfg.ckpt_period)),
-            Scheme::Upstream => Box::new(RetainScheme::new(None, cfg.ckpt_period)),
-        }
-    }
-
-    fn build_phones(cfg: ScenarioConfig) -> Deployment {
         let mut sim = Sim::new(cfg.seed);
         let cell_id = sim.add_actor(Box::new(CellularNet::new(cfg.cell.clone())));
+        let uplink_bps = match cfg.platform {
+            Platform::Phones => None,
+            Platform::Server { uplink_bps } => Some(uplink_bps),
+        };
+        let server = uplink_bps.is_some();
+        // The server DSPS runs without fault tolerance whatever the spec
+        // says; its Ethernet carries every stream hop.
+        let scheme = if server { Scheme::Base } else { cfg.scheme };
+        let eth = server.then(|| sim.add_actor(Box::new(EthernetNet::new(EthConfig::default()))));
+        // A 2013 server core is ~12× a 600 MHz A8, behind a datacenter
+        // front end.
+        let (slots, cpu_factor, source_queue_cap, node_rates) = if server {
+            (SERVERS, 0.08, 64, (1e9, 1e9))
+        } else {
+            let rates = (cfg.cell.default_up_bps, cfg.cell.default_down_bps);
+            (cfg.phones, 1.0, 10, rates)
+        };
 
-        // Per-region: bundle (graph/placement), rep-2 duplication.
+        // Per region: the bundle, its deployed graph and slot table,
+        // and rep-2's flow map.
         struct RegionPlan {
+            bundle: AppBundle,
             graph: Arc<QueryGraph>,
             placement: Placement,
-            inter_input: OpId,
-            feeds: Vec<(OpId, SimDuration, f64, usize)>, // op, period, jitter, feed ix
-            bundle: AppBundle,
             flow_of: Option<Arc<Vec<u8>>>,
         }
-
-        let mut plans = Vec::new();
-        for r in 0..cfg.regions {
-            let bundle = build_bundle(&cfg, cfg.phones, r == 0);
-            let (graph, placement, flow_of) = if cfg.scheme == Scheme::Rep2 {
-                let (g2, flows) = duplicate_graph(&bundle.graph);
-                let n = bundle.graph.op_count();
-                // rep-2 must fit two flows onto one region, so each
-                // flow is squeezed onto half the phones and every phone
-                // carries roughly two of the paper's operator groups
-                // (this is where rep-2's 2× CPU cost bites). This uses
-                // the shared proportional compaction (`s * k / slots`),
-                // intentionally replacing the old ad-hoc `(s + 1) / 2`
-                // mapping — group pairings shift slightly, but flows
-                // stay disjoint and stage order is preserved.
-                let half = cfg.phones / 2;
-                assert!(half >= 1, "rep-2 needs at least 2 phones (one per flow)");
-                let compressed = squeeze_placement(&bundle.placement, half);
-                // flow 0 on slots 0..k, flow 1 on slots k..2k.
-                let mut op_slot = vec![u32::MAX; 2 * n];
-                for (op, &s) in compressed.op_slot().iter().enumerate() {
-                    if s == u32::MAX {
-                        continue;
+        let plans: Vec<RegionPlan> = (0..cfg.regions)
+            .map(|r| {
+                let bundle = match cfg.app {
+                    AppKind::Bcp => apps::build_bcp(&cfg.cal, cfg.phones, r == 0),
+                    AppKind::SignalGuru => apps::build_signalguru(&cfg.cal, cfg.phones, r == 0),
+                };
+                let (graph, placement, flow_of) = if server {
+                    // Round-robin ops over the servers.
+                    let op_slot = bundle.graph.op_ids().map(|op| op.0 % SERVERS).collect();
+                    let placement = Placement::from_op_slot(op_slot, SERVERS);
+                    (Arc::clone(&bundle.graph), placement, None)
+                } else if scheme == Scheme::Rep2 {
+                    let (g2, flows) = duplicate_graph(&bundle.graph);
+                    let n = bundle.graph.op_count();
+                    // rep-2 must fit two flows onto one region, so each
+                    // flow is squeezed onto half the phones and every
+                    // phone carries roughly two of the paper's operator
+                    // groups (this is where rep-2's 2× CPU cost bites).
+                    // Flows stay disjoint and stage order is preserved.
+                    let half = cfg.phones / 2;
+                    assert!(half >= 1, "rep-2 needs at least 2 phones (one per flow)");
+                    let compressed = squeeze_placement(&bundle.placement, half);
+                    // flow 0 on slots 0..k, flow 1 on slots k..2k.
+                    let mut op_slot = vec![u32::MAX; 2 * n];
+                    for (op, &s) in compressed.op_slot().iter().enumerate() {
+                        if s != u32::MAX {
+                            op_slot[op] = s;
+                            op_slot[op + n] = s + half;
+                        }
                     }
-                    op_slot[op] = s;
-                    op_slot[op + n] = s + half;
+                    let placement = Placement::from_op_slot(op_slot, cfg.phones);
+                    (Arc::new(g2), placement, Some(Arc::new(flows)))
+                } else {
+                    (Arc::clone(&bundle.graph), bundle.placement.clone(), None)
+                };
+                RegionPlan {
+                    bundle,
+                    graph,
+                    placement,
+                    flow_of,
                 }
-                let placement = Placement::from_op_slot(op_slot, cfg.phones);
-                (Arc::new(g2), placement, Some(Arc::new(flows)))
-            } else {
-                (Arc::clone(&bundle.graph), bundle.placement.clone(), None)
-            };
-            let feeds = bundle
-                .feeds
-                .iter()
-                .enumerate()
-                .map(|(i, f)| (f.op, f.period, f.jitter, i))
-                .collect();
-            plans.push(RegionPlan {
-                graph,
-                placement,
-                inter_input: bundle.inter_region_input,
-                feeds,
-                bundle,
-                flow_of,
-            });
-        }
+            })
+            .collect();
 
-        // Reserve the control-plane id slots LAST so nodes can
-        // reference them: the controllers need node ids and nodes need
-        // their controller's id. Create nodes first with controller =
-        // a reserved id computed up front. Actor ids are assigned
-        // densely: we know exactly how many actors precede them.
-        //
-        // Baselines: one coordinator actor right after the regions.
-        // MobiStreams: one region controller per region group, then the
-        // global coordinator.
-        // Per region: its WiFi medium, its phones and its sensor driver.
-        let actors_before_controller = cfg.regions * (cfg.phones as usize + 2);
+        // Reserve the control-plane ids: nodes need their controller's
+        // id and the controllers need the nodes'. Ids are dense, so count
+        // the actors before them. Per region: its WiFi medium, its nodes,
+        // its sensor driver and, on the server platform, its sensor
+        // uplink. Then the baseline coordinator, or one MobiStreams
+        // controller per region group and the global coordinator.
+        let per_region = slots as usize + 2 + usize::from(server);
+        let first_ctl = sim.actor_count() + cfg.regions * per_region;
         let group_size = cfg.ctl_group_size.max(1);
         let n_groups = cfg.regions.div_ceil(group_size);
-        let ctl_id_of_group = |g: usize| ActorId::from_index(1 + actors_before_controller + g);
-        let controller_id = ActorId::from_index(1 + actors_before_controller);
-        let coordinator_id = ActorId::from_index(1 + actors_before_controller + n_groups);
+        let ctl_id_of_group = |g: usize| ActorId::from_index(first_ctl + g);
+        let controller_id = ActorId::from_index(first_ctl);
+        let coordinator_id = ActorId::from_index(first_ctl + n_groups);
 
         let mut regions = Vec::new();
         for (r, plan) in plans.iter().enumerate() {
-            let wifi_id = sim.add_actor(Box::new(WifiMedium::new(cfg.wifi.clone())));
-            let mut node_ids = Vec::new();
-            for slot in 0..cfg.phones {
+            let wifi = sim.add_actor(Box::new(WifiMedium::new(cfg.wifi.clone())));
+            let node_ctl = if scheme == Scheme::Ms {
+                ctl_id_of_group(r / group_size)
+            } else {
+                controller_id
+            };
+            let net = eth.unwrap_or(wifi);
+            let mut nodes = Vec::new();
+            for slot in 0..slots {
                 let ncfg = NodeConfig {
-                    region: regions.len(),
+                    region: r,
                     slot,
-                    cpu_factor: 1.0,
-                    source_queue_cap: 10,
+                    cpu_factor,
+                    source_queue_cap,
                 };
-                let node_ctl = if cfg.scheme == Scheme::Ms {
-                    ctl_id_of_group(r / group_size)
-                } else {
-                    controller_id
-                };
-                let mut inner =
-                    NodeInner::new(ncfg, Arc::clone(&plan.graph), wifi_id, cell_id, node_ctl);
+                let graph = Arc::clone(&plan.graph);
+                let mut inner = NodeInner::new(ncfg, graph, net, cell_id, node_ctl);
                 inner.op_slot = plan.placement.op_slot().to_vec();
-                let scheme = Self::make_scheme(&cfg, plan.flow_of.clone());
-                let id = sim.add_actor(Box::new(NodeActor::new(inner, scheme)));
-                node_ids.push(id);
+                let ft = Self::make_scheme(&cfg, scheme, plan.flow_of.clone());
+                nodes.push(sim.add_actor(Box::new(NodeActor::new(inner, ft))));
             }
-            // Driver.
-            let driver_id = sim.add_actor(Box::new(WorkloadDriver::new(Vec::new())));
+            let driver = sim.add_actor(Box::new(WorkloadDriver::new(Vec::new())));
+            // The sensor phone that uploads feed 0's frames over 3G.
+            let uplink = server.then(|| {
+                let s1 = plan.placement.op_slot()[plan.bundle.feeds[0].op.index()];
+                sim.add_actor(Box::new(SensorUplink {
+                    cell: cell_id,
+                    dst: nodes[s1 as usize],
+                    in_flight: 0,
+                    cap: 10,
+                    next_tag: 1,
+                    dropped: 0,
+                }))
+            });
             regions.push(RegionHandles {
-                placement: plan.placement.clone().bind(node_ids.clone()),
-                nodes: node_ids,
-                wifi: wifi_id,
-                driver: driver_id,
+                placement: plan.placement.clone().bind(nodes.clone()),
+                nodes,
+                wifi,
+                driver,
                 graph: Arc::clone(&plan.graph),
-                uplink: None,
+                uplink,
             });
         }
 
         // Wire node internals now that all ids exist.
         for (r, plan) in plans.iter().enumerate() {
-            let handles_nodes = regions[r].nodes.clone();
-            let table = &regions[r].placement;
-            let wifi = regions[r].wifi;
-            for (slot, &nid) in handles_nodes.iter().enumerate() {
+            let handles = &regions[r];
+            let table = &handles.placement;
+            for (slot, &nid) in handles.nodes.iter().enumerate() {
                 let na = sim.actor_mut::<NodeActor>(nid);
                 na.inner.slot_actors = Arc::clone(table.slot_actors());
                 for op in table.ops_on(slot as u32) {
@@ -407,78 +424,73 @@ impl Deployment {
                 // replication overhead (Fig 10b).
                 if let Some(flows) = &plan.flow_of {
                     let on_slot = table.ops_on(slot as u32);
-                    let hosts_flow1 = on_slot.iter().any(|op| flows[op.index()] == 1);
-                    if hosts_flow1 {
+                    if on_slot.iter().any(|op| flows[op.index()] == 1) {
                         na.inner.data_class = TrafficClass::Replication;
                     }
                 }
             }
-            // WiFi membership + cellular registration.
-            {
-                let med = sim.actor_mut::<WifiMedium>(wifi);
-                for &n in &handles_nodes {
-                    med.add_member(n);
+            // Stream network membership + cellular registration.
+            for &n in &handles.nodes {
+                match eth {
+                    Some(eth) => sim.actor_mut::<EthernetNet>(eth).register(n),
+                    None => sim.actor_mut::<WifiMedium>(handles.wifi).add_member(n),
                 }
             }
-            {
-                let cn = sim.actor_mut::<CellularNet>(cell_id);
-                for &n in &handles_nodes {
-                    cn.register(n);
-                }
+            let cn = sim.actor_mut::<CellularNet>(cell_id);
+            for &n in &handles.nodes {
+                cn.register_with_rates(n, node_rates.0, node_rates.1);
+            }
+            if let (Some(up), Some(bps)) = (handles.uplink, uplink_bps) {
+                cn.register_with_rates(up, bps, cfg.cell.default_down_bps);
             }
             // Inter-region links: sinks of r feed S0 of r+1 (both flows
             // for rep-2).
-            if r + 1 < cfg.regions {
-                let next = &plans[r + 1];
+            if let Some(next) = plans.get(r + 1) {
                 let next_table = &regions[r + 1].placement;
-                let mut dst_ops = vec![next.inter_input];
+                let input = next.bundle.inter_region_input;
+                let mut dst_ops = vec![input];
                 if let Some(flows) = &next.flow_of {
-                    let orig = flows.len() / 2;
-                    dst_ops.push(twin_of(next.inter_input, orig));
+                    dst_ops.push(twin_of(input, flows.len() / 2));
                 }
                 for &sink in &plan.graph.sinks() {
-                    let links: Vec<InterRegionLink> = dst_ops
-                        .iter()
-                        .map(|&dst_op| InterRegionLink {
-                            src_op: sink,
-                            dst_actor: next_table.actor_of(dst_op),
-                            dst_op,
-                            net: cell_id,
-                        })
-                        .collect();
+                    let links = dst_ops.iter().map(|&dst_op| InterRegionLink {
+                        src_op: sink,
+                        dst_actor: next_table.actor_of(dst_op),
+                        dst_op,
+                        net: eth.unwrap_or(cell_id),
+                    });
                     let na = sim.actor_mut::<NodeActor>(table.actor_of(sink));
                     na.inner.inter_region.extend(links);
                 }
             }
-            // Feeds.
-            let driver = regions[r].driver;
+            // Feeds; the sensor uplink carries feed 0's camera frames.
             let mut feeds: Vec<Feed> = Vec::new();
-            for &(op, _, _, ix) in &plan.feeds {
-                let target = table.actor_of(op);
-                let mut feed = plan.bundle.feeds[ix].instantiate(target);
+            for (i, spec) in plan.bundle.feeds.iter().enumerate() {
+                let target = match handles.uplink {
+                    Some(up) if i == 0 => up,
+                    _ => table.actor_of(spec.op),
+                };
+                let mut feed = spec.instantiate(target);
                 if let Some(flows) = &plan.flow_of {
-                    let orig = flows.len() / 2;
-                    let t = twin_of(op, orig);
+                    let t = twin_of(spec.op, flows.len() / 2);
                     feed.mirrors.push((t, table.actor_of(t)));
                 }
                 feeds.push(feed);
             }
-            let d = sim.actor_mut::<WorkloadDriver>(driver);
-            *d = WorkloadDriver::new(feeds);
+            *sim.actor_mut::<WorkloadDriver>(handles.driver) = WorkloadDriver::new(feeds);
         }
 
         // Control plane.
-        let (controller, coordinator, region_controllers) = match cfg.scheme {
+        let (controller, coordinator, region_controllers) = match scheme {
             Scheme::Ms => {
-                let specs: Vec<RegionSpec> = (0..cfg.regions)
+                let mut specs: Vec<RegionSpec> = (0..cfg.regions)
                     .map(|r| RegionSpec {
                         graph: Arc::clone(&plans[r].graph),
                         placement: regions[r].placement.clone(),
                         wifi: regions[r].wifi,
-                        downstream: if r + 1 < cfg.regions {
-                            vec![(r + 1, plans[r + 1].inter_input)]
-                        } else {
-                            vec![]
+                        downstream: match plans.get(r + 1) {
+                            Some(next) => vec![(r + 1, next.bundle.inter_region_input)],
+                            None => vec![],
                         },
                         sensors: vec![regions[r].driver],
                     })
@@ -497,7 +509,6 @@ impl Deployment {
                 let ctl_of_region: Vec<ActorId> = (0..cfg.regions)
                     .map(|r| ctl_id_of_group(r / group_size))
                     .collect();
-                let mut specs = specs;
                 let mut ctls = Vec::new();
                 for g in 0..n_groups {
                     let take = specs.len().min(group_size);
@@ -527,7 +538,7 @@ impl Deployment {
                 (Some(id), None, ctls)
             }
             _ => {
-                let kind = match cfg.scheme {
+                let kind = match scheme {
                     Scheme::Base => BaselineKind::Base,
                     Scheme::Rep2 => BaselineKind::Rep2 {
                         flow_of: plans[0].flow_of.clone().expect("rep-2"),
@@ -581,161 +592,22 @@ impl Deployment {
             coordinator,
             region_controllers,
             cell: cell_id,
-            eth: None,
+            eth,
         }
     }
 
-    /// The server-based DSPS of Table I (Fig 1c): phones only sense and
-    /// upload over the 3G uplink; computation runs on datacenter
-    /// servers connected by Ethernet.
-    fn build_server(cfg: ScenarioConfig) -> Deployment {
-        let Platform::Server { uplink_bps } = cfg.platform else {
-            unreachable!()
-        };
-        let mut sim = Sim::new(cfg.seed);
-        let cell_id = sim.add_actor(Box::new(CellularNet::new(cfg.cell.clone())));
-        let eth_id = sim.add_actor(Box::new(EthernetNet::new(EthConfig::default())));
-        // Dummy WiFi: every region has a medium to harvest; servers
-        // send nothing over it.
-        let dummy_wifi = sim.add_actor(Box::new(WifiMedium::new(cfg.wifi.clone())));
-
-        let servers_per_region = 4usize;
-        let per_region_actors = servers_per_region + 2; // servers + driver + uplink
-        let controller_id = ActorId::from_index(3 + cfg.regions * per_region_actors);
-
-        let mut plans = Vec::new();
-        for r in 0..cfg.regions {
-            plans.push(build_bundle(&cfg, cfg.phones, r == 0));
-        }
-
-        let mut regions = Vec::new();
-        for (r, bundle) in plans.iter().enumerate() {
-            // Round-robin ops over the servers.
-            let op_slot: Vec<u32> = bundle
-                .graph
-                .op_ids()
-                .map(|op| (op.0 as usize % servers_per_region) as u32)
-                .collect();
-            let mut node_ids = Vec::new();
-            for slot in 0..servers_per_region {
-                let ncfg = NodeConfig {
-                    region: r,
-                    slot: slot as u32,
-                    cpu_factor: 0.08, // 2013 server core vs 600 MHz A8
-                    source_queue_cap: 64,
-                };
-                let graph = Arc::clone(&bundle.graph);
-                let mut inner = NodeInner::new(ncfg, graph, eth_id, cell_id, controller_id);
-                inner.op_slot = op_slot.clone();
-                let id = sim.add_actor(Box::new(NodeActor::new(inner, Box::new(NullScheme))));
-                node_ids.push(id);
-            }
-            let driver_id = sim.add_actor(Box::new(WorkloadDriver::new(Vec::new())));
-            // The sensor phone that uploads frames over 3G.
-            let s1_slot = op_slot[bundle.feeds.first().map(|f| f.op.index()).unwrap_or(0)] as usize;
-            let uplink_id = sim.add_actor(Box::new(SensorUplink {
-                cell: cell_id,
-                dst: node_ids[s1_slot],
-                in_flight: 0,
-                cap: 10,
-                next_tag: 1,
-                dropped: 0,
-                forwarded: 0,
-            }));
-            regions.push(RegionHandles {
-                placement: Placement::from_op_slot(op_slot, servers_per_region as u32)
-                    .bind(node_ids.clone()),
-                nodes: node_ids,
-                wifi: dummy_wifi,
-                driver: driver_id,
-                graph: Arc::clone(&bundle.graph),
-                uplink: Some(uplink_id),
-            });
-        }
-
-        // Wire internals.
-        for (r, bundle) in plans.iter().enumerate() {
-            let nodes = regions[r].nodes.clone();
-            for (slot, &nid) in nodes.iter().enumerate() {
-                let na = sim.actor_mut::<NodeActor>(nid);
-                na.inner.slot_actors = Arc::clone(regions[r].placement.slot_actors());
-                for op in regions[r].placement.ops_on(slot as u32) {
-                    na.inner.host_op(op);
-                }
-            }
-            {
-                let en = sim.actor_mut::<EthernetNet>(eth_id);
-                for &n in &nodes {
-                    en.register(n);
-                }
-            }
-            {
-                let cn = sim.actor_mut::<CellularNet>(cell_id);
-                for &n in &nodes {
-                    cn.register_with_rates(n, 1e9, 1e9); // datacenter frontend
-                }
-                let up = regions[r].uplink.unwrap();
-                cn.register_with_rates(up, uplink_bps, cfg.cell.default_down_bps);
-            }
-            if r + 1 < cfg.regions {
-                let next_input = plans[r + 1].inter_region_input;
-                let next = &regions[r + 1].placement;
-                for &sink in &bundle.graph.sinks() {
-                    let link = InterRegionLink {
-                        src_op: sink,
-                        dst_actor: next.actor_of(next_input),
-                        dst_op: next_input,
-                        net: eth_id,
-                    };
-                    let na = sim.actor_mut::<NodeActor>(regions[r].placement.actor_of(sink));
-                    na.inner.inter_region.push(link);
-                }
-            }
-            // Feeds: camera frames route through the sensor uplink; the
-            // first region's bus feed goes straight to the server (tiny).
-            let driver = regions[r].driver;
-            let uplink = regions[r].uplink.unwrap();
-            let mut feeds: Vec<Feed> = Vec::new();
-            for (i, f) in bundle.feeds.iter().enumerate() {
-                let target = if i == 0 {
-                    uplink
-                } else {
-                    regions[r].placement.actor_of(f.op)
-                };
-                feeds.push(f.instantiate(target));
-            }
-            let d = sim.actor_mut::<WorkloadDriver>(driver);
-            *d = WorkloadDriver::new(feeds);
-        }
-
-        // A trivial coordinator (base scheme) for ping infrastructure.
-        let specs: Vec<BaselineRegionSpec> = (0..cfg.regions)
-            .map(|r| BaselineRegionSpec {
-                graph: Arc::clone(&regions[r].graph),
-                placement: regions[r].placement.clone(),
-            })
-            .collect();
-        let schedule = CheckpointSchedule {
-            enabled: false,
-            ..cfg.schedule()
-        };
-        let coord = BaselineCoordinator::new(schedule, BaselineKind::Base, cell_id, specs);
-        let id = sim.add_actor(Box::new(coord));
-        assert_eq!(id, controller_id, "coordinator id reservation");
-        {
-            let cn = sim.actor_mut::<CellularNet>(cell_id);
-            cn.register_with_rates(controller_id, 1e9, 1e9);
-        }
-
-        Deployment {
-            sim,
-            cfg,
-            regions,
-            controller: None,
-            coordinator: Some(id),
-            region_controllers: Vec::new(),
-            cell: cell_id,
-            eth: Some(eth_id),
+    fn make_scheme(
+        cfg: &ScenarioConfig,
+        scheme: Scheme,
+        flow_of: Option<Arc<Vec<u8>>>,
+    ) -> Box<dyn FtScheme> {
+        match scheme {
+            Scheme::Base => Box::new(NullScheme),
+            Scheme::Ms => Box::new(MsScheme::new(cfg.checkpoints_enabled)),
+            Scheme::Rep2 => Box::new(Rep2Scheme::new(flow_of.expect("rep-2 flow map"))),
+            Scheme::Local => Box::new(RetainScheme::new(Some(0), cfg.ckpt_period)),
+            Scheme::Dist(n) => Box::new(RetainScheme::new(Some(n), cfg.ckpt_period)),
+            Scheme::Upstream => Box::new(RetainScheme::new(None, cfg.ckpt_period)),
         }
     }
 
@@ -768,15 +640,19 @@ impl Deployment {
     }
 
     /// Actor → shard map for [`Sim::enable_sharding`]: shard 0 holds
-    /// the global actors (cellular core, coordinator, ethernet), shard
-    /// `r + 1` holds region `r`'s WiFi medium, phones and sensor
-    /// driver. A MobiStreams region-group controller rides on its
-    /// group's FIRST region's shard, so intra-group control traffic
-    /// never crosses the shard-0 barrier. Valid because regions
-    /// exchange messages only through the cellular network and the
-    /// coordinator — never directly.
+    /// the global actors (cellular core, coordinator), shard `r + 1`
+    /// holds region `r`'s WiFi medium, phones and sensor driver. A
+    /// MobiStreams region-group controller rides on its group's FIRST
+    /// region's shard, so intra-group control traffic never crosses the
+    /// shard-0 barrier. Valid because regions exchange messages only
+    /// through the cellular network and the coordinator — never
+    /// directly. A deployment with an Ethernet switch is one shard: the
+    /// switch's 50 µs latency undercuts the cellular lookahead.
     pub fn shard_map(&self) -> Vec<u16> {
         let mut map = vec![0u16; self.sim.actor_count()];
+        if self.eth.is_some() {
+            return map;
+        }
         for (r, rh) in self.regions.iter().enumerate() {
             let s = (r + 1) as u16;
             map[rh.wifi.index()] = s;
@@ -796,8 +672,9 @@ impl Deployment {
     }
 
     /// Switch the kernel to deterministic parallel mode: one shard per
-    /// region plus the global shard, with the cellular network's
-    /// minimum response delay as the conservative lookahead. With
+    /// region plus the global shard (one shard in all on the server
+    /// platform, which then needs no cross bounds), with the cellular
+    /// network's minimum response delay as the conservative lookahead. With
     /// `per_destination`, cross-shard bounds come from
     /// [`Deployment::shard_bounds`]; without, the kernel barriers on the
     /// uniform lookahead for every destination — the reference side of
@@ -807,11 +684,8 @@ impl Deployment {
     pub fn enable_sharding_opts(&mut self, threads: usize, per_destination: bool) {
         let map = self.shard_map();
         let lookahead = self.cfg.cell.min_response_delay();
-        let bounds = if per_destination {
-            Some(self.shard_bounds())
-        } else {
-            None
-        };
+        let sharded = map.iter().any(|&s| s > 0);
+        let bounds = (per_destination && sharded).then(|| self.shard_bounds());
         self.sim.enable_sharding(map, lookahead, threads);
         if let Some(b) = bounds {
             self.sim.set_shard_bounds(b);
@@ -828,17 +702,10 @@ impl Deployment {
     /// = rtt/2). The smallest such re-entry delay is how far shard
     /// `d`'s window may safely run past the earliest foreign shard
     /// head; typically ~75 ms against a 2 ms uniform lookahead.
-    ///
-    /// On the server platform ([`EthernetNet`] present) deliveries
-    /// into region shards can undercut the cellular floor, so the
-    /// bounds collapse to the uniform lookahead.
     pub fn shard_bounds(&self) -> Vec<SimDuration> {
         let map = self.shard_map();
         let lookahead = self.cfg.cell.min_response_delay();
         let n_shards = map.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
-        if self.eth.is_some() {
-            return vec![lookahead; n_shards];
-        }
         let cn = self.sim.actor::<CellularNet>(self.cell);
         let relay = self.controller.map(|_| self.cfg.cell.rtt / 2);
         let mut cell_min: Vec<Option<SimDuration>> = vec![None; n_shards];
@@ -950,14 +817,14 @@ impl Deployment {
 /// The sensor phone of the server baseline: receives camera frames
 /// locally and uploads them over its 3G uplink, with a bounded on-phone
 /// buffer (drop-newest when 10 uploads are queued).
-struct SensorUplink {
+pub(crate) struct SensorUplink {
     cell: ActorId,
     dst: ActorId,
     in_flight: u32,
     cap: u32,
     next_tag: u64,
-    dropped: u64,
-    forwarded: u64,
+    /// Frames shed at the full buffer: the region's source drops.
+    pub(crate) dropped: u64,
 }
 
 impl simkernel::Actor for SensorUplink {
@@ -969,7 +836,6 @@ impl simkernel::Actor for SensorUplink {
                     return;
                 }
                 self.in_flight += 1;
-                self.forwarded += 1;
                 let tag = self.next_tag;
                 self.next_tag += 1;
                 let msg = dsps::node::InterRegionMsg {

@@ -104,6 +104,56 @@ mod unit {
         }
     }
 
+    /// Regression: the Ethernet switch's 50 µs latency undercuts the
+    /// cellular lookahead, so a server deployment split into region
+    /// shards panicked below a shard's safe horizon at `threads ≥ 1`.
+    /// It runs on one shard, so every thread count gives the unsharded
+    /// report.
+    #[test]
+    fn server_platform_reports_alike_at_every_thread_count() {
+        let digest = |threads| {
+            let cfg = ScenarioConfig {
+                platform: Platform::Server {
+                    uplink_bps: 16_000.0,
+                },
+                threads,
+                ..ScenarioConfig::default()
+            };
+            crate::run(&cfg, |_| {}).digest
+        };
+        let unsharded = digest(0);
+        assert_eq!(digest(1), unsharded, "1 thread");
+        assert_eq!(digest(2), unsharded, "2 threads");
+    }
+
+    /// Regression: the sensor phone's 10-upload buffer sheds most
+    /// frames at 16 kbps, and nothing read its count, so a server run
+    /// reported no source drops.
+    #[test]
+    fn server_sensor_uplink_sheds_show_as_source_drops() {
+        for app in [AppKind::Bcp, AppKind::SignalGuru] {
+            let mut dep = Deployment::build(ScenarioConfig {
+                app,
+                platform: Platform::Server {
+                    uplink_bps: 16_000.0,
+                },
+                ..ScenarioConfig::default()
+            });
+            dep.start();
+            let end = SimTime::from_secs(300);
+            dep.run_until(end);
+            let h = crate::harvest(&dep, SimTime::ZERO, end);
+            for (r, stats) in h.per_region.iter().enumerate() {
+                assert!(
+                    stats.source_drops > 100,
+                    "{} region {r}: {} source drops",
+                    app.label(),
+                    stats.source_drops
+                );
+            }
+        }
+    }
+
     /// The three fault injectors' link semantics, read back from the
     /// WiFi medium and the cellular network.
     #[test]

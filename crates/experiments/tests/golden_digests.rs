@@ -16,7 +16,9 @@
 use baselines::BaselineCoordinator;
 use experiments::faults::{failure_order, inject_departure, inject_failure, inject_reboot};
 use experiments::fleet::{profile, run_fleet};
-use experiments::{harvest, measured_run, AppKind, Deployment, ExpOptions, ScenarioConfig, Scheme};
+use experiments::{
+    harvest, measured_run, AppKind, Deployment, ExpOptions, Platform, ScenarioConfig, Scheme,
+};
 use simkernel::{SimDuration, SimTime};
 
 /// `(profile, FleetReport::digest, FleetReport::events_processed)`.
@@ -55,30 +57,82 @@ fn library_profiles_keep_their_digests() {
     );
 }
 
-/// `(app, sink outputs, mean latency bits, WiFi payload bytes, cellular
-/// payload bytes)` of the paper's 4 × 8 testbed under `ms`, seed 1,
-/// over the quick window. The operators really run on the synthetic
-/// frames (face counts and light colours ride in the tuples), so a
-/// changed pixel, detection or RNG draw in `apps` moves these.
-/// Recorded at commit 3b2a594.
-const TESTBED: &[(AppKind, u64, u64, u64, u64)] = &[
-    (AppKind::Bcp, 754, 0x4020_8c9a_888f_c9d2, 379629064, 164968),
+/// `(app, platform, sink outputs, mean latency bits, WiFi payload
+/// bytes, cellular payload bytes)` of the paper's 4 × 8 testbed under
+/// `ms` (the phones) or the server DSPS of Table I at both ends of its
+/// uplink sweep, seed 1, over the quick window. The operators really
+/// run on the synthetic frames (face counts and light colours ride in
+/// the tuples), so a changed pixel, detection or RNG draw in `apps`
+/// moves these. The phone rows were recorded at commit 3b2a594, the
+/// server rows at 51405ae.
+const TESTBED: &[(AppKind, Platform, u64, u64, u64, u64)] = &[
+    (
+        AppKind::Bcp,
+        Platform::Phones,
+        754,
+        0x4020_8c9a_888f_c9d2,
+        379629064,
+        164968,
+    ),
     (
         AppKind::SignalGuru,
+        Platform::Phones,
         1258,
         0x400e_99dc_52cd_9b4a,
         331518975,
         209728,
     ),
+    (
+        AppKind::Bcp,
+        SERVER_16K,
+        28,
+        0x405f_f2f7_6f47_3a89,
+        0,
+        5112832,
+    ),
+    (
+        AppKind::SignalGuru,
+        SERVER_16K,
+        28,
+        0x4060_5138_bc8e_c104,
+        0,
+        5243904,
+    ),
+    (
+        AppKind::Bcp,
+        SERVER_320K,
+        514,
+        0x4017_2bcc_8a29_4d72,
+        0,
+        86918656,
+    ),
+    (
+        AppKind::SignalGuru,
+        SERVER_320K,
+        512,
+        0x4018_44a0_12b3_9d0d,
+        0,
+        87049728,
+    ),
 ];
+
+/// The server platform at the bottom and top of the paper's uplink
+/// sweep.
+const SERVER_16K: Platform = Platform::Server {
+    uplink_bps: 16_000.0,
+};
+const SERVER_320K: Platform = Platform::Server {
+    uplink_bps: 320_000.0,
+};
 
 #[test]
 fn testbed_apps_keep_their_harvest() {
     let opts = ExpOptions::quick();
     let mut drift = Vec::new();
-    for &(app, outputs, latency_bits, wifi, cell) in TESTBED {
+    for &(app, platform, outputs, latency_bits, wifi, cell) in TESTBED {
         let cfg = ScenarioConfig {
             app,
+            platform,
             seed: SEED,
             ..ScenarioConfig::default()
         };
@@ -89,10 +143,14 @@ fn testbed_apps_keep_their_harvest() {
             h.wifi_bytes.total(),
             h.cell_bytes.total(),
         );
-        assert!(seen.0 > 0, "{}: no sink output", app.label());
+        assert!(
+            seen.0 > 0,
+            "{} on {platform:?}: no sink output",
+            app.label()
+        );
         if seen != (outputs, latency_bits, wifi, cell) {
             drift.push(format!(
-                "(AppKind::{app:?}, {}, {:#018x}, {}, {})",
+                "(AppKind::{app:?}, {platform:?}, {}, {:#018x}, {}, {})",
                 seen.0, seen.1, seen.2, seen.3
             ));
         }
