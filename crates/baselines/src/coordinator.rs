@@ -19,13 +19,14 @@
 //! dist-n's >n-failure cases which the paper shows as truncated curves
 //! in Fig 9). A phone that reboots before its failure is detected is
 //! re-installed from its own store, under `local` too, and its upstream
-//! slots replay into it.
+//! slots replay into it; if it re-registers while a recovery runs, the
+//! reinstall waits for that recovery's last ack.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use dsps::graph::QueryGraph;
-use dsps::node::{Ping, Pong, RegisterNode, ReportDead};
+use dsps::node::{wire, CheckpointTick, Ping, Pong, Recovered, RegisterNode, ReportDead};
 use dsps::placement::{
     plan_recovery, plan_replay, CheckpointSchedule, PingRounds, Placement, RecoveryEpisode,
     RecoveryKind, RecoveryPlan, RecoveryRecord, SlotState, Unrecoverable, GATHER_WINDOW,
@@ -77,6 +78,9 @@ struct BRegion {
     version: u64,
     stopped: bool,
     episode: RecoveryEpisode,
+    /// Rebooted slots that re-registered while an episode ran; the
+    /// episode's last ack reinstalls them.
+    deferred_reinstalls: BTreeSet<u32>,
     flow_broken: [bool; 2],
     primary: u8,
 }
@@ -134,6 +138,7 @@ impl BaselineCoordinator {
                 version: 0,
                 stopped: false,
                 episode: RecoveryEpisode::default(),
+                deferred_reinstalls: BTreeSet::new(),
                 flow_broken: [false; 2],
                 primary: 0,
             })
@@ -201,9 +206,7 @@ impl BaselineCoordinator {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
-        if self.schedule.enabled
-            && !matches!(self.kind, BaselineKind::Base | BaselineKind::Upstream)
-        {
+        if !matches!(self.kind, BaselineKind::Base | BaselineKind::Upstream) {
             for region in 0..self.regions.len() {
                 let me = ctx.self_id();
                 ctx.send_in(self.schedule.offset, me, BTimer::Tick { region });
@@ -222,7 +225,7 @@ impl BaselineCoordinator {
         }
         rt.version += 1;
         let version = rt.version;
-        let tick = payload(CkptTick { version });
+        let tick = payload(CheckpointTick { version });
         for s in rt.table.hosting_slots() {
             if rt.table.is_active(s) {
                 let dst = rt.table.actor(s);
@@ -252,7 +255,7 @@ impl BaselineCoordinator {
         for (r, s) in targets {
             let dst = self.regions[r].table.actor(s);
             let ping = payload(Ping { nonce: round });
-            net_send(ctx, self.cell, dst, Control, wire::PING_BYTES, 0, ping);
+            net_send(ctx, self.cell, dst, Control, wire::PING, 0, ping);
         }
         ctx.send_in(PING_TIMEOUT, me, BTimer::PingDeadline { round });
     }
@@ -423,30 +426,45 @@ impl BaselineCoordinator {
         }
     }
 
-    /// A rebooted phone re-registered: mark alive; if it still owns ops
-    /// (no recovery ran) and its region was not declared lost,
-    /// reinstall from its own flash copy.
+    /// A rebooted phone re-registered: mark alive; if its region was
+    /// not declared lost, reinstall it now, or once the episode in
+    /// flight ends.
     fn on_register(&mut self, m: RegisterNode, ctx: &mut Ctx) {
         let rt = &mut self.regions[m.region];
         rt.table.set_state(m.slot, SlotState::Active);
-        if rt.stopped || rt.episode.recovering() {
+        if rt.stopped {
             return;
+        }
+        if rt.episode.recovering() {
+            rt.deferred_reinstalls.insert(m.slot);
+            return;
+        }
+        self.reinstall(m.region, m.slot, ctx);
+    }
+
+    /// Reinstall an active slot that still owns ops (no recovery moved
+    /// them) from its own flash copy. Returns whether an episode began.
+    fn reinstall(&mut self, region: usize, slot: u32, ctx: &mut Ctx) -> bool {
+        let rt = &mut self.regions[region];
+        if !rt.table.is_active(slot) {
+            return false;
         }
         let kind = RecoveryKind::Reboot {
             version: rt.version,
             rollback: false,
         };
-        let plan = plan_recovery(&rt.table, &rt.graph, &[m.slot], kind);
+        let plan = plan_recovery(&rt.table, &rt.graph, &[slot], kind);
         let Some(plan) = plan.ok().filter(|p| !p.is_membership_only()) else {
-            return;
+            return false;
         };
         rt.episode.begin_now(1, ctx.now());
-        self.execute(m.region, &plan, SimDuration::from_secs(1), ctx);
+        self.execute(region, &plan, SimDuration::from_secs(1), ctx);
         let me = ctx.self_id();
-        ctx.send_in(ACK_DEADLINE, me, BTimer::AckDeadline { region: m.region });
+        ctx.send_in(ACK_DEADLINE, me, BTimer::AckDeadline { region });
+        true
     }
 
-    fn on_ack(&mut self, m: BaselineAck, ctx: &mut Ctx) {
+    fn on_ack(&mut self, m: Recovered, ctx: &mut Ctx) {
         let rt = &mut self.regions[m.region];
         if !rt.episode.ack(m.slot) {
             return;
@@ -464,6 +482,13 @@ impl BaselineCoordinator {
         self.broadcast_routing(m.region, ctx);
         let rt = &mut self.regions[m.region];
         self.recoveries.push(rt.episode.finish(m.region, ctx.now()));
+        // Serve the reboots deferred behind this episode, one episode
+        // at a time.
+        while let Some(slot) = self.regions[m.region].deferred_reinstalls.pop_first() {
+            if self.reinstall(m.region, slot, ctx) {
+                break;
+            }
+        }
     }
 
     /// The chosen state holder is dead too: mark it and retry the ship
@@ -498,7 +523,7 @@ impl Actor for BaselineCoordinator {
                     if self.valid_slot(m.region, m.slot) {
                         self.note_failure(m.region, m.slot, ctx);
                     }
-                } else if let Some(m) = payload_as::<BaselineAck>(&p) {
+                } else if let Some(m) = payload_as::<Recovered>(&p) {
                     if self.valid_slot(m.region, m.slot) {
                         self.on_ack(*m, ctx);
                     }
@@ -544,5 +569,3 @@ impl Actor for BaselineCoordinator {
 
     impl_actor_any!();
 }
-
-pub use crate::msgs::wire;

@@ -1,23 +1,17 @@
-//! Protocol records shared by the baseline schemes.
+//! Protocol records shared by the baseline schemes. The checkpoint
+//! tick, the recovery ack and the wire sizes are the node runtime's
+//! ([`dsps::node::CheckpointTick`], [`dsps::node::Recovered`],
+//! [`dsps::node::wire`]), shared with MobiStreams: a baseline tick is an
+//! uncoordinated per-node snapshot, made consistent at recovery time by
+//! replaying retained outputs.
 
 use dsps::store::Snapshot;
-
-/// Coordinator → all hosting nodes: take checkpoint `version` now
-/// (uncoordinated per-node snapshot; consistency is restored at
-/// recovery time via input preservation replay).
-#[derive(Debug, Clone, Copy)]
-pub struct CkptTick {
-    /// Version to record.
-    pub version: u64,
-}
 
 /// dist-n: a node's checkpoint states shipped to a peer.
 #[derive(Debug, Clone)]
 pub struct StateCopy {
     /// Version.
     pub version: u64,
-    /// Originating slot.
-    pub from_slot: u32,
     /// The node's snapshot.
     pub states: Snapshot,
 }
@@ -49,21 +43,4 @@ pub struct ShipStateTo {
 pub struct ResendRetained {
     /// Edges to replay (upstream side).
     pub edges: Vec<dsps::graph::EdgeId>,
-}
-
-/// Node → coordinator: recovery install finished.
-#[derive(Debug, Clone, Copy)]
-pub struct BaselineAck {
-    /// Region/slot of the recovered node.
-    pub region: usize,
-    /// Slot.
-    pub slot: u32,
-}
-
-/// Wire sizes.
-pub mod wire {
-    /// Small control RPC.
-    pub const CONTROL: u64 = 64;
-    /// Ping probe.
-    pub const PING_BYTES: u64 = 32;
 }

@@ -74,13 +74,13 @@ use std::sync::Arc;
 
 use dsps::ft::FtScheme;
 use dsps::graph::EdgeId;
-use dsps::node::{Install, InstallStates, NodeInner};
+use dsps::node::{wire, CheckpointTick, Install, InstallStates, NodeInner, Recovered};
 use dsps::tuple::{StreamItem, Tuple, TupleValue};
 use simkernel::{Ctx, EventBox, SimDuration, SimTime};
 use simnet::stats::TrafficClass;
 use simnet::{net_send, payload, payload_as, NetRx};
 
-use crate::msgs::{wire, BaselineAck, CkptTick, ResendRetained, ShipStateTo, StateCopy};
+use crate::msgs::{ResendRetained, ShipStateTo, StateCopy};
 use dsps::placement::peers_of;
 
 /// Serialize-cost model: how long the phone core is busy writing a
@@ -276,7 +276,6 @@ impl RetainScheme {
         let total_slots = node.slot_actors.len() as u32;
         let copy = payload(StateCopy {
             version,
-            from_slot: node.cfg.slot,
             states: snap,
         });
         let class = TrafficClass::Checkpoint;
@@ -306,7 +305,6 @@ impl RetainScheme {
             ops: their_ops,
             states: InstallStates::Explicit(snap),
             op_slot: node.op_slot.clone(),
-            slot_actors: Arc::clone(&node.slot_actors),
             ready_in: SimDuration::from_secs(1),
         };
         // The fetch+restore crosses the shared WiFi channel: with k
@@ -376,7 +374,7 @@ impl FtScheme for RetainScheme {
                 if let Some(copy) = payload_as::<StateCopy>(p) {
                     node.store.put_snapshot(copy.version, &copy.states);
                     node.store.mark_complete(copy.version);
-                } else if let Some(t) = payload_as::<CkptTick>(p) {
+                } else if let Some(t) = payload_as::<CheckpointTick>(p) {
                     if let Some(n) = self.peers {
                         self.take_checkpoint(t.version, n, node, ctx);
                     }
@@ -398,7 +396,7 @@ impl FtScheme for RetainScheme {
         if self.peers.is_some() {
             self.retention.clear();
         }
-        let ack = BaselineAck {
+        let ack = Recovered {
             region: node.cfg.region,
             slot: node.cfg.slot,
         };

@@ -11,9 +11,14 @@
 //! | `on_emit` | a source's remote emission becomes one preservation broadcast | — | output retention (input preservation); trimmed once per window when no checkpoints are taken (upstream) |
 //! | `on_marker` | token alignment, async checkpoint | — | — |
 //! | `allow_sink_publish` | catch-up discard (default) | secondary-flow squelch | catch-up discard (default) |
-//! | `on_custom` | bitmaps, TCP tree, controller RPCs, departure | primary flip | ckpt tick (own store + n peer copies, n = 0 for local), peer copies, state ship, retained-output replay |
-//! | `on_install` | recovery ack | — | recovery ack; a checkpointing node also clears its retention |
+//! | `on_custom` | `CheckpointTick` (start the token wave), bitmaps, TCP tree, controller RPCs, departure | primary flip | `CheckpointTick` (own store + n peer copies, n = 0 for local), peer copies, state ship, retained-output replay |
+//! | `on_install` | `Recovered` | — | `Recovered`; a checkpointing node also clears its retention |
 //! | `preserved_bytes` | preserved source inputs | — | retained outputs |
+//!
+//! Both control planes speak one vocabulary to the nodes:
+//! [`crate::node::CheckpointTick`] starts a round,
+//! [`crate::node::Recovered`] ends a node's part of a recovery, and
+//! [`crate::node::wire`] sizes them, the pings and the registrations.
 
 use simkernel::{Ctx, EventBox};
 

@@ -320,30 +320,6 @@ impl QueryGraph {
         }
         Ok(())
     }
-
-    /// Upstream neighbor ops of `op` (dedup preserving first occurrence).
-    pub fn upstream_ops(&self, op: OpId) -> Vec<OpId> {
-        let mut v = Vec::new();
-        for &e in &self.op(op).in_edges {
-            let from = self.edge(e).from;
-            if !v.contains(&from) {
-                v.push(from);
-            }
-        }
-        v
-    }
-
-    /// Downstream neighbor ops of `op`.
-    pub fn downstream_ops(&self, op: OpId) -> Vec<OpId> {
-        let mut v = Vec::new();
-        for &e in &self.op(op).out_edges {
-            let to = self.edge(e).to;
-            if !v.contains(&to) {
-                v.push(to);
-            }
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -431,15 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbors() {
-        let (g, [s, a, b, j, k]) = diamond();
-        assert_eq!(g.upstream_ops(j), vec![a, b]);
-        assert_eq!(g.downstream_ops(s), vec![a, b]);
-        assert_eq!(g.upstream_ops(s), vec![]);
-        assert_eq!(g.downstream_ops(k), vec![]);
-    }
-
-    #[test]
     fn ports_and_targets() {
         let (g, [s, _a, _b, j, _k]) = diamond();
         let e0 = g.op(s).out_edges[0];
@@ -524,7 +491,7 @@ mod proptests {
 
     proptest! {
         /// Random layered DAGs always validate, topo-sort consistently,
-        /// and neighbor queries agree with the edge table.
+        /// and every op's edge lists agree with the edge table.
         #[test]
         fn prop_layered_dags_validate(
             widths in prop::collection::vec(1usize..5, 3..6),
@@ -538,8 +505,9 @@ mod proptests {
             for e in 0..g.edge_count() {
                 let edge = g.edge(EdgeId(e as u32));
                 prop_assert!(pos(edge.from) < pos(edge.to));
-                prop_assert!(g.downstream_ops(edge.from).contains(&edge.to));
-                prop_assert!(g.upstream_ops(edge.to).contains(&edge.from));
+                let id = EdgeId(e as u32);
+                prop_assert!(g.op(edge.from).out_edges.contains(&id));
+                prop_assert!(g.op(edge.to).in_edges.contains(&id));
             }
             // Every op instantiates.
             for op in g.op_ids() {

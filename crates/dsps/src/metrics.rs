@@ -5,6 +5,9 @@
 //!   in a time window."
 //! * **Throughput**: "we count the number of output tuples per second
 //!   when the system is steady."
+//!
+//! A node only records; the window statistics over these samples are
+//! computed once, by `experiments::run::harvest`.
 
 use simkernel::{SimDuration, SimTime};
 
@@ -48,135 +51,5 @@ impl NodeMetrics {
     /// Record a sink output.
     pub fn record_sink(&mut self, at: SimTime, latency: SimDuration) {
         self.sink_samples.push(SinkSample { at, latency });
-    }
-
-    /// Sink outputs within `[from, to)`.
-    pub fn outputs_in(&self, from: SimTime, to: SimTime) -> usize {
-        self.sink_samples
-            .iter()
-            .filter(|s| s.at >= from && s.at < to)
-            .count()
-    }
-
-    /// Mean latency of sink outputs within `[from, to)`.
-    pub fn mean_latency_in(&self, from: SimTime, to: SimTime) -> Option<SimDuration> {
-        let window: Vec<_> = self
-            .sink_samples
-            .iter()
-            .filter(|s| s.at >= from && s.at < to)
-            .collect();
-        if window.is_empty() {
-            return None;
-        }
-        let total: u64 = window.iter().map(|s| s.latency.as_nanos()).sum();
-        Some(SimDuration::from_nanos(total / window.len() as u64))
-    }
-
-    /// Throughput (tuples/s) within `[from, to)`.
-    pub fn throughput_in(&self, from: SimTime, to: SimTime) -> f64 {
-        let span = (to - from).as_secs_f64();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        self.outputs_in(from, to) as f64 / span
-    }
-
-    /// Latency percentile (0..=100) within a window.
-    pub fn latency_percentile_in(
-        &self,
-        from: SimTime,
-        to: SimTime,
-        pct: f64,
-    ) -> Option<SimDuration> {
-        let mut window: Vec<SimDuration> = self
-            .sink_samples
-            .iter()
-            .filter(|s| s.at >= from && s.at < to)
-            .map(|s| s.latency)
-            .collect();
-        if window.is_empty() {
-            return None;
-        }
-        window.sort_unstable();
-        let ix = ((pct / 100.0) * (window.len() - 1) as f64).round() as usize;
-        Some(window[ix.min(window.len() - 1)])
-    }
-
-    /// Merge another node's metrics (region aggregation).
-    pub fn merge(&mut self, other: &NodeMetrics) {
-        self.sink_samples.extend_from_slice(&other.sink_samples);
-        self.processed += other.processed;
-        self.source_drops += other.source_drops;
-        self.source_inputs += other.source_inputs;
-        self.catchup_discards += other.catchup_discards;
-        self.routing_drops += other.routing_drops;
-        self.tx_queue_drops += other.tx_queue_drops;
-        self.tx_severed += other.tx_severed;
-        self.cpu_busy += other.cpu_busy;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn m_with(samples: &[(u64, u64)]) -> NodeMetrics {
-        let mut m = NodeMetrics::default();
-        for &(at_s, lat_ms) in samples {
-            m.record_sink(SimTime::from_secs(at_s), SimDuration::from_millis(lat_ms));
-        }
-        m
-    }
-
-    #[test]
-    fn windowed_throughput() {
-        let m = m_with(&[(1, 10), (2, 10), (3, 10), (11, 10)]);
-        // Window [0, 10): 3 outputs over 10 s.
-        let tput = m.throughput_in(SimTime::ZERO, SimTime::from_secs(10));
-        assert!((tput - 0.3).abs() < 1e-12);
-        assert_eq!(
-            m.outputs_in(SimTime::from_secs(10), SimTime::from_secs(20)),
-            1
-        );
-    }
-
-    #[test]
-    fn windowed_mean_latency() {
-        let m = m_with(&[(1, 100), (2, 200), (20, 900)]);
-        let mean = m
-            .mean_latency_in(SimTime::ZERO, SimTime::from_secs(10))
-            .unwrap();
-        assert_eq!(mean.as_millis(), 150);
-        assert!(m
-            .mean_latency_in(SimTime::from_secs(30), SimTime::from_secs(40))
-            .is_none());
-    }
-
-    #[test]
-    fn percentiles() {
-        let m = m_with(&[(1, 10), (2, 20), (3, 30), (4, 40), (5, 50)]);
-        let p50 = m
-            .latency_percentile_in(SimTime::ZERO, SimTime::from_secs(10), 50.0)
-            .unwrap();
-        assert_eq!(p50.as_millis(), 30);
-        let p100 = m
-            .latency_percentile_in(SimTime::ZERO, SimTime::from_secs(10), 100.0)
-            .unwrap();
-        assert_eq!(p100.as_millis(), 50);
-    }
-
-    #[test]
-    fn merge_aggregates() {
-        let mut a = m_with(&[(1, 10)]);
-        let b = m_with(&[(2, 20)]);
-        a.merge(&b);
-        assert_eq!(a.sink_samples.len(), 2);
-    }
-
-    #[test]
-    fn empty_window_throughput_zero() {
-        let m = NodeMetrics::default();
-        assert_eq!(m.throughput_in(SimTime::ZERO, SimTime::ZERO), 0.0);
-        assert_eq!(m.throughput_in(SimTime::ZERO, SimTime::from_secs(5)), 0.0);
     }
 }

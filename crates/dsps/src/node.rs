@@ -29,8 +29,6 @@ use crate::tuple::{StreamItem, Tuple, TupleValue};
 pub struct ItemMsg {
     /// The edge the item travels on.
     pub edge: EdgeId,
-    /// Sending node's slot.
-    pub from_slot: u32,
     /// The item.
     pub item: StreamItem,
 }
@@ -128,6 +126,36 @@ pub struct ReportDead {
     pub observed_by: u32,
 }
 
+/// Controller → hosting nodes: take checkpoint `version` now. Under
+/// MobiStreams it reaches the source nodes and starts the token wave
+/// (§III-B step 1); a baseline node snapshots on its own.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointTick {
+    /// Version to record.
+    pub version: u64,
+}
+
+/// Node → controller: a recovery install or rollback finished; the
+/// node is processing again.
+#[derive(Debug, Clone, Copy)]
+pub struct Recovered {
+    /// Region of the recovered node.
+    pub region: usize,
+    /// Its slot.
+    pub slot: u32,
+}
+
+/// Wire sizes (bytes) of the control messages both control planes
+/// exchange with the nodes over cellular.
+pub mod wire {
+    /// A small control RPC.
+    pub const CONTROL: u64 = 64;
+    /// A ping or its pong.
+    pub const PING: u64 = 32;
+    /// The runtime's [`super::ReportDead`] after a failed tuple send.
+    pub const REPORT_DEAD: u64 = 48;
+}
+
 /// Where a (re)installed node gets its operator states from.
 #[derive(Debug, Clone)]
 pub enum InstallStates {
@@ -164,8 +192,6 @@ pub struct Install {
     pub states: InstallStates,
     /// Fresh region-wide op→slot assignment.
     pub op_slot: Vec<u32>,
-    /// Fresh slot→actor binding, the region's one shared table.
-    pub slot_actors: Arc<Vec<ActorId>>,
     /// Modeling of code transfer + state load + WiFi rebuild time:
     /// the node comes alive this long after the Install arrives.
     pub ready_in: SimDuration,
@@ -176,8 +202,6 @@ pub struct Install {
 pub struct UpdateRouting {
     /// New op→slot assignment.
     pub op_slot: Vec<u32>,
-    /// New slot→actor binding, the region's one shared table.
-    pub slot_actors: Arc<Vec<ActorId>>,
 }
 
 /// Controller RPC: toggle urgent (cellular) routing for edges whose
@@ -249,7 +273,9 @@ pub struct NodeInner {
     /// Region-wide op→slot assignment.
     pub op_slot: Vec<u32>,
     /// Region-wide slot→actor binding, shared by every phone of the
-    /// region (see [`crate::placement::Placement::slot_actors`]).
+    /// region and set once when the deployment is built (see
+    /// [`crate::placement::Placement::slot_actors`]); no message
+    /// carries it.
     pub slot_actors: Arc<Vec<ActorId>>,
     /// Per-in-edge FIFO queues (includes source pseudo-edges).
     pub queues: BTreeMap<EdgeId, VecDeque<StreamItem>>,
@@ -564,18 +590,14 @@ impl NodeInner {
             return;
         }
         let Some(&dst_actor) = self.slot_actors.get(dst_slot as usize) else {
-            // Stale slot table (a malformed/old routing update): drop.
+            // A slot outside the region (a malformed routing update): drop.
             self.metrics.routing_drops += 1;
             return;
         };
         let bytes = item.bytes();
         let tag = self.alloc_tag();
         self.pending_sends.insert(tag, (dst_slot, edge));
-        let msg = ItemMsg {
-            edge,
-            from_slot: self.cfg.slot,
-            item,
-        };
+        let msg = ItemMsg { edge, item };
         let net = if self.urgent_edges.contains(&edge) {
             self.cell
         } else {
@@ -846,7 +868,6 @@ impl NodeActor {
     fn update_routing(&mut self, u: UpdateRouting, ctx: &mut Ctx) {
         self.inner.op_slot = u.op_slot;
         self.inner.unhost_stale();
-        self.inner.slot_actors = u.slot_actors;
         self.pump(ctx);
     }
 
@@ -877,7 +898,6 @@ impl NodeActor {
         inner.busy = false;
         inner.current = None;
         inner.op_slot = ins.op_slot.clone();
-        inner.slot_actors = Arc::clone(&ins.slot_actors);
         for &op in &ins.ops {
             inner.host_op(op);
         }
@@ -954,7 +974,7 @@ impl NodeActor {
                             slot,
                             observed_by: inner.cfg.slot,
                         };
-                        inner.send_controller(ctx, 48, report);
+                        inner.send_controller(ctx, wire::REPORT_DEAD, report);
                     }
                     Ours::Retry(tag) => {
                         inner.ctl_retry_severed(tag, ctx);
@@ -1003,7 +1023,7 @@ impl Actor for NodeActor {
                         region: self.inner.cfg.region,
                         slot: self.inner.cfg.slot,
                     };
-                    self.inner.send_controller(ctx, 32, pong);
+                    self.inner.send_controller(ctx, wire::PING, pong);
                 }
                 return;
             }
@@ -1069,7 +1089,7 @@ impl Actor for NodeActor {
                     region: inner.cfg.region,
                     slot: inner.cfg.slot,
                 };
-                inner.send_controller_tracked(ctx, 64, reg);
+                inner.send_controller_tracked(ctx, wire::CONTROL, reg);
             },
             _r: InstallReady => {
                 if self.inner.pending_install.take().is_some() {
@@ -1404,15 +1424,11 @@ mod tests {
         feed(&mut rig, 3, 200, 1000);
         rig.sim.run();
         // Snapshot A's counter (should be 3).
-        let (snap, op_slot, slot_actors) = {
+        let (snap, op_slot) = {
             let mid = rig.sim.actor_mut::<NodeActor>(rig.nodes[1]);
             let snap = mid.inner.snapshot();
             assert_eq!(snap.len(), 1);
-            (
-                snap,
-                mid.inner.op_slot.clone(),
-                Arc::clone(&mid.inner.slot_actors),
-            )
+            (snap, mid.inner.op_slot.clone())
         };
         // Install op A on idle slot 3, restoring the snapshot.
         let mut new_op_slot = op_slot.clone();
@@ -1421,7 +1437,6 @@ mod tests {
             ops: vec![OpId(1)],
             states: InstallStates::Explicit(snap),
             op_slot: new_op_slot.clone(),
-            slot_actors: Arc::clone(&slot_actors),
             ready_in: SimDuration::from_secs(1),
         };
         let now = rig.sim.now();
@@ -1430,7 +1445,6 @@ mod tests {
         for slot in 0..rig.nodes.len() {
             let routing = UpdateRouting {
                 op_slot: new_op_slot.clone(),
-                slot_actors: Arc::clone(&slot_actors),
             };
             deliver_ctl(&mut rig, slot, now, routing);
         }
@@ -1623,7 +1637,6 @@ mod tests {
             ops: vec![OpId(1)],
             states: InstallStates::Fresh,
             op_slot: vec![0, 3, 2],
-            slot_actors: Arc::new(rig.nodes.clone()),
             ready_in: SimDuration::from_secs(1),
         };
         deliver_ctl(&mut rig, 3, SimTime::ZERO, install);
@@ -1651,7 +1664,6 @@ mod tests {
             ops: vec![OpId(1)],
             states: InstallStates::Fresh,
             op_slot: vec![0, 3, 2],
-            slot_actors: Arc::new(rig.nodes.clone()),
             ready_in: SimDuration::from_secs(1),
         };
         deliver_ctl(&mut rig, 3, SimTime::from_millis(500), install);

@@ -8,29 +8,21 @@ use simkernel::{SimDuration, SimRng};
 use crate::operator::{OpStateCell, Operator, Outputs};
 use crate::tuple::{value, Tuple, TupleValue};
 
-/// Forwards every input to every output port, unchanged. Stateless.
+/// Forwards every input to output port 0, unchanged. Stateless.
 pub struct Relay {
     cost: SimDuration,
-    fanout: usize,
 }
 
 impl Relay {
-    /// Relay with one output port.
+    /// Relay charging `cost` per tuple.
     pub fn new(cost: SimDuration) -> Self {
-        Relay { cost, fanout: 1 }
-    }
-
-    /// Relay duplicating to `fanout` output ports.
-    pub fn with_fanout(cost: SimDuration, fanout: usize) -> Self {
-        Relay { cost, fanout }
+        Relay { cost }
     }
 }
 
 impl Operator for Relay {
     fn process(&mut self, tuple: &Tuple, _port: usize, out: &mut Outputs, _rng: &mut SimRng) {
-        for port in 0..self.fanout {
-            out.emit(port, tuple.value.clone(), tuple.bytes);
-        }
+        out.emit(0, tuple.value.clone(), tuple.bytes);
     }
 
     fn cost(&self, _tuple: &Tuple) -> SimDuration {
@@ -243,17 +235,6 @@ mod tests {
         let mut rng = SimRng::new(0);
         op.process(tuple, port, &mut out, &mut rng);
         out.drain()
-    }
-
-    #[test]
-    fn relay_fans_out() {
-        let mut r = Relay::with_fanout(SimDuration::from_millis(1), 3);
-        let outs = run(&mut r, &t(1, 5), 0);
-        assert_eq!(outs.len(), 3);
-        assert_eq!(
-            outs.iter().map(|(p, _, _)| *p).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
     }
 
     #[test]

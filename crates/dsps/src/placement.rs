@@ -302,7 +302,6 @@ impl Placement {
     pub fn routing(&self) -> UpdateRouting {
         UpdateRouting {
             op_slot: self.op_slot.clone(),
-            slot_actors: Arc::clone(&self.slot_actors),
         }
     }
 
@@ -313,7 +312,6 @@ impl Placement {
             ops: self.ops_on(slot),
             states,
             op_slot: self.op_slot.clone(),
-            slot_actors: Arc::clone(&self.slot_actors),
             ready_in,
         }
     }
@@ -533,9 +531,6 @@ pub struct CheckpointSchedule {
     pub period: SimDuration,
     /// The first round's offset from the start.
     pub offset: SimDuration,
-    /// Rounds at all (off = Table I's "fault tolerance function turned
-    /// off").
-    pub enabled: bool,
 }
 
 /// How often a control plane pings the phones it watches ("every 30
@@ -823,16 +818,10 @@ mod tests {
             InstallStates::FromLocalStore { version: 7 }
         ));
         assert!(matches!(InstallStates::from_mrc(0), InstallStates::Fresh));
-        assert_eq!(
-            (ins.op_slot, &*ins.slot_actors),
-            (vec![0, 2, 2, 3], &actors)
-        );
-        let routing = p.routing();
-        assert_eq!(routing.op_slot, p.op_slot());
-        assert_eq!(routing.slot_actors[3], p.actor(3));
-        // Both hand out the table itself, never a copy.
-        assert!(Arc::ptr_eq(&ins.slot_actors, p.slot_actors()));
-        assert!(Arc::ptr_eq(&routing.slot_actors, p.slot_actors()));
+        assert_eq!(ins.op_slot, vec![0, 2, 2, 3]);
+        assert_eq!(p.routing().op_slot, p.op_slot());
+        // The slot→actor binding is bound once and travels in neither.
+        assert_eq!(**p.slot_actors(), actors);
     }
 
     #[test]

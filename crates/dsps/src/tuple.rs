@@ -102,11 +102,6 @@ impl StreamItem {
             StreamItem::Marker(_) => None,
         }
     }
-
-    /// True for markers.
-    pub fn is_marker(&self) -> bool {
-        matches!(self, StreamItem::Marker(_))
-    }
 }
 
 #[cfg(test)]
@@ -141,10 +136,8 @@ mod tests {
     fn stream_item_accessors() {
         let t = StreamItem::Tuple(Tuple::new(1, SimTime::ZERO, 64, value(())));
         assert_eq!(t.bytes(), 64);
-        assert!(!t.is_marker());
         assert!(t.as_tuple().is_some());
         let m = StreamItem::Marker(Marker::token(1));
-        assert!(m.is_marker());
         assert!(m.as_tuple().is_none());
         assert_eq!(m.bytes(), 16);
     }

@@ -130,8 +130,6 @@ pub struct ScenarioConfig {
     pub ckpt_period: SimDuration,
     /// First checkpoint offset.
     pub ckpt_offset: SimDuration,
-    /// Enable periodic checkpointing.
-    pub checkpoints_enabled: bool,
     /// RNG seed.
     pub seed: u64,
     /// Scheduled `(at_s, loss)` changes of each region's WiFi loss:
@@ -179,7 +177,6 @@ impl Default for ScenarioConfig {
             cal: Calibration::default(),
             ckpt_period: SimDuration::from_secs(300),
             ckpt_offset: SimDuration::from_secs(60),
-            checkpoints_enabled: true,
             seed: 1,
             loss_steps: Vec::new(),
             ctl_group_size: 1,
@@ -199,7 +196,6 @@ impl ScenarioConfig {
         CheckpointSchedule {
             period: self.ckpt_period,
             offset: self.ckpt_offset,
-            enabled: self.checkpoints_enabled,
         }
     }
 
@@ -603,7 +599,7 @@ impl Deployment {
     ) -> Box<dyn FtScheme> {
         match scheme {
             Scheme::Base => Box::new(NullScheme),
-            Scheme::Ms => Box::new(MsScheme::new(cfg.checkpoints_enabled)),
+            Scheme::Ms => Box::<MsScheme>::default(),
             Scheme::Rep2 => Box::new(Rep2Scheme::new(flow_of.expect("rep-2 flow map"))),
             Scheme::Local => Box::new(RetainScheme::new(Some(0), cfg.ckpt_period)),
             Scheme::Dist(n) => Box::new(RetainScheme::new(Some(n), cfg.ckpt_period)),

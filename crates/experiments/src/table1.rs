@@ -62,7 +62,7 @@ fn periodic_faults(
 
 /// Table I's seed means per `(app, row)`.
 pub fn means(opts: ExpOptions) -> Vec<((AppKind, Row), Means)> {
-    let server = |uplink_bps| (Platform::Server { uplink_bps }, Scheme::Base, false);
+    let server = |uplink_bps| (Platform::Server { uplink_bps }, Scheme::Base);
     let mut points = Vec::new();
     for app in APPS {
         for row in [
@@ -72,17 +72,16 @@ pub fn means(opts: ExpOptions) -> Vec<((AppKind, Row), Means)> {
             Row::MsDeparture,
             Row::MsFailure,
         ] {
-            let (platform, scheme, checkpoints_enabled) = match row {
+            let (platform, scheme) = match row {
                 Row::ServerLo => server(16_000.0),
                 Row::ServerHi => server(320_000.0),
-                Row::MsFtOff => (Platform::Phones, Scheme::Base, false),
-                Row::MsDeparture | Row::MsFailure => (Platform::Phones, Scheme::Ms, true),
+                Row::MsFtOff => (Platform::Phones, Scheme::Base),
+                Row::MsDeparture | Row::MsFailure => (Platform::Phones, Scheme::Ms),
             };
             let cfg = ScenarioConfig {
                 app,
                 scheme,
                 platform,
-                checkpoints_enabled,
                 ..ScenarioConfig::default()
             };
             let mut point = Point::steady((app, row), cfg);

@@ -11,7 +11,7 @@
 //! sink output continues, protocol counters move).
 
 use experiments::faults::{inject_departure, inject_failure, inject_reboot};
-use experiments::{harvest, AppKind, Deployment, ScenarioConfig, Scheme};
+use experiments::{harvest, AppKind, Deployment, Platform, ScenarioConfig, Scheme};
 use simkernel::{SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -161,8 +161,10 @@ fn phone_rejoins_mid_recovery() {
 
 /// Every phone of a region points at the one slot table its placement
 /// holds: after the build, and after the installs of a recovery, a
-/// departure's replacement and a rejoin's membership snapshot. A phone
-/// that copied the table fails this.
+/// departure's replacement and a rejoin's membership snapshot; after a
+/// dist-1 recovery, whose install a state holder ships phone to phone;
+/// and on the server platform. The table is bound once at build and no
+/// message carries it, so a phone that copied it fails this.
 #[test]
 fn a_region_shares_one_slot_table() {
     let assert_shared = |dep: &Deployment, when: &str| {
@@ -195,6 +197,36 @@ fn a_region_shares_one_slot_table() {
         "the departure was not handled"
     );
     assert_shared(&dep, "after recovery, departure and rejoin");
+
+    let mut dist = Deployment::build(ScenarioConfig {
+        scheme: Scheme::Dist(1),
+        seed: 10,
+        regions: 2,
+        ckpt_offset: SimDuration::from_secs(40),
+        ckpt_period: SimDuration::from_secs(120),
+        ..ScenarioConfig::default()
+    });
+    dist.start();
+    inject_failure(&mut dist, 0, 2, SimTime::from_secs(170));
+    dist.run_until(SimTime::from_secs(260));
+    let co = dist
+        .sim
+        .actor::<baselines::BaselineCoordinator>(dist.coordinator.unwrap());
+    assert_eq!(co.recoveries.len(), 1, "no state ship recovered slot 2");
+    assert_shared(&dist, "after a dist-1 state ship");
+
+    let mut server = Deployment::build(ScenarioConfig {
+        scheme: Scheme::Base,
+        platform: Platform::Server {
+            uplink_bps: 320_000.0,
+        },
+        regions: 2,
+        ..ScenarioConfig::default()
+    });
+    assert_shared(&server, "server platform after build");
+    server.start();
+    server.run_until(SimTime::from_secs(60));
+    assert_shared(&server, "server platform after a minute");
 }
 
 /// Determinism holds under all three edge cases at once: the same

@@ -9,9 +9,8 @@
 //!   only its own regions; every other group keeps committing rounds
 //!   through the window, and the dark group resumes after the heal.
 
-use baselines::msgs::BaselineAck;
 use baselines::BaselineCoordinator;
-use dsps::node::{Pong, RegisterNode, ReportDead};
+use dsps::node::{Pong, Recovered, RegisterNode, ReportDead};
 use experiments::faults::{inject_departure, inject_reboot};
 use experiments::weather::{WeatherProgram, WeatherSystem};
 use experiments::{harvest, AppKind, Deployment, ScenarioConfig, Scheme};
@@ -209,7 +208,7 @@ fn baseline_coordinator_counts_malformed_messages_and_changes_nothing() {
                     region: 0,
                     slot: 8,
                 }),
-                payload(BaselineAck {
+                payload(Recovered {
                     region: usize::MAX,
                     slot: 0,
                 }),

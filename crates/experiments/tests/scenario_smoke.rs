@@ -71,7 +71,6 @@ fn tiny_region_runs_without_fault_tolerance() {
     // cascades — guards the squeeze-placement path at its minimum.
     let mut dep = Deployment::build(ScenarioConfig {
         phones: 2,
-        checkpoints_enabled: false,
         ..tiny(AppKind::Bcp, Scheme::Base)
     });
     dep.start();

@@ -119,33 +119,14 @@ pub enum PhaseDecision {
     Complete,
 }
 
-/// Byte accounting for one job (drives Fig 10b).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct JobStats {
-    /// Block payload bytes broadcast over UDP (all phases).
-    pub udp_bytes: u64,
-    /// Bitmap reply bytes received.
-    pub bitmap_bytes: u64,
-    /// Residue bytes shipped in the TCP phase (sum over tree edges).
-    pub tcp_bytes: u64,
-    /// Number of UDP phases run.
-    pub phases: u32,
-}
-
-impl JobStats {
-    /// Total bytes this job moved over the network.
-    pub fn total(&self) -> u64 {
-        self.udp_bytes + self.bitmap_bytes + self.tcp_bytes
-    }
-}
-
 /// Sender-side state of one replication job.
 pub struct SenderJob {
     /// Job id (unique per sender).
     pub stream: u64,
     /// Logical content delivered at completion.
     pub content: BlobContent,
-    /// Traffic class for accounting (`Checkpoint` or `Preservation`).
+    /// Traffic class the job's sends are charged to (`Checkpoint` or
+    /// `Preservation`; the medium's `NetStats` drive Fig 10b).
     pub class: simnet::stats::TrafficClass,
     /// Total blob size.
     pub total_bytes: u64,
@@ -161,8 +142,6 @@ pub struct SenderJob {
     pub phase: u32,
     prev_recv_bytes: u64,
     sent_bytes_this_phase: u64,
-    /// Accounting.
-    pub stats: JobStats,
     max_phases: u32,
     done: bool,
 }
@@ -200,7 +179,6 @@ impl SenderJob {
             phase: 1,
             prev_recv_bytes: 0,
             sent_bytes_this_phase: 0,
-            stats: JobStats::default(),
             max_phases: MAX_PHASES,
             done: false,
         }
@@ -241,16 +219,12 @@ impl SenderJob {
     pub fn begin(&mut self) -> Vec<u32> {
         let blocks: Vec<u32> = (0..self.n_blocks).collect();
         self.sent_bytes_this_phase = self.bytes_of(&blocks);
-        self.stats.udp_bytes += self.sent_bytes_this_phase;
-        self.stats.phases = 1;
         blocks
     }
 
     /// Record that the given phase's rebroadcast was issued.
     fn note_resend(&mut self, blocks: &[u32]) {
         self.sent_bytes_this_phase = self.bytes_of(blocks);
-        self.stats.udp_bytes += self.sent_bytes_this_phase;
-        self.stats.phases += 1;
         self.replies_this_phase = 0;
         self.awaiting = self.per_rx.keys().copied().collect();
     }
@@ -286,7 +260,6 @@ impl SenderJob {
         if let Some(pos) = self.awaiting.iter().position(|&a| a == from) {
             self.awaiting.swap_remove(pos);
             self.replies_this_phase += 1;
-            self.stats.bitmap_bytes += self.bitmap_wire_bytes();
         }
         if self.awaiting.is_empty() {
             Some(self.evaluate())
@@ -355,11 +328,6 @@ impl SenderJob {
         let resend: Vec<u32> = anded.zero_indices().into_iter().map(|i| i as u32).collect();
         self.note_resend(&resend);
         PhaseDecision::Resend(resend)
-    }
-
-    /// Record the TCP-phase bytes charged over the tree.
-    pub fn note_tcp_bytes(&mut self, bytes: u64) {
-        self.stats.tcp_bytes += bytes;
     }
 
     /// Remaining receivers (survivors) to deliver the blob to.
@@ -676,9 +644,7 @@ mod tests {
             other => panic!("expected TcpResidue, got {other:?}"),
         }
         assert!(job.is_done());
-        assert_eq!(job.stats.phases, 3);
-        assert_eq!(job.stats.udp_bytes, (8192 + 8192 + 4096) * 1024);
-        assert_eq!(job.stats.bitmap_bytes, 9 * 1024);
+        assert_eq!(job.phase, 3);
     }
 
     #[test]
@@ -692,7 +658,7 @@ mod tests {
             other => panic!("expected Complete, got {other:?}"),
         }
         assert!(job.is_done());
-        assert_eq!(job.stats.tcp_bytes, 0);
+        assert_eq!(job.phase, 1);
     }
 
     #[test]
@@ -810,7 +776,7 @@ mod tests {
             other => panic!("expected TcpResidue, got {other:?}"),
         }
         assert!(job.is_done(), "cost > gain terminates the job");
-        assert_eq!(job.stats.phases, 2, "no further UDP phases");
+        assert_eq!(job.phase, 2, "no further UDP phases");
     }
 
     /// Full reception everywhere completes the job with no residue and
@@ -827,8 +793,7 @@ mod tests {
             other => panic!("expected Complete, got {other:?}"),
         }
         assert!(job.is_done());
-        assert_eq!(job.stats.phases, 1);
-        assert_eq!(job.stats.tcp_bytes, 0, "nothing left for the TCP pass");
+        assert_eq!(job.phase, 1, "no further phases, nothing for the TCP pass");
     }
 
     /// The reliable (TCP-tree) pass covers the residue: every receiver's
@@ -910,7 +875,7 @@ mod tests {
             other => panic!("expected TcpResidue at the cap, got {other:?}"),
         }
         assert!(job.is_done());
-        assert_eq!(job.stats.phases, 3);
+        assert_eq!(job.phase, 3);
     }
 
     #[test]
@@ -1196,7 +1161,7 @@ mod tests {
 
         /// Per-phase replies drive a `SenderJob` exactly as whole-job
         /// cumulative replies do: the same decisions, the same bitmap
-        /// per receiver and the same byte accounting. Random job sizes,
+        /// per receiver and the same phase count. Random job sizes,
         /// chunkings and per-receiver losses; a receiver may fall
         /// silent in one phase — missing the phase's last chunk or
         /// losing its reply — be dropped at the timeout, and keep
@@ -1265,7 +1230,7 @@ mod tests {
                     decision = want;
                 }
                 prop_assert_eq!(&got_job.per_rx, &want_job.per_rx);
-                prop_assert_eq!(got_job.stats, want_job.stats);
+                prop_assert_eq!(got_job.phase, want_job.phase);
                 match decision {
                     Some(PhaseDecision::Resend(next_blocks)) => {
                         blocks = next_blocks;

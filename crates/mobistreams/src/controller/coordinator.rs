@@ -6,10 +6,10 @@
 //! of a mirror — each region's current placement and stop flag — to
 //! resolve inter-region wiring:
 //!
-//! * **Placement epochs.** Every accepted [`RegionStatus`] report bumps
-//!   the epoch and re-resolves the wiring of the reported region and of
-//!   every region upstream of it (upstreams may live in other groups,
-//!   which is exactly why this cannot stay in a region controller).
+//! * **Inter-region wiring.** Every accepted [`RegionStatus`] report
+//!   re-resolves the wiring of the reported region and of every region
+//!   upstream of it (upstreams may live in other groups, which is
+//!   exactly why this cannot stay in a region controller).
 //! * **Install brokering.** Bulk operator-code installs are shipped
 //!   over the coordinator's fat endpoint so recovery timing does not
 //!   serialize behind a region controller's thin uplink; the tagged
@@ -66,9 +66,6 @@ pub struct Coordinator {
     /// Region controller owning each region (fan-out table for install
     /// outcomes).
     ctl_of_region: Vec<ActorId>,
-    /// Monotone counter of accepted placement/stop reports. Every bump
-    /// corresponds to one re-resolution of inter-region wiring.
-    pub placement_epoch: u64,
     next_tag: u64,
     /// Outstanding shipped installs: tag → (region, slot).
     install_tags: BTreeMap<u64, (usize, u32)>,
@@ -93,7 +90,6 @@ impl Coordinator {
                 })
                 .collect(),
             ctl_of_region,
-            placement_epoch: 0,
             next_tag: 1,
             install_tags: BTreeMap::new(),
         }
@@ -178,7 +174,6 @@ impl Coordinator {
             rt.wiring.op_slot = st.op_slot.as_ref().clone();
             rt.stopped = st.stopped;
         }
-        self.placement_epoch += 1;
         self.rewire_inter_region(st.region, ctx);
         for up in self.upstream_regions(st.region) {
             self.rewire_inter_region(up, ctx);

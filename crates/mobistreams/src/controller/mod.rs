@@ -16,10 +16,10 @@
 //!   reconciled with batched per-phone deltas (see [`reconcile`]) —
 //!   never a full-snapshot fan-out.
 //! * [`Coordinator`] — a thin global actor on shard 0. It owns nothing
-//!   but the cross-region concerns: placement epochs, inter-region
-//!   wiring (re-resolved whenever a region reports a placement or
-//!   stop/restart change), and brokering of bulk operator-code installs
-//!   over its fat cellular endpoint. It also relays the few zero-cost
+//!   but the cross-region concerns: inter-region wiring (re-resolved
+//!   whenever a region reports a placement or stop/restart change), and
+//!   brokering of bulk operator-code installs over its fat cellular
+//!   endpoint. It also relays the few zero-cost
 //!   side effects (WiFi link flips, sensor re-pairing) that would
 //!   otherwise be illegal cross-shard sends.
 //!

@@ -39,9 +39,8 @@ pub(crate) enum CtlTimer {
 }
 
 /// Region controller → coordinator: authoritative placement / stop
-/// state of one region. Each accepted report bumps the coordinator's
-/// placement epoch and re-resolves the inter-region wiring of the
-/// region and its upstreams.
+/// state of one region. Each accepted report re-resolves the
+/// inter-region wiring of the region and its upstreams.
 #[derive(Debug, Clone)]
 pub struct RegionStatus {
     /// Region reported.

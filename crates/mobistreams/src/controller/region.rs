@@ -21,8 +21,8 @@
 //! * reconciles membership with epoch-numbered batched deltas (see
 //!   [`super::reconcile`]) instead of full-snapshot fan-outs.
 //!
-//! Anything cross-region — inter-region wiring, placement epochs, bulk
-//! install shipping — is delegated to the coordinator via the direct
+//! Anything cross-region — inter-region wiring, bulk install
+//! shipping — is delegated to the coordinator via the direct
 //! messages in [`super::msgs`].
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -370,7 +370,6 @@ impl RegionController {
                     let msg = snapshot
                         .get_or_insert_with(|| {
                             payload(MembershipUpdate {
-                                slot_actors: Arc::clone(rt.table.slot_actors()),
                                 active_slots: Arc::new(rt.table.active_slots()),
                                 epoch: head,
                             })
@@ -465,8 +464,8 @@ impl RegionController {
     }
 
     /// Report this region's placement / stop state to the coordinator,
-    /// which bumps the placement epoch and re-resolves inter-region
-    /// wiring for the region and its upstreams.
+    /// which re-resolves inter-region wiring for the region and its
+    /// upstreams.
     fn send_status(&self, region: usize, ctx: &mut Ctx) {
         let rt = self.rt(region);
         let status = RegionStatus {
@@ -480,11 +479,9 @@ impl RegionController {
     fn on_start(&mut self, ctx: &mut Ctx) {
         for region in self.region_indices() {
             self.membership_changed(region, FlushScope::AllActive, ctx);
-            if self.schedule.enabled {
-                let me = ctx.self_id();
-                let tick = CtlTimer::CheckpointTick { region };
-                ctx.send_in(self.schedule.offset, me, tick);
-            }
+            let me = ctx.self_id();
+            let tick = CtlTimer::CheckpointTick { region };
+            ctx.send_in(self.schedule.offset, me, tick);
         }
         let me = ctx.self_id();
         ctx.send_in(PING_PERIOD, me, CtlTimer::PingTick);
@@ -524,7 +521,7 @@ impl RegionController {
         let rt = self.rt(region);
         // Refresh each degraded slot's snapshot proxy once per round so
         // proxy churn (the relay failing or departing) self-heals.
-        // Sent BEFORE StartCheckpoint: both ride the same FIFO cellular
+        // Sent BEFORE CheckpointTick: both ride the same FIFO cellular
         // path, and a degraded mixed source+compute node snapshots the
         // moment the trigger arrives — with the old ordering it would
         // ship this round's snapshot to the previous round's (possibly
@@ -541,7 +538,7 @@ impl RegionController {
         // *source* must still receive the round trigger, which
         // reaches it over its live cellular link.
         let version = rt.version;
-        let msg = payload(StartCheckpoint { version });
+        let msg = payload(CheckpointTick { version });
         for s in rt.table.source_slots(&rt.graph) {
             if rt.table.is_active(s) || rt.degraded_urgent.contains_key(&s) {
                 let dst = rt.table.actor(s);
@@ -999,7 +996,7 @@ impl RegionController {
         }
     }
 
-    fn on_recovered_ack(&mut self, m: RecoveredAck, ctx: &mut Ctx) {
+    fn on_recovered_ack(&mut self, m: Recovered, ctx: &mut Ctx) {
         if !self.valid_slot(m.region, m.slot) {
             return;
         }
@@ -1295,7 +1292,7 @@ impl Actor for RegionController {
                 } else if let Some(m) = payload_as::<ReportDead>(&p) {
                     self.note_region_contact(m.region, ctx);
                     self.note_failure(m.region, m.slot, ctx);
-                } else if let Some(m) = payload_as::<RecoveredAck>(&p) {
+                } else if let Some(m) = payload_as::<Recovered>(&p) {
                     self.note_region_contact(m.region, ctx);
                     self.on_recovered_ack(*m, ctx);
                 } else if let Some(m) = payload_as::<DepartureNotice>(&p) {

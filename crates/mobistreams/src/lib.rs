@@ -14,8 +14,8 @@
 //!   asynchronous state snapshots, source preservation, rollback and
 //!   catch-up squelching.
 //! * [`controller`] — the sharded control plane (§III-A/D/E): a thin
-//!   global [`controller::Coordinator`] (placement epochs, inter-region
-//!   wiring, install brokering) plus per-region-group
+//!   global [`controller::Coordinator`] (inter-region wiring, install
+//!   brokering) plus per-region-group
 //!   [`controller::RegionController`]s owning membership, checkpoint
 //!   triggering, ping-based failure detection, burst-failure recovery,
 //!   departures (urgent mode → state transfer → replacement), and

@@ -13,13 +13,6 @@ use dsps::tuple::Tuple;
 use simkernel::ActorId;
 use simnet::bitmap::Bitmap;
 
-/// Controller → source nodes: begin checkpoint `version` (§III-B step 1).
-#[derive(Debug, Clone, Copy)]
-pub struct StartCheckpoint {
-    /// Checkpoint version being created.
-    pub version: u64,
-}
-
 /// Node → controller: this node finished checkpoint `version` (state
 /// snapshotted *and* replicated to the region).
 #[derive(Debug, Clone, Copy)]
@@ -48,10 +41,6 @@ pub struct CheckpointComplete {
 /// of one flush, never cloned per phone.
 #[derive(Debug, Clone)]
 pub struct MembershipUpdate {
-    /// Actors of currently active region members, indexed by slot
-    /// (dead/departed slots keep their last actor but are absent from
-    /// `active_slots`).
-    pub slot_actors: Arc<Vec<ActorId>>,
     /// Slots currently alive and in-region.
     pub active_slots: Arc<Vec<u32>>,
     /// Membership epoch this snapshot represents (the region's event
@@ -148,8 +137,6 @@ pub enum BlobContent {
 /// Broadcast completion delivery (sender → each receiver, zero-cost).
 #[derive(Debug, Clone)]
 pub struct BlobDeliver {
-    /// Originating slot.
-    pub from_slot: u32,
     /// Originating actor (receiver-side job key).
     pub from_actor: ActorId,
     /// Job id (receiver-side job key).
@@ -172,15 +159,6 @@ pub struct RollbackTo {
 pub struct ReplayInputs {
     /// Epoch to replay.
     pub epoch: u64,
-}
-
-/// Node → controller: recovery install finished; node is processing.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveredAck {
-    /// Region/slot of the recovered node.
-    pub region: usize,
-    /// Slot.
-    pub slot: u32,
 }
 
 /// Fault injector → node: the phone's GPS says it is leaving the
@@ -236,16 +214,14 @@ pub struct DegradedSnapshot {
     pub states: Snapshot,
 }
 
-pub use dsps::node::{Reboot, RegisterNode};
+pub use dsps::node::{CheckpointTick, Reboot, Recovered, RegisterNode};
 
-/// Wire sizes for control messages (bytes).
+/// Wire sizes for control messages (bytes): the shared ones, and the
+/// membership messages only MobiStreams sends.
 pub mod wire {
-    /// Generic small control RPC.
-    pub const CONTROL: u64 = 64;
-    /// Full membership snapshot (slot table).
+    pub use dsps::node::wire::*;
+    /// Full membership snapshot (the active set, fixed-size framing).
     pub const MEMBERSHIP: u64 = 256;
-    /// Ping/pong probes.
-    pub const PING: u64 = 32;
     /// Membership delta header (epochs + framing).
     pub const DELTA_BASE: u64 = 32;
     /// Per-change cost of a membership delta.

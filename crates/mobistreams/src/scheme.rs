@@ -66,10 +66,8 @@ pub struct SchemeStats {
 }
 
 /// The MobiStreams fault-tolerance scheme.
+#[derive(Default)]
 pub struct MsScheme {
-    /// Replicate source inputs to the region (on in the paper; off when
-    /// fault tolerance is off).
-    preserve_inputs: bool,
     /// Current preservation epoch (version of the last started ckpt).
     pub epoch: u64,
     align: BTreeMap<u64, AlignState>,
@@ -107,28 +105,6 @@ pub struct MsScheme {
 }
 
 impl MsScheme {
-    /// New scheme; `preserve_inputs` replicates source inputs.
-    pub fn new(preserve_inputs: bool) -> Self {
-        MsScheme {
-            preserve_inputs,
-            epoch: 0,
-            align: BTreeMap::new(),
-            last_aligned: 0,
-            tokens_emitted: BTreeMap::new(),
-            active_slots: Vec::new(),
-            membership_epoch: 0,
-            jobs: BTreeMap::new(),
-            rx: ReceiverState::default(),
-            next_stream: 0,
-            tcp_tags: BTreeMap::new(),
-            chunk_queues: BTreeMap::new(),
-            batch_tags: BTreeMap::new(),
-            reported_silent: BTreeMap::new(),
-            degraded_proxy: None,
-            stats: SchemeStats::default(),
-        }
-    }
-
     /// Active peers (actors) excluding this node.
     fn peers(&self, node: &NodeInner) -> Vec<ActorId> {
         self.active_slots
@@ -251,7 +227,7 @@ impl MsScheme {
                 self.send_phase(node, ctx, stream, blocks);
             }
             PhaseDecision::TcpResidue(residue) => {
-                let Some(job) = self.jobs.get_mut(&stream) else {
+                let Some(job) = self.jobs.get(&stream) else {
                     return; // job torn down by a rollback/reinstall mid-flight
                 };
                 let receivers = job.receivers();
@@ -260,15 +236,11 @@ impl MsScheme {
                     self.complete_job(stream, node, ctx);
                     return;
                 }
-                let mut total_tcp = 0u64;
                 let class = job.class;
-                let mut sends: Vec<(ActorId, u64)> = Vec::new();
-                for (_, child_ix, blocks) in &edges {
-                    let bytes = job.bytes_of(blocks);
-                    total_tcp += bytes;
-                    sends.push((receivers[*child_ix], bytes));
-                }
-                job.note_tcp_bytes(total_tcp);
+                let sends: Vec<(ActorId, u64)> = edges
+                    .iter()
+                    .map(|(_, child_ix, blocks)| (receivers[*child_ix], job.bytes_of(blocks)))
+                    .collect();
                 let last = sends.len() - 1;
                 for (i, (dst, bytes)) in sends.into_iter().enumerate() {
                     let tag = if i == last { node.alloc_tag() } else { 0 };
@@ -290,7 +262,6 @@ impl MsScheme {
             return;
         };
         let deliver = BlobDeliver {
-            from_slot: node.cfg.slot,
             stream,
             from_actor: ctx.self_id(),
             content: job.content.clone(),
@@ -510,7 +481,7 @@ impl MsScheme {
         self.tokens_emitted.clear();
         let snap = node.store.snapshot(version);
         node.restore(&snap);
-        let ack = RecoveredAck {
+        let ack = Recovered {
             region: node.cfg.region,
             slot: node.cfg.slot,
         };
@@ -570,7 +541,7 @@ impl FtScheme for MsScheme {
         node: &mut NodeInner,
         ctx: &mut Ctx,
     ) -> bool {
-        if !self.preserve_inputs || tuple.replay || edge.is_source() {
+        if tuple.replay || edge.is_source() {
             return true;
         }
         let from = node.graph.edge(edge).from;
@@ -681,7 +652,7 @@ impl FtScheme for MsScheme {
                             self.apply_decision(stream, d, node, ctx);
                         }
                     }
-                } else if let Some(s) = payload_as::<StartCheckpoint>(&rx.payload) {
+                } else if let Some(s) = payload_as::<CheckpointTick>(&rx.payload) {
                     self.on_start_checkpoint(s.version, node, ctx);
                 } else if let Some(c) = payload_as::<CheckpointComplete>(&rx.payload) {
                     node.store.mark_complete(c.version);
@@ -696,7 +667,6 @@ impl FtScheme for MsScheme {
                     // (cellular is FIFO, but a resync snapshot may
                     // race a delta issued the same tick).
                     if m.epoch >= self.membership_epoch {
-                        node.slot_actors = Arc::clone(&m.slot_actors);
                         self.active_slots = (*m.active_slots).clone();
                         self.membership_epoch = m.epoch;
                         self.evict_departed_senders(node);
@@ -846,7 +816,7 @@ impl FtScheme for MsScheme {
         // A reinstall means the phone is back on the WiFi path (rejoin
         // or replacement): end the degraded cellular snapshot mode.
         self.degraded_proxy = None;
-        let ack = RecoveredAck {
+        let ack = Recovered {
             region: node.cfg.region,
             slot: node.cfg.slot,
         };
@@ -885,7 +855,7 @@ mod tests {
             if let Ok(rx) = ev.downcast::<NetRx>() {
                 if let Some(m) = payload_as::<NodeCheckpointed>(&rx.payload) {
                     self.checkpointed.push((m.version, m.slot));
-                } else if let Some(a) = payload_as::<RecoveredAck>(&rx.payload) {
+                } else if let Some(a) = payload_as::<Recovered>(&rx.payload) {
                     self.acks.push(a.slot);
                 }
             }
@@ -947,8 +917,10 @@ mod tests {
                 ctl,
             );
             inner.op_slot = vec![0, 1, 2];
-            let mut scheme = MsScheme::new(true);
-            scheme.active_slots = vec![0, 1, 2, 3];
+            let scheme = MsScheme {
+                active_slots: vec![0, 1, 2, 3],
+                ..MsScheme::default()
+            };
             let id = sim.add_actor(Box::new(NodeActor::new(inner, Box::new(scheme))));
             nodes.push(id);
         }
@@ -1005,7 +977,7 @@ mod tests {
                 class: TrafficClass::Control,
                 bytes: 64,
                 tag: 0,
-                payload: Some(payload(StartCheckpoint { version })),
+                payload: Some(payload(CheckpointTick { version })),
             },
         );
     }
@@ -1460,7 +1432,6 @@ mod tests {
             node,
             dsps::node::ItemMsg {
                 edge: dsps::graph::EdgeId(0),
-                from_slot: 9,
                 item: dsps::tuple::StreamItem::Marker(Marker::token(1)),
             },
         );

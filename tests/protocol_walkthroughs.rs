@@ -157,7 +157,6 @@ fn server_platform_is_uplink_bound() {
         platform: Platform::Server {
             uplink_bps: 16_000.0,
         },
-        checkpoints_enabled: false,
         regions: 2,
         seed: 8,
         ..ScenarioConfig::default()
@@ -172,7 +171,6 @@ fn server_platform_is_uplink_bound() {
         platform: Platform::Server {
             uplink_bps: 320_000.0,
         },
-        checkpoints_enabled: false,
         regions: 2,
         seed: 8,
         ..ScenarioConfig::default()
@@ -255,6 +253,43 @@ fn dist_n_tolerates_exactly_n() {
         .sim
         .actor::<baselines::BaselineCoordinator>(bad.coordinator.unwrap());
     assert!(co.stops >= 1, "dist-1 cannot survive a 2-node burst");
+}
+
+/// A baseline phone that reboots while another recovery runs is
+/// reinstalled once that recovery ends. Under dist-1, slot 2 fails at
+/// 170 s and its recovery runs from 190 s; slot 3 crashes at 201 s and
+/// reboots 200 ms later, before any ping notices. Its registration
+/// arrives mid-episode, so the coordinator defers it and the episode's
+/// last ack reinstalls it from its own store. Without that, the table
+/// still places operators on a phone that hosts none, and the region
+/// stops publishing without ever stopping.
+#[test]
+fn dist_n_reinstalls_a_phone_rebooted_during_a_recovery() {
+    let mut dep = Deployment::build(small(AppKind::Bcp, Scheme::Dist(1), 10));
+    dep.start();
+    inject_failure(&mut dep, 0, 2, SimTime::from_secs(170));
+    let at = SimTime::from_secs(201);
+    inject_failure(&mut dep, 0, 3, at);
+    inject_reboot(&mut dep, 0, 3, at + SimDuration::from_millis(200));
+    dep.run_until(SimTime::from_secs(600));
+    let co = dep
+        .sim
+        .actor::<baselines::BaselineCoordinator>(dep.coordinator.unwrap());
+    assert_eq!(co.stops, 0);
+    let [first, second] = co.recoveries[..] else {
+        panic!(
+            "want slot 2's recovery, then slot 3's reinstall: {:?}",
+            co.recoveries
+        );
+    };
+    assert!(first.started < at && at < first.finished);
+    assert_eq!(second.started, first.finished, "served by the last ack");
+    let node = dep
+        .sim
+        .actor::<dsps::node::NodeActor>(dep.regions[0].nodes[3]);
+    assert!(!node.inner.ops.is_empty(), "slot 3 hosts nothing");
+    let h = harvest(&dep, SimTime::from_secs(400), SimTime::from_secs(600));
+    assert!(h.per_region[0].outputs > 0, "region 0 stalled");
 }
 
 /// dist-n replays retained crops: a counter's slot fails while `H`
