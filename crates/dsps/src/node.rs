@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, Event, EventBox, SimDuration, SimTime};
 use simnet::stats::TrafficClass;
-use simnet::wifi::WifiBatchRx;
+use simnet::wifi::{WifiBatchReplyRx, WifiBatchRx};
 use simnet::{net_send, payload, NetRx, TxDone, TxFailed};
 
 use crate::ft::FtScheme;
@@ -660,7 +660,12 @@ impl NodeActor {
     /// Start the CPU on the next available item, if idle. Consumes any
     /// markers that reach queue fronts (markers cost no CPU).
     fn pump(&mut self, ctx: &mut Ctx) {
-        if !self.inner.alive || self.inner.busy {
+        // With every input queue empty `pump_with` changes nothing; this
+        // is the common case after a broadcast reply or batch.
+        if !self.inner.alive
+            || self.inner.busy
+            || self.inner.queues.values().all(VecDeque::is_empty)
+        {
             return;
         }
         // The snapshot buffer leaves `inner` while the scheme may
@@ -988,12 +993,18 @@ impl NodeActor {
 
 impl Actor for NodeActor {
     fn on_event(&mut self, ev: EventBox, ctx: &mut Ctx) {
-        // Network deliveries: look at the payload by reference. What
-        // the runtime handles is cloned out and the box dropped first
-        // (its pooled slot is free again before the handler sends);
-        // anything else — and every batch reception — goes to the
-        // scheme in the box it arrived in.
+        // The broadcast's batch deliveries and bitmap replies go to the
+        // scheme in the box they arrived in. Network deliveries: look at
+        // the payload by reference. What the runtime handles is cloned
+        // out and the box dropped first (its pooled slot is free again
+        // before the handler sends); anything else goes to the scheme
+        // in its box too.
         let ty = ev.event_type();
+        if ty == TypeId::of::<WifiBatchRx>() || ty == TypeId::of::<WifiBatchReplyRx>() {
+            self.scheme.on_custom(ev, &mut self.inner, ctx);
+            self.pump(ctx);
+            return;
+        }
         let payload = ev.downcast_ref::<NetRx>().map(|rx| &rx.payload);
         if let Some(p) = payload {
             if let Some(msg) = simnet::payload_as::<ItemMsg>(p) {
@@ -1042,7 +1053,7 @@ impl Actor for NodeActor {
                 return;
             }
         }
-        if payload.is_some() || ty == TypeId::of::<WifiBatchRx>() {
+        if payload.is_some() {
             self.scheme.on_custom(ev, &mut self.inner, ctx);
             self.pump(ctx);
             return;
@@ -1511,6 +1522,8 @@ mod tests {
                 "net"
             } else if ev.is::<WifiBatchRx>() {
                 "batch"
+            } else if ev.is::<WifiBatchReplyRx>() {
+                "reply"
             } else if let Some(d) = ev.downcast_ref::<TxDone>() {
                 assert_eq!(d.tag, SCHEME_TAG);
                 "tx"
@@ -1548,9 +1561,10 @@ mod tests {
     /// A send tag the runtime never issued.
     const SCHEME_TAG: u64 = u64::MAX - 7;
 
-    /// Sends one network delivery, one broadcast batch and one of each
-    /// transmit completion to `node` from inside the simulation, so
-    /// each arrives in a pooled box like real traffic.
+    /// Sends one network delivery, one broadcast batch, one bitmap
+    /// reply and one of each transmit completion to `node` from inside
+    /// the simulation, so each arrives in a pooled box like real
+    /// traffic.
     struct Deliverer {
         node: ActorId,
     }
@@ -1580,6 +1594,14 @@ mod tests {
                     reply_expected: false,
                 },
             );
+            ctx.send(
+                self.node,
+                WifiBatchReplyRx {
+                    src,
+                    stream: 1,
+                    received: simnet::bitmap::Bitmap::ones(4),
+                },
+            );
             let (tag, dst) = (SCHEME_TAG, src);
             ctx.send(self.node, TxDone { tag });
             ctx.send(self.node, TxFailed { tag, dst });
@@ -1590,9 +1612,9 @@ mod tests {
     }
 
     /// A network delivery the runtime does not handle itself, a
-    /// broadcast batch, or a transmit completion for a tag it did not
-    /// issue, reaches the scheme once, in the box it arrived in, and
-    /// one pump follows.
+    /// broadcast batch or bitmap reply, or a transmit completion for a
+    /// tag it did not issue, reaches the scheme once, in the box it
+    /// arrived in, and one pump follows.
     #[test]
     fn scheme_deliveries_reach_on_custom_once_in_the_original_box() {
         let mut rig = chain_rig(0.0);
@@ -1610,6 +1632,8 @@ mod tests {
                 "pump",
                 "custom batch pooled=true",
                 "pump",
+                "custom reply pooled=true",
+                "pump",
                 "custom tx pooled=true",
                 "pump",
                 "custom tx pooled=true",
@@ -1622,7 +1646,11 @@ mod tests {
         );
         let pool = rig.sim.pool_stats();
         assert_eq!(pool.unpooled, 0, "nothing was re-boxed outside the pool");
-        assert_eq!(pool.fresh + pool.recycled, 6, "six deliveries, six slots");
+        assert_eq!(
+            pool.fresh + pool.recycled,
+            7,
+            "seven deliveries, seven slots"
+        );
     }
 
     /// Regression: `Kill` left the install being loaded pending, so its

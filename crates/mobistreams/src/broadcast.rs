@@ -23,19 +23,33 @@
 //!
 //! [`SenderJob`] is a pure state machine (fully unit-testable — the
 //! Fig 6 walk-through is reproduced exactly in the tests below);
-//! [`crate::scheme::MsScheme`] glues it to the WiFi medium.
+//! [`crate::scheme::MsScheme`] glues it to the WiFi medium's batch
+//! service: a phase leaves the sender as [`simnet::wifi::WifiBatchSend`]
+//! chunks, reaches each receiver as a [`simnet::wifi::WifiBatchRx`],
+//! and the phase's last chunk is answered with a
+//! [`simnet::wifi::WifiBatchReply`] that the sender receives as a
+//! [`simnet::wifi::WifiBatchReplyRx`] and hands to
+//! [`SenderJob::on_bitmap`].
+//!
+//! Every reply costs the sender O(log n) in its n receivers: the
+//! receivers are sorted once per job, and each keeps its index into
+//! the phase's awaited list.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use simkernel::ActorId;
 use simnet::bitmap::Bitmap;
+use simnet::wifi::{BatchBlocks, BlockSpan};
 
 use crate::msgs::BlobContent;
 
 /// Hard cap on UDP phases per job (a safety net: cost/gain normally
 /// stops the loop after 2–4 phases).
 const MAX_PHASES: u32 = 16;
+
+/// `SenderJob::awaiting_ix` of a receiver the phase no longer waits on.
+const REPLIED: u32 = u32::MAX;
 
 /// A malformed broadcast-protocol message. At fleet scale these MUST
 /// surface instead of being silently ignored: a dropped checkpoint
@@ -134,9 +148,21 @@ pub struct SenderJob {
     pub n_blocks: u32,
     block_bytes: u64,
     tail_bytes: u64,
-    /// Cumulative reception bitmap per expected receiver.
-    pub per_rx: BTreeMap<ActorId, Bitmap>,
-    awaiting: Vec<ActorId>,
+    /// The receivers still in the job, ascending.
+    receivers: Vec<ActorId>,
+    /// Cumulative reception bitmap per receiver, parallel to
+    /// [`Self::receivers()`].
+    pub per_rx: Vec<Bitmap>,
+    /// The receivers this phase still waits on, as indices into
+    /// `receivers`. A reply takes its sender out with `swap_remove`,
+    /// which fixes the order a bitmap timeout reports the silent ones
+    /// in.
+    awaiting: Vec<u32>,
+    /// Per receiver, its position in `awaiting`, or `REPLIED`.
+    awaiting_ix: Vec<u32>,
+    /// Where the next reply's sender is looked for first: replies
+    /// mostly arrive in receiver order, as the medium samples them.
+    next_rx: usize,
     replies_this_phase: u32,
     /// Current UDP phase (1-based).
     pub phase: u32,
@@ -147,7 +173,8 @@ pub struct SenderJob {
 }
 
 impl SenderJob {
-    /// Create a job for `total_bytes` toward `expected` receivers.
+    /// Create a job for `total_bytes` toward `expected` receivers, who
+    /// must be distinct; the first phase awaits them in the given order.
     pub fn new(
         stream: u64,
         content: BlobContent,
@@ -161,10 +188,21 @@ impl SenderJob {
         // simlint::allow(P001): job construction bound — blob sizes are config-bounded megabytes, >4T bytes is a programming error, and this runs before the job enters the event path
         let n_blocks = u32::try_from(total_bytes.div_ceil(block_bytes)).expect("blob too large");
         let tail = total_bytes - (n_blocks as u64 - 1) * block_bytes;
-        let per_rx = expected
-            .iter()
-            .map(|&a| (a, Bitmap::zeros(n_blocks as usize)))
-            .collect();
+        let mut receivers = expected.clone();
+        receivers.sort_unstable();
+        debug_assert!(
+            receivers.windows(2).all(|w| w[0] < w[1]),
+            "a job's receivers are distinct"
+        );
+        let mut awaiting = Vec::with_capacity(expected.len());
+        let mut awaiting_ix = vec![REPLIED; receivers.len()];
+        for a in &expected {
+            if let Ok(i) = receivers.binary_search(a) {
+                awaiting_ix[i] = awaiting.len() as u32;
+                awaiting.push(i as u32);
+            }
+        }
+        let per_rx = vec![Bitmap::zeros(n_blocks as usize); receivers.len()];
         SenderJob {
             stream,
             content,
@@ -173,8 +211,11 @@ impl SenderJob {
             n_blocks,
             block_bytes,
             tail_bytes: tail,
+            receivers,
             per_rx,
-            awaiting: expected,
+            awaiting,
+            awaiting_ix,
+            next_rx: 0,
             replies_this_phase: 0,
             phase: 1,
             prev_recv_bytes: 0,
@@ -190,8 +231,8 @@ impl SenderJob {
     }
 
     /// Receivers the job still waits on this phase.
-    pub fn awaiting(&self) -> &[ActorId] {
-        &self.awaiting
+    pub fn awaiting(&self) -> impl ExactSizeIterator<Item = ActorId> + '_ {
+        self.awaiting.iter().map(|&i| self.receivers[i as usize])
     }
 
     /// Size of block `ix`.
@@ -226,7 +267,8 @@ impl SenderJob {
     fn note_resend(&mut self, blocks: &[u32]) {
         self.sent_bytes_this_phase = self.bytes_of(blocks);
         self.replies_this_phase = 0;
-        self.awaiting = self.per_rx.keys().copied().collect();
+        self.awaiting = (0..self.receivers.len() as u32).collect();
+        self.awaiting_ix.clone_from(&self.awaiting);
     }
 
     /// Total bytes received across receivers so far.
@@ -235,7 +277,7 @@ impl SenderJob {
         let last = self.n_blocks as usize - 1;
         let tail_short = self.block_bytes - self.tail_bytes;
         self.per_rx
-            .values()
+            .iter()
             .map(|bm| {
                 let full = bm.count_ones() as u64 * self.block_bytes;
                 full - if bm.get(last) { tail_short } else { 0 }
@@ -250,15 +292,24 @@ impl SenderJob {
         if self.done {
             return None;
         }
-        if let Some(cur) = self.per_rx.get_mut(&from) {
-            if bitmap.len() == cur.len() {
-                cur.or_assign(bitmap);
-            }
-        } else {
-            return None; // unknown/already-dropped receiver
+        let i = match self.receivers.get(self.next_rx) {
+            Some(&a) if a == from => self.next_rx,
+            _ => match self.receivers.binary_search(&from) {
+                Ok(i) => i,
+                Err(_) => return None, // unknown/already-dropped receiver
+            },
+        };
+        self.next_rx = i + 1;
+        let cur = &mut self.per_rx[i];
+        if bitmap.len() == cur.len() {
+            cur.or_assign(bitmap);
         }
-        if let Some(pos) = self.awaiting.iter().position(|&a| a == from) {
-            self.awaiting.swap_remove(pos);
+        let pos = std::mem::replace(&mut self.awaiting_ix[i], REPLIED);
+        if pos != REPLIED {
+            self.awaiting.swap_remove(pos as usize);
+            if let Some(&moved) = self.awaiting.get(pos as usize) {
+                self.awaiting_ix[moved as usize] = pos;
+            }
             self.replies_this_phase += 1;
         }
         if self.awaiting.is_empty() {
@@ -274,10 +325,19 @@ impl SenderJob {
         if self.done || phase != self.phase || self.awaiting.is_empty() {
             return None;
         }
-        let silent = std::mem::take(&mut self.awaiting);
-        for a in silent {
-            self.per_rx.remove(&a);
+        self.awaiting.clear();
+        // Keep the receivers that replied, in order.
+        let mut kept = 0;
+        for i in 0..self.receivers.len() {
+            if self.awaiting_ix[i] == REPLIED {
+                self.receivers.swap(kept, i);
+                self.per_rx.swap(kept, i);
+                kept += 1;
+            }
         }
+        self.receivers.truncate(kept);
+        self.per_rx.truncate(kept);
+        self.awaiting_ix = vec![REPLIED; kept];
         Some(self.evaluate())
     }
 
@@ -296,7 +356,7 @@ impl SenderJob {
             self.sent_bytes_this_phase + self.replies_this_phase as u64 * self.bitmap_wire_bytes();
         self.prev_recv_bytes = cur;
 
-        let Some(anded) = Bitmap::and_all(self.per_rx.values()) else {
+        let Some(anded) = Bitmap::and_all(self.per_rx.iter()) else {
             // Defensive: per_rx emptied concurrently (checked above,
             // but a malformed message must never panic a phone).
             self.done = true;
@@ -309,8 +369,9 @@ impl SenderJob {
         if cost > gain || self.phase >= self.max_phases {
             self.done = true;
             let residue: BTreeMap<ActorId, Vec<u32>> = self
-                .per_rx
+                .receivers
                 .iter()
+                .zip(&self.per_rx)
                 .map(|(&a, bm)| {
                     (
                         a,
@@ -332,7 +393,7 @@ impl SenderJob {
 
     /// Remaining receivers (survivors) to deliver the blob to.
     pub fn receivers(&self) -> Vec<ActorId> {
-        self.per_rx.keys().copied().collect()
+        self.receivers.clone()
     }
 }
 
@@ -402,8 +463,8 @@ pub struct ReceiverState {
 }
 
 /// Check one batch against the job's pending bitmap, if there is one.
-/// Returns the first block id when the ids are an ascending run (a
-/// phase-1 chunk always is), `None` when they must be scattered.
+/// `span` is the block list's [`BlockSpan`]; the fold uses its run
+/// start.
 ///
 /// A block id beyond the job's size, a `total_blocks` that disagrees
 /// with the pending bitmap, or a reception bitmap that is not one bit
@@ -414,9 +475,10 @@ fn check_batch(
     stream: u64,
     total_blocks: u32,
     blocks: &[u32],
+    span: BlockSpan,
     received: &Bitmap,
     pending: Option<&Bitmap>,
-) -> Result<Option<u32>, BroadcastError> {
+) -> Result<(), BroadcastError> {
     if received.len() != blocks.len() {
         return Err(BroadcastError::ReceptionLengthMismatch {
             stream,
@@ -434,15 +496,7 @@ fn check_batch(
             });
         }
     }
-    // One pass: the largest id, and whether the ids are an ascending
-    // run.
-    let first = blocks.first().copied().unwrap_or(0);
-    let (mut max, mut run) = (0u32, true);
-    for (i, &b) in blocks.iter().enumerate() {
-        max = max.max(b);
-        run &= b == first.wrapping_add(i as u32);
-    }
-    if max >= total_blocks {
+    if span.max >= total_blocks {
         if let Some(&block) = blocks.iter().find(|&&b| b >= total_blocks) {
             return Err(BroadcastError::BlockOutOfRange {
                 stream,
@@ -451,12 +505,12 @@ fn check_batch(
             });
         }
     }
-    Ok(run.then_some(first))
+    Ok(())
 }
 
 /// Set the bits of `blocks` that `received` marks as arrived.
-fn fold_batch(bitmap: &mut Bitmap, blocks: &[u32], received: &Bitmap, run: Option<u32>) {
-    match run {
+fn fold_batch(bitmap: &mut Bitmap, blocks: &[u32], span: BlockSpan, received: &Bitmap) {
+    match span.run_from {
         Some(first) => bitmap.or_shifted(received, first as usize),
         None => bitmap.or_scattered(received, blocks),
     }
@@ -477,15 +531,43 @@ impl ReceiverState {
         blocks: &[u32],
         received: &Bitmap,
     ) -> Result<Bitmap, BroadcastError> {
+        let span = BlockSpan::of(blocks);
+        self.fold(src, stream, total_blocks, blocks, span, received)
+            .cloned()
+    }
+
+    /// [`Self::on_batch`] for a delivered batch, whose block list was
+    /// scanned once for all its receivers; returns nothing.
+    pub fn on_chunk(
+        &mut self,
+        src: ActorId,
+        stream: u64,
+        total_blocks: u32,
+        blocks: &BatchBlocks,
+        received: &Bitmap,
+    ) -> Result<(), BroadcastError> {
+        self.fold(src, stream, total_blocks, blocks, blocks.span(), received)
+            .map(drop)
+    }
+
+    fn fold(
+        &mut self,
+        src: ActorId,
+        stream: u64,
+        total_blocks: u32,
+        blocks: &[u32],
+        span: BlockSpan,
+        received: &Bitmap,
+    ) -> Result<&Bitmap, BroadcastError> {
         let entry = self.jobs.entry((src, stream));
         let pending = match &entry {
             Entry::Occupied(e) => Some(e.get()),
             Entry::Vacant(_) => None,
         };
-        let run = check_batch(stream, total_blocks, blocks, received, pending)?;
+        check_batch(stream, total_blocks, blocks, span, received, pending)?;
         let bitmap = entry.or_insert_with(|| Bitmap::zeros(total_blocks as usize));
-        fold_batch(bitmap, blocks, received, run);
-        Ok(bitmap.clone())
+        fold_batch(bitmap, blocks, span, received);
+        Ok(bitmap)
     }
 
     /// Fold the last chunk of a phase in and end the phase: the job's
@@ -498,21 +580,22 @@ impl ReceiverState {
         src: ActorId,
         stream: u64,
         total_blocks: u32,
-        blocks: &[u32],
+        blocks: &BatchBlocks,
         received: &Bitmap,
     ) -> Result<Bitmap, BroadcastError> {
-        let (run, pending) = match self.jobs.entry((src, stream)) {
-            Entry::Occupied(e) => (
-                check_batch(stream, total_blocks, blocks, received, Some(e.get()))?,
-                Some(e.remove()),
-            ),
-            Entry::Vacant(_) => (
-                check_batch(stream, total_blocks, blocks, received, None)?,
-                None,
-            ),
+        let span = blocks.span();
+        let pending = match self.jobs.entry((src, stream)) {
+            Entry::Occupied(e) => {
+                check_batch(stream, total_blocks, blocks, span, received, Some(e.get()))?;
+                Some(e.remove())
+            }
+            Entry::Vacant(_) => {
+                check_batch(stream, total_blocks, blocks, span, received, None)?;
+                None
+            }
         };
         let mut bitmap = pending.unwrap_or_else(|| Bitmap::zeros(total_blocks as usize));
-        fold_batch(&mut bitmap, blocks, received, run);
+        fold_batch(&mut bitmap, blocks, span, received);
         Ok(bitmap)
     }
 
@@ -572,6 +655,11 @@ mod tests {
             1024,
             (0..receivers).map(actor).collect(),
         )
+    }
+
+    /// A delivered batch's block list.
+    fn ids(blocks: &[u32]) -> BatchBlocks {
+        blocks.to_vec().into()
     }
 
     /// Build a bitmap of n blocks where `f(i)` says bit i is set.
@@ -996,12 +1084,14 @@ mod tests {
             .unwrap();
         assert_eq!(rx.in_flight(), 1);
         let reply = rx
-            .report(src, 1, 8, &[4, 5, 6, 7], &bm(4, |i| i < 2))
+            .report(src, 1, 8, &ids(&[4, 5, 6, 7]), &bm(4, |i| i < 2))
             .unwrap();
         assert_eq!(reply, bm(8, |i| i == 0 || i == 4 || i == 5));
         assert_eq!(rx.in_flight(), 0);
         // Phase 2 in one chunk: only what arrived since the last reply.
-        let reply = rx.report(src, 1, 8, &[1, 2], &bm(2, |i| i == 1)).unwrap();
+        let reply = rx
+            .report(src, 1, 8, &ids(&[1, 2]), &bm(2, |i| i == 1))
+            .unwrap();
         assert_eq!(reply, bm(8, |i| i == 2));
         assert_eq!(rx.in_flight(), 0);
     }
@@ -1013,7 +1103,9 @@ mod tests {
         let mut rx = ReceiverState::default();
         let src = actor(9);
         rx.on_batch(src, 1, 8, &[0, 1], &bm(2, |_| true)).unwrap();
-        let err = rx.report(src, 1, 16, &[2], &bm(1, |_| true)).unwrap_err();
+        let err = rx
+            .report(src, 1, 16, &ids(&[2]), &bm(1, |_| true))
+            .unwrap_err();
         assert_eq!(
             err,
             BroadcastError::TotalBlocksMismatch {
@@ -1022,18 +1114,22 @@ mod tests {
                 expected: 8,
             }
         );
-        let err = rx.report(src, 1, 8, &[8], &bm(1, |_| true)).unwrap_err();
+        let err = rx
+            .report(src, 1, 8, &ids(&[8]), &bm(1, |_| true))
+            .unwrap_err();
         assert!(matches!(
             err,
             BroadcastError::BlockOutOfRange { block: 8, .. }
         ));
-        let err = rx.report(src, 1, 8, &[2], &bm(2, |_| true)).unwrap_err();
+        let err = rx
+            .report(src, 1, 8, &ids(&[2]), &bm(2, |_| true))
+            .unwrap_err();
         assert!(matches!(
             err,
             BroadcastError::ReceptionLengthMismatch { .. }
         ));
         assert_eq!(rx.in_flight(), 1);
-        let reply = rx.report(src, 1, 8, &[2], &bm(1, |_| true)).unwrap();
+        let reply = rx.report(src, 1, 8, &ids(&[2]), &bm(1, |_| true)).unwrap();
         assert_eq!(reply, bm(8, |i| i < 3));
         assert_eq!(rx.in_flight(), 0);
     }
@@ -1097,7 +1193,7 @@ mod tests {
     /// block per receiver.
     fn reference_received_bytes(job: &SenderJob) -> u64 {
         job.per_rx
-            .values()
+            .iter()
             .map(|bm| {
                 (0..job.n_blocks)
                     .filter(|&b| bm.get(b as usize))
@@ -1211,7 +1307,7 @@ mod tests {
                             per_phase[r].on_batch(src, stream, n_blocks, c, &received).unwrap();
                             continue;
                         }
-                        let reply = per_phase[r].report(src, stream, n_blocks, c, &received).unwrap();
+                        let reply = per_phase[r].report(src, stream, n_blocks, &ids(c), &received).unwrap();
                         if silent {
                             continue;
                         }
@@ -1259,13 +1355,215 @@ mod tests {
             );
             prop_assert_eq!(job.n_blocks as u64, n_blocks);
             let mut s = seed;
-            for bm in job.per_rx.values_mut() {
+            for bm in job.per_rx.iter_mut() {
                 for i in 0..n_blocks as usize {
                     s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                     bm.set(i, s >> 62 != 0);
                 }
             }
             prop_assert_eq!(job.received_bytes(), reference_received_bytes(&job));
+        }
+    }
+
+    /// `SenderJob`'s bookkeeping as it was before replies were indexed:
+    /// receivers in a map, each reply searched for linearly in the
+    /// awaited list. The reference the indexed bookkeeping must equal.
+    struct LinearJob {
+        n_blocks: u32,
+        block_bytes: u64,
+        tail_bytes: u64,
+        per_rx: BTreeMap<ActorId, Bitmap>,
+        awaiting: Vec<ActorId>,
+        replies_this_phase: u32,
+        phase: u32,
+        prev_recv_bytes: u64,
+        sent_bytes_this_phase: u64,
+        done: bool,
+    }
+
+    impl LinearJob {
+        fn new(total_bytes: u64, block_bytes: u64, expected: Vec<ActorId>) -> Self {
+            let n_blocks = total_bytes.div_ceil(block_bytes) as u32;
+            LinearJob {
+                n_blocks,
+                block_bytes,
+                tail_bytes: total_bytes - (n_blocks as u64 - 1) * block_bytes,
+                per_rx: expected
+                    .iter()
+                    .map(|&a| (a, Bitmap::zeros(n_blocks as usize)))
+                    .collect(),
+                awaiting: expected,
+                replies_this_phase: 0,
+                phase: 1,
+                prev_recv_bytes: 0,
+                sent_bytes_this_phase: 0,
+                done: false,
+            }
+        }
+
+        fn bytes_of(&self, blocks: &[u32]) -> u64 {
+            let size = |b: u32| {
+                if b + 1 == self.n_blocks {
+                    self.tail_bytes
+                } else {
+                    self.block_bytes
+                }
+            };
+            blocks.iter().map(|&b| size(b)).sum()
+        }
+
+        fn begin(&mut self) -> Vec<u32> {
+            let blocks: Vec<u32> = (0..self.n_blocks).collect();
+            self.sent_bytes_this_phase = self.bytes_of(&blocks);
+            blocks
+        }
+
+        fn on_bitmap(&mut self, from: ActorId, bitmap: &Bitmap) -> Option<PhaseDecision> {
+            if self.done {
+                return None;
+            }
+            match self.per_rx.get_mut(&from) {
+                Some(cur) if bitmap.len() == cur.len() => cur.or_assign(bitmap),
+                Some(_) => {}
+                None => return None,
+            }
+            if let Some(pos) = self.awaiting.iter().position(|&a| a == from) {
+                self.awaiting.swap_remove(pos);
+                self.replies_this_phase += 1;
+            }
+            self.awaiting.is_empty().then(|| self.evaluate())
+        }
+
+        fn on_timeout(&mut self, phase: u32) -> Option<PhaseDecision> {
+            if self.done || phase != self.phase || self.awaiting.is_empty() {
+                return None;
+            }
+            for a in std::mem::take(&mut self.awaiting) {
+                self.per_rx.remove(&a);
+            }
+            Some(self.evaluate())
+        }
+
+        fn evaluate(&mut self) -> PhaseDecision {
+            if self.per_rx.is_empty() {
+                self.done = true;
+                return PhaseDecision::Complete;
+            }
+            let all: Vec<u32> = (0..self.n_blocks).collect();
+            let cur: u64 = self
+                .per_rx
+                .values()
+                .map(|bm| {
+                    let held: Vec<u32> = all
+                        .iter()
+                        .copied()
+                        .filter(|&b| bm.get(b as usize))
+                        .collect();
+                    self.bytes_of(&held)
+                })
+                .sum();
+            let gain = cur.saturating_sub(self.prev_recv_bytes);
+            let bitmap_bytes = (self.n_blocks as u64).div_ceil(8);
+            let cost = self.sent_bytes_this_phase + self.replies_this_phase as u64 * bitmap_bytes;
+            self.prev_recv_bytes = cur;
+            let anded = Bitmap::and_all(self.per_rx.values()).unwrap();
+            if anded.all_ones() {
+                self.done = true;
+                return PhaseDecision::Complete;
+            }
+            if cost > gain || self.phase >= MAX_PHASES {
+                self.done = true;
+                let residue = self
+                    .per_rx
+                    .iter()
+                    .map(|(&a, bm)| {
+                        (
+                            a,
+                            bm.zero_indices()
+                                .into_iter()
+                                .map(|i| i as u32)
+                                .collect::<Vec<u32>>(),
+                        )
+                    })
+                    .filter(|(_, v)| !v.is_empty())
+                    .collect();
+                return PhaseDecision::TcpResidue(residue);
+            }
+            self.phase += 1;
+            let resend: Vec<u32> = anded.zero_indices().into_iter().map(|i| i as u32).collect();
+            self.sent_bytes_this_phase = self.bytes_of(&resend);
+            self.replies_this_phase = 0;
+            self.awaiting = self.per_rx.keys().copied().collect();
+            PhaseDecision::Resend(resend)
+        }
+    }
+
+    /// The indexed job and the linear reference hold the same state.
+    fn same_bookkeeping(job: &SenderJob, linear: &LinearJob) {
+        prop_assert_eq!(job.awaiting().collect::<Vec<_>>(), linear.awaiting.clone());
+        let receivers: Vec<ActorId> = linear.per_rx.keys().copied().collect();
+        prop_assert_eq!(job.receivers(), receivers);
+        prop_assert!(job.per_rx.iter().eq(linear.per_rx.values()));
+        prop_assert_eq!((job.phase, job.is_done()), (linear.phase, linear.done));
+    }
+
+    proptest! {
+        /// Random receiver sets in a random caller order, and random
+        /// reply sequences — duplicate replies, replies from phones
+        /// outside the job or already dropped, wrong-length bitmaps,
+        /// timeouts at a random step and stale ones, resends — leave the
+        /// indexed `SenderJob` in the state the linear bookkeeping
+        /// reaches, with the same decision, at every step.
+        #[test]
+        fn prop_indexed_replies_match_linear_bookkeeping(
+            // Bit i: phone i is a receiver (phone 0 when none is).
+            members in any::<u32>(),
+            order_seed in any::<u64>(),
+            n_blocks in 1u64..150,
+            tail in 1u64..1025,
+            // (kind, phone, bitmap seed): kind 0 = timeout of the
+            // current phase, 1 = a stale timeout, 2 = a wrong-length
+            // reply, otherwise a reply from `phone`.
+            ops in prop::collection::vec((0u8..12, 0usize..24, any::<u64>()), 1..200),
+        ) {
+            let mut expected: Vec<ActorId> = (0..24).filter(|i| members >> i & 1 == 1).map(actor).collect();
+            if expected.is_empty() {
+                expected.push(actor(0));
+            }
+            let mut s = order_seed;
+            let mut next = move || {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                s >> 33
+            };
+            for i in (1..expected.len()).rev() {
+                expected.swap(i, next() as usize % (i + 1));
+            }
+            let total = (n_blocks - 1) * 1024 + tail;
+            let mut job = SenderJob::new(
+                5, ckpt_content(), TrafficClass::Checkpoint, total, 1024, expected.clone(),
+            );
+            let mut linear = LinearJob::new(total, 1024, expected);
+            prop_assert_eq!(job.begin(), linear.begin());
+            same_bookkeeping(&job, &linear);
+            for (kind, phone, seed) in ops {
+                let (got, want) = match kind {
+                    0 => (job.on_timeout(job.phase), linear.on_timeout(linear.phase)),
+                    1 => (job.on_timeout(job.phase + 1), linear.on_timeout(linear.phase + 1)),
+                    _ => {
+                        let len = n_blocks as usize + usize::from(kind == 2);
+                        let mut bits = seed;
+                        let density = 40 + seed % 61;
+                        let mut reply = Bitmap::zeros(len);
+                        for i in 0..len {
+                            bits = bits.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                            reply.set(i, (bits >> 33) % 100 < density);
+                        }
+                        (job.on_bitmap(actor(phone), &reply), linear.on_bitmap(actor(phone), &reply))
+                    }
+                };
+                prop_assert_eq!(got, want);
+                same_bookkeeping(&job, &linear);
+            }
         }
     }
 

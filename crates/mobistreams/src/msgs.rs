@@ -11,7 +11,6 @@ use dsps::graph::OpId;
 use dsps::store::Snapshot;
 use dsps::tuple::Tuple;
 use simkernel::ActorId;
-use simnet::bitmap::Bitmap;
 
 /// Node → controller: this node finished checkpoint `version` (state
 /// snapshotted *and* replicated to the region).
@@ -71,17 +70,6 @@ pub struct MembershipDelta {
     pub epoch: u64,
     /// The membership events, oldest first.
     pub changes: Arc<Vec<SlotChange>>,
-}
-
-/// Receiver → broadcast sender: reception bitmap for one phase of one
-/// job (the paper's per-receiver bitmap, Fig 6).
-#[derive(Debug, Clone)]
-pub struct BitmapReply {
-    /// The job this reply belongs to.
-    pub stream: u64,
-    /// One bit per job block: the blocks that arrived since the
-    /// receiver's previous reply for this job.
-    pub received: Bitmap,
 }
 
 /// Internal (sender-side): give up waiting for stragglers' bitmaps.

@@ -26,7 +26,7 @@ use dsps::node::{InstallStates, NodeInner};
 use dsps::tuple::{Marker, StreamItem, Tuple};
 use simkernel::{ActorId, Ctx, EventBox, SimDuration};
 use simnet::stats::TrafficClass;
-use simnet::wifi::{WifiBatchRx, WifiBatchSend};
+use simnet::wifi::{WifiBatchReply, WifiBatchReplyRx, WifiBatchRx, WifiBatchSend};
 use simnet::{net_send, payload, payload_as, NetRx};
 
 use crate::broadcast::{PhaseDecision, ReceiverState, SenderJob};
@@ -618,14 +618,18 @@ impl FtScheme for MsScheme {
                 let folded = if b.reply_expected {
                     self.rx.report(src, stream, total, &b.blocks, &b.received).map(Some)
                 } else {
-                    self.rx.on_batch(src, stream, total, &b.blocks, &b.received).map(|_| None)
+                    self.rx.on_chunk(src, stream, total, &b.blocks, &b.received).map(|()| None)
                 };
                 match folded {
                     Ok(Some(received)) => {
-                        let reply = BitmapReply { stream, received };
-                        let bytes = reply.received.wire_bytes();
-                        let reply = payload(reply);
-                        net_send(ctx, node.primary, src, b.class, bytes, 0, reply);
+                        let reply = WifiBatchReply {
+                            src: ctx.self_id(),
+                            dst: src,
+                            class: b.class,
+                            stream,
+                            received,
+                        };
+                        ctx.send(node.primary, reply);
                     }
                     Ok(None) => {}
                     Err(_) => {
@@ -638,21 +642,21 @@ impl FtScheme for MsScheme {
                     }
                 }
             },
-            // --- network deliveries: a receiver's bitmap reply (the
-            // sender side of the broadcast), controller RPCs ---
-            rx: NetRx => {
-                if let Some(reply) = payload_as::<BitmapReply>(&rx.payload) {
-                    let stream = reply.stream;
-                    if let Some(job) = self.jobs.get_mut(&stream) {
-                        if reply.received.len() != job.n_blocks as usize {
-                            // The job merges nothing of such a reply.
-                            self.stats.protocol_errors += 1;
-                        }
-                        if let Some(d) = job.on_bitmap(rx.src, &reply.received) {
-                            self.apply_decision(stream, d, node, ctx);
-                        }
+            // --- sender side: a receiver's bitmap reply ---
+            r: WifiBatchReplyRx => {
+                if let Some(job) = self.jobs.get_mut(&r.stream) {
+                    if r.received.len() != job.n_blocks as usize {
+                        // The job merges nothing of such a reply.
+                        self.stats.protocol_errors += 1;
                     }
-                } else if let Some(s) = payload_as::<CheckpointTick>(&rx.payload) {
+                    if let Some(d) = job.on_bitmap(r.src, &r.received) {
+                        self.apply_decision(r.stream, d, node, ctx);
+                    }
+                }
+            },
+            // --- network deliveries: controller RPCs ---
+            rx: NetRx => {
+                if let Some(s) = payload_as::<CheckpointTick>(&rx.payload) {
                     self.on_start_checkpoint(s.version, node, ctx);
                 } else if let Some(c) = payload_as::<CheckpointComplete>(&rx.payload) {
                     node.store.mark_complete(c.version);
@@ -728,7 +732,7 @@ impl FtScheme for MsScheme {
                     .jobs
                     .get(&t.stream)
                     .filter(|j| j.phase == t.phase && !j.is_done())
-                    .map(|j| j.awaiting().to_vec())
+                    .map(|j| j.awaiting().collect())
                     .unwrap_or_default();
                 let decision = self
                     .jobs
@@ -1348,14 +1352,10 @@ mod tests {
             job_of_a(rig).0.is_some()
         });
         let (stream, errors) = job_of_a(&rig);
-        let reply = NetRx {
+        let reply = WifiBatchReplyRx {
             src: rig.nodes[3],
-            bytes: 1,
-            class: TrafficClass::Checkpoint,
-            payload: payload(BitmapReply {
-                stream: stream.unwrap(),
-                received: Bitmap::zeros(3),
-            }),
+            stream: stream.unwrap(),
+            received: Bitmap::zeros(3),
         };
         rig.sim.schedule_at(rig.sim.now(), a, reply);
         rig.sim

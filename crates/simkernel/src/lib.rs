@@ -6,7 +6,7 @@
 //! * [`Event`] — type-erased messages exchanged between actors,
 //! * [`Actor`] — the unit of simulated behaviour (a phone, a WiFi medium,
 //!   the MobiStreams controller, …),
-//! * [`Sim`] — the event loop: a run-length priority queue of
+//! * [`Sim`] — the event loop: a radix-heap priority queue of
 //!   `(time, seq)`-ordered events dispatched to actors, plus one seeded
 //!   RNG.
 //!

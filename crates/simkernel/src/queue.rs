@@ -1,75 +1,72 @@
-//! One shard's pending events: a run-length priority queue.
+//! One shard's pending events: a radix heap (Ahuja, Mehlhorn, Orlin and
+//! Tarjan, J. ACM 1990) over the event time in nanoseconds.
 //!
-//! Events leave in `(time, push order)` order. The schedule a broadcast
-//! network produces is mostly same-instant bursts — a WiFi batch reaches
-//! every receiver at one instant, and every receiver replies at that
-//! same instant — so [`EventQueue`] heaps *runs*, not events: a run is
-//! a maximal sequence of consecutive pushes with one timestamp, and a
-//! burst of `n` events costs one heap push and one heap pop instead of
-//! `n` of each.
+//! Events leave in `(time, push order)` order.
 //!
-//! **Why this is exact.** Consecutive pushes with one timestamp are
-//! adjacent in `(time, push order)`: nothing pushed to this queue falls
-//! between them. So a run's events leave back to back, and runs order
-//! among themselves by `(time, creation order)` — the order of their
-//! first events.
+//! **Buckets.** `last` is the time of the last pop. Bucket 0 holds the
+//! events at `last`; bucket `b > 0` holds the events whose time first
+//! differs from `last` at bit `b - 1` (counting from the least
+//! significant bit), so every event in bucket `b` is earlier than every
+//! event in bucket `b + 1`. A push appends to its bucket. A pop takes
+//! bucket 0's head; when bucket 0 is empty it first *refills* it: the
+//! lowest non-empty bucket's minimum becomes `last`, and that bucket's
+//! events move, in list order, to the buckets their times now fall in
+//! — all of them lower, and those at the minimum into bucket 0. The
+//! other buckets keep their events: `last` moved only within bits
+//! below their own first differing bit. Each event moves down at most
+//! 64 times, and the events of one instant always move together.
 //!
-//! **Layout.** Every pending event is a 24-byte [`Node`] in one slab,
-//! linked into its run through `next` (into the free list once it has
-//! left), so a run costs no allocation of its own and the slab's
-//! capacity is shared by all runs. The newest run stays *open*, outside
-//! the heap: a push at its timestamp appends to it, any other push moves
-//! it into the heap and opens a new one. The open run is always the
-//! youngest, so a pop takes the heap's top run when that run's time is
-//! `<=` the open run's and the open run otherwise; taking an event off
-//! the top run only advances its head and leaves its key unchanged.
-
-use std::cmp::Ordering;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+//! **Why FIFO within an instant holds.** An event's bucket is a
+//! function of its time and `last`, so events with equal times always
+//! share a bucket. Appends go to the tail and a refill walks a list
+//! from its head, so two events with one time keep their push order
+//! through every move. No run ids, and no comparison of events beyond
+//! each bucket's running minimum.
+//!
+//! **Contract.** No push is earlier than the last pop (a debug build
+//! panics on one). The kernel guarantees it: `Ctx::send`/`send_in`
+//! push at or after the shard's clock, `Sim::schedule_at` clamps to
+//! it, and the barrier merge asserts it for cross-shard arrivals.
+//!
+//! **Layout.** Every pending event is a 32-byte [`Node`] in one slab,
+//! linked into its bucket through `next` (into the free list once it
+//! has left), so a bucket costs no allocation of its own. Each bucket
+//! keeps its head, tail and minimum time, and a bitmask records the
+//! non-empty ones, so `peek_at` is O(1).
 
 use crate::actor::ActorId;
 use crate::pool::EventBox;
 use crate::time::SimTime;
 
-/// End of the free list.
+/// End of a bucket list and of the free list.
 const NIL: u32 = u32::MAX;
+
+/// Bucket 0 plus one per bit of a 64-bit time.
+const BUCKETS: usize = 65;
 
 /// A pending event, or a free slot (`ev == None`).
 struct Node {
+    at: SimTime,
     to: ActorId,
-    /// The next event of the same run, or the next free slot.
+    /// The next event of the same bucket, or the next free slot.
     next: u32,
     ev: Option<EventBox>,
 }
 
-/// Events pushed back to back at one instant: slab indices of the
-/// oldest (`head`) and newest (`tail`) one still queued.
+/// One bucket's list: slab indices of its oldest (`head`) and newest
+/// (`tail`) event, and its earliest time. Meaningful only while the
+/// bucket's bit in `EventQueue::nonempty` is set.
 #[derive(Clone, Copy)]
-struct Run {
-    at: SimTime,
-    /// Creation order; breaks ties in `at`.
-    id: u64,
+struct Bucket {
     head: u32,
     tail: u32,
+    min: SimTime,
 }
 
-impl PartialEq for Run {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.id) == (other.at, other.id)
-    }
-}
-impl Eq for Run {}
-impl PartialOrd for Run {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Run {
-    // BinaryHeap is a max-heap; invert so the earliest (at, id) pops
-    // first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.id).cmp(&(self.at, self.id))
-    }
+/// The bucket of an event at `at` when the last pop was at `last`.
+#[inline]
+fn bucket_of(at: SimTime, last: SimTime) -> usize {
+    64 - (at.as_nanos() ^ last.as_nanos()).leading_zeros() as usize
 }
 
 /// A `(time, push order)` priority queue of events (module docs).
@@ -77,12 +74,12 @@ pub(crate) struct EventQueue {
     nodes: Vec<Node>,
     /// Head of the free-slot list threaded through `nodes`.
     free: u32,
-    /// Closed runs.
-    runs: BinaryHeap<Run>,
-    /// The youngest run, which pushes at its `at` extend; never empty.
-    open: Option<Run>,
-    next_id: u64,
-    /// Queued events (not runs).
+    buckets: [Bucket; BUCKETS],
+    /// Bit `b` is set while bucket `b` holds an event.
+    nonempty: u128,
+    /// Time of the last pop.
+    last: SimTime,
+    /// Queued events.
     len: usize,
 }
 
@@ -91,9 +88,13 @@ impl Default for EventQueue {
         EventQueue {
             nodes: Vec::new(),
             free: NIL,
-            runs: BinaryHeap::new(),
-            open: None,
-            next_id: 0,
+            buckets: [Bucket {
+                head: NIL,
+                tail: NIL,
+                min: SimTime::MAX,
+            }; BUCKETS],
+            nonempty: 0,
+            last: SimTime::ZERO,
             len: 0,
         }
     }
@@ -101,9 +102,15 @@ impl Default for EventQueue {
 
 impl EventQueue {
     /// Queue `ev` for `to` at `at`, behind every event already queued
-    /// for `at`.
+    /// for `at`. `at` must not be earlier than the last pop.
     pub(crate) fn push(&mut self, at: SimTime, to: ActorId, ev: EventBox) {
+        debug_assert!(
+            at >= self.last,
+            "event pushed at {at:?}, before the last pop at {:?}",
+            self.last
+        );
         let node = Node {
+            at,
             to,
             next: NIL,
             ev: Some(ev),
@@ -120,67 +127,82 @@ impl EventQueue {
             ix
         };
         self.len += 1;
-        match &mut self.open {
-            Some(open) if open.at == at => {
-                self.nodes[open.tail as usize].next = ix;
-                open.tail = ix;
-            }
-            open => {
-                let run = Run {
-                    at,
-                    id: self.next_id,
-                    head: ix,
-                    tail: ix,
-                };
-                self.next_id += 1;
-                if let Some(closed) = open.replace(run) {
-                    self.runs.push(closed);
-                }
-            }
+        self.append(ix, at);
+    }
+
+    /// Link node `ix` (time `at`, `next == NIL`) at the tail of its
+    /// bucket.
+    #[inline]
+    fn append(&mut self, ix: u32, at: SimTime) {
+        let b = bucket_of(at, self.last);
+        let bucket = &mut self.buckets[b];
+        if self.nonempty >> b & 1 == 0 {
+            self.nonempty |= 1 << b;
+            *bucket = Bucket {
+                head: ix,
+                tail: ix,
+                min: at,
+            };
+        } else {
+            self.nodes[bucket.tail as usize].next = ix;
+            bucket.tail = ix;
+            bucket.min = bucket.min.min(at);
         }
+    }
+
+    /// Bucket 0 is empty: move `last` to the lowest non-empty bucket's
+    /// minimum and redistribute that bucket. False if the queue is
+    /// empty.
+    fn refill(&mut self) -> bool {
+        let above = self.nonempty & !1;
+        if above == 0 {
+            return false;
+        }
+        let b = above.trailing_zeros() as usize;
+        self.nonempty &= !(1 << b);
+        let Bucket { head, min, .. } = self.buckets[b];
+        self.last = min;
+        let mut ix = head;
+        while ix != NIL {
+            let node = &mut self.nodes[ix as usize];
+            let (next, at) = (node.next, node.at);
+            node.next = NIL;
+            self.append(ix, at);
+            ix = next;
+        }
+        true
     }
 
     /// Remove the earliest event: `(at, to, ev)`.
     pub(crate) fn pop(&mut self) -> Option<(SimTime, ActorId, EventBox)> {
-        let open_at = self.open.map(|r| r.at);
-        let (at, ix) = match self.runs.peek_mut() {
-            Some(mut top) if open_at.is_none_or(|o| top.at <= o) => {
-                let (at, ix) = (top.at, top.head);
-                if ix == top.tail {
-                    PeekMut::pop(top);
-                } else {
-                    top.head = self.nodes[ix as usize].next;
-                }
-                (at, ix)
-            }
-            _ => {
-                let open = self.open.as_mut()?;
-                let (at, ix) = (open.at, open.head);
-                if ix == open.tail {
-                    self.open = None;
-                } else {
-                    open.head = self.nodes[ix as usize].next;
-                }
-                (at, ix)
-            }
-        };
-        self.len -= 1;
+        if self.nonempty & 1 == 0 && !self.refill() {
+            return None;
+        }
+        let bucket = &mut self.buckets[0];
+        let ix = bucket.head;
         let node = &mut self.nodes[ix as usize];
+        if ix == bucket.tail {
+            self.nonempty &= !1;
+        } else {
+            bucket.head = node.next;
+        }
         node.next = self.free;
         self.free = ix;
-        // A run links only live nodes, so `ev` is always `Some` here.
-        Some((at, node.to, node.ev.take()?))
+        self.len -= 1;
+        // A bucket links only live nodes, so `ev` is always `Some` here.
+        Some((node.at, node.to, node.ev.take()?))
     }
 
     /// Time of the earliest queued event.
     pub(crate) fn peek_at(&self) -> Option<SimTime> {
-        match (self.runs.peek(), &self.open) {
-            (Some(top), Some(open)) => Some(top.at.min(open.at)),
-            (top, open) => top.or(open.as_ref()).map(|r| r.at),
+        if self.nonempty & 1 != 0 {
+            return Some(self.last);
         }
+        let above = self.nonempty & !1;
+        (above != 0).then(|| self.buckets[above.trailing_zeros() as usize].min)
     }
 
-    /// Queued events (not runs).
+    /// Queued events.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -193,6 +215,7 @@ mod tests {
     use crate::time::SimDuration;
     use proptest::prelude::*;
     use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
     use std::mem::size_of;
     use std::sync::atomic::{self, AtomicU64};
     use std::sync::Arc;
@@ -210,31 +233,60 @@ mod tests {
     }
 
     #[test]
-    fn node_and_run_are_24_bytes() {
-        assert_eq!(size_of::<Node>(), 24);
-        assert_eq!(size_of::<Run>(), 24);
+    fn node_is_32_bytes_and_bucket_16() {
+        assert_eq!(size_of::<Node>(), 32);
+        assert_eq!(size_of::<Bucket>(), 16);
     }
 
-    /// One step of the interleaving the property explores.
+    #[test]
+    fn buckets_split_on_the_first_differing_bit() {
+        let t = SimTime::from_nanos;
+        assert_eq!(bucket_of(t(5), t(5)), 0);
+        assert_eq!(bucket_of(t(4), t(5)), 1);
+        assert_eq!(bucket_of(t(6), t(5)), 2);
+        assert_eq!(bucket_of(t(8), t(5)), 4);
+        assert_eq!(bucket_of(SimTime::MAX, SimTime::ZERO), 64);
+    }
+
+    /// A push earlier than the last pop breaks the radix invariant; a
+    /// debug build refuses it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "before the last pop")]
+    fn push_before_the_last_pop_panics() {
+        let mut q = EventQueue::default();
+        let to = ActorId::from_index(0);
+        q.push(SimTime::from_nanos(10), to, EventBox::new(()));
+        assert!(q.pop().is_some());
+        q.push(SimTime::from_nanos(9), to, EventBox::new(()));
+    }
+
+    /// One step of the interleaving the property explores. Every push
+    /// is one the kernel can make: none is earlier than the last pop.
     #[derive(Debug, Clone, Copy)]
     enum Op {
         /// Push at the time of the last pop.
         PushNow,
-        /// Push at the previous push's time (extends its run).
+        /// Push at the previous push's time, clamped at the last pop.
         PushSame,
         /// Push `1 + .0 % 4` ns after the last pop.
         PushLater(u8),
-        /// Push `1 + .0 % 3` ns before the earliest queued event.
+        /// Push `1 + .0 % 3` ns before the earliest queued event,
+        /// clamped at the last pop.
         PushBelowHead(u8),
+        /// Push `2^(.0 % 41)` ns after the last pop: reaches the high
+        /// buckets and refills that cascade down several levels.
+        PushFar(u8),
         Pop,
     }
 
     fn decode_op((sel, arg): (u8, u8)) -> Op {
-        match sel % 8 {
+        match sel % 9 {
             0 => Op::PushNow,
             1 | 2 => Op::PushSame,
             3 => Op::PushLater(arg),
             4 => Op::PushBelowHead(arg),
+            5 => Op::PushFar(arg),
             _ => Op::Pop,
         }
     }
@@ -261,14 +313,14 @@ mod tests {
         for op in ops {
             let at = match op {
                 Op::PushNow => Some(now),
-                Op::PushSame => Some(last_at),
+                Op::PushSame => Some(last_at.max(now)),
                 Op::PushLater(k) => Some(now + SimDuration::from_nanos(1 + u64::from(k % 4))),
                 Op::PushBelowHead(k) => {
                     let head = q.peek_at().unwrap_or(now).as_nanos();
-                    Some(SimTime::from_nanos(
-                        head.saturating_sub(1 + u64::from(k % 3)),
-                    ))
+                    let below = SimTime::from_nanos(head.saturating_sub(1 + u64::from(k % 3)));
+                    Some(below.max(now))
                 }
+                Op::PushFar(k) => Some(now + SimDuration::from_nanos(1 << (k % 41))),
                 Op::Pop => {
                     match (q.pop(), reference.pop()) {
                         (Some(got), Some(Reverse(want))) => {
@@ -310,10 +362,11 @@ mod tests {
     }
 
     proptest! {
-        /// Arbitrary interleavings of pushes at the current time, at
-        /// the previous push's time, later, and below the queue's head,
-        /// with pops: the queue agrees with a plain `(at, seq)` heap at
-        /// every step, and drops every event exactly once.
+        /// Arbitrary interleavings of the pushes the kernel can make —
+        /// at the last pop's time, at the previous push's time, a few ns
+        /// later, just below the queue's head and far ahead — with pops:
+        /// the queue agrees with a plain `(at, seq)` heap at every
+        /// step, and drops every event exactly once.
         #[test]
         fn prop_matches_reference_heap(
             raw_ops in prop::collection::vec((any::<u8>(), any::<u8>()), 1..300),

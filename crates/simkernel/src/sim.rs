@@ -50,12 +50,13 @@
 //!   never crosses shards — which is what lets the pool do without
 //!   locks or atomics, and keeps free-list state independent of thread
 //!   interleaving.
-//! * **Run-length event queue** (`queue.rs`): consecutive pushes at
-//!   one instant — a broadcast's fan-out to every receiver, and the
-//!   receivers' same-instant replies — form one run that enters and
-//!   leaves the queue's heap as a single entry, so a burst of `n`
-//!   events costs one heap push and one heap pop instead of `n` of
-//!   each.
+//! * **Radix-heap event queue** (`queue.rs`): 65 FIFO buckets keyed on
+//!   the bits in which an event's time differs from the last pop's, so
+//!   a push is an append, `peek_at` is O(1), and a broadcast's
+//!   same-instant fan-out moves between buckets as one list. FIFO
+//!   within an instant holds by construction; the queue relies on no
+//!   push being earlier than the shard's clock, which the kernel
+//!   guarantees.
 //!
 //! # Causality sanitizer
 //!

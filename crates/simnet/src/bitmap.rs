@@ -193,11 +193,14 @@ impl Bitmap {
     /// target is in range.
     pub fn or_scattered(&mut self, src: &Bitmap, targets: &[u32]) {
         assert_eq!(src.len, targets.len(), "scatter length mismatch");
+        let len = self.len;
+        let dst = self.words_mut();
         for (wi, &w) in src.words().iter().enumerate() {
             let mut rest = w;
             while rest != 0 {
-                let i = wi * 64 + rest.trailing_zeros() as usize;
-                self.set(targets[i] as usize, true);
+                let t = targets[wi * 64 + rest.trailing_zeros() as usize] as usize;
+                assert!(t < len, "bit {t} out of range (len {len})");
+                dst[t / 64] |= 1 << (t % 64);
                 rest &= rest - 1;
             }
         }

@@ -60,7 +60,7 @@ impl TrafficClass {
 }
 
 /// Per-transport accounting.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Payload bytes offered, per traffic class.
     payload_bytes: [u64; 6],

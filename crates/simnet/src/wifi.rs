@@ -16,8 +16,16 @@
 //!   in one airtime slot that reaches every member; a batch collapses
 //!   them into one event while sampling per-block, per-receiver iid
 //!   loss exactly as individual one-frame datagrams would.
+//!
+//! The batch service has its own four legs:
+//! [`WifiBatchSend`] (sender → medium) → [`WifiBatchRx`] (medium →
+//! each receiver) → [`WifiBatchReply`] (receiver → medium, the
+//! reception bitmap of the paper's Fig 6) → [`WifiBatchReplyRx`]
+//! (medium → sender). A reply is charged exactly as a [`NetSend`] of
+//! the bitmap's wire bytes: both go through one reliable-unicast
+//! routine. It only skips the type-erased payload, which every
+//! receiver would otherwise allocate and the sender probe by type.
 
-use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -146,24 +154,94 @@ pub struct WifiBatchRx {
     pub reply_expected: bool,
 }
 
+/// Receiver → medium: the reception bitmap that answers one phase of
+/// a batch job, sent reliably to the job's sender.
+#[derive(Debug)]
+pub struct WifiBatchReply {
+    /// Replying receiver.
+    pub src: ActorId,
+    /// The job's sender.
+    pub dst: ActorId,
+    /// Traffic class of the job.
+    pub class: TrafficClass,
+    /// Correlation id of the job.
+    pub stream: u64,
+    /// The blocks that arrived since this receiver's previous reply;
+    /// its [`Bitmap::wire_bytes`] are what the channel carries.
+    pub received: Bitmap,
+}
+
+/// Delivery of a [`WifiBatchReply`] at the job's sender.
+#[derive(Debug)]
+pub struct WifiBatchReplyRx {
+    /// Replying receiver.
+    pub src: ActorId,
+    /// Correlation id of the job.
+    pub stream: u64,
+    /// The receiver's bitmap.
+    pub received: Bitmap,
+}
+
+/// What a receiver checks of a batch's block list, found in one pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockSpan {
+    /// The largest id (0 for an empty list).
+    pub max: u32,
+    /// The first id when the ids are an ascending run (a phase-1 chunk
+    /// always is; an empty list counts as a run from 0).
+    pub run_from: Option<u32>,
+}
+
+impl BlockSpan {
+    /// Scan `blocks` once.
+    pub fn of(blocks: &[u32]) -> Self {
+        let first = blocks.first().copied().unwrap_or(0);
+        let (mut max, mut run) = (0u32, true);
+        for (i, &b) in blocks.iter().enumerate() {
+            max = max.max(b);
+            run &= b == first.wrapping_add(i as u32);
+        }
+        BlockSpan {
+            max,
+            run_from: run.then_some(first),
+        }
+    }
+}
+
 /// The block ids of one broadcast batch, shared by every receiver's
-/// [`WifiBatchRx`] through one thin pointer. The medium wraps the
-/// send's `Arc<[u32]>` once per batch: a fat `Arc<[u32]>` is 16 bytes
-/// and would push the event out of the event pool's 64-byte size class.
+/// [`WifiBatchRx`] through one thin pointer, with their [`BlockSpan`]
+/// found once per batch rather than once per receiver. The medium
+/// wraps the send's `Arc<[u32]>` once per batch: a fat `Arc<[u32]>` is
+/// 16 bytes and would push the event out of the event pool's 64-byte
+/// size class.
 #[derive(Debug, Clone)]
-pub struct BatchBlocks(Arc<Arc<[u32]>>);
+pub struct BatchBlocks(Arc<BlockList>);
+
+#[derive(Debug)]
+struct BlockList {
+    ids: Arc<[u32]>,
+    span: BlockSpan,
+}
+
+impl BatchBlocks {
+    /// The list's largest id and run start.
+    pub fn span(&self) -> BlockSpan {
+        self.0.span
+    }
+}
 
 impl Deref for BatchBlocks {
     type Target = [u32];
 
     fn deref(&self) -> &[u32] {
-        &self.0
+        &self.0.ids
     }
 }
 
 impl From<Arc<[u32]>> for BatchBlocks {
-    fn from(blocks: Arc<[u32]>) -> Self {
-        BatchBlocks(Arc::new(blocks))
+    fn from(ids: Arc<[u32]>) -> Self {
+        let span = BlockSpan::of(&ids);
+        BatchBlocks(Arc::new(BlockList { ids, span }))
     }
 }
 
@@ -217,10 +295,71 @@ pub struct WifiSetBrownout {
     pub loss: f64,
 }
 
+/// Per-block reception loss at one loss probability, with the
+/// geometric skip's logarithm taken once: a batch samples every
+/// receiver with one `Reception`.
+struct Reception {
+    loss: f64,
+    /// Walk the drops (loss ≤ ½) rather than the receptions.
+    drops_rare: bool,
+    /// `ln(1 − p)` of the rarer outcome's probability `p`.
+    ln_q: f64,
+}
+
+impl Reception {
+    fn new(loss: f64) -> Self {
+        let drops_rare = loss <= 0.5;
+        let rare = if drops_rare { loss } else { 1.0 - loss };
+        Reception {
+            loss,
+            drops_rare,
+            ln_q: (1.0 - rare).ln(),
+        }
+    }
+
+    /// Sample which of `n` broadcast blocks survive the channel for one
+    /// receiver. Loss is iid Bernoulli per block, but sampled by
+    /// geometric *skips* between the rarer outcome (one uniform per
+    /// lost block instead of one per block), so the checkpoint
+    /// broadcast's 8000-block batches cost O(n·loss) draws. `loss == 0`
+    /// and `loss >= 1` never touch the RNG. Returns the reception
+    /// bitmap and the number of lost blocks.
+    fn sample(&self, n: usize, rng: &mut SimRng) -> (Bitmap, u64) {
+        if self.loss <= 0.0 {
+            return (Bitmap::ones(n), 0);
+        }
+        if self.loss >= 1.0 {
+            return (Bitmap::zeros(n), n as u64);
+        }
+        // Walk the rarer outcome: from all-received clearing the drops,
+        // or from all-lost setting the receptions.
+        let drops_rare = self.drops_rare;
+        let mut received = if drops_rare {
+            Bitmap::ones(n)
+        } else {
+            Bitmap::zeros(n)
+        };
+        let mut hits = 0u64;
+        let mut i = rng.geometric_ln(self.ln_q) as usize;
+        while i < n {
+            received.set(i, !drops_rare);
+            hits += 1;
+            i += 1 + rng.geometric_ln(self.ln_q) as usize;
+        }
+        let lost = if drops_rare { hits } else { n as u64 - hits };
+        (received, lost)
+    }
+}
+
 /// The shared channel of one region.
 pub struct WifiMedium {
     cfg: WifiConfig,
-    members: BTreeMap<ActorId, LinkState>,
+    /// Every node ever given a link state, ascending: reception
+    /// sampling and congestion signals go in this order.
+    members: Vec<ActorId>,
+    /// Link state by actor index; `Gone` past the end and for
+    /// non-members.
+    links: Vec<LinkState>,
     channel: RateQueue,
     stats: NetStats,
     congested: bool,
@@ -235,7 +374,8 @@ impl WifiMedium {
         let channel = RateQueue::new(cfg.rate_bps);
         WifiMedium {
             cfg,
-            members: BTreeMap::new(),
+            members: Vec::new(),
+            links: Vec::new(),
             channel,
             stats: NetStats::default(),
             congested: false,
@@ -253,7 +393,7 @@ impl WifiMedium {
         let backlog = self.channel.backlog(ctx.now());
         if !self.congested && backlog > self.cfg.high_water {
             self.congested = true;
-            for &m in self.members.keys() {
+            for &m in &self.members {
                 ctx.send(m, WifiCongestion { on: true });
             }
             let delay = backlog.saturating_sub(self.cfg.low_water);
@@ -269,7 +409,7 @@ impl WifiMedium {
         let backlog = self.channel.backlog(ctx.now());
         if backlog <= self.cfg.low_water {
             self.congested = false;
-            for &m in self.members.keys() {
+            for &m in &self.members {
                 ctx.send(m, WifiCongestion { on: false });
             }
         } else {
@@ -281,12 +421,22 @@ impl WifiMedium {
 
     /// Add a member in `Active` state (setup-time wiring).
     pub fn add_member(&mut self, node: ActorId) {
-        self.members.insert(node, LinkState::Active);
+        self.set_link_state(node, LinkState::Active);
     }
 
-    /// Set a member's link state directly (setup/fault-injection).
+    /// Set a member's link state directly (setup/fault-injection); an
+    /// unknown node becomes a member.
     pub fn set_link_state(&mut self, node: ActorId, state: LinkState) {
-        self.members.insert(node, state);
+        // The table is sized by the largest actor index it holds.
+        assert!(node != ActorId::UNSET, "link state for ActorId::UNSET");
+        if let Err(pos) = self.members.binary_search(&node) {
+            self.members.insert(pos, node);
+        }
+        let ix = node.index();
+        if ix >= self.links.len() {
+            self.links.resize(ix + 1, LinkState::Gone);
+        }
+        self.links[ix] = state;
     }
 
     /// Change the channel loss probability (loss profiles). During a
@@ -325,7 +475,10 @@ impl WifiMedium {
 
     /// Current link state (`Gone` if unknown).
     pub fn link_state(&self, node: ActorId) -> LinkState {
-        self.members.get(&node).copied().unwrap_or(LinkState::Gone)
+        self.links
+            .get(node.index())
+            .copied()
+            .unwrap_or(LinkState::Gone)
     }
 
     /// Accounting.
@@ -338,20 +491,26 @@ impl WifiMedium {
         &self.cfg
     }
 
-    fn handle_send(&mut self, s: NetSend, ctx: &mut Ctx) {
-        let NetSend {
-            src,
-            dst,
-            class,
-            bytes,
-            tag,
-            payload,
-        } = s;
+    /// Charge one reliable unicast of `bytes` from `src` to `dst`: the
+    /// routine [`NetSend`] and [`WifiBatchReply`] share. Returns the
+    /// delay after which the message reaches `dst`, or `None` when it
+    /// never does — the source is down, congestion dropped it, or `dst`
+    /// is unreachable — having sent `tag`'s completion where one is
+    /// due.
+    fn reliable_unicast(
+        &mut self,
+        src: ActorId,
+        dst: ActorId,
+        class: TrafficClass,
+        bytes: u64,
+        tag: u64,
+        ctx: &mut Ctx,
+    ) -> Option<SimDuration> {
         if !self.link_state(src).reachable() {
             // Dead phones transmit nothing: the send never reached the
             // channel, so it is a reject, not a channel drop.
             self.stats.rejects += 1;
-            return;
+            return None;
         }
         let droppable = matches!(class, TrafficClass::Data | TrafficClass::Replication);
         if droppable && self.channel.backlog(ctx.now()) > self.cfg.max_backlog {
@@ -365,7 +524,7 @@ impl WifiMedium {
             if tag != 0 {
                 ctx.send_in(self.cfg.max_backlog, src, TxDone { tag });
             }
-            return;
+            return None;
         }
         let wire = self.cfg.reliable_wire_bytes(bytes);
         let air = tx_time(wire, self.cfg.rate_bps);
@@ -380,8 +539,23 @@ impl WifiMedium {
                 let when = delay.max(self.cfg.reliable_timeout);
                 ctx.send_in(when, src, TxFailed { tag, dst });
             }
-            return;
+            return None;
         }
+        Some(delay)
+    }
+
+    fn handle_send(&mut self, s: NetSend, ctx: &mut Ctx) {
+        let NetSend {
+            src,
+            dst,
+            class,
+            bytes,
+            tag,
+            payload,
+        } = s;
+        let Some(delay) = self.reliable_unicast(src, dst, class, bytes, tag, ctx) else {
+            return;
+        };
         if let Some(payload) = payload {
             let rx = NetRx {
                 src,
@@ -396,39 +570,23 @@ impl WifiMedium {
         }
     }
 
-    /// Sample which of `n` broadcast blocks survive the channel for one
-    /// receiver. Loss is iid Bernoulli per block, but sampled by
-    /// geometric *skips* between the rarer outcome (one uniform per
-    /// lost block instead of one per block), so the checkpoint
-    /// broadcast's 8000-block batches cost O(n·loss) draws. `loss == 0`
-    /// and `loss >= 1` never touch the RNG. Returns the reception
-    /// bitmap and the number of lost blocks.
-    fn sample_reception(n: usize, loss: f64, rng: &mut SimRng) -> (Bitmap, u64) {
-        if loss <= 0.0 {
-            return (Bitmap::ones(n), 0);
+    fn handle_reply(&mut self, r: WifiBatchReply, ctx: &mut Ctx) {
+        let WifiBatchReply {
+            src,
+            dst,
+            class,
+            stream,
+            received,
+        } = r;
+        let bytes = received.wire_bytes();
+        if let Some(delay) = self.reliable_unicast(src, dst, class, bytes, 0, ctx) {
+            let rx = WifiBatchReplyRx {
+                src,
+                stream,
+                received,
+            };
+            ctx.send_in(delay, dst, rx);
         }
-        if loss >= 1.0 {
-            return (Bitmap::zeros(n), n as u64);
-        }
-        // Walk the rarer outcome: from all-received clearing the drops,
-        // or from all-lost setting the receptions.
-        let drops_rare = loss <= 0.5;
-        let rare = if drops_rare { loss } else { 1.0 - loss };
-        let ln_q = (1.0 - rare).ln();
-        let mut received = if drops_rare {
-            Bitmap::ones(n)
-        } else {
-            Bitmap::zeros(n)
-        };
-        let mut hits = 0u64;
-        let mut i = rng.geometric_ln(ln_q) as usize;
-        while i < n {
-            received.set(i, !drops_rare);
-            hits += 1;
-            i += 1 + rng.geometric_ln(ln_q) as usize;
-        }
-        let lost = if drops_rare { hits } else { n as u64 - hits };
-        (received, lost)
     }
 
     fn handle_batch(&mut self, b: WifiBatchSend, ctx: &mut Ctx) {
@@ -460,14 +618,14 @@ impl WifiMedium {
         self.after_reserve(ctx);
         let delay = end - ctx.now();
 
-        let loss = self.cfg.loss;
+        let reception = Reception::new(self.cfg.loss);
         let blocks = BatchBlocks::from(b.blocks);
         // Receptions are sampled per reachable member, in member order.
-        for (&dst, st) in &self.members {
-            if dst == b.src || !st.reachable() {
+        for &dst in &self.members {
+            if dst == b.src || !self.links[dst.index()].reachable() {
                 continue;
             }
-            let (received, lost) = Self::sample_reception(blocks.len(), loss, ctx.rng());
+            let (received, lost) = reception.sample(blocks.len(), ctx.rng());
             self.stats.drops += lost;
             ctx.send_in(
                 delay,
@@ -494,6 +652,7 @@ impl Actor for WifiMedium {
         simkernel::match_event!(ev,
             s: NetSend => { self.handle_send(s, ctx); },
             b: WifiBatchSend => { self.handle_batch(b, ctx); },
+            r: WifiBatchReply => { self.handle_reply(r, ctx); },
             l: SetLink => { self.set_link_state(l.node, l.state); },
             l: WifiSetLoss => { self.set_loss(l.loss); },
             b: WifiSetBrownout => { self.set_brownout(b.on, b.loss); },
@@ -524,6 +683,7 @@ mod tests {
     struct Sink {
         rx: Vec<(SimTime, u64)>,  // (when, bytes)
         batch: Vec<(u64, usize)>, // (stream, received count)
+        replies: Vec<(SimTime, ActorId, u64, Bitmap)>,
         done: Vec<u64>,
         failed: Vec<u64>,
         congestion: Vec<bool>,
@@ -534,6 +694,7 @@ mod tests {
             simkernel::match_event!(ev,
                 r: NetRx => { self.rx.push((ctx.now(), r.bytes)); },
                 b: WifiBatchRx => { self.batch.push((b.stream, b.received.count_ones())); },
+                r: WifiBatchReplyRx => { self.replies.push((ctx.now(), r.src, r.stream, r.received)); },
                 d: TxDone => { self.done.push(d.tag); },
                 f: TxFailed => { self.failed.push(f.tag); },
                 c: WifiCongestion => { self.congestion.push(c.on); },
@@ -632,6 +793,70 @@ mod tests {
         // One airtime slot for two receivers: medium busy exactly once.
         let med = sim.actor::<WifiMedium>(m);
         assert_eq!(med.stats().messages(TrafficClass::Checkpoint), 1);
+    }
+
+    /// A bitmap reply costs exactly what a `NetSend` of its wire bytes
+    /// costs: the same `NetStats`, the same channel backlog and the
+    /// same delivery time — with both endpoints up, from a dead
+    /// receiver (a reject) and to a dead sender (a failed send, no
+    /// delivery).
+    #[test]
+    fn a_reply_costs_exactly_a_net_send_of_its_bitmap() {
+        let mut bitmap = Bitmap::zeros(1000);
+        for i in (0..1000).step_by(3) {
+            bitmap.set(i, true);
+        }
+        for (down, want_rejects, want_failed) in [(None, 0, 0), (Some(1), 1, 0), (Some(0), 0, 1)] {
+            let run = |typed: bool| {
+                let (mut sim, m, nodes) = setup(0.2);
+                // Traffic ahead of the reply, so it queues for airtime.
+                sim.schedule_at(SimTime::ZERO, m, batch(nodes[2], (0..50).collect(), 0));
+                if let Some(d) = down {
+                    sim.actor_mut::<WifiMedium>(m)
+                        .set_link_state(nodes[d], LinkState::Dead);
+                }
+                let (src, dst, class) = (nodes[1], nodes[0], TrafficClass::Checkpoint);
+                let at = SimTime::from_millis(1);
+                if typed {
+                    let reply = WifiBatchReply {
+                        src,
+                        dst,
+                        class,
+                        stream: 9,
+                        received: bitmap.clone(),
+                    };
+                    sim.schedule_at(at, m, reply);
+                } else {
+                    sim.schedule_at(at, m, send(src, dst, class, bitmap.wire_bytes(), 0));
+                }
+                sim.run_until(at);
+                let med = sim.actor::<WifiMedium>(m);
+                let (stats, backlog) = (med.stats().clone(), med.channel.backlog(at));
+                sim.run();
+                let sink = sim.actor::<Sink>(dst);
+                let delivered: Vec<SimTime> = if typed {
+                    for (_, from, stream, got) in &sink.replies {
+                        assert_eq!((*from, *stream, got), (src, 9, &bitmap));
+                    }
+                    sink.replies.iter().map(|r| r.0).collect()
+                } else {
+                    sink.rx.iter().map(|r| r.0).collect()
+                };
+                (stats, backlog, delivered)
+            };
+            let (net, typed) = (run(false), run(true));
+            assert_eq!(typed, net, "down = {down:?}");
+            let (stats, _, delivered) = typed;
+            assert_eq!(
+                (stats.rejects, stats.failed_sends),
+                (want_rejects, want_failed)
+            );
+            assert_eq!(
+                delivered.len(),
+                usize::from(down.is_none()),
+                "down = {down:?}"
+            );
+        }
     }
 
     #[test]
@@ -813,7 +1038,7 @@ mod tests {
         for loss in [0.0, 1.0] {
             let mut rng = SimRng::new(7);
             let mut untouched = SimRng::new(7);
-            let (bm, lost) = WifiMedium::sample_reception(1000, loss, &mut rng);
+            let (bm, lost) = Reception::new(loss).sample(1000, &mut rng);
             assert_eq!(bm.count_ones(), if loss == 0.0 { 1000 } else { 0 });
             assert_eq!(lost, if loss == 0.0 { 0 } else { 1000 });
             assert_eq!(
@@ -995,7 +1220,7 @@ mod tests {
             ) {
                 let n = 4000usize;
                 let mut rng = SimRng::new(seed);
-                let (bm, lost) = WifiMedium::sample_reception(n, loss, &mut rng);
+                let (bm, lost) = Reception::new(loss).sample(n, &mut rng);
                 prop_assert_eq!(bm.len(), n);
                 prop_assert_eq!(bm.count_ones() as u64 + lost, n as u64);
 
@@ -1030,7 +1255,7 @@ mod tests {
                 seed in 0u64..1u64 << 32,
             ) {
                 let mut rng = SimRng::new(seed);
-                let (bm, lost) = WifiMedium::sample_reception(n, loss, &mut rng);
+                let (bm, lost) = Reception::new(loss).sample(n, &mut rng);
                 prop_assert_eq!(bm.count_zeros() as u64, lost);
             }
         }

@@ -3,6 +3,7 @@
 
     python3 scripts/sprof_report.py sprof.out [--top 25]
     python3 scripts/sprof_report.py sprof.out --callers next_u64
+    python3 scripts/sprof_report.py sprof.out --callees on_event
 
 Addresses inside the profiled executable go through
 `addr2line -a -f -C -i`, so a build with line tables
@@ -17,6 +18,11 @@ functions; addresses in shared objects are reported as `[libm.so.6]`.
              `::` segments), FN's innermost frame and the three
              callers above it, std/core/alloc frames skipped, ranked by
              share of all samples: `next_u64 <- skip <- blank <- ...`
+  callees    with --callees FN, the inverse: for each sample whose
+             stack holds FN, FN's outermost frame and the three frames
+             below it, std/core/alloc frames skipped, ranked the same
+             way: `on_event -> handle_batch -> sample -> ...`; a sample
+             in FN's own code ends the chain at FN
 """
 import argparse
 import collections
@@ -98,11 +104,23 @@ def caller_chain(chain, name, depth=3):
     return " <- ".join([chain[at][0]] + callers)
 
 
+def callee_chain(chain, name, depth=3):
+    """`name`'s outermost frame in `chain` (innermost first) and up to
+    `depth` of the frames it called outside the standard library,
+    innermost last; None if the chain does not hold `name`."""
+    at = next((i for i in reversed(range(len(chain))) if is_named(chain[i][0], name)), None)
+    if at is None:
+        return None
+    callees = [fn for fn, _ in reversed(chain[:at]) if not in_std(fn)][:depth]
+    return " -> ".join([chain[at][0]] + callees)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("profile", nargs="?", default="sprof.out")
     ap.add_argument("--top", type=int, default=25, help="rows per table")
     ap.add_argument("--callers", metavar="FN", help="rank the caller chains above FN")
+    ap.add_argument("--callees", metavar="FN", help="rank the callee chains below FN")
     args = ap.parse_args()
     maps, samples = read_profile(args.profile, "S")
     # Return addresses point past the call: step back into it. The leaf
@@ -110,7 +128,7 @@ def main():
     stacks = [[a if i == 0 else a - 1 for i, a in enumerate(int(x, 16) for x in s)] for s in samples if s]
     sym = Symbolizer(maps, {a for s in stacks for a in s})
 
-    leaf, incl, crate, callers = (collections.Counter() for _ in range(4))
+    leaf, incl, crate, callers, callees = (collections.Counter() for _ in range(5))
     for s in stacks:
         chain = [fr for a in s for fr in sym.frames(a)]
         leaf[chain[0][0]] += 1
@@ -118,11 +136,17 @@ def main():
         crate[crate_of(chain)] += 1
         if args.callers and (c := caller_chain(chain, args.callers)):
             callers[c] += 1
+        if args.callees and (c := callee_chain(chain, args.callees)):
+            callees[c] += 1
     n = len(stacks)
     print(f"{n} samples of {sym.exe}")
     tables = (("crate", crate), ("leaf", leaf), ("inclusive", incl))
-    if args.callers:
-        tables = ((f"callers of {args.callers}, {sum(callers.values())} samples", callers),)
+    if args.callers or args.callees:
+        tables = tuple(
+            (f"{kind} of {fn}, {sum(table.values())} samples", table)
+            for kind, fn, table in (("callers", args.callers, callers), ("callees", args.callees, callees))
+            if fn
+        )
     for title, table in tables:
         print(f"\n== {title}")
         for name, c in table.most_common(args.top):
