@@ -28,9 +28,9 @@
 //!   and back, at staggered times per region; stresses the multi-phase
 //!   broadcast's cost/gain logic and the TCP residue path.
 //! * `metro` — 32 regions × 320 phones (10 240 total) under a sharded
-//!   control plane (8 region-group controllers of 4 regions each):
+//!   control plane (32 region controllers behind one coordinator):
 //!   stresses the coordinator/region-controller split, delta-based
-//!   membership reconciliation and the per-group cellular budget.
+//!   membership reconciliation and the per-controller cellular budget.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -368,11 +368,11 @@ fn schedule_weather(dep: &mut Deployment, injections: &[WeatherInjection]) {
                 dep.sim
                     .schedule_at(inj.at, wifi, WifiSetBrownout { on, loss });
             }
-            WeatherAction::PartitionController { group, on } => {
-                // Sever the one region-group controller: its regions
-                // lose the control plane while every other group keeps
+            WeatherAction::PartitionController { region, on } => {
+                // Sever the one region controller: its region loses the
+                // control plane while every other region keeps
                 // committing rounds.
-                if let Some(&node) = dep.region_controllers.get(group) {
+                if let Some(&node) = dep.region_controllers.get(region) {
                     dep.sim
                         .schedule_at(inj.at, dep.cell, CellSetPartition { node, on });
                 }
@@ -511,12 +511,11 @@ pub fn profile(name: &str, seed: u64) -> Option<ScenarioConfig> {
         }
         "metro" => {
             // A whole metro area: 32 regions × 320 phones = 10 240,
-            // run by a sharded control plane — 8 region-group
-            // controllers of 4 regions each behind the thin global
-            // coordinator. Light churn; the scale itself is the
-            // stressor. Trimmed to 180 s so a smoke run stays cheap.
+            // run by a sharded control plane — 32 region controllers
+            // behind the thin global coordinator. Light churn; the
+            // scale itself is the stressor. Trimmed to 180 s so a
+            // smoke run stays cheap.
             let mut cfg = base_profile(name, seed, 32, 320);
-            cfg.ctl_group_size = 4;
             cfg.ckpt_period = SimDuration::from_secs(60);
             cfg.ckpt_offset = SimDuration::from_secs(30);
             cfg.duration = SimDuration::from_secs(180);
@@ -635,10 +634,6 @@ mod tests {
             let mut cfg = profile(name, 11).expect("known profile");
             cfg.regions = cfg.regions.min(3);
             cfg.phones = cfg.phones.min(6);
-            // Keep metro's control plane sharded after the truncation
-            // (2 groups over 3 regions) so the invariance check covers
-            // region-group controllers on distinct shards.
-            cfg.ctl_group_size = cfg.ctl_group_size.min(2);
             cfg.duration = SimDuration::from_secs(150);
             cfg.warmup = SimDuration::from_secs(30);
 

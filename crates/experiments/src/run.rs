@@ -5,7 +5,7 @@
 
 use dsps::node::NodeActor;
 use serde::Serialize;
-use simkernel::{SimDuration, SimTime};
+use simkernel::{Fnv1a, SimDuration, SimTime};
 use simnet::cellular::CellularNet;
 use simnet::stats::TrafficClass;
 use simnet::wifi::WifiMedium;
@@ -117,6 +117,13 @@ impl ClassBytes {
     }
 }
 
+/// The nearest-rank `q`-quantile of ascending `sorted`: the element at
+/// `((len − 1)·q).round()`. `None` when empty.
+fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
+    let last = sorted.len().checked_sub(1)?;
+    Some(sorted[(last as f64 * q).round() as usize])
+}
+
 /// Harvest metrics over the window `[from, to)`.
 pub fn harvest(dep: &Deployment, from: SimTime, to: SimTime) -> Harvest {
     let mut per_region = Vec::new();
@@ -161,16 +168,11 @@ pub fn harvest(dep: &Deployment, from: SimTime, to: SimTime) -> Harvest {
         }
         let span = (to - from).as_secs_f64();
         lats.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        let p95 = if lats.is_empty() {
-            None
-        } else {
-            Some(lats[((lats.len() - 1) as f64 * 0.95).round() as usize])
-        };
         per_region.push(RegionStats {
             outputs,
             throughput: outputs as f64 / span.max(1e-9),
             mean_latency_s: (outputs > 0).then(|| lat_sum / outputs as f64),
-            p95_latency_s: p95,
+            p95_latency_s: nearest_rank(&lats, 0.95),
             source_drops: drops,
             catchup_discards: discards,
             cell_drops,
@@ -389,13 +391,8 @@ pub struct FleetReport {
 impl FleetReport {
     /// FNV-1a over the deterministic fields (wall-clock excluded).
     pub(crate) fn compute_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::default();
+        let mut mix = |x: u64| h.mix(x);
         mix(self.seed);
         mix(self.regions as u64);
         mix(self.phones as u64);
@@ -446,7 +443,7 @@ impl FleetReport {
         mix(self.cell_severed_sends);
         mix(self.cell_queue_drop_bytes);
         mix(self.cell_rejects);
-        h
+        h.finish()
     }
 
     /// Write the report as pretty JSON under `dir`.
@@ -529,14 +526,8 @@ pub fn run(cfg: &ScenarioConfig, faults: impl FnOnce(&mut Deployment)) -> FleetR
         .map(|t| t.recovery_s)
         .collect();
     recovered.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let pct = |xs: &[f64], p: f64| -> f64 {
-        if xs.is_empty() {
-            return -1.0;
-        }
-        xs[((p / 100.0) * (xs.len() - 1) as f64).round() as usize]
-    };
-    let recovery_p50_s = pct(&recovered, 50.0);
-    let recovery_p99_s = pct(&recovered, 99.0);
+    let recovery_p50_s = nearest_rank(&recovered, 0.5).unwrap_or(-1.0);
+    let recovery_p99_s = nearest_rank(&recovered, 0.99).unwrap_or(-1.0);
 
     let per_region_outputs: Vec<u64> = h.per_region.iter().map(|r| r.outputs as u64).collect();
     let wall_secs = wall.elapsed().as_secs_f64();

@@ -28,7 +28,7 @@ use dsps::workload::{Feed, StartFeeds, WorkloadDriver};
 use mobistreams::{Coordinator, MsScheme, RegionController, RegionSpec, RegionWiring};
 use simkernel::{ActorId, Sim, SimDuration, SimTime};
 use simnet::cellular::{CellConfig, CellularNet};
-use simnet::ethernet::{EthConfig, EthernetNet};
+use simnet::ethernet::EthernetNet;
 use simnet::stats::TrafficClass;
 use simnet::wifi::{WifiConfig, WifiMedium};
 
@@ -122,8 +122,6 @@ pub struct ScenarioConfig {
     pub phones: u32,
     /// WiFi parameters.
     pub wifi: WifiConfig,
-    /// Cellular parameters.
-    pub cell: CellConfig,
     /// Application calibration.
     pub cal: Calibration,
     /// Checkpoint period.
@@ -136,10 +134,6 @@ pub struct ScenarioConfig {
     /// entry `r` is region `r`'s; a region without one keeps the
     /// constant `wifi.loss`. Phones platform only.
     pub loss_steps: Vec<Vec<(f64, f64)>>,
-    /// Regions per region-group controller (MobiStreams only): regions
-    /// `[g·size, (g+1)·size)` share one `RegionController`, placed on
-    /// the group's first region's shard. 1 = one controller per region.
-    pub ctl_group_size: usize,
     /// Churn model, compiled from the seed into a schedule of
     /// failures, departures and rejoins before the run starts.
     pub churn: ChurnProfile,
@@ -173,13 +167,11 @@ impl Default for ScenarioConfig {
             regions: 4,
             phones: 8,
             wifi: WifiConfig::default(),
-            cell: CellConfig::default(),
             cal: Calibration::default(),
             ckpt_period: SimDuration::from_secs(300),
             ckpt_offset: SimDuration::from_secs(60),
             seed: 1,
             loss_steps: Vec::new(),
-            ctl_group_size: 1,
             churn: ChurnProfile::default(),
             weather: None,
             warmup: SimDuration::from_secs(150),
@@ -204,9 +196,11 @@ impl ScenarioConfig {
         self.regions as u32 * self.phones
     }
 
-    /// Control-plane topology (regions × group size).
+    /// Control-plane topology: one controller per region.
     pub fn topo(&self) -> CtlTopology {
-        CtlTopology::new(self.regions, self.ctl_group_size)
+        CtlTopology {
+            regions: self.regions,
+        }
     }
 
     /// Shrink to the CI smoke scale of `msx scenarios matrix --smoke`:
@@ -254,8 +248,8 @@ pub struct Deployment {
     pub controller: Option<ActorId>,
     /// Baseline coordinator (rep-2/local/dist/base).
     pub coordinator: Option<ActorId>,
-    /// MobiStreams per-region-group controllers (ms only), indexed by
-    /// group; region `r` is owned by group `r / cfg.ctl_group_size`.
+    /// MobiStreams region controllers (ms only): entry `r` owns region
+    /// `r`.
     pub region_controllers: Vec<ActorId>,
     /// Cellular network actor.
     pub cell: ActorId,
@@ -272,10 +266,12 @@ impl Deployment {
     /// The platform decides the nodes (`cfg.phones` phones or four
     /// servers), their placement, the stream network, the nodes'
     /// cellular rates and whether feed 0 rides a sensor uplink.
-    /// Everything else is one path for both platforms.
+    /// Everything else is one path for both platforms, on the default
+    /// cellular network.
     pub fn build(cfg: ScenarioConfig) -> Deployment {
         let mut sim = Sim::new(cfg.seed);
-        let cell_id = sim.add_actor(Box::new(CellularNet::new(cfg.cell.clone())));
+        let cell = CellConfig::default();
+        let cell_id = sim.add_actor(Box::new(CellularNet::new(cell.clone())));
         let uplink_bps = match cfg.platform {
             Platform::Phones => None,
             Platform::Server { uplink_bps } => Some(uplink_bps),
@@ -284,13 +280,13 @@ impl Deployment {
         // The server DSPS runs without fault tolerance whatever the spec
         // says; its Ethernet carries every stream hop.
         let scheme = if server { Scheme::Base } else { cfg.scheme };
-        let eth = server.then(|| sim.add_actor(Box::new(EthernetNet::new(EthConfig::default()))));
+        let eth = server.then(|| sim.add_actor(Box::new(EthernetNet::new())));
         // A 2013 server core is ~12× a 600 MHz A8, behind a datacenter
         // front end.
         let (slots, cpu_factor, source_queue_cap, node_rates) = if server {
             (SERVERS, 0.08, 64, (1e9, 1e9))
         } else {
-            let rates = (cfg.cell.default_up_bps, cfg.cell.default_down_bps);
+            let rates = (cell.default_up_bps, cell.default_down_bps);
             (cfg.phones, 1.0, 10, rates)
         };
 
@@ -351,20 +347,18 @@ impl Deployment {
         // the actors before them. Per region: its WiFi medium, its nodes,
         // its sensor driver and, on the server platform, its sensor
         // uplink. Then the baseline coordinator, or one MobiStreams
-        // controller per region group and the global coordinator.
+        // controller per region and the global coordinator.
         let per_region = slots as usize + 2 + usize::from(server);
         let first_ctl = sim.actor_count() + cfg.regions * per_region;
-        let group_size = cfg.ctl_group_size.max(1);
-        let n_groups = cfg.regions.div_ceil(group_size);
-        let ctl_id_of_group = |g: usize| ActorId::from_index(first_ctl + g);
+        let ctl_id_of_region = |r: usize| ActorId::from_index(first_ctl + r);
         let controller_id = ActorId::from_index(first_ctl);
-        let coordinator_id = ActorId::from_index(first_ctl + n_groups);
+        let coordinator_id = ActorId::from_index(first_ctl + cfg.regions);
 
         let mut regions = Vec::new();
         for (r, plan) in plans.iter().enumerate() {
             let wifi = sim.add_actor(Box::new(WifiMedium::new(cfg.wifi.clone())));
             let node_ctl = if scheme == Scheme::Ms {
-                ctl_id_of_group(r / group_size)
+                ctl_id_of_region(r)
             } else {
                 controller_id
             };
@@ -437,7 +431,7 @@ impl Deployment {
                 cn.register_with_rates(n, node_rates.0, node_rates.1);
             }
             if let (Some(up), Some(bps)) = (handles.uplink, uplink_bps) {
-                cn.register_with_rates(up, bps, cfg.cell.default_down_bps);
+                cn.register_with_rates(up, bps, cell.default_down_bps);
             }
             // Inter-region links: sinks of r feed S0 of r+1 (both flows
             // for rep-2).
@@ -479,7 +473,7 @@ impl Deployment {
         // Control plane.
         let (controller, coordinator, region_controllers) = match scheme {
             Scheme::Ms => {
-                let mut specs: Vec<RegionSpec> = (0..cfg.regions)
+                let specs: Vec<RegionSpec> = (0..cfg.regions)
                     .map(|r| RegionSpec {
                         graph: Arc::clone(&plans[r].graph),
                         placement: regions[r].placement.clone(),
@@ -502,23 +496,12 @@ impl Deployment {
                         op_slot: s.placement.op_slot().to_vec(),
                     })
                     .collect();
-                let ctl_of_region: Vec<ActorId> = (0..cfg.regions)
-                    .map(|r| ctl_id_of_group(r / group_size))
-                    .collect();
                 let mut ctls = Vec::new();
-                for g in 0..n_groups {
-                    let take = specs.len().min(group_size);
-                    let group_specs: Vec<RegionSpec> = specs.drain(..take).collect();
-                    let ctl = RegionController::new(
-                        cfg.schedule(),
-                        cell_id,
-                        coordinator_id,
-                        g,
-                        g * group_size,
-                        group_specs,
-                    );
+                for (r, spec) in specs.into_iter().enumerate() {
+                    let ctl =
+                        RegionController::new(cfg.schedule(), cell_id, coordinator_id, r, spec);
                     let id = sim.add_actor(Box::new(ctl));
-                    assert_eq!(id, ctl_id_of_group(g), "region controller id reservation");
+                    assert_eq!(id, ctl_id_of_region(r), "region controller id reservation");
                     ctls.push(id);
                 }
                 // Relayed side effects ride the cellular downlink
@@ -528,7 +511,7 @@ impl Deployment {
                 // physical-path floor (rather than the much smaller
                 // kernel lookahead) lets the parallel kernel widen
                 // per-destination windows to the same floor.
-                let coord = Coordinator::new(cell_id, cfg.cell.rtt / 2, wiring, ctl_of_region);
+                let coord = Coordinator::new(cell_id, cell.rtt / 2, wiring, ctls.clone());
                 let id = sim.add_actor(Box::new(coord));
                 assert_eq!(id, coordinator_id, "coordinator id reservation");
                 (Some(id), None, ctls)
@@ -561,8 +544,8 @@ impl Deployment {
             if region_controllers.is_empty() {
                 cn.register_with_rates(controller_id, 1e9, 1e9);
             } else {
-                // Each region-group controller models a per-metro-area
-                // control server on provisioned-but-finite backhaul:
+                // Each region controller models a per-area control
+                // server on provisioned-but-finite backhaul:
                 // 2× the default phone uplink/downlink. The uplink must
                 // stay UNDER ~368 kbps — the smallest tagged send (a
                 // 32 B ping, 92 B on the wire) must serialize for at
@@ -637,13 +620,13 @@ impl Deployment {
 
     /// Actor → shard map for [`Sim::enable_sharding`]: shard 0 holds
     /// the global actors (cellular core, coordinator), shard `r + 1`
-    /// holds region `r`'s WiFi medium, phones and sensor driver. A
-    /// MobiStreams region-group controller rides on its group's FIRST
-    /// region's shard, so intra-group control traffic never crosses the
-    /// shard-0 barrier. Valid because regions exchange messages only
-    /// through the cellular network and the coordinator — never
-    /// directly. A deployment with an Ethernet switch is one shard: the
-    /// switch's 50 µs latency undercuts the cellular lookahead.
+    /// holds region `r`'s WiFi medium, phones and sensor driver and,
+    /// under MobiStreams, its region controller, so a region's control
+    /// traffic never crosses the shard-0 barrier. Valid because regions
+    /// exchange messages only through the cellular network and the
+    /// coordinator — never directly. A deployment with an Ethernet
+    /// switch is one shard: the switch's 50 µs latency undercuts the
+    /// cellular lookahead.
     pub fn shard_map(&self) -> Vec<u16> {
         let mut map = vec![0u16; self.sim.actor_count()];
         if self.eth.is_some() {
@@ -660,9 +643,8 @@ impl Deployment {
                 map[u.index()] = s;
             }
         }
-        let group_size = self.cfg.ctl_group_size.max(1);
-        for (g, &ctl) in self.region_controllers.iter().enumerate() {
-            map[ctl.index()] = (g * group_size + 1) as u16;
+        for (r, &ctl) in self.region_controllers.iter().enumerate() {
+            map[ctl.index()] = (r + 1) as u16;
         }
         map
     }
@@ -679,7 +661,7 @@ impl Deployment {
     /// `threads` value and either bound.
     pub fn enable_sharding_opts(&mut self, threads: usize, per_destination: bool) {
         let map = self.shard_map();
-        let lookahead = self.cfg.cell.min_response_delay();
+        let lookahead = CellConfig::default().min_response_delay();
         let sharded = map.iter().any(|&s| s > 0);
         let bounds = (per_destination && sharded).then(|| self.shard_bounds());
         self.sim.enable_sharding(map, lookahead, threads);
@@ -700,10 +682,11 @@ impl Deployment {
     /// head; typically ~75 ms against a 2 ms uniform lookahead.
     pub fn shard_bounds(&self) -> Vec<SimDuration> {
         let map = self.shard_map();
-        let lookahead = self.cfg.cell.min_response_delay();
+        let cell = CellConfig::default();
+        let lookahead = cell.min_response_delay();
         let n_shards = map.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
         let cn = self.sim.actor::<CellularNet>(self.cell);
-        let relay = self.controller.map(|_| self.cfg.cell.rtt / 2);
+        let relay = self.controller.map(|_| cell.rtt / 2);
         let mut cell_min: Vec<Option<SimDuration>> = vec![None; n_shards];
         for (ix, &s) in map.iter().enumerate() {
             if s == 0 {
@@ -730,45 +713,44 @@ impl Deployment {
     }
 
     // --- MobiStreams control-plane aggregation (the control plane is
-    // sharded across region-group controllers; these helpers present
-    // the single-controller view harvests and tests expect, with
+    // sharded across region controllers; these helpers present the
+    // single-controller view harvests and tests expect, with
     // deterministic merge orders). ---
 
-    /// Every region-group controller, in group order (empty unless ms).
+    /// Every region controller, in region order (empty unless ms).
     fn ms_ctls(&self) -> impl Iterator<Item = &RegionController> + '_ {
         self.region_controllers
             .iter()
             .map(|&c| self.sim.actor::<RegionController>(c))
     }
 
-    /// The region-group controller owning region `r` (ms only).
+    /// The controller of region `r` (ms only).
     pub fn ms_ctl_of(&self, r: usize) -> &RegionController {
-        let g = r / self.cfg.ctl_group_size.max(1);
         self.sim
-            .actor::<RegionController>(self.region_controllers[g])
+            .actor::<RegionController>(self.region_controllers[r])
     }
 
     /// Latest committed checkpoint version of region `r` (ms only).
     pub fn ms_last_complete(&self, r: usize) -> u64 {
-        self.ms_ctl_of(r).last_complete(r)
+        self.ms_ctl_of(r).last_complete()
     }
 
     /// Is region `r` currently stopped/bypassed (ms only)?
     pub fn ms_is_stopped(&self, r: usize) -> bool {
-        self.ms_ctl_of(r).is_stopped(r)
+        self.ms_ctl_of(r).is_stopped()
     }
 
-    /// Departure replacements completed across all groups (ms only).
+    /// Departure replacements completed across all regions (ms only).
     pub fn ms_departures_handled(&self) -> u64 {
         self.ms_ctls().map(|c| c.departures_handled).sum()
     }
 
-    /// Region stops across all groups (ms only).
+    /// Region stops across all regions (ms only).
     pub fn ms_stops(&self) -> u64 {
         self.ms_ctls().map(|c| c.stops).sum()
     }
 
-    /// All committed checkpoint rounds, merged over groups and sorted
+    /// All committed checkpoint rounds, merged over regions and sorted
     /// by (time, region, version) for a deterministic order (ms only).
     pub fn ms_commits(&self) -> Vec<(usize, u64, SimTime)> {
         let mut out: Vec<_> = self.ms_ctls().flat_map(|c| &c.commits).copied().collect();
@@ -776,7 +758,7 @@ impl Deployment {
         out
     }
 
-    /// All recovery episodes, merged over groups and sorted by
+    /// All recovery episodes, merged over regions and sorted by
     /// (start time, region) (ms only).
     pub fn ms_recoveries(&self) -> Vec<RecoveryRecord> {
         let mut out: Vec<_> = self
@@ -788,7 +770,7 @@ impl Deployment {
         out
     }
 
-    /// All partition episodes, merged over groups and sorted by
+    /// All partition episodes, merged over regions and sorted by
     /// (severed-at, region) (ms only).
     pub fn ms_severed_episodes(&self) -> Vec<(usize, SimTime, SimTime)> {
         let mut out: Vec<_> = self

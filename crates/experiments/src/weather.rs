@@ -26,41 +26,22 @@
 use simkernel::{SimRng, SimTime};
 
 /// Shape of the sharded control plane as weather sees it: how many
-/// regions exist and how they group under region-group controllers
-/// (region `r` belongs to group `r / group_size`). Controller
-/// blackouts are per-group faults — one group controller dropping off
-/// the cellular core severs its own regions and nobody else's.
+/// regions exist, each under its own region controller. A controller
+/// blackout is a per-region fault — one controller dropping off the
+/// cellular core severs its own region and nobody else's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtlTopology {
     /// Regions in the fleet.
     pub regions: usize,
-    /// Regions per region-group controller (≥ 1).
-    pub group_size: usize,
 }
 
 impl CtlTopology {
-    /// A topology of `regions` regions grouped by `group_size`.
+    /// A topology of `regions` regions. `group_size` must be 1; the
+    /// argument stays until `msbench` (its own workspace) stops
+    /// passing it.
     pub fn new(regions: usize, group_size: usize) -> Self {
-        CtlTopology {
-            regions,
-            group_size: group_size.max(1),
-        }
-    }
-
-    /// Number of region groups.
-    pub fn n_groups(&self) -> usize {
-        self.regions.div_ceil(self.group_size)
-    }
-
-    /// The group owning region `r`.
-    pub fn group_of(&self, r: usize) -> usize {
-        r / self.group_size
-    }
-
-    /// The regions of group `g`.
-    pub fn regions_of(&self, g: usize) -> std::ops::Range<usize> {
-        let lo = g * self.group_size;
-        lo..self.regions.min(lo + self.group_size)
+        assert_eq!(group_size, 1, "one controller per region");
+        CtlTopology { regions }
     }
 }
 
@@ -107,12 +88,12 @@ pub enum WeatherSystem {
         /// Gap between pulses.
         up_s: f64,
     },
-    /// One region-group controller's cellular endpoint is partitioned:
-    /// every region of that group is weather-severed at once, while
-    /// the rest of the fleet keeps committing rounds.
+    /// One region controller's cellular endpoint is partitioned: its
+    /// region is weather-severed, while the rest of the fleet keeps
+    /// committing rounds.
     ControllerBlackout {
-        /// Region group whose controller goes dark.
-        group: usize,
+        /// Region whose controller goes dark.
+        region: usize,
         /// Blackout start.
         at_s: f64,
         /// Scheduled heal.
@@ -164,10 +145,10 @@ pub enum WeatherAction {
         /// Loss pinned while on.
         loss: f64,
     },
-    /// Partition (or heal) one region-group controller's endpoint.
+    /// Partition (or heal) one region controller's endpoint.
     PartitionController {
-        /// Region group whose controller is affected.
-        group: usize,
+        /// Region whose controller is affected.
+        region: usize,
         /// true = sever, false = heal.
         on: bool,
     },
@@ -188,8 +169,8 @@ fn secs(s: f64) -> SimTime {
 
 /// Compile a program into a sorted injection schedule. Pure function:
 /// same program, same schedule. Systems naming out-of-range regions or
-/// groups or non-positive windows are skipped (a program is data, not
-/// trusted input).
+/// non-positive windows are skipped (a program is data, not trusted
+/// input).
 pub fn compile(program: &WeatherProgram, topo: CtlTopology) -> Vec<WeatherInjection> {
     let regions = topo.regions;
     let mut out = Vec::new();
@@ -284,24 +265,24 @@ pub fn compile(program: &WeatherProgram, topo: CtlTopology) -> Vec<WeatherInject
                 }
             }
             WeatherSystem::ControllerBlackout {
-                group,
+                region,
                 at_s,
                 heal_s,
             } => {
-                if *heal_s <= *at_s || *group >= topo.n_groups() {
+                if *heal_s <= *at_s || *region >= regions {
                     continue;
                 }
                 out.push(WeatherInjection {
                     at: secs(*at_s),
                     action: WeatherAction::PartitionController {
-                        group: *group,
+                        region: *region,
                         on: true,
                     },
                 });
                 out.push(WeatherInjection {
                     at: secs(*heal_s),
                     action: WeatherAction::PartitionController {
-                        group: *group,
+                        region: *region,
                         on: false,
                     },
                 });
@@ -318,7 +299,7 @@ fn action_rank(a: &WeatherAction) -> (u8, usize, u8) {
     match a {
         WeatherAction::PartitionRegion { region, on } => (0, *region, *on as u8),
         WeatherAction::Brownout { region, on, .. } => (1, *region, *on as u8),
-        WeatherAction::PartitionController { group, on } => (2, *group, *on as u8),
+        WeatherAction::PartitionController { region, on } => (2, *region, *on as u8),
     }
 }
 
@@ -326,9 +307,8 @@ fn action_rank(a: &WeatherAction) -> (u8, usize, u8) {
 /// for every interval during which the region cannot reach its
 /// controller. Brownouts are excluded (WiFi weather never cuts the
 /// control path); a [`WeatherSystem::LinkFlap`] is one window from
-/// first cut to last heal; a controller blackout covers exactly the
-/// regions of the blacked-out group. Overlapping windows of the same
-/// region are merged.
+/// first cut to last heal; a controller blackout covers exactly its
+/// region. Overlapping windows of the same region are merged.
 pub fn fault_windows(
     program: &WeatherProgram,
     topo: CtlTopology,
@@ -360,13 +340,11 @@ pub fn fault_windows(
                 raw.push((*region, secs(*at_s), secs(last_heal)));
             }
             WeatherSystem::ControllerBlackout {
-                group,
+                region,
                 at_s,
                 heal_s,
-            } if *heal_s > *at_s && *group < topo.n_groups() => {
-                for r in topo.regions_of(*group) {
-                    raw.push((r, secs(*at_s), secs(*heal_s)));
-                }
+            } if *heal_s > *at_s && *region < regions => {
+                raw.push((*region, secs(*at_s), secs(*heal_s)));
             }
             _ => {}
         }
@@ -473,15 +451,15 @@ pub fn weather(name: &str, seed: u64, topo: CtlTopology) -> Option<WeatherProgra
             }
         }
         "blackout" => {
-            // One region-group controller drops off the cellular core
-            // for ~45 s: its whole group is weather-severed at once
-            // while every other group keeps committing.
-            let group = (seed as usize) % topo.n_groups().max(1);
+            // One region controller drops off the cellular core for
+            // ~45 s: its region is weather-severed while every other
+            // region keeps committing.
+            let region = (seed as usize) % r;
             let at = ping_safe(&mut rng, 3.0); // ~[102, 110)
             WeatherProgram {
                 name: name.into(),
                 systems: vec![WeatherSystem::ControllerBlackout {
-                    group,
+                    region,
                     at_s: at,
                     heal_s: at + 45.0,
                 }],
@@ -497,26 +475,15 @@ pub fn weather(name: &str, seed: u64, topo: CtlTopology) -> Option<WeatherProgra
 mod tests {
     use super::*;
 
-    fn topo(regions: usize, group_size: usize) -> CtlTopology {
-        CtlTopology::new(regions, group_size)
-    }
-
-    #[test]
-    fn topology_groups_regions_contiguously() {
-        let t = topo(7, 3);
-        assert_eq!(t.n_groups(), 3);
-        assert_eq!(t.group_of(0), 0);
-        assert_eq!(t.group_of(5), 1);
-        assert_eq!(t.group_of(6), 2);
-        assert_eq!(t.regions_of(1), 3..6);
-        assert_eq!(t.regions_of(2), 6..7);
+    fn topo(regions: usize) -> CtlTopology {
+        CtlTopology { regions }
     }
 
     #[test]
     fn compile_is_deterministic_and_sorted() {
-        let p = weather("partition-heal", 9, topo(4, 1)).unwrap();
-        let a = compile(&p, topo(4, 1));
-        let b = compile(&p, topo(4, 1));
+        let p = weather("partition-heal", 9, topo(4)).unwrap();
+        let a = compile(&p, topo(4));
+        let b = compile(&p, topo(4));
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.at, y.at);
@@ -529,51 +496,47 @@ mod tests {
     #[test]
     fn weather_profiles_resolve_and_are_seed_sensitive() {
         for name in WEATHER_NAMES {
-            let p = weather(name, 3, topo(4, 2)).expect("known weather");
+            let p = weather(name, 3, topo(4)).expect("known weather");
             assert_eq!(&p.name, name);
         }
-        assert!(weather("hurricane", 3, topo(4, 2)).is_none());
-        let a = compile(
-            &weather("partition-heal", 1, topo(4, 1)).unwrap(),
-            topo(4, 1),
-        );
-        let b = compile(
-            &weather("partition-heal", 2, topo(4, 1)).unwrap(),
-            topo(4, 1),
-        );
+        assert!(weather("hurricane", 3, topo(4)).is_none());
+        let a = compile(&weather("partition-heal", 1, topo(4)).unwrap(), topo(4));
+        let b = compile(&weather("partition-heal", 2, topo(4)).unwrap(), topo(4));
         let same = a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| x.at == y.at);
         assert!(!same, "different seeds produced identical schedules");
     }
 
     #[test]
     fn blackout_targets_one_group_and_tracks_the_seed() {
-        // The blacked-out group is seed-derived and always in range.
+        // The blacked-out region is seed-derived and always in range.
         let hit: std::collections::BTreeSet<usize> = (0..8)
             .map(|seed| {
-                let p = weather("blackout", seed, topo(6, 2)).unwrap();
+                let p = weather("blackout", seed, topo(6)).unwrap();
                 match p.systems[0] {
-                    WeatherSystem::ControllerBlackout { group, .. } => {
-                        assert!(group < 3);
-                        group
+                    WeatherSystem::ControllerBlackout { region, .. } => {
+                        assert!(region < 6);
+                        region
                     }
                     _ => panic!("blackout profile must be a ControllerBlackout"),
                 }
             })
             .collect();
-        assert!(hit.len() > 1, "seed never moved the blacked-out group");
+        assert!(hit.len() > 1, "seed never moved the blacked-out region");
     }
 
     #[test]
     fn every_partition_cut_has_a_matching_heal() {
         for name in WEATHER_NAMES {
-            let p = weather(name, 5, topo(6, 2)).unwrap();
-            let inj = compile(&p, topo(6, 2));
+            let p = weather(name, 5, topo(6)).unwrap();
+            let inj = compile(&p, topo(6));
             let mut open: std::collections::BTreeMap<String, i64> = Default::default();
             for i in &inj {
                 let (key, on) = match i.action {
                     WeatherAction::PartitionRegion { region, on } => (format!("r{region}"), on),
                     WeatherAction::Brownout { region, on, .. } => (format!("b{region}"), on),
-                    WeatherAction::PartitionController { group, on } => (format!("ctl{group}"), on),
+                    WeatherAction::PartitionController { region, on } => {
+                        (format!("ctl{region}"), on)
+                    }
                 };
                 *open.entry(key).or_default() += if on { 1 } else { -1 };
             }
@@ -599,10 +562,10 @@ mod tests {
                     at_s: 20.0,
                     heal_s: 50.0,
                 },
-                // Group 0 = regions {0, 1} under group_size 2; region 2
-                // (group 1) must stay clear of this blackout.
+                // Region 1's controller goes dark; regions 0 and 2 must
+                // stay clear of this blackout.
                 WeatherSystem::ControllerBlackout {
-                    group: 0,
+                    region: 1,
                     at_s: 100.0,
                     heal_s: 120.0,
                 },
@@ -616,12 +579,11 @@ mod tests {
             ],
             recovery_slo_s: 100.0,
         };
-        let w = fault_windows(&p, topo(3, 2));
+        let w = fault_windows(&p, topo(3));
         assert_eq!(
             w,
             vec![
                 (0, secs(10.0), secs(30.0)),
-                (0, secs(100.0), secs(120.0)),
                 (1, secs(10.0), secs(50.0)),
                 (1, secs(100.0), secs(120.0)),
             ]
@@ -643,24 +605,24 @@ mod tests {
                     at_s: 20.0,
                     heal_s: 20.0,
                 },
-                // Group index past the topology: skipped like an
-                // out-of-range region.
+                // A controller blackout past the topology is skipped
+                // like any out-of-range region.
                 WeatherSystem::ControllerBlackout {
-                    group: 5,
+                    region: 5,
                     at_s: 10.0,
                     heal_s: 20.0,
                 },
             ],
             recovery_slo_s: 1.0,
         };
-        assert!(compile(&p, topo(2, 1)).is_empty());
-        assert!(fault_windows(&p, topo(2, 1)).is_empty());
+        assert!(compile(&p, topo(2)).is_empty());
+        assert!(fault_windows(&p, topo(2)).is_empty());
     }
 
     #[test]
     fn partition_starts_sit_in_the_ping_safe_band() {
         for seed in 0..20 {
-            let p = weather("partition-heal", seed, topo(8, 2)).unwrap();
+            let p = weather("partition-heal", seed, topo(8)).unwrap();
             for sys in &p.systems {
                 if let WeatherSystem::CellPartition { at_s, .. } = sys {
                     let phase = at_s % 30.0;

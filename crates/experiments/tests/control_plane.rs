@@ -5,13 +5,16 @@
 //!   must hear about it): the same single departure/rejoin costs the
 //!   same messages and bytes in an 8-phone region and a 32-phone
 //!   region, and far less than one full-snapshot fan-out.
-//! * group blackout — severing one region-group controller freezes
-//!   only its own regions; every other group keeps committing rounds
-//!   through the window, and the dark group resumes after the heal.
+//! * controller blackout — severing one region controller freezes only
+//!   its own region; every other region keeps committing rounds
+//!   through the window, and the dark region resumes after the heal.
+//! * one controller per region — in every library profile region `r`
+//!   has its own controller, on region `r`'s shard.
 
 use baselines::BaselineCoordinator;
 use dsps::node::{Pong, Recovered, RegisterNode, ReportDead};
 use experiments::faults::{inject_departure, inject_reboot};
+use experiments::fleet::{profile, PROFILE_NAMES};
 use experiments::weather::{WeatherProgram, WeatherSystem};
 use experiments::{harvest, AppKind, Deployment, ScenarioConfig, Scheme};
 use mobistreams::msgs::NodeCheckpointed;
@@ -122,22 +125,27 @@ fn same_tick_changes_coalesce_into_one_update_per_target() {
     );
 }
 
-/// A `(region, slot)` outside the controller's group is a counted
-/// fault and nothing else: against a twin run without the two bad
-/// messages, the controller handles exactly those two events more —
-/// so it sent and scheduled nothing — and every piece of region state
-/// it owns reads the same.
+/// A message naming another region, or a slot outside the region's
+/// table, is a counted fault and nothing else: against a twin run
+/// without the two bad messages, the controller handles exactly those
+/// two events more — so it sent and scheduled nothing — and every
+/// piece of region state it owns reads the same.
 #[test]
-fn out_of_group_reports_are_counted_and_change_nothing() {
+fn reports_naming_another_region_are_counted_and_change_nothing() {
     let run = |inject: bool| {
-        let mut dep = Deployment::build(one_region(8));
+        // Two regions, so the misaddressed report names a real region
+        // that another controller owns.
+        let mut dep = Deployment::build(ScenarioConfig {
+            regions: 2,
+            ..one_region(8)
+        });
         dep.start();
         if inject {
             let ctl = dep.region_controllers[0];
             let src = dep.regions[0].nodes[1];
             let bad = [
                 payload(ReportDead {
-                    region: 9,
+                    region: 1,
                     slot: 0,
                     observed_by: 1,
                 }),
@@ -258,13 +266,12 @@ fn blackout_fleet() -> ScenarioConfig {
         scheme: Scheme::Ms,
         regions: 3,
         phones: 5,
-        ctl_group_size: 1, // three groups: one controller per region
-        // Group 1's controller goes dark for 60 s; starts sit in the
+        // Region 1's controller goes dark for 60 s; starts sit in the
         // ping-safe band (102 ≡ 162 ≡ 12 mod 30).
         weather: Some(WeatherProgram {
-            name: "one-group-blackout".into(),
+            name: "one-controller-blackout".into(),
             systems: vec![WeatherSystem::ControllerBlackout {
-                group: 1,
+                region: 1,
                 at_s: 102.0,
                 heal_s: 162.0,
             }],
@@ -281,7 +288,7 @@ fn blackout_fleet() -> ScenarioConfig {
 }
 
 #[test]
-fn one_group_blackout_leaves_other_groups_committing() {
+fn one_controller_blackout_leaves_other_regions_committing() {
     let cfg = blackout_fleet();
     let mut dep = Deployment::build(cfg.clone());
     dep.start();
@@ -297,16 +304,16 @@ fn one_group_blackout_leaves_other_groups_committing() {
             .count()
     };
 
-    // Healthy groups commit straight through the blackout window.
+    // Healthy regions commit straight through the blackout window.
     assert!(
         window(0, 106, 162) >= 1,
-        "region 0 froze during another group's blackout: {commits:?}"
+        "region 0 froze during region 1's controller blackout: {commits:?}"
     );
     assert!(
         window(2, 106, 162) >= 1,
-        "region 2 froze during another group's blackout: {commits:?}"
+        "region 2 froze during region 1's controller blackout: {commits:?}"
     );
-    // The dark group commits nothing inside the window...
+    // The dark region commits nothing inside the window...
     assert_eq!(
         window(1, 106, 162),
         0,
@@ -319,15 +326,37 @@ fn one_group_blackout_leaves_other_groups_committing() {
     );
     assert!(!dep.ms_is_stopped(1), "region 1 wrongly stopped");
 
-    // The group controller observed its own severed episode, and no
+    // The region's controller observed its own severed episode, and no
     // round was ever committed twice across the resync.
     assert!(
         dep.ms_severed_episodes().iter().any(|&(r, _, _)| r == 1),
-        "no severed episode recorded for the dark group: {:?}",
+        "no severed episode recorded for the dark region: {:?}",
         dep.ms_severed_episodes()
     );
     let mut seen = std::collections::BTreeSet::new();
     for &(r, v, _) in &commits {
         assert!(seen.insert((r, v)), "round (r{r}, v{v}) committed twice");
+    }
+}
+
+/// Every library profile, `metro` included, runs one controller per
+/// region: region `r`'s controller owns exactly region `r` and sits on
+/// region `r`'s shard (`r + 1`), next to its phones and WiFi medium.
+#[test]
+fn every_region_has_its_own_controller_on_its_shard() {
+    for name in PROFILE_NAMES {
+        let dep = Deployment::build(profile(name, 1).expect("library profile"));
+        let map = dep.shard_map();
+        assert_eq!(dep.region_controllers.len(), dep.cfg.regions, "{name}");
+        for (r, &ctl) in dep.region_controllers.iter().enumerate() {
+            let shard = (r + 1) as u16;
+            assert_eq!(map[ctl.index()], shard, "{name}: controller {r}'s shard");
+            assert_eq!(
+                map[dep.regions[r].wifi.index()],
+                shard,
+                "{name}: region {r}"
+            );
+            assert_eq!(dep.ms_ctl_of(r).region(), r, "{name}: ms_ctl_of({r})");
+        }
     }
 }

@@ -22,13 +22,13 @@ const THREADS: &[usize] = &[1, 2, 4, 8];
 
 /// Scale a library profile down so a multi-thread × multi-profile
 /// sweep stays in test time, while preserving the stressor: sharded
-/// control plane (metro keeps ≥2 controller groups), staggered loss
-/// ramps, and the arrival burst all survive the truncation.
+/// control plane (one controller per region, each on its region's
+/// shard), staggered loss ramps, and the arrival burst all survive the
+/// truncation.
 fn scaled(name: &str, seed: u64) -> ScenarioConfig {
     let mut cfg = profile(name, seed).expect("known stress profile");
     cfg.regions = cfg.regions.min(4);
     cfg.phones = cfg.phones.min(8);
-    cfg.ctl_group_size = cfg.ctl_group_size.min(2);
     cfg.duration = SimDuration::from_secs(240);
     cfg.warmup = SimDuration::from_secs(40);
     cfg.sanitize = true;

@@ -11,18 +11,18 @@
 use experiments::fleet::{churn_schedule, profile, ChurnEvent};
 use simkernel::SimDuration;
 
-/// `(profile, regions, phones per region, ctl_group_size, [checkpoint
-/// period, checkpoint offset, warm-up, duration] in seconds, churn
-/// events, FNV-1a of the churn schedule)`.
-type Shape = (&'static str, usize, u32, usize, [u64; 4], usize, u64);
+/// `(profile, regions, phones per region, [checkpoint period,
+/// checkpoint offset, warm-up, duration] in seconds, churn events,
+/// FNV-1a of the churn schedule)`.
+type Shape = (&'static str, usize, u32, [u64; 4], usize, u64);
 
 #[rustfmt::skip]
 const SHAPES: &[Shape] = &[
-    ("stadium", 8, 128, 1, [120, 45, 60, 420], 299, 0x482c_055d_a04f_5695),
-    ("commute", 8, 16, 1, [120, 45, 60, 600], 765, 0x2428_91f4_4a7b_e420),
-    ("flash-crowd", 4, 64, 1, [120, 45, 60, 420], 645, 0x7823_55a6_7c37_7dd4),
-    ("lossy-wifi", 4, 8, 1, [120, 45, 60, 600], 24, 0xe04e_ead0_a922_3981),
-    ("metro", 32, 320, 4, [60, 30, 45, 180], 1109, 0x3e1f_7d09_7230_8925),
+    ("stadium", 8, 128, [120, 45, 60, 420], 299, 0x482c_055d_a04f_5695),
+    ("commute", 8, 16, [120, 45, 60, 600], 765, 0x2428_91f4_4a7b_e420),
+    ("flash-crowd", 4, 64, [120, 45, 60, 420], 645, 0x7823_55a6_7c37_7dd4),
+    ("lossy-wifi", 4, 8, [120, 45, 60, 600], 24, 0xe04e_ead0_a922_3981),
+    ("metro", 32, 320, [60, 30, 45, 180], 1109, 0x3e1f_7d09_7230_8925),
 ];
 
 /// `lossy-wifi`'s staggered `(at_s, loss)` ramps, region by region.
@@ -55,7 +55,7 @@ fn fnv(schedule: &[ChurnEvent]) -> u64 {
 
 #[test]
 fn library_profiles_keep_their_full_scale_shape() {
-    for &(name, regions, phones, ctl, secs, events, digest) in SHAPES {
+    for &(name, regions, phones, secs, events, digest) in SHAPES {
         let cfg = profile(name, 1).expect("library profile");
         assert_eq!(
             (cfg.regions, cfg.phones),
@@ -71,7 +71,6 @@ fn library_profiles_keep_their_full_scale_shape() {
             vec![&[][..]; regions]
         };
         assert_eq!(steps, pinned, "{name}: loss steps per region");
-        assert_eq!(cfg.ctl_group_size, ctl, "{name}: ctl_group_size");
         assert_eq!(
             [cfg.ckpt_period, cfg.ckpt_offset, cfg.warmup, cfg.duration],
             secs.map(SimDuration::from_secs),

@@ -8,16 +8,17 @@
 //!
 //! * **Inter-region wiring.** Every accepted [`RegionStatus`] report
 //!   re-resolves the wiring of the reported region and of every region
-//!   upstream of it (upstreams may live in other groups, which is
-//!   exactly why this cannot stay in a region controller).
+//!   upstream of it (upstreams belong to other region controllers,
+//!   which is exactly why this cannot stay in a region controller).
 //! * **Install brokering.** Bulk operator-code installs are shipped
 //!   over the coordinator's fat endpoint so recovery timing does not
 //!   serialize behind a region controller's thin uplink; the tagged
 //!   completion is reported back as an [`InstallOutcome`].
 //! * **Side-effect relays.** WiFi link flips and sensor re-pairing are
-//!   zero-cost direct events into region shards; the coordinator delays
-//!   them by the kernel lookahead so the region-controller → coordinator
-//!   → region event chain stays legal under conservative sharding.
+//!   zero-cost direct events; the coordinator delays them by the
+//!   cellular downlink latency, modelling a command pushed over
+//!   cellular without its bytes. Each controller shares its region's
+//!   shard, so the relay is a timing model, not a sharding need.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;

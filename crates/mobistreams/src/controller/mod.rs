@@ -7,8 +7,8 @@
 //! so control traffic scales past ~10k phones and intra-region
 //! supervision no longer serializes on the kernel's global shard:
 //!
-//! * [`RegionController`] — one actor per region *group*, placed on its
-//!   first region's shard. It owns every piece of the group's mutable
+//! * [`RegionController`] — one actor per region, placed on its
+//!   region's shard. It owns every piece of the region's mutable
 //!   state: membership, checkpoint rounds, failure detection and
 //!   recovery, departures, degraded proxies, partition probing. It
 //!   converges phones onto the desired membership through an
@@ -19,9 +19,9 @@
 //!   but the cross-region concerns: inter-region wiring (re-resolved
 //!   whenever a region reports a placement or stop/restart change), and
 //!   brokering of bulk operator-code installs over its fat cellular
-//!   endpoint. It also relays the few zero-cost
-//!   side effects (WiFi link flips, sensor re-pairing) that would
-//!   otherwise be illegal cross-shard sends.
+//!   endpoint. It also relays the few zero-cost side effects (WiFi
+//!   link flips, sensor re-pairing), stamping the cellular downlink
+//!   delay on them.
 //!
 //! The split preserves the paper's protocol: checkpoint triggering and
 //! commit, ping-based failure detection with burst gathering, recovery

@@ -17,24 +17,24 @@ use simnet::LinkState;
 /// Region-controller timer events.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CtlTimer {
-    /// Periodic checkpoint trigger for a region.
-    CheckpointTick { region: usize },
-    /// Periodic source-node ping round (per region group).
+    /// Periodic checkpoint trigger.
+    CheckpointTick,
+    /// Periodic source-node ping round.
     PingTick,
     /// Ping round deadline: unanswered nodes are dead.
     PingDeadline { round: u64 },
-    /// Burst-gather window closed; run recovery for the region.
-    RecoverNow { region: usize },
-    /// Recovery-ack deadline passed; finish the region's recovery with
-    /// whatever acks arrived.
-    AckDeadline { region: usize },
+    /// Burst-gather window closed; run recovery.
+    RecoverNow,
+    /// Recovery-ack deadline passed; finish the recovery with whatever
+    /// acks arrived.
+    AckDeadline,
     /// Capped-backoff probe of a region believed severed by a network
     /// partition. `epoch` guards against stale timers after a heal.
-    ProbeSevered { region: usize, epoch: u64 },
+    ProbeSevered { epoch: u64 },
     /// Same-tick coalescing point: membership changes recorded since
     /// the flush was scheduled go out as one batched delta per target.
-    FlushDeltas { region: usize },
-    /// Periodic reconciliation sweep over every region of the group.
+    FlushDeltas,
+    /// Periodic membership reconciliation sweep.
     ReconcileTick,
 }
 
@@ -92,8 +92,9 @@ pub struct InstallOutcome {
 }
 
 /// Region controller → coordinator: flip a phone's WiFi link state.
-/// Relayed because the WiFi medium lives on the phone's region shard,
-/// which may differ from the region controller's shard within a group.
+/// The controller shares the WiFi medium's shard, so the relay is only
+/// a timing model: the coordinator stamps the cellular downlink delay
+/// on a command the controller pushes without modelling its bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct RelayWifiLink {
     /// The region's WiFi medium.
@@ -106,7 +107,7 @@ pub struct RelayWifiLink {
 
 /// Region controller → coordinator: re-pair a sensor with the phone
 /// now hosting its source op (zero-cost direct event, relayed for the
-/// same cross-shard reason as [`RelayWifiLink`]).
+/// same timing reason as [`RelayWifiLink`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RelaySensorRedirect {
     /// The sensor (workload driver) actor.

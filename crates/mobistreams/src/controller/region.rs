@@ -1,11 +1,10 @@
-//! The per-region-group controller: owns its regions' mutable state.
+//! The per-region controller: owns one region's mutable state.
 //!
-//! One `RegionController` supervises a contiguous group of regions and
-//! lives on the shard of the group's first region, so the failure
-//! detection / checkpoint / recovery chatter of a region group never
-//! forces the global barrier. It:
+//! One `RegionController` supervises one region and lives on that
+//! region's shard, so the region's failure detection / checkpoint /
+//! recovery chatter never forces the global barrier. It:
 //!
-//! * triggers periodic checkpoints by notifying each region's source
+//! * triggers periodic checkpoints by notifying the region's source
 //!   nodes, and commits a version once every hosting node reported in;
 //! * detects failures: pings source nodes every 30 s (10 s timeout),
 //!   receives upstream-neighbor reports for computing/sink nodes, and
@@ -16,8 +15,8 @@
 //!   preserved inputs (catch-up);
 //! * handles mobility: urgent mode (cellular routing) while a phone
 //!   departs, state transfer to the replacement, rewiring;
-//! * stops and bypasses a region with insufficient phones, restarting
-//!   it when enough phones re-register;
+//! * stops and bypasses the region when it has too few phones,
+//!   restarting it when enough phones re-register;
 //! * reconciles membership with epoch-numbered batched deltas (see
 //!   [`super::reconcile`]) instead of full-snapshot fan-outs.
 //!
@@ -105,7 +104,13 @@ enum FlushScope {
     AllActive,
 }
 
-struct RegionRt {
+/// The per-region controller actor.
+pub struct RegionController {
+    schedule: CheckpointSchedule,
+    cell: ActorId,
+    coordinator: ActorId,
+    /// Global index of the region this controller owns.
+    region: usize,
     graph: Arc<QueryGraph>,
     /// The region's slot table: placement, phone actors, slot states.
     table: Placement,
@@ -152,44 +157,33 @@ struct RegionRt {
     /// membership changes within one tick coalesce into the one
     /// pending flush instead of each fanning out its own update.
     pending_flush: Option<FlushScope>,
-}
-
-/// The per-region-group controller actor.
-pub struct RegionController {
-    schedule: CheckpointSchedule,
-    cell: ActorId,
-    coordinator: ActorId,
-    group: usize,
-    /// First global region index of the group (regions are contiguous).
-    first_region: usize,
-    regions: Vec<RegionRt>,
     pings: PingRounds,
     next_tag: u64,
-    /// Tagged ping/probe sends: tag → target region. A `TxSevered`
-    /// completion on one of these is the evidence that marks the
-    /// region severed (a `TxFailed` just means the pinged phone died —
-    /// the ping deadline already covers that). Install severing
-    /// arrives as an [`InstallOutcome`] from the coordinator instead.
-    ping_tags: BTreeMap<u64, usize>,
+    /// Tagged ping/probe sends. A `TxSevered` completion on one of
+    /// these is the evidence that marks the region severed (a
+    /// `TxFailed` just means the pinged phone died — the ping deadline
+    /// already covers that). Install severing arrives as an
+    /// [`InstallOutcome`] from the coordinator instead.
+    ping_tags: BTreeSet<u64>,
     /// Partition episodes observed: (region, severed at, healed at).
     /// Harvested by experiments for recovery timelines.
     pub severed_episodes: Vec<(usize, SimTime, SimTime)>,
-    /// Start times of still-open partition episodes per region.
-    severed_open: BTreeMap<usize, SimTime>,
+    /// Start time of the still-open partition episode, if any.
+    severed_open: Option<SimTime>,
     /// Completed recoveries (harvested by experiments).
     pub recoveries: Vec<RecoveryRecord>,
     /// Departure replacements completed.
     pub departures_handled: u64,
-    /// Checkpoint versions committed per region.
+    /// Checkpoint versions committed: (region, version, at).
     pub commits: Vec<(usize, u64, SimTime)>,
-    /// Regions currently stopped (bypass active).
+    /// Times the region was stopped (bypass active).
     pub stops: u64,
     /// Remote messages rejected for naming a `(region, slot)` outside
-    /// this controller's group.
+    /// this controller's region or slot table.
     pub malformed_msgs: u64,
     /// Re-registered op-owning slots waiting for the current recovery
     /// to finish before their reinstall runs.
-    pending_reinstalls: Vec<(usize, u32)>,
+    pending_reinstalls: Vec<u32>,
     /// Membership messages sent (snapshots + deltas) — the churn-storm
     /// complexity tests assert these scale with delta size, not region
     /// population.
@@ -199,53 +193,44 @@ pub struct RegionController {
 }
 
 impl RegionController {
-    /// Build a controller over the contiguous region group starting at
-    /// global index `first_region`.
+    /// Build the controller of region `region` (global index).
     pub fn new(
         schedule: CheckpointSchedule,
         cell: ActorId,
         coordinator: ActorId,
-        group: usize,
-        first_region: usize,
-        specs: Vec<RegionSpec>,
+        region: usize,
+        spec: RegionSpec,
     ) -> Self {
-        let regions = specs
-            .into_iter()
-            .map(|spec| RegionRt {
-                graph: spec.graph,
-                restart_min: spec.placement.hosting_slots().len() as u32,
-                log: MembershipLog::new(spec.placement.slots() as usize),
-                table: spec.placement,
-                wifi: spec.wifi,
-                sensors: spec.sensors,
-                version: 0,
-                last_complete: 0,
-                ckpt_expected: BTreeSet::new(),
-                ckpt_got: BTreeSet::new(),
-                episode: RecoveryEpisode::default(),
-                last_recovery_end: SimTime::ZERO,
-                stopped: false,
-                departing_transfers: BTreeMap::new(),
-                degraded_urgent: BTreeMap::new(),
-                recent_installs: BTreeMap::new(),
-                severed: false,
-                probe_epoch: 0,
-                probe_backoff: SimDuration::ZERO,
-                pending_flush: None,
-            })
-            .collect();
         RegionController {
             schedule,
             cell,
             coordinator,
-            group,
-            first_region,
-            regions,
+            region,
+            graph: spec.graph,
+            restart_min: spec.placement.hosting_slots().len() as u32,
+            log: MembershipLog::new(spec.placement.slots() as usize),
+            table: spec.placement,
+            wifi: spec.wifi,
+            sensors: spec.sensors,
+            version: 0,
+            last_complete: 0,
+            ckpt_expected: BTreeSet::new(),
+            ckpt_got: BTreeSet::new(),
+            episode: RecoveryEpisode::default(),
+            last_recovery_end: SimTime::ZERO,
+            stopped: false,
+            departing_transfers: BTreeMap::new(),
+            degraded_urgent: BTreeMap::new(),
+            recent_installs: BTreeMap::new(),
+            severed: false,
+            probe_epoch: 0,
+            probe_backoff: SimDuration::ZERO,
+            pending_flush: None,
             pings: PingRounds::default(),
             next_tag: 1,
-            ping_tags: BTreeMap::new(),
+            ping_tags: BTreeSet::new(),
             severed_episodes: Vec::new(),
-            severed_open: BTreeMap::new(),
+            severed_open: None,
             recoveries: Vec::new(),
             departures_handled: 0,
             commits: Vec::new(),
@@ -257,79 +242,60 @@ impl RegionController {
         }
     }
 
-    /// The group this controller owns.
-    pub fn group(&self) -> usize {
-        self.group
-    }
-
-    /// Global region indices of the group.
-    pub fn region_indices(&self) -> std::ops::Range<usize> {
-        self.first_region..self.first_region + self.regions.len()
-    }
-
-    fn rt(&self, region: usize) -> &RegionRt {
-        &self.regions[region - self.first_region]
-    }
-
-    fn rt_mut(&mut self, region: usize) -> &mut RegionRt {
-        &mut self.regions[region - self.first_region]
+    /// The region this controller owns.
+    pub fn region(&self) -> usize {
+        self.region
     }
 
     /// Validate a `(region, slot)` pair arriving in a remote message.
     /// A fleet-scale deployment must shrug off a malformed, stale or
-    /// out-of-group message rather than panic the controller (and with
-    /// it every region of the group at once).
+    /// misaddressed message rather than panic the controller.
     fn valid_slot(&mut self, region: usize, slot: u32) -> bool {
-        let ok = region >= self.first_region
-            && self
-                .regions
-                .get(region - self.first_region)
-                .is_some_and(|rt| rt.table.valid(slot));
+        let ok = region == self.region && self.table.valid(slot);
         if !ok {
             self.malformed_msgs += 1;
         }
         ok
     }
 
-    /// Latest committed checkpoint version of a region.
-    pub fn last_complete(&self, region: usize) -> u64 {
-        self.rt(region).last_complete
+    /// Latest committed checkpoint version of the region.
+    pub fn last_complete(&self) -> u64 {
+        self.last_complete
     }
 
     /// Is the region currently stopped (bypassed)?
-    pub fn is_stopped(&self, region: usize) -> bool {
-        self.rt(region).stopped
+    pub fn is_stopped(&self) -> bool {
+        self.stopped
     }
 
     /// Record any slot-activity transitions into the region's
     /// membership log and make sure a flush is pending for this tick.
     /// Consecutive calls within one tick (e.g. a rejoin that also
     /// triggers a reinstall) coalesce into a single flush.
-    fn membership_changed(&mut self, region: usize, scope: FlushScope, ctx: &mut Ctx) {
-        let rt = self.rt_mut(region);
-        for s in 0..rt.table.slots() {
-            rt.log.record(s, rt.table.is_active(s));
+    fn membership_changed(&mut self, scope: FlushScope, ctx: &mut Ctx) {
+        for s in 0..self.table.slots() {
+            self.log.record(s, self.table.is_active(s));
         }
-        match rt.pending_flush {
+        match self.pending_flush {
             Some(FlushScope::AllActive) => {}
             Some(FlushScope::Stakeholders) => {
                 if scope == FlushScope::AllActive {
-                    rt.pending_flush = Some(FlushScope::AllActive);
+                    self.pending_flush = Some(FlushScope::AllActive);
                 }
             }
             None => {
-                rt.pending_flush = Some(scope);
+                self.pending_flush = Some(scope);
                 let me = ctx.self_id();
-                ctx.send(me, CtlTimer::FlushDeltas { region });
+                ctx.send(me, CtlTimer::FlushDeltas);
             }
         }
     }
 
-    fn on_flush(&mut self, region: usize, ctx: &mut Ctx) {
-        let Some(scope) = self.rt_mut(region).pending_flush.take() else {
+    fn on_flush(&mut self, ctx: &mut Ctx) {
+        let Some(scope) = self.pending_flush.take() else {
             return;
         };
-        self.send_deltas(region, scope, ctx);
+        self.send_deltas(scope, ctx);
     }
 
     /// Push membership toward the log head for the scoped targets:
@@ -337,24 +303,23 @@ impl RegionController {
     /// other lagging phone gets the batched change suffix from its
     /// observed epoch (suffixes shared across targets). Phones already
     /// at the head get nothing.
-    fn send_deltas(&mut self, region: usize, scope: FlushScope, ctx: &mut Ctx) {
-        let rt = &mut self.regions[region - self.first_region];
+    fn send_deltas(&mut self, scope: FlushScope, ctx: &mut Ctx) {
         // Behind a partition every send would age out unobserved;
         // the heal resync resets observed epochs and re-flushes.
-        if rt.severed {
+        if self.severed {
             return;
         }
-        let head = rt.log.head();
-        let active = rt.table.active_slots();
+        let head = self.log.head();
+        let active = self.table.active_slots();
         let targets: Vec<u32> = match scope {
             FlushScope::AllActive => active,
             FlushScope::Stakeholders => {
-                let hosting = rt.table.hosting_slots();
+                let hosting = self.table.hosting_slots();
                 let proxy = active.first().copied();
                 active
                     .into_iter()
                     .filter(|&s| {
-                        hosting.contains(&s) || Some(s) == proxy || rt.log.observed(s).is_none()
+                        hosting.contains(&s) || Some(s) == proxy || self.log.observed(s).is_none()
                     })
                     .collect()
             }
@@ -364,13 +329,13 @@ impl RegionController {
         let mut deltas: Vec<(ActorId, MembershipDelta)> = Vec::new();
         let mut cache = SuffixCache::new();
         for slot in targets {
-            let dst = rt.table.actor(slot);
-            match rt.log.observed(slot) {
+            let dst = self.table.actor(slot);
+            match self.log.observed(slot) {
                 None => {
                     let msg = snapshot
                         .get_or_insert_with(|| {
                             payload(MembershipUpdate {
-                                active_slots: Arc::new(rt.table.active_slots()),
+                                active_slots: Arc::new(self.table.active_slots()),
                                 epoch: head,
                             })
                         })
@@ -380,7 +345,7 @@ impl RegionController {
                     net_send(ctx, self.cell, dst, Control, wire::MEMBERSHIP, 0, msg);
                 }
                 Some(base) if base < head => {
-                    let (base, changes) = cache.for_base(&rt.log, base);
+                    let (base, changes) = cache.for_base(&self.log, base);
                     deltas.push((
                         dst,
                         MembershipDelta {
@@ -392,7 +357,7 @@ impl RegionController {
                 }
                 Some(_) => continue,
             }
-            rt.log.note_synced(slot, head);
+            self.log.note_synced(slot, head);
         }
         for (dst, delta) in deltas {
             let bytes = wire::DELTA_BASE + wire::DELTA_PER_CHANGE * delta.changes.len() as u64;
@@ -405,29 +370,25 @@ impl RegionController {
     fn on_reconcile_tick(&mut self, ctx: &mut Ctx) {
         let me = ctx.self_id();
         ctx.send_in(RECONCILE_PERIOD, me, CtlTimer::ReconcileTick);
-        for region in self.region_indices() {
-            self.send_deltas(region, FlushScope::AllActive, ctx);
-        }
+        self.send_deltas(FlushScope::AllActive, ctx);
     }
 
     /// Re-pair sensors with the phones now hosting the source ops
     /// (zero-cost events: the camera physically pairs with the
-    /// adjacent phone). Relayed through the coordinator: the sensors
-    /// live on their region's shard, which within a group may differ
-    /// from this controller's.
-    fn redirect_sensors(&self, region: usize, ctx: &mut Ctx) {
-        let rt = self.rt(region);
-        let redirects: Vec<_> = rt
+    /// adjacent phone). Relayed through the coordinator, which stamps
+    /// the cellular downlink delay on it.
+    fn redirect_sensors(&self, ctx: &mut Ctx) {
+        let redirects: Vec<_> = self
             .graph
             .sources()
             .into_iter()
-            .filter(|&op| rt.table.slot_of(op) != u32::MAX)
+            .filter(|&op| self.table.slot_of(op) != u32::MAX)
             .map(|op| dsps::workload::SensorRedirect {
                 op,
-                actor: rt.table.actor_of(op),
+                actor: self.table.actor_of(op),
             })
             .collect();
-        for &sensor in &rt.sensors {
+        for &sensor in &self.sensors {
             for &redirect in &redirects {
                 ctx.send(self.coordinator, RelaySensorRedirect { sensor, redirect });
             }
@@ -438,19 +399,18 @@ impl RegionController {
     /// data: hosting phones plus degraded departed phones still
     /// computing over cellular. (Idle phones receive their tables with
     /// the `Install` if they ever become replacements.)
-    fn push_routing(&self, region: usize, ctx: &mut Ctx) {
-        let rt = self.rt(region);
-        let hosting = rt.table.hosting_slots();
-        let mut slots: BTreeSet<u32> = rt
+    fn push_routing(&self, ctx: &mut Ctx) {
+        let hosting = self.table.hosting_slots();
+        let mut slots: BTreeSet<u32> = self
             .table
             .active_slots()
             .into_iter()
             .filter(|s| hosting.contains(s))
             .collect();
-        slots.extend(rt.degraded_urgent.keys().copied());
-        let msg = payload(rt.table.routing());
+        slots.extend(self.degraded_urgent.keys().copied());
+        let msg = payload(self.table.routing());
         for s in slots {
-            let dst = rt.table.actor(s);
+            let dst = self.table.actor(s);
             net_send(
                 ctx,
                 self.cell,
@@ -466,24 +426,19 @@ impl RegionController {
     /// Report this region's placement / stop state to the coordinator,
     /// which re-resolves inter-region wiring for the region and its
     /// upstreams.
-    fn send_status(&self, region: usize, ctx: &mut Ctx) {
-        let rt = self.rt(region);
+    fn send_status(&self, ctx: &mut Ctx) {
         let status = RegionStatus {
-            region,
-            op_slot: Arc::new(rt.table.op_slot().to_vec()),
-            stopped: rt.stopped,
+            region: self.region,
+            op_slot: Arc::new(self.table.op_slot().to_vec()),
+            stopped: self.stopped,
         };
         ctx.send(self.coordinator, status);
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
-        for region in self.region_indices() {
-            self.membership_changed(region, FlushScope::AllActive, ctx);
-            let me = ctx.self_id();
-            let tick = CtlTimer::CheckpointTick { region };
-            ctx.send_in(self.schedule.offset, me, tick);
-        }
+        self.membership_changed(FlushScope::AllActive, ctx);
         let me = ctx.self_id();
+        ctx.send_in(self.schedule.offset, me, CtlTimer::CheckpointTick);
         ctx.send_in(PING_PERIOD, me, CtlTimer::PingTick);
         ctx.send_in(RECONCILE_PERIOD, me, CtlTimer::ReconcileTick);
     }
@@ -491,34 +446,30 @@ impl RegionController {
     /// The in-region phone that relays a degraded slot's cellular
     /// snapshots onto WiFi: any active phone (lowest slot for
     /// determinism).
-    fn pick_proxy(&self, region: usize, degraded: u32) -> Option<ActorId> {
-        let table = &self.rt(region).table;
-        table
+    fn pick_proxy(&self, degraded: u32) -> Option<ActorId> {
+        self.table
             .active_slots()
             .into_iter()
             .find(|&s| s != degraded)
-            .map(|s| table.actor(s))
+            .map(|s| self.table.actor(s))
     }
 
-    fn on_ckpt_tick(&mut self, region: usize, ctx: &mut Ctx) {
+    fn on_ckpt_tick(&mut self, ctx: &mut Ctx) {
         let me = ctx.self_id();
-        let tick = CtlTimer::CheckpointTick { region };
-        ctx.send_in(self.schedule.period, me, tick);
-        let rt = self.rt_mut(region);
-        if rt.stopped || rt.episode.recovering() {
+        ctx.send_in(self.schedule.period, me, CtlTimer::CheckpointTick);
+        if self.stopped || self.episode.recovering() {
             return;
         }
         // Behind a partition no trigger would arrive and no report
         // would return: freeze the round counter so the in-flight
         // round can still commit from retried reports after the
         // heal instead of being obsoleted by a stillborn round.
-        if rt.severed {
+        if self.severed {
             return;
         }
-        rt.version += 1;
-        rt.ckpt_expected = rt.table.hosting_slots();
-        rt.ckpt_got = BTreeSet::new();
-        let rt = self.rt(region);
+        self.version += 1;
+        self.ckpt_expected = self.table.hosting_slots();
+        self.ckpt_got = BTreeSet::new();
         // Refresh each degraded slot's snapshot proxy once per round so
         // proxy churn (the relay failing or departing) self-heals.
         // Sent BEFORE CheckpointTick: both ride the same FIFO cellular
@@ -526,9 +477,9 @@ impl RegionController {
         // moment the trigger arrives — with the old ordering it would
         // ship this round's snapshot to the previous round's (possibly
         // departed) proxy and lose the round.
-        for &slot in rt.degraded_urgent.keys() {
-            if let Some(proxy) = self.pick_proxy(region, slot) {
-                let dst = rt.table.actor(slot);
+        for &slot in self.degraded_urgent.keys() {
+            if let Some(proxy) = self.pick_proxy(slot) {
+                let dst = self.table.actor(slot);
                 let msg = payload(DegradedCheckpointVia { proxy });
                 net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg);
             }
@@ -537,31 +488,27 @@ impl RegionController {
         // over cellular and stay in `ckpt_expected` — a degraded
         // *source* must still receive the round trigger, which
         // reaches it over its live cellular link.
-        let version = rt.version;
-        let msg = payload(CheckpointTick { version });
-        for s in rt.table.source_slots(&rt.graph) {
-            if rt.table.is_active(s) || rt.degraded_urgent.contains_key(&s) {
-                let dst = rt.table.actor(s);
+        let msg = payload(CheckpointTick {
+            version: self.version,
+        });
+        for s in self.table.source_slots(&self.graph) {
+            if self.table.is_active(s) || self.degraded_urgent.contains_key(&s) {
+                let dst = self.table.actor(s);
                 net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
             }
         }
     }
 
     fn on_node_checkpointed(&mut self, m: NodeCheckpointed, ctx: &mut Ctx) {
-        if !self.valid_slot(m.region, m.slot) {
-            return;
-        }
-        let region = m.region;
-        let rt = self.rt_mut(region);
-        if m.version != rt.version {
+        if !self.valid_slot(m.region, m.slot) || m.version != self.version {
             return;
         }
         // Record the snapshot even while a recovery is reconfiguring
         // the region — the commit itself waits for the recovery to end
         // (see `finish_recovery`), but dropping the report would stall
         // an otherwise complete round a whole extra epoch.
-        rt.ckpt_got.insert(m.slot);
-        self.try_commit_round(region, ctx);
+        self.ckpt_got.insert(m.slot);
+        self.try_commit_round(ctx);
     }
 
     /// Commit the in-flight checkpoint round if every expected slot has
@@ -569,37 +516,35 @@ impl RegionController {
     /// *leaves* `ckpt_expected` (degraded rejoin/replacement) or a
     /// recovery ends, or an already-complete round would stall an
     /// extra epoch.
-    fn try_commit_round(&mut self, region: usize, ctx: &mut Ctx) {
-        let rt = self.rt_mut(region);
-        if rt.episode.recovering() || rt.stopped {
+    fn try_commit_round(&mut self, ctx: &mut Ctx) {
+        if self.episode.recovering() || self.stopped {
             return;
         }
         // `last_complete >= version` also guards double commits: a
         // duplicate report (e.g. a proxy relay racing a rejoin) must
         // not commit the same round twice.
-        if rt.version == 0 || rt.last_complete >= rt.version {
+        if self.version == 0 || self.last_complete >= self.version {
             return;
         }
-        if rt.ckpt_expected.is_empty() || !rt.ckpt_got.is_superset(&rt.ckpt_expected) {
+        if self.ckpt_expected.is_empty() || !self.ckpt_got.is_superset(&self.ckpt_expected) {
             return;
         }
-        let version = rt.version;
-        rt.last_complete = version;
-        self.commits.push((region, version, ctx.now()));
-        let rt = self.rt(region);
+        let version = self.version;
+        self.last_complete = version;
+        self.commits.push((self.region, version, ctx.now()));
         // Degraded slots are not "active" but participate in every
         // round over cellular — without the commit notice their
         // stores never GC and grow by a full state copy plus an
         // epoch's preserved inputs per tick, unbounded for the
         // life of the degradation.
-        let notified = rt
+        let notified = self
             .table
             .active_slots()
             .into_iter()
-            .chain(rt.degraded_urgent.keys().copied());
+            .chain(self.degraded_urgent.keys().copied());
         let msg = payload(CheckpointComplete { version });
         for s in notified {
-            let dst = rt.table.actor(s);
+            let dst = self.table.actor(s);
             net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
         }
     }
@@ -607,26 +552,24 @@ impl RegionController {
     fn on_ping_tick(&mut self, ctx: &mut Ctx) {
         let me = ctx.self_id();
         ctx.send_in(PING_PERIOD, me, CtlTimer::PingTick);
-        let mut targets = BTreeSet::new();
-        for (i, rt) in self.regions.iter().enumerate() {
-            // Severed regions are unreachable, not dead: pinging them
-            // would only arm deadlines that misread weather as failure.
-            // The probe loop owns contact until the heal.
-            if rt.stopped || rt.severed {
-                continue;
-            }
-            let sources = rt.table.source_slots(&rt.graph);
-            let live = sources.into_iter().filter(|&s| rt.table.is_active(s));
-            targets.extend(live.map(|s| (self.first_region + i, s)));
-        }
+        // Severed regions are unreachable, not dead: pinging them
+        // would only arm deadlines that misread weather as failure.
+        // The probe loop owns contact until the heal.
+        let targets: BTreeSet<(usize, u32)> = if self.stopped || self.severed {
+            BTreeSet::new()
+        } else {
+            let sources = self.table.source_slots(&self.graph).into_iter();
+            let live = sources.filter(|&s| self.table.is_active(s));
+            live.map(|s| (self.region, s)).collect()
+        };
         let Some(round) = self.pings.begin(targets.clone()) else {
             return;
         };
-        for (r, s) in targets {
+        for (_, s) in targets {
             // Tagged so a partition answers with `TxSevered` evidence
             // before the ping deadline can misfire.
-            let dst = self.rt(r).table.actor(s);
-            self.send_ping_tagged(ctx, dst, r, round);
+            let dst = self.table.actor(s);
+            self.send_ping_tagged(ctx, dst, round);
         }
         ctx.send_in(PING_TIMEOUT, me, CtlTimer::PingDeadline { round });
     }
@@ -638,11 +581,11 @@ impl RegionController {
     }
 
     /// Send a liveness/heal probe whose completion is tracked: `TxDone`
-    /// clears the tag, `TxSevered` is partition evidence for `region`.
-    fn send_ping_tagged(&mut self, ctx: &mut Ctx, dst: ActorId, region: usize, nonce: u64) {
+    /// clears the tag, `TxSevered` is partition evidence.
+    fn send_ping_tagged(&mut self, ctx: &mut Ctx, dst: ActorId, nonce: u64) {
         let tag = self.next_tag;
         self.next_tag += 1;
-        self.ping_tags.insert(tag, region);
+        self.ping_tags.insert(tag);
         let ping = payload(dsps::node::Ping { nonce });
         net_send(ctx, self.cell, dst, Control, wire::PING, tag, ping);
     }
@@ -650,58 +593,59 @@ impl RegionController {
     /// A tagged controller send aged out behind a partition: the whole
     /// region is unreachable, not one phone dead.
     fn on_tx_severed(&mut self, tag: u64, ctx: &mut Ctx) {
-        if let Some(region) = self.ping_tags.remove(&tag) {
-            self.mark_severed(region, ctx);
+        if self.ping_tags.remove(&tag) {
+            self.mark_severed(ctx);
         }
     }
 
     /// Partition evidence: freeze supervision of the region and start
     /// the capped-backoff probe loop that watches for the heal.
-    fn mark_severed(&mut self, region: usize, ctx: &mut Ctx) {
-        let rt = self.rt_mut(region);
-        if rt.stopped || rt.severed {
+    fn mark_severed(&mut self, ctx: &mut Ctx) {
+        if self.stopped || self.severed {
             return;
         }
-        rt.severed = true;
+        self.severed = true;
         // Amnesty for failures noted in the evidence gap just before
         // the partition was recognized: their silence was the weather.
         // Anything genuinely dead is re-detected by post-heal pings.
         // (The gather timer stays armed and finds nothing to recover.)
-        for s in rt.episode.forgive() {
-            if rt.table.state(s) == SlotState::Dead {
-                rt.table.set_state(s, SlotState::Active);
+        for s in self.episode.forgive() {
+            if self.table.state(s) == SlotState::Dead {
+                self.table.set_state(s, SlotState::Active);
             }
         }
-        rt.probe_epoch += 1;
-        rt.probe_backoff = SEVERED_PROBE_BASE;
-        let epoch = rt.probe_epoch;
-        self.severed_open.entry(region).or_insert_with(|| ctx.now());
+        self.probe_epoch += 1;
+        self.probe_backoff = SEVERED_PROBE_BASE;
+        let epoch = self.probe_epoch;
+        self.severed_open.get_or_insert(ctx.now());
         let me = ctx.self_id();
-        let probe = CtlTimer::ProbeSevered { region, epoch };
-        ctx.send_in(SEVERED_PROBE_BASE, me, probe);
+        ctx.send_in(SEVERED_PROBE_BASE, me, CtlTimer::ProbeSevered { epoch });
     }
 
     /// Probe a severed region: one tagged ping at the current backoff.
     /// Severed again → the next probe waits twice as long (capped).
-    fn on_probe_severed(&mut self, region: usize, epoch: u64, ctx: &mut Ctx) {
-        let rt = self.rt_mut(region);
-        if !rt.severed || rt.probe_epoch != epoch {
+    fn on_probe_severed(&mut self, epoch: u64, ctx: &mut Ctx) {
+        if !self.severed || self.probe_epoch != epoch {
             return;
         }
-        rt.probe_backoff = rt.probe_backoff.saturating_mul(2).min(SEVERED_PROBE_CAP);
-        let next = rt.probe_backoff;
-        let target = rt.table.active_slots().first().map(|&s| rt.table.actor(s));
+        self.probe_backoff = self.probe_backoff.saturating_mul(2).min(SEVERED_PROBE_CAP);
+        let next = self.probe_backoff;
+        let target = self
+            .table
+            .active_slots()
+            .first()
+            .map(|&s| self.table.actor(s));
         if let Some(dst) = target {
-            self.send_ping_tagged(ctx, dst, region, 0);
+            self.send_ping_tagged(ctx, dst, 0);
         }
         let me = ctx.self_id();
-        ctx.send_in(next, me, CtlTimer::ProbeSevered { region, epoch });
+        ctx.send_in(next, me, CtlTimer::ProbeSevered { epoch });
     }
 
     /// Any message from a severed region is proof the partition healed.
     fn note_region_contact(&mut self, region: usize, ctx: &mut Ctx) {
-        if self.region_indices().contains(&region) && self.rt(region).severed {
-            self.mark_healed(region, ctx);
+        if region == self.region && self.severed {
+            self.mark_healed(ctx);
         }
     }
 
@@ -711,53 +655,48 @@ impl RegionController {
     /// whole time, and the frozen round commits from retried reports
     /// (the `last_complete >= version` guard makes double commits
     /// impossible).
-    fn mark_healed(&mut self, region: usize, ctx: &mut Ctx) {
-        let rt = self.rt_mut(region);
-        if !rt.severed {
+    fn mark_healed(&mut self, ctx: &mut Ctx) {
+        if !self.severed {
             return;
         }
-        rt.severed = false;
-        rt.probe_epoch += 1;
-        rt.probe_backoff = SimDuration::ZERO;
+        self.severed = false;
+        self.probe_epoch += 1;
+        self.probe_backoff = SimDuration::ZERO;
         // Sends into the region aged out unobserved while severed:
         // nothing can be assumed about any phone's membership
         // epoch. Snapshot everyone on the next flush.
-        rt.log.reset_all();
-        if let Some(start) = self.severed_open.remove(&region) {
-            self.severed_episodes.push((region, start, ctx.now()));
+        self.log.reset_all();
+        if let Some(start) = self.severed_open.take() {
+            self.severed_episodes.push((self.region, start, ctx.now()));
         }
-        self.membership_changed(region, FlushScope::AllActive, ctx);
-        self.push_routing(region, ctx);
-        self.redirect_sensors(region, ctx);
-        self.send_status(region, ctx);
-        self.try_commit_round(region, ctx);
+        self.membership_changed(FlushScope::AllActive, ctx);
+        self.push_routing(ctx);
+        self.redirect_sensors(ctx);
+        self.send_status(ctx);
+        self.try_commit_round(ctx);
     }
 
     fn note_failure(&mut self, region: usize, slot: u32, ctx: &mut Ctx) {
-        if !self.valid_slot(region, slot) {
-            return;
-        }
-        let rt = self.rt_mut(region);
-        if rt.stopped {
+        if !self.valid_slot(region, slot) || self.stopped {
             return;
         }
         // Severed by a partition: silence is the weather, not death.
         // Post-heal pings re-detect any phone that really died.
-        if rt.severed {
+        if self.severed {
             return;
         }
         // While a recovery is reconfiguring the region (and shortly
         // after), nodes legitimately go quiet — don't let that look
         // like fresh failures.
-        if rt.episode.recovering()
-            || (rt.last_recovery_end != SimTime::ZERO
-                && ctx.now().since(rt.last_recovery_end) < QUIET_GRACE)
+        if self.episode.recovering()
+            || (self.last_recovery_end != SimTime::ZERO
+                && ctx.now().since(self.last_recovery_end) < QUIET_GRACE)
         {
             return;
         }
         // Departures have their own flow (§III-E); dead/gone slots
         // are already being handled.
-        if !rt.table.is_active(slot) {
+        if !self.table.is_active(slot) {
             return;
         }
         // A departure replacement is loading the transferred state: it
@@ -766,7 +705,7 @@ impl RegionController {
         // only within the ack deadline: a transfer that never acks
         // means the replacement itself died, and must become
         // reportable again or its operators are lost for good.
-        let stalled_transfer = rt
+        let stalled_transfer = self
             .departing_transfers
             .iter()
             .find(|(_, t)| t.replacement == slot)
@@ -782,35 +721,34 @@ impl RegionController {
             // urgent (cellular) bridging only existed for the
             // transfer, so it is released too (the recovery rebuilds
             // the WiFi routing anyway).
-            let t = rt.departing_transfers.remove(&departing);
-            rt.table.set_state(departing, SlotState::Gone);
+            let t = self.departing_transfers.remove(&departing);
+            self.table.set_state(departing, SlotState::Gone);
             stalled_edges = t.map(|t| t.edges);
         }
-        if let Some(&done_at) = rt.recent_installs.get(&slot) {
+        if let Some(&done_at) = self.recent_installs.get(&slot) {
             if ctx.now().since(done_at) < QUIET_GRACE {
                 return;
             }
         }
-        rt.table.set_state(slot, SlotState::Dead);
-        if rt.episode.note(slot, ctx.now()) {
+        self.table.set_state(slot, SlotState::Dead);
+        if self.episode.note(slot, ctx.now()) {
             let me = ctx.self_id();
-            ctx.send_in(GATHER_WINDOW, me, CtlTimer::RecoverNow { region });
+            ctx.send_in(GATHER_WINDOW, me, CtlTimer::RecoverNow);
         }
         if let Some(edges) = stalled_edges {
-            self.release_urgent_edges(region, &edges, ctx);
+            self.release_urgent_edges(&edges, ctx);
         }
     }
 
     /// Tear down urgent (cellular) routing for the edges of one
     /// finished or stalled departure transfer, keeping any edge some
     /// other in-flight transfer still bridges.
-    fn release_urgent_edges(&self, region: usize, edges: &[EdgeId], ctx: &mut Ctx) {
-        let rt = self.rt(region);
-        let still_needed: BTreeSet<EdgeId> = rt
+    fn release_urgent_edges(&self, edges: &[EdgeId], ctx: &mut Ctx) {
+        let still_needed: BTreeSet<EdgeId> = self
             .departing_transfers
             .values()
             .flat_map(|t| t.edges.iter().copied())
-            .chain(rt.degraded_urgent.values().flatten().copied())
+            .chain(self.degraded_urgent.values().flatten().copied())
             .collect();
         let off: Vec<EdgeId> = edges
             .iter()
@@ -824,25 +762,24 @@ impl RegionController {
             edges: off,
             on: false,
         });
-        for s in rt.table.active_slots() {
-            let dst = rt.table.actor(s);
+        for s in self.table.active_slots() {
+            let dst = self.table.actor(s);
             net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
         }
     }
 
-    fn stop_region(&mut self, region: usize, ctx: &mut Ctx) {
-        self.rt_mut(region).stopped = true;
+    fn stop_region(&mut self, ctx: &mut Ctx) {
+        self.stopped = true;
         self.stops += 1;
         // Bypass: the coordinator re-resolves every upstream region's
-        // downstream wiring (upstreams may live in other groups).
-        self.send_status(region, ctx);
+        // downstream wiring (those belong to other controllers).
+        self.send_status(ctx);
     }
 
     /// The install that makes `slot` host what the region's table says
     /// it hosts, with the modeled load time of that many operators.
-    fn install_for(&self, region: usize, slot: u32, states: InstallStates) -> Install {
-        let table = &self.rt(region).table;
-        let mut install = table.install_for(slot, states, READY_OVERHEAD);
+    fn install_for(&self, slot: u32, states: InstallStates) -> Install {
+        let mut install = self.table.install_for(slot, states, READY_OVERHEAD);
         install.ready_in += READY_PER_OP * install.ops.len() as u64;
         install
     }
@@ -850,14 +787,14 @@ impl RegionController {
     /// Hand `slot`'s bulk install to the coordinator, which ships it
     /// (charged as operator code) over its fat cellular endpoint and
     /// reports the tagged completion back as an [`InstallOutcome`].
-    fn ship_install(&self, ctx: &mut Ctx, region: usize, slot: u32, states: InstallStates) {
-        let install = self.install_for(region, slot, states);
+    fn ship_install(&self, ctx: &mut Ctx, slot: u32, states: InstallStates) {
+        let install = self.install_for(slot, states);
         ctx.send(
             self.coordinator,
             ShipInstall {
-                region,
+                region: self.region,
                 slot,
-                dst: self.rt(region).table.actor(slot),
+                dst: self.table.actor(slot),
                 bytes: CODE_BYTES_PER_OP * install.ops.len().max(1) as u64,
                 install,
             },
@@ -867,31 +804,29 @@ impl RegionController {
     /// Execute a recovery plan's sends: move the replaced slots'
     /// operators, publish the new wiring, ship the installs and roll
     /// the survivors back. The plan's acks end the episode.
-    fn execute(&mut self, region: usize, plan: &RecoveryPlan, ctx: &mut Ctx) {
-        let rt = self.rt_mut(region);
+    fn execute(&mut self, plan: &RecoveryPlan, ctx: &mut Ctx) {
         // Slots whose operators are reassigned: end any degraded
         // cellular bridging they held.
         let mut released: Vec<EdgeId> = Vec::new();
         for (f, r) in plan.moved() {
-            rt.table.reassign_slot(f, r);
-            if let Some(edges) = rt.degraded_urgent.remove(&f) {
+            self.table.reassign_slot(f, r);
+            if let Some(edges) = self.degraded_urgent.remove(&f) {
                 released.extend(edges);
                 // The replacement install hands this slot's ops
                 // back to the WiFi path mid-round: stop expecting
                 // the degraded phone's cellular snapshot, or the
                 // round stalls an extra epoch. The completion
                 // re-check runs when this recovery finishes.
-                rt.ckpt_expected.remove(&f);
+                self.ckpt_expected.remove(&f);
             }
         }
         // Tear down phones that are still computing remotely — a
         // departed phone stays reachable over cellular and must stop
         // once its operators moved, or the region processes every
         // tuple twice.
-        let rt = self.rt(region);
-        let msg = payload(rt.table.routing());
+        let msg = payload(self.table.routing());
         for (f, _) in plan.moved() {
-            let dst = rt.table.actor(f);
+            let dst = self.table.actor(f);
             net_send(
                 ctx,
                 self.cell,
@@ -903,96 +838,94 @@ impl RegionController {
             );
         }
         if !released.is_empty() {
-            self.release_urgent_edges(region, &released, ctx);
+            self.release_urgent_edges(&released, ctx);
         }
-        self.push_routing(region, ctx);
-        self.membership_changed(region, FlushScope::Stakeholders, ctx);
-        self.redirect_sensors(region, ctx);
+        self.push_routing(ctx);
+        self.membership_changed(FlushScope::Stakeholders, ctx);
+        self.redirect_sensors(ctx);
         // Code + install to the replacements (cellular, brokered by
         // the coordinator); the survivors roll back to the MRC.
         for (slot, states) in &plan.installs {
-            self.ship_install(ctx, region, *slot, states.clone());
+            self.ship_install(ctx, *slot, states.clone());
         }
-        let rt = self.rt(region);
         let msg = payload(RollbackTo {
             version: plan.version,
         });
         for &s in &plan.rollback {
-            let dst = rt.table.actor(s);
+            let dst = self.table.actor(s);
             net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, msg.clone());
         }
-        self.rt_mut(region).episode.await_acks(plan.acks.clone());
+        self.episode.await_acks(plan.acks.clone());
     }
 
-    fn on_recover_now(&mut self, region: usize, ctx: &mut Ctx) {
+    fn on_recover_now(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
-        let rt = self.rt_mut(region);
-        let failed = rt.episode.gathered();
+        let failed = self.episode.gathered();
         // Severed: partition evidence arrived after the burst
         // gathered, and launching a recovery at an unreachable region
         // would only reassign operators nobody can be told about. The
         // heal resync re-detects any real deaths.
-        if rt.stopped || rt.severed || failed.is_empty() {
+        if self.stopped || self.severed || failed.is_empty() {
             return;
         }
         // A burst re-queued by a rejoin has no detection time yet.
-        if rt.episode.started() == SimTime::ZERO {
-            rt.episode.begin_now(failed.len(), now);
+        if self.episode.started() == SimTime::ZERO {
+            self.episode.begin_now(failed.len(), now);
         } else {
-            rt.episode.begin(failed.len());
+            self.episode.begin(failed.len());
         }
-        let version = rt.last_complete;
-        match plan_recovery(&rt.table, &rt.graph, &failed, RecoveryKind::Mrc { version }) {
+        let kind = RecoveryKind::Mrc {
+            version: self.last_complete,
+        };
+        match plan_recovery(&self.table, &self.graph, &failed, kind) {
             // ROADMAP 12(a), kept on purpose: this arm also runs a
             // membership-only plan (a burst that hosts nothing), whose
             // survivors still roll back and owe acks. The baselines
             // abort the episode on such a plan; the fix is that arm.
             Ok(plan) => {
-                self.execute(region, &plan, ctx);
-                self.send_status(region, ctx);
+                self.execute(&plan, ctx);
+                self.send_status(ctx);
                 let me = ctx.self_id();
-                ctx.send_in(ACK_DEADLINE, me, CtlTimer::AckDeadline { region });
+                ctx.send_in(ACK_DEADLINE, me, CtlTimer::AckDeadline);
             }
             // No healthy phone at all: stop and bypass the region until
             // phones re-register (reboot path).
             Err(Unrecoverable) => {
-                rt.episode.abort();
-                self.stop_region(region, ctx);
+                self.episode.abort();
+                self.stop_region(ctx);
             }
         }
     }
 
     /// All acks in (or deadline): restart the region's dataflow.
-    fn finish_recovery(&mut self, region: usize, ctx: &mut Ctx) {
-        let rt = self.rt_mut(region);
-        if !rt.episode.recovering() {
+    fn finish_recovery(&mut self, ctx: &mut Ctx) {
+        if !self.episode.recovering() {
             return;
         }
-        let record = rt.episode.finish(region, ctx.now());
-        rt.last_recovery_end = ctx.now();
-        let rt = self.rt(region);
-        let epoch = rt.last_complete;
-        for (s, _) in plan_replay(&rt.table, &rt.graph, Some(epoch), &BTreeSet::new()) {
-            let (dst, replay) = (rt.table.actor(s), payload(ReplayInputs { epoch }));
+        let record = self.episode.finish(self.region, ctx.now());
+        self.last_recovery_end = ctx.now();
+        let epoch = self.last_complete;
+        for (s, _) in plan_replay(&self.table, &self.graph, Some(epoch), &BTreeSet::new()) {
+            let (dst, replay) = (self.table.actor(s), payload(ReplayInputs { epoch }));
             net_send(ctx, self.cell, dst, Control, wire::CONTROL, 0, replay);
         }
         self.recoveries.push(record);
         // Snapshot reports accepted while the recovery ran may have
         // completed the in-flight round — commit it now rather than
         // stalling it until the next report (which may never come).
-        self.try_commit_round(region, ctx);
+        self.try_commit_round(ctx);
         // Serve a deferred reboot-rejoin, if any still applies.
         if let Some(ix) = self
             .pending_reinstalls
             .iter()
-            .position(|&(r, s)| r == region && !self.rt(r).table.ops_on(s).is_empty())
+            .position(|&s| !self.table.ops_on(s).is_empty())
         {
-            let (r, slot) = self.pending_reinstalls.remove(ix);
-            if self.rt(r).table.is_active(slot) {
-                self.reinstall_slot(r, slot, ctx);
+            let slot = self.pending_reinstalls.remove(ix);
+            if self.table.is_active(slot) {
+                self.reinstall_slot(slot, ctx);
             }
         } else {
-            self.pending_reinstalls.retain(|&(r, _)| r != region);
+            self.pending_reinstalls.clear();
         }
     }
 
@@ -1000,78 +933,70 @@ impl RegionController {
         if !self.valid_slot(m.region, m.slot) {
             return;
         }
-        let region = m.region;
-        let rt = self.rt_mut(region);
         // Departure transfer ack?
-        let departed = rt
+        let departed = self
             .departing_transfers
             .iter()
             .find(|(_, t)| t.replacement == m.slot)
             .map(|(&d, _)| d);
-        let transfer = departed.and_then(|d| rt.departing_transfers.remove_entry(&d));
+        let transfer = departed.and_then(|d| self.departing_transfers.remove_entry(&d));
         if let Some((departed, transfer)) = transfer {
-            rt.table.set_state(departed, SlotState::Gone);
-            rt.recent_installs.insert(m.slot, ctx.now());
+            self.table.set_state(departed, SlotState::Gone);
+            self.recent_installs.insert(m.slot, ctx.now());
             self.departures_handled += 1;
             // Tear the departed phone down: it kept computing remotely
             // (urgent mode) until the hand-off completed; now that the
             // replacement owns its operators it must stop, or the
             // region would process every tuple twice.
-            let table = &self.rt(region).table;
-            let (dst, msg) = (table.actor(departed), payload(table.routing()));
+            let (dst, msg) = (self.table.actor(departed), payload(self.table.routing()));
             net_send(ctx, self.cell, dst, Control, wire::MEMBERSHIP, 0, msg);
             // Clear this transfer's urgent mode and publish the new
             // wiring.
-            self.release_urgent_edges(region, &transfer.edges, ctx);
-            self.push_routing(region, ctx);
-            self.membership_changed(region, FlushScope::Stakeholders, ctx);
-            self.redirect_sensors(region, ctx);
-            self.send_status(region, ctx);
+            self.release_urgent_edges(&transfer.edges, ctx);
+            self.push_routing(ctx);
+            self.membership_changed(FlushScope::Stakeholders, ctx);
+            self.redirect_sensors(ctx);
+            self.send_status(ctx);
             return;
         }
-        if rt.episode.ack(m.slot) {
-            self.finish_recovery(region, ctx);
+        if self.episode.ack(m.slot) {
+            self.finish_recovery(ctx);
         }
     }
 
     fn on_departure(&mut self, m: DepartureNotice, ctx: &mut Ctx) {
-        if !self.valid_slot(m.region, m.slot) {
-            return;
-        }
-        let region = m.region;
         let slot = m.slot;
-        let rt = self.rt_mut(region);
-        if !rt.table.is_active(slot) {
+        if !self.valid_slot(m.region, slot) || !self.table.is_active(slot) {
             return;
         }
-        rt.table.set_state(slot, SlotState::Departing);
-        let departing = rt.table.actor(slot);
-        let ops = rt.table.ops_on(slot);
+        self.table.set_state(slot, SlotState::Departing);
+        let departing = self.table.actor(slot);
+        let ops = self.table.ops_on(slot);
         if ops.is_empty() {
             // Idle node: just unregister.
-            rt.table.set_state(slot, SlotState::Gone);
-            self.membership_changed(region, FlushScope::Stakeholders, ctx);
+            self.table.set_state(slot, SlotState::Gone);
+            self.membership_changed(FlushScope::Stakeholders, ctx);
             return;
         }
         // Urgent mode: edges crossing the departed phone's WiFi link.
         let mut affected_edges = Vec::new();
         for &op in &ops {
-            for &e in &rt.graph.op(op).in_edges {
-                if rt.table.slot_of(rt.graph.edge(e).from) != slot {
+            for &e in &self.graph.op(op).in_edges {
+                if self.table.slot_of(self.graph.edge(e).from) != slot {
                     affected_edges.push(e);
                 }
             }
-            for &e in &rt.graph.op(op).out_edges {
-                if rt.table.slot_of(rt.graph.edge(e).to) != slot {
+            for &e in &self.graph.op(op).out_edges {
+                if self.table.slot_of(self.graph.edge(e).to) != slot {
                     affected_edges.push(e);
                 }
             }
         }
         // Pick the replacement (idle nodes only; no replacement =
         // degraded urgent mode until a phone rejoins).
-        let replacement = rt.table.idle_active_slots().first().copied();
+        let replacement = self.table.idle_active_slots().first().copied();
         if let Some(r) = replacement {
-            rt.departing_transfers.insert(
+            self.departing_transfers.insert(
                 slot,
                 DepartingTransfer {
                     replacement: r,
@@ -1079,14 +1004,14 @@ impl RegionController {
                     edges: affected_edges.clone(),
                 },
             );
-            rt.table.reassign_slot(slot, r);
+            self.table.reassign_slot(slot, r);
         }
         // Tell everyone (including the departing node) to route the
         // affected edges over cellular for now — whether or not a
         // replacement exists: with none, the region runs degraded in
         // urgent mode and the departed phone keeps computing remotely.
-        let table = &self.rt(region).table;
-        let told = table.active_slots().into_iter().map(|s| table.actor(s));
+        let told = self.table.active_slots().into_iter();
+        let told = told.map(|s| self.table.actor(s));
         let msg = payload(SetUrgentEdges {
             edges: affected_edges.clone(),
             on: true,
@@ -1100,16 +1025,15 @@ impl RegionController {
             // cellular until a reboot/rejoin provides a phone. The
             // urgent edges must outlive other transfers' releases for
             // as long as the degraded phone computes remotely.
-            let rt = self.rt_mut(region);
-            rt.degraded_urgent.insert(slot, affected_edges);
-            if rt.table.active_slots().is_empty() {
-                self.stop_region(region, ctx);
+            self.degraded_urgent.insert(slot, affected_edges);
+            if self.table.active_slots().is_empty() {
+                self.stop_region(ctx);
                 return;
             }
             // The degraded phone can no longer broadcast snapshots on
             // WiFi; route them through an in-region proxy so the
             // region's checkpoint rounds stay satisfiable (§III).
-            if let Some(proxy) = self.pick_proxy(region, slot) {
+            if let Some(proxy) = self.pick_proxy(slot) {
                 let msg = payload(DegradedCheckpointVia { proxy });
                 net_send(ctx, self.cell, departing, Control, wire::CONTROL, 0, msg);
             }
@@ -1118,15 +1042,15 @@ impl RegionController {
             // in `active_slots` would cost every region broadcast a
             // full straggler-bitmap timeout per phase for as long as
             // the degradation lasts.
-            self.membership_changed(region, FlushScope::Stakeholders, ctx);
+            self.membership_changed(FlushScope::Stakeholders, ctx);
             return;
         };
         // Ask the departing phone to transfer its state to the
         // replacement over cellular (Fig 7, time instant 3).
         let msg = payload(TransferStateTo {
-            replacement: table.actor(replacement),
+            replacement: self.table.actor(replacement),
             // States are filled in by the departing node.
-            install: self.install_for(region, replacement, InstallStates::Fresh),
+            install: self.install_for(replacement, InstallStates::Fresh),
         });
         net_send(ctx, self.cell, departing, Control, wire::CONTROL, 0, msg);
     }
@@ -1135,14 +1059,12 @@ impl RegionController {
         if !self.valid_slot(m.region, m.slot) {
             return;
         }
-        let region = m.region;
-        let rt = self.rt_mut(region);
-        rt.table.set_state(m.slot, SlotState::Active);
+        self.table.set_state(m.slot, SlotState::Active);
         // The phone may have missed any number of membership
         // messages while dead or out of range: forget its epoch so
         // the pending flush sends it one full snapshot.
-        rt.log.reset(m.slot);
-        let owns_ops = !rt.table.ops_on(m.slot).is_empty();
+        self.log.reset(m.slot);
+        let owns_ops = !self.table.ops_on(m.slot).is_empty();
         // A degraded departure's phone is back in WiFi range: its
         // cellular bridging ends (the reinstall below restores normal
         // routing), and its slot leaves the in-flight round's
@@ -1158,87 +1080,82 @@ impl RegionController {
         // states live only in the rejoined phone's own store, and a
         // crash there would make a reassignment restore those ops
         // fresh (the pre-existing missing-state fallback).
-        if let Some(edges) = rt.degraded_urgent.remove(&m.slot) {
-            self.release_urgent_edges(region, &edges, ctx);
-            self.rt_mut(region).ckpt_expected.remove(&m.slot);
-            self.try_commit_round(region, ctx);
+        if let Some(edges) = self.degraded_urgent.remove(&m.slot) {
+            self.release_urgent_edges(&edges, ctx);
+            self.ckpt_expected.remove(&m.slot);
+            self.try_commit_round(ctx);
         }
         // A rebooted phone whose ops were never reassigned (it crashed
         // and came back before/without recovery) returns empty-handed:
         // reinstall its operators from its own flash copy and roll the
         // region back so the dataflow is consistent again.
         if owns_ops {
-            let rt = self.rt(region);
-            if !rt.stopped && !rt.episode.recovering() {
-                self.reinstall_slot(region, m.slot, ctx);
+            if !self.stopped && !self.episode.recovering() {
+                self.reinstall_slot(m.slot, ctx);
             } else {
                 // Defer until the in-flight recovery / restart settles.
-                self.pending_reinstalls.push((region, m.slot));
+                self.pending_reinstalls.push(m.slot);
             }
         }
         // Update WiFi membership: the phone is back in range. Relayed
-        // through the coordinator (the WiFi medium lives on the
-        // phone's region shard).
-        let rt = self.rt(region);
+        // through the coordinator, which stamps the cellular downlink
+        // delay on it.
         ctx.send(
             self.coordinator,
             RelayWifiLink {
-                wifi: rt.wifi,
-                node: rt.table.actor(m.slot),
+                wifi: self.wifi,
+                node: self.table.actor(m.slot),
                 state: LinkState::Active,
             },
         );
-        self.membership_changed(region, FlushScope::Stakeholders, ctx);
-        let rt = self.rt_mut(region);
-        if rt.stopped {
+        self.membership_changed(FlushScope::Stakeholders, ctx);
+        if self.stopped {
             // Restart a stopped region once enough phones are back.
-            if rt.table.active_slots().len() as u32 >= rt.restart_min {
-                self.restart_region(region, ctx);
+            if self.table.active_slots().len() as u32 >= self.restart_min {
+                self.restart_region(ctx);
             }
             return;
         }
         // If the region is degraded (ops stranded on dead slots
         // because no spare existed), retry recovery now that a phone is
         // back.
-        if rt.episode.requeue(rt.table.stranded_slots()) && rt.episode.arm() {
+        if self.episode.requeue(self.table.stranded_slots()) && self.episode.arm() {
             let me = ctx.self_id();
-            ctx.send_in(GATHER_WINDOW, me, CtlTimer::RecoverNow { region });
+            ctx.send_in(GATHER_WINDOW, me, CtlTimer::RecoverNow);
         }
     }
 
     /// Reinstall a re-registered slot's own operators (reboot rejoin)
     /// and roll back the region to the MRC.
-    fn reinstall_slot(&mut self, region: usize, slot: u32, ctx: &mut Ctx) {
-        let rt = self.rt_mut(region);
-        rt.episode.begin_now(1, ctx.now());
+    fn reinstall_slot(&mut self, slot: u32, ctx: &mut Ctx) {
+        self.episode.begin_now(1, ctx.now());
         let kind = RecoveryKind::Reboot {
-            version: rt.last_complete,
+            version: self.last_complete,
             rollback: true,
         };
-        if let Ok(plan) = plan_recovery(&rt.table, &rt.graph, &[slot], kind) {
-            self.execute(region, &plan, ctx);
+        if let Ok(plan) = plan_recovery(&self.table, &self.graph, &[slot], kind) {
+            self.execute(&plan, ctx);
             let me = ctx.self_id();
-            ctx.send_in(ACK_DEADLINE, me, CtlTimer::AckDeadline { region });
+            ctx.send_in(ACK_DEADLINE, me, CtlTimer::AckDeadline);
         }
     }
 
-    fn restart_region(&mut self, region: usize, ctx: &mut Ctx) {
-        let rt = self.rt_mut(region);
+    fn restart_region(&mut self, ctx: &mut Ctx) {
         // Re-place every op onto active slots, preferring current
         // assignment when that slot is active. No active slot: raced a
         // failure between the restart check and now — stay stopped
         // rather than panic.
-        if !rt.table.respread() {
+        if !self.table.respread() {
             return;
         }
-        rt.stopped = false;
-        let states = InstallStates::from_mrc(rt.last_complete);
-        for s in rt.table.active_slots() {
-            self.ship_install(ctx, region, s, states.clone());
+        self.stopped = false;
+        let states = InstallStates::from_mrc(self.last_complete);
+        for s in self.table.active_slots() {
+            self.ship_install(ctx, s, states.clone());
         }
-        self.membership_changed(region, FlushScope::AllActive, ctx);
-        self.redirect_sensors(region, ctx);
-        self.send_status(region, ctx);
+        self.membership_changed(FlushScope::AllActive, ctx);
+        self.redirect_sensors(ctx);
+        self.send_status(ctx);
     }
 
     /// Completion of an install the coordinator shipped for us.
@@ -1252,25 +1169,24 @@ impl RegionController {
             // fold it into a fresh recovery round.
             InstallOutcomeKind::Failed => {
                 // Active, so that `note_failure` takes the report.
-                let table = &mut self.rt_mut(o.region).table;
-                table.set_state(o.slot, SlotState::Active);
+                self.table.set_state(o.slot, SlotState::Active);
                 self.note_failure(o.region, o.slot, ctx);
             }
             // The install aged out behind a partition: the whole region
             // is unreachable.
-            InstallOutcomeKind::Severed => self.mark_severed(o.region, ctx),
+            InstallOutcomeKind::Severed => self.mark_severed(ctx),
         }
     }
 
     fn on_timer(&mut self, t: CtlTimer, ctx: &mut Ctx) {
         match t {
-            CtlTimer::CheckpointTick { region } => self.on_ckpt_tick(region, ctx),
+            CtlTimer::CheckpointTick => self.on_ckpt_tick(ctx),
             CtlTimer::PingTick => self.on_ping_tick(ctx),
             CtlTimer::PingDeadline { round } => self.on_ping_deadline(round, ctx),
-            CtlTimer::RecoverNow { region } => self.on_recover_now(region, ctx),
-            CtlTimer::AckDeadline { region } => self.finish_recovery(region, ctx),
-            CtlTimer::ProbeSevered { region, epoch } => self.on_probe_severed(region, epoch, ctx),
-            CtlTimer::FlushDeltas { region } => self.on_flush(region, ctx),
+            CtlTimer::RecoverNow => self.on_recover_now(ctx),
+            CtlTimer::AckDeadline => self.finish_recovery(ctx),
+            CtlTimer::ProbeSevered { epoch } => self.on_probe_severed(epoch, ctx),
+            CtlTimer::FlushDeltas => self.on_flush(ctx),
             CtlTimer::ReconcileTick => self.on_reconcile_tick(ctx),
         }
     }
@@ -1326,7 +1242,7 @@ impl Actor for RegionController {
     }
 
     fn name(&self) -> String {
-        format!("ms-regionctl-{}", self.group)
+        format!("ms-regionctl-{}", self.region)
     }
 
     impl_actor_any!();

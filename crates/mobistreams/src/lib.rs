@@ -15,7 +15,7 @@
 //!   catch-up squelching.
 //! * [`controller`] — the sharded control plane (§III-A/D/E): a thin
 //!   global [`controller::Coordinator`] (inter-region wiring, install
-//!   brokering) plus per-region-group
+//!   brokering) plus per-region
 //!   [`controller::RegionController`]s owning membership, checkpoint
 //!   triggering, ping-based failure detection, burst-failure recovery,
 //!   departures (urgent mode → state transfer → replacement), and

@@ -56,3 +56,29 @@ pub use pool::{EventBox, EventPool, PoolStats};
 pub use rng::SimRng;
 pub use sim::{CausalityReport, Ctx, Sim};
 pub use time::{SimDuration, SimTime};
+
+/// FNV-1a over little-endian `u64` words: the hash behind report
+/// digests and the causality sanitizer's ledger.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Fold one word in, byte by byte.
+    pub fn mix(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every word folded so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}

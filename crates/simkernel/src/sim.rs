@@ -82,6 +82,7 @@ use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::workers::Workers;
+use crate::Fnv1a;
 
 /// A cross-shard send, parked until the next barrier merge. The event
 /// is always plain-backed (never pooled): `Core::push` flattens pooled
@@ -237,7 +238,7 @@ struct Sanitizer {
     windows: u64,
     /// FNV-1a over `(window, shard, rng draws, events processed)`
     /// tuples, one per shard per barrier window.
-    ledger: u64,
+    ledger: Fnv1a,
     /// Sharding-contract violations observed at merge time. Debug
     /// builds panic at the first one; release builds record and keep
     /// going so a long scenario run can finish and *report* the count
@@ -249,15 +250,8 @@ impl Sanitizer {
     fn new() -> Self {
         Sanitizer {
             windows: 0,
-            ledger: 0xcbf2_9ce4_8422_2325,
+            ledger: Fnv1a::default(),
             violations: 0,
-        }
-    }
-
-    fn fold(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.ledger ^= b as u64;
-            self.ledger = self.ledger.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 }
@@ -464,7 +458,7 @@ impl Sim {
             let pool = self.pool_stats();
             CausalityReport {
                 windows: s.windows,
-                ledger: s.ledger,
+                ledger: s.ledger.finish(),
                 violations: s.violations,
                 pool_recycled: pool.recycled,
                 pool_aliasing: pool.aliasing,
@@ -963,11 +957,11 @@ impl Sim {
                 // stream consumption differs.
                 let window = s.windows;
                 s.windows += 1;
-                s.fold(window);
+                s.ledger.mix(window);
                 for (i, c) in self.cores.iter().enumerate() {
-                    s.fold(i as u64);
-                    s.fold(c.rng.draw_count());
-                    s.fold(c.events_processed);
+                    s.ledger.mix(i as u64);
+                    s.ledger.mix(c.rng.draw_count());
+                    s.ledger.mix(c.events_processed);
                 }
             }
         }

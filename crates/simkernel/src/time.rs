@@ -107,11 +107,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// True for the zero duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))

@@ -15,47 +15,31 @@ use crate::link::RateQueue;
 use crate::stats::NetStats;
 use crate::{NetRx, NetSend, TxDone};
 
-/// Ethernet parameters (defaults: GigE, 50 µs switch latency).
-#[derive(Debug, Clone)]
-pub struct EthConfig {
-    /// Per-endpoint link rate, bits/s.
-    pub rate_bps: f64,
-    /// One-way switch latency.
-    pub latency: SimDuration,
-    /// Per-message framing overhead in bytes.
-    pub overhead: u64,
-}
+/// Per-endpoint link rate, bits/s (GigE).
+const RATE_BPS: f64 = 1_000_000_000.0;
 
-impl Default for EthConfig {
-    fn default() -> Self {
-        EthConfig {
-            rate_bps: 1_000_000_000.0,
-            latency: SimDuration::from_micros(50),
-            overhead: 66,
-        }
-    }
-}
+/// One-way switch latency.
+const LATENCY: SimDuration = SimDuration::from_micros(50);
+
+/// Per-message framing overhead in bytes.
+const OVERHEAD: u64 = 66;
 
 /// The switched network actor.
+#[derive(Default)]
 pub struct EthernetNet {
-    cfg: EthConfig,
     egress: BTreeMap<ActorId, RateQueue>,
     stats: NetStats,
 }
 
 impl EthernetNet {
     /// New switch.
-    pub fn new(cfg: EthConfig) -> Self {
-        EthernetNet {
-            cfg,
-            egress: BTreeMap::new(),
-            stats: NetStats::default(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Attach an endpoint.
     pub fn register(&mut self, node: ActorId) {
-        self.egress.insert(node, RateQueue::new(self.cfg.rate_bps));
+        self.egress.insert(node, RateQueue::new(RATE_BPS));
     }
 
     /// Accounting.
@@ -65,7 +49,7 @@ impl EthernetNet {
 
     fn handle_send(&mut self, s: NetSend, ctx: &mut Ctx) {
         let now = ctx.now();
-        let wire = s.bytes + self.cfg.overhead;
+        let wire = s.bytes + OVERHEAD;
         // Sends from unregistered endpoints are counted, not fatal
         // (PR 2 de-panicking convention; see wifi.rs for the model).
         let Some(q) = self.egress.get_mut(&s.src) else {
@@ -75,7 +59,7 @@ impl EthernetNet {
         let (_, end) = q.reserve(now, wire);
         let air = end - now;
         self.stats.record_send(s.class, s.bytes, wire, air);
-        let deliver_at = end + self.cfg.latency;
+        let deliver_at = end + LATENCY;
         if let Some(p) = s.payload {
             ctx.send_in(
                 deliver_at - now,
@@ -133,16 +117,15 @@ mod tests {
         impl_actor_any!();
     }
 
+    /// Payload bytes that take exactly 1 ms on the wire at GigE.
+    const ONE_MS: u64 = 125_000 - OVERHEAD;
+
     #[test]
     fn fast_delivery_with_latency() {
         let mut sim = Sim::new(0);
         let a = sim.add_actor(Box::<Sink>::default());
         let b = sim.add_actor(Box::<Sink>::default());
-        let mut net = EthernetNet::new(EthConfig {
-            rate_bps: 1_000_000_000.0,
-            latency: SimDuration::from_micros(50),
-            overhead: 0,
-        });
+        let mut net = EthernetNet::new();
         net.register(a);
         net.register(b);
         let n = sim.add_actor(Box::new(net));
@@ -153,7 +136,7 @@ mod tests {
                 src: a,
                 dst: b,
                 class: TrafficClass::Data,
-                bytes: 125_000, // 1 ms at 1 Gbps
+                bytes: ONE_MS,
                 tag: 0,
                 payload: Some(crate::payload(())),
             },
@@ -161,7 +144,7 @@ mod tests {
         sim.run();
         let rx = &sim.actor::<Sink>(b).rx;
         assert_eq!(rx.len(), 1);
-        let expect = 0.001 + 50e-6;
+        let expect = 0.001 + LATENCY.as_secs_f64();
         assert!((rx[0].0.as_secs_f64() - expect).abs() < 1e-9);
     }
 
@@ -171,11 +154,7 @@ mod tests {
         let a = sim.add_actor(Box::<Sink>::default());
         let b = sim.add_actor(Box::<Sink>::default());
         let c = sim.add_actor(Box::<Sink>::default());
-        let mut net = EthernetNet::new(EthConfig {
-            rate_bps: 1_000_000.0, // slow to see serialization
-            latency: SimDuration::ZERO,
-            overhead: 0,
-        });
+        let mut net = EthernetNet::new();
         for id in [a, b, c] {
             net.register(id);
         }
@@ -189,7 +168,7 @@ mod tests {
                     src,
                     dst: c,
                     class: TrafficClass::Data,
-                    bytes: 125_000, // 1 s at 1 Mbps
+                    bytes: ONE_MS,
                     tag: 0,
                     payload: Some(crate::payload(())),
                 },
@@ -203,9 +182,11 @@ mod tests {
             .map(|(t, _)| t.as_secs_f64())
             .collect();
         assert_eq!(times.len(), 3);
-        // a's first and b's only send land at ~1 s; a's second at ~2 s.
-        assert!((times[0] - 1.0).abs() < 1e-9);
-        assert!((times[1] - 1.0).abs() < 1e-9);
-        assert!((times[2] - 2.0).abs() < 1e-9);
+        // a's first and b's only send land after 1 ms on the wire; a's
+        // second queues behind a's first and lands 1 ms later.
+        let latency = LATENCY.as_secs_f64();
+        assert!((times[0] - 0.001 - latency).abs() < 1e-9);
+        assert!((times[1] - 0.001 - latency).abs() < 1e-9);
+        assert!((times[2] - 0.002 - latency).abs() < 1e-9);
     }
 }
