@@ -45,7 +45,11 @@
 //! controller only executes it (a reconciler: one pass computes the
 //! desired state, a thin effect layer applies it). What to ping and
 //! when a report is believed stay protocol decisions of each
-//! controller.
+//! controller. Where a region's sinks publish is decided here as well:
+//! [`resolve_inter_region`] reads every region's table and stop flag
+//! and returns each sink slot's links; the deployment builder installs
+//! its result once, and the MobiStreams coordinator re-runs it when a
+//! region reports a new placement or stop.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -53,7 +57,7 @@ use std::sync::Arc;
 use simkernel::{ActorId, SimDuration, SimTime};
 
 use crate::graph::{EdgeId, OpId, QueryGraph};
-use crate::node::{Install, InstallStates, UpdateRouting};
+use crate::node::{Install, InstallStates, InterRegionLink, UpdateRouting};
 
 /// What the control plane currently believes about a slot's phone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -315,6 +319,74 @@ impl Placement {
             ready_in,
         }
     }
+}
+
+/// One region as inter-region wiring sees it: the input of
+/// [`resolve_inter_region`].
+#[derive(Debug)]
+pub struct RegionWiring {
+    /// The region's query network.
+    pub graph: Arc<QueryGraph>,
+    /// Current operator → slot assignment.
+    pub op_slot: Arc<Vec<u32>>,
+    /// Phone actor per slot.
+    pub slot_actors: Arc<Vec<ActorId>>,
+    /// Downstream regions: (region index, source op fed there), rep-2's
+    /// twin input included.
+    pub downstream: Vec<(usize, OpId)>,
+    /// The region is stopped and bypassed (§III-D/E).
+    pub stopped: bool,
+}
+
+/// Where `region`'s sinks publish: for each slot hosting a sink, the
+/// links its sinks feed, carried by `net`. Stopped regions are bypassed
+/// transitively, and a stopped `region` publishes nothing. Links are in
+/// sink order, then in `(region, op)` order of the destinations; an
+/// unassigned sink or destination op gets no link.
+pub fn resolve_inter_region(
+    regions: &[RegionWiring],
+    region: usize,
+    net: ActorId,
+) -> Vec<(u32, Vec<InterRegionLink>)> {
+    let me = &regions[region];
+    if me.stopped {
+        return Vec::new();
+    }
+    let mut dsts = Vec::new();
+    let mut stack = me.downstream.clone();
+    let mut seen = BTreeSet::new();
+    while let Some((r, op)) = stack.pop() {
+        if !seen.insert((r, op)) {
+            continue;
+        }
+        if regions[r].stopped {
+            stack.extend_from_slice(&regions[r].downstream);
+        } else {
+            dsts.push((r, op));
+        }
+    }
+    dsts.sort_unstable_by_key(|&(r, op)| (r, op.0));
+    let mut per_slot: BTreeMap<u32, Vec<InterRegionLink>> = BTreeMap::new();
+    for sink in me.graph.sinks() {
+        let slot = me.op_slot[sink.index()];
+        if slot == u32::MAX {
+            continue;
+        }
+        let links = per_slot.entry(slot).or_default();
+        for &(r, dst_op) in &dsts {
+            let dst = &regions[r];
+            let dst_slot = dst.op_slot[dst_op.index()];
+            if dst_slot != u32::MAX {
+                links.push(InterRegionLink {
+                    src_op: sink,
+                    dst_actor: dst.slot_actors[dst_slot as usize],
+                    dst_op,
+                    net,
+                });
+            }
+        }
+    }
+    per_slot.into_iter().collect()
 }
 
 /// Deterministic checkpoint peers of `slot`: the next `n` slots
@@ -1225,6 +1297,116 @@ mod tests {
         ep.abort();
         assert!(!ep.recovering() && !ep.ack(2));
         assert_eq!(ep.started(), t(33));
+    }
+    /// A three-region chain of `chain()` graphs, S on slot 0, A and B
+    /// on slot 1, K on slot 2; region `r`'s slot `s` is actor
+    /// `10 r + s`, and region `r` feeds S of region `r + 1`.
+    fn three_regions() -> Vec<RegionWiring> {
+        let (g, [s, ..]) = chain();
+        let g = Arc::new(g);
+        (0..3)
+            .map(|r| RegionWiring {
+                graph: Arc::clone(&g),
+                op_slot: Arc::new(vec![0, 1, 1, 2]),
+                slot_actors: Arc::new((0..3).map(|s| ActorId::from_index(10 * r + s)).collect()),
+                downstream: if r < 2 { vec![(r + 1, s)] } else { vec![] },
+                stopped: false,
+            })
+            .collect()
+    }
+
+    /// One link as `(src op, dst actor index, dst op)`.
+    type Link = (u32, usize, u32);
+
+    /// `(slot, links)` per sink slot.
+    fn links_of(regions: &[RegionWiring], region: usize) -> Vec<(u32, Vec<Link>)> {
+        let net = ActorId::from_index(99);
+        resolve_inter_region(regions, region, net)
+            .into_iter()
+            .map(|(slot, links)| {
+                assert!(links.iter().all(|l| l.net == net));
+                let l = links
+                    .iter()
+                    .map(|l| (l.src_op.0, l.dst_actor.index(), l.dst_op.0));
+                (slot, l.collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn inter_region_links_follow_the_chain() {
+        let regions = three_regions();
+        assert_eq!(links_of(&regions, 0), vec![(2, vec![(3, 10, 0)])]);
+        assert_eq!(links_of(&regions, 1), vec![(2, vec![(3, 20, 0)])]);
+        // The last region's sink slot gets an empty link set.
+        assert_eq!(links_of(&regions, 2), vec![(2, vec![])]);
+    }
+
+    #[test]
+    fn a_stopped_region_is_bypassed_transitively() {
+        let mut regions = three_regions();
+        regions[1].stopped = true;
+        assert_eq!(links_of(&regions, 0), vec![(2, vec![(3, 20, 0)])]);
+        assert_eq!(
+            links_of(&regions, 1),
+            vec![],
+            "a stopped region publishes nothing"
+        );
+        regions[2].stopped = true;
+        assert_eq!(links_of(&regions, 0), vec![(2, vec![])]);
+    }
+
+    #[test]
+    fn a_rep2_downstream_gets_both_twin_inputs() {
+        let mut regions = three_regions();
+        // Region 1 runs two flows: ops 4..8 twin ops 0..4, on slots 3..6.
+        let (mut g, _) = chain();
+        let n = g.op_count() as u32;
+        let kinds = [
+            OpKind::Source,
+            OpKind::Compute,
+            OpKind::Compute,
+            OpKind::Sink,
+        ];
+        let twins = kinds.map(|kind| g.add_op("twin", kind, relay));
+        for w in twins.windows(2) {
+            g.connect(w[0], w[1]);
+        }
+        regions[1].graph = Arc::new(g);
+        regions[1].op_slot = Arc::new(vec![0, 1, 1, 2, 3, 4, 4, 5]);
+        regions[1].slot_actors = Arc::new((0..6).map(|s| ActorId::from_index(10 + s)).collect());
+        // Given twin first: the links still come in (region, op) order.
+        regions[0].downstream = vec![(1, OpId(n)), (1, OpId(0))];
+        assert_eq!(
+            links_of(&regions, 0),
+            vec![(2, vec![(3, 10, 0), (3, 13, n)])]
+        );
+        // Both of region 1's sinks publish, each on its own slot.
+        assert_eq!(
+            links_of(&regions, 1),
+            vec![(2, vec![(3, 20, 0)]), (5, vec![(7, 20, 0)])]
+        );
+    }
+
+    #[test]
+    fn unassigned_sinks_are_skipped_and_links_keep_sink_then_region_order() {
+        let mut regions = three_regions();
+        // Region 0: a second sink K2 on K's slot, and an unassigned
+        // third sink; it feeds regions 2 and 1, listed in that order.
+        let (mut g, [_, _, b, _]) = chain();
+        let k2 = g.add_op("K2", OpKind::Sink, relay);
+        let k3 = g.add_op("K3", OpKind::Sink, relay);
+        g.connect(b, k2);
+        g.connect(b, k3);
+        regions[0].graph = Arc::new(g);
+        regions[0].op_slot = Arc::new(vec![0, 1, 1, 2, 2, u32::MAX]);
+        regions[0].downstream = vec![(2, OpId(0)), (1, OpId(0))];
+        assert_eq!(k2, OpId(4));
+        assert_eq!(k3, OpId(5));
+        assert_eq!(
+            links_of(&regions, 0),
+            vec![(2, vec![(3, 10, 0), (3, 20, 0), (4, 10, 0), (4, 20, 0)])]
+        );
     }
 }
 

@@ -91,6 +91,11 @@ impl WorkloadDriver {
     pub fn produced(&self) -> u64 {
         self.feeds.iter().map(|f| f.produced).sum()
     }
+
+    /// Phone the feed into `op` currently targets, if any feeds it.
+    pub fn target_of(&self, op: OpId) -> Option<ActorId> {
+        self.feeds.iter().find(|f| f.op == op).map(|f| f.target)
+    }
 }
 
 /// Kick-off event for a driver.

@@ -22,10 +22,13 @@ use baselines::rep2::{duplicate_graph, twin_of, Rep2Scheme};
 use baselines::{BaselineKind, RetainScheme};
 use dsps::ft::{FtScheme, NullScheme};
 use dsps::graph::QueryGraph;
-use dsps::node::{InterRegionLink, NodeActor, NodeConfig, NodeInner};
-use dsps::placement::{squeeze_placement, CheckpointSchedule, Placement, RecoveryRecord};
+use dsps::node::{NodeActor, NodeConfig, NodeInner};
+use dsps::placement::{
+    resolve_inter_region, squeeze_placement, CheckpointSchedule, Placement, RecoveryRecord,
+    RegionWiring,
+};
 use dsps::workload::{Feed, StartFeeds, WorkloadDriver};
-use mobistreams::{Coordinator, MsScheme, RegionController, RegionSpec, RegionWiring};
+use mobistreams::{Coordinator, MsScheme, RegionController, RegionSpec};
 use simkernel::{ActorId, Sim, SimDuration, SimTime};
 use simnet::cellular::{CellConfig, CellularNet};
 use simnet::ethernet::EthernetNet;
@@ -244,8 +247,6 @@ pub struct Deployment {
     pub cfg: ScenarioConfig,
     /// Per-region handles.
     pub regions: Vec<RegionHandles>,
-    /// MobiStreams global coordinator (ms only).
-    pub controller: Option<ActorId>,
     /// Baseline coordinator (rep-2/local/dist/base).
     pub coordinator: Option<ActorId>,
     /// MobiStreams region controllers (ms only): entry `r` owns region
@@ -351,7 +352,7 @@ impl Deployment {
         let per_region = slots as usize + 2 + usize::from(server);
         let first_ctl = sim.actor_count() + cfg.regions * per_region;
         let ctl_id_of_region = |r: usize| ActorId::from_index(first_ctl + r);
-        let controller_id = ActorId::from_index(first_ctl);
+        let baseline_id = ActorId::from_index(first_ctl);
         let coordinator_id = ActorId::from_index(first_ctl + cfg.regions);
 
         let mut regions = Vec::new();
@@ -360,7 +361,7 @@ impl Deployment {
             let node_ctl = if scheme == Scheme::Ms {
                 ctl_id_of_region(r)
             } else {
-                controller_id
+                baseline_id
             };
             let net = eth.unwrap_or(wifi);
             let mut nodes = Vec::new();
@@ -433,26 +434,6 @@ impl Deployment {
             if let (Some(up), Some(bps)) = (handles.uplink, uplink_bps) {
                 cn.register_with_rates(up, bps, cell.default_down_bps);
             }
-            // Inter-region links: sinks of r feed S0 of r+1 (both flows
-            // for rep-2).
-            if let Some(next) = plans.get(r + 1) {
-                let next_table = &regions[r + 1].placement;
-                let input = next.bundle.inter_region_input;
-                let mut dst_ops = vec![input];
-                if let Some(flows) = &next.flow_of {
-                    dst_ops.push(twin_of(input, flows.len() / 2));
-                }
-                for &sink in &plan.graph.sinks() {
-                    let links = dst_ops.iter().map(|&dst_op| InterRegionLink {
-                        src_op: sink,
-                        dst_actor: next_table.actor_of(dst_op),
-                        dst_op,
-                        net: eth.unwrap_or(cell_id),
-                    });
-                    let na = sim.actor_mut::<NodeActor>(table.actor_of(sink));
-                    na.inner.inter_region.extend(links);
-                }
-            }
             // Feeds; the sensor uplink carries feed 0's camera frames.
             let mut feeds: Vec<Feed> = Vec::new();
             for (i, spec) in plan.bundle.feeds.iter().enumerate() {
@@ -470,51 +451,72 @@ impl Deployment {
             *sim.actor_mut::<WorkloadDriver>(handles.driver) = WorkloadDriver::new(feeds);
         }
 
-        // Control plane.
-        let (controller, coordinator, region_controllers) = match scheme {
+        // Inter-region links: sinks of r feed the inter-region input of
+        // r + 1 (both flows' for rep-2), installed once here; only the
+        // MobiStreams coordinator re-resolves them.
+        let wiring: Vec<RegionWiring> = plans
+            .iter()
+            .zip(&regions)
+            .enumerate()
+            .map(|(r, (plan, handles))| {
+                let mut downstream = Vec::new();
+                if let Some(next) = plans.get(r + 1) {
+                    let input = next.bundle.inter_region_input;
+                    downstream.push((r + 1, input));
+                    if let Some(flows) = &next.flow_of {
+                        downstream.push((r + 1, twin_of(input, flows.len() / 2)));
+                    }
+                }
+                RegionWiring {
+                    graph: Arc::clone(&plan.graph),
+                    op_slot: Arc::new(handles.placement.op_slot().to_vec()),
+                    slot_actors: Arc::clone(handles.placement.slot_actors()),
+                    downstream,
+                    stopped: false,
+                }
+            })
+            .collect();
+        for (r, handles) in regions.iter().enumerate() {
+            for (slot, links) in resolve_inter_region(&wiring, r, eth.unwrap_or(cell_id)) {
+                let na = sim.actor_mut::<NodeActor>(handles.nodes[slot as usize]);
+                na.inner.inter_region = links;
+            }
+        }
+
+        // Control plane. Commands pushed without their bytes (a region
+        // controller's WiFi link flips and sensor re-pairing, the
+        // coordinator's install outcomes) ride the cellular downlink
+        // latency, rtt/2. Keeping the delay at the physical-path floor
+        // (rather than the much smaller kernel lookahead) lets the
+        // parallel kernel widen per-destination windows to the same
+        // floor.
+        let push_delay = cell.rtt / 2;
+        let (coordinator, region_controllers) = match scheme {
             Scheme::Ms => {
-                let specs: Vec<RegionSpec> = (0..cfg.regions)
-                    .map(|r| RegionSpec {
-                        graph: Arc::clone(&plans[r].graph),
-                        placement: regions[r].placement.clone(),
-                        wifi: regions[r].wifi,
-                        downstream: match plans.get(r + 1) {
-                            Some(next) => vec![(r + 1, next.bundle.inter_region_input)],
-                            None => vec![],
-                        },
-                        sensors: vec![regions[r].driver],
-                    })
-                    .collect();
-                // The coordinator keeps only the static cross-region
-                // view (graph shape, wiring, initial placement).
-                let wiring: Vec<RegionWiring> = specs
-                    .iter()
-                    .map(|s| RegionWiring {
-                        graph: Arc::clone(&s.graph),
-                        downstream: s.downstream.clone(),
-                        slot_actors: Arc::clone(s.placement.slot_actors()),
-                        op_slot: s.placement.op_slot().to_vec(),
-                    })
-                    .collect();
                 let mut ctls = Vec::new();
-                for (r, spec) in specs.into_iter().enumerate() {
-                    let ctl =
-                        RegionController::new(cfg.schedule(), cell_id, coordinator_id, r, spec);
+                for (r, handles) in regions.iter().enumerate() {
+                    let spec = RegionSpec {
+                        graph: Arc::clone(&plans[r].graph),
+                        placement: handles.placement.clone(),
+                        wifi: handles.wifi,
+                        sensors: vec![handles.driver],
+                    };
+                    let ctl = RegionController::new(
+                        cfg.schedule(),
+                        cell_id,
+                        coordinator_id,
+                        push_delay,
+                        r,
+                        spec,
+                    );
                     let id = sim.add_actor(Box::new(ctl));
                     assert_eq!(id, ctl_id_of_region(r), "region controller id reservation");
                     ctls.push(id);
                 }
-                // Relayed side effects ride the cellular downlink
-                // latency (rtt/2): relays model commands the
-                // coordinator pushes over cellular without modelling
-                // the payload bytes. Keeping the delay at the
-                // physical-path floor (rather than the much smaller
-                // kernel lookahead) lets the parallel kernel widen
-                // per-destination windows to the same floor.
-                let coord = Coordinator::new(cell_id, cell.rtt / 2, wiring, ctls.clone());
+                let coord = Coordinator::new(cell_id, push_delay, wiring, ctls.clone());
                 let id = sim.add_actor(Box::new(coord));
                 assert_eq!(id, coordinator_id, "coordinator id reservation");
-                (Some(id), None, ctls)
+                (None, ctls)
             }
             _ => {
                 let kind = match scheme {
@@ -535,14 +537,14 @@ impl Deployment {
                     .collect();
                 let coord = BaselineCoordinator::new(cfg.schedule(), kind, cell_id, specs);
                 let id = sim.add_actor(Box::new(coord));
-                assert_eq!(id, controller_id, "coordinator id reservation");
-                (None, Some(id), Vec::new())
+                assert_eq!(id, baseline_id, "coordinator id reservation");
+                (Some(id), Vec::new())
             }
         };
         {
             let cn = sim.actor_mut::<CellularNet>(cell_id);
             if region_controllers.is_empty() {
-                cn.register_with_rates(controller_id, 1e9, 1e9);
+                cn.register_with_rates(baseline_id, 1e9, 1e9);
             } else {
                 // Each region controller models a per-area control
                 // server on provisioned-but-finite backhaul:
@@ -567,7 +569,6 @@ impl Deployment {
             sim,
             cfg,
             regions,
-            controller,
             coordinator,
             region_controllers,
             cell: cell_id,
@@ -595,10 +596,6 @@ impl Deployment {
     /// order. Returns the churn schedule and the number of weather
     /// injections.
     pub fn start(&mut self) -> (Vec<ChurnEvent>, u64) {
-        if let Some(ctl) = self.controller {
-            self.sim
-                .schedule_at(SimTime::ZERO, ctl, mobistreams::controller::Start);
-        }
         for &ctl in &self.region_controllers {
             self.sim
                 .schedule_at(SimTime::ZERO, ctl, mobistreams::controller::Start);
@@ -676,17 +673,18 @@ impl Deployment {
     /// through shard 0 and re-enters either as a cellular delivery
     /// (bounded below by [`CellularNet::min_delivery_delay_to`] for
     /// the destination endpoint) or — under MobiStreams — as a
-    /// coordinator relay (bounded below by `Coordinator::relay_delay`
-    /// = rtt/2). The smallest such re-entry delay is how far shard
-    /// `d`'s window may safely run past the earliest foreign shard
-    /// head; typically ~75 ms against a 2 ms uniform lookahead.
+    /// coordinator install outcome (bounded below by
+    /// `Coordinator::relay_delay` = rtt/2). The smallest such re-entry
+    /// delay is how far shard `d`'s window may safely run past the
+    /// earliest foreign shard head; typically ~75 ms against a 2 ms
+    /// uniform lookahead.
     pub fn shard_bounds(&self) -> Vec<SimDuration> {
         let map = self.shard_map();
         let cell = CellConfig::default();
         let lookahead = cell.min_response_delay();
         let n_shards = map.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
         let cn = self.sim.actor::<CellularNet>(self.cell);
-        let relay = self.controller.map(|_| cell.rtt / 2);
+        let relay = (!self.region_controllers.is_empty()).then_some(cell.rtt / 2);
         let mut cell_min: Vec<Option<SimDuration>> = vec![None; n_shards];
         for (ix, &s) in map.iter().enumerate() {
             if s == 0 {

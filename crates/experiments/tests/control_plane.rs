@@ -10,18 +10,25 @@
 //!   through the window, and the dark region resumes after the heal.
 //! * one controller per region — in every library profile region `r`
 //!   has its own controller, on region `r`'s shard.
+//! * side effects and wiring — a region controller's WiFi link flips
+//!   and sensor re-pairings land half a cellular round trip after it
+//!   acts, and the inter-region links the deployment builder installs
+//!   are not sent again at startup.
 
 use baselines::BaselineCoordinator;
-use dsps::node::{Pong, Recovered, RegisterNode, ReportDead};
-use experiments::faults::{inject_departure, inject_reboot};
+use dsps::node::{NodeActor, Pong, Recovered, RegisterNode, ReportDead};
+use dsps::placement::GATHER_WINDOW;
+use dsps::workload::WorkloadDriver;
+use experiments::faults::{inject_departure, inject_failure, inject_reboot};
 use experiments::fleet::{profile, PROFILE_NAMES};
 use experiments::weather::{WeatherProgram, WeatherSystem};
 use experiments::{harvest, AppKind, Deployment, ScenarioConfig, Scheme};
 use mobistreams::msgs::NodeCheckpointed;
 use simkernel::{SimDuration, SimTime};
-use simnet::payload;
+use simnet::cellular::CellConfig;
 use simnet::stats::TrafficClass;
-use simnet::NetRx;
+use simnet::wifi::WifiMedium;
+use simnet::{payload, LinkState, NetRx};
 
 /// Shrunk operator states (same trick as the smoke tests) so a
 /// checkpoint round fits the shortened period.
@@ -358,5 +365,108 @@ fn every_region_has_its_own_controller_on_its_shard() {
             );
             assert_eq!(dep.ms_ctl_of(r).region(), r, "{name}: ms_ctl_of({r})");
         }
+    }
+}
+
+/// A region controller sends its own side effects after the cellular
+/// downlink delay (rtt/2) of a command pushed without its bytes. A
+/// departed phone whose `RegisterNode` the controller handles at `t`
+/// is `Active` on the WiFi medium from `t + rtt/2`, not a nanosecond
+/// earlier; after a failure report at `t` the recovery executes when
+/// the gather window closes, and the sensor feeds the source's new
+/// phone from `t + GATHER_WINDOW + rtt/2`, not a nanosecond earlier.
+#[test]
+fn side_effects_land_half_a_round_trip_after_the_controller_acts() {
+    let half_rtt = CellConfig::default().rtt / 2;
+    let ns = SimDuration::from_nanos(1);
+    let mut dep = Deployment::build(one_region(8));
+    dep.start();
+    let ctl = dep.region_controllers[0];
+    let handles = &dep.regions[0];
+    let (wifi, driver) = (handles.wifi, handles.driver);
+    let idle = handles.placement.idle_active_slots()[0];
+    let idle_phone = handles.placement.actor(idle);
+    let source = handles.graph.sources()[0];
+    let source_slot = handles.placement.slot_of(source);
+    let source_phone = handles.placement.actor(source_slot);
+    let reporter = handles.nodes[source_slot as usize + 1];
+    let deliver = |dep: &mut Deployment, at: SimTime, src, payload| {
+        let class = TrafficClass::Control;
+        let rx = NetRx {
+            src,
+            bytes: 64,
+            class,
+            payload,
+        };
+        dep.sim.schedule_at(at, ctl, rx);
+    };
+
+    inject_departure(&mut dep, 0, idle, SimTime::from_secs(35));
+    let rejoin = SimTime::from_secs(50);
+    let register = payload(RegisterNode {
+        region: 0,
+        slot: idle,
+    });
+    deliver(&mut dep, rejoin, idle_phone, register);
+    let link = |dep: &Deployment| dep.sim.actor::<WifiMedium>(wifi).link_state(idle_phone);
+    dep.run_until(rejoin + half_rtt - ns);
+    assert_eq!(link(&dep), LinkState::Gone);
+    dep.run_until(rejoin + half_rtt);
+    assert_eq!(link(&dep), LinkState::Active);
+
+    let failed = SimTime::from_secs(100);
+    inject_failure(&mut dep, 0, source_slot, failed);
+    let report = payload(ReportDead {
+        region: 0,
+        slot: source_slot,
+        observed_by: source_slot + 1,
+    });
+    deliver(&mut dep, failed, reporter, report);
+    let redirected = failed + GATHER_WINDOW + half_rtt;
+    let target = |dep: &Deployment| dep.sim.actor::<WorkloadDriver>(driver).target_of(source);
+    dep.run_until(redirected - ns);
+    assert_eq!(target(&dep), Some(source_phone));
+    dep.run_until(redirected);
+    let moved = target(&dep).expect("the source is fed");
+    assert_ne!(moved, source_phone, "the sensor follows the source");
+    assert!(dep.regions[0].nodes.contains(&moved));
+    dep.run_until(SimTime::from_secs(180));
+    let recoveries = dep.ms_recoveries();
+    assert_eq!(recoveries.len(), 1);
+    assert_eq!(recoveries[0].started, failed, "the report started it");
+}
+
+/// The deployment builder installs the inter-region links once: a
+/// fresh deployment sends no `UpdateInterRegion` before a region first
+/// reports a placement or stop. The sink phones' links are wiped after
+/// the build; in a first minute with no failure, departure or stop,
+/// nothing may write them back.
+#[test]
+fn inter_region_links_are_installed_once_at_build() {
+    let mut dep = Deployment::build(ScenarioConfig {
+        regions: 3,
+        ..one_region(8)
+    });
+    let mut sinks = Vec::new();
+    for r in 0..2 {
+        for &n in &dep.regions[r].nodes {
+            let na = dep.sim.actor_mut::<NodeActor>(n);
+            if !na.inner.inter_region.is_empty() {
+                na.inner.inter_region.clear();
+                sinks.push(n);
+            }
+        }
+    }
+    assert_eq!(sinks.len(), 2, "one sink phone per upstream region");
+    dep.start();
+    dep.run_until(SimTime::from_secs(60));
+    assert!(dep.ms_recoveries().is_empty());
+    assert_eq!((dep.ms_stops(), dep.ms_departures_handled()), (0, 0));
+    for n in sinks {
+        let na = dep.sim.actor::<NodeActor>(n);
+        assert!(
+            na.inner.inter_region.is_empty(),
+            "{n:?} got its links again"
+        );
     }
 }

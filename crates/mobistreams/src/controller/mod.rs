@@ -14,14 +14,15 @@
 //!   converges phones onto the desired membership through an
 //!   epoch-numbered event log of [`crate::msgs::SlotChange`] records,
 //!   reconciled with batched per-phone deltas (see [`reconcile`]) —
-//!   never a full-snapshot fan-out.
-//! * [`Coordinator`] — a thin global actor on shard 0. It owns nothing
-//!   but the cross-region concerns: inter-region wiring (re-resolved
-//!   whenever a region reports a placement or stop/restart change), and
+//!   never a full-snapshot fan-out. It sends its own side effects (WiFi
+//!   link flips, sensor re-pairing) after the cellular downlink delay.
+//! * [`Coordinator`] — a thin global actor on shard 0. It does only
+//!   what needs every region: inter-region wiring (re-resolved with
+//!   [`dsps::placement::resolve_inter_region`] whenever a region
+//!   reports a placement or stop/restart change; the deployment builder
+//!   installs the same function's result once at build time), and
 //!   brokering of bulk operator-code installs over its fat cellular
-//!   endpoint. It also relays the few zero-cost side effects (WiFi
-//!   link flips, sensor re-pairing), stamping the cellular downlink
-//!   delay on them.
+//!   endpoint.
 //!
 //! The split preserves the paper's protocol: checkpoint triggering and
 //! commit, ping-based failure detection with burst gathering, recovery
@@ -35,11 +36,11 @@ pub mod region;
 
 use std::sync::Arc;
 
-use dsps::graph::{OpId, QueryGraph};
+use dsps::graph::QueryGraph;
 use dsps::placement::Placement;
 use simkernel::ActorId;
 
-pub use coordinator::{Coordinator, RegionWiring};
+pub use coordinator::Coordinator;
 pub use dsps::placement::RecoveryRecord;
 pub use region::RegionController;
 
@@ -52,14 +53,12 @@ pub struct RegionSpec {
     pub placement: Placement,
     /// The region's WiFi medium actor.
     pub wifi: ActorId,
-    /// Downstream regions: (region index, source op fed there).
-    pub downstream: Vec<(usize, OpId)>,
     /// Sensor (workload driver) actors to re-pair when a source op
     /// moves to another phone.
     pub sensors: Vec<ActorId>,
 }
 
 /// Control-plane startup trigger (scheduled by the deployment builder
-/// to the coordinator and to every region controller).
+/// to every region controller).
 #[derive(Debug, Clone, Copy)]
 pub struct Start;

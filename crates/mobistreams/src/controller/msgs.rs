@@ -1,18 +1,20 @@
 //! Control-plane-internal events: region-controller timers and the
 //! direct (zero-cost) messages exchanged between region controllers
-//! and the global [`crate::controller::Coordinator`].
+//! and the global [`crate::controller::Coordinator`]: a region's status
+//! report, an install to ship and an install that did not arrive.
 //!
-//! These never touch the cellular network — region controller →
+//! These never touch the cellular network. Region controller →
 //! coordinator sends are legal zero-delay cross-shard events (any
-//! shard may send into shard 0), while coordinator → region sends are
-//! delayed by the cellular downlink latency before re-entering a
-//! region shard (see `Coordinator::relay_delay`), which also keeps
-//! them above the kernel's per-destination cross-shard bound.
+//! shard may send into shard 0); the one coordinator → region send, an
+//! [`InstallOutcome`], is delayed by the cellular downlink latency
+//! before re-entering a region shard (see `Coordinator::relay_delay`),
+//! which also keeps it above the kernel's per-destination cross-shard
+//! bound. A region controller's own side effects (WiFi link flips,
+//! sensor re-pairing) stay on its shard and need no message here.
 
 use std::sync::Arc;
 
 use simkernel::ActorId;
-use simnet::LinkState;
 
 /// Region-controller timer events.
 #[derive(Debug, Clone, Copy)]
@@ -53,8 +55,8 @@ pub struct RegionStatus {
 
 /// Region controller → coordinator: ship a bulk operator-code install
 /// to `dst` over the coordinator's fat cellular endpoint. The
-/// coordinator owns the completion tag and reports back with
-/// [`InstallOutcome`].
+/// coordinator owns the completion tag and reports a send that did
+/// not arrive with [`InstallOutcome`].
 #[derive(Debug, Clone)]
 pub struct ShipInstall {
     /// Region the install belongs to.
@@ -69,18 +71,18 @@ pub struct ShipInstall {
     pub install: dsps::node::Install,
 }
 
-/// How a shipped install's cellular send completed.
+/// Why a shipped install's cellular send did not arrive (a delivered
+/// one needs no report).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstallOutcomeKind {
-    /// Delivered; nothing to do.
-    Delivered,
     /// The target died before delivery.
     Failed,
     /// The send aged out behind a network partition.
     Severed,
 }
 
-/// Coordinator → region controller: completion of a [`ShipInstall`].
+/// Coordinator → region controller: a [`ShipInstall`] that did not
+/// arrive.
 #[derive(Debug, Clone, Copy)]
 pub struct InstallOutcome {
     /// Region the install belonged to.
@@ -89,29 +91,4 @@ pub struct InstallOutcome {
     pub slot: u32,
     /// Completion kind.
     pub kind: InstallOutcomeKind,
-}
-
-/// Region controller → coordinator: flip a phone's WiFi link state.
-/// The controller shares the WiFi medium's shard, so the relay is only
-/// a timing model: the coordinator stamps the cellular downlink delay
-/// on a command the controller pushes without modelling its bytes.
-#[derive(Debug, Clone, Copy)]
-pub struct RelayWifiLink {
-    /// The region's WiFi medium.
-    pub wifi: ActorId,
-    /// The phone whose link changes.
-    pub node: ActorId,
-    /// New link state.
-    pub state: LinkState,
-}
-
-/// Region controller → coordinator: re-pair a sensor with the phone
-/// now hosting its source op (zero-cost direct event, relayed for the
-/// same timing reason as [`RelayWifiLink`]).
-#[derive(Debug, Clone, Copy)]
-pub struct RelaySensorRedirect {
-    /// The sensor (workload driver) actor.
-    pub sensor: ActorId,
-    /// The redirect to deliver.
-    pub redirect: dsps::workload::SensorRedirect,
 }

@@ -20,9 +20,12 @@
 //! * reconciles membership with epoch-numbered batched deltas (see
 //!   [`super::reconcile`]) instead of full-snapshot fan-outs.
 //!
-//! Anything cross-region — inter-region wiring, bulk install
-//! shipping — is delegated to the coordinator via the direct
-//! messages in [`super::msgs`].
+//! Its own side effects — WiFi link flips, sensor re-pairing — it
+//! sends itself, after the cellular downlink delay of a command pushed
+//! without its bytes; the WiFi medium and the sensors share its shard.
+//! Only what needs every region — inter-region wiring, bulk install
+//! shipping — goes to the coordinator, via the direct messages in
+//! [`super::msgs`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -36,12 +39,9 @@ use dsps::placement::{
 };
 use simkernel::{impl_actor_any, Actor, ActorId, Ctx, EventBox, SimDuration, SimTime};
 use simnet::stats::TrafficClass::Control;
-use simnet::{net_send, payload, payload_as, LinkState, NetRx, Payload, TxFailed};
+use simnet::{net_send, payload, payload_as, LinkState, NetRx, Payload, SetLink, TxFailed};
 
-use super::msgs::{
-    CtlTimer, InstallOutcome, InstallOutcomeKind, RegionStatus, RelaySensorRedirect, RelayWifiLink,
-    ShipInstall,
-};
+use super::msgs::{CtlTimer, InstallOutcome, InstallOutcomeKind, RegionStatus, ShipInstall};
 use super::reconcile::{MembershipLog, SuffixCache};
 use super::{RegionSpec, Start};
 use crate::msgs::*;
@@ -109,6 +109,10 @@ pub struct RegionController {
     schedule: CheckpointSchedule,
     cell: ActorId,
     coordinator: ActorId,
+    /// Delay of the side effects the controller pushes without their
+    /// bytes (WiFi link flips, sensor re-pairing): the cellular
+    /// downlink latency, rtt/2.
+    push_delay: SimDuration,
     /// Global index of the region this controller owns.
     region: usize,
     graph: Arc<QueryGraph>,
@@ -198,6 +202,7 @@ impl RegionController {
         schedule: CheckpointSchedule,
         cell: ActorId,
         coordinator: ActorId,
+        push_delay: SimDuration,
         region: usize,
         spec: RegionSpec,
     ) -> Self {
@@ -205,6 +210,7 @@ impl RegionController {
             schedule,
             cell,
             coordinator,
+            push_delay,
             region,
             graph: spec.graph,
             restart_min: spec.placement.hosting_slots().len() as u32,
@@ -375,8 +381,7 @@ impl RegionController {
 
     /// Re-pair sensors with the phones now hosting the source ops
     /// (zero-cost events: the camera physically pairs with the
-    /// adjacent phone). Relayed through the coordinator, which stamps
-    /// the cellular downlink delay on it.
+    /// adjacent phone), pushed after the cellular downlink delay.
     fn redirect_sensors(&self, ctx: &mut Ctx) {
         let redirects: Vec<_> = self
             .graph
@@ -390,7 +395,7 @@ impl RegionController {
             .collect();
         for &sensor in &self.sensors {
             for &redirect in &redirects {
-                ctx.send(self.coordinator, RelaySensorRedirect { sensor, redirect });
+                ctx.send_in(self.push_delay, sensor, redirect);
             }
         }
     }
@@ -1097,17 +1102,13 @@ impl RegionController {
                 self.pending_reinstalls.push(m.slot);
             }
         }
-        // Update WiFi membership: the phone is back in range. Relayed
-        // through the coordinator, which stamps the cellular downlink
-        // delay on it.
-        ctx.send(
-            self.coordinator,
-            RelayWifiLink {
-                wifi: self.wifi,
-                node: self.table.actor(m.slot),
-                state: LinkState::Active,
-            },
-        );
+        // Update WiFi membership: the phone is back in range, after
+        // the cellular downlink delay of the command.
+        let link = SetLink {
+            node: self.table.actor(m.slot),
+            state: LinkState::Active,
+        };
+        ctx.send_in(self.push_delay, self.wifi, link);
         self.membership_changed(FlushScope::Stakeholders, ctx);
         if self.stopped {
             // Restart a stopped region once enough phones are back.
@@ -1158,13 +1159,12 @@ impl RegionController {
         self.send_status(ctx);
     }
 
-    /// Completion of an install the coordinator shipped for us.
+    /// An install the coordinator shipped for us did not arrive.
     fn on_install_outcome(&mut self, o: InstallOutcome, ctx: &mut Ctx) {
         if !self.valid_slot(o.region, o.slot) {
             return;
         }
         match o.kind {
-            InstallOutcomeKind::Delivered => {}
             // The install never reached its target: that phone is dead;
             // fold it into a fresh recovery round.
             InstallOutcomeKind::Failed => {

@@ -28,5 +28,5 @@ pub mod controller;
 pub mod msgs;
 pub mod scheme;
 
-pub use controller::{Coordinator, RegionController, RegionSpec, RegionWiring};
+pub use controller::{Coordinator, RegionController, RegionSpec};
 pub use scheme::MsScheme;
